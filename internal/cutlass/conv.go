@@ -2,8 +2,8 @@ package cutlass
 
 import (
 	"fmt"
+	"sync"
 
-	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
 )
@@ -143,63 +143,138 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 		panic(fmt.Sprintf("cutlass: conv destination has %d elements, want NHWC (%d,%d,%d,%d)",
 			out.NumElements(), s.N, oh, ow, s.OC))
 	}
-	xd, wd, od := x.Data(), w.Data(), out.Data()
-	quant := c.Epilogue.OutDType == tensor.FP16
-
-	rows := s.N * oh
-	parallelRows(rows, func(r0, r1 int) {
-		accp := getAcc(s.OC)
-		defer putAcc(accp)
-		acc := *accp
-		for r := r0; r < r1; r++ {
-			in := r / oh
-			io := r % oh
-			for jo := 0; jo < ow; jo++ {
-				for k := range acc {
-					acc[k] = 0
-				}
-				for kh := 0; kh < s.KH; kh++ {
-					ih := io*s.StrideH - s.PadH + kh
-					if ih < 0 || ih >= s.H {
-						continue
-					}
-					for kw := 0; kw < s.KW; kw++ {
-						iw := jo*s.StrideW - s.PadW + kw
-						if iw < 0 || iw >= s.W {
-							continue
-						}
-						xoff := ((in*s.H+ih)*s.W + iw) * s.IC
-						for oc := 0; oc < s.OC; oc++ {
-							woff := ((oc*s.KH+kh)*s.KW + kw) * s.IC
-							sum := acc[oc]
-							for ic := 0; ic < s.IC; ic++ {
-								sum += xd[xoff+ic] * wd[woff+ic]
-							}
-							acc[oc] = sum
-						}
-					}
-				}
-				ooff := ((in*oh+io)*ow + jo) * s.OC
-				for oc := 0; oc < s.OC; oc++ {
-					var cv float32
-					if bd != nil {
-						cv = bd[oc]
-					}
-					v := c.Epilogue.apply(acc[oc], cv)
-					if quant {
-						v = fp16.ToFloat32(fp16.FromFloat32(v))
-					}
-					od[ooff+oc] = v
-				}
-			}
-		}
-	})
+	r := convRunPool.Get().(*convRun)
+	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: w.Data(), bd: bd, od: out.Data()}
+	m, n, k := s.ImplicitGemm()
+	parallelRows(r, m, m*n*k)
+	*r = convRun{} // a pooled run must not pin the operands
+	convRunPool.Put(r)
 	// INT8 outputs are quantized dynamically with a serial max-abs scan
 	// (see Gemm.run) so the result is partitioning-independent.
 	if c.Epilogue.OutDType == tensor.INT8 {
 		out.CalibrateScale()
 	}
 	return out
+}
+
+// convRun is one RunInto call's operands and the rowKernel that
+// parallelRows partitions over the flattened output-pixel index
+// N·OH·OW. It is pooled so a call allocates nothing, split or not.
+type convRun struct {
+	s              ConvShape
+	epi            Epilogue
+	xd, wd, bd, od []float32
+}
+
+var convRunPool = sync.Pool{New: func() any { return new(convRun) }}
+
+// tapRange returns the taps [k0, k1) of a k-wide kernel extent whose
+// input coordinate base+tap falls inside [0, lim). Taps outside are
+// skipped rather than multiplied by zero, so a non-finite weight over
+// the padding never reaches a sum.
+func tapRange(base, k, lim int) (k0, k1 int) {
+	k0 = max(0, -base)
+	k1 = max(k0, min(k, lim-base))
+	return k0, k1
+}
+
+// run computes output pixels [p0, p1) as a direct implicit GEMM. OHWI
+// weights are already the GEMM's Bᵀ with K = (kh, kw, ic) contiguous
+// per output channel, and for a fixed kh the valid kw range × IC is one
+// contiguous segment of both the NHWC input row and the weight row, so
+// a pixel's reduction is at most KH segment dot products and nothing is
+// packed or copied. A pixel accumulates four output channels at a time
+// in registers (channels past a multiple of 4 go one by one). Every
+// output still sees its products in (kh, kw, ic) order with one float32
+// round per step, so the bytes depend on neither the tiling nor the
+// partition. Channel blocks are the outer loop: four channels' weights
+// stay cached while the range's pixels stream past them.
+func (r *convRun) run(p0, p1 int) {
+	s := r.s
+	oh, ow := s.OutH(), s.OutW()
+	rowX, rowW := s.W*s.IC, s.KW*s.IC
+	ocW := s.KH * rowW
+	for oc := 0; oc < s.OC; {
+		q := 1
+		if oc+4 <= s.OC {
+			q = 4
+		}
+		for p := p0; p < p1; {
+			// One output row's share of the range: its pixels have
+			// the kh taps in common.
+			jo, row := p%ow, p/ow
+			end := min(p1, p+ow-jo)
+			ih := row%oh*s.StrideH - s.PadH
+			kh0, kh1 := tapRange(ih, s.KH, s.H)
+			xrow := (row/oh*s.H + ih + kh0) * rowX
+			wrow := oc*ocW + kh0*rowW
+			for ; p < end; p, jo = p+1, jo+1 {
+				iw := jo*s.StrideW - s.PadW
+				kw0, kw1 := tapRange(iw, s.KW, s.W)
+				xo, wo := xrow+(iw+kw0)*s.IC, wrow+kw0*s.IC
+				seg, nkh := (kw1-kw0)*s.IC, kh1-kh0
+				if seg == 0 {
+					nkh = 0
+				}
+				if q == 4 {
+					a0, a1, a2, a3 := dot1x4(r.xd, r.wd, xo, rowX, wo, ocW, rowW, seg, nkh)
+					o := r.od[p*s.OC+oc:][:4]
+					o[0], o[1] = r.finish(oc, a0), r.finish(oc+1, a1)
+					o[2], o[3] = r.finish(oc+2, a2), r.finish(oc+3, a3)
+				} else {
+					r.od[p*s.OC+oc] = r.finish(oc, dot1x1(r.xd, r.wd, xo, rowX, wo, rowW, seg, nkh))
+				}
+			}
+		}
+		oc += q
+	}
+}
+
+// dot1x4 reduces nkh tap segments of seg elements, the first at xd[xo]
+// and one input row apart, against the weights of four consecutive
+// output channels starting at wd[wo]: four independent add chains.
+// A 2×4 tile measured a third slower: its eight accumulators and eight
+// products do not fit the fifteen registers the compiler has.
+func dot1x4(xd, wd []float32, xo, rowX, wo, ocW, rowW, seg, nkh int) (a0, a1, a2, a3 float32) {
+	for ; nkh > 0; nkh-- {
+		xa := xd[xo : xo+seg]
+		w0 := wd[wo:][:len(xa)]
+		w1 := wd[wo+ocW:][:len(xa)]
+		w2 := wd[wo+2*ocW:][:len(xa)]
+		w3 := wd[wo+3*ocW:][:len(xa)]
+		for i, x := range xa {
+			a0 += x * w0[i]
+			a1 += x * w1[i]
+			a2 += x * w2[i]
+			a3 += x * w3[i]
+		}
+		xo += rowX
+		wo += rowW
+	}
+	return
+}
+
+// dot1x1 reduces one pixel against one output channel.
+func dot1x1(xd, wd []float32, xo, rowX, wo, rowW, seg, nkh int) (a float32) {
+	for ; nkh > 0; nkh-- {
+		xa := xd[xo : xo+seg]
+		w0 := wd[wo:][:len(xa)]
+		for i, x := range xa {
+			a += x * w0[i]
+		}
+		xo += rowX
+		wo += rowW
+	}
+	return
+}
+
+// finish turns output channel oc's accumulator into its stored value.
+func (r *convRun) finish(oc int, acc float32) float32 {
+	var cv float32
+	if r.bd != nil {
+		cv = r.bd[oc]
+	}
+	return r.epi.store(acc, cv)
 }
 
 // Desc lowers the convolution to a device kernel descriptor using the
@@ -268,6 +343,10 @@ func ReferenceConv2D(s ConvShape, x, w, bias *tensor.Tensor, epi Epilogue) *tens
 	oh, ow := s.OutH(), s.OutW()
 	out := tensor.NewWithLayout(epi.OutDType, tensor.LayoutNHWC, s.N, oh, ow, s.OC)
 	xd, wd, od := x.Data(), w.Data(), out.Data()
+	var bd []float32
+	if bias != nil {
+		bd = bias.Data()
+	}
 	for in := 0; in < s.N; in++ {
 		for io := 0; io < oh; io++ {
 			for jo := 0; jo < ow; jo++ {
@@ -290,8 +369,8 @@ func ReferenceConv2D(s ConvShape, x, w, bias *tensor.Tensor, epi Epilogue) *tens
 						}
 					}
 					var cv float32
-					if bias != nil {
-						cv = bias.Data()[oc]
+					if bd != nil {
+						cv = bd[oc]
 					}
 					od[((in*oh+io)*ow+jo)*s.OC+oc] = epi.apply(float32(sum), cv)
 				}

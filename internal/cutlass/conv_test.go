@@ -1,8 +1,13 @@
 package cutlass
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
 )
@@ -204,5 +209,265 @@ func TestConvAlignmentAffectsSpeed(t *testing.T) {
 	if conv8.Time(d) >= conv2.Time(d) {
 		t.Errorf("aligned conv (%.3gus) should beat unaligned (%.3gus)",
 			conv8.Time(d)*1e6, conv2.Time(d)*1e6)
+	}
+}
+
+// directConv is the loop RunInto used before the tiled implicit GEMM:
+// one float32 add chain per output in (kh, kw, ic) order, taps outside
+// the input skipped. It stays as the bit-exact oracle for the kernel.
+func directConv(c *Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
+	s := c.Shape
+	oh, ow := s.OutH(), s.OutW()
+	out := tensor.NewWithLayout(c.Epilogue.OutDType, tensor.LayoutNHWC, s.N, oh, ow, s.OC)
+	xd, wd, od := x.Data(), w.Data(), out.Data()
+	var bd []float32
+	if bias != nil {
+		bd = bias.Data()
+	}
+	for in := 0; in < s.N; in++ {
+		for io := 0; io < oh; io++ {
+			for jo := 0; jo < ow; jo++ {
+				for oc := 0; oc < s.OC; oc++ {
+					var sum float32
+					for kh := 0; kh < s.KH; kh++ {
+						ih := io*s.StrideH - s.PadH + kh
+						if ih < 0 || ih >= s.H {
+							continue
+						}
+						for kw := 0; kw < s.KW; kw++ {
+							iw := jo*s.StrideW - s.PadW + kw
+							if iw < 0 || iw >= s.W {
+								continue
+							}
+							xoff := ((in*s.H+ih)*s.W + iw) * s.IC
+							woff := ((oc*s.KH+kh)*s.KW + kw) * s.IC
+							for ic := 0; ic < s.IC; ic++ {
+								sum += xd[xoff+ic] * wd[woff+ic]
+							}
+						}
+					}
+					var cv float32
+					if bd != nil {
+						cv = bd[oc]
+					}
+					v := c.Epilogue.apply(sum, cv)
+					if c.Epilogue.OutDType == tensor.FP16 {
+						v = fp16.ToFloat32(fp16.FromFloat32(v))
+					}
+					od[((in*oh+io)*ow+jo)*s.OC+oc] = v
+				}
+			}
+		}
+	}
+	if c.Epilogue.OutDType == tensor.INT8 {
+		out.CalibrateScale()
+	}
+	return out
+}
+
+// sameBits fails the test at the first element of got whose bit
+// pattern differs from want's (NaNs compare by payload, not by ==).
+func sameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	gd, wd := got.Data(), want.Data()
+	if len(gd) != len(wd) || got.Scale() != want.Scale() {
+		t.Fatalf("%s: %d elements scale %g, want %d scale %g", what, len(gd), got.Scale(), len(wd), want.Scale())
+	}
+	for i := range gd {
+		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+			t.Fatalf("%s: element %d is %g (%#x), want %g (%#x)", what, i,
+				gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))
+		}
+	}
+}
+
+// convCase instantiates shape s at alignment 1 (so IC = 3 and odd OC
+// launch) with seeded operands.
+func convCase(t *testing.T, seed int64, s ConvShape, epi Epilogue, withBias bool) (c *Conv2D, x, w, bias *tensor.Tensor) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.AlignA, cfg.AlignB, cfg.AlignC = 1, 1, 1
+	c, err := NewConv2D(s, cfg, epi, gpu.T4())
+	if err != nil {
+		t.Fatalf("%+v: %v", s, err)
+	}
+	x = randNHWC(seed, s.N, s.H, s.W, s.IC)
+	w = randOHWI(seed+1, s.OC, s.KH, s.KW, s.IC)
+	if withBias {
+		bias = tensor.New(tensor.FP16, s.OC)
+		bias.FillRandom(seed+2, 1)
+	}
+	return c, x, w, bias
+}
+
+// Property: the tiled kernel is bit-identical to the direct loop over
+// strides, paddings (including taps that fall wholly outside the
+// input), rectangular kernels, channel counts off the 4-wide tile, odd
+// widths and every output dtype.
+func TestConvBitIdenticalToDirectLoop(t *testing.T) {
+	shapes := []ConvShape{
+		{N: 1, H: 16, W: 16, IC: 3, OC: 8, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, // stem, alignment 1
+		{N: 2, H: 9, W: 9, IC: 8, OC: 6, KH: 1, KW: 1, StrideH: 2, StrideW: 2},                     // 1x1 strided, OC off the tile
+		{N: 1, H: 5, W: 7, IC: 4, OC: 9, KH: 3, KW: 5, StrideH: 1, StrideW: 1, PadH: 1, PadW: 2},   // KH != KW, OW odd
+		{N: 1, H: 2, W: 2, IC: 16, OC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},  // OH = 2: every pixel clips its taps differently
+		{N: 1, H: 3, W: 4, IC: 2, OC: 5, KH: 1, KW: 2, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3},   // border pixels see padding only
+	}
+	rng := rand.New(rand.NewSource(16))
+	for len(shapes) < 120 {
+		s := ConvShape{N: 1 + rng.Intn(2), H: 1 + rng.Intn(10), W: 1 + rng.Intn(10),
+			IC: []int{1, 3, 8, 13}[rng.Intn(4)], OC: 1 + rng.Intn(13),
+			KH: 1 + rng.Intn(4), KW: 1 + rng.Intn(4),
+			StrideH: 1 + rng.Intn(2), StrideW: 1 + rng.Intn(2),
+			PadH: rng.Intn(4), PadW: rng.Intn(4)}
+		if s.Validate() == nil {
+			shapes = append(shapes, s)
+		}
+	}
+	dtypes := []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}
+	acts := []Activation{ActIdentity, ActReLU, ActHardswish}
+	for i, s := range shapes {
+		withBias := i%2 == 0
+		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
+		if withBias {
+			epi.Beta, epi.BiasVector = 1, true
+		}
+		c, x, w, bias := convCase(t, int64(100+i), s, epi, withBias)
+		sameBits(t, fmt.Sprintf("%+v %v bias=%v", s, epi.OutDType, withBias),
+			c.Run(x, w, bias), directConv(c, x, w, bias))
+	}
+}
+
+// An Inf or NaN weight on a tap that lies in the padding for some pixel
+// must not touch that pixel: out-of-range taps are skipped, never
+// multiplied by zero.
+func TestConvSkipsPaddedTapsWithNonFiniteWeights(t *testing.T) {
+	s := Conv3x3(1, 6, 6, 8, 8, 1, 1)
+	for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
+		c, x, w, _ := convCase(t, 7, s, Epilogue{Alpha: 1, OutDType: dt}, false)
+		wd := w.Data()
+		for oc := 0; oc < s.OC; oc++ {
+			tap := oc * 3 * 3 * s.IC // (oc, kh 0, kw 0): padding for output pixel (0, 0)
+			wd[tap] = float32(math.Inf(1))
+			wd[tap+1] = float32(math.NaN())
+		}
+		got := c.Run(x, w, nil)
+		sameBits(t, dt.String(), got, directConv(c, x, w, nil))
+		for oc, v := range got.Data()[:s.OC] {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				t.Errorf("%v: output (0,0,%d) = %g: a padded tap reached the sum", dt, oc, v)
+			}
+		}
+		if v := got.Data()[(1*6+1)*s.OC]; !math.IsNaN(float64(v)) {
+			t.Errorf("%v: output (1,1,0) = %g, want NaN from the in-range tap", dt, v)
+		}
+	}
+}
+
+// atProcs runs f with GOMAXPROCS set to n.
+func atProcs(n int, f func() *tensor.Tensor) *tensor.Tensor {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
+// Conv bytes do not depend on how parallelRows partitions the pixels:
+// shapes on both sides of the work threshold, an OH = 2 layer included,
+// agree across 1, 2 and 8 processors.
+func TestConvPartitionIndependent(t *testing.T) {
+	cases := []struct {
+		s     ConvShape
+		dt    tensor.DType
+		split bool
+	}{
+		{ConvShape{N: 1, H: 8, W: 8, IC: 64, OC: 63, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, tensor.FP16, false},
+		{ConvShape{N: 1, H: 8, W: 8, IC: 64, OC: 64, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, tensor.FP16, true},
+		{Conv3x3(1, 2, 2, 64, 64, 1, 1), tensor.FP32, false},
+		{Conv3x3(1, 2, 2, 128, 128, 1, 1), tensor.FP32, true},
+		{Conv3x3(1, 9, 9, 16, 20, 2, 1), tensor.INT8, false},
+		{Conv3x3(2, 9, 7, 32, 36, 1, 1), tensor.INT8, true},
+	}
+	for _, tc := range cases {
+		m, n, k := tc.s.ImplicitGemm()
+		if m*n*k >= splitMACs != tc.split {
+			t.Fatalf("%v: %d MACs is on the wrong side of splitMACs %d", tc.s, m*n*k, splitMACs)
+		}
+		c, x, w, bias := convCase(t, 11, tc.s, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, OutDType: tc.dt}, true)
+		want := directConv(c, x, w, bias)
+		for _, procs := range []int{1, 2, 8} {
+			got := atProcs(procs, func() *tensor.Tensor { return c.Run(x, w, bias) })
+			sameBits(t, fmt.Sprintf("%v at GOMAXPROCS %d", tc.s, procs), got, want)
+		}
+	}
+}
+
+// mallocsPerCall is testing.AllocsPerRun (integral average included, so
+// a stray runtime allocation does not count) without its GOMAXPROCS(1)
+// pin, which would force every call inline.
+func mallocsPerCall(runs int, f func()) float64 {
+	f() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
+// A warmed call into a destination allocates nothing, and splitting it
+// across the pool costs no allocation either.
+func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c, x, w, bias := convCase(t, 3, Conv3x3(1, 8, 8, 32, 32, 1, 1), BiasActivation(ActReLU), true)
+	cdst := c.Run(x, w, bias)
+	g, _ := NewGemm(smallConfig(), DefaultEpilogue(), gpu.T4())
+	a, b := randMat(t, 1, 8, 256), randMat(t, 2, 256, 256)
+	gdst := g.Run(a, b, nil)
+	for name, call := range map[string]func(){
+		"conv": func() { c.RunInto(cdst, x, w, bias) },
+		"gemm": func() { g.RunInto(gdst, a, b, nil) },
+	} {
+		inline := testing.AllocsPerRun(50, call)
+		split := mallocsPerCall(50, call)
+		if split > inline || inline != 0 {
+			t.Errorf("%s: %v allocs/call split, %v inline, want 0 and 0", name, split, inline)
+		}
+	}
+}
+
+// BenchmarkFunctionalConv times RunInto on the ResNet-18 layer shapes
+// at a 64x64 input, batch 1. GFLOP/s is nominal: taps over the padding
+// count, as in ConvShape.FLOPs.
+func BenchmarkFunctionalConv(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		s    ConvShape
+	}{
+		{"stem7x7s2", ConvShape{N: 1, H: 64, W: 64, IC: 3, OC: 64, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}},
+		{"3x3s1", Conv3x3(1, 16, 16, 64, 64, 1, 1)},
+		{"3x3s2", Conv3x3(1, 16, 16, 64, 128, 2, 1)},
+		{"1x1s2", ConvShape{N: 1, H: 16, W: 16, IC: 64, OC: 128, KH: 1, KW: 1, StrideH: 2, StrideW: 2}},
+		{"tail3x3oh2", Conv3x3(1, 2, 2, 512, 512, 1, 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := smallConfig()
+			cfg.AlignA, cfg.AlignB = 1, 1
+			c, err := NewConv2D(bc.s, cfg, BiasActivation(ActReLU), gpu.T4())
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := randNHWC(1, bc.s.N, bc.s.H, bc.s.W, bc.s.IC)
+			w := randOHWI(2, bc.s.OC, bc.s.KH, bc.s.KW, bc.s.IC)
+			bias := tensor.New(tensor.FP16, bc.s.OC)
+			bias.FillRandom(3, 1)
+			dst := c.Run(x, w, bias)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.RunInto(dst, x, w, bias)
+			}
+			b.ReportMetric(bc.s.FLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

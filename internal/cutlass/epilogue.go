@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"bolt/internal/fp16"
 	"bolt/internal/tensor"
 )
 
@@ -137,6 +138,16 @@ func BiasActivation(act Activation) Epilogue {
 func (e Epilogue) apply(acc float32, c float32) float32 {
 	v := e.Alpha*acc + e.Beta*c
 	return e.Act.Apply(v)
+}
+
+// store is apply followed by the rounding a store to OutDType FP16
+// performs (INT8 outputs are calibrated over the whole tensor later).
+func (e Epilogue) store(acc float32, c float32) float32 {
+	v := e.apply(acc, c)
+	if e.OutDType == tensor.FP16 {
+		v = fp16.ToFloat32(fp16.FromFloat32(v))
+	}
+	return v
 }
 
 // sfuPenalty converts one epilogue (CUDA-core / SFU) operation into

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
 )
@@ -90,47 +89,11 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 		panic(fmt.Sprintf("cutlass: gemm destination has %d elements, want %dx%d", out.NumElements(), m, n))
 	}
 	od := out.Data()
-	ad, bd := a.Data(), b.Data()
-	quant := g.Epilogue.OutDType == tensor.FP16
-
-	rowsDone := parallelRows(m, func(i0, i1 int) {
-		accp := getAcc(n)
-		defer putAcc(accp)
-		acc := *accp
-		for i := i0; i < i1; i++ {
-			for j := range acc {
-				acc[j] = 0
-			}
-			arow := ad[i*k : (i+1)*k]
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := bd[kk*n : (kk+1)*n]
-				for j := 0; j < n; j++ {
-					acc[j] += av * brow[j]
-				}
-			}
-			orow := od[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				var cv float32
-				if cdata != nil {
-					if g.Epilogue.BiasVector {
-						cv = cdata[j]
-					} else {
-						cv = cdata[i*n+j]
-					}
-				}
-				v := g.Epilogue.apply(acc[j], cv)
-				if quant {
-					v = fp16.ToFloat32(fp16.FromFloat32(v))
-				}
-				orow[j] = v
-			}
-		}
-	})
-	_ = rowsDone
+	r := gemmRunPool.Get().(*gemmRun)
+	*r = gemmRun{epi: g.Epilogue, n: n, k: k, ad: a.Data(), bd: b.Data(), cd: cdata, od: od}
+	parallelRows(r, m, m*n*k)
+	*r = gemmRun{} // a pooled run must not pin the operands
+	gemmRunPool.Put(r)
 
 	// INT8 outputs are quantized dynamically: a serial max-abs scan
 	// picks the per-tensor symmetric scale (maxAbs/127), then the whole
@@ -154,6 +117,52 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 	return out, reduced
 }
 
+// gemmRun is one Gemm call's operands and the rowKernel that
+// parallelRows partitions over the M output rows. It is pooled so a
+// call allocates nothing, split or not.
+type gemmRun struct {
+	epi            Epilogue
+	n, k           int
+	ad, bd, cd, od []float32
+}
+
+var gemmRunPool = sync.Pool{New: func() any { return new(gemmRun) }}
+
+func (r *gemmRun) run(i0, i1 int) {
+	n, k := r.n, r.k
+	accp := getAcc(n)
+	defer putAcc(accp)
+	acc := *accp
+	for i := i0; i < i1; i++ {
+		for j := range acc {
+			acc[j] = 0
+		}
+		arow := r.ad[i*k : (i+1)*k]
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			if av == 0 {
+				continue
+			}
+			brow := r.bd[kk*n : (kk+1)*n]
+			for j := 0; j < n; j++ {
+				acc[j] += av * brow[j]
+			}
+		}
+		orow := r.od[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			var cv float32
+			if r.cd != nil {
+				if r.epi.BiasVector {
+					cv = r.cd[j]
+				} else {
+					cv = r.cd[i*n+j]
+				}
+			}
+			orow[j] = r.epi.store(acc[j], cv)
+		}
+	}
+}
+
 // accPool recycles per-worker accumulator scratch so the serving hot
 // path does not allocate one slice per kernel invocation.
 var accPool sync.Pool
@@ -169,28 +178,35 @@ func getAcc(n int) *[]float32 {
 
 func putAcc(s *[]float32) { accPool.Put(s) }
 
+// rowKernel is a kernel call whose output units (GEMM rows, conv output
+// pixels) are independent: run computes units [i0, i1), and any
+// partition of the range gives the same bytes.
+type rowKernel interface{ run(i0, i1 int) }
+
 // rowTask is one chunk of a parallelRows call, executed by the
 // persistent worker pool.
 type rowTask struct {
-	f      func(i0, i1 int)
+	k      rowKernel
 	i0, i1 int
 	wg     *sync.WaitGroup
 }
 
 func (t rowTask) run() {
-	t.f(t.i0, t.i1)
+	t.k.run(t.i0, t.i1)
 	t.wg.Done()
 }
 
 var (
 	rowPoolOnce sync.Once
 	rowTasks    chan rowTask
+	// wgPool recycles the per-call completion counter, the only state a
+	// split call needs beyond its pooled kernel.
+	wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 )
 
 // startRowPool spawns the long-lived workers. A persistent pool (vs.
-// per-call goroutines) keeps the per-kernel cost to one counter
-// allocation, which is what lets a planned Module.Run stay nearly
-// allocation-free.
+// per-call goroutines) keeps a split call allocation-free, which is
+// what lets a planned Module.Run stay nearly allocation-free.
 func startRowPool() {
 	n := runtime.GOMAXPROCS(0)
 	rowTasks = make(chan rowTask, 4*n)
@@ -203,32 +219,35 @@ func startRowPool() {
 	}
 }
 
-// parallelRows splits [0, m) across the persistent worker pool. Small
-// problems run inline to avoid synchronization overhead in tight test
-// loops; when the pool's queue is full, chunks also run inline rather
-// than block. Before parking, the submitter drains the queue itself,
-// so a task that re-enters parallelRows cannot deadlock the pool: a
-// goroutine only ever parks waiting on chunks held by actively-running
-// goroutines (the wait graph follows task ownership and is acyclic).
-func parallelRows(m int, f func(i0, i1 int)) int {
-	workers := runtime.GOMAXPROCS(0)
-	if m < 64 || workers == 1 {
-		f(0, m)
-		return 1
-	}
-	if workers > m {
-		workers = m
+// splitMACs is the multiply-accumulate count from which a kernel call
+// is split. Waking a parked worker and waiting for its chunk measured
+// about 25 us of host time, and 2^18 MACs are some 75 us of convolution
+// (more of Gemm): the smallest call a two-way split still shortens. A
+// 16x16 Dense layer (2 k MACs) stays inline for one multiply and
+// compare.
+const splitMACs = 1 << 18
+
+// parallelRows runs k over [0, units), split evenly across the
+// persistent worker pool when the call does at least splitMACs of work
+// and there are two units and two processors to split between;
+// otherwise inline. When the pool's queue is full, chunks also run
+// inline rather than block. Before parking, the submitter drains the
+// queue itself, so a task that re-enters parallelRows cannot deadlock
+// the pool: a goroutine only ever parks waiting on chunks held by
+// actively-running goroutines (the wait graph follows task ownership
+// and is acyclic).
+func parallelRows(k rowKernel, units, macs int) {
+	workers := min(runtime.GOMAXPROCS(0), units)
+	if workers < 2 || macs < splitMACs {
+		k.run(0, units)
+		return
 	}
 	rowPoolOnce.Do(startRowPool)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > m {
-			i1 = m
-		}
+	chunk := (units + workers - 1) / workers
+	wg := wgPool.Get().(*sync.WaitGroup)
+	for i0 := 0; i0 < units; i0 += chunk {
 		wg.Add(1)
-		t := rowTask{f: f, i0: i0, i1: i1, wg: &wg}
+		t := rowTask{k: k, i0: i0, i1: min(i0+chunk, units), wg: wg}
 		select {
 		case rowTasks <- t:
 		default:
@@ -247,7 +266,7 @@ func parallelRows(m int, f func(i0, i1 int)) int {
 		break
 	}
 	wg.Wait()
-	return workers
+	wgPool.Put(wg)
 }
 
 // Desc lowers one launch of this kernel on an m×n×k problem to the

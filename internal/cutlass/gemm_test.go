@@ -1,6 +1,7 @@
 package cutlass
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -305,6 +306,37 @@ func TestGELUMonotoneNearOrigin(t *testing.T) {
 			t.Fatalf("GELU decreased sharply at %g", x)
 		}
 		prev = cur
+	}
+}
+
+// Gemm bytes do not depend on how parallelRows partitions the rows:
+// M = 8 problems on both sides of the work threshold agree across 1, 2
+// and 8 processors, as does a single row, which cannot split.
+func TestGemmPartitionIndependent(t *testing.T) {
+	cases := []struct {
+		m, n, k int
+		dt      tensor.DType
+		split   bool
+	}{
+		{8, 248, 128, tensor.FP16, false},
+		{8, 256, 128, tensor.FP16, true},
+		{8, 512, 256, tensor.INT8, true},
+		{1, 1024, 512, tensor.FP32, true},
+	}
+	for _, tc := range cases {
+		if tc.m*tc.n*tc.k >= splitMACs != tc.split {
+			t.Fatalf("%dx%dx%d is on the wrong side of splitMACs %d", tc.m, tc.n, tc.k, splitMACs)
+		}
+		g, err := NewGemm(smallConfig(), Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt}, gpu.T4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
+		want := atProcs(1, func() *tensor.Tensor { return g.Run(a, b, bias) })
+		for _, procs := range []int{2, 8} {
+			got := atProcs(procs, func() *tensor.Tensor { return g.Run(a, b, bias) })
+			sameBits(t, fmt.Sprintf("%dx%dx%d at GOMAXPROCS %d", tc.m, tc.n, tc.k, procs), got, want)
+		}
 	}
 }
 
