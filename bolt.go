@@ -243,7 +243,9 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cache != nil {
+	// A warm compile recorded and measured nothing: the file already
+	// holds the log, so it is left alone.
+	if cache != nil && cache.Dirty() {
 		if err := saveCache(cache, opts.CacheFile); err != nil {
 			return nil, err
 		}

@@ -1,0 +1,139 @@
+package bolt_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"bolt"
+)
+
+// fileState is what a rewrite cannot leave alone: saves go through a
+// temp file and a rename, so even one that writes identical bytes
+// replaces the file and restamps it.
+type fileState struct {
+	info os.FileInfo
+	data []byte
+}
+
+// freeze backdates the cache file, so a later write shows whatever the
+// filesystem's timestamp granularity, and records its state.
+func freeze(t *testing.T, path string) fileState {
+	t.Helper()
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	return stateOf(t, path)
+}
+
+func stateOf(t *testing.T, path string) fileState {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fileState{info, data}
+}
+
+func (a fileState) untouched(b fileState) bool {
+	return os.SameFile(a.info, b.info) && a.info.ModTime().Equal(b.info.ModTime()) && bytes.Equal(a.data, b.data)
+}
+
+// TestWarmCompileLeavesCacheFileAlone: a compile that read its whole
+// tuning record from the file has nothing to add to it.
+func TestWarmCompileLeavesCacheFileAlone(t *testing.T) {
+	dev := bolt.T4()
+	cache := filepath.Join(t.TempDir(), "tune.json")
+	if _, err := bolt.Compile(buildTiny(), dev, bolt.Options{CacheFile: cache}); err != nil {
+		t.Fatal(err)
+	}
+	before := freeze(t, cache)
+	warm, err := bolt.Compile(buildTiny(), dev, bolt.Options{CacheFile: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Tuning.Measurements != 0 || warm.Tuning.CacheHits != warm.Tuning.UniqueWorkloads {
+		t.Fatalf("setup: second compile was not warm: %+v", warm.Tuning)
+	}
+	if !before.untouched(stateOf(t, cache)) {
+		t.Error("a warm compile rewrote its cache file")
+	}
+
+	// A compile that does tune still lands in the file.
+	other, err := bolt.Compile(buildTiny1(), dev, bolt.Options{CacheFile: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Tuning.Measurements == 0 {
+		t.Fatal("setup: a new batch size measured nothing")
+	}
+	if after := stateOf(t, cache); before.untouched(after) || len(after.data) <= len(before.data) {
+		t.Error("a compile that tuned new workloads did not grow its cache file")
+	}
+}
+
+// TestColdCompileThatTunesNothingStillCreatesItsCache: the file is the
+// record that the compile happened, workloads or not.
+func TestColdCompileThatTunesNothingStillCreatesItsCache(t *testing.T) {
+	b := bolt.NewBuilder()
+	x := b.Input("x", bolt.FP16, 4, 32)
+	g := b.Build(b.Activation(x, bolt.ReLU))
+	cache := filepath.Join(t.TempDir(), "tune.json")
+	res, err := bolt.Compile(g, bolt.T4(), bolt.Options{CacheFile: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tuning.UniqueWorkloads != 0 || res.Tuning.Measurements != 0 {
+		t.Fatalf("setup: a graph without anchors tuned something: %+v", res.Tuning)
+	}
+	if info, err := os.Stat(cache); err != nil || info.Size() == 0 {
+		t.Fatalf("cold compile left no cache file: %v", err)
+	}
+	// Its second compile is warm in the sense that matters here.
+	before := freeze(t, cache)
+	g = b.Build(b.Activation(x, bolt.ReLU))
+	if _, err := bolt.Compile(g, bolt.T4(), bolt.Options{CacheFile: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if !before.untouched(stateOf(t, cache)) {
+		t.Error("recompiling with nothing to tune rewrote the cache file")
+	}
+}
+
+// TestServerThatWarmsFromItsCacheDoesNotRewriteIt: every variant
+// compile persists and so does Close, and none of them has news.
+func TestServerThatWarmsFromItsCacheDoesNotRewriteIt(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "tune.json")
+	serveOnce := func() {
+		t.Helper()
+		srv, err := bolt.NewServer(bolt.T4(), bolt.ServerOptions{Workers: 1, Jobs: 2, CacheFile: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Deploy("m", buildTiny1(), bolt.DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Warm("m"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serveOnce()
+	before := freeze(t, cache)
+	if len(before.data) == 0 {
+		t.Fatal("first server persisted nothing")
+	}
+	serveOnce()
+	if !before.untouched(stateOf(t, cache)) {
+		t.Error("a server whose Warm hit every workload rewrote its cache file")
+	}
+}

@@ -158,10 +158,13 @@ func obsHash(seed int64, o Observation) uint64 {
 func (p *Predictor) Observe(group string, feat []float64, y float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.observeLocked(Observation{Group: group, Feat: feat, Y: y})
+	p.observeLocked(Observation{Group: group, Feat: feat, Y: y}, false)
 }
 
-func (p *Predictor) observeLocked(o Observation) {
+// observeLocked applies Observe's rules to one row. owned says the
+// row's feature slice is the predictor's to keep (nobody will write it
+// again); otherwise a kept row stores a copy.
+func (p *Predictor) observeLocked(o Observation, owned bool) {
 	if len(o.Feat) == 0 || math.IsNaN(o.Y) || math.IsInf(o.Y, 0) {
 		return
 	}
@@ -171,7 +174,6 @@ func (p *Predictor) observeLocked(o Observation) {
 	if len(o.Feat) != p.dim {
 		return
 	}
-	o.Feat = append([]float64(nil), o.Feat...)
 	h := obsHash(p.seed, o)
 	if p.seen == nil {
 		p.seen = make(map[uint64]struct{})
@@ -179,8 +181,27 @@ func (p *Predictor) observeLocked(o Observation) {
 	if _, ok := p.seen[h]; ok {
 		return
 	}
+	if !owned {
+		o.Feat = append([]float64(nil), o.Feat...)
+	}
 	p.seen[h] = struct{}{}
 	p.obs = append(p.obs, o)
+}
+
+// IngestRows merges observation rows — a decoded State's, or another
+// predictor's — under Observe's rules and refits. The predictor keeps
+// the rows' feature slices, so the caller must not write them again.
+func (p *Predictor) IngestRows(rows []Observation) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ingestLocked(rows)
+}
+
+func (p *Predictor) ingestLocked(rows []Observation) {
+	for _, o := range rows {
+		p.observeLocked(o, true)
+	}
+	p.fitLocked()
 }
 
 // Ingest merges every observation of other (dedup applies) and refits.
@@ -188,16 +209,12 @@ func (p *Predictor) Ingest(other *Predictor) {
 	if other == nil || other == p {
 		return
 	}
+	// Stored feature slices are never written, so two predictors can
+	// share them.
 	other.mu.Lock()
-	rows := make([]Observation, len(other.obs))
-	copy(rows, other.obs)
+	rows := append([]Observation(nil), other.obs...)
 	other.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, o := range rows {
-		p.observeLocked(o)
-	}
-	p.fitLocked()
+	p.IngestRows(rows)
 }
 
 // Len returns the number of distinct observations recorded.
@@ -239,9 +256,7 @@ func (p *Predictor) Fit() {
 }
 
 func (p *Predictor) fitLocked() {
-	rows := make([]Observation, len(p.obs))
-	copy(rows, p.obs)
-	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a], rows[b]) })
+	rows := p.sortedLocked()
 
 	var trainF [][]float64
 	var trainY []float64
@@ -383,42 +398,51 @@ func (p *Predictor) Confidence() float64 {
 	return p.conf
 }
 
-// predictorJSON is the persistence format: the seed and the raw
-// observation set. Weights are derived state and are refit on load,
-// so a loaded model is bit-identical to the one that saved it.
-type predictorJSON struct {
+// State is the persistence format, and the only description of it:
+// the seed and the raw observation set in canonical order. Weights are
+// derived state and are refit on load, so a loaded model is
+// bit-identical to the one that saved it. A tuning log embeds the
+// struct in its own file as is.
+type State struct {
 	Seed int64         `json:"seed"`
 	Obs  []Observation `json:"obs"`
 }
 
-// MarshalJSON serializes the predictor with observations in canonical
-// order (stable files under any training interleaving).
-func (p *Predictor) MarshalJSON() ([]byte, error) {
+// State returns the predictor's persisted form, observations in
+// canonical order (stable files under any training interleaving). The
+// rows share the predictor's feature slices: read-only.
+func (p *Predictor) State() State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return State{Seed: p.seed, Obs: p.sortedLocked()}
+}
+
+// sortedLocked returns a copy of the observations in canonical order.
+func (p *Predictor) sortedLocked() []Observation {
 	rows := make([]Observation, len(p.obs))
 	copy(rows, p.obs)
 	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a], rows[b]) })
-	return json.Marshal(predictorJSON{Seed: p.seed, Obs: rows})
+	return rows
+}
+
+// MarshalJSON serializes the predictor's State.
+func (p *Predictor) MarshalJSON() ([]byte, error) {
+	return json.Marshal(p.State())
 }
 
 // UnmarshalJSON replaces the predictor's state with the serialized
 // observation set and refits.
 func (p *Predictor) UnmarshalJSON(data []byte) error {
-	var pj predictorJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
+	var st State
+	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.seed = pj.Seed
+	p.seed = st.Seed
 	p.dim = 0
 	p.obs = nil
 	p.seen = make(map[uint64]struct{})
-	p.weights, p.conf = nil, 0
-	for _, o := range pj.Obs {
-		p.observeLocked(o)
-	}
-	p.fitLocked()
+	p.ingestLocked(st.Obs)
 	return nil
 }

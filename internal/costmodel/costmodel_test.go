@@ -191,6 +191,61 @@ func TestPredictorJSONRoundTripIsBitIdentical(t *testing.T) {
 	}
 }
 
+// State is the one description of the file format: canonical order
+// whatever the training interleaving, the bytes MarshalJSON writes, and
+// rows that IngestRows turns back into the same model.
+func TestStateIsCanonicalAndIngestRowsRebuildsTheModel(t *testing.T) {
+	obs := synthObs(6, 20)
+	p, rev := NewPredictor(7), NewPredictor(7)
+	for i := range obs {
+		p.Observe(obs[i].Group, obs[i].Feat, obs[i].Y)
+		o := obs[len(obs)-1-i]
+		rev.Observe(o.Group, o.Feat, o.Y)
+	}
+	p.Fit()
+	st := p.State()
+	if st.Seed != 7 || len(st.Obs) != len(obs) {
+		t.Fatalf("State has seed %d and %d rows, want 7 and %d", st.Seed, len(st.Obs), len(obs))
+	}
+	for i := 1; i < len(st.Obs); i++ {
+		if !lessObs(st.Obs[i-1], st.Obs[i]) {
+			t.Fatalf("State rows %d and %d are out of canonical order", i-1, i)
+		}
+	}
+	a, _ := json.Marshal(st)
+	b, _ := json.Marshal(rev.State())
+	c, _ := json.Marshal(p)
+	if string(a) != string(b) || string(a) != string(c) {
+		t.Fatal("State, a reordered predictor's State and MarshalJSON disagree on the bytes")
+	}
+
+	// Rows that crossed a file: a decoded State owns its slices.
+	var decoded State
+	if err := json.Unmarshal(a, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	q := NewPredictor(7)
+	q.IngestRows(decoded.Obs)
+	q.IngestRows(decoded.Obs) // a second helping adds nothing
+	if q.Len() != p.Len() || q.Confidence() != p.Confidence() {
+		t.Fatalf("IngestRows built %d rows at confidence %v, want %d at %v", q.Len(), q.Confidence(), p.Len(), p.Confidence())
+	}
+	for i := range obs {
+		if x, y := p.Predict(obs[i].Feat), q.Predict(obs[i].Feat); x != y {
+			t.Fatalf("obs %d: IngestRows model predicts %v, the trained one %v", i, y, x)
+		}
+	}
+
+	// Observe copies what it keeps: the caller may reuse its buffer.
+	buf := append([]float64(nil), obs[0].Feat...)
+	r := NewPredictor(7)
+	r.Observe("g", buf, -1)
+	buf[0] = 1e9
+	if got := r.State().Obs[0].Feat[0]; got != obs[0].Feat[0] {
+		t.Fatalf("Observe kept the caller's slice: stored feature became %v", got)
+	}
+}
+
 func TestFeaturesDimensionIsStable(t *testing.T) {
 	dev := gpu.T4()
 	cfg := cutlass.GemmConfig{

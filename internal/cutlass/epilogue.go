@@ -145,7 +145,7 @@ func (e Epilogue) apply(acc float32, c float32) float32 {
 func (e Epilogue) store(acc float32, c float32) float32 {
 	v := e.apply(acc, c)
 	if e.OutDType == tensor.FP16 {
-		v = fp16.ToFloat32(fp16.FromFloat32(v))
+		return fp16.Round(v)
 	}
 	return v
 }

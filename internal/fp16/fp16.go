@@ -190,11 +190,65 @@ func DecodeSlice(src []Float16) []float32 {
 	return dst
 }
 
+// Float32 bit patterns of the magnitudes where Round changes regime.
+const (
+	signBit          = 0x80000000
+	bitsSubnormalMin = 0x33800000 // 2^-24, the smallest binary16 subnormal
+	bitsNormalMin    = 0x38800000 // 2^-14, the smallest binary16 normal
+	bitsOverflow     = 0x477FF000 // 65520, the first magnitude that rounds to Inf
+)
+
+// Round returns the float32 nearest to f that binary16 can hold: the
+// store-to-half/load-from-half round trip ToFloat32(FromFloat32(f)),
+// bit for bit, without building the half in between.
+//
+// The rounding is this package's, not IEEE 754's: like FromFloat32 it
+// flushes every |f| < 2^-24 to a signed zero, where IEEE
+// round-to-nearest would send (2^-25, 2^-24) up to the smallest
+// subnormal.
+func Round(f float32) float32 {
+	bits := math.Float32bits(f)
+	if b, ok := roundCommon(bits); ok {
+		return math.Float32frombits(b)
+	}
+	if abs := bits &^ signBit; abs < bitsNormalMin {
+		// A subnormal half is a multiple of 2^-24, which is the
+		// spacing of float32 in [0.5, 1): adding 0.5 rounds to nearest
+		// even on exactly that grid and subtracting it is exact.
+		r := (math.Float32frombits(abs) + 0.5) - 0.5
+		return math.Float32frombits(math.Float32bits(r) | bits&signBit)
+	}
+	return ToFloat32(FromFloat32(f)) // overflow, Inf, NaN
+}
+
+// roundCommon is Round, on float32 bit patterns, where nearly every
+// input lands: the result is a normal half, or a zero (zeros
+// themselves, lazily initialized weights included, and everything
+// flushed). It reports false elsewhere. Small enough to inline into a
+// loop, and working on bits keeps the value in integer registers.
+func roundCommon(bits uint32) (uint32, bool) {
+	abs := bits &^ signBit
+	if abs-bitsNormalMin < bitsOverflow-bitsNormalMin {
+		// Round to nearest even on the 13 dropped mantissa bits. A
+		// mantissa carry rolls into the exponent by itself and cannot
+		// reach Inf below 65520.
+		bits += 0xFFF + bits>>13&1
+		return bits &^ 0x1FFF, true
+	}
+	return bits & signBit, abs < bitsSubnormalMin
+}
+
 // Quantize rounds every element of src through binary16 in place,
-// emulating a store-to-half/load-from-half round trip.
+// emulating a store-to-half/load-from-half round trip. It is Round,
+// looped, with Round's common case spelled out because Round as a
+// whole is too large to inline.
 func Quantize(src []float32) {
 	for i, f := range src {
-		src[i] = ToFloat32(FromFloat32(f))
+		if b, ok := roundCommon(math.Float32bits(f)); ok {
+			src[i] = math.Float32frombits(b)
+		} else {
+			src[i] = Round(f)
+		}
 	}
 }
 

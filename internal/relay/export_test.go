@@ -1,0 +1,9 @@
+package relay
+
+// The test-only oracles and helpers of fold_test.go, for the external
+// zoo tests.
+var (
+	FoldBatchNormOracle = foldBatchNormOracle
+	ConsumersOracle     = (*Graph).consumersOracle
+	SameBits            = sameBits
+)

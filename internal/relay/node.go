@@ -213,12 +213,29 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Consumers returns a map from node ID to the nodes that consume it.
+// Consumers returns a map from node ID to the nodes that consume it,
+// in node order. The lists are counted first and carved out of one
+// backing slice, each capped at its own length, so appending to a list
+// reallocates it instead of overwriting its neighbour.
 func (g *Graph) Consumers() map[int][]*Node {
-	c := make(map[int][]*Node)
+	counts := make(map[int]int, len(g.Nodes))
+	total := 0
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
-			c[in.ID] = append(c[in.ID], n)
+			counts[in.ID]++
+			total++
+		}
+	}
+	backing := make([]*Node, total)
+	c := make(map[int][]*Node, len(counts))
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			list, ok := c[in.ID]
+			if !ok {
+				k := counts[in.ID]
+				list, backing = backing[:0:k], backing[k:]
+			}
+			c[in.ID] = append(list, n)
 		}
 	}
 	return c

@@ -3,8 +3,11 @@ package relay
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"bolt/internal/cutlass"
+	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/persistent"
 	"bolt/internal/tensor"
@@ -33,11 +36,15 @@ func (g *Graph) replaceUses(old, new *Node) {
 //	b'    = beta - mean * scale
 //
 // The BN node is replaced by a BiasAdd so the epilogue-fusion pass can
-// absorb it into the kernel.
+// absorb it into the kernel. Folded weights are fresh tensors: the
+// source constants are never written, because Rebatch clones of one
+// graph share them by reference and each clone folds on its own.
 func FoldBatchNorm(g *Graph) int {
+	// A fold rewires its own conv from the BN to a BiasAdd and leaves
+	// every other conv's consumers alone, so one count serves the pass.
 	consumers := g.Consumers()
 	folded := 0
-	for _, n := range g.Nodes {
+	for _, n := range append([]*Node(nil), g.Nodes...) {
 		if n.Op != OpBatchNorm {
 			continue
 		}
@@ -54,27 +61,13 @@ func FoldBatchNorm(g *Graph) int {
 		oc := conv.Conv.OC
 		scale := make([]float32, oc)
 		shift := make([]float32, oc)
-		for i := 0; i < oc; i++ {
-			s := gamma.Value.Data()[i] / float32(math.Sqrt(float64(variance.Value.Data()[i])+n.Eps))
+		gd, bd, md, vd := gamma.Value.Data(), beta.Value.Data(), mean.Value.Data(), variance.Value.Data()
+		for i := range scale {
+			s := gd[i] / float32(math.Sqrt(float64(vd[i])+n.Eps))
 			scale[i] = s
-			shift[i] = beta.Value.Data()[i] - mean.Value.Data()[i]*s
+			shift[i] = bd[i] - md[i]*s
 		}
-		// Scale weights per output channel (OHWI: oc is the outer dim).
-		wNew := w.Value.Clone()
-		per := wNew.NumElements() / oc
-		for i := 0; i < oc; i++ {
-			for j := 0; j < per; j++ {
-				wNew.Data()[i*per+j] *= scale[i]
-			}
-		}
-		if wNew.DType() == tensor.INT8 {
-			// Per-channel BN scaling moved the weight range; re-pick the
-			// per-tensor quantization scale instead of snapping to the
-			// pre-fold grid.
-			wNew.CalibrateScale()
-		} else {
-			wNew.Quantize()
-		}
+		wNew := scaleChannels(w.Value, scale)
 		wNode := &Node{ID: g.NewID(), Op: OpConstant, Name: w.Name + "_bnfold",
 			Shape: wNew.Shape().Clone(), DType: wNew.DType(), Layout: wNew.Layout(), Value: wNew}
 		bdt := n.DType
@@ -93,10 +86,58 @@ func FoldBatchNorm(g *Graph) int {
 		g.insertAfter(conv, wNode, bNode)
 		g.replaceNode(n, biasAdd)
 		folded++
-		consumers = g.Consumers()
 	}
 	g.rebuild()
 	return folded
+}
+
+// scaleSplitElems is the weight size from which scaleChannels splits
+// its pass across cores; a smaller pass is over in under 0.1 ms and a
+// hand-off buys nothing.
+const scaleSplitElems = 1 << 16
+
+// scaleChannels returns a fresh tensor holding w with output channel c
+// (the outer dimension of OHWI weights) multiplied by scale[c] and
+// stored in w's dtype: each product is formed in float32 and rounded
+// once. w is only read.
+func scaleChannels(w *tensor.Tensor, scale []float32) *tensor.Tensor {
+	out := tensor.NewLike(w)
+	src, dst := w.Data(), out.Data()
+	oc := len(scale)
+	per := len(src) / oc
+	half := w.DType() == tensor.FP16
+	channels := func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			s := scale[c]
+			row := dst[c*per : (c+1)*per]
+			for j, v := range src[c*per : (c+1)*per] {
+				row[j] = v * s
+			}
+			if half {
+				fp16.Quantize(row) // while the row is in cache
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), oc)
+	if workers < 2 || len(src) < scaleSplitElems {
+		channels(0, oc)
+	} else {
+		chunk := (oc + workers - 1) / workers
+		var wg sync.WaitGroup
+		for c0 := 0; c0 < oc; c0 += chunk {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				channels(c0, min(c0+chunk, oc))
+			}()
+		}
+		wg.Wait()
+	}
+	// Per-channel scaling moved an INT8 tensor's range: re-pick the
+	// per-tensor quantization scale instead of snapping to the
+	// pre-fold grid.
+	out.CalibrateScale()
+	return out
 }
 
 // insertAfter places extra nodes immediately after anchor in the

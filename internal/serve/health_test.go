@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,8 +72,19 @@ func TestBacklogCountsInFlightWork(t *testing.T) {
 			return BatchFault{}
 		},
 	})
-	defer s.Close()
-	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+	// Cleanups run last-in first-out: the gate opens before Close waits
+	// for the worker, so a failed assertion below fails at once instead
+	// of parking Close until the package timeout.
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(func() { s.Close() })
+	t.Cleanup(open)
+	// The hour-long window holds rows until the largest bucket fills,
+	// so the four requests leave as one batch however the host
+	// interleaves their submission with the worker.
+	if err := s.Deploy("m", fakeVariant, DeployOptions{
+		Buckets: []int{1, 2, 4}, BatchWindow: time.Hour,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Warm("m"); err != nil {
@@ -92,7 +104,7 @@ func TestBacklogCountsInFlightWork(t *testing.T) {
 	if got := s.BacklogSeconds(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("in-flight backlog %g, want batch cost %g", got, want)
 	}
-	close(release)
+	open()
 	for _, ch := range chans {
 		if res := <-ch; res.Err != nil {
 			t.Fatal(res.Err)

@@ -178,6 +178,14 @@ func FromData(dtype DType, data []float32, shape ...int) *Tensor {
 	return t
 }
 
+// NewLike allocates a zero tensor with t's shape, dtype, layout and
+// INT8 scale.
+func NewLike(t *Tensor) *Tensor {
+	out := NewWithLayout(t.dtype, t.layout, t.shape...)
+	out.scale = t.scale
+	return out
+}
+
 // Shape returns the tensor's shape (shared, do not mutate).
 func (t *Tensor) Shape() Shape { return t.shape }
 
@@ -209,7 +217,7 @@ func (t *Tensor) At(idx ...int) float32 {
 // Set stores v at the given multi-index, quantizing for FP16 tensors.
 func (t *Tensor) Set(v float32, idx ...int) {
 	if t.dtype == FP16 {
-		v = fp16.ToFloat32(fp16.FromFloat32(v))
+		v = fp16.Round(v)
 	}
 	t.data[t.offset(idx)] = v
 }
@@ -302,7 +310,7 @@ func (t *Tensor) Quantize() {
 // Fill sets every element to v (quantized per dtype).
 func (t *Tensor) Fill(v float32) {
 	if t.dtype == FP16 {
-		v = fp16.ToFloat32(fp16.FromFloat32(v))
+		v = fp16.Round(v)
 	}
 	for i := range t.data {
 		t.data[i] = v

@@ -108,6 +108,29 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+func TestNewLikeCopiesTypeNotData(t *testing.T) {
+	a := NewWithLayout(INT8, LayoutNHWC, 2, 3, 3, 4)
+	a.FillRandom(1, 1)
+	a.CalibrateScale()
+	b := NewLike(a)
+	if b.DType() != INT8 || b.Layout() != LayoutNHWC || !b.Shape().Equal(a.Shape()) || b.Scale() != a.Scale() {
+		t.Fatalf("NewLike gave %v scale %v, want the type of %v scale %v", b, b.Scale(), a, a.Scale())
+	}
+	for _, v := range b.Data() {
+		if v != 0 {
+			t.Fatal("NewLike tensor is not zero")
+		}
+	}
+	b.Shape()[0] = 9
+	if a.Shape()[0] != 2 {
+		t.Error("NewLike aliases the shape")
+	}
+	// An unset scale stays unset, so a later cast to INT8 calibrates.
+	if c := NewLike(New(FP16, 4)); c.scale != 0 {
+		t.Errorf("NewLike set scale %v on a tensor that had none", c.scale)
+	}
+}
+
 func TestFillRandomDeterministic(t *testing.T) {
 	a := New(FP16, 100)
 	b := New(FP16, 100)

@@ -90,6 +90,13 @@ type Log struct {
 
 	Hits, Misses, StaleHits int
 
+	// changed and savedObs track whether the log differs from what was
+	// last read from or written to a file: changed is set by every entry
+	// write, and the model — which callers train directly — has gained
+	// observations when it holds more than savedObs. See Dirty.
+	changed  bool
+	savedObs int
+
 	// Model is the cost model trained from this log's measurements. It
 	// persists alongside the entries (Save/Load/Merge), so a process
 	// loading a warm tunelog starts with a trained predictor and can
@@ -100,9 +107,29 @@ type Log struct {
 }
 
 // New returns an empty log at tuner version 1 with a fresh, untrained
-// cost model (deterministic seed: logs are reproducible artifacts).
+// cost model (deterministic seed: logs are reproducible artifacts). It
+// is dirty until its first Save or Load: no file holds it yet.
 func New() *Log {
-	return &Log{entries: make(map[Key]Entry), CurrentVersion: 1, Model: costmodel.NewPredictor(1)}
+	return &Log{entries: make(map[Key]Entry), CurrentVersion: 1, Model: costmodel.NewPredictor(1), changed: true}
+}
+
+// Dirty reports whether the log holds anything a file does not:
+// whether it changed since it was read or written. Record and new
+// model observations make a log dirty, and so does a Load or Merge
+// that had to combine the file with what the log already held; Save,
+// and Load into an empty log, make it clean. A log that never met a
+// file is dirty, so its first save happens even if it is empty.
+func (l *Log) Dirty() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.changed || l.modelLen() != l.savedObs
+}
+
+func (l *Log) modelLen() int {
+	if l.Model == nil {
+		return 0
+	}
+	return l.Model.Len()
 }
 
 // Lookup returns the cached entry for a workload. Entries from older
@@ -134,6 +161,7 @@ func (l *Log) Record(k Key, e Entry) {
 	defer l.mu.Unlock()
 	k.Version = l.CurrentVersion
 	l.entries[k] = e
+	l.changed = true
 }
 
 // Len returns the number of stored entries.
@@ -162,30 +190,49 @@ type jsonEntry struct {
 }
 
 // jsonLog is the v2 on-disk format: the entry rows plus the cost model
-// trained from them. The original format was a bare entry array;
-// readers sniff the first non-space byte to accept both.
+// trained from them, in the model's own persistence format. The
+// original format was a bare entry array; readers sniff the first
+// non-space byte to accept both.
 type jsonLog struct {
-	Entries []jsonEntry          `json:"entries"`
-	Model   *costmodel.Predictor `json:"model,omitempty"`
+	Entries []jsonEntry      `json:"entries"`
+	Model   *costmodel.State `json:"model,omitempty"`
 }
 
 // Save writes the database as JSON (the on-disk format TopHub-style
-// registries ship), including the trained cost model when present.
+// registries ship), including the trained cost model when present, and
+// leaves the log clean.
 func (l *Log) Save(w io.Writer) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rows := make([]jsonEntry, 0, len(l.entries))
-	for k, e := range l.entries {
-		rows = append(rows, jsonEntry{Key: k, Entry: e})
+	// Entries are written in the order of their keys' names, each name
+	// rendered once.
+	type named struct {
+		name string
+		key  Key
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key.String() < rows[j].Key.String() })
-	out := jsonLog{Entries: rows}
-	if l.Model != nil && l.Model.Len() > 0 {
-		out.Model = l.Model
+	order := make([]named, 0, len(l.entries))
+	for k := range l.entries {
+		order = append(order, named{k.String(), k})
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].name < order[j].name })
+	out := jsonLog{Entries: make([]jsonEntry, len(order))}
+	for i, o := range order {
+		out.Entries[i] = jsonEntry{Key: o.key, Entry: l.entries[o.key]}
+	}
+	var model costmodel.State
+	if l.Model != nil {
+		model = l.Model.State()
+	}
+	if len(model.Obs) > 0 {
+		out.Model = &model
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	if err := enc.Encode(out); err != nil {
+		return err
+	}
+	l.changed, l.savedObs = false, len(model.Obs)
+	return nil
 }
 
 // decode reads either on-disk format: the v2 object or the legacy bare
@@ -196,32 +243,40 @@ func decode(r io.Reader) (jsonLog, error) {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
 	trimmed := bytes.TrimLeft(buf, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var rows []jsonEntry
-		if err := json.Unmarshal(trimmed, &rows); err != nil {
-			return jsonLog{}, fmt.Errorf("tunelog: %w", err)
-		}
-		return jsonLog{Entries: rows}, nil
-	}
 	var db jsonLog
-	if err := json.Unmarshal(trimmed, &db); err != nil {
+	if len(trimmed) > 0 && trimmed[0] == '[' {
+		err = json.Unmarshal(trimmed, &db.Entries)
+	} else {
+		err = json.Unmarshal(trimmed, &db)
+	}
+	if err != nil {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
 	return db, nil
 }
 
-// ingestModel folds a decoded file model into this log's predictor.
-// Observations merge (deduplicated) in both the Load and Merge
-// directions — measurements are facts, not preferences, so there is no
-// conflict to resolve — and the merged model refits.
-func (l *Log) ingestModel(m *costmodel.Predictor) {
-	if m == nil {
-		return
+// ingest folds a decoded file into this log; keep says whether an
+// in-memory entry survives a key conflict. Model observations merge
+// (deduplicated) whichever way entries resolve — measurements are
+// facts, not preferences, so there is no conflict to resolve — and the
+// merged model refits. Only a file read into an empty log leaves the
+// log equal to that file, hence clean.
+func (l *Log) ingest(db jsonLog, keep bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	wasEmpty := len(l.entries) == 0 && l.modelLen() == 0
+	for _, row := range db.Entries {
+		if _, ok := l.entries[row.Key]; !ok || !keep {
+			l.entries[row.Key] = row.Entry
+		}
 	}
-	if l.Model == nil {
-		l.Model = costmodel.NewPredictor(1)
+	if db.Model != nil {
+		if l.Model == nil {
+			l.Model = costmodel.NewPredictor(1)
+		}
+		l.Model.IngestRows(db.Model.Obs)
 	}
-	l.Model.Ingest(m)
+	l.changed, l.savedObs = !wasEmpty, l.modelLen()
 }
 
 // Load merges a saved database into this one (file entries win key
@@ -233,12 +288,7 @@ func (l *Log) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, row := range db.Entries {
-		l.entries[row.Key] = row.Entry
-	}
-	l.ingestModel(db.Model)
+	l.ingest(db, false)
 	return nil
 }
 
@@ -252,14 +302,7 @@ func (l *Log) Merge(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, row := range db.Entries {
-		if _, ok := l.entries[row.Key]; !ok {
-			l.entries[row.Key] = row.Entry
-		}
-	}
-	l.ingestModel(db.Model)
+	l.ingest(db, true)
 	return nil
 }
 

@@ -287,13 +287,18 @@ func newCachePersister(file string) (*cachePersister, error) {
 }
 
 // persist writes the shared tuning log back to its file (a no-op
-// without one).
+// without one, and when the log has not changed since the last
+// successful write: a warm variant compile, a Close after nothing
+// new).
 func (p *cachePersister) persist() error {
 	if p.cache == nil || p.file == "" {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.err == nil && !p.cache.Dirty() {
+		return nil
+	}
 	if f, err := os.Open(p.file); err == nil {
 		// Best-effort, memory-wins merge of external writers' entries
 		// (our fresher results keep their keys); a corrupt or
