@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package cutlass
+
+// Without an assembly routine the Go bodies are the kernel.
+
+func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	axpy4Go(c, b0, b1, b2, b3, a0, a1, a2, a3)
+}
+
+func axpy1(c, b []float32, a float32) { axpy1Go(c, b, a) }

@@ -423,7 +423,7 @@ func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
 	c, x, w, bias := convCase(t, 3, Conv3x3(1, 8, 8, 32, 32, 1, 1), BiasActivation(ActReLU), true)
 	cdst := c.Run(x, w, bias)
 	g, _ := NewGemm(smallConfig(), DefaultEpilogue(), gpu.T4())
-	a, b := randMat(t, 1, 8, 256), randMat(t, 2, 256, 256)
+	a, b := randMat(t, 1, 8, 512), randMat(t, 2, 512, 512) // one row block cut into two panels
 	gdst := g.Run(a, b, nil)
 	for name, call := range map[string]func(){
 		"conv": func() { c.RunInto(cdst, x, w, bias) },

@@ -3,6 +3,7 @@ package cutlass
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -309,47 +310,219 @@ func TestGELUMonotoneNearOrigin(t *testing.T) {
 	}
 }
 
-// Gemm bytes do not depend on how parallelRows partitions the rows:
-// M = 8 problems on both sides of the work threshold agree across 1, 2
-// and 8 processors, as does a single row, which cannot split.
+// axpyGemm is the loop Gemm.run used before the tiled kernel: one row at
+// a time, one float32 add chain per output in ascending k, zero A[i,k]
+// skipped. It stays as the bit-exact oracle for the kernel.
+func axpyGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
+	m, k, n := a.Shape()[0], a.Shape()[1], b.Shape()[1]
+	out = tensor.New(g.Epilogue.OutDType, m, n)
+	ad, bd, od := a.Data(), b.Data(), out.Data()
+	var cd []float32
+	if c != nil {
+		cd = c.Data()
+	}
+	acc := make([]float32, n)
+	for i := 0; i < m; i++ {
+		clear(acc)
+		for kk := 0; kk < k; kk++ {
+			av := ad[i*k+kk]
+			if av == 0 {
+				continue
+			}
+			brow := bd[kk*n : (kk+1)*n]
+			for j := range acc {
+				acc[j] += float32(av * brow[j])
+			}
+		}
+		for j := range acc {
+			var cv float32
+			if cd != nil {
+				if g.Epilogue.BiasVector {
+					cv = cd[j]
+				} else {
+					cv = cd[i*n+j]
+				}
+			}
+			od[i*n+j] = g.Epilogue.store(acc[j], cv)
+		}
+	}
+	if g.Epilogue.OutDType == tensor.INT8 {
+		out.CalibrateScale()
+	}
+	if g.Epilogue.ReduceColumns {
+		reduced = tensor.New(tensor.FP32, n)
+		rd := reduced.Data()
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				rd[j] += od[i*n+j]
+			}
+		}
+	}
+	return out, reduced
+}
+
+// gemmAt1 instantiates a GEMM at alignment 1, so any M, N and K launch.
+func gemmAt1(t *testing.T, epi Epilogue) *Gemm {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.AlignA, cfg.AlignB, cfg.AlignC = 1, 1, 1
+	g, err := NewGemm(cfg, epi, gpu.T4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// Property: the tiled kernel is bit-identical to the row-at-a-time loop
+// over row counts around the row block, column counts around the vector
+// width and the panel, K on and off a multiple of four, dense, half-zero
+// and all-zero A, every output dtype and every epilogue source operand.
+func TestGemmBitIdenticalToAxpyLoop(t *testing.T) {
+	type shape struct{ m, n, k int }
+	shapes := []shape{
+		{1, 1, 1}, {8, 3, 4}, {9, 255, 5}, {8, 256, 8}, {9, 257, 13}, {17, 1030, 7}, {16, 512, 3}, {7, 513, 12},
+	}
+	rng := rand.New(rand.NewSource(20))
+	edgeN := []int{1, 2, 3, 4, 5, 7, 8, 255, 256, 257, 511, 512, 515, 1030}
+	for len(shapes) < 126 {
+		n := 1 + rng.Intn(1030)
+		if rng.Intn(2) == 0 {
+			n = edgeN[rng.Intn(len(edgeN))]
+		}
+		shapes = append(shapes, shape{1 + rng.Intn(17), n, 1 + rng.Intn(13)})
+	}
+	dtypes := []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}
+	acts := []Activation{ActIdentity, ActReLU, ActGELU}
+	for i, s := range shapes {
+		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)], ReduceColumns: i%4 == 0}
+		a, b := randMat(t, int64(200+i), s.m, s.k), randMat(t, int64(400+i), s.k, s.n)
+		var c *tensor.Tensor
+		switch i / 3 % 3 { // no source operand, a bias vector, a beta matrix
+		case 1:
+			epi.Beta, epi.BiasVector = 1, true
+			c = tensor.Reshape(randMat(t, int64(600+i), 1, s.n), s.n)
+		case 2:
+			epi.Alpha, epi.Beta = 0.5, 2
+			c = randMat(t, int64(600+i), s.m, s.n)
+		}
+		zeros := []float64{0, 0.5, 1}[i/9%3]
+		for j, ad := 0, a.Data(); j < len(ad); j++ {
+			if rng.Float64() < zeros {
+				ad[j] = 0
+			}
+		}
+		g := gemmAt1(t, epi)
+		what := fmt.Sprintf("%dx%dx%d %v zeros=%v source=%d", s.m, s.n, s.k, epi.OutDType, zeros, i/3%3)
+		got, gotRed := g.RunWithReduction(a, b, c)
+		want, wantRed := axpyGemm(g, a, b, c)
+		sameBits(t, what, got, want)
+		if epi.ReduceColumns {
+			sameBits(t, what+" reduction", gotRed, wantRed)
+		}
+	}
+}
+
+// A zero A[i,k] skips B[k,:] for row i and is never multiplied by it:
+// an Inf or NaN weight row under zero activations leaves the output row
+// finite, whichever positions of a group of four (or of the K tail) the
+// zeros hold and whether a column is done by the vector or the tail.
+func TestGemmSkipsZeroOperandsWithNonFiniteWeights(t *testing.T) {
+	const m, n, k = 3, 11, 9 // two groups of four and a tail step; two vectors and three tail columns
+	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
+		g := gemmAt1(t, Epilogue{Alpha: 1, OutDType: dt})
+		for mask := 1; mask < 1<<k; mask++ {
+			a, b := randMat(t, 1, m, k), randMat(t, 2, k, n)
+			ad, bd := a.Data(), b.Data()
+			for kk := 0; kk < k; kk++ {
+				if mask>>kk&1 == 0 {
+					continue
+				}
+				ad[kk] = 0 // row 0 is zero exactly where B is poisoned
+				ad[2*k+kk] = float32(math.Copysign(0, -1))
+				for j := 0; j < n; j++ {
+					// One kind per column: two NaNs of different payloads
+					// never meet, so the oracle comparison is exact.
+					bd[kk*n+j] = nonFinite[j%len(nonFinite)]
+				}
+			}
+			got := g.Run(a, b, nil)
+			want, _ := axpyGemm(g, a, b, nil)
+			sameBits(t, fmt.Sprintf("%v mask %09b", dt, mask), got, want)
+			for j := 0; j < n; j++ {
+				for _, i := range []int{0, 2} {
+					if v := float64(got.At(i, j)); math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%v mask %09b: output (%d,%d) = %g: a skipped row of B reached the sum", dt, mask, i, j, v)
+					}
+				}
+				if v := float64(got.At(1, j)); !math.IsNaN(v) && !math.IsInf(v, 0) {
+					t.Fatalf("%v mask %09b: output (1,%d) = %g, want non-finite from the dense row", dt, mask, j, v)
+				}
+			}
+		}
+	}
+}
+
+// Gemm bytes do not depend on how parallelRows partitions the tiles:
+// problems on both sides of the GEMM's split threshold, at the panel
+// and row-block edges and with a single row cut into panels, agree with
+// the row-at-a-time loop at 1, 2 and 8 processors.
 func TestGemmPartitionIndependent(t *testing.T) {
 	cases := []struct {
 		m, n, k int
 		dt      tensor.DType
 		split   bool
 	}{
-		{8, 248, 128, tensor.FP16, false},
-		{8, 256, 128, tensor.FP16, true},
-		{8, 512, 256, tensor.INT8, true},
-		{1, 1024, 512, tensor.FP32, true},
+		{8, 256, 128, tensor.FP16, false},
+		{8, 512, 511, tensor.FP16, false},
+		{8, 512, 512, tensor.FP16, true},  // two panels, exactly the threshold
+		{8, 1024, 256, tensor.INT8, true}, // four panels
+		{1, 1024, 2048, tensor.FP32, true},
+		{9, 257, 1024, tensor.FP16, true},   // two row blocks x two panels, the last of each one wide
+		{17, 515, 256, tensor.FP32, true},   // nine tiles over eight processors
+		{64, 16, 2048, tensor.FP16, true},   // row blocks only
+		{1, 1000, 1280, tensor.FP16, false}, // the largest zoo classifier stays inline
 	}
 	for _, tc := range cases {
-		if tc.m*tc.n*tc.k >= splitMACs != tc.split {
-			t.Fatalf("%dx%dx%d is on the wrong side of splitMACs %d", tc.m, tc.n, tc.k, splitMACs)
+		if tc.m*tc.n*tc.k/gemmMACsPerConvMAC >= splitMACs != tc.split {
+			t.Fatalf("%dx%dx%d is on the wrong side of the split threshold", tc.m, tc.n, tc.k)
 		}
-		g, err := NewGemm(smallConfig(), Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt}, gpu.T4())
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := gemmAt1(t, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt})
 		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
-		want := atProcs(1, func() *tensor.Tensor { return g.Run(a, b, bias) })
-		for _, procs := range []int{2, 8} {
+		want, _ := axpyGemm(g, a, b, bias)
+		for _, procs := range []int{1, 2, 8} {
 			got := atProcs(procs, func() *tensor.Tensor { return g.Run(a, b, bias) })
 			sameBits(t, fmt.Sprintf("%dx%dx%d at GOMAXPROCS %d", tc.m, tc.n, tc.k, procs), got, want)
 		}
 	}
 }
 
-func BenchmarkFunctionalGemm128(b *testing.B) {
-	d := gpu.T4()
-	g, _ := NewGemm(smallConfig(), DefaultEpilogue(), d)
-	a := tensor.New(tensor.FP16, 128, 128)
-	bb := tensor.New(tensor.FP16, 128, 128)
-	a.FillRandom(1, 1)
-	bb.FillRandom(2, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Run(a, bb, nil)
+// BenchmarkFunctionalGemm times RunInto on the BERT FFN layers at eight
+// tokens, the largest zoo classifier, a square GEMM whose row blocks
+// share one B panel, and the serving benchmarks' 16x16 Dense.
+func BenchmarkFunctionalGemm(b *testing.B) {
+	for _, bc := range []struct{ m, n, k int }{
+		{8, 3072, 768}, {8, 768, 3072}, {1, 1000, 1280}, {256, 256, 256}, {1, 16, 16},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d", bc.m, bc.n, bc.k), func(b *testing.B) {
+			g, err := NewGemm(smallConfig(), BiasActivation(ActReLU), gpu.T4())
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := tensor.New(tensor.FP16, bc.m, bc.k)
+			w := tensor.New(tensor.FP16, bc.k, bc.n)
+			bias := tensor.New(tensor.FP16, bc.n)
+			a.FillRandom(1, 1)
+			w.FillRandom(2, 1)
+			bias.FillRandom(3, 1)
+			dst := g.Run(a, w, bias)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.RunInto(dst, a, w, bias)
+			}
+			macs := float64(bc.m) * float64(bc.n) * float64(bc.k)
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
 	}
 }
 
