@@ -58,14 +58,6 @@ func main() {
 	if *quick {
 		s = bench.NewQuickSuite(dev)
 	}
-	// The serving experiments double as the PR-3..PR-9 CI artifacts.
-	s.ServingArtifact = "BENCH_pr3.json"
-	s.MultiModelArtifact = "BENCH_pr4.json"
-	s.HeteroArtifact = "BENCH_pr5.json"
-	s.PaddingArtifact = "BENCH_pr6.json"
-	s.ColdstartArtifact = "BENCH_pr7.json"
-	s.PrecisionArtifact = "BENCH_pr8.json"
-	s.FleetArtifact = "BENCH_pr9.json"
 	if *trace != "" {
 		s.Trace = obs.NewTracer()
 		s.StallTrace = obs.NewTracer()

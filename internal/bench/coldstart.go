@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"bolt/internal/codegen"
 	"bolt/internal/gpu"
@@ -20,46 +18,47 @@ import (
 // trained model is then transferred into fresh *entry-free* logs — the
 // warm-process/cold-workload scenario — and the same model is compiled
 // again under top-k guidance and under the predict-only trust gate.
-// Everything is noise-free and single-seeded, so the artifact is
-// byte-stable across runs. It emits BENCH_pr7.json for CI.
+// Everything is noise-free and single-seeded, so the result is
+// byte-stable across runs.
 
 // coldstartTopK is the guided arm's per-workload measurement budget.
 const coldstartTopK = 8
 
 // coldstartRow is one (device, arm) compile.
 type coldstartRow struct {
-	Device string `json:"device"`
-	Arm    string `json:"arm"`
+	Device string
+	Arm    string
 	// Budget is the per-workload measurement cap (0 = unbounded).
-	Budget             int     `json:"budget"`
-	ProfiledWorkloads  int     `json:"profiled_workloads"`
-	Measurements       int     `json:"measurements"`
-	Enumerated         int     `json:"enumerated_candidates"`
-	PredictedWorkloads int     `json:"predicted_workloads"`
-	TuningSeconds      float64 `json:"tuning_seconds"`
+	Budget             int
+	ProfiledWorkloads  int
+	Measurements       int
+	Enumerated         int
+	PredictedWorkloads int
+	TuningSeconds      float64
 	// TuningVsFull is this arm's tuning cost relative to the same
 	// device's full sweep (CI enforces <= 0.5 for the guided arms).
-	TuningVsFull float64 `json:"tuning_vs_full"`
-	ModuleUs     float64 `json:"module_us"`
+	TuningVsFull float64
+	ModuleUs     float64
 	// SlowdownVsFull compares end-to-end modeled module time against
 	// the full sweep's picks (CI enforces <= 1.05).
-	SlowdownVsFull  float64 `json:"slowdown_vs_full"`
-	PredictionError float64 `json:"prediction_error"`
+	SlowdownVsFull  float64
+	PredictionError float64
 }
 
 // coldstartDevice is one device's arm set plus its model confidence.
 type coldstartDevice struct {
-	Device     string         `json:"device"`
-	Confidence float64        `json:"confidence"`
-	Trust      float64        `json:"trust_threshold"`
-	Rows       []coldstartRow `json:"rows"`
+	Device     string
+	Confidence float64
+	Trust      float64
+	Rows       []coldstartRow
 }
 
-// coldstartArtifact is the BENCH_pr7.json schema.
-type coldstartArtifact struct {
-	Model   string            `json:"model"`
-	TopK    int               `json:"top_k"`
-	Devices []coldstartDevice `json:"devices"`
+// coldstartResult is the experiment's measured result: the table and the
+// tests read it.
+type coldstartResult struct {
+	Model   string
+	TopK    int
+	Devices []coldstartDevice
 }
 
 // coldstartCompile runs the templated pipeline for ResNet-18 against
@@ -81,8 +80,8 @@ func (s *Suite) coldstartCompile(dev *gpu.Device, log *tunelog.Log, topK int, tr
 	return m
 }
 
-func (s *Suite) runColdstart() coldstartArtifact {
-	art := coldstartArtifact{
+func (s *Suite) runColdstart() coldstartResult {
+	art := coldstartResult{
 		Model: fmt.Sprintf("resnet18-b%d", s.Batch),
 		TopK:  coldstartTopK,
 	}
@@ -139,9 +138,7 @@ func (s *Suite) runColdstart() coldstartArtifact {
 // Coldstart reproduces the cost-model-guided cold-compile study: a
 // full sweep trains the tunelog's cost model, then the same model is
 // recompiled against entry-free logs under top-k guidance and the
-// predict-only trust gate, on both device classes. When
-// Suite.ColdstartArtifact is set, the raw numbers are also written
-// there as JSON (boltbench points it at BENCH_pr7.json).
+// predict-only trust gate, on both device classes.
 func (s *Suite) Coldstart() *Table {
 	art := s.runColdstart()
 	t := &Table{
@@ -163,15 +160,6 @@ func (s *Suite) Coldstart() *Table {
 				f1(r.ModuleUs), f2(r.SlowdownVsFull))
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s model confidence %.3f (trust gate set to %.3f)", d.Device, d.Confidence, d.Trust))
-	}
-	if s.ColdstartArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.ColdstartArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

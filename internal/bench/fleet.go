@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -29,7 +27,7 @@ import (
 // grown mid-run must compile every tenant variant with zero profiler
 // measurements (warming purely from its peers' shared tuning-log
 // entries), and the autoscaler must record at least one grow and one
-// shrink on a bursty (MMPP) trace. It emits BENCH_pr9.json for CI.
+// shrink on a bursty (MMPP) trace.
 
 // fleetP99Budget is the CI-enforced ceiling on each failure arm's
 // caller-observed p99 relative to the healthy baseline.
@@ -118,41 +116,42 @@ func floodFleet(f *fleet.Fleet, inputs []map[string]*tensor.Tensor, arrivals []f
 
 // fleetArmRow is one (fleet configuration, fault script) replay.
 type fleetArmRow struct {
-	Arm             string  `json:"arm"`
-	Replicas        int     `json:"replicas"`
-	Requests        int64   `json:"requests"`
-	Delivered       int64   `json:"delivered"`
-	DeliveredErrors int64   `json:"delivered_errors"`
-	FailedBatches   int64   `json:"failed_batches"`
-	Retries         int64   `json:"retries"`
-	HedgesIssued    int64   `json:"hedges_issued"`
-	HedgesWon       int64   `json:"hedges_won"`
-	HedgesCanceled  int64   `json:"hedges_canceled"`
-	P50Us           float64 `json:"p50_us"`
-	P99Us           float64 `json:"p99_us"`
+	Arm             string
+	Replicas        int
+	Requests        int64
+	Delivered       int64
+	DeliveredErrors int64
+	FailedBatches   int64
+	Retries         int64
+	HedgesIssued    int64
+	HedgesWon       int64
+	HedgesCanceled  int64
+	P50Us           float64
+	P99Us           float64
 	// P99VsHealthy is this arm's p99 over the healthy baseline's (CI
 	// enforces <= fleetP99Budget for the failure arms).
-	P99VsHealthy float64 `json:"p99_vs_healthy"`
+	P99VsHealthy float64
 }
 
-// fleetArtifact is the BENCH_pr9.json schema.
-type fleetArtifact struct {
-	Model     string        `json:"model"`
-	Requests  int           `json:"requests"`
-	P99Budget float64       `json:"p99_budget"`
-	Rows      []fleetArmRow `json:"rows"`
+// fleetResult is the experiment's measured result: the table and the
+// tests read it.
+type fleetResult struct {
+	Model     string
+	Requests  int
+	P99Budget float64
+	Rows      []fleetArmRow
 	// Warm scale-up: profiler measurements spent compiling the initial
 	// replicas' variants vs. the replica added by Grow mid-run (CI
 	// enforces the latter == 0 — it warms from the shared tuning log).
-	MeasurementsInitial      int64 `json:"measurements_initial"`
-	MeasurementsGrownReplica int64 `json:"measurements_grown_replica"`
-	GrownReplicaRequests     int64 `json:"grown_replica_requests"`
+	MeasurementsInitial      int64
+	MeasurementsGrownReplica int64
+	GrownReplicaRequests     int64
 	// Autoscaling on the bursty trace: the MMPP stream's gap CV^2
 	// (Poisson is ~1) and the recorded scale events (CI enforces >= 1
 	// of each).
-	BurstyGapCV2          float64 `json:"bursty_gap_cv2"`
-	AutoscaleGrowEvents   int64   `json:"autoscale_grow_events"`
-	AutoscaleShrinkEvents int64   `json:"autoscale_shrink_events"`
+	BurstyGapCV2          float64
+	AutoscaleGrowEvents   int64
+	AutoscaleShrinkEvents int64
 }
 
 // runFleetArm replays one stream against a fresh three-replica fleet
@@ -202,7 +201,7 @@ func (s *Suite) runFleetArm(arm string, log *tunelog.Log, hedge fleet.HedgeOptio
 // runFleetWarmGrow runs the warm scale-up stage: a fresh tuning log
 // (so the initial compiles really measure), then Grow mid-run, whose
 // replica must warm every tenant variant measurement-free.
-func (s *Suite) runFleetWarmGrow(art *fleetArtifact, inputs []map[string]*tensor.Tensor, arrivals []float64) {
+func (s *Suite) runFleetWarmGrow(art *fleetResult, inputs []map[string]*tensor.Tensor, arrivals []float64) {
 	warmLog := tunelog.New()
 	var measured atomic.Int64
 	f := fleet.New(fleet.Options{
@@ -240,7 +239,7 @@ func (s *Suite) runFleetWarmGrow(art *fleetArtifact, inputs []map[string]*tensor
 // runFleetAutoscale drives a one-replica fleet with a bursty MMPP
 // stream and caller-paced autoscaler polls: the burst must grow the
 // fleet, the following idle drain must shrink it back.
-func (s *Suite) runFleetAutoscale(art *fleetArtifact, log *tunelog.Log, inputs []map[string]*tensor.Tensor, meanGap float64) {
+func (s *Suite) runFleetAutoscale(art *fleetResult, log *tunelog.Log, inputs []map[string]*tensor.Tensor, meanGap float64) {
 	n := len(inputs)
 	bursty := BurstyArrivals(n, BurstyOptions{
 		BurstInterarrival: meanGap / 4,
@@ -324,7 +323,7 @@ func (s *Suite) runFleetAutoscale(art *fleetArtifact, log *tunelog.Log, inputs [
 	art.AutoscaleShrinkEvents = st.ShrinkEvents
 }
 
-func (s *Suite) runFleet() fleetArtifact {
+func (s *Suite) runFleet() fleetResult {
 	requests := s.FleetRequests
 	requests -= requests % 8
 	if requests < 16 {
@@ -350,7 +349,7 @@ func (s *Suite) runFleet() fleetArtifact {
 		inputs[i] = map[string]*tensor.Tensor{"image": in}
 	}
 
-	art := fleetArtifact{
+	art := fleetResult{
 		Model:     "servenet-8x32",
 		Requests:  requests,
 		P99Budget: fleetP99Budget,
@@ -401,8 +400,7 @@ func (s *Suite) runFleet() fleetArtifact {
 // request stream replayed against a healthy fleet and against
 // scripted worker failures (kill answered by retry, stall answered by
 // a hedged duplicate), plus the warm scale-up and bursty-autoscaling
-// stages. When Suite.FleetArtifact is set, the raw numbers are also
-// written there as JSON (boltbench points it at BENCH_pr9.json).
+// stages.
 func (s *Suite) Fleet() *Table {
 	art := s.runFleet()
 	t := &Table{
@@ -425,15 +423,6 @@ func (s *Suite) Fleet() *Table {
 			fmt.Sprint(r.Retries),
 			fmt.Sprintf("%d/%d/%d", r.HedgesIssued, r.HedgesWon, r.HedgesCanceled),
 			f1(r.P50Us), f1(r.P99Us), f2(r.P99VsHealthy))
-	}
-	if s.FleetArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.FleetArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

@@ -6,9 +6,8 @@ import (
 	"bolt/internal/gpu"
 )
 
-// TestFleetExperimentGates is the PR-9 acceptance check for the
-// experiment itself, mirroring the CI gates on BENCH_pr9.json: no arm
-// loses a request, the scripted kill is retried and the scripted
+// TestFleetExperimentGates is the fleet experiment's acceptance gate:
+// no arm loses a request, the scripted kill is retried and the scripted
 // stall is hedged with the caller-observed p99 inside the budget, the
 // replica grown mid-run compiles measurement-free, and the autoscaler
 // records at least one grow and one shrink on the bursty trace.

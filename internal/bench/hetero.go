@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"bolt/internal/codegen"
@@ -26,7 +24,7 @@ import (
 // the homogeneous T4 pool on modeled makespan, and the A100's share of
 // the served batches must track its modeled speed advantage. Every
 // number is computed on the simulated clocks, so the experiment is
-// deterministic. It emits BENCH_pr5.json for CI.
+// deterministic.
 
 // heteroModel builds the source CNN for the heterogeneous experiment:
 // wider than the serving CNN so the batch-8 variant is compute-heavy
@@ -76,48 +74,49 @@ func (s *Suite) tenantCompilerOn(src *relay.Graph, log *tunelog.Log) serve.Compi
 
 // heteroDeviceRow is one worker's share of a pool's served work.
 type heteroDeviceRow struct {
-	Worker           int     `json:"worker"`
-	Device           string  `json:"device"`
-	Batches          int64   `json:"batches"`
-	BusyUs           float64 `json:"busy_us"`
-	UtilizationShare float64 `json:"utilization_share"`
-	MakespanUs       float64 `json:"makespan_us"`
+	Worker           int
+	Device           string
+	Batches          int64
+	BusyUs           float64
+	UtilizationShare float64
+	MakespanUs       float64
 }
 
 // heteroRow is one pool configuration's measured result.
 type heteroRow struct {
-	Pool       string            `json:"pool"`
-	Requests   int64             `json:"requests"`
-	Batches    int64             `json:"batches"`
-	Throughput float64           `json:"throughput_imgs_per_sec"`
-	MakespanUs float64           `json:"makespan_us"`
-	P50Us      float64           `json:"p50_us"`
-	P99Us      float64           `json:"p99_us"`
-	Devices    []heteroDeviceRow `json:"devices"`
+	Pool       string
+	Requests   int64
+	Batches    int64
+	Throughput float64
+	MakespanUs float64
+	P50Us      float64
+	P99Us      float64
+	Devices    []heteroDeviceRow
 }
 
-// heteroArtifact is the BENCH_pr5.json schema.
-type heteroArtifact struct {
-	Model    string      `json:"model"`
-	Requests int         `json:"requests"`
-	Rows     []heteroRow `json:"rows"`
+// heteroResult is the experiment's measured result: the table and the
+// tests read it.
+type heteroResult struct {
+	Model    string
+	Requests int
+	Rows     []heteroRow
 	// Modeled bucket-8 batch cost per device, and their ratio — the
 	// speed advantage EFT dispatch can actually exploit on this
 	// workload (capped below the peak-TFLOPS ratio by launch overhead
 	// and memory-bound layers).
-	T4Batch8Us        float64 `json:"t4_batch8_us"`
-	A100Batch8Us      float64 `json:"a100_batch8_us"`
-	ModeledSpeedRatio float64 `json:"modeled_speed_ratio"`
+	T4Batch8Us        float64
+	A100Batch8Us      float64
+	ModeledSpeedRatio float64
 	// PeakTFLOPSRatio is A100 peak tensor FP16 over T4's (the hardware
 	// headroom the modeled ratio approaches as workloads grow).
-	PeakTFLOPSRatio float64 `json:"peak_tflops_ratio"`
+	PeakTFLOPSRatio float64
 	// The CI-enforced numbers: the mixed pool's makespan win over 2x T4
 	// at identical offered load, and the A100's share of the mixed
 	// pool's batches relative to the T4's.
-	Makespan2T4Us    float64 `json:"makespan_2t4_us"`
-	MakespanHeteroUs float64 `json:"makespan_hetero_us"`
-	HeteroSpeedup    float64 `json:"hetero_speedup"`
-	WorkShareRatio   float64 `json:"work_share_ratio_a100_over_t4"`
+	Makespan2T4Us    float64
+	MakespanHeteroUs float64
+	HeteroSpeedup    float64
+	WorkShareRatio   float64
 }
 
 // floodPool replays the prepared request stream against one pool
@@ -164,7 +163,7 @@ func (s *Suite) floodPool(devices []*gpu.Device, log *tunelog.Log, inputs []map[
 	return srv.Stats()
 }
 
-func (s *Suite) runHetero() heteroArtifact {
+func (s *Suite) runHetero() heteroResult {
 	requests := s.HeteroRequests
 	requests -= requests % 8 // full largest buckets only
 	if requests < 16 {
@@ -198,7 +197,7 @@ func (s *Suite) runHetero() heteroArtifact {
 		inputs[i] = map[string]*tensor.Tensor{"image": in}
 	}
 
-	art := heteroArtifact{
+	art := heteroResult{
 		Model:             "widenet-16x32",
 		Requests:          requests,
 		T4Batch8Us:        cost8T4 * 1e6,
@@ -264,9 +263,7 @@ func (s *Suite) runHetero() heteroArtifact {
 // Hetero reproduces the heterogeneous-pool experiment: the same seeded
 // Poisson request stream replayed against homogeneous and mixed device
 // pools, with per-device variant compilation through one shared tuning
-// log and cost-aware earliest-finish-time dispatch. When
-// Suite.HeteroArtifact is set, the raw numbers are also written there
-// as JSON (boltbench points it at BENCH_pr5.json).
+// log and cost-aware earliest-finish-time dispatch.
 func (s *Suite) Hetero() *Table {
 	art := s.runHetero()
 	t := &Table{
@@ -290,15 +287,6 @@ func (s *Suite) Hetero() *Table {
 			perDev += fmt.Sprintf("%s: %d (%.0f)", d.Device, d.Batches, d.BusyUs)
 		}
 		t.AddRow(r.Pool, i0(r.Throughput), f1(r.MakespanUs), f1(r.P50Us), f1(r.P99Us), perDev)
-	}
-	if s.HeteroArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.HeteroArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

@@ -8,15 +8,15 @@ import (
 	"bolt/internal/gpu"
 )
 
-// TestHeteroDeterministicAndWins is the PR-5 acceptance check for the
-// experiment itself: identical suites produce bit-identical artifacts
-// (the whole pipeline — Poisson stream, per-device compiles, EFT
-// dispatch — is deterministic), the mixed pool beats 2x T4 on modeled
-// makespan, the A100 absorbs at least its fair share of the mixed
-// pool's batches, and per-device rows sum exactly to each pool's
-// aggregate.
+// TestHeteroDeterministicAndWins is the hetero experiment's acceptance
+// gate: identical suites produce bit-identical results (the whole
+// pipeline — Poisson stream, per-device compiles, EFT dispatch — is
+// deterministic), the mixed pool beats 2x T4 on modeled makespan by
+// more than 10 %, the A100's share of the mixed pool's batches tracks
+// its speed advantage (clearly above parity, bounded by the peak-TFLOPS
+// headroom), and per-device rows sum exactly to each pool's aggregate.
 func TestHeteroDeterministicAndWins(t *testing.T) {
-	run := func() heteroArtifact {
+	run := func() heteroResult {
 		s := NewQuickSuite(gpu.T4())
 		s.HeteroRequests = 24 // 3 full buckets: affordable under `go test`
 		return s.runHetero()
@@ -26,13 +26,13 @@ func TestHeteroDeterministicAndWins(t *testing.T) {
 		t.Fatalf("hetero experiment is not deterministic:\nfirst:  %+v\nsecond: %+v", art, again)
 	}
 
-	if art.HeteroSpeedup <= 1.0 {
-		t.Errorf("1x T4 + 1x A100 makespan %.1f us did not beat 2x T4's %.1f us (speedup %.2fx)",
+	if art.HeteroSpeedup <= 1.1 {
+		t.Errorf("1x T4 + 1x A100 makespan %.1f us did not beat 2x T4's %.1f us (speedup %.2fx, want > 1.1x)",
 			art.MakespanHeteroUs, art.Makespan2T4Us, art.HeteroSpeedup)
 	}
-	if art.WorkShareRatio < 1 {
-		t.Errorf("A100 ran %.2fx the T4's batches in the mixed pool, want >= 1 (EFT must favor the fast device)",
-			art.WorkShareRatio)
+	if art.WorkShareRatio < 1.2 || art.WorkShareRatio > 1.5*art.PeakTFLOPSRatio {
+		t.Errorf("A100 ran %.2fx the T4's batches in the mixed pool, want within [1.2, %.1f] (EFT must favor the fast device)",
+			art.WorkShareRatio, 1.5*art.PeakTFLOPSRatio)
 	}
 	if art.ModeledSpeedRatio <= 1 || art.ModeledSpeedRatio > art.PeakTFLOPSRatio {
 		t.Errorf("modeled speed ratio %.2f outside (1, peak %.1f]", art.ModeledSpeedRatio, art.PeakTFLOPSRatio)

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"bolt/internal/cutlass"
@@ -23,7 +21,7 @@ import (
 // simulated clocks — weighted round-robin keeps every tenant's
 // throughput alive (no starvation), and high-priority requests, which
 // preempt the batch window and drain first within each batch, see a
-// p99 no worse than bulk requests. It emits BENCH_pr4.json for CI.
+// p99 no worse than bulk requests.
 
 // multiMLPModel builds the second tenant: a small MLP over 256
 // features — a deliberately different architecture (pure GEMM chain)
@@ -42,36 +40,37 @@ func multiMLPModel() *relay.Graph {
 
 // multiModelRow is one tenant's measured result.
 type multiModelRow struct {
-	Model    string `json:"model"`
-	Requests int64  `json:"requests"`
+	Model    string
+	Requests int64
 	// Throughput is the tenant's requests over its own makespan (the
 	// simulated clock when its last batch finished) — tenants starved
 	// until the end of the schedule show a depressed value.
-	Throughput float64       `json:"throughput_imgs_per_sec"`
-	MakespanUs float64       `json:"makespan_us"`
-	HighP50Us  float64       `json:"high_p50_us"`
-	HighP99Us  float64       `json:"high_p99_us"`
-	BulkP50Us  float64       `json:"bulk_p50_us"`
-	BulkP99Us  float64       `json:"bulk_p99_us"`
-	Batches    map[int]int64 `json:"batches"`
+	Throughput float64
+	MakespanUs float64
+	HighP50Us  float64
+	HighP99Us  float64
+	BulkP50Us  float64
+	BulkP99Us  float64
+	Batches    map[int]int64
 }
 
-// multiModelArtifact is the BENCH_pr4.json schema.
-type multiModelArtifact struct {
-	Workers          int             `json:"workers"`
-	RequestsPerModel int             `json:"requests_per_model"`
-	Rows             []multiModelRow `json:"rows"`
+// multiModelResult is the experiment's measured result: the table and the
+// tests read it.
+type multiModelResult struct {
+	Workers          int
+	RequestsPerModel int
+	Rows             []multiModelRow
 	// ThroughputRatio is max/min per-tenant throughput under equal
 	// offered load — the fairness number (1.0 = perfectly even;
 	// starvation drives it up).
-	ThroughputRatio float64 `json:"throughput_ratio_max_over_min"`
+	ThroughputRatio float64
 	// HighP99Us / BulkP99Us are the aggregate per-priority tails; the
-	// CI smoke asserts high <= bulk.
-	HighP99Us float64 `json:"high_p99_us"`
-	BulkP99Us float64 `json:"bulk_p99_us"`
+	// test asserts high <= bulk.
+	HighP99Us float64
+	BulkP99Us float64
 }
 
-func (s *Suite) runMultiModel() multiModelArtifact {
+func (s *Suite) runMultiModel() multiModelResult {
 	requests := s.MultiModelRequests
 	// Keep the priority pattern's tail bulk-only: a multiple of 4, one
 	// high per 4 requests.
@@ -154,7 +153,7 @@ func (s *Suite) runMultiModel() multiModelArtifact {
 		}
 	}
 
-	art := multiModelArtifact{Workers: workers, RequestsPerModel: requests}
+	art := multiModelResult{Workers: workers, RequestsPerModel: requests}
 	minT, maxT := math.Inf(1), 0.0
 	for _, tn := range tenants {
 		st, ok := srv.ModelStats(tn.name)
@@ -192,9 +191,7 @@ func (s *Suite) runMultiModel() multiModelArtifact {
 // MultiModel reproduces the multi-tenant serving experiment: two
 // models of different architectures share one server under a
 // mixed-priority flood; weighted round-robin keeps both alive and
-// high-priority requests beat bulk on tail latency. When
-// Suite.MultiModelArtifact is set, the raw numbers are also written
-// there as JSON (boltbench points it at BENCH_pr4.json).
+// high-priority requests beat bulk on tail latency.
 func (s *Suite) MultiModel() *Table {
 	art := s.runMultiModel()
 	t := &Table{
@@ -212,15 +209,6 @@ func (s *Suite) MultiModel() *Table {
 		t.AddRow(r.Model, fmt.Sprint(r.Requests), i0(r.Throughput),
 			f1(r.HighP50Us), f1(r.HighP99Us), f1(r.BulkP50Us), f1(r.BulkP99Us),
 			fmt.Sprint(r.Batches))
-	}
-	if s.MultiModelArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.MultiModelArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

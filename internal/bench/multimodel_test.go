@@ -1,37 +1,18 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// TestMultiModelFairnessAndPrioritySLO is the PR-4 acceptance gate on
-// the benchmark artifact: under a mixed-priority flood over two
-// tenants sharing one worker pool, no tenant starves (every model's
-// throughput is positive) and the high-priority aggregate p99 does not
-// exceed the bulk p99 — both deterministic claims on the simulated
-// clocks.
+// TestMultiModelFairnessAndPrioritySLO is the multimodel experiment's
+// acceptance gate: under a mixed-priority flood over two tenants
+// sharing one worker pool, no tenant starves (every model's throughput
+// is positive) and the high-priority aggregate p99 does not exceed the
+// bulk p99 — both deterministic claims on the simulated clocks.
 func TestMultiModelFairnessAndPrioritySLO(t *testing.T) {
 	s := quick()
 	s.MultiModelRequests = 16
-	s.MultiModelArtifact = filepath.Join(t.TempDir(), "BENCH_pr4.json")
-	tab := s.MultiModel()
-	if len(tab.Rows) != 2 {
-		t.Fatalf("multimodel table has %d rows, want 2 tenants", len(tab.Rows))
-	}
-
-	data, err := os.ReadFile(s.MultiModelArtifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art multiModelArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
+	art := s.runMultiModel()
 	if len(art.Rows) != 2 {
-		t.Fatalf("artifact has %d rows, want 2", len(art.Rows))
+		t.Fatalf("multimodel experiment has %d rows, want 2 tenants", len(art.Rows))
 	}
 	for _, r := range art.Rows {
 		if r.Requests != int64(art.RequestsPerModel) {

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -27,8 +25,7 @@ import (
 // compiled bucket when the cost model prices that earlier than a chain
 // of exact buckets. Every number is computed on the simulated clocks,
 // and batch composition is made deterministic by gating the variant
-// compiles until the whole stream is queued (see floodPadding). It
-// emits BENCH_pr6.json for CI.
+// compiles until the whole stream is queued (see floodPadding).
 
 // paddingPolicy is one batching policy under test.
 type paddingPolicy struct {
@@ -41,40 +38,41 @@ type paddingPolicy struct {
 
 // paddingRow is one policy's measured result.
 type paddingRow struct {
-	Policy        string        `json:"policy"`
-	Requests      int64         `json:"requests"`
-	Batches       int64         `json:"batches"`
-	PaddedBatches int64         `json:"padded_batches"`
-	PaddedRows    int64         `json:"padded_rows"`
-	BatchSizes    map[int]int64 `json:"batch_sizes"`
-	Throughput    float64       `json:"throughput_imgs_per_sec"`
-	MakespanUs    float64       `json:"makespan_us"`
-	P50Us         float64       `json:"p50_us"`
-	P99Us         float64       `json:"p99_us"`
+	Policy        string
+	Requests      int64
+	Batches       int64
+	PaddedBatches int64
+	PaddedRows    int64
+	BatchSizes    map[int]int64
+	Throughput    float64
+	MakespanUs    float64
+	P50Us         float64
+	P99Us         float64
 }
 
-// paddingArtifact is the BENCH_pr6.json schema.
-type paddingArtifact struct {
-	Model    string       `json:"model"`
-	Pool     string       `json:"pool"`
-	Requests int          `json:"requests"`
-	Rows     []paddingRow `json:"rows"`
+// paddingResult is the experiment's measured result: the table and the
+// tests read it.
+type paddingResult struct {
+	Model    string
+	Pool     string
+	Requests int
+	Rows     []paddingRow
 	// Modeled bucket costs bounding the padding trade: a bucket-8 run
 	// costs little more than bucket 1 on this launch-bound ladder's
 	// small end, which is exactly when padding partial batches pays.
-	T4Batch1Us float64 `json:"t4_batch1_us"`
-	T4Batch8Us float64 `json:"t4_batch8_us"`
+	T4Batch1Us float64
+	T4Batch8Us float64
 	// The CI-enforced numbers: continuous+padded must not lose modeled
 	// throughput against strict buckets, its p99 must stay within 1.1x,
 	// it must actually pad, and the single-bucket guard must never pad.
-	StrictThroughput   float64 `json:"strict_throughput"`
-	PaddedThroughput   float64 `json:"padded_throughput"`
-	ThroughputGain     float64 `json:"throughput_gain"`
-	StrictP99Us        float64 `json:"strict_p99_us"`
-	PaddedP99Us        float64 `json:"padded_p99_us"`
-	P99Ratio           float64 `json:"p99_ratio"`
-	PaddedBatches      int64   `json:"padded_batches"`
-	GuardPaddedBatches int64   `json:"guard_padded_batches"`
+	StrictThroughput   float64
+	PaddedThroughput   float64
+	ThroughputGain     float64
+	StrictP99Us        float64
+	PaddedP99Us        float64
+	P99Ratio           float64
+	PaddedBatches      int64
+	GuardPaddedBatches int64
 }
 
 // floodPadding replays the prepared request stream against one policy
@@ -130,7 +128,7 @@ func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddin
 	return srv.Stats()
 }
 
-func (s *Suite) runPadding() paddingArtifact {
+func (s *Suite) runPadding() paddingResult {
 	requests := s.PaddingRequests
 	requests -= requests % 8 // strict baseline: full largest buckets only
 	if requests < 16 {
@@ -181,7 +179,7 @@ func (s *Suite) runPadding() paddingArtifact {
 		{name: "single-bucket guard", buckets: []int{1}, pad: true, continuous: true, requests: guardN},
 	}
 
-	art := paddingArtifact{
+	art := paddingResult{
 		Model:      "widenet-16x32",
 		Pool:       "1x T4 + 1x A100",
 		Requests:   requests,
@@ -232,9 +230,7 @@ func (s *Suite) runPadding() paddingArtifact {
 // Padding reproduces the padded-dispatch / continuous-batching
 // ablation: one seeded Poisson stream replayed under strict buckets,
 // continuous formation, continuous+padded dispatch, and the
-// single-bucket guard. When Suite.PaddingArtifact is set, the raw
-// numbers are also written there as JSON (boltbench points it at
-// BENCH_pr6.json).
+// single-bucket guard.
 func (s *Suite) Padding() *Table {
 	art := s.runPadding()
 	t := &Table{
@@ -265,15 +261,6 @@ func (s *Suite) Padding() *Table {
 		}
 		t.AddRow(r.Policy, i0(r.Throughput), f1(r.MakespanUs), f1(r.P50Us), f1(r.P99Us),
 			fmt.Sprintf("%d", r.Batches), fmt.Sprintf("%d (%d)", r.PaddedBatches, r.PaddedRows), hist)
-	}
-	if s.PaddingArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.PaddingArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

@@ -7,21 +7,18 @@ import (
 	"bolt/internal/gpu"
 )
 
-// TestPaddingDeterministicAndGuarded is the PR-6 acceptance check for
-// the experiment itself: identical suites produce bit-identical
-// artifacts (gated compiles make batch composition independent of host
+// TestPaddingDeterministicAndGuarded is the padding experiment's
+// acceptance gate: identical suites produce bit-identical results
+// (gated compiles make batch composition independent of host
 // scheduling), the continuous+padded row actually pads while the
 // single-bucket guard never does, the strict baseline runs nothing but
-// full largest buckets, and the latency/throughput numbers stay inside
-// the CI envelope. The hard throughput >= strict gate is enforced by
-// the CI smoke at the real quick-mode stream size; at this test's
-// affordable 24-request stream the tail is a larger fraction of the
-// makespan, so throughput only gets a sanity band here.
+// full largest buckets, and continuous+padded dispatch serves at least
+// the strict throughput with a p99 within 1.1x of strict.
 func TestPaddingDeterministicAndGuarded(t *testing.T) {
-	run := func() paddingArtifact {
-		s := NewQuickSuite(gpu.T4())
-		s.PaddingRequests = 24 // 3 full buckets: affordable under `go test`
-		return s.runPadding()
+	run := func() paddingResult {
+		// The quick stream (6 full buckets): at 3 the underfull tail is
+		// a large enough share of the makespan to cost padding its gain.
+		return NewQuickSuite(gpu.T4()).runPadding()
 	}
 	art := run()
 	if again := run(); !reflect.DeepEqual(art, again) {
@@ -35,10 +32,10 @@ func TestPaddingDeterministicAndGuarded(t *testing.T) {
 		t.Errorf("single-bucket guard padded %d batches, must short-circuit to 0", art.GuardPaddedBatches)
 	}
 	if art.P99Ratio > 1.1 {
-		t.Errorf("continuous+padded p99 is %.2fx strict, CI envelope is <= 1.1x", art.P99Ratio)
+		t.Errorf("continuous+padded p99 is %.2fx strict, want <= 1.1x", art.P99Ratio)
 	}
-	if art.ThroughputGain < 0.95 {
-		t.Errorf("continuous+padded throughput is %.3fx strict, sanity band is >= 0.95x", art.ThroughputGain)
+	if art.ThroughputGain < 1.0 {
+		t.Errorf("continuous+padded throughput is %.4fx strict, want >= 1.0x", art.ThroughputGain)
 	}
 
 	for _, row := range art.Rows {

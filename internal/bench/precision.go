@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"bolt/internal/accuracy"
@@ -25,43 +23,44 @@ import (
 // with the identical seeded Poisson request stream. A fourth arm
 // requests INT8 under an impossible budget to demonstrate the FP32
 // fallback. Every number is computed on the simulated clocks, so the
-// experiment is deterministic. It emits BENCH_pr8.json for CI.
+// experiment is deterministic.
 
 // precisionGELUModel is the served BERT-base FFN block at batch 1.
 func precisionGELUModel() *relay.Graph { return models.BERTMLP(1, 768, 3072) }
 
 // precisionRow is one arm's measured result.
 type precisionRow struct {
-	Arm        string  `json:"arm"`
-	Requested  string  `json:"requested"`
-	Served     string  `json:"served"`
-	Budget     float64 `json:"budget"`
-	Divergence float64 `json:"divergence"`
-	FellBack   bool    `json:"fell_back"`
-	Requests   int64   `json:"requests"`
-	Throughput float64 `json:"throughput_imgs_per_sec"`
-	MakespanUs float64 `json:"makespan_us"`
-	P50Us      float64 `json:"p50_us"`
-	P99Us      float64 `json:"p99_us"`
-	Batch8Us   float64 `json:"batch8_us"`
+	Arm        string
+	Requested  string
+	Served     string
+	Budget     float64
+	Divergence float64
+	FellBack   bool
+	Requests   int64
+	Throughput float64
+	MakespanUs float64
+	P50Us      float64
+	P99Us      float64
+	Batch8Us   float64
 }
 
-// precisionArtifact is the BENCH_pr8.json schema.
-type precisionArtifact struct {
-	Model    string         `json:"model"`
-	Device   string         `json:"device"`
-	Requests int            `json:"requests"`
-	Rows     []precisionRow `json:"rows"`
+// precisionResult is the experiment's measured result: the table and the
+// tests read it.
+type precisionResult struct {
+	Model    string
+	Device   string
+	Requests int
+	Rows     []precisionRow
 	// Launch counts of the batch-8 FP16 variant vs its graph's anchor
 	// count: BiasAdd+GELU ride the GEMM epilogues, so the whole FFN
 	// block is two launches.
-	FP16Launches int `json:"fp16_launches"`
+	FP16Launches int
 	// The CI-enforced numbers: served-throughput ratios under the same
 	// Poisson stream, and the fallback demonstration.
-	FP16VsFP32            float64 `json:"fp16_vs_fp32"`
-	INT8VsFP16            float64 `json:"int8_vs_fp16"`
-	FallbackDemonstrated  bool    `json:"fallback_demonstrated"`
-	DivergencesWithinGate bool    `json:"divergences_within_gate"`
+	FP16VsFP32            float64
+	INT8VsFP16            float64
+	FallbackDemonstrated  bool
+	DivergencesWithinGate bool
 }
 
 // precisionCompilerOn compiles a precision-cast graph for one device
@@ -79,7 +78,7 @@ func precisionCompilerOn(dev *gpu.Device, log *tunelog.Log) func(*relay.Graph) (
 	}
 }
 
-func (s *Suite) runPrecision() precisionArtifact {
+func (s *Suite) runPrecision() precisionResult {
 	requests := s.PrecisionRequests
 	requests -= requests % 8 // full largest buckets only
 	if requests < 16 {
@@ -140,7 +139,7 @@ func (s *Suite) runPrecision() precisionArtifact {
 		inputs[i] = map[string]*tensor.Tensor{"tokens": in}
 	}
 
-	art := precisionArtifact{
+	art := precisionResult{
 		Model:    "bert-mlp-768-3072",
 		Device:   dev.Name,
 		Requests: requests,
@@ -229,8 +228,6 @@ func (s *Suite) runPrecision() precisionArtifact {
 // BERT FFN workload deployed at FP32/FP16/INT8 with deploy-time
 // accuracy gating, identical seeded Poisson streams replayed against
 // each precision arm on an A100 worker, plus the forced-fallback arm.
-// When Suite.PrecisionArtifact is set, the raw numbers are also
-// written there as JSON (boltbench points it at BENCH_pr8.json).
 func (s *Suite) Precision() *Table {
 	art := s.runPrecision()
 	t := &Table{
@@ -255,15 +252,6 @@ func (s *Suite) Precision() *Table {
 			served += " (fallback)"
 		}
 		t.AddRow(r.Arm, served, div, i0(r.Throughput), f1(r.MakespanUs), f1(r.P99Us), f1(r.Batch8Us))
-	}
-	if s.PrecisionArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.PrecisionArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

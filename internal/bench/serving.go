@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -22,8 +20,7 @@ import (
 // variants, and throughput/latency are measured on the simulated
 // device clocks (one per worker) against the requests' simulated
 // arrival times, so the numbers are deterministic, model what N device
-// streams deliver, and reflect steady-state queueing. It emits
-// BENCH_pr3.json for CI.
+// streams deliver, and reflect steady-state queueing.
 
 // servingModel builds the batch-1 source CNN the serving experiment
 // feeds through the dynamic batcher: small enough that functional
@@ -63,53 +60,54 @@ func (s *Suite) servingCompiler(log *tunelog.Log) serve.CompileVariant {
 	return s.tenantCompiler(servingModel(), log)
 }
 
-// servingRun is one engine configuration's measured result.
+// servingRun is one server configuration's measured result.
 type servingRun struct {
-	Workers    int           `json:"workers"`
-	MaxBucket  int           `json:"max_bucket"`
-	Throughput float64       `json:"throughput_imgs_per_sec"`
-	P50Us      float64       `json:"p50_us"`
-	P99Us      float64       `json:"p99_us"`
-	Batches    map[int]int64 `json:"batches"`
+	Workers    int
+	MaxBucket  int
+	Throughput float64
+	P50Us      float64
+	P99Us      float64
+	Batches    map[int]int64
 }
 
-// servingArtifact is the BENCH_pr3.json schema.
-type servingArtifact struct {
-	Model    string       `json:"model"`
-	Requests int          `json:"requests"`
-	Rows     []servingRun `json:"rows"`
+// servingResult is the experiment's measured result: the table and the
+// tests read it.
+type servingResult struct {
+	Model    string
+	Requests int
+	Rows     []servingRun
 	// WorkerScaling1To4 is throughput(workers=4)/throughput(workers=1)
 	// at the full bucket set — the CI-enforced scaling number.
-	WorkerScaling1To4 float64 `json:"worker_scaling_1_to_4"`
+	WorkerScaling1To4 float64
 	// Per-run steady-state allocations of Module.Run on the pooled
 	// executor: one caller vs. eight concurrent callers. Concurrency
 	// must not regress allocation behavior (acceptance: within 2x).
-	SingleCallerAllocsPerRun      float64 `json:"single_caller_allocs_per_run"`
-	ConcurrentCallersAllocsPerRun float64 `json:"concurrent_callers_allocs_per_run"`
+	SingleCallerAllocsPerRun      float64
+	ConcurrentCallersAllocsPerRun float64
 }
 
-// floodEngine replays the prepared requests (with their simulated
-// arrival times) against one engine configuration and returns its
-// serving stats.
-func (s *Suite) floodEngine(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
-	eng, err := serve.New(s.servingCompiler(log), serve.Options{
-		Buckets:     buckets,
+// floodServer replays the prepared requests (with their simulated
+// arrival times) against a one-model server and returns the model's
+// serving stats, with SimMakespan taken server-wide.
+func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
+	const model = "default"
+	srv := serve.NewServer(serve.ServerOptions{
 		Workers:     workers,
 		QueueDepth:  len(inputs),
 		BatchWindow: 5 * time.Millisecond,
 		Trace:       s.Trace,
 		TraceLabel:  label,
 	})
-	if err != nil {
+	defer srv.Close()
+	if err := srv.Deploy(model, s.servingCompiler(log), serve.DeployOptions{Buckets: buckets}); err != nil {
 		panic(err)
 	}
-	defer eng.Close()
-	if err := eng.Warm(); err != nil {
+	if err := srv.Warm(model); err != nil {
 		panic(err)
 	}
 	chans := make([]<-chan serve.Result, len(inputs))
 	for i, in := range inputs {
-		ch, err := eng.InferAsyncOpts(in, serve.InferOptions{SimArrival: arrivals[i]})
+		ch, err := srv.InferAsync(model, in, serve.InferOptions{SimArrival: arrivals[i]})
 		if err != nil {
 			panic(err)
 		}
@@ -120,7 +118,9 @@ func (s *Suite) floodEngine(log *tunelog.Log, workers int, buckets []int, inputs
 			panic(res.Err)
 		}
 	}
-	return eng.Stats()
+	st, _ := srv.ModelStats(model)
+	st.SimMakespan = srv.SimMakespan()
+	return st
 }
 
 // measureRunAllocs reports steady-state allocations per Module.Run
@@ -153,7 +153,7 @@ func measureRunAllocs(mod *rt.Module, inputs map[string]*tensor.Tensor, callers,
 	return float64(m1.Mallocs-m0.Mallocs) / float64(callers*iters)
 }
 
-func (s *Suite) runServing() servingArtifact {
+func (s *Suite) runServing() servingResult {
 	requests := s.ServingRequests
 	inputs := make([]map[string]*tensor.Tensor, requests)
 	for i := range inputs {
@@ -163,7 +163,7 @@ func (s *Suite) runServing() servingArtifact {
 	}
 	log := tunelog.New()
 	buckets := []int{1, 2, 4, 8}
-	art := servingArtifact{Model: "servenet-8x32", Requests: requests}
+	art := servingResult{Model: "servenet-8x32", Requests: requests}
 
 	// Offered load: a seeded Poisson stream whose arrival span covers
 	// ~30% of the single-worker service time, so the one-worker
@@ -189,7 +189,7 @@ func (s *Suite) runServing() servingArtifact {
 	var base, four float64
 	for _, c := range configs {
 		label := fmt.Sprintf("serving %dw b%d", c.workers, c.buckets[len(c.buckets)-1])
-		st := s.floodEngine(log, c.workers, c.buckets, inputs, arrivals, label)
+		st := s.floodServer(log, c.workers, c.buckets, inputs, arrivals, label)
 		row := servingRun{
 			Workers:    c.workers,
 			MaxBucket:  c.buckets[len(c.buckets)-1],
@@ -221,9 +221,7 @@ func (s *Suite) runServing() servingArtifact {
 }
 
 // Serving reproduces the serving-engine experiment: dynamic batching
-// and worker scaling on the simulated device streams. When
-// Suite.ServingArtifact is set, the raw numbers are also written there
-// as JSON (boltbench points it at BENCH_pr3.json).
+// and worker scaling on the simulated device streams.
 func (s *Suite) Serving() *Table {
 	art := s.runServing()
 	t := &Table{
@@ -250,15 +248,6 @@ func (s *Suite) Serving() *Table {
 		}
 		t.AddRow(fmt.Sprint(r.Workers), fmt.Sprintf("1..%d", r.MaxBucket), i0(r.Throughput),
 			f1(r.P50Us), f1(r.P99Us), fmt.Sprint(r.Batches), speedup)
-	}
-	if s.ServingArtifact != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(s.ServingArtifact, append(data, '\n'), 0o644); err != nil {
-			panic(err)
-		}
 	}
 	return t
 }

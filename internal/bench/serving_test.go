@@ -1,33 +1,25 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
+
+	"bolt/internal/obs"
 )
 
-// TestServingScalesWithWorkers is the PR-3 acceptance gate: aggregate
-// throughput must scale >1.5x from 1 to 4 workers (it is deterministic
-// on the simulated clocks, so the floor is safe), batching must
-// actually coalesce, and the pooled executor's steady-state allocs
-// must not balloon under concurrency.
+// TestServingScalesWithWorkers is the serving experiment's acceptance
+// gate: aggregate throughput must scale >1.5x from 1 to 4 workers (it
+// is deterministic on the simulated clocks, so the floor is safe),
+// batching must actually coalesce, and the pooled executor's
+// steady-state allocs must not balloon under concurrency. A second run
+// with a tracer attached must reproduce every modeled field: tracing
+// does not perturb the experiment.
 func TestServingScalesWithWorkers(t *testing.T) {
 	s := quick()
 	s.ServingRequests = 32
-	s.ServingArtifact = filepath.Join(t.TempDir(), "BENCH_pr3.json")
-	tab := s.Serving()
-	if len(tab.Rows) != 4 {
-		t.Fatalf("serving table has %d rows, want 4", len(tab.Rows))
-	}
-
-	data, err := os.ReadFile(s.ServingArtifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art servingArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
+	art := s.runServing()
+	if len(art.Rows) != 4 {
+		t.Fatalf("serving experiment has %d rows, want 4", len(art.Rows))
 	}
 	if art.WorkerScaling1To4 <= 1.5 {
 		t.Errorf("throughput scaling 1->4 workers = %.2fx, want > 1.5x", art.WorkerScaling1To4)
@@ -50,5 +42,20 @@ func TestServingScalesWithWorkers(t *testing.T) {
 	if art.ConcurrentCallersAllocsPerRun > 2*art.SingleCallerAllocsPerRun {
 		t.Errorf("concurrent allocs/run %.1f exceeds 2x single-caller %.1f",
 			art.ConcurrentCallersAllocsPerRun, art.SingleCallerAllocsPerRun)
+	}
+
+	s.Trace = obs.NewTracer()
+	traced := s.runServing()
+	// The allocation counters are host-measured and vary run to run
+	// with or without a tracer; every other field is modeled.
+	traced.SingleCallerAllocsPerRun = art.SingleCallerAllocsPerRun
+	traced.ConcurrentCallersAllocsPerRun = art.ConcurrentCallersAllocsPerRun
+	if !reflect.DeepEqual(art, traced) {
+		t.Errorf("tracing changed the modeled serving results:\nuntraced: %+v\ntraced:   %+v", art, traced)
+	}
+	for _, kind := range []string{"request", "enqueue", "plan", "compile", "dispatch", "execute", "deliver"} {
+		if len(s.Trace.ByKind(kind)) == 0 {
+			t.Errorf("traced run recorded no %q spans", kind)
+		}
 	}
 }

@@ -24,50 +24,28 @@ type Suite struct {
 	Batch int
 	// ServingRequests is the flood size for the serving experiment.
 	ServingRequests int
-	// ServingArtifact, when set, is where the serving experiment writes
-	// its JSON artifact (boltbench points it at BENCH_pr3.json).
-	ServingArtifact string
 	// MultiModelRequests is the per-tenant flood size for the
 	// multi-tenant serving experiment.
 	MultiModelRequests int
-	// MultiModelArtifact, when set, is where the multimodel experiment
-	// writes its JSON artifact (boltbench points it at BENCH_pr4.json).
-	MultiModelArtifact string
 	// HeteroRequests is the Poisson-stream size for the heterogeneous
 	// device-pool experiment (rounded down to full bucket-8 batches).
 	HeteroRequests int
-	// HeteroArtifact, when set, is where the hetero experiment writes
-	// its JSON artifact (boltbench points it at BENCH_pr5.json).
-	HeteroArtifact string
 	// PaddingRequests is the Poisson-stream size for the padded-dispatch
 	// / continuous-batching ablation (rounded down to a multiple of the
 	// largest bucket so the strict baseline is deterministic).
 	PaddingRequests int
-	// PaddingArtifact, when set, is where the padding experiment writes
-	// its JSON artifact (boltbench points it at BENCH_pr6.json).
-	PaddingArtifact string
-	// ColdstartArtifact, when set, is where the cost-model-guided
-	// cold-compile experiment writes its JSON artifact (boltbench points
-	// it at BENCH_pr7.json).
-	ColdstartArtifact string
 	// PrecisionRequests is the per-arm Poisson-stream size for the
 	// mixed-precision serving experiment (rounded down to full bucket-8
 	// batches).
 	PrecisionRequests int
-	// PrecisionArtifact, when set, is where the precision experiment
-	// writes its JSON artifact (boltbench points it at BENCH_pr8.json).
-	PrecisionArtifact string
 	// FleetRequests is the Poisson-stream size for the replicated-fleet
 	// experiment (rounded down to full bucket-8 batches).
 	FleetRequests int
-	// FleetArtifact, when set, is where the fleet experiment writes its
-	// JSON artifact (boltbench points it at BENCH_pr9.json).
-	FleetArtifact string
 	// Trace, when set, records the serving experiments'
 	// request-lifecycle spans — every serving arm's server is handed
 	// this tracer, with the arm's name as its process label (boltbench
 	// wires -trace here). Tracing never changes the measured numbers:
-	// artifacts are bit-identical with and without it.
+	// modeled results are bit-identical with and without it.
 	Trace *obs.Tracer
 	// StallTrace, when set, records the fleet experiment's
 	// worker-stall arm separately, so the hedged-recovery span tree

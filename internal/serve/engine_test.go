@@ -14,7 +14,7 @@ import (
 )
 
 // fakeVariant builds a hand-made two-kernel module (input -> x+1) at
-// the given batch, so engine mechanics are testable without the
+// the given batch, so serving mechanics are testable without the
 // compilation pipeline. The launch desc gives batches a modeled cost,
 // so simulated clocks advance.
 func fakeVariant(batch int) (*rt.Module, error) {
@@ -49,14 +49,23 @@ func sampleInput(seed int64) map[string]*tensor.Tensor {
 	return map[string]*tensor.Tensor{"x": in}
 }
 
-func TestEngineInferAddsOne(t *testing.T) {
-	e, err := New(fakeVariant, Options{Workers: 2})
-	if err != nil {
+// serveOne starts a server with one model, "m", deployed from compile.
+// The server is closed at test cleanup (Close is idempotent, so tests
+// may close it earlier).
+func serveOne(t *testing.T, compile CompileVariant, so ServerOptions, do DeployOptions) *Server {
+	t.Helper()
+	s := NewServer(so)
+	t.Cleanup(s.Close)
+	if err := s.Deploy("m", compile, do); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	return s
+}
+
+func TestEngineInferAddsOne(t *testing.T) {
+	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2}, DeployOptions{})
 	in := sampleInput(7)
-	out, err := e.Infer(in)
+	out, err := s.Infer("m", in, InferOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +80,14 @@ func TestEngineInferAddsOne(t *testing.T) {
 }
 
 func TestEngineBatchesFlood(t *testing.T) {
-	e, err := New(fakeVariant, Options{
-		Buckets: []int{1, 2, 4}, Workers: 2, BatchWindow: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2, BatchWindow: 50 * time.Millisecond},
+		DeployOptions{Buckets: []int{1, 2, 4}})
 	const n = 8
 	chans := make([]<-chan Result, n)
 	inputs := make([]map[string]*tensor.Tensor, n)
 	for i := 0; i < n; i++ {
 		inputs[i] = sampleInput(int64(i + 1))
-		ch, err := e.InferAsync(inputs[i])
+		ch, err := s.InferAsync("m", inputs[i], InferOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +107,7 @@ func TestEngineBatchesFlood(t *testing.T) {
 			t.Error("simulated latency must be positive")
 		}
 	}
-	st := e.Stats()
+	st, _ := s.ModelStats("m")
 	if st.Requests != n {
 		t.Errorf("requests %d, want %d", st.Requests, n)
 	}
@@ -120,73 +124,67 @@ func TestEngineBatchesFlood(t *testing.T) {
 
 func TestEngineCompileErrorPropagates(t *testing.T) {
 	boom := errors.New("no such variant")
-	e, err := New(func(batch int) (*rt.Module, error) {
+	s := serveOne(t, func(batch int) (*rt.Module, error) {
 		if batch > 1 {
 			return nil, boom
 		}
 		return fakeVariant(batch)
-	}, Options{Buckets: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Warm(2); !errors.Is(err, boom) {
+	}, ServerOptions{}, DeployOptions{Buckets: []int{1, 2}})
+	if err := s.Warm("m", 2); !errors.Is(err, boom) {
 		t.Errorf("Warm error %v, want %v", err, boom)
 	}
 	// Bucket 1 still serves.
-	if _, err := e.Infer(sampleInput(1)); err != nil {
+	if _, err := s.Infer("m", sampleInput(1), InferOptions{}); err != nil {
 		t.Errorf("bucket-1 request failed: %v", err)
 	}
 }
 
 func TestEngineExecPanicBecomesError(t *testing.T) {
-	e, err := New(fakeVariant, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	s := serveOne(t, fakeVariant, ServerOptions{}, DeployOptions{})
 	// Wrong input name: env.Input panics inside the kernel; the worker
 	// must answer with an error, not die.
 	bad := map[string]*tensor.Tensor{"nope": tensor.New(tensor.FP32, 1, 4)}
-	if _, err := e.Infer(bad); err == nil {
+	if _, err := s.Infer("m", bad, InferOptions{}); err == nil {
 		t.Fatal("bad input should error")
 	}
-	// The engine is still alive afterwards.
-	if _, err := e.Infer(sampleInput(3)); err != nil {
-		t.Fatalf("engine wedged after panic: %v", err)
+	// The server is still alive afterwards.
+	if _, err := s.Infer("m", sampleInput(3), InferOptions{}); err != nil {
+		t.Fatalf("server wedged after panic: %v", err)
 	}
 }
 
 func TestEngineCloseRejectsAndDrains(t *testing.T) {
-	e, err := New(fakeVariant, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2}, DeployOptions{})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := e.Infer(sampleInput(int64(i))); err != nil && !errors.Is(err, ErrClosed) {
+			if _, err := s.Infer("m", sampleInput(int64(i)), InferOptions{}); err != nil && !errors.Is(err, ErrClosed) {
 				t.Errorf("unexpected error: %v", err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	e.Close()
-	e.Close() // idempotent
-	if _, err := e.Infer(sampleInput(99)); !errors.Is(err, ErrClosed) {
+	s.Close()
+	s.Close() // idempotent
+	if _, err := s.Infer("m", sampleInput(99), InferOptions{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Infer after Close = %v, want ErrClosed", err)
 	}
 }
 
+// TestOptionsNormalized pins that the options a server runs under are
+// the normalized ones: Deploy normalizes the bucket ladder and
+// NewServer applies the worker and queue defaults.
 func TestOptionsNormalized(t *testing.T) {
-	o := Options{Buckets: []int{8, 4, 8, 0, -3}}.normalized()
-	want := []int{1, 4, 8}
-	if fmt.Sprint(o.Buckets) != fmt.Sprint(want) {
-		t.Errorf("buckets %v, want %v", o.Buckets, want)
+	s := serveOne(t, fakeVariant, ServerOptions{}, DeployOptions{Buckets: []int{8, 4, 8, 0, -3}})
+	s.mu.Lock()
+	buckets := s.tenants["m"].buckets
+	s.mu.Unlock()
+	if fmt.Sprint(buckets) != "[1 4 8]" {
+		t.Errorf("deployed buckets %v, want [1 4 8]", buckets)
 	}
-	if o.Workers != 1 || o.QueueDepth != 1024 {
-		t.Errorf("defaults wrong: %+v", o)
+	if s.opts.Workers != 1 || s.opts.QueueDepth != 1024 {
+		t.Errorf("server defaults wrong: %+v", s.opts)
 	}
 }

@@ -1,3 +1,28 @@
+// Package serve is Bolt's serving layer: a multi-tenant request
+// scheduler plus a dynamic batcher that coalesces single-sample
+// inference requests into batch-bucketed runs over lazily compiled
+// batch variants of the deployed models.
+//
+// This is the deployment story of the paper's §1/§2.1 motivation:
+// dynamic-shape workloads arrive continuously, every new batch size is
+// a brand-new workload for the tuner, and Bolt's light-weight profiler
+// (plus the persistent tuning log) is what makes compiling a variant
+// on demand affordable. Serving is a multi-tenant infrastructure
+// problem, so a Server owns one shared worker pool and schedules many
+// models over it: per-model/per-priority FIFO queues, weighted
+// round-robin across tenants, and priority-aware batching (a pending
+// high-priority request preempts the batch window; bulk requests wait
+// for full buckets). The server leans on the runtime split — modules
+// are immutable programs, per-run state lives in pooled rt.ExecStates
+// — so N workers execute one variant concurrently with zero
+// steady-state allocation.
+//
+// Performance accounting follows the repo's convention: execution is
+// functional (real numerics on the host) while time is priced on the
+// simulated device. Each worker owns a simulated clock that advances
+// by the variant's modeled batch latency, so throughput and latency
+// statistics are deterministic and reflect what N device streams would
+// deliver, not host scheduling noise.
 package serve
 
 import (
@@ -19,6 +44,58 @@ import (
 // ErrNotDeployed is returned by Infer/Warm/Undeploy for a model name
 // the server does not (or no longer) serve(s).
 var ErrNotDeployed = errors.New("serve: model not deployed")
+
+// CompileVariant compiles the source model at a leading batch
+// dimension (relay.Rebatch + the regular compilation pipeline; the
+// bolt package wires this to the tuning pipeline with a shared
+// tuning-log cache).
+type CompileVariant func(batch int) (*rt.Module, error)
+
+// CompileVariantOn is the heterogeneous-pool form of CompileVariant:
+// the server passes the target device class's device (nil for the
+// anonymous homogeneous class), so each class executes variants tuned
+// for its own silicon. Used with Server.DeployOn.
+type CompileVariantOn func(dev *gpu.Device, batch int) (*rt.Module, error)
+
+// ErrClosed is returned by Infer/Deploy/Warm after Close.
+var ErrClosed = errors.New("serve: server closed")
+
+// Result is one completed request.
+type Result struct {
+	// Output is the request's slice of the batch output (leading dim
+	// 1), owned by the caller.
+	Output *tensor.Tensor
+	Err    error
+	// Model names the deployed model that served the request.
+	Model string
+	// Priority is the request's scheduling class.
+	Priority Priority
+	// Batch is the bucket the request was coalesced into.
+	Batch int
+	// Worker is the executor (simulated device stream) that ran it.
+	Worker int
+	// Device names the worker's device on a heterogeneous pool ("" for
+	// the homogeneous legacy streams) — which silicon served this
+	// request.
+	Device string
+	// SimArrival echoes the request's InferOptions.SimArrival.
+	SimArrival float64
+	// SimLatency is the request's simulated latency: the worker's clock
+	// when the batch finished minus the request's simulated arrival.
+	// Under the flood model (every request arrives at simulated time
+	// zero) this is simply the completion time, matching the
+	// pre-arrival-process semantics.
+	SimLatency float64
+	// QueueWait is the simulated time from the request's arrival to its
+	// batch's execution start — batch-formation wait plus worker-queue
+	// wait. Set on success only, like SimLatency.
+	QueueWait float64
+	// ExecuteSeconds is the simulated time the request's batch spent
+	// executing (injected stalls included). The decomposition is exact:
+	// QueueWait + ExecuteSeconds == SimLatency bit-for-bit, so callers
+	// can attribute a request's time without parsing stats.
+	ExecuteSeconds float64
+}
 
 // bulkWindowFactor is how many batch windows a bulk request holds out
 // for a full bucket before it is dispatched underfull (when
@@ -62,8 +139,7 @@ type ServerOptions struct {
 	Fault FaultHook
 	// OnClose, when set, runs exactly once at the end of Close, after
 	// every request is answered and the workers have stopped (the bolt
-	// wrapper persists the shared tuning log here, so closing through
-	// any view — Server or a compatibility Engine — flushes it).
+	// wrapper persists the shared tuning log here).
 	OnClose func()
 	// Trace, when set, records request-lifecycle spans (plan, compile,
 	// dispatch, execute, per-request trees) into the tracer on the
@@ -1268,32 +1344,27 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 	if len(ready) == 0 {
 		return nil
 	}
-	// Every ready tenant's bucket must be priced before any batch goes
-	// out: dispatch order is the weighted-round-robin contract, and
-	// serving whoever happens to be priced first would invert it (the
-	// skipped pickWRR calls would also corrupt the smooth-WRR state).
-	// Unpriced buckets compile on background goroutines — overlapping
-	// through the CompileJobs pool and nudging the scheduler when done
-	// — so the scheduler goroutine itself stays responsive (arrivals,
-	// Undeploy, Close) during a cold tenant's first compile. Warm
-	// avoids the stall entirely. Adaptive tenants price their whole
-	// ladder: the planner compares arbitrary rungs, and a plan made on a
-	// half-priced ladder would depend on compile timing.
+	// Every ready tenant's whole bucket ladder must be priced before any
+	// batch goes out: dispatch order is the weighted-round-robin
+	// contract, and serving whoever happens to be priced first would
+	// invert it (the skipped pickWRR calls would also corrupt the
+	// smooth-WRR state). Pricing the whole ladder, not just the bucket
+	// the current pending count maps to, makes the set of pricing
+	// compiles independent of how many arrivals the scheduler happened
+	// to have absorbed when it first looked; the adaptive planner also
+	// compares arbitrary rungs, and a plan made on a half-priced ladder
+	// would depend on compile timing. Unpriced buckets compile on
+	// background goroutines — overlapping through the CompileJobs pool
+	// and nudging the scheduler when done — so the scheduler goroutine
+	// itself stays responsive (arrivals, Undeploy, Close) during a cold
+	// tenant's first compile. Warm avoids the stall entirely.
 	allPriced := true
 	for _, t := range ready {
-		if t.adaptive() {
-			for _, b := range t.buckets {
-				if !s.bucketPricedLocked(t, b) {
-					s.ensurePricingLocked(t, b)
-					allPriced = false
-				}
+		for _, b := range t.buckets {
+			if !s.bucketPricedLocked(t, b) {
+				s.ensurePricingLocked(t, b)
+				allPriced = false
 			}
-			continue
-		}
-		k := bucketFor(t.buckets, t.pending)
-		if !s.bucketPricedLocked(t, k) {
-			s.ensurePricingLocked(t, k)
-			allPriced = false
 		}
 	}
 	if !allPriced {

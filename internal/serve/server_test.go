@@ -442,7 +442,7 @@ func TestServerCloseRejectsAndFlushes(t *testing.T) {
 }
 
 // TestNormalizeBucketsEdgeCases is the satellite coverage for
-// Options.normalized / normalizeBuckets: dedup, the implied bucket 1,
+// normalizeBuckets and ServerOptions.normalized: dedup, the implied bucket 1,
 // dropped non-positive buckets, and defaults.
 func TestNormalizeBucketsEdgeCases(t *testing.T) {
 	cases := []struct {
@@ -462,10 +462,6 @@ func TestNormalizeBucketsEdgeCases(t *testing.T) {
 		if got != c.want {
 			t.Errorf("normalizeBuckets(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-	o := Options{Buckets: []int{4, 4, -2}, Workers: -3, QueueDepth: 0}.normalized()
-	if fmt.Sprint(o.Buckets) != "[1 4]" || o.Workers != 1 || o.QueueDepth != 1024 {
-		t.Errorf("Options.normalized defaults wrong: %+v", o)
 	}
 	so := ServerOptions{Workers: 0, QueueDepth: -1, CompileJobs: 0}.normalized()
 	if so.Workers != 1 || so.QueueDepth != 1024 || so.CompileJobs != 1 {

@@ -12,7 +12,6 @@
 package tunelog
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -189,10 +188,8 @@ type jsonEntry struct {
 	Entry Entry `json:"entry"`
 }
 
-// jsonLog is the v2 on-disk format: the entry rows plus the cost model
-// trained from them, in the model's own persistence format. The
-// original format was a bare entry array; readers sniff the first
-// non-space byte to accept both.
+// jsonLog is the on-disk format: the entry rows plus the cost model
+// trained from them, in the model's own persistence format.
 type jsonLog struct {
 	Entries []jsonEntry      `json:"entries"`
 	Model   *costmodel.State `json:"model,omitempty"`
@@ -235,21 +232,15 @@ func (l *Log) Save(w io.Writer) error {
 	return nil
 }
 
-// decode reads either on-disk format: the v2 object or the legacy bare
-// entry array (which carries no model).
+// decode reads the on-disk format. Anything else — including the bare
+// entry array of the format's first version — is an error.
 func decode(r io.Reader) (jsonLog, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
-	trimmed := bytes.TrimLeft(buf, " \t\r\n")
 	var db jsonLog
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		err = json.Unmarshal(trimmed, &db.Entries)
-	} else {
-		err = json.Unmarshal(trimmed, &db)
-	}
-	if err != nil {
+	if err := json.Unmarshal(buf, &db); err != nil {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
 	return db, nil

@@ -241,29 +241,23 @@ func TestSaveLoadRoundTripsModel(t *testing.T) {
 	}
 }
 
-func TestLoadLegacyArrayFormat(t *testing.T) {
-	// Pre-v2 logs are a bare entry array with no model; they must still
-	// load (and merge) without error.
-	legacy := `[
+func TestLoadRejectsBareArray(t *testing.T) {
+	// The format's first version was a bare entry array with no model.
+	// No reader accepts it any more: Load and Merge fail and leave the
+	// log as it was.
+	bare := `[
   {"key": {"kind": "gemm", "m": 64, "n": 64, "k": 64, "dtype": "float16", "device": "T4", "version": 1},
    "entry": {"time_seconds": 2.5e-06, "trials": 7}}
 ]`
 	l := New()
-	if err := l.Load(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
+	if err := l.Load(strings.NewReader(bare)); err == nil {
+		t.Error("Load accepted a bare entry array")
 	}
-	if e, ok := l.Lookup(GemmKey(64, 64, 64, tensor.FP16, "T4")); !ok || e.Trials != 7 {
-		t.Errorf("legacy entry missing after load: %+v ok=%v", e, ok)
+	if err := l.Merge(strings.NewReader(bare)); err == nil {
+		t.Error("Merge accepted a bare entry array")
 	}
-	if l.Model.Trained() {
-		t.Error("legacy file carries no model; predictor must stay untrained")
-	}
-	l2 := New()
-	if err := l2.Merge(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	if l2.Len() != 1 {
-		t.Errorf("legacy merge added %d entries, want 1", l2.Len())
+	if l.Len() != 0 {
+		t.Errorf("rejected file left %d entries in the log", l.Len())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"bolt/internal/tensor"
 )
 
-// TestPaddedServingBitIdentical floods a single-worker engine whose
+// TestPaddedServingBitIdentical floods a single-worker server whose
 // bucket ladder ({1, 8}, launch-overhead-dominated tiny CNN) makes a
 // padded bucket-8 dispatch the modeled winner for any 2..7 coalesced
 // rows, and checks every answered request bit-for-bit against the
@@ -36,17 +36,12 @@ func TestPaddedServingBitIdentical(t *testing.T) {
 		oracle[i] = oracleRes.Module.RunUnplanned(inputs[i])
 	}
 
-	eng, err := bolt.NewEngine(src, bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{1, 8}, Workers: 1,
-		AllowPadding: true, ContinuousBatching: true,
+	srv := serveOne(t, src, bolt.ServerOptions{Workers: 1}, bolt.DeployOptions{
+		Buckets: []int{1, 8}, AllowPadding: true, ContinuousBatching: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	// Price the whole ladder up front so dispatch never stalls on a
 	// background pricing compile mid-wave.
-	if err := eng.Warm(); err != nil {
+	if err := srv.Warm("m"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +61,7 @@ func TestPaddedServingBitIdentical(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					ch, err := eng.InferAsync(inputs[i%distinct])
+					ch, err := srv.InferAsync("m", inputs[i%distinct], bolt.InferOptions{})
 					if err != nil {
 						t.Errorf("wave %d req %d: %v", wave, i, err)
 						return
@@ -82,7 +77,7 @@ func TestPaddedServingBitIdentical(t *testing.T) {
 			}
 		} else {
 			for i := range chans {
-				ch, err := eng.InferAsync(inputs[i%distinct])
+				ch, err := srv.InferAsync("m", inputs[i%distinct], bolt.InferOptions{})
 				if err != nil {
 					t.Fatalf("wave %d req %d: %v", wave, i, err)
 				}
@@ -99,7 +94,7 @@ func TestPaddedServingBitIdentical(t *testing.T) {
 					wave, i, res.Batch, d)
 			}
 		}
-		if st := eng.Stats(); st.PaddedBatches > 0 {
+		if st := srv.Stats(); st.PaddedBatches > 0 {
 			if st.PaddedRows == 0 {
 				t.Error("padded batches counted without padded rows")
 			}

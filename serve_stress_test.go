@@ -1,7 +1,7 @@
 package bolt_test
 
-// Concurrency validation for the PR-3 serving engine and the pooled
-// executor: planned concurrent Module.Run and batched Engine.Infer
+// Concurrency validation for the serving engine and the pooled
+// executor: planned concurrent Module.Run and batched Server.Infer
 // must both be bit-identical to the clone-based RunUnplanned oracle.
 // Run with -race.
 
@@ -63,12 +63,28 @@ func TestConcurrentModuleRunBitIdentical(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineInferStress floods a serving engine over a zoo model with
-// 8 concurrent callers; every batched output must be bit-identical to
-// the per-sample RunUnplanned oracle.
-func TestEngineInferStress(t *testing.T) {
+// serveOne starts a T4 server with g deployed as model "m". The server
+// is closed at test cleanup; Close is idempotent, so a test may close
+// it earlier.
+func serveOne(t *testing.T, g *bolt.Graph, so bolt.ServerOptions, do bolt.DeployOptions) *bolt.Server {
+	t.Helper()
+	srv, err := bolt.NewServer(bolt.T4(), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.Deploy("m", g, do); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// TestServerInferStress floods a one-model server over a zoo model
+// with 8 concurrent callers; every batched output must be bit-identical
+// to the per-sample RunUnplanned oracle.
+func TestServerInferStress(t *testing.T) {
 	if testing.Short() {
-		t.Skip("zoo engine stress is not short")
+		t.Skip("zoo serving stress is not short")
 	}
 	g := serveZooGraph()
 	oracleRes, err := bolt.Compile(models.ResNetAt(18, 1, 32), bolt.T4(), bolt.Options{})
@@ -83,13 +99,8 @@ func TestEngineInferStress(t *testing.T) {
 		oracle[i] = oracleRes.Module.RunUnplanned(inputs[i])
 	}
 
-	eng, err := bolt.NewEngine(g, bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{1, 2, 4}, Workers: 4, BatchWindow: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	srv := serveOne(t, g, bolt.ServerOptions{Workers: 4, BatchWindow: 2 * time.Millisecond},
+		bolt.DeployOptions{Buckets: []int{1, 2, 4}})
 
 	const callers, perCaller = 8, 2
 	var wg sync.WaitGroup
@@ -99,7 +110,7 @@ func TestEngineInferStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perCaller; r++ {
 				i := (c*perCaller + r) % distinct
-				ch, err := eng.InferAsync(inputs[i])
+				ch, err := srv.InferAsync("m", inputs[i], bolt.InferOptions{})
 				if err != nil {
 					t.Errorf("caller %d: %v", c, err)
 					return
@@ -123,7 +134,7 @@ func TestEngineInferStress(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := eng.Stats()
+	st := srv.Stats()
 	if st.Requests != callers*perCaller {
 		t.Errorf("requests %d, want %d", st.Requests, callers*perCaller)
 	}
@@ -141,13 +152,8 @@ func TestBatcherMatchesUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := bolt.NewEngine(src, bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{4}, Workers: 1, BatchWindow: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	srv := serveOne(t, src, bolt.ServerOptions{Workers: 1, BatchWindow: 200 * time.Millisecond},
+		bolt.DeployOptions{Buckets: []int{4}})
 
 	const n = 4
 	inputs := make([]map[string]*bolt.Tensor, n)
@@ -163,7 +169,7 @@ func TestBatcherMatchesUnbatched(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := eng.Infer(inputs[i])
+			out, err := srv.Infer("m", inputs[i], bolt.InferOptions{})
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -174,7 +180,7 @@ func TestBatcherMatchesUnbatched(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := eng.Stats(); st.BatchSizes[4] == 0 {
+	if st := srv.Stats(); st.BatchSizes[4] == 0 {
 		t.Logf("note: flood was not coalesced into a bucket-4 batch: %v", st.BatchSizes)
 	}
 }

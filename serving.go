@@ -20,9 +20,6 @@ import (
 // internal/serve; NewServer wires it to this package's compilation
 // pipeline and tuning-log cache.
 type (
-	// Engine is the single-model serving view (the pre-multi-tenant
-	// surface, kept for compatibility; new code should use Server).
-	Engine = serve.Engine
 	// ServeStats is a snapshot of serving counters, per model or
 	// aggregate, with per-priority latency windows.
 	ServeStats = serve.Stats
@@ -475,9 +472,8 @@ func NewServer(dev *Device, opts ServerOptions) (*Server, error) {
 		CompileJobs: opts.Jobs,
 		Trace:       opts.Trace,
 		TraceLabel:  opts.TraceLabel,
-		// Closing through any view — this Server or a compatibility
-		// Engine — flushes the shared tuning log.
-		OnClose: func() { _ = s.persistCache() },
+		// Closing the server flushes the shared tuning log.
+		OnClose: func() { _ = s.pipe.cp.persist() },
 	})
 	return s, nil
 }
@@ -564,71 +560,4 @@ func (s *Server) Snapshot() string { return s.srv.Snapshot() }
 func (s *Server) Close() error {
 	s.srv.Close()
 	return s.pipe.cp.lastErr()
-}
-
-// persistCache flushes the shared tuning log (see
-// cachePersister.persist; kept as a method for the close hook).
-func (s *Server) persistCache() error { return s.pipe.cp.persist() }
-
-// ServeOptions configures NewEngine (the single-model compatibility
-// surface; new code should use NewServer + ServerOptions).
-type ServeOptions struct {
-	// Buckets are the allowed batch sizes (bucket 1 is implied). Nil
-	// means {1, 2, 4, 8}.
-	Buckets []int
-	// Workers is the number of concurrent executors (simulated device
-	// streams). Values < 1 mean 1.
-	Workers int
-	// QueueDepth bounds the pending-request queue; Infer blocks when it
-	// is full. Values < 1 mean 1024.
-	QueueDepth int
-	// BatchWindow is how long the batcher holds an underfull batch
-	// hoping to fill the largest bucket (0 = dispatch greedily).
-	BatchWindow time.Duration
-	// CacheFile backs every variant compile with a persistent
-	// tuning-log database (loaded once, shared, persisted after each
-	// compile).
-	CacheFile string
-	// Jobs is the profiling pool width for variant compiles.
-	Jobs int
-	// AllowPadding enables padded-bucket dispatch for the engine's model
-	// (see DeployOptions.AllowPadding).
-	AllowPadding bool
-	// ContinuousBatching enables modeled marginal-gain batch formation
-	// (see DeployOptions.ContinuousBatching).
-	ContinuousBatching bool
-	// Trace records request-lifecycle spans (see ServerOptions.Trace).
-	Trace *Tracer
-	// TraceLabel names the engine's trace process (see
-	// ServerOptions.TraceLabel).
-	TraceLabel string
-}
-
-// NewEngine starts a single-model serving engine: a thin wrapper over
-// a one-model Server. Requests to Infer are coalesced by the dynamic
-// batcher at normal priority, exactly as before the multi-tenant
-// redesign; migrate to NewServer/Deploy/Infer for multiple models,
-// request priorities, and fair scheduling.
-func NewEngine(g *Graph, dev *Device, opts ServeOptions) (*Engine, error) {
-	srv, err := NewServer(dev, ServerOptions{
-		Workers:     opts.Workers,
-		QueueDepth:  opts.QueueDepth,
-		BatchWindow: opts.BatchWindow,
-		CacheFile:   opts.CacheFile,
-		Jobs:        opts.Jobs,
-		Trace:       opts.Trace,
-		TraceLabel:  opts.TraceLabel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.Deploy(serve.EngineModel, g, DeployOptions{
-		Buckets:            opts.Buckets,
-		AllowPadding:       opts.AllowPadding,
-		ContinuousBatching: opts.ContinuousBatching,
-	}); err != nil {
-		srv.Close()
-		return nil, err
-	}
-	return srv.srv.EngineFor(serve.EngineModel)
 }

@@ -121,8 +121,8 @@ func TestServerTwoTenantFairnessStress(t *testing.T) {
 		t.Fatalf("missing per-priority latency windows: high %g bulk %g", hi, bulk)
 	}
 	// The high-p99 <= bulk-p99 SLO is asserted where arrival order is
-	// deterministic (the serve-level preemption test and the
-	// BENCH_pr4.json smoke); under this unordered goroutine flood a
+	// deterministic (the serve-level preemption test and
+	// internal/bench's TestMultiModelFairnessAndPrioritySLO); under this unordered goroutine flood a
 	// late-arriving high request can legitimately land on a
 	// deep-clocked worker, so here it is informational only.
 	t.Logf("p99 under unordered flood: high %.1fus, bulk %.1fus", hi*1e6, bulk*1e6)
@@ -261,23 +261,5 @@ func TestServerSharedTuningCache(t *testing.T) {
 	}
 	if warm := loadLog(); warm.Len() != cold.Len() {
 		t.Errorf("warm recompile grew the cache from %d to %d entries (cache misses)", cold.Len(), warm.Len())
-	}
-
-	// The compatibility wrapper shares the persistence path: an Engine
-	// closed through serve.Engine.Close must still flush the log (the
-	// server's OnClose hook).
-	engCache := filepath.Join(t.TempDir(), "eng.json")
-	eng, err := bolt.NewEngine(buildTiny1(), bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{1, 2}, CacheFile: engCache, Jobs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	if fi, err := os.Stat(engCache); err != nil || fi.Size() == 0 {
-		t.Errorf("NewEngine cache not persisted through Close: %v", err)
 	}
 }

@@ -18,26 +18,22 @@ import (
 	"bolt"
 )
 
-// serialTracedRun drives a one-worker engine through the real compile
+// serialTracedRun drives a one-worker server through the real compile
 // pipeline with strictly serial requests, so the whole span tree —
 // compile spans included — depends only on modeled costs.
 func serialTracedRun(t *testing.T) *bolt.Tracer {
 	t.Helper()
 	tr := bolt.NewTracer()
-	eng, err := bolt.NewEngine(buildTiny1(), bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{1, 2}, Workers: 1, Trace: tr, TraceLabel: "server",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.Warm(); err != nil {
+	srv := serveOne(t, buildTiny1(), bolt.ServerOptions{Workers: 1, Trace: tr, TraceLabel: "server"},
+		bolt.DeployOptions{Buckets: []int{1, 2}})
+	defer srv.Close()
+	if err := srv.Warm("m"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		in := bolt.NewTensor(bolt.FP16, 1, 8, 16, 16)
 		in.FillRandom(int64(i+1), 1)
-		if _, err := eng.Infer(map[string]*bolt.Tensor{"image": in}); err != nil {
+		if _, err := srv.Infer("m", map[string]*bolt.Tensor{"image": in}, bolt.InferOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
