@@ -24,6 +24,14 @@
 //     variants measurement-free when the deploy closure shares a
 //     tuning log with its peers (the bolt wrapper wires exactly that).
 //
+// Supervision costs no goroutine per request. Each attempt is placed
+// with serve.Server.InferTo and a sink inside the request's route, so
+// the replica that answers drives the route forward in that same call:
+// it delivers the result, records a hedge loser, or hands a retry to a
+// short-lived goroutine (placing may wait on another replica's queue,
+// which a replica worker must never do). The hedge deadline is a
+// stoppable timer, stopped on delivery.
+//
 // Stats keeps per-replica rows (hedges, retries, autoscale events,
 // and each replica's full serve.Stats) that sum exactly to the fleet
 // aggregate, so fleet accounting is auditable the same way per-device
@@ -156,6 +164,9 @@ type Fleet struct {
 	// mid-run deploys exactly the live tenant set.
 	deployMu sync.Mutex
 
+	// routeWG counts attempts not yet answered (hedge losers included)
+	// plus second-attempt placements in progress, so Close returns only
+	// after every routed request settled.
 	routeWG   sync.WaitGroup
 	stopScale chan struct{}
 	scaleWG   sync.WaitGroup
@@ -224,11 +235,23 @@ func (f *Fleet) liveLocked() []*replica {
 	return live
 }
 
+// liveCountLocked counts the live replicas without building the slice
+// (caller holds f.mu).
+func (f *Fleet) liveCountLocked() int {
+	n := 0
+	for _, r := range f.replicas {
+		if r.live {
+			n++
+		}
+	}
+	return n
+}
+
 // Replicas returns the number of live replicas.
 func (f *Fleet) Replicas() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.liveLocked())
+	return f.liveCountLocked()
 }
 
 // Deploy registers a model on every live replica (and on every
@@ -318,8 +341,10 @@ func (f *Fleet) Infer(model string, inputs map[string]*tensor.Tensor, opts serve
 // The enqueue happens synchronously in the caller's goroutine (so a
 // single producer observes the same arrival order a bare server
 // would, and replica backpressure blocks the caller exactly like
-// serve.Server.InferAsync); only hedge/retry supervision runs in the
-// background.
+// serve.Server.InferAsync), and so does an immediate hedge. After
+// that no goroutine waits on the request: the replicas deliver each
+// attempt's answer straight into its route, which hedges on a timer,
+// retries, or hands the one Result to the caller from there.
 func (f *Fleet) InferAsync(model string, inputs map[string]*tensor.Tensor, opts serve.InferOptions) (<-chan Result, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -336,26 +361,47 @@ func (f *Fleet) InferAsync(model string, inputs map[string]*tensor.Tensor, opts 
 		return nil, ErrNoReplica
 	}
 	f.routed++
-	canHedge := len(f.liveLocked()) > 1
+	hedgeNow := f.opts.Hedge.BacklogSeconds > 0 && backlog > f.opts.Hedge.BacklogSeconds &&
+		f.liveCountLocked() > 1
 	f.mu.Unlock()
-	ch, err := r.srv.InferAsync(model, inputs, opts)
-	if err != nil {
+	rt := &route{
+		f: f, model: model, inputs: inputs, opts: opts,
+		out:     make(chan Result, 1),
+		placing: hedgeNow, // the primary's answer waits for the hedge
+		note:    newRouteNote(model),
+	}
+	rt.att[0] = attemptSink{rt: rt, i: 0, rep: r}
+	rt.att[1] = attemptSink{rt: rt, i: 1}
+	// One routeWG count for the primary attempt, one for an immediate
+	// hedge's placement — both taken before the primary can answer.
+	pending := 1
+	if hedgeNow {
+		pending = 2
+	}
+	f.routeWG.Add(pending)
+	if err := r.srv.InferTo(model, inputs, opts, &rt.att[0]); err != nil {
+		f.routeWG.Add(-pending)
 		f.mu.Lock()
 		f.routed--
 		f.mu.Unlock()
 		return nil, fmt.Errorf("fleet: replica %d: %w", r.id, err)
 	}
-	hedgeNow := canHedge && f.opts.Hedge.BacklogSeconds > 0 &&
-		backlog > f.opts.Hedge.BacklogSeconds
-	out := make(chan Result, 1)
-	f.routeWG.Add(1)
-	go f.watch(model, inputs, opts, attempt{rep: r, ch: ch}, hedgeNow, out)
-	return out, nil
+	if hedgeNow {
+		rt.place(false, serve.Result{})
+	} else if d := f.opts.Hedge.Timeout; d > 0 {
+		rt.mu.Lock()
+		if !rt.finished {
+			rt.timer = time.AfterFunc(d, rt.hedge)
+		}
+		rt.mu.Unlock()
+	}
+	return rt.out, nil
 }
 
 // Close stops accepting requests, drains every replica (all accepted
-// requests are answered), waits for in-flight routing supervision,
-// and runs OnClose once. Safe to call more than once.
+// requests are answered), waits until every attempt — hedge losers and
+// retries included — has answered, and runs OnClose once. Safe to call
+// more than once.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	wasClosed := f.closed

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,6 +178,176 @@ func TestFleetHedgesOnStall(t *testing.T) {
 	}
 	if st.Routed != 1 || st.Delivered != 1 || st.DeliveredErrors != 0 {
 		t.Errorf("routed/delivered/errors = %d/%d/%d, want 1/1/0", st.Routed, st.Delivered, st.DeliveredErrors)
+	}
+}
+
+// routeCounters is one replica's router-level accounting after a
+// request settled.
+type routeCounters struct {
+	hedgesIssued, hedgesWon, hedgesCanceled, retries, consecFails int64
+}
+
+// TestFleetRouteOutcomeOrders drives one request through every order in
+// which its attempts can answer — forced with scripted kills and host
+// stalls on two one-worker replicas — and pins exactly one delivery,
+// the delivered Replica/Hedged/Retried, and every per-replica counter
+// and health streak. The primary always lands on replica 0 (both idle,
+// lowest id wins the tie); a hedge or retry lands on replica 1.
+func TestFleetRouteOutcomeOrders(t *testing.T) {
+	const (
+		hedgeAfter = 20 * time.Millisecond
+		short      = 150 * time.Millisecond // answers after the hedge fired
+		long       = 400 * time.Millisecond // answers after a short one
+	)
+	kill := serve.BatchFault{Err: ErrInjectedKill}
+	stall := func(d time.Duration) serve.BatchFault { return serve.BatchFault{StallHostDelay: d} }
+	stallKill := func(d time.Duration) serve.BatchFault {
+		return serve.BatchFault{StallHostDelay: d, Err: ErrInjectedKill}
+	}
+	cases := []struct {
+		name    string
+		hedge   time.Duration
+		faults  [2]serve.BatchFault // next batch on replica 0 / 1
+		replica int
+		hedged  bool
+		retried bool
+		failed  bool
+		want    [2]routeCounters
+	}{
+		{name: "primary ok", hedge: hedgeAfter,
+			replica: 0},
+		{name: "primary fails, retry ok", // TestFleetRetriesOnKill's order
+			faults:  [2]serve.BatchFault{kill, {}},
+			replica: 1, retried: true,
+			want: [2]routeCounters{{retries: 1, consecFails: 1}, {}}},
+		{name: "primary fails, retry fails",
+			faults:  [2]serve.BatchFault{kill, kill},
+			replica: 1, retried: true, failed: true,
+			want: [2]routeCounters{{retries: 1, consecFails: 1}, {consecFails: 1}}},
+		{name: "hedge issued, primary wins", hedge: hedgeAfter,
+			faults:  [2]serve.BatchFault{stall(short), stall(long)},
+			replica: 0, hedged: true,
+			want: [2]routeCounters{{hedgesIssued: 1}, {hedgesCanceled: 1}}},
+		{name: "hedge issued, hedge wins", hedge: hedgeAfter, // TestFleetHedgesOnStall's order
+			faults:  [2]serve.BatchFault{stall(short), {}},
+			replica: 1, hedged: true,
+			want: [2]routeCounters{{hedgesIssued: 1, hedgesCanceled: 1}, {hedgesWon: 1}}},
+		{name: "hedge fails, then primary ok", hedge: hedgeAfter,
+			faults:  [2]serve.BatchFault{stall(short), kill},
+			replica: 0, hedged: true,
+			want: [2]routeCounters{{hedgesIssued: 1}, {consecFails: 1}}},
+		{name: "hedge fails, then primary fails", hedge: hedgeAfter,
+			faults:  [2]serve.BatchFault{stallKill(short), kill},
+			replica: 0, hedged: true, failed: true,
+			want: [2]routeCounters{{hedgesIssued: 1, consecFails: 1}, {consecFails: 1}}},
+		{name: "primary fails with hedge in flight, hedge ok", hedge: hedgeAfter,
+			faults:  [2]serve.BatchFault{stallKill(short), stall(long)},
+			replica: 1, hedged: true, retried: true,
+			want: [2]routeCounters{{hedgesIssued: 1, consecFails: 1}, {hedgesWon: 1}}},
+		{name: "primary fails with hedge in flight, hedge fails", hedge: hedgeAfter,
+			faults:  [2]serve.BatchFault{stallKill(short), stallKill(long)},
+			replica: 1, hedged: true, failed: true,
+			want: [2]routeCounters{{hedgesIssued: 1, consecFails: 1}, {consecFails: 1}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(Options{
+				Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+				Hedge:    HedgeOptions{Timeout: tc.hedge},
+			})
+			if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Warm("m"); err != nil {
+				t.Fatal(err)
+			}
+			for rep, fault := range tc.faults {
+				if fault != (serve.BatchFault{}) {
+					f.InjectFault(rep, 0, 1, fault)
+				}
+			}
+			ch, err := f.InferAsync("m", sampleInput(1), serve.InferOptions{Priority: serve.PriorityHigh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := <-ch
+			f.Close() // every attempt, loser included, has answered
+			select {
+			case extra := <-ch:
+				t.Fatalf("double delivery: %+v", extra)
+			default:
+			}
+			if res.Replica != tc.replica || res.Hedged != tc.hedged || res.Retried != tc.retried ||
+				(res.Err != nil) != tc.failed {
+				t.Errorf("delivered replica=%d hedged=%v retried=%v err=%v, want replica=%d hedged=%v retried=%v failed=%v",
+					res.Replica, res.Hedged, res.Retried, res.Err, tc.replica, tc.hedged, tc.retried, tc.failed)
+			}
+			f.mu.Lock()
+			for i, r := range f.replicas {
+				got := routeCounters{r.hedgesIssued, r.hedgesWon, r.hedgesCanceled, r.retries, r.consecFails}
+				if got != tc.want[i] {
+					t.Errorf("replica %d counters %+v, want %+v", i, got, tc.want[i])
+				}
+			}
+			f.mu.Unlock()
+			st := f.Stats()
+			wantErrs := int64(0)
+			if tc.failed {
+				wantErrs = 1
+			}
+			if st.Routed != 1 || st.Delivered != 1 || st.DeliveredErrors != wantErrs {
+				t.Errorf("routed/delivered/errors = %d/%d/%d, want 1/1/%d",
+					st.Routed, st.Delivered, st.DeliveredErrors, wantErrs)
+			}
+		})
+	}
+}
+
+// TestFleetInFlightRequestsSpawnNoGoroutines pins the routing cost
+// model: a request in flight is state inside its route, not a goroutine
+// waiting on it. Hundreds of requests are held queued behind a gated
+// compile (with a hedge timer armed on each), and the process's
+// goroutine count must grow by a small constant, not with the requests.
+func TestFleetInFlightRequestsSpawnNoGoroutines(t *testing.T) {
+	gate := make(chan struct{})
+	compile := testCompile(nil)
+	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		<-gate
+		return compile(dev, batch)
+	}
+	f := New(Options{
+		Replicas:   []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+		QueueDepth: 1024,
+		Hedge:      HedgeOptions{Timeout: time.Minute},
+	})
+	if err := f.Deploy("m", gated, serve.DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	before := runtime.NumGoroutine()
+	chans := make([]<-chan Result, n)
+	for i := range chans {
+		ch, err := f.InferAsync("m", sampleInput(int64(i+1)), serve.InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	// The pricing compiles blocked on the gate are the only new
+	// goroutines: one per bucket plus one per compile, per replica.
+	if grew := runtime.NumGoroutine() - before; grew > 16 {
+		t.Errorf("%d requests in flight grew the goroutine count by %d, want a small constant", n, grew)
+	}
+	close(gate)
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
+		}
+	}
+	f.Close()
+	if st := f.Stats(); st.Routed != n || st.Delivered != n || st.HedgesIssued != 0 {
+		t.Errorf("routed/delivered/hedges %d/%d/%d, want %d/%d/0", st.Routed, st.Delivered, st.HedgesIssued, n, n)
 	}
 }
 

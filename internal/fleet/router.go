@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"time"
 
 	"bolt/internal/obs"
@@ -25,12 +26,6 @@ type Result struct {
 	// Retried reports that the delivered result came from a retry after
 	// the first attempt failed.
 	Retried bool
-}
-
-// attempt is one placement of a request on one replica.
-type attempt struct {
-	rep *replica
-	ch  <-chan serve.Result
 }
 
 // pickLocked chooses the live replica with the lowest modeled EFT
@@ -60,46 +55,226 @@ func (f *Fleet) pickLocked(exclude *replica) (*replica, float64) {
 	return best, bestBacklog
 }
 
-// issueAttempt places a duplicate (hedge) or follow-up (retry) of a
-// request on the best live replica other than exclude. A rescued bulk
-// request is escalated to PriorityNormal: its deadline is already at
-// risk, so it must not languish in the target replica's bulk queue —
-// but PriorityHigh would dispatch it alone in a padded bucket, and a
-// failed batch's rescues arrive together, so keeping them batchable
-// lets them coalesce back into one full bucket. Returns nil when no
-// other replica is live or the placement is rejected (closed,
-// undeployed).
-func (f *Fleet) issueAttempt(model string, inputs map[string]*tensor.Tensor, opts serve.InferOptions, exclude *replica) *attempt {
+// route is one routed request's supervision state. No goroutine waits
+// on it: the replicas drive it by delivering each attempt's answer into
+// an attemptSink, and the request moves on inside that call — deliver,
+// wait for the other attempt, or ask for a retry. At most two attempts
+// exist: the primary (att[0]) and one hedge or retry (att[1]).
+//
+// Every transition runs under mu. While a second attempt is being
+// placed (placing), answers that arrive are parked in stash and applied
+// once the placement outcome is known, so each answer is judged against
+// the same state the placement would have left behind.
+type route struct {
+	f      *Fleet
+	model  string
+	inputs map[string]*tensor.Tensor
+	opts   serve.InferOptions
+	out    chan Result
+
+	mu       sync.Mutex
+	att      [2]attemptSink
+	done     [2]bool // attempt answered
+	second   bool    // att[1] was placed
+	hedged   bool    // att[1] is (or was) a hedge
+	isRetry  bool    // att[1] is a retry: att[0] already failed
+	finished bool    // the caller's result was delivered
+	placing  bool
+	stash    [2]stashed
+	stashed  int
+	timer    *time.Timer // the hedge timer; nil when hedging is off
+	note     routeNote
+}
+
+// attemptSink is the serve.Sink of one attempt: the route, the attempt's
+// slot, and the replica it was placed on. Both live inside the route,
+// so placing an attempt allocates nothing extra.
+type attemptSink struct {
+	rt  *route
+	i   int
+	rep *replica
+}
+
+// stashed is one attempt answer parked while a placement is in flight.
+type stashed struct {
+	i   int
+	res serve.Result
+}
+
+// Deliver is an attempt's answer, called on the answering replica's
+// goroutine. Nothing in it blocks: a retry it asks for is placed from a
+// short-lived goroutine, since placing may wait on another replica's
+// queue.
+func (a *attemptSink) Deliver(res serve.Result) {
+	rt := a.rt
+	rt.mu.Lock()
+	retry := false
+	if rt.placing {
+		rt.stash[rt.stashed] = stashed{i: a.i, res: res}
+		rt.stashed++
+	} else {
+		retry = rt.step(a.i, res)
+	}
+	rt.mu.Unlock()
+	if retry {
+		go rt.place(true, res)
+	}
+	rt.f.routeWG.Done()
+}
+
+// step applies attempt i's answer (rt.mu held) and reports whether the
+// request now needs a retry; step then has already marked the placement
+// in progress and counted it on routeWG, so Close keeps waiting.
+func (rt *route) step(i int, res serve.Result) bool {
+	f := rt.f
+	rep := rt.att[i].rep
+	failed := res.Err != nil
+	f.mu.Lock()
+	if rt.finished {
+		// A hedged loser's late answer: drained, and counted as a
+		// cancellation rather than as a health signal.
+		rep.hedgesCanceled++
+		f.mu.Unlock()
+		return false
+	}
+	if failed {
+		rep.consecFails++
+	} else {
+		rep.consecFails = 0
+		if i == 1 && !rt.isRetry {
+			rep.hedgesWon++
+		}
+	}
+	f.mu.Unlock()
+	rt.done[i] = true
+	switch {
+	case !failed:
+		// The first healthy answer wins. A hedge that wins after the
+		// primary already failed delivered the retry's answer.
+		rt.finish(res, i, i == 1 && (rt.isRetry || rt.done[0]))
+	case i == 0 && !rt.second:
+		// First failure and nothing else in flight: retry once on a
+		// different replica.
+		if rt.timer != nil {
+			rt.timer.Stop()
+		}
+		rt.placing = true
+		f.routeWG.Add(1)
+		return true
+	case rt.done[1-i]:
+		// Both attempts failed: deliver the later error.
+		rt.finish(res, i, i == 1 && rt.isRetry)
+	}
+	// Otherwise the other attempt is still in flight: a hedge doubles as
+	// the failed primary's retry, and a failed hedge leaves the primary
+	// to answer.
+	return false
+}
+
+// hedge is the hedge timer's callback: if the primary is still the only
+// attempt in flight, duplicate it on another replica.
+func (rt *route) hedge() {
+	rt.mu.Lock()
+	if rt.finished || rt.placing || rt.second {
+		rt.mu.Unlock()
+		return
+	}
+	rt.placing = true
+	rt.f.routeWG.Add(1)
+	rt.mu.Unlock()
+	rt.place(false, serve.Result{})
+}
+
+// place issues the second attempt — a hedge or, after the primary
+// failed with prim, a retry — on the best live replica other than the
+// primary's, then applies the outcome and any answers stashed
+// meanwhile. The caller set rt.placing and counted the placement on
+// routeWG. A rescued bulk request is escalated to PriorityNormal: its
+// deadline is already at risk, so it must not languish in the target
+// replica's bulk queue — but PriorityHigh would dispatch it alone in a
+// padded bucket, and a failed batch's rescues arrive together, so
+// keeping them batchable lets them coalesce back into one full bucket.
+// When no other replica is live or the placement is rejected (closed,
+// undeployed), a hedge is simply not issued and a retry delivers the
+// primary's error.
+func (rt *route) place(retry bool, prim serve.Result) {
+	f := rt.f
+	from := rt.att[0].rep
+	opts := rt.opts
 	if opts.Priority == serve.PriorityBulk {
 		opts.Priority = serve.PriorityNormal
 	}
+	var to *replica
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
+	if !f.closed {
+		to, _ = f.pickLocked(from)
 	}
-	r, _ := f.pickLocked(exclude)
 	f.mu.Unlock()
-	if r == nil {
-		return nil
+	placed := false
+	if to != nil {
+		rt.att[1].rep = to
+		f.routeWG.Add(1)
+		placed = to.srv.InferTo(rt.model, rt.inputs, opts, &rt.att[1]) == nil
+		if !placed {
+			f.routeWG.Done()
+		}
 	}
-	ch, err := r.srv.InferAsync(model, inputs, opts)
-	if err != nil {
-		return nil
+	rt.mu.Lock()
+	rt.placing = false
+	switch {
+	case placed:
+		rt.second, rt.isRetry = true, retry
+		f.mu.Lock()
+		if retry {
+			from.retries++
+		} else {
+			from.hedgesIssued++
+		}
+		f.mu.Unlock()
+		if retry {
+			rt.note.retryFrom, rt.note.retryTo = from.id, to.id
+		} else {
+			rt.hedged = true
+			rt.note.hedgeFrom, rt.note.hedgeTo = from.id, to.id
+		}
+	case retry:
+		rt.finish(prim, 0, false)
 	}
-	return &attempt{rep: r, ch: ch}
+	// A hedge that could not be placed leaves at most the primary's
+	// answer stashed, so at most one retry can come out of this loop.
+	again, againRes := false, serve.Result{}
+	for _, ev := range rt.stash[:rt.stashed] {
+		if rt.step(ev.i, ev.res) {
+			again, againRes = true, ev.res
+		}
+	}
+	rt.stashed = 0
+	rt.mu.Unlock()
+	if again {
+		go rt.place(true, againRes)
+	}
+	f.routeWG.Done()
 }
 
-// noteResult updates a replica's health streak from one attempt
-// outcome.
-func (f *Fleet) noteResult(r *replica, failed bool) {
+// finish delivers the request's one result from attempt i (rt.mu
+// held): it stops the hedge timer, counts the delivery, emits the
+// fleet-level spans, and sends once on the caller's 1-buffered channel,
+// so it never blocks.
+func (rt *route) finish(res serve.Result, i int, retried bool) {
+	rt.finished = true
+	if rt.timer != nil {
+		rt.timer.Stop()
+	}
+	f := rt.f
+	rep := rt.att[i].rep
 	f.mu.Lock()
-	if failed {
-		r.consecFails++
-	} else {
-		r.consecFails = 0
+	f.delivered++
+	if res.Err != nil {
+		f.deliveredErrs++
 	}
 	f.mu.Unlock()
+	f.emitRoute(res, rep, rt.hedged, retried, rt.note)
+	rt.out <- Result{Result: res, Replica: rep.id, Hedged: rt.hedged, Retried: retried}
 }
 
 // routeNote carries one routed request's placement story for span
@@ -115,20 +290,6 @@ type routeNote struct {
 
 func newRouteNote(model string) routeNote {
 	return routeNote{model: model, hedgeFrom: -1, hedgeTo: -1, retryFrom: -1, retryTo: -1}
-}
-
-// deliver hands the winning result to the caller (the watch goroutine
-// is the channel's only sender, so a hedged loser can never
-// double-send) and emits the request's fleet-level spans.
-func (f *Fleet) deliver(out chan<- Result, res serve.Result, rep *replica, hedged, retried bool, note routeNote) {
-	f.mu.Lock()
-	f.delivered++
-	if res.Err != nil {
-		f.deliveredErrs++
-	}
-	f.mu.Unlock()
-	f.emitRoute(res, rep, hedged, retried, note)
-	out <- Result{Result: res, Replica: rep.id, Hedged: hedged, Retried: retried}
 }
 
 // emitRoute records the fleet-level span tree for one delivered
@@ -185,119 +346,4 @@ func (f *Fleet) emitRoute(res serve.Result, rep *replica, hedged, retried bool, 
 			},
 		})
 	}
-}
-
-// drainLoser consumes a hedged duplicate that lost the race, so its
-// replica's result channel never blocks a worker, and counts the
-// cancellation.
-func (f *Fleet) drainLoser(a *attempt) {
-	f.routeWG.Add(1)
-	go func() {
-		defer f.routeWG.Done()
-		<-a.ch
-		f.mu.Lock()
-		a.rep.hedgesCanceled++
-		f.mu.Unlock()
-	}()
-}
-
-// watch supervises one routed request: it waits on the primary
-// attempt, hedges on a second replica when the deadline is at risk
-// (immediately when hedgeNow, else after Hedge.Timeout), retries a
-// failed attempt once on a different replica, and delivers exactly
-// one Result. At most two attempts are ever in flight.
-func (f *Fleet) watch(model string, inputs map[string]*tensor.Tensor, opts serve.InferOptions, prim attempt, hedgeNow bool, out chan<- Result) {
-	defer f.routeWG.Done()
-	a := prim
-	var b *attempt
-	var aRes, bRes *serve.Result
-	hedged := false
-	isRetry := false // b is a retry (a already failed) rather than a hedge
-	note := newRouteNote(model)
-	var timer <-chan time.Time
-	if hedgeNow {
-		if b = f.issueAttempt(model, inputs, opts, a.rep); b != nil {
-			hedged = true
-			note.hedgeFrom, note.hedgeTo = a.rep.id, b.rep.id
-			f.mu.Lock()
-			a.rep.hedgesIssued++
-			f.mu.Unlock()
-		}
-	} else if f.opts.Hedge.Timeout > 0 {
-		timer = time.After(f.opts.Hedge.Timeout)
-	}
-	for {
-		aCh := a.ch
-		if aRes != nil {
-			aCh = nil
-		}
-		var bCh <-chan serve.Result
-		if b != nil && bRes == nil {
-			bCh = b.ch
-		}
-		if aCh == nil && bCh == nil {
-			break
-		}
-		select {
-		case res := <-aCh:
-			aRes = &res
-			f.noteResult(a.rep, res.Err != nil)
-			if res.Err == nil {
-				f.deliver(out, res, a.rep, hedged, false, note)
-				if b != nil && bRes == nil {
-					f.drainLoser(b)
-				}
-				return
-			}
-			if b == nil {
-				// First failure and nothing else in flight: retry once on a
-				// different replica.
-				timer = nil
-				if b = f.issueAttempt(model, inputs, opts, a.rep); b != nil {
-					isRetry = true
-					note.retryFrom, note.retryTo = a.rep.id, b.rep.id
-					f.mu.Lock()
-					a.rep.retries++
-					f.mu.Unlock()
-				} else {
-					f.deliver(out, res, a.rep, hedged, false, note)
-					return
-				}
-			}
-			// A hedge is already in flight: it doubles as the retry.
-		case res := <-bCh:
-			bRes = &res
-			f.noteResult(b.rep, res.Err != nil)
-			if res.Err == nil {
-				if !isRetry {
-					f.mu.Lock()
-					b.rep.hedgesWon++
-					f.mu.Unlock()
-				}
-				f.deliver(out, res, b.rep, hedged, isRetry || aRes != nil, note)
-				if aRes == nil {
-					f.drainLoser(&a)
-				}
-				return
-			}
-			if aRes != nil {
-				// Both attempts failed: deliver the follow-up's error.
-				f.deliver(out, res, b.rep, hedged, isRetry, note)
-				return
-			}
-			// The hedge failed first; keep waiting on the primary.
-		case <-timer:
-			timer = nil
-			if b = f.issueAttempt(model, inputs, opts, a.rep); b != nil {
-				hedged = true
-				note.hedgeFrom, note.hedgeTo = a.rep.id, b.rep.id
-				f.mu.Lock()
-				a.rep.hedgesIssued++
-				f.mu.Unlock()
-			}
-		}
-	}
-	// Fell out of the loop: the primary failed after its hedge had
-	// already failed. Deliver the primary's error.
-	f.deliver(out, *aRes, a.rep, hedged, false, note)
 }

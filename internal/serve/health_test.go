@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bolt/internal/gpu"
 )
 
 // costLocked reads the memoized cheapest-class cost for a bucket the
@@ -15,6 +17,47 @@ func costLocked(s *Server, model string, bucket int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.minClassCostLocked(s.tenants[model], bucket)
+}
+
+// TestMinClassCostMemoMatchesScan pins the per-bucket cheapest-cost
+// memo against a scan of the cost map on a two-class pool, for ladder
+// buckets, an off-ladder bucket inside the ladder's range, and buckets
+// past the largest rung (a Warm may name any; the memo does not cover
+// them and must not index past its end).
+func TestMinClassCostMemoMatchesScan(t *testing.T) {
+	s := NewServer(ServerOptions{Devices: []*gpu.Device{gpu.T4(), gpu.A100()}})
+	defer s.Close()
+	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, buckets ...int) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		tn := s.tenants["m"]
+		for _, b := range buckets {
+			got, want := s.minClassCostLocked(tn, b), s.scanMinClassCostLocked(tn, b)
+			if got != want {
+				t.Errorf("%s: bucket %d memo %g, scan %g", when, b, got, want)
+			}
+		}
+	}
+	check("cold", 1, 2, 3, 4, 8)
+	if c := costLocked(s, "m", 1); !math.IsInf(c, 1) {
+		t.Fatalf("cold bucket 1 priced at %g, want +Inf", c)
+	}
+	if err := s.Warm("m", 1, 3, 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	check("warm", 1, 2, 3, 4, 8, 16)
+	for _, b := range []int{1, 3, 4, 8} {
+		if c := costLocked(s, "m", b); c <= 0 || math.IsInf(c, 1) {
+			t.Errorf("warmed bucket %d priced at %g", b, c)
+		}
+	}
+	if c := costLocked(s, "m", 2); !math.IsInf(c, 1) {
+		t.Errorf("unwarmed bucket 2 priced at %g, want +Inf", c)
+	}
 }
 
 // TestBacklogCountsQueuedRows pins the queued half of the probe

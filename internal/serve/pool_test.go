@@ -142,7 +142,11 @@ func TestServerHeteroDispatchAndDeviceStats(t *testing.T) {
 	t4, a100 := gpu.T4(), gpu.A100()
 	s := NewServer(ServerOptions{Devices: []*gpu.Device{t4, a100}})
 	defer s.Close()
-	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 4}}); err != nil {
+	// An hour-long window holds bulk rows for full buckets, so the 64
+	// requests always run as 16 batches of 4. With a zero window the
+	// batch sizes followed how many arrivals the scheduler had absorbed,
+	// which made the per-device row counts depend on host timing.
+	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 4}, BatchWindow: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Warm("m"); err != nil {

@@ -97,6 +97,22 @@ type Result struct {
 	ExecuteSeconds float64
 }
 
+// Sink receives one request's Result. The server calls Deliver exactly
+// once per accepted request, from one of its own goroutines (a worker,
+// the scheduler, or an Undeploy caller) and never while holding its
+// locks, so Deliver must not block: it runs on the path that feeds
+// every later batch.
+type Sink interface {
+	Deliver(Result)
+}
+
+// resultChan is the channel face of a Sink, what InferAsync returns. It
+// is created with one slot of buffer, so Deliver never blocks; a
+// channel converts to the interface without allocating.
+type resultChan chan Result
+
+func (c resultChan) Deliver(res Result) { c <- res }
+
 // bulkWindowFactor is how many batch windows a bulk request holds out
 // for a full bucket before it is dispatched underfull (when
 // InferOptions.MaxWait does not say otherwise).
@@ -251,7 +267,7 @@ type request struct {
 	t          *tenant
 	id         int64 // server-assigned, in InferAsync acceptance order
 	inputs     map[string]*tensor.Tensor
-	resp       chan Result
+	sink       Sink
 	priority   Priority
 	deadline   time.Time // when the batcher stops holding it
 	simArrival float64   // arrival time on the simulated clock
@@ -415,6 +431,12 @@ type tenant struct {
 	// variant's lifetime, so EFT pricing of an evicted variant does not
 	// recompile it — only the winning class's execution does.
 	costs map[vkey]float64
+	// minCost[b] is the cheapest class's memoized cost for bucket b up
+	// to the largest configured one (+Inf until some class priced it),
+	// kept in step with costs so routing's backlog probe and the planner
+	// read one slot instead of one map entry per class. Larger buckets
+	// (a Warm may name any) fall back to scanning costs.
+	minCost []float64
 	// pricing marks buckets whose first-use pricing compiles are in
 	// flight on background goroutines; the scheduler skips the tenant's
 	// batches for such a bucket instead of blocking dispatch on the
@@ -457,6 +479,11 @@ type Server struct {
 	// modeled finish times; its sched slice is touched only by the
 	// scheduler goroutine.
 	pool *pool
+	// Scheduler-goroutine scratch, reused across batches: nextJob's
+	// ready tenants and dispatch's per-class costs and liveness.
+	ready     []*tenant
+	dispCosts []float64
+	dispLive  []bool
 
 	mu            sync.Mutex
 	closed        bool
@@ -514,6 +541,8 @@ func NewServer(opts ServerOptions) *Server {
 		workerFailed:  make([]int64, opts.Workers),
 		schedModel:    make([]float64, opts.Workers),
 	}
+	s.dispCosts = make([]float64, len(s.pool.classes))
+	s.dispLive = make([]bool, len(s.pool.classes))
 	if opts.Trace != nil {
 		label := opts.TraceLabel
 		if label == "" {
@@ -577,11 +606,17 @@ func (s *Server) DeployOn(name string, compile CompileVariantOn, opts DeployOpti
 	if _, ok := s.tenants[name]; ok {
 		return fmt.Errorf("serve: model %q already deployed", name)
 	}
+	buckets := normalizeBuckets(opts.Buckets)
+	minCost := make([]float64, buckets[len(buckets)-1]+1)
+	for b := range minCost {
+		minCost[b] = math.Inf(1)
+	}
 	t := &tenant{
 		name:            name,
 		order:           s.nextOrder,
 		compile:         compile,
-		buckets:         normalizeBuckets(opts.Buckets),
+		buckets:         buckets,
+		minCost:         minCost,
 		window:          window,
 		weight:          weight,
 		maxVariantBytes: opts.MaxVariantBytes,
@@ -668,18 +703,32 @@ func (s *Server) Infer(model string, inputs map[string]*tensor.Tensor, opts Infe
 // channel its Result will be delivered on. The channel is buffered, so
 // a caller that abandons it does not wedge a worker.
 func (s *Server) InferAsync(model string, inputs map[string]*tensor.Tensor, opts InferOptions) (<-chan Result, error) {
+	ch := make(resultChan, 1)
+	if err := s.InferTo(model, inputs, opts, ch); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// InferTo enqueues one single-sample request whose Result is handed to
+// sink.Deliver — exactly once, on a server goroutine — instead of a
+// channel. A caller that routes results onward (the fleet router) reacts
+// inside Deliver without a goroutine of its own waiting per request. An
+// error means the request was not accepted and sink is never called.
+// Like InferAsync, it blocks while the server's queue is full.
+func (s *Server) InferTo(model string, inputs map[string]*tensor.Tensor, opts InferOptions, sink Sink) error {
 	if opts.Priority < 0 || opts.Priority >= numPriorities {
-		return nil, fmt.Errorf("serve: unknown priority %d", opts.Priority)
+		return fmt.Errorf("serve: unknown priority %d", opts.Priority)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	t, ok := s.tenants[model]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("serve: model %q: %w", model, ErrNotDeployed)
+		return fmt.Errorf("serve: model %q: %w", model, ErrNotDeployed)
 	}
 	s.inflight.Add(1)
 	t.stats.requests++
@@ -705,13 +754,13 @@ func (s *Server) InferAsync(model string, inputs map[string]*tensor.Tensor, opts
 		t:          t,
 		id:         id,
 		inputs:     inputs,
-		resp:       make(chan Result, 1),
+		sink:       sink,
 		priority:   opts.Priority,
 		deadline:   time.Now().Add(wait),
 		simArrival: arrival,
 	}
 	s.incoming <- r
-	return r.resp, nil
+	return nil
 }
 
 // Warm compiles a model's variants for the given buckets (all its
@@ -986,7 +1035,7 @@ func (s *Server) nudge() {
 
 // respond answers one request and retires it from the in-flight count.
 func (s *Server) respond(r *request, res Result) {
-	r.resp <- res
+	r.sink.Deliver(res)
 	s.inflight.Done()
 }
 
@@ -1058,8 +1107,7 @@ func (s *Server) dispatch(job *batchJob) {
 			job.arrival = r.simArrival
 		}
 	}
-	costs := make([]float64, len(s.pool.classes))
-	live := make([]bool, len(s.pool.classes))
+	costs, live := s.dispCosts, s.dispLive
 	s.mu.Lock()
 	for c := range costs {
 		key := vkey{class: c, bucket: job.bucket}
@@ -1071,7 +1119,7 @@ func (s *Server) dispatch(job *batchJob) {
 			// Pricing resolved with a failed compile: never placeable
 			// unless every class failed (then worker 0 surfaces the
 			// error).
-			costs[c] = math.Inf(1)
+			costs[c], live[c] = math.Inf(1), false
 		}
 	}
 	s.mu.Unlock()
@@ -1318,7 +1366,13 @@ func (s *Server) nearestDeadline(now time.Time) (time.Duration, bool) {
 func (s *Server) nextJob(now time.Time) *batchJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ready []*tenant
+	ready := s.ready[:0]
+	defer func() {
+		// Keep the backing array, not the tenants: an undeployed tenant
+		// must stay collectable.
+		clear(ready)
+		s.ready = ready[:0]
+	}()
 	for _, t := range s.order {
 		if t.pending == 0 || t.removed {
 			continue
@@ -1610,6 +1664,15 @@ func (s *Server) classCostsLocked(t *tenant, b int) []float64 {
 // (+Inf when no class priced it), the planner's device-agnostic cost of
 // one launch (caller holds s.mu).
 func (s *Server) minClassCostLocked(t *tenant, b int) float64 {
+	if b < len(t.minCost) {
+		return t.minCost[b]
+	}
+	return s.scanMinClassCostLocked(t, b)
+}
+
+// scanMinClassCostLocked computes minClassCostLocked from the cost memo
+// itself (caller holds s.mu).
+func (s *Server) scanMinClassCostLocked(t *tenant, b int) float64 {
 	best := math.Inf(1)
 	for c := range s.pool.classes {
 		if cost, ok := t.costs[vkey{class: c, bucket: b}]; ok && cost < best {
@@ -1762,6 +1825,9 @@ func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 		v.mod, v.err, v.time, v.bytes = mod, err, tm, bytes
 		if err == nil {
 			t.costs[key] = tm
+			if batch < len(t.minCost) {
+				t.minCost[batch] = s.scanMinClassCostLocked(t, batch)
+			}
 			s.lruTick++
 			v.lastUse = s.lruTick
 			s.evictLocked(t, class, v)
