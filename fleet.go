@@ -14,13 +14,8 @@ import (
 // which is what lets a replica added at runtime compile its tenants'
 // variants measurement-free from its peers' entries.
 type (
-	// FleetReplica sizes one replica's worker pool (Workers homogeneous
-	// streams, or one worker per Devices entry).
-	FleetReplica = fleet.ReplicaConfig
 	// HedgeOptions configures duplicate requests on at-risk deadlines.
 	HedgeOptions = fleet.HedgeOptions
-	// AutoscaleOptions drives backlog-based fleet sizing.
-	AutoscaleOptions = fleet.AutoscaleOptions
 	// FailurePlan seeds random fault injection across the fleet.
 	FailurePlan = fleet.FailurePlan
 	// BatchFault is one injected fault decision (kill or stall) for one
@@ -48,13 +43,47 @@ var (
 	ErrInjectedKill = fleet.ErrInjectedKill
 )
 
+// FleetReplica sizes one replica's worker pool by the same rule as
+// ServerOptions: Workers copies of the fleet's device (values < 1 mean
+// 1), or one worker per Devices entry — not both.
+type FleetReplica struct {
+	Workers int
+	Devices []*Device
+}
+
+// AutoscaleOptions drives backlog-based fleet sizing. The signal is
+// the mean modeled EFT backlog per live replica — the same seconds
+// the router balances on — sampled once per poll; a decision needs
+// SustainPolls consecutive polls past the threshold, so a single
+// burst (or a single idle gap) does not thrash the fleet.
+type AutoscaleOptions struct {
+	// GrowBacklogSeconds grows the fleet when the mean per-replica
+	// backlog stays above it. Zero disables growing.
+	GrowBacklogSeconds float64
+	// ShrinkBacklogSeconds shrinks the fleet when the mean per-replica
+	// backlog stays below it. Zero disables shrinking.
+	ShrinkBacklogSeconds float64
+	// SustainPolls is how many consecutive polls must agree before a
+	// decision fires. Values < 1 mean 1.
+	SustainPolls int
+	// MinReplicas floors the fleet size for shrinking (values < 1 mean
+	// 1); MaxReplicas caps growing (0 means no cap).
+	MinReplicas int
+	MaxReplicas int
+	// Grow is the pool for replicas the autoscaler (or Fleet.Grow)
+	// spawns. The zero value clones the first configured replica.
+	Grow FleetReplica
+	// Interval, when > 0, polls in the background on a ticker. Zero
+	// means manual polling via PollAutoscale.
+	Interval time.Duration
+}
+
 // FleetOptions configures a Fleet: the initial replica pools, the
 // per-replica serving knobs, the shared compilation cache, and the
 // robustness machinery (hedging, autoscaling, fault injection).
 type FleetOptions struct {
-	// Replicas are the initial replica pools. Nil means one single
-	// homogeneous worker. Each entry sets Workers or Devices, not both
-	// (the same rule as ServerOptions).
+	// Replicas are the initial replica pools. Nil means one replica of
+	// one worker.
 	Replicas []FleetReplica
 	// QueueDepth, BatchWindow and Jobs apply to every replica exactly
 	// as the same-named ServerOptions fields do to one server.
@@ -95,8 +124,6 @@ type FleetOptions struct {
 // hedging, and autoscaling semantics; this wrapper adds the bolt
 // compilation story (precision gate included) on top.
 type Fleet struct {
-	dev  *Device
-	opts FleetOptions
 	flt  *fleet.Fleet
 	pipe *tenantPipeline
 }
@@ -113,51 +140,48 @@ func NewFleet(dev *Device, opts FleetOptions) (*Fleet, error) {
 	// replica: every replica compiles through one shared tuning log
 	// whose keys are device-name-scoped.
 	byName := make(map[string]*Device)
+	replicas := make([][]*Device, len(opts.Replicas))
 	for i, rc := range opts.Replicas {
-		if rc.Workers > 0 && len(rc.Devices) > 0 {
-			return nil, fmt.Errorf("bolt: FleetOptions.Replicas[%d]: Workers (%d) and Devices (%d entries) are mutually exclusive — set exactly one of them",
-				i, rc.Workers, len(rc.Devices))
-		}
-		if err := validateDeviceList(fmt.Sprintf("FleetOptions.Replicas[%d].Devices", i), rc.Devices, byName); err != nil {
+		devices, err := workerDevices(fmt.Sprintf("FleetOptions.Replicas[%d]", i), dev, rc.Workers, rc.Devices, byName)
+		if err != nil {
 			return nil, err
 		}
+		replicas[i] = devices
 	}
-	if g := opts.Autoscale.Grow; g.Workers > 0 && len(g.Devices) > 0 {
-		return nil, fmt.Errorf("bolt: FleetOptions.Autoscale.Grow: Workers (%d) and Devices (%d entries) are mutually exclusive — set exactly one of them",
-			g.Workers, len(g.Devices))
-	} else if err := validateDeviceList("FleetOptions.Autoscale.Grow.Devices", g.Devices, byName); err != nil {
-		return nil, err
+	a := opts.Autoscale
+	var grow []*Device // nil: the fleet clones the first replica
+	if a.Grow.Workers > 0 || len(a.Grow.Devices) > 0 {
+		var err error
+		if grow, err = workerDevices("FleetOptions.Autoscale.Grow", dev, a.Grow.Workers, a.Grow.Devices, byName); err != nil {
+			return nil, err
+		}
 	}
 	cp, err := newCachePersister(opts.CacheFile)
 	if err != nil {
 		return nil, err
 	}
-	gateDev := dev
-	if len(opts.Replicas[0].Devices) > 0 {
-		gateDev = opts.Replicas[0].Devices[0]
-	}
-	f := &Fleet{dev: dev, opts: opts, pipe: &tenantPipeline{
-		dev:     dev,
-		gateDev: gateDev,
-		cp:      cp,
-		jobs:    opts.Jobs,
-		reports: make(map[string]DeployReport),
-	}}
-	f.flt = fleet.New(fleet.Options{
-		Replicas:    opts.Replicas,
-		QueueDepth:  opts.QueueDepth,
-		BatchWindow: opts.BatchWindow,
-		CompileJobs: opts.Jobs,
-		Hedge:       opts.Hedge,
-		Autoscale:   opts.Autoscale,
-		Failures:    opts.Failures,
-		Trace:       opts.Trace,
-		TraceLabel:  opts.TraceLabel,
-		// Closing the fleet flushes the shared tuning log, mirroring
-		// Server.
-		OnClose: func() { _ = cp.persist() },
-	})
-	return f, nil
+	return &Fleet{
+		flt: fleet.New(fleet.Options{
+			Replicas:    replicas,
+			QueueDepth:  opts.QueueDepth,
+			BatchWindow: opts.BatchWindow,
+			CompileJobs: opts.Jobs,
+			Hedge:       opts.Hedge,
+			Autoscale: fleet.AutoscaleOptions{
+				GrowBacklogSeconds:   a.GrowBacklogSeconds,
+				ShrinkBacklogSeconds: a.ShrinkBacklogSeconds,
+				SustainPolls:         a.SustainPolls,
+				MinReplicas:          a.MinReplicas,
+				MaxReplicas:          a.MaxReplicas,
+				Grow:                 grow,
+				Interval:             a.Interval,
+			},
+			Failures:   opts.Failures,
+			Trace:      opts.Trace,
+			TraceLabel: opts.TraceLabel,
+		}),
+		pipe: newTenantPipeline(replicas[0][0], cp, opts.Jobs),
+	}, nil
 }
 
 // Deploy registers a model on every live replica — and on every
@@ -238,10 +262,10 @@ func (f *Fleet) Stats() FleetStats { return f.flt.Stats() }
 // Works whether or not tracing is enabled.
 func (f *Fleet) Snapshot() string { return f.flt.Snapshot() }
 
-// Close stops accepting requests, drains every replica, and persists
-// the shared tuning log, returning the outcome of that final persist.
-// Safe to call more than once.
+// Close stops accepting requests, drains every replica, and then
+// persists the shared tuning log, returning the outcome of that final
+// persist. Safe to call more than once.
 func (f *Fleet) Close() error {
 	f.flt.Close()
-	return f.pipe.cp.lastErr()
+	return f.pipe.cp.persist()
 }

@@ -5,9 +5,12 @@ package bolt_test
 // serve every request bit-identically to the oracle of whichever
 // device ran it (per-device variant compilation through one shared
 // tuning log), options are validated, and the per-tenant variant
-// budget evicts without corrupting results. Run with -race.
+// budget evicts without corrupting results. Workers: n is shorthand
+// for n copies of the server's device, so a Workers pool names that
+// device and serves exactly like the Devices form. Run with -race.
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +178,114 @@ func TestServerOptionsValidation(t *testing.T) {
 		t.Fatalf("two identical T4 instances rejected: %v", err)
 	}
 	srv.Close()
+}
+
+// TestWorkersPoolNamesItsDevice pins that Workers: n is n copies of
+// the server's device, not an anonymous class: every result, every
+// device row and the metrics exposition name that device, and a nil
+// device behind Workers fails at construction instead of at the first
+// compile.
+func TestWorkersPoolNamesItsDevice(t *testing.T) {
+	t4 := bolt.T4()
+	srv, err := bolt.NewServer(t4, bolt.ServerOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Deploy("m", buildTiny1(), bolt.DeployOptions{Buckets: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	chans := make([]<-chan bolt.ServeResult, 8)
+	for i := range chans {
+		in := bolt.NewTensor(bolt.FP16, 1, 8, 16, 16)
+		in.FillRandom(int64(i+1), 1)
+		ch, err := srv.InferAsync("m", map[string]*bolt.Tensor{"image": in}, bolt.InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Device != t4.Name {
+			t.Errorf("request %d served on device %q, want %q", i, res.Device, t4.Name)
+		}
+	}
+	st := srv.Stats()
+	if len(st.Devices) != 2 {
+		t.Fatalf("%d device rows, want 2", len(st.Devices))
+	}
+	for _, d := range st.Devices {
+		if d.Device != t4.Name {
+			t.Errorf("worker %d device row names %q, want %q", d.Worker, d.Device, t4.Name)
+		}
+	}
+	if snap, want := srv.Snapshot(), `device="`+t4.Name+`"`; !strings.Contains(snap, want) {
+		t.Errorf("snapshot lacks %s:\n%s", want, snap)
+	}
+
+	if srv, err := bolt.NewServer(nil, bolt.ServerOptions{Workers: 1}); err == nil {
+		srv.Close()
+		t.Error("NewServer(nil, {Workers: 1}) must fail: its workers model no device")
+	}
+	if flt, err := bolt.NewFleet(nil, bolt.FleetOptions{Replicas: []bolt.FleetReplica{{Workers: 1}}}); err == nil {
+		flt.Close()
+		t.Error("NewFleet(nil, {Replicas: {{Workers: 1}}}) must fail: its workers model no device")
+	}
+}
+
+// TestServerSingleDevicePoolMatchesWorkers pins that the two ways of
+// describing one T4 worker are one pool: Workers: 1 on a T4 server and
+// Devices: {T4} serve the same outputs in the same batches, with equal
+// Stats. The hour-long window holds bulk rows for full buckets, so the
+// batch composition does not depend on host timing.
+func TestServerSingleDevicePoolMatchesWorkers(t *testing.T) {
+	run := func(opts bolt.ServerOptions) ([]*bolt.Tensor, bolt.ServeStats) {
+		opts.BatchWindow = time.Hour
+		srv, err := bolt.NewServer(bolt.T4(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if err := srv.Deploy("m", buildTiny1(), bolt.DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+			t.Fatal(err)
+		}
+		chans := make([]<-chan bolt.ServeResult, 8)
+		for i := range chans {
+			in := bolt.NewTensor(bolt.FP16, 1, 8, 16, 16)
+			in.FillRandom(int64(i+1), 1)
+			ch, err := srv.InferAsync("m", map[string]*bolt.Tensor{"image": in}, bolt.InferOptions{Priority: bolt.PriorityBulk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans[i] = ch
+		}
+		outs := make([]*bolt.Tensor, len(chans))
+		for i, ch := range chans {
+			res := <-ch
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			outs[i] = res.Output
+		}
+		return outs, srv.Stats()
+	}
+	workerOuts, workerStats := run(bolt.ServerOptions{Workers: 1})
+	poolOuts, poolStats := run(bolt.ServerOptions{Devices: []*bolt.Device{bolt.T4()}})
+	for i := range workerOuts {
+		if d := tensor.MaxAbsDiff(workerOuts[i], poolOuts[i]); d != 0 {
+			t.Fatalf("output %d differs by %g between the Workers form and the Devices form", i, d)
+		}
+	}
+	if !reflect.DeepEqual(workerStats.BatchSizes, poolStats.BatchSizes) {
+		t.Errorf("batch histogram differs: Workers %v vs Devices %v", workerStats.BatchSizes, poolStats.BatchSizes)
+	}
+	if !reflect.DeepEqual(workerStats, poolStats) {
+		t.Errorf("stats differ:\nWorkers %+v\nDevices %+v", workerStats, poolStats)
+	}
 }
 
 // TestServerEvictionBudget pins the bolt-level eviction surface: a

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +34,8 @@ const fleetP99Budget = 1.5
 // fleetCompiler is the serving CNN's variant compiler with an
 // optional profiler-measurement counter, so the warm scale-up stage
 // can prove a replica added mid-run compiled measurement-free.
-func (s *Suite) fleetCompiler(log *tunelog.Log, measured *atomic.Int64) serve.CompileVariantOn {
-	inner := s.tenantCompilerOn(servingModel(), log)
+func (s *Suite) fleetCompiler(log *tunelog.Log, measured *atomic.Int64) serve.CompileFunc {
+	inner := s.tenantCompiler(servingModel(), log)
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		m, err := inner(dev, batch)
 		if err == nil && measured != nil {
@@ -45,25 +43,6 @@ func (s *Suite) fleetCompiler(log *tunelog.Log, measured *atomic.Int64) serve.Co
 		}
 		return m, err
 	}
-}
-
-// rankPercentile is the nearest-rank percentile over the caller-side
-// latency sample (the same method serve.Stats uses, applied to
-// delivered fleet results only — hedged losers never skew it).
-func rankPercentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	i := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // fleetFloodChunk is the number of requests floodFleet keeps in
@@ -160,7 +139,7 @@ type fleetResult struct {
 // request-lifecycle spans are recorded into it.
 func (s *Suite) runFleetArm(arm string, log *tunelog.Log, hedge fleet.HedgeOptions, inject func(*fleet.Fleet), inputs []map[string]*tensor.Tensor, arrivals []float64, tr *obs.Tracer) fleetArmRow {
 	f := fleet.New(fleet.Options{
-		Replicas:    []fleet.ReplicaConfig{{Workers: 4}, {Workers: 4}, {Workers: 4}},
+		Replicas:    [][]*gpu.Device{s.devices(4), s.devices(4), s.devices(4)},
 		QueueDepth:  len(inputs),
 		BatchWindow: 2 * time.Millisecond,
 		CompileJobs: 2,
@@ -193,8 +172,10 @@ func (s *Suite) runFleetArm(arm string, log *tunelog.Log, hedge fleet.HedgeOptio
 		HedgesIssued:    st.HedgesIssued,
 		HedgesWon:       st.HedgesWon,
 		HedgesCanceled:  st.HedgesCanceled,
-		P50Us:           rankPercentile(lats, 50) * 1e6,
-		P99Us:           rankPercentile(lats, 99) * 1e6,
+		// The caller-side sample holds delivered results only, so hedged
+		// losers never skew the percentiles.
+		P50Us: obs.NearestRank(lats, 50) * 1e6,
+		P99Us: obs.NearestRank(lats, 99) * 1e6,
 	}
 }
 
@@ -205,7 +186,7 @@ func (s *Suite) runFleetWarmGrow(art *fleetResult, inputs []map[string]*tensor.T
 	warmLog := tunelog.New()
 	var measured atomic.Int64
 	f := fleet.New(fleet.Options{
-		Replicas:    []fleet.ReplicaConfig{{Workers: 1}, {Workers: 1}},
+		Replicas:    [][]*gpu.Device{s.devices(1), s.devices(1)},
 		QueueDepth:  len(inputs),
 		BatchWindow: 2 * time.Millisecond,
 		CompileJobs: 2,
@@ -264,7 +245,7 @@ func (s *Suite) runFleetAutoscale(art *fleetResult, log *tunelog.Log, inputs []m
 	art.BurstyGapCV2 = varsum / float64(n) / (mean * mean)
 
 	f := fleet.New(fleet.Options{
-		Replicas:    []fleet.ReplicaConfig{{Workers: 2}},
+		Replicas:    [][]*gpu.Device{s.devices(2)},
 		QueueDepth:  n,
 		BatchWindow: 2 * time.Millisecond,
 		CompileJobs: 2,
@@ -336,7 +317,7 @@ func (s *Suite) runFleet() fleetResult {
 	// four-worker fleet around 50% utilized — busy enough for real
 	// queueing, slack enough that a failure arm's rescued requests have
 	// somewhere to go.
-	mod8, err := s.fleetCompiler(log, nil)(nil, 8)
+	mod8, err := s.fleetCompiler(log, nil)(s.Dev, 8)
 	if err != nil {
 		panic(err)
 	}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"bolt/internal/codegen"
 	"bolt/internal/cutlass"
 	"bolt/internal/gpu"
 	"bolt/internal/relay"
-	"bolt/internal/rt"
 	"bolt/internal/serve"
 	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
@@ -47,29 +45,6 @@ func heteroModel() *relay.Graph {
 	g := b.GlobalAvgPool(c)
 	d := b.Dense(g, b.Weight("fc", 128, 10))
 	return b.Build(b.Softmax(d))
-}
-
-// tenantCompilerOn is the device-parameterized form of tenantCompiler:
-// the pool passes each device class's device, so a T4 worker and an
-// A100 worker each compile variants tuned for their own silicon while
-// recording into one shared tuning log.
-func (s *Suite) tenantCompilerOn(src *relay.Graph, log *tunelog.Log) serve.CompileVariantOn {
-	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
-		if dev == nil {
-			dev = s.Dev
-		}
-		g, err := relay.Rebatch(src, batch)
-		if err != nil {
-			return nil, err
-		}
-		if err := relay.Optimize(g, dev); err != nil {
-			return nil, err
-		}
-		p, _ := newProfilerOn(dev)
-		return codegen.Compile(g, dev, codegen.Options{
-			Tuner: codegen.TunerBolt, Profiler: p, Log: log,
-		})
-	}
 }
 
 // heteroDeviceRow is one worker's share of a pool's served work.
@@ -131,7 +106,7 @@ func (s *Suite) floodPool(devices []*gpu.Device, log *tunelog.Log, inputs []map[
 		TraceLabel:  label,
 	})
 	defer srv.Close()
-	if err := srv.DeployOn("widenet", s.tenantCompilerOn(heteroModel(), log), serve.DeployOptions{
+	if err := srv.Deploy("widenet", s.tenantCompiler(heteroModel(), log), serve.DeployOptions{
 		Buckets: []int{1, 2, 4, 8},
 	}); err != nil {
 		panic(err)
@@ -171,7 +146,7 @@ func (s *Suite) runHetero() heteroResult {
 	}
 	log := tunelog.New()
 	t4, a100 := gpu.T4(), gpu.A100()
-	compile := s.tenantCompilerOn(heteroModel(), log)
+	compile := s.tenantCompiler(heteroModel(), log)
 
 	// Price the full bucket on both devices (this also primes the
 	// shared tuning log, so every pool below warms measurement-free).

@@ -82,7 +82,7 @@ func (s *Suite) runMultiModel() multiModelResult {
 	log := tunelog.New()
 	type tenantSpec struct {
 		name    string
-		compile serve.CompileVariant
+		compile serve.CompileFunc
 		input   func(seed int64) map[string]*tensor.Tensor
 	}
 	tenants := []tenantSpec{
@@ -99,7 +99,7 @@ func (s *Suite) runMultiModel() multiModelResult {
 	}
 
 	srv := serve.NewServer(serve.ServerOptions{
-		Workers:     workers,
+		Devices:     s.devices(workers),
 		QueueDepth:  len(tenants) * requests,
 		BatchWindow: 5 * time.Millisecond,
 		CompileJobs: 2,
@@ -125,7 +125,7 @@ func (s *Suite) runMultiModel() multiModelResult {
 	// service rate (the pool stays backlogged, so WRR fairness is
 	// exercised under contention), every fourth request
 	// latency-sensitive, the rest bulk.
-	mod8, err := s.tenantCompiler(servingModel(), log)(8)
+	mod8, err := s.tenantCompiler(servingModel(), log)(s.Dev, 8)
 	if err != nil {
 		panic(err)
 	}

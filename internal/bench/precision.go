@@ -154,7 +154,7 @@ func (s *Suite) runPrecision() precisionResult {
 			Trace:       s.Trace,
 			TraceLabel:  "precision " + a.name,
 		})
-		if err := srv.DeployOn("bertmlp", s.tenantCompilerOn(deployed[i], log), serve.DeployOptions{
+		if err := srv.Deploy("bertmlp", s.tenantCompiler(deployed[i], log), serve.DeployOptions{
 			Buckets: []int{1, 2, 4, 8},
 		}); err != nil {
 			panic(err)

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"bolt/internal/codegen"
 	"bolt/internal/cutlass"
+	"bolt/internal/gpu"
 	"bolt/internal/relay"
 	"bolt/internal/rt"
 	"bolt/internal/serve"
@@ -43,21 +45,26 @@ func servingModel() *relay.Graph {
 
 // tenantCompiler returns a serving variant compiler for one source
 // graph: Rebatch the source at the bucket size and run the regular
-// pipeline backed by a shared in-memory tuning log, so buckets whose
-// workloads overlap (and recompiles of a bucket ever seen before)
-// measure nothing. Multiple tenants sharing one log model the
-// server-wide tuning cache. It is the suite-device case of
-// tenantCompilerOn (hetero.go).
-func (s *Suite) tenantCompiler(src *relay.Graph, log *tunelog.Log) serve.CompileVariant {
-	on := s.tenantCompilerOn(src, log)
-	return func(batch int) (*rt.Module, error) {
-		return on(nil, batch)
+// pipeline for the worker's device, backed by a shared in-memory
+// tuning log, so buckets whose workloads overlap (and recompiles of a
+// bucket ever seen before) measure nothing. Multiple tenants sharing
+// one log model the server-wide tuning cache; a T4 worker and an A100
+// worker each compile variants tuned for their own silicon while
+// recording into that one log.
+func (s *Suite) tenantCompiler(src *relay.Graph, log *tunelog.Log) serve.CompileFunc {
+	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		g, err := relay.Rebatch(src, batch)
+		if err != nil {
+			return nil, err
+		}
+		if err := relay.Optimize(g, dev); err != nil {
+			return nil, err
+		}
+		p, _ := newProfilerOn(dev)
+		return codegen.Compile(g, dev, codegen.Options{
+			Tuner: codegen.TunerBolt, Profiler: p, Log: log,
+		})
 	}
-}
-
-// servingCompiler is tenantCompiler over the serving experiment's CNN.
-func (s *Suite) servingCompiler(log *tunelog.Log) serve.CompileVariant {
-	return s.tenantCompiler(servingModel(), log)
 }
 
 // servingRun is one server configuration's measured result.
@@ -92,14 +99,14 @@ type servingResult struct {
 func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
 	const model = "default"
 	srv := serve.NewServer(serve.ServerOptions{
-		Workers:     workers,
+		Devices:     s.devices(workers),
 		QueueDepth:  len(inputs),
 		BatchWindow: 5 * time.Millisecond,
 		Trace:       s.Trace,
 		TraceLabel:  label,
 	})
 	defer srv.Close()
-	if err := srv.Deploy(model, s.servingCompiler(log), serve.DeployOptions{Buckets: buckets}); err != nil {
+	if err := srv.Deploy(model, s.tenantCompiler(servingModel(), log), serve.DeployOptions{Buckets: buckets}); err != nil {
 		panic(err)
 	}
 	if err := srv.Warm(model); err != nil {
@@ -171,7 +178,7 @@ func (s *Suite) runServing() servingResult {
 	// while multi-worker latencies reflect queueing against real
 	// arrival gaps instead of a flood at t=0. The bucket-8 compile here
 	// also primes the shared tuning log.
-	mod8, err := s.servingCompiler(log)(8)
+	mod8, err := s.tenantCompiler(servingModel(), log)(s.Dev, 8)
 	if err != nil {
 		panic(err)
 	}
@@ -211,7 +218,7 @@ func (s *Suite) runServing() servingResult {
 	}
 
 	// Steady-state allocation accounting on the batch-1 variant.
-	mod, err := s.servingCompiler(log)(1)
+	mod, err := s.tenantCompiler(servingModel(), log)(s.Dev, 1)
 	if err != nil {
 		panic(err)
 	}

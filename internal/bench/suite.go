@@ -85,6 +85,16 @@ func NewQuickSuite(dev *gpu.Device) *Suite {
 	return s
 }
 
+// devices returns a pool of n workers that all model the suite's
+// device.
+func (s *Suite) devices(n int) []*gpu.Device {
+	pool := make([]*gpu.Device, n)
+	for i := range pool {
+		pool[i] = s.Dev
+	}
+	return pool
+}
+
 // newProfiler builds a Bolt profiler with an attached tuning clock.
 func (s *Suite) newProfiler() (*profiler.Profiler, *gpu.Clock) {
 	return newProfilerOn(s.Dev)

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"time"
+
+	"bolt/internal/gpu"
 )
 
 // AutoscaleOptions drives backlog-based fleet sizing. The signal is
@@ -24,9 +26,9 @@ type AutoscaleOptions struct {
 	// 1); MaxReplicas caps growing (0 means no cap).
 	MinReplicas int
 	MaxReplicas int
-	// Grow is the pool configuration for replicas the autoscaler
-	// spawns. The zero value clones the first configured replica.
-	Grow ReplicaConfig
+	// Grow is the device pool for replicas the autoscaler spawns (one
+	// worker per entry). Nil clones the first configured replica.
+	Grow []*gpu.Device
 	// Interval, when > 0, polls in the background on a ticker. Zero
 	// means manual polling via PollAutoscale (what the deterministic
 	// benches use).
@@ -46,20 +48,20 @@ func (f *Fleet) Grow() (int, error) {
 		f.mu.Unlock()
 		return -1, ErrClosed
 	}
-	cfg := f.opts.Autoscale.Grow
-	if cfg.Workers == 0 && len(cfg.Devices) == 0 {
-		cfg = f.opts.Replicas[0]
+	devices := f.opts.Autoscale.Grow
+	if len(devices) == 0 {
+		devices = f.opts.Replicas[0]
 	}
 	specs := make([]*tenantSpec, 0, len(f.tenants))
 	for _, spec := range f.tenants {
 		specs = append(specs, spec)
 	}
-	r := f.addReplicaLocked(cfg, true)
+	r := f.addReplicaLocked(devices, true)
 	// Hide the replica from the router until its tenants are warm.
 	r.live = false
 	f.mu.Unlock()
 	for _, spec := range specs {
-		if err := r.srv.DeployOn(spec.name, spec.compile, spec.opts); err != nil {
+		if err := r.srv.Deploy(spec.name, spec.compile, spec.opts); err != nil {
 			r.srv.Close()
 			return -1, fmt.Errorf("fleet: grow replica %d: deploy %q: %w", r.id, spec.name, err)
 		}

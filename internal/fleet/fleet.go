@@ -57,14 +57,6 @@ var ErrClosed = errors.New("fleet: closed")
 // live replica exists (all shrunk or closed).
 var ErrNoReplica = errors.New("fleet: no live replica")
 
-// ReplicaConfig sizes one replica's worker pool: either Workers
-// homogeneous streams or one worker per Devices entry (Devices wins
-// when both are set, mirroring serve.ServerOptions).
-type ReplicaConfig struct {
-	Workers int
-	Devices []*gpu.Device
-}
-
 // HedgeOptions configures request hedging.
 type HedgeOptions struct {
 	// Timeout is how long the router waits on the first attempt before
@@ -79,9 +71,10 @@ type HedgeOptions struct {
 
 // Options configures a Fleet.
 type Options struct {
-	// Replicas are the initial replica pools. Nil means one single
-	// homogeneous worker.
-	Replicas []ReplicaConfig
+	// Replicas are the initial replica pools, one device list per
+	// replica (serve.ServerOptions.Devices: one worker per entry). At
+	// least one is required.
+	Replicas [][]*gpu.Device
 	// QueueDepth, BatchWindow and CompileJobs are passed to every
 	// replica's serve.ServerOptions.
 	QueueDepth  int
@@ -94,10 +87,6 @@ type Options struct {
 	// Failures seeds the random failure injector (scripted injection
 	// via InjectFault works regardless). Nil means no random faults.
 	Failures *FailurePlan
-	// OnClose runs exactly once at the end of Close, after every
-	// replica drained (the bolt wrapper persists the shared tuning log
-	// here).
-	OnClose func()
 	// Trace, when set, records route/hedge/retry spans from the router
 	// plus every replica's request-lifecycle spans into the tracer.
 	// Each replica registers its own trace process ("replica N"); the
@@ -113,7 +102,7 @@ type Options struct {
 // at runtime can redeploy it through the same Deploy lifecycle.
 type tenantSpec struct {
 	name    string
-	compile serve.CompileVariantOn
+	compile serve.CompileFunc
 	opts    serve.DeployOptions
 }
 
@@ -122,7 +111,6 @@ type tenantSpec struct {
 type replica struct {
 	id   int
 	srv  *serve.Server
-	cfg  ReplicaConfig
 	live bool
 
 	grown bool // spawned by the autoscaler (or Grow), not at New
@@ -170,13 +158,14 @@ type Fleet struct {
 	routeWG   sync.WaitGroup
 	stopScale chan struct{}
 	scaleWG   sync.WaitGroup
-	closeHook sync.Once
 }
 
-// New starts a fleet with the configured initial replicas.
+// New starts a fleet with the configured initial replicas. No
+// replicas panics, as does any pool serve.NewServer rejects: the bolt
+// package validates the pools before it gets here.
 func New(opts Options) *Fleet {
 	if len(opts.Replicas) == 0 {
-		opts.Replicas = []ReplicaConfig{{Workers: 1}}
+		panic("fleet: Options.Replicas is empty")
 	}
 	f := &Fleet{
 		opts:    opts,
@@ -192,8 +181,8 @@ func New(opts Options) *Fleet {
 		f.trProc = f.tr.RegisterProcess(label)
 		f.trShard = f.tr.NewShard()
 	}
-	for _, cfg := range opts.Replicas {
-		f.addReplicaLocked(cfg, false)
+	for _, devices := range opts.Replicas {
+		f.addReplicaLocked(devices, false)
 	}
 	if opts.Autoscale.Interval > 0 {
 		f.stopScale = make(chan struct{})
@@ -203,16 +192,15 @@ func New(opts Options) *Fleet {
 	return f
 }
 
-// addReplicaLocked constructs and registers one replica (caller holds
-// f.mu or is New).
-func (f *Fleet) addReplicaLocked(cfg ReplicaConfig, grown bool) *replica {
-	r := &replica{id: len(f.replicas), cfg: cfg, live: true, grown: grown}
+// addReplicaLocked constructs and registers one replica over the
+// given device pool (caller holds f.mu or is New).
+func (f *Fleet) addReplicaLocked(devices []*gpu.Device, grown bool) *replica {
+	r := &replica{id: len(f.replicas), live: true, grown: grown}
 	if grown {
 		r.growEvents = 1
 	}
 	r.srv = serve.NewServer(serve.ServerOptions{
-		Workers:     cfg.Workers,
-		Devices:     cfg.Devices,
+		Devices:     devices,
 		QueueDepth:  f.opts.QueueDepth,
 		BatchWindow: f.opts.BatchWindow,
 		CompileJobs: f.opts.CompileJobs,
@@ -258,7 +246,7 @@ func (f *Fleet) Replicas() int {
 // replica added later). The compile closure is shared by all replicas
 // — giving it a shared tuning-log cache is what makes later replicas
 // warm up measurement-free.
-func (f *Fleet) Deploy(name string, compile serve.CompileVariantOn, opts serve.DeployOptions) error {
+func (f *Fleet) Deploy(name string, compile serve.CompileFunc, opts serve.DeployOptions) error {
 	f.deployMu.Lock()
 	defer f.deployMu.Unlock()
 	f.mu.Lock()
@@ -275,7 +263,7 @@ func (f *Fleet) Deploy(name string, compile serve.CompileVariantOn, opts serve.D
 	live := f.liveLocked()
 	f.mu.Unlock()
 	for i, r := range live {
-		if err := r.srv.DeployOn(name, compile, opts); err != nil {
+		if err := r.srv.Deploy(name, compile, opts); err != nil {
 			for _, u := range live[:i] {
 				_ = u.srv.Undeploy(name)
 			}
@@ -399,9 +387,8 @@ func (f *Fleet) InferAsync(model string, inputs map[string]*tensor.Tensor, opts 
 }
 
 // Close stops accepting requests, drains every replica (all accepted
-// requests are answered), waits until every attempt — hedge losers and
-// retries included — has answered, and runs OnClose once. Safe to call
-// more than once.
+// requests are answered), and waits until every attempt — hedge losers
+// and retries included — has answered. Safe to call more than once.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	wasClosed := f.closed
@@ -420,9 +407,4 @@ func (f *Fleet) Close() {
 		}
 	}
 	f.routeWG.Wait()
-	f.closeHook.Do(func() {
-		if f.opts.OnClose != nil {
-			f.opts.OnClose()
-		}
-	})
 }

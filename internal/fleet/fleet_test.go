@@ -17,7 +17,7 @@ import (
 // testCompile builds a hand-made two-kernel module (input -> x+1) at
 // the given batch, bound to the target device, optionally counting
 // invocations — the fleet-level stand-in for the tuning pipeline.
-func testCompile(counter *atomic.Int64) serve.CompileVariantOn {
+func testCompile(counter *atomic.Int64) serve.CompileFunc {
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		if counter != nil {
 			counter.Add(1)
@@ -27,9 +27,6 @@ func testCompile(counter *atomic.Int64) serve.CompileVariantOn {
 		add := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{in},
 			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
 		g := &relay.Graph{Nodes: []*relay.Node{in, add}, Inputs: []*relay.Node{in}, Output: add}
-		if dev == nil {
-			dev = gpu.T4()
-		}
 		return &rt.Module{
 			Graph:  g,
 			Device: dev,
@@ -51,6 +48,15 @@ func testCompile(counter *atomic.Int64) serve.CompileVariantOn {
 	}
 }
 
+// t4s returns a replica pool of n workers that all model a Tesla T4.
+func t4s(n int) []*gpu.Device {
+	pool := make([]*gpu.Device, n)
+	for i := range pool {
+		pool[i] = gpu.T4()
+	}
+	return pool
+}
+
 func sampleInput(seed int64) map[string]*tensor.Tensor {
 	in := tensor.New(tensor.FP32, 1, 4)
 	in.FillRandom(seed, 1)
@@ -61,7 +67,7 @@ func sampleInput(seed int64) map[string]*tensor.Tensor {
 // results come back correct, and the accounting closes (routed ==
 // delivered, per-replica requests sum to the aggregate).
 func TestFleetServesAcrossReplicas(t *testing.T) {
-	f := New(Options{Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}}})
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1), t4s(1)}})
 	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +106,7 @@ func TestFleetServesAcrossReplicas(t *testing.T) {
 // chosen replica is masked by one retry on the other, the caller sees
 // a healthy result, and the failure is charged to the right replica.
 func TestFleetRetriesOnKill(t *testing.T) {
-	f := New(Options{Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}}})
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1), t4s(1)}})
 	defer f.Close()
 	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1}}); err != nil {
 		t.Fatal(err)
@@ -140,7 +146,7 @@ func TestFleetRetriesOnKill(t *testing.T) {
 // and the loser is drained and counted as canceled.
 func TestFleetHedgesOnStall(t *testing.T) {
 	f := New(Options{
-		Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+		Replicas: [][]*gpu.Device{t4s(1), t4s(1)},
 		Hedge:    HedgeOptions{Timeout: 10 * time.Millisecond},
 	})
 	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1}}); err != nil {
@@ -252,7 +258,7 @@ func TestFleetRouteOutcomeOrders(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := New(Options{
-				Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+				Replicas: [][]*gpu.Device{t4s(1), t4s(1)},
 				Hedge:    HedgeOptions{Timeout: tc.hedge},
 			})
 			if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1}}); err != nil {
@@ -316,7 +322,7 @@ func TestFleetInFlightRequestsSpawnNoGoroutines(t *testing.T) {
 		return compile(dev, batch)
 	}
 	f := New(Options{
-		Replicas:   []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+		Replicas:   [][]*gpu.Device{t4s(1), t4s(1)},
 		QueueDepth: 1024,
 		Hedge:      HedgeOptions{Timeout: time.Minute},
 	})
@@ -356,7 +362,7 @@ func TestFleetInFlightRequestsSpawnNoGoroutines(t *testing.T) {
 // joins the routing set, and serves correctly.
 func TestFleetGrowDeploysAndWarmsTenants(t *testing.T) {
 	var compiles atomic.Int64
-	f := New(Options{Replicas: []ReplicaConfig{{Workers: 1}}})
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1)}})
 	defer f.Close()
 	if err := f.Deploy("m", testCompile(&compiles), serve.DeployOptions{Buckets: []int{1, 2}}); err != nil {
 		t.Fatal(err)
@@ -397,7 +403,7 @@ func TestFleetGrowDeploysAndWarmsTenants(t *testing.T) {
 // and both transitions land in the stats.
 func TestFleetAutoscalePolls(t *testing.T) {
 	f := New(Options{
-		Replicas:    []ReplicaConfig{{Workers: 1}},
+		Replicas:    [][]*gpu.Device{t4s(1)},
 		BatchWindow: time.Hour, // queued rows stay queued until MaxWait
 		Autoscale: AutoscaleOptions{
 			GrowBacklogSeconds:   1e-15,
@@ -456,7 +462,7 @@ func TestFleetAutoscalePolls(t *testing.T) {
 // lives at the repo root against the public API).
 func TestFleetUndeployWithHedgeInFlight(t *testing.T) {
 	f := New(Options{
-		Replicas: []ReplicaConfig{{Workers: 1}, {Workers: 1}},
+		Replicas: [][]*gpu.Device{t4s(1), t4s(1)},
 		Hedge:    HedgeOptions{Timeout: 5 * time.Millisecond},
 	})
 	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{Buckets: []int{1}}); err != nil {
@@ -505,7 +511,7 @@ func TestFleetUndeployWithHedgeInFlight(t *testing.T) {
 
 // TestFleetClosedRejects pins the terminal state.
 func TestFleetClosedRejects(t *testing.T) {
-	f := New(Options{})
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1)}})
 	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{}); err != nil {
 		t.Fatal(err)
 	}

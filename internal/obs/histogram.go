@@ -175,19 +175,22 @@ func (h *Histogram) Percentile(p float64) float64 {
 }
 
 // NearestRank is the exact sample percentile used by the serving
-// layer's bounded latency windows: the smallest value whose rank is at
-// least ceil(p/100 * n). xs must be sorted ascending; p is in
+// layer's bounded latency windows and the bench's caller-side samples:
+// the smallest value whose rank is at least ceil(p/100 * n). xs may be
+// in any order and is not modified (a sorted copy is ranked); p is in
 // [0, 100]. Empty input reports 0.
 func NearestRank(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(p/100*float64(len(xs)))) - 1
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	i := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(xs) {
-		i = len(xs) - 1
+	if i >= len(sorted) {
+		i = len(sorted) - 1
 	}
-	return xs[i]
+	return sorted[i]
 }

@@ -14,10 +14,12 @@ import (
 )
 
 // fakeVariant builds a hand-made two-kernel module (input -> x+1) at
-// the given batch, so serving mechanics are testable without the
-// compilation pipeline. The launch desc gives batches a modeled cost,
-// so simulated clocks advance.
-func fakeVariant(batch int) (*rt.Module, error) {
+// the given batch, bound to the target device, so serving mechanics
+// are testable without the compilation pipeline. The launch desc gives
+// batches a modeled cost, so simulated clocks advance — and since the
+// module is priced on its device, the cost differs by device class:
+// the same kernel descriptor prices faster on an A100 than on a T4.
+func fakeVariant(dev *gpu.Device, batch int) (*rt.Module, error) {
 	in := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x",
 		Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
 	add := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{in},
@@ -25,7 +27,7 @@ func fakeVariant(batch int) (*rt.Module, error) {
 	g := &relay.Graph{Nodes: []*relay.Node{in, add}, Inputs: []*relay.Node{in}, Output: add}
 	return &rt.Module{
 		Graph:  g,
-		Device: gpu.T4(),
+		Device: dev,
 		Kernels: []rt.Kernel{
 			{Name: "in", Node: in, Slot: 0,
 				Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input("x") }},
@@ -43,6 +45,15 @@ func fakeVariant(batch int) (*rt.Module, error) {
 	}, nil
 }
 
+// t4s returns a pool of n workers that all model a Tesla T4.
+func t4s(n int) []*gpu.Device {
+	pool := make([]*gpu.Device, n)
+	for i := range pool {
+		pool[i] = gpu.T4()
+	}
+	return pool
+}
+
 func sampleInput(seed int64) map[string]*tensor.Tensor {
 	in := tensor.New(tensor.FP32, 1, 4)
 	in.FillRandom(seed, 1)
@@ -52,7 +63,7 @@ func sampleInput(seed int64) map[string]*tensor.Tensor {
 // serveOne starts a server with one model, "m", deployed from compile.
 // The server is closed at test cleanup (Close is idempotent, so tests
 // may close it earlier).
-func serveOne(t *testing.T, compile CompileVariant, so ServerOptions, do DeployOptions) *Server {
+func serveOne(t *testing.T, compile CompileFunc, so ServerOptions, do DeployOptions) *Server {
 	t.Helper()
 	s := NewServer(so)
 	t.Cleanup(s.Close)
@@ -63,7 +74,7 @@ func serveOne(t *testing.T, compile CompileVariant, so ServerOptions, do DeployO
 }
 
 func TestEngineInferAddsOne(t *testing.T) {
-	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2}, DeployOptions{})
+	s := serveOne(t, fakeVariant, ServerOptions{Devices: t4s(2)}, DeployOptions{})
 	in := sampleInput(7)
 	out, err := s.Infer("m", in, InferOptions{})
 	if err != nil {
@@ -80,7 +91,7 @@ func TestEngineInferAddsOne(t *testing.T) {
 }
 
 func TestEngineBatchesFlood(t *testing.T) {
-	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2, BatchWindow: 50 * time.Millisecond},
+	s := serveOne(t, fakeVariant, ServerOptions{Devices: t4s(2), BatchWindow: 50 * time.Millisecond},
 		DeployOptions{Buckets: []int{1, 2, 4}})
 	const n = 8
 	chans := make([]<-chan Result, n)
@@ -124,12 +135,12 @@ func TestEngineBatchesFlood(t *testing.T) {
 
 func TestEngineCompileErrorPropagates(t *testing.T) {
 	boom := errors.New("no such variant")
-	s := serveOne(t, func(batch int) (*rt.Module, error) {
+	s := serveOne(t, func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		if batch > 1 {
 			return nil, boom
 		}
-		return fakeVariant(batch)
-	}, ServerOptions{}, DeployOptions{Buckets: []int{1, 2}})
+		return fakeVariant(dev, batch)
+	}, ServerOptions{Devices: t4s(1)}, DeployOptions{Buckets: []int{1, 2}})
 	if err := s.Warm("m", 2); !errors.Is(err, boom) {
 		t.Errorf("Warm error %v, want %v", err, boom)
 	}
@@ -140,7 +151,7 @@ func TestEngineCompileErrorPropagates(t *testing.T) {
 }
 
 func TestEngineExecPanicBecomesError(t *testing.T) {
-	s := serveOne(t, fakeVariant, ServerOptions{}, DeployOptions{})
+	s := serveOne(t, fakeVariant, ServerOptions{Devices: t4s(1)}, DeployOptions{})
 	// Wrong input name: env.Input panics inside the kernel; the worker
 	// must answer with an error, not die.
 	bad := map[string]*tensor.Tensor{"nope": tensor.New(tensor.FP32, 1, 4)}
@@ -154,7 +165,7 @@ func TestEngineExecPanicBecomesError(t *testing.T) {
 }
 
 func TestEngineCloseRejectsAndDrains(t *testing.T) {
-	s := serveOne(t, fakeVariant, ServerOptions{Workers: 2}, DeployOptions{})
+	s := serveOne(t, fakeVariant, ServerOptions{Devices: t4s(2)}, DeployOptions{})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -175,16 +186,35 @@ func TestEngineCloseRejectsAndDrains(t *testing.T) {
 
 // TestOptionsNormalized pins that the options a server runs under are
 // the normalized ones: Deploy normalizes the bucket ladder and
-// NewServer applies the worker and queue defaults.
+// NewServer applies the queue default.
 func TestOptionsNormalized(t *testing.T) {
-	s := serveOne(t, fakeVariant, ServerOptions{}, DeployOptions{Buckets: []int{8, 4, 8, 0, -3}})
+	s := serveOne(t, fakeVariant, ServerOptions{Devices: t4s(1)}, DeployOptions{Buckets: []int{8, 4, 8, 0, -3}})
 	s.mu.Lock()
 	buckets := s.tenants["m"].buckets
 	s.mu.Unlock()
 	if fmt.Sprint(buckets) != "[1 4 8]" {
 		t.Errorf("deployed buckets %v, want [1 4 8]", buckets)
 	}
-	if s.opts.Workers != 1 || s.opts.QueueDepth != 1024 {
+	if s.opts.QueueDepth != 1024 {
 		t.Errorf("server defaults wrong: %+v", s.opts)
+	}
+}
+
+// TestNewServerNeedsDevices pins that a pool is its device list: no
+// devices, or a nil entry, is a programming error caught at
+// construction rather than a worker that models nothing.
+func TestNewServerNeedsDevices(t *testing.T) {
+	for name, devices := range map[string][]*gpu.Device{
+		"empty":     nil,
+		"nil entry": {gpu.T4(), nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s Devices: NewServer did not panic", name)
+				}
+			}()
+			NewServer(ServerOptions{Devices: devices}).Close()
+		}()
 	}
 }

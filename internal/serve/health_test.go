@@ -27,7 +27,7 @@ func costLocked(s *Server, model string, bucket int) float64 {
 func TestMinClassCostMemoMatchesScan(t *testing.T) {
 	s := NewServer(ServerOptions{Devices: []*gpu.Device{gpu.T4(), gpu.A100()}})
 	defer s.Close()
-	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string, buckets ...int) {
@@ -64,7 +64,7 @@ func TestMinClassCostMemoMatchesScan(t *testing.T) {
 // against the pool's cost model: rows held by a long batch window are
 // priced as the greedy exact-bucket chain EFT dispatch would run.
 func TestBacklogCountsQueuedRows(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 2, 4}, BatchWindow: time.Hour,
@@ -106,7 +106,7 @@ func TestBacklogCountsInFlightWork(t *testing.T) {
 	release := make(chan struct{})
 	var gate atomic.Bool
 	s := NewServer(ServerOptions{
-		Workers: 1,
+		Devices: t4s(1),
 		Fault: func(worker int) BatchFault {
 			if gate.CompareAndSwap(true, false) {
 				entered <- struct{}{}
@@ -166,7 +166,7 @@ func TestFaultHookKillsBatch(t *testing.T) {
 	boom := errors.New("injected device fault")
 	var arm atomic.Bool
 	s := NewServer(ServerOptions{
-		Workers: 1,
+		Devices: t4s(1),
 		Fault: func(worker int) BatchFault {
 			if arm.CompareAndSwap(true, false) {
 				return BatchFault{Err: boom}
@@ -224,7 +224,7 @@ func TestFaultHookStallDelaysClock(t *testing.T) {
 	const stall = 5.0
 	var arm atomic.Bool
 	s := NewServer(ServerOptions{
-		Workers: 1,
+		Devices: t4s(1),
 		Fault: func(worker int) BatchFault {
 			if arm.CompareAndSwap(true, false) {
 				return BatchFault{StallSimSeconds: stall}

@@ -13,8 +13,8 @@ import (
 // kernel size per batch, so tests can shape the bucket ladder's cost
 // curve (e.g. make the bucket-2 variant cheaper than bucket 1 to force
 // a padded dispatch, or exactly equal to pin tie-breaking).
-func costVariant(elems func(batch int) int) CompileVariant {
-	return func(batch int) (*rt.Module, error) {
+func costVariant(elems func(batch int) int) CompileFunc {
+	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		in := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x",
 			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
 		add := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{in},
@@ -22,7 +22,7 @@ func costVariant(elems func(batch int) int) CompileVariant {
 		g := &relay.Graph{Nodes: []*relay.Node{in, add}, Inputs: []*relay.Node{in}, Output: add}
 		return &rt.Module{
 			Graph:  g,
-			Device: gpu.T4(),
+			Device: dev,
 			Kernels: []rt.Kernel{
 				{Name: "in", Node: in, Slot: 0,
 					Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input("x") }},
@@ -46,7 +46,7 @@ func costVariant(elems func(batch int) int) CompileVariant {
 // request must run zero-padded on bucket 2, produce the same output,
 // and be counted by the padded stats.
 func TestPaddedDispatchBeatsStrict(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	cheap2 := func(batch int) int {
 		if batch >= 2 {
@@ -97,7 +97,7 @@ func TestPaddedDispatchBeatsStrict(t *testing.T) {
 func TestPaddedTieKeepsStrict(t *testing.T) {
 	flat := func(int) int { return 1 << 20 }
 	for run := 0; run < 2; run++ {
-		s := NewServer(ServerOptions{Workers: 1})
+		s := NewServer(ServerOptions{Devices: t4s(1)})
 		if err := s.Deploy("m", costVariant(flat), DeployOptions{
 			Buckets: []int{1, 2}, AllowPadding: true,
 		}); err != nil {
@@ -126,7 +126,7 @@ func TestPaddedTieKeepsStrict(t *testing.T) {
 // simulated future (a huge extra wait for the rows already formed) must
 // stop the scan.
 func TestContinuousFormationMarginalGain(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 2, 4, 8}, ContinuousBatching: true,
@@ -157,7 +157,7 @@ func TestContinuousFormationMarginalGain(t *testing.T) {
 // every view: per-model, per-device, and the aggregate — including
 // traffic of a model that has since been undeployed (retired counters).
 func TestPaddedStatsSummation(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 2})
+	s := NewServer(ServerOptions{Devices: t4s(2)})
 	defer s.Close()
 	cheap2 := func(batch int) int {
 		if batch >= 2 {
@@ -209,7 +209,7 @@ func TestPaddedStatsSummation(t *testing.T) {
 // with both adaptive flags set must never reach the planner (zero
 // planner invocations, not merely zero padded batches).
 func TestSingleBucketShortCircuit(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1}, AllowPadding: true, ContinuousBatching: true,

@@ -6,45 +6,26 @@ import (
 	"bolt/internal/gpu"
 )
 
-// This file is the heterogeneous device pool: the scheduler's view of
-// the worker topology when a server's workers model different GPUs
-// (ServerOptions.Devices). Workers that model the same device are
-// grouped into one device class — they share compiled variants and
-// modeled batch costs, since the tuning-log keys are device-scoped and
-// a variant compiled for one T4 stream is exactly the variant every
-// other T4 stream would compile. Dispatch is cost-aware earliest
-// finish time (EFT): each ready batch is priced on every device class
-// via the compiled variant's modeled batch cost, and goes to the
-// worker whose modeled finish time (clock + cost) is smallest. Big
-// buckets therefore gravitate to the fast device while small batches
-// keep the slower streams busy, and the whole placement sequence is
-// deterministic — the pool's finish-time model is owned by the
-// scheduler goroutine and advanced at dispatch, never read from the
-// racy execution clocks.
-
-// WorkerSpec describes one worker of the pool: the device it models.
-// A nil Device is the legacy homogeneous stream (ServerOptions.Workers
-// without Devices): all such workers form one anonymous class and
-// variants compile exactly as before the pool existed.
-type WorkerSpec struct {
-	Device *gpu.Device
-}
-
-// DeviceName names the worker's device ("" for an anonymous
-// homogeneous stream).
-func (w WorkerSpec) DeviceName() string {
-	if w.Device == nil {
-		return ""
-	}
-	return w.Device.Name
-}
+// This file is the device pool: the scheduler's view of the worker
+// topology, one worker per ServerOptions.Devices entry, each modeling
+// that GPU. Workers that model the same device are grouped into one
+// device class — they share compiled variants and modeled batch costs,
+// since the tuning-log keys are device-scoped and a variant compiled
+// for one T4 stream is exactly the variant every other T4 stream would
+// compile. Dispatch is cost-aware earliest finish time (EFT): each
+// ready batch is priced on every device class via the compiled
+// variant's modeled batch cost, and goes to the worker whose modeled
+// finish time (clock + cost) is smallest. Big buckets therefore
+// gravitate to the fast device while small batches keep the slower
+// streams busy, and the whole placement sequence is deterministic —
+// the pool's finish-time model is owned by the scheduler goroutine and
+// advanced at dispatch, never read from the racy execution clocks.
 
 // deviceClass is one group of same-device workers. Variants and batch
 // costs are cached per class, not per worker.
 type deviceClass struct {
-	id   int
-	dev  *gpu.Device // nil for the anonymous homogeneous class
-	name string
+	id  int
+	dev *gpu.Device
 }
 
 // pool is the worker topology plus the scheduler's modeled finish time
@@ -55,34 +36,27 @@ type deviceClass struct {
 // same value because both advance by the same job costs in the same
 // per-worker FIFO order.
 type pool struct {
-	specs   []WorkerSpec
+	devices []*gpu.Device // worker index -> device
 	classes []deviceClass
 	classOf []int     // worker index -> class id
 	sched   []float64 // modeled finish time per worker (scheduler-owned)
 }
 
-// newPool groups workers into device classes in first-appearance
-// order. devices may be shorter than workers (or empty): workers
-// beyond it model no device and join the anonymous class.
-func newPool(workers int, devices []*gpu.Device) *pool {
+// newPool groups one worker per device into device classes (by device
+// name) in first-appearance order.
+func newPool(devices []*gpu.Device) *pool {
 	p := &pool{
-		specs:   make([]WorkerSpec, workers),
-		classOf: make([]int, workers),
-		sched:   make([]float64, workers),
+		devices: devices,
+		classOf: make([]int, len(devices)),
+		sched:   make([]float64, len(devices)),
 	}
 	byName := make(map[string]int)
-	for w := range p.specs {
-		var dev *gpu.Device
-		if w < len(devices) {
-			dev = devices[w]
-		}
-		p.specs[w].Device = dev
-		name := p.specs[w].DeviceName()
-		id, ok := byName[name]
+	for w, dev := range devices {
+		id, ok := byName[dev.Name]
 		if !ok {
 			id = len(p.classes)
-			byName[name] = id
-			p.classes = append(p.classes, deviceClass{id: id, dev: dev, name: name})
+			byName[dev.Name] = id
+			p.classes = append(p.classes, deviceClass{id: id, dev: dev})
 		}
 		p.classOf[w] = id
 	}
@@ -115,8 +89,7 @@ func (p *pool) place(costs []float64, live []bool, arrival float64) placement {
 // to the lowest worker index, which is all a what-if preview needs).
 func (p *pool) placeOn(sched []float64, costs []float64, live []bool, arrival float64) placement {
 	best := placement{worker: -1, finish: math.Inf(1)}
-	for w := range p.specs {
-		c := p.classOf[w]
+	for w, c := range p.classOf {
 		start := sched[w]
 		if arrival > start {
 			start = arrival

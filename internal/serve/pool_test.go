@@ -7,56 +7,34 @@ import (
 
 	"bolt/internal/gpu"
 	"bolt/internal/relay"
-	"bolt/internal/rt"
 	"bolt/internal/tensor"
 )
 
-// fakeVariantOn is fakeVariant with the module bound to the target
-// device, so its modeled batch cost (Module.Time) differs by device
-// class: the same kernel descriptor prices faster on an A100 than on a
-// T4.
-func fakeVariantOn(dev *gpu.Device, batch int) (*rt.Module, error) {
-	mod, err := fakeVariant(batch)
-	if err != nil {
-		return nil, err
-	}
-	if dev != nil {
-		mod.Device = dev
-	}
-	return mod, nil
-}
-
 // TestNewPoolGroupsClasses pins the device-class grouping: same-name
-// devices share a class, nil devices form the anonymous class, and
-// classes appear in first-appearance order.
+// devices share a class, and classes appear in first-appearance order.
 func TestNewPoolGroupsClasses(t *testing.T) {
 	t4a, t4b, a100 := gpu.T4(), gpu.T4(), gpu.A100()
-	p := newPool(4, []*gpu.Device{t4a, a100, t4b, a100})
+	p := newPool([]*gpu.Device{t4a, a100, t4b, a100})
 	if len(p.classes) != 2 {
 		t.Fatalf("got %d classes, want 2 (T4 instances share one)", len(p.classes))
 	}
-	if p.classes[0].name != t4a.Name || p.classes[1].name != a100.Name {
+	if p.classes[0].dev.Name != t4a.Name || p.classes[1].dev.Name != a100.Name {
 		t.Errorf("class order %q/%q, want first-appearance T4 then A100",
-			p.classes[0].name, p.classes[1].name)
+			p.classes[0].dev.Name, p.classes[1].dev.Name)
 	}
 	if got := p.classOf; got[0] != 0 || got[1] != 1 || got[2] != 0 || got[3] != 1 {
 		t.Errorf("classOf = %v, want [0 1 0 1]", got)
 	}
-
-	anon := newPool(3, nil)
-	if len(anon.classes) != 1 || anon.classes[0].dev != nil || anon.classes[0].name != "" {
-		t.Errorf("homogeneous pool classes = %+v, want one anonymous class", anon.classes)
-	}
 }
 
 // TestPlaceEFTDeterministicTieBreak pins the placement policy: equal
-// finish times go to the lowest worker index (so a homogeneous pool
+// finish times go to the lowest worker index (so a one-class pool
 // with equal costs degenerates to round-robin), equal finish times
 // across classes prefer the class with a live compiled variant, and
 // the whole sequence is reproducible.
 func TestPlaceEFTDeterministicTieBreak(t *testing.T) {
-	// Homogeneous 3-worker pool, equal costs: round-robin emerges.
-	p := newPool(3, nil)
+	// Three T4s (one class), equal costs: round-robin emerges.
+	p := newPool(t4s(3))
 	var seq []int
 	for i := 0; i < 6; i++ {
 		pl := p.place([]float64{2}, []bool{true}, 0)
@@ -66,13 +44,13 @@ func TestPlaceEFTDeterministicTieBreak(t *testing.T) {
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
 		if seq[i] != want[i] {
-			t.Fatalf("homogeneous placement sequence %v, want %v", seq, want)
+			t.Fatalf("one-class placement sequence %v, want %v", seq, want)
 		}
 	}
 
 	// Two classes, equal cost and equal clocks: the tie must go to the
 	// class whose variant is already compiled, not the lower index.
-	p2 := newPool(2, []*gpu.Device{gpu.T4(), gpu.A100()})
+	p2 := newPool([]*gpu.Device{gpu.T4(), gpu.A100()})
 	pl := p2.place([]float64{5, 5}, []bool{false, true}, 0)
 	if pl.worker != 1 {
 		t.Errorf("tie with only class 1 compiled placed on worker %d, want 1", pl.worker)
@@ -108,7 +86,7 @@ func TestPlaceEFTDeterministicTieBreak(t *testing.T) {
 // bucket waits — every batch goes to the worker whose modeled finish
 // time is smallest, so the work split tracks the classes' cost ratio.
 func TestPlaceEFTKeepsFastDeviceBusy(t *testing.T) {
-	p := newPool(2, []*gpu.Device{gpu.T4(), gpu.A100()})
+	p := newPool([]*gpu.Device{gpu.T4(), gpu.A100()})
 	costs := []float64{3, 1} // T4 class 3x slower than A100 class
 	live := []bool{true, true}
 	counts := make([]int, 2)
@@ -146,7 +124,7 @@ func TestServerHeteroDispatchAndDeviceStats(t *testing.T) {
 	// requests always run as 16 batches of 4. With a zero window the
 	// batch sizes followed how many arrivals the scheduler had absorbed,
 	// which made the per-device row counts depend on host timing.
-	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 4}, BatchWindow: time.Hour}); err != nil {
+	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 4}, BatchWindow: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Warm("m"); err != nil {
@@ -211,7 +189,7 @@ func TestServerHeteroDispatchAndDeviceStats(t *testing.T) {
 // SimLatency is completion minus arrival — so an idle server's request
 // latency is just its batch cost, regardless of how late it arrives.
 func TestServerSimArrivalSemantics(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1}}); err != nil {
 		t.Fatal(err)
@@ -264,7 +242,7 @@ func TestServerSimArrivalSemantics(t *testing.T) {
 // least-recently-used variants (counted in Stats), while serving still
 // works — evicted variants recompile on demand.
 func TestServerVariantEvictionLRU(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets:         []int{1, 2, 4},
@@ -298,58 +276,11 @@ func TestServerVariantEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestServerSingleDevicePoolMatchesWorkers pins the migration
-// guarantee: a Devices pool with one entry serves exactly like the
-// legacy Workers form — same outputs, same batch histogram, and its
-// single device row accounts for all batches.
-func TestServerSingleDevicePoolMatchesWorkers(t *testing.T) {
-	run := func(opts ServerOptions) (map[int]int64, []float64) {
-		s := NewServer(opts)
-		defer s.Close()
-		if err := s.DeployOn("m", fakeVariantOn, DeployOptions{
-			Buckets: []int{1, 2, 4}, BatchWindow: 20 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		outs := make([]float64, 0, 8)
-		chans := make([]<-chan Result, 8)
-		for i := range chans {
-			ch, err := s.InferAsync("m", sampleInput(int64(i+1)), InferOptions{Priority: PriorityBulk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			chans[i] = ch
-		}
-		for _, ch := range chans {
-			res := <-ch
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			outs = append(outs, float64(res.Output.Data()[0]))
-		}
-		return s.Stats().BatchSizes, outs
-	}
-	legacyBatches, legacyOuts := run(ServerOptions{Workers: 1})
-	poolBatches, poolOuts := run(ServerOptions{Devices: []*gpu.Device{gpu.T4()}})
-	for i := range legacyOuts {
-		if legacyOuts[i] != poolOuts[i] {
-			t.Fatalf("output %d differs between Workers form (%g) and single-device pool (%g)",
-				i, legacyOuts[i], poolOuts[i])
-		}
-	}
-	for k, v := range legacyBatches {
-		if poolBatches[k] != v {
-			t.Errorf("batch histogram differs: legacy %v vs pool %v", legacyBatches, poolBatches)
-			break
-		}
-	}
-}
-
 // The fake module graphs must be plannable, or eviction sizing
 // (Module.Memory) would panic; pin that assumption here so a change to
 // fakeVariant fails loudly.
 func TestFakeVariantIsPlannable(t *testing.T) {
-	mod, err := fakeVariant(2)
+	mod, err := fakeVariant(gpu.T4(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

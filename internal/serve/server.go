@@ -45,17 +45,12 @@ import (
 // the server does not (or no longer) serve(s).
 var ErrNotDeployed = errors.New("serve: model not deployed")
 
-// CompileVariant compiles the source model at a leading batch
-// dimension (relay.Rebatch + the regular compilation pipeline; the
-// bolt package wires this to the tuning pipeline with a shared
-// tuning-log cache).
-type CompileVariant func(batch int) (*rt.Module, error)
-
-// CompileVariantOn is the heterogeneous-pool form of CompileVariant:
-// the server passes the target device class's device (nil for the
-// anonymous homogeneous class), so each class executes variants tuned
-// for its own silicon. Used with Server.DeployOn.
-type CompileVariantOn func(dev *gpu.Device, batch int) (*rt.Module, error)
+// CompileFunc compiles the source model for one device class at a
+// leading batch dimension (relay.Rebatch + the regular compilation
+// pipeline; the bolt package wires this to the tuning pipeline with a
+// shared tuning-log cache). The server passes the class's device, so
+// each class executes variants tuned for its own silicon.
+type CompileFunc func(dev *gpu.Device, batch int) (*rt.Module, error)
 
 // ErrClosed is returned by Infer/Deploy/Warm after Close.
 var ErrClosed = errors.New("serve: server closed")
@@ -74,8 +69,7 @@ type Result struct {
 	Batch int
 	// Worker is the executor (simulated device stream) that ran it.
 	Worker int
-	// Device names the worker's device on a heterogeneous pool ("" for
-	// the homogeneous legacy streams) — which silicon served this
+	// Device names the worker's device — which silicon served this
 	// request.
 	Device string
 	// SimArrival echoes the request's InferOptions.SimArrival.
@@ -121,18 +115,13 @@ const bulkWindowFactor = 4
 // ServerOptions configures the resources every deployed model shares:
 // the worker pool, the request queue, and the variant-compile pool.
 type ServerOptions struct {
-	// Workers is the number of concurrent executors — the simulated
-	// device streams, shared by all models. Values < 1 mean 1. When
-	// Devices is set, Workers is derived from it and this field is
-	// ignored (the bolt wrapper rejects setting both).
-	Workers int
-	// Devices, when non-empty, makes the worker pool heterogeneous: one
-	// worker per entry, each modeling that device. Workers that model
-	// the same device form one device class and share compiled variants
-	// (the tuning-log keys are device-scoped, so different classes'
-	// entries coexist in one cache). Dispatch becomes cost-aware
-	// earliest-finish-time across the pool instead of round-robin. A
-	// nil Devices keeps the homogeneous pre-pool behavior.
+	// Devices is the worker pool: one concurrent executor (simulated
+	// device stream, shared by all models) per entry, each modeling that
+	// device. Workers that model the same device form one device class
+	// and share compiled variants (the tuning-log keys are
+	// device-scoped, so different classes' entries coexist in one
+	// cache). Dispatch is cost-aware earliest-finish-time across the
+	// pool. It must hold at least one device and no nil entry.
 	Devices []*gpu.Device
 	// QueueDepth is the pending-request capacity across all models:
 	// the scheduler stops absorbing arrivals once the queued backlog
@@ -153,10 +142,6 @@ type ServerOptions struct {
 	// BatchFault). The fleet layer's failure injector plugs in here; a
 	// nil hook costs nothing.
 	Fault FaultHook
-	// OnClose, when set, runs exactly once at the end of Close, after
-	// every request is answered and the workers have stopped (the bolt
-	// wrapper persists the shared tuning log here).
-	OnClose func()
 	// Trace, when set, records request-lifecycle spans (plan, compile,
 	// dispatch, execute, per-request trees) into the tracer on the
 	// simulated clock. Spans never touch the sim clocks or the
@@ -172,12 +157,6 @@ type ServerOptions struct {
 }
 
 func (o ServerOptions) normalized() ServerOptions {
-	if len(o.Devices) > 0 {
-		o.Workers = len(o.Devices)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = 1024
 	}
@@ -405,7 +384,7 @@ func (ts *tenantStats) stagesSnapshot() map[Priority]StageBreakdown {
 type tenant struct {
 	name            string
 	order           int // deploy order (WRR tie-break, deterministic iteration)
-	compile         CompileVariantOn
+	compile         CompileFunc
 	buckets         []int // sorted ascending, 1 always present
 	window          time.Duration
 	weight          int
@@ -473,7 +452,6 @@ type Server struct {
 	wg         sync.WaitGroup
 	inflight   sync.WaitGroup
 	compileSem chan struct{} // bounds concurrent variant compiles
-	closeHook  sync.Once     // runs ServerOptions.OnClose exactly once
 
 	// pool is the worker topology (device classes) plus the scheduler's
 	// modeled finish times; its sched slice is touched only by the
@@ -519,27 +497,33 @@ type Server struct {
 	trWork    []*obs.Shard
 }
 
-// NewServer starts a multi-tenant server: one scheduler plus
-// Options.Workers executor goroutines. Models are added with Deploy;
-// Close shuts the server down after draining in-flight work.
+// NewServer starts a multi-tenant server: one scheduler plus one
+// executor goroutine per Options.Devices entry. Models are added with
+// Deploy; Close shuts the server down after draining in-flight work.
+// An empty Devices or a nil entry panics: the bolt package validates
+// the pool before it gets here.
 func NewServer(opts ServerOptions) *Server {
 	opts = opts.normalized()
+	if len(opts.Devices) == 0 {
+		panic("serve: ServerOptions.Devices is empty")
+	}
+	workers := len(opts.Devices)
 	s := &Server{
 		opts:          opts,
-		pool:          newPool(opts.Workers, opts.Devices),
+		pool:          newPool(opts.Devices),
 		incoming:      make(chan *request, opts.QueueDepth),
 		kick:          make(chan struct{}, 1),
 		done:          make(chan struct{}),
 		compileSem:    make(chan struct{}, opts.CompileJobs),
 		tenants:       make(map[string]*tenant),
 		retired:       newTenantStats(),
-		workerCh:      make([]chan batchJob, opts.Workers),
-		clocks:        make([]float64, opts.Workers),
-		workerBusy:    make([]float64, opts.Workers),
-		workerBatches: make([]int64, opts.Workers),
-		workerPadded:  make([]int64, opts.Workers),
-		workerFailed:  make([]int64, opts.Workers),
-		schedModel:    make([]float64, opts.Workers),
+		workerCh:      make([]chan batchJob, workers),
+		clocks:        make([]float64, workers),
+		workerBusy:    make([]float64, workers),
+		workerBatches: make([]int64, workers),
+		workerPadded:  make([]int64, workers),
+		workerFailed:  make([]int64, workers),
+		schedModel:    make([]float64, workers),
 	}
 	s.dispCosts = make([]float64, len(s.pool.classes))
 	s.dispLive = make([]bool, len(s.pool.classes))
@@ -552,7 +536,7 @@ func NewServer(opts ServerOptions) *Server {
 		s.trProc = s.tr.RegisterProcess(label)
 		s.trSched = s.tr.NewShard()
 		s.trCompile = s.tr.NewShard()
-		s.trWork = make([]*obs.Shard, opts.Workers)
+		s.trWork = make([]*obs.Shard, workers)
 		for i := range s.trWork {
 			s.trWork[i] = s.tr.NewShard()
 		}
@@ -568,25 +552,11 @@ func NewServer(opts ServerOptions) *Server {
 
 // Deploy registers a model under a unique name. Its batch variants
 // compile lazily on first use (or eagerly via Warm) through the
-// server's shared compile pool. The device-agnostic compile function
-// targets whatever device the bolt wrapper bound it to; on a
-// heterogeneous pool, use DeployOn so every device class gets its own
-// variants.
-func (s *Server) Deploy(name string, compile CompileVariant, opts DeployOptions) error {
-	if compile == nil {
-		return errors.New("serve: nil compile function")
-	}
-	return s.DeployOn(name, func(_ *gpu.Device, batch int) (*rt.Module, error) {
-		return compile(batch)
-	}, opts)
-}
-
-// DeployOn registers a model whose variants compile per device class:
-// the pool passes each class's device (nil for the anonymous
-// homogeneous class) into compile, so a T4 worker and an A100 worker
+// server's shared compile pool, once per device class: the pool passes
+// each class's device into compile, so a T4 worker and an A100 worker
 // each execute a module tuned for their own silicon while sharing one
 // tuning log (its keys are device-scoped).
-func (s *Server) DeployOn(name string, compile CompileVariantOn, opts DeployOptions) error {
+func (s *Server) Deploy(name string, compile CompileFunc, opts DeployOptions) error {
 	if compile == nil {
 		return errors.New("serve: nil compile function")
 	}
@@ -796,10 +766,6 @@ func (s *Server) Warm(model string, buckets ...int) error {
 			wg.Add(1)
 			go func(slot, b int, c deviceClass) {
 				defer wg.Done()
-				where := ""
-				if c.name != "" {
-					where = fmt.Sprintf(" on %s", c.name)
-				}
 				s.mu.Lock()
 				dead := error(nil)
 				switch {
@@ -810,11 +776,11 @@ func (s *Server) Warm(model string, buckets ...int) error {
 				}
 				s.mu.Unlock()
 				if dead != nil {
-					errs[slot] = fmt.Errorf("bucket %d%s: %w", b, where, dead)
+					errs[slot] = fmt.Errorf("bucket %d on %s: %w", b, c.dev.Name, dead)
 					return
 				}
 				if v := s.variantFor(t, c.id, b); v.err != nil {
-					errs[slot] = fmt.Errorf("bucket %d%s: %w", b, where, v.err)
+					errs[slot] = fmt.Errorf("bucket %d on %s: %w", b, c.dev.Name, v.err)
 				}
 			}(i*len(classes)+c.id, b, c)
 		}
@@ -917,7 +883,7 @@ func (s *Server) deviceStatsLocked() []DeviceStats {
 	for w := range out {
 		out[w] = DeviceStats{
 			Worker:        w,
-			Device:        s.pool.specs[w].DeviceName(),
+			Device:        s.pool.devices[w].Name,
 			Batches:       s.workerBatches[w],
 			FailedBatches: s.workerFailed[w],
 			PaddedBatches: s.workerPadded[w],
@@ -994,16 +960,15 @@ func (t *tenant) snapshotLocked() Stats {
 }
 
 // Close rejects new requests, flushes and answers every accepted
-// request (batch windows are cut short), stops the scheduler and
-// workers, and finally runs ServerOptions.OnClose (once). Safe to call
-// more than once.
+// request (batch windows are cut short), and stops the scheduler and
+// workers; in-flight compiles have finished when it returns. Safe to
+// call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		<-s.done
 		s.wg.Wait()
-		s.runCloseHook()
 		return
 	}
 	s.closed = true
@@ -1014,15 +979,6 @@ func (s *Server) Close() {
 	close(s.incoming)
 	<-s.done
 	s.wg.Wait()
-	s.runCloseHook()
-}
-
-func (s *Server) runCloseHook() {
-	s.closeHook.Do(func() {
-		if s.opts.OnClose != nil {
-			s.opts.OnClose()
-		}
-	})
 }
 
 // nudge wakes the scheduler without blocking.
@@ -1142,7 +1098,7 @@ func (s *Server) dispatch(job *batchJob) {
 			if c > 0 {
 				eft.WriteByte(',')
 			}
-			eft.WriteString(className(s.pool.classes[c].name))
+			eft.WriteString(s.pool.classes[c].dev.Name)
 			eft.WriteByte('=')
 			eft.WriteString(strconv.FormatFloat(cost, 'g', -1, 64))
 		}
@@ -1151,7 +1107,7 @@ func (s *Server) dispatch(job *batchJob) {
 			{Key: "bucket", Val: job.bucket},
 			{Key: "rows", Val: len(job.reqs)},
 			{Key: "worker", Val: pl.worker},
-			{Key: "class", Val: className(s.pool.classes[pl.class].name)},
+			{Key: "class", Val: s.pool.classes[pl.class].dev.Name},
 			{Key: "eft_costs", Val: eft.String()},
 		}
 		if !math.IsInf(pl.finish, 1) {
@@ -1163,15 +1119,6 @@ func (s *Server) dispatch(job *batchJob) {
 		})
 	}
 	s.workerCh[pl.worker] <- *job
-}
-
-// className names a device class in trace spans and snapshots
-// ("default" for the anonymous homogeneous class).
-func className(name string) string {
-	if name == "" {
-		return "default"
-	}
-	return name
 }
 
 // bucketPricedLocked reports whether every device class has a resolved
@@ -1204,8 +1151,8 @@ func (s *Server) ensurePricingLocked(t *tenant, k int) {
 	}
 	t.pricing[k] = true
 	// Tracked on the server WaitGroup so Close waits for in-flight
-	// pricing compiles before running OnClose — their tuning-log
-	// entries land before the close-time persist.
+	// pricing compiles — their tuning-log entries land before a
+	// close-time persist.
 	s.wg.Add(1)
 	go s.priceBucket(t, k)
 }
@@ -1836,7 +1783,7 @@ func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 		if s.tr != nil {
 			args := []obs.Arg{
 				{Key: "model", Val: t.name},
-				{Key: "device", Val: className(s.pool.classes[class].name)},
+				{Key: "device", Val: s.pool.classes[class].dev.Name},
 				{Key: "bucket", Val: batch},
 			}
 			dur := 0.0
@@ -1959,7 +1906,7 @@ func (s *Server) runBatch(id int, job batchJob) {
 		s.workerFailed[id]++
 	}
 	doneAt := s.clocks[id]
-	device := s.pool.specs[id].DeviceName()
+	device := s.pool.devices[id].Name
 	st := &job.t.stats
 	if job.t.removed {
 		// The tenant was undeployed while this batch was in flight; its
@@ -2006,7 +1953,7 @@ func (s *Server) runBatch(id int, job batchJob) {
 				{Key: "bucket", Val: b},
 				{Key: "rows", Val: n},
 				{Key: "padded_rows", Val: b - n},
-				{Key: "device", Val: className(device)},
+				{Key: "device", Val: device},
 				{Key: "failed", Val: err != nil},
 			},
 		})
@@ -2068,7 +2015,7 @@ func (s *Server) emitRequestSpans(worker int, r *request, res Result, f, q, e fl
 			{Key: "priority", Val: r.priority.String()},
 			{Key: "bucket", Val: res.Batch},
 			{Key: "worker", Val: res.Worker},
-			{Key: "device", Val: className(res.Device)},
+			{Key: "device", Val: res.Device},
 		},
 	})
 	t0 := r.simArrival

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bolt/internal/gpu"
 	"bolt/internal/rt"
 )
 
@@ -17,7 +18,7 @@ import (
 // but the moment a high-priority request lands the pending batch
 // dispatches, high first.
 func TestServerPriorityPreemptsWindow(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 2, 4}, BatchWindow: time.Hour,
@@ -68,7 +69,7 @@ func TestServerPriorityPreemptsWindow(t *testing.T) {
 // largest bucket dispatches immediately, while a lone bulk request is
 // held until its MaxWait deadline.
 func TestServerBulkWaitsForFullBucket(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 2, 4}, BatchWindow: 250 * time.Millisecond,
@@ -150,7 +151,7 @@ func TestPickWRRProportionalShare(t *testing.T) {
 // (its last batch completes) no later than the lighter one on the
 // simulated clocks — the scheduler favors it while both contend.
 func TestServerWeightedShareUnderContention(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("heavy", fakeVariant, DeployOptions{Buckets: []int{1, 2}, Weight: 3}); err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestServerWeightedShareUnderContention(t *testing.T) {
 // rejected, other tenants are unaffected, and the aggregate stats keep
 // the retired tenant's traffic.
 func TestServerUndeploy(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	for _, m := range []string{"keep", "drop"} {
 		if err := s.Deploy(m, fakeVariant, DeployOptions{
@@ -252,9 +253,9 @@ func TestServerUndeploy(t *testing.T) {
 func TestServerWarmConcurrentJoinedErrors(t *testing.T) {
 	boom := errors.New("compile exploded")
 	var active, peak atomic.Int32
-	s := NewServer(ServerOptions{Workers: 1, CompileJobs: 4})
+	s := NewServer(ServerOptions{Devices: t4s(1), CompileJobs: 4})
 	defer s.Close()
-	err := s.Deploy("m", func(batch int) (*rt.Module, error) {
+	err := s.Deploy("m", func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -267,7 +268,7 @@ func TestServerWarmConcurrentJoinedErrors(t *testing.T) {
 		if batch == 3 || batch == 5 {
 			return nil, boom
 		}
-		return fakeVariant(batch)
+		return fakeVariant(dev, batch)
 	}, DeployOptions{Buckets: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +345,7 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 // block — then Close flushes everyone.
 func TestServerQueueDepthBackpressure(t *testing.T) {
 	const depth = 2
-	s := NewServer(ServerOptions{Workers: 1, QueueDepth: depth})
+	s := NewServer(ServerOptions{Devices: t4s(1), QueueDepth: depth})
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 8}, BatchWindow: time.Hour,
 	}); err != nil {
@@ -382,7 +383,7 @@ func TestServerQueueDepthBackpressure(t *testing.T) {
 // TestServerDuplicateDeploy pins name uniqueness and the nil-compile
 // guard.
 func TestServerDuplicateDeploy(t *testing.T) {
-	s := NewServer(ServerOptions{})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", fakeVariant, DeployOptions{}); err != nil {
 		t.Fatal(err)
@@ -402,7 +403,7 @@ func TestServerDuplicateDeploy(t *testing.T) {
 // windows are cut short, every accepted request is answered, and
 // post-Close calls fail with ErrClosed.
 func TestServerCloseRejectsAndFlushes(t *testing.T) {
-	s := NewServer(ServerOptions{Workers: 2})
+	s := NewServer(ServerOptions{Devices: t4s(2)})
 	if err := s.Deploy("m", fakeVariant, DeployOptions{
 		Buckets: []int{1, 8}, BatchWindow: time.Hour,
 	}); err != nil {
@@ -463,8 +464,8 @@ func TestNormalizeBucketsEdgeCases(t *testing.T) {
 			t.Errorf("normalizeBuckets(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	so := ServerOptions{Workers: 0, QueueDepth: -1, CompileJobs: 0}.normalized()
-	if so.Workers != 1 || so.QueueDepth != 1024 || so.CompileJobs != 1 {
+	so := ServerOptions{QueueDepth: -1, CompileJobs: 0}.normalized()
+	if so.QueueDepth != 1024 || so.CompileJobs != 1 {
 		t.Errorf("ServerOptions.normalized defaults wrong: %+v", so)
 	}
 }

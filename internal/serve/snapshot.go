@@ -61,7 +61,7 @@ func (s *Server) FillRegistry(reg *obs.Registry) {
 		if c > makespan {
 			makespan = c
 		}
-		wl := obs.L("worker", strconv.Itoa(w), "device", className(s.pool.specs[w].DeviceName()))
+		wl := obs.L("worker", strconv.Itoa(w), "device", s.pool.devices[w].Name)
 		reg.Counter("worker_batches_total", wl, float64(s.workerBatches[w]))
 		reg.Counter("worker_busy_seconds_total", wl, s.workerBusy[w])
 	}

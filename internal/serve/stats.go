@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-
 	"bolt/internal/obs"
 )
 
@@ -57,8 +55,7 @@ func (p Priority) String() string {
 type DeviceStats struct {
 	// Worker is the executor index.
 	Worker int
-	// Device names the worker's device ("" for homogeneous legacy
-	// streams configured via ServerOptions.Workers).
+	// Device names the worker's device.
 	Device string
 	// Batches counts batches dispatched to this worker.
 	Batches int64
@@ -245,30 +242,19 @@ func (s Stats) Throughput() float64 {
 // LatencyPercentile returns the p-th percentile (0..100) of request
 // latencies, in simulated seconds, by the nearest-rank method
 // (ceil(p/100*n)), so small sample windows do not understate the tail.
+// The bench artifacts' p50/p99 fields derive from these bounded
+// windows, so this path stays exact; the histogram-backed estimates
+// (obs.Histogram.Percentile) serve the unbounded per-stage breakdowns
+// in Server.Snapshot, tied to this one by an equivalence test on dense
+// data.
 func (s Stats) LatencyPercentile(p float64) float64 {
-	return percentile(s.Latencies, p)
+	return obs.NearestRank(s.Latencies, p)
 }
 
 // PriorityPercentile is LatencyPercentile restricted to one priority
 // class (0 when that class has served no requests).
 func (s Stats) PriorityPercentile(pri Priority, p float64) float64 {
-	return percentile(s.PriorityLatencies[pri], p)
-}
-
-// percentile implements the nearest-rank percentile over an unordered
-// sample window by delegating to obs.NearestRank — the exact sample
-// quantile. The bench artifacts' p50/p99 fields derive from these
-// bounded windows, so this path stays exact; the histogram-backed
-// estimates (obs.Histogram.Percentile) serve the unbounded per-stage
-// breakdowns in Server.Snapshot, with the two tied together by an
-// equivalence test on dense data.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return obs.NearestRank(sorted, p)
+	return obs.NearestRank(s.PriorityLatencies[pri], p)
 }
 
 // latWindow is a bounded ring of latency samples.

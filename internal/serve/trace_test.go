@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bolt/internal/gpu"
 	"bolt/internal/obs"
 	"bolt/internal/rt"
 )
@@ -25,7 +26,7 @@ func tracedRun(t *testing.T, compileJobs int) (*obs.Tracer, []Result) {
 	t.Helper()
 	tr := obs.NewTracer()
 	s := NewServer(ServerOptions{
-		Workers:     2,
+		Devices:     t4s(2),
 		CompileJobs: compileJobs,
 		Trace:       tr,
 		TraceLabel:  "server",
@@ -33,9 +34,9 @@ func tracedRun(t *testing.T, compileJobs int) (*obs.Tracer, []Result) {
 	defer s.Close()
 	gate := make(chan struct{})
 	inner := costVariant(func(batch int) int { return batch * (1 << 20) })
-	gated := func(batch int) (*rt.Module, error) {
+	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		<-gate
-		return inner(batch)
+		return inner(dev, batch)
 	}
 	if err := s.Deploy("m", gated, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestTraceSpanInvariants(t *testing.T) {
 func TestTraceStageStatsAndSnapshot(t *testing.T) {
 	tr, results := tracedRun(t, 2)
 	_ = tr
-	s := NewServer(ServerOptions{Workers: 1})
+	s := NewServer(ServerOptions{Devices: t4s(1)})
 	defer s.Close()
 	if err := s.Deploy("m", costVariant(func(b int) int { return b * (1 << 20) }), DeployOptions{}); err != nil {
 		t.Fatal(err)
@@ -194,13 +195,13 @@ func TestTraceDisabledLeavesResultsIdentical(t *testing.T) {
 		if trace {
 			tr = obs.NewTracer()
 		}
-		s := NewServer(ServerOptions{Workers: 2, Trace: tr})
+		s := NewServer(ServerOptions{Devices: t4s(2), Trace: tr})
 		defer s.Close()
 		gate := make(chan struct{})
 		inner := costVariant(func(batch int) int { return batch * (1 << 20) })
-		gated := func(batch int) (*rt.Module, error) {
+		gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
 			<-gate
-			return inner(batch)
+			return inner(dev, batch)
 		}
 		if err := s.Deploy("m", gated, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 			t.Fatal(err)

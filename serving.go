@@ -3,6 +3,7 @@ package bolt
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,8 +76,9 @@ var (
 // Server shares.
 type ServerOptions struct {
 	// Workers is the number of concurrent executors (simulated device
-	// streams) shared by all models, all modeling the device NewServer
-	// was given. Values < 1 mean 1. Mutually exclusive with Devices.
+	// streams) shared by all models: shorthand for Workers copies of
+	// the device NewServer was given. Values < 1 mean 1. Mutually
+	// exclusive with Devices.
 	Workers int
 	// Devices makes the pool heterogeneous: one worker per entry, each
 	// modeling that device (e.g. {T4(), T4(), A100()}). Every deployed
@@ -245,9 +247,7 @@ type DeployOptions struct {
 // high-priority requests preempting the batch window while bulk
 // requests wait for full buckets.
 type Server struct {
-	dev  *Device
-	opts ServerOptions
-	srv  *serve.Server
+	srv *serve.Server
 	// pipe is the shared tenant-compile pipeline (tuning log, persist
 	// path, precision gate); Fleet endpoints build the identical
 	// pipeline, which is what makes a fleet's replicas warm from each
@@ -307,21 +307,13 @@ func (p *cachePersister) persist() error {
 	return p.err
 }
 
-// lastErr returns the latest persist outcome.
-func (p *cachePersister) lastErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
 // tenantPipeline is everything one serving endpoint (a Server or
 // every replica of a Fleet) shares across its tenants' variant
-// compiles: the default device for anonymous workers, the device
-// class accuracy gating compiles against, the shared tuning log with
-// its persist hook, and the per-model precision-gate reports.
+// compiles: the device class accuracy gating compiles against (the
+// first worker's), the shared tuning log with its persist hook, and
+// the per-model precision-gate reports.
 type tenantPipeline struct {
-	dev     *Device // anonymous homogeneous workers compile for this device
-	gateDev *Device // device class the accuracy gate decides on
+	gateDev *Device
 	cp      *cachePersister
 	jobs    int
 
@@ -331,6 +323,12 @@ type tenantPipeline struct {
 	reports   map[string]DeployReport
 }
 
+// newTenantPipeline returns an endpoint's pipeline whose precision gate
+// compiles for gateDev.
+func newTenantPipeline(gateDev *Device, cp *cachePersister, jobs int) *tenantPipeline {
+	return &tenantPipeline{gateDev: gateDev, cp: cp, jobs: jobs, reports: make(map[string]DeployReport)}
+}
+
 // tenantCompiler resolves one model's deploy: it runs the precision
 // gate (when requested), records the gate report, and returns the
 // per-(device, bucket) compile closure plus the scheduler-facing
@@ -338,7 +336,7 @@ type tenantPipeline struct {
 // regular pipeline against the shared tuning log — every endpoint
 // (and every fleet replica) holding the same pipeline compiles
 // measurement-free from its peers' entries.
-func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOptions) (serve.CompileVariantOn, serve.DeployOptions, error) {
+func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOptions) (serve.CompileFunc, serve.DeployOptions, error) {
 	src := g
 	if dt, ok := opts.Precision.dtype(); ok {
 		// Precision-rewrite the source once, gated: the requested
@@ -370,9 +368,6 @@ func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOption
 		p.reportsMu.Unlock()
 	}
 	compile := func(dev *gpu.Device, batch int) (*rt.Module, error) {
-		if dev == nil {
-			dev = p.dev // anonymous homogeneous worker: the endpoint device
-		}
 		vg, err := relay.Rebatch(src, batch)
 		if err != nil {
 			return nil, err
@@ -411,37 +406,52 @@ func (p *tenantPipeline) report(name string) (DeployReport, bool) {
 	return rep, ok
 }
 
-// validateDeviceList rejects nil entries and same-named devices with
-// different specs: workers that model the same device are grouped
-// into one class by Name and share compiled variants, so two
-// same-named entries with different specs would silently serve one
-// spec's modules on the other's worker. byName accumulates across
-// calls so a fleet's replicas are checked against each other — they
-// share one tuning log, whose keys are device-name-scoped.
-func validateDeviceList(field string, devices []*Device, byName map[string]*Device) error {
+// workerDevices resolves one worker-pool description into its device
+// list, the only form of a pool below this package: Workers: n is n
+// copies of dev (values < 1 mean 1), Devices is one worker per entry.
+// It rejects setting both, nil entries (a nil dev behind Workers
+// included), and same-named devices with different specs: workers
+// that model the same device are grouped into one class by Name and
+// share compiled variants, so two same-named entries with different
+// specs would silently serve one spec's modules on the other's worker.
+// byName accumulates across calls so a fleet's replicas are checked
+// against each other — they share one tuning log, whose keys are
+// device-name-scoped.
+func workerDevices(field string, dev *Device, workers int, devices []*Device, byName map[string]*Device) ([]*Device, error) {
+	if workers > 0 && len(devices) > 0 {
+		return nil, fmt.Errorf("bolt: %s: Workers (%d) and Devices (%d entries) are mutually exclusive: Devices already implies one worker per device — set exactly one of them",
+			field, workers, len(devices))
+	}
+	if len(devices) == 0 {
+		if dev == nil {
+			return nil, fmt.Errorf("bolt: %s: Workers needs a device, and the endpoint device is nil", field)
+		}
+		devices = make([]*Device, max(workers, 1))
+		for i := range devices {
+			devices[i] = dev
+		}
+	} else {
+		devices = slices.Clone(devices) // the pool must not alias the caller's slice
+	}
 	for i, d := range devices {
 		if d == nil {
-			return fmt.Errorf("bolt: %s[%d] is nil", field, i)
+			return nil, fmt.Errorf("bolt: %s.Devices[%d] is nil", field, i)
 		}
 		if prev, ok := byName[d.Name]; ok && *prev != *d {
-			return fmt.Errorf("bolt: %s[%d] %q differs from an earlier entry with the same name: same-named devices form one class and must have identical specs", field, i, d.Name)
+			return nil, fmt.Errorf("bolt: %s.Devices[%d] %q differs from an earlier entry with the same name: same-named devices form one class and must have identical specs", field, i, d.Name)
 		}
 		byName[d.Name] = d
 	}
-	return nil
+	return devices, nil
 }
 
-// NewServer starts an empty multi-tenant server over dev (or over
-// ServerOptions.Devices when the pool is heterogeneous — dev then only
-// backs deployments on servers with legacy anonymous workers). Models
-// are added with Deploy; Close drains in-flight work and persists the
-// tuning log.
+// NewServer starts an empty multi-tenant server over dev: Workers
+// copies of it, or ServerOptions.Devices when the pool is
+// heterogeneous. Models are added with Deploy; Close drains in-flight
+// work and persists the tuning log.
 func NewServer(dev *Device, opts ServerOptions) (*Server, error) {
-	if opts.Workers > 0 && len(opts.Devices) > 0 {
-		return nil, fmt.Errorf("bolt: ServerOptions.Workers (%d) and ServerOptions.Devices (%d entries) are mutually exclusive: Devices already implies one worker per device — set exactly one of them",
-			opts.Workers, len(opts.Devices))
-	}
-	if err := validateDeviceList("ServerOptions.Devices", opts.Devices, make(map[string]*Device)); err != nil {
+	devices, err := workerDevices("ServerOptions", dev, opts.Workers, opts.Devices, make(map[string]*Device))
+	if err != nil {
 		return nil, err
 	}
 	// The server always keeps an in-memory tuning log: it is the home
@@ -453,29 +463,17 @@ func NewServer(dev *Device, opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	gateDev := dev
-	if len(opts.Devices) > 0 {
-		gateDev = opts.Devices[0]
-	}
-	s := &Server{dev: dev, opts: opts, pipe: &tenantPipeline{
-		dev:     dev,
-		gateDev: gateDev,
-		cp:      cp,
-		jobs:    opts.Jobs,
-		reports: make(map[string]DeployReport),
-	}}
-	s.srv = serve.NewServer(serve.ServerOptions{
-		Workers:     opts.Workers,
-		Devices:     opts.Devices,
-		QueueDepth:  opts.QueueDepth,
-		BatchWindow: opts.BatchWindow,
-		CompileJobs: opts.Jobs,
-		Trace:       opts.Trace,
-		TraceLabel:  opts.TraceLabel,
-		// Closing the server flushes the shared tuning log.
-		OnClose: func() { _ = s.pipe.cp.persist() },
-	})
-	return s, nil
+	return &Server{
+		srv: serve.NewServer(serve.ServerOptions{
+			Devices:     devices,
+			QueueDepth:  opts.QueueDepth,
+			BatchWindow: opts.BatchWindow,
+			CompileJobs: opts.Jobs,
+			Trace:       opts.Trace,
+			TraceLabel:  opts.TraceLabel,
+		}),
+		pipe: newTenantPipeline(devices[0], cp, opts.Jobs),
+	}, nil
 }
 
 // Deploy registers a model under a unique name. Each (device, batch
@@ -491,7 +489,7 @@ func (s *Server) Deploy(name string, g *Graph, opts DeployOptions) error {
 	if err != nil {
 		return err
 	}
-	return s.srv.DeployOn(name, compile, sopts)
+	return s.srv.Deploy(name, compile, sopts)
 }
 
 // DeployReport returns the precision-gate outcome for a model deployed
@@ -554,10 +552,10 @@ func (s *Server) ModelStats(name string) (ServeStats, bool) { return s.srv.Model
 func (s *Server) Snapshot() string { return s.srv.Snapshot() }
 
 // Close rejects new requests, flushes and answers every accepted
-// request, stops the workers, and persists the tuning log (via the
-// underlying server's close hook), returning the outcome of that
-// final persist. Safe to call more than once.
+// request, stops the workers, and then persists the tuning log,
+// returning the outcome of that final persist. Safe to call more than
+// once.
 func (s *Server) Close() error {
 	s.srv.Close()
-	return s.pipe.cp.lastErr()
+	return s.pipe.cp.persist()
 }
