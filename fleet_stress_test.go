@@ -7,6 +7,7 @@ package bolt_test
 // -race (these are in the CI serving-stress list).
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -248,5 +249,15 @@ func TestFleetStatsAggregationExact(t *testing.T) {
 	}
 	if st.Serve.Requests != 2*n {
 		t.Errorf("served rows %d, want %d (no hedges -> one replica row per request)", st.Serve.Requests, 2*n)
+	}
+	// The aggregate's Variants is the sorted union of the replicas'.
+	var union []int
+	for _, r := range st.Replicas {
+		union = append(union, r.Serve.Variants...)
+	}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	if len(union) == 0 || !slices.Equal(st.Serve.Variants, union) {
+		t.Errorf("aggregate variants %v, want the non-empty union %v of the replicas' variants", st.Serve.Variants, union)
 	}
 }

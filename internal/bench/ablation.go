@@ -46,15 +46,6 @@ func (s *Suite) AblationByID(id string) func() *Table {
 	return m[id]
 }
 
-// Ablations runs all extension experiments.
-func (s *Suite) Ablations() []*Table {
-	out := make([]*Table, 0, len(AblationIDs()))
-	for _, id := range AblationIDs() {
-		out = append(out, s.AblationByID(id)())
-	}
-	return out
-}
-
 // AblationSwizzle isolates the threadblock-swizzling parameter: tile
 // groups of 2^k share operand rows/columns through L2, cutting DRAM
 // traffic on large GEMMs.

@@ -173,7 +173,4 @@ func TestAblationRegistry(t *testing.T) {
 			t.Errorf("%s malformed: id=%s rows=%d", id, tab.ID, len(tab.Rows))
 		}
 	}
-	if got := len(s.Ablations()); got != len(AblationIDs()) {
-		t.Errorf("Ablations returned %d tables", got)
-	}
 }

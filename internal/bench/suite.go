@@ -117,25 +117,6 @@ func (s *Suite) newAnsor() (*ansor.Tuner, *gpu.Clock) {
 	return ansor.NewTuner(s.Dev, &clock, s.seed), &clock
 }
 
-// All runs every experiment in paper order.
-func (s *Suite) All() []*Table {
-	return []*Table{
-		s.Figure1(),
-		s.Figure8a(),
-		s.Figure8b(),
-		s.Figure9a(),
-		s.Figure9b(),
-		s.Table1(),
-		s.Table2(),
-		s.Table3(),
-		s.Figure10a(),
-		s.Figure10b(),
-		s.Table4(),
-		s.Table5(),
-		s.Table6(),
-	}
-}
-
 // ByID returns the experiment regenerator for an id like "fig8a".
 func (s *Suite) ByID(id string) func() *Table {
 	m := map[string]func() *Table{

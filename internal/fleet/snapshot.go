@@ -23,39 +23,29 @@ func (f *Fleet) Snapshot() string {
 }
 
 // FillRegistry adds the fleet's metric rows into reg: each replica's
-// serve exposition merged together, plus the router's counters.
+// serve exposition merged together, plus the router totals Stats
+// reports.
 func (f *Fleet) FillRegistry(reg *obs.Registry) {
-	f.mu.Lock()
-	reps := append([]*replica(nil), f.replicas...)
-	var hi, hw, hc, ret, grow, shrink int64
-	var liveCount int
-	for _, r := range reps {
-		hi += r.hedgesIssued
-		hw += r.hedgesWon
-		hc += r.hedgesCanceled
-		ret += r.retries
-		grow += r.growEvents
-		shrink += r.shrinkEvents
-		if r.live {
-			liveCount++
-		}
-	}
-	routed, delivered, delErrs := f.routed, f.delivered, f.deliveredErrs
-	f.mu.Unlock()
-
+	st, reps := f.routerStats()
 	// Replica snapshots lock each server; taken outside f.mu so a slow
 	// replica cannot stall routing.
 	for _, r := range reps {
 		r.srv.FillRegistry(reg)
 	}
-	reg.Counter("fleet_routed_total", nil, float64(routed))
-	reg.Counter("fleet_delivered_total", nil, float64(delivered))
-	reg.Counter("fleet_delivered_errors_total", nil, float64(delErrs))
-	reg.Counter("fleet_hedges_issued_total", nil, float64(hi))
-	reg.Counter("fleet_hedges_won_total", nil, float64(hw))
-	reg.Counter("fleet_hedges_canceled_total", nil, float64(hc))
-	reg.Counter("fleet_retries_total", nil, float64(ret))
-	reg.Counter("fleet_grow_events_total", nil, float64(grow))
-	reg.Counter("fleet_shrink_events_total", nil, float64(shrink))
-	reg.Gauge("fleet_live_replicas", nil, float64(liveCount))
+	live := 0
+	for _, r := range st.Replicas {
+		if r.Live {
+			live++
+		}
+	}
+	reg.Counter("fleet_routed_total", nil, float64(st.Routed))
+	reg.Counter("fleet_delivered_total", nil, float64(st.Delivered))
+	reg.Counter("fleet_delivered_errors_total", nil, float64(st.DeliveredErrors))
+	reg.Counter("fleet_hedges_issued_total", nil, float64(st.HedgesIssued))
+	reg.Counter("fleet_hedges_won_total", nil, float64(st.HedgesWon))
+	reg.Counter("fleet_hedges_canceled_total", nil, float64(st.HedgesCanceled))
+	reg.Counter("fleet_retries_total", nil, float64(st.Retries))
+	reg.Counter("fleet_grow_events_total", nil, float64(st.GrowEvents))
+	reg.Counter("fleet_shrink_events_total", nil, float64(st.ShrinkEvents))
+	reg.Gauge("fleet_live_replicas", nil, float64(live))
 }

@@ -37,11 +37,12 @@ type ReplicaStats struct {
 }
 
 // Stats is a fleet snapshot: per-replica rows plus their exact
-// aggregate. Serve sums every replica's counters (a hedged request
-// that ran on two replicas counts once per replica — the aggregate is
-// work done, not requests routed; Routed/Delivered count the
-// caller-visible story). Serve.SimMakespan is the largest replica
-// makespan and Serve.BacklogSeconds the fleet-wide modeled backlog.
+// aggregate. Serve is the serve.Stats.Add of every replica's snapshot
+// (a hedged request that ran on two replicas counts once per replica —
+// the aggregate is work done, not requests routed; Routed/Delivered
+// count the caller-visible story): Serve.SimMakespan is the largest
+// replica makespan, Serve.BacklogSeconds the fleet-wide modeled
+// backlog and Serve.Variants the union of the replicas' buckets.
 type Stats struct {
 	Replicas []ReplicaStats
 	Serve    serve.Stats
@@ -65,16 +66,32 @@ type Stats struct {
 // taken may land on either side; quiesce (or Close) first when exact
 // sums matter.
 func (f *Fleet) Stats() Stats {
+	out, reps := f.routerStats()
+	// Per-replica serve snapshots lock each server; taken outside f.mu
+	// so a slow replica cannot stall routing.
+	for i, r := range reps {
+		st := r.srv.Stats()
+		out.Replicas[i].Serve = st
+		out.Serve.Add(st)
+	}
+	return out
+}
+
+// routerStats is the router's half of Stats: the per-replica rows
+// (Serve left zero) with their router counters summed into the fleet
+// totals, plus the replicas the rows describe, in row order.
+func (f *Fleet) routerStats() (Stats, []*replica) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	reps := append([]*replica(nil), f.replicas...)
 	out := Stats{
+		Replicas:        make([]ReplicaStats, len(reps)),
 		Routed:          f.routed,
 		Delivered:       f.delivered,
 		DeliveredErrors: f.deliveredErrs,
 	}
-	rows := make([]ReplicaStats, len(reps))
 	for i, r := range reps {
-		rows[i] = ReplicaStats{
+		out.Replicas[i] = ReplicaStats{
 			Replica:        r.id,
 			Live:           r.live,
 			Grown:          r.grown,
@@ -85,49 +102,12 @@ func (f *Fleet) Stats() Stats {
 			GrowEvents:     r.growEvents,
 			ShrinkEvents:   r.shrinkEvents,
 		}
+		out.HedgesIssued += r.hedgesIssued
+		out.HedgesWon += r.hedgesWon
+		out.HedgesCanceled += r.hedgesCanceled
+		out.Retries += r.retries
+		out.GrowEvents += r.growEvents
+		out.ShrinkEvents += r.shrinkEvents
 	}
-	f.mu.Unlock()
-	// Per-replica serve snapshots lock each server; taken outside f.mu
-	// so a slow replica cannot stall routing.
-	agg := serve.Stats{
-		BatchSizes:        make(map[int]int64),
-		PriorityLatencies: make(map[serve.Priority][]float64),
-		Stages:            make(map[serve.Priority]serve.StageBreakdown),
-	}
-	for i, r := range reps {
-		st := r.srv.Stats()
-		rows[i].Serve = st
-		agg.Requests += st.Requests
-		agg.Batches += st.Batches
-		agg.Evictions += st.Evictions
-		agg.FailedBatches += st.FailedBatches
-		agg.PaddedBatches += st.PaddedBatches
-		agg.PaddedRows += st.PaddedRows
-		agg.BacklogSeconds += st.BacklogSeconds
-		for k, v := range st.BatchSizes {
-			agg.BatchSizes[k] += v
-		}
-		agg.Latencies = append(agg.Latencies, st.Latencies...)
-		for pri, w := range st.PriorityLatencies {
-			agg.PriorityLatencies[pri] = append(agg.PriorityLatencies[pri], w...)
-		}
-		for pri, b := range st.Stages {
-			merged := agg.Stages[pri]
-			merged.Add(b)
-			agg.Stages[pri] = merged
-		}
-		agg.Devices = append(agg.Devices, st.Devices...)
-		if st.SimMakespan > agg.SimMakespan {
-			agg.SimMakespan = st.SimMakespan
-		}
-		out.HedgesIssued += rows[i].HedgesIssued
-		out.HedgesWon += rows[i].HedgesWon
-		out.HedgesCanceled += rows[i].HedgesCanceled
-		out.Retries += rows[i].Retries
-		out.GrowEvents += rows[i].GrowEvents
-		out.ShrinkEvents += rows[i].ShrinkEvents
-	}
-	out.Replicas = rows
-	out.Serve = agg
-	return out
+	return out, reps
 }

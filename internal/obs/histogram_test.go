@@ -2,66 +2,67 @@ package obs
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 )
 
-func TestHistogramEmptyPercentile(t *testing.T) {
-	h := NewHistogram(DefaultLatencyBuckets())
-	for _, p := range []float64{0, 50, 99, 100} {
-		if got := h.Percentile(p); got != 0 {
-			t.Fatalf("empty histogram p%v = %v, want 0", p, got)
+// equalCounts reports whether a histogram's per-bucket counts are
+// exactly want (the last entry being the +Inf bucket).
+func equalCounts(got, want []int64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
 		}
 	}
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram stats: count %d sum %v min %v max %v",
-			h.Count(), h.Sum(), h.Min(), h.Max())
+	return true
+}
+
+func TestHistogramEmpty(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("empty histogram: count %d sum %v", h.Count(), h.Sum())
+	}
+	if got := h.Counts(); !equalCounts(got, []int64{0, 0, 0, 0}) {
+		t.Fatalf("empty histogram counts = %v, want four zero buckets", got)
 	}
 }
 
 func TestHistogramSingleObservation(t *testing.T) {
-	h := NewHistogram(DefaultLatencyBuckets())
+	h := NewHistogram([]float64{1e-4, 1e-3, 1e-2})
 	const v = 3.7e-4
 	h.Observe(v)
-	for _, p := range []float64{0, 1, 50, 99, 100} {
-		if got := h.Percentile(p); got != v {
-			t.Fatalf("single-observation p%v = %v, want exactly %v", p, got, v)
-		}
+	if got := h.Counts(); !equalCounts(got, []int64{0, 1, 0, 0}) {
+		t.Fatalf("%v landed in counts %v, want bucket le=1e-3", v, got)
 	}
-	if h.Count() != 1 || h.Sum() != v || h.Min() != v || h.Max() != v {
-		t.Fatalf("single-observation stats: count %d sum %v min %v max %v",
-			h.Count(), h.Sum(), h.Min(), h.Max())
+	if h.Count() != 1 || h.Sum() != v {
+		t.Fatalf("single-observation stats: count %d sum %v", h.Count(), h.Sum())
 	}
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-	h := NewHistogram(bounds)
-	// Observations landing exactly on bucket upper bounds must count
-	// into that bucket (le semantics) and report the bound exactly
-	// when every observation shares it.
+	h := NewHistogram([]float64{1, 2, 4})
+	// Observations landing exactly on bucket upper bounds count into
+	// that bucket (le semantics); anything above the last bound goes to
+	// the +Inf bucket.
 	for i := 0; i < 10; i++ {
 		h.Observe(2)
 	}
-	counts := h.Counts()
-	if counts[1] != 10 {
-		t.Fatalf("boundary value 2 landed in counts %v, want all in bucket le=2", counts)
-	}
-	for _, p := range []float64{1, 50, 100} {
-		if got := h.Percentile(p); got != 2 {
-			t.Fatalf("all-on-boundary p%v = %v, want exactly 2", p, got)
-		}
-	}
-	// Above the last bound goes to the +Inf bucket and the percentile
-	// stays within [min, max].
+	h.Observe(0.5)
+	h.Observe(1)
+	h.Observe(4)
+	h.Observe(4.5)
 	h.Observe(100)
-	if got := h.Counts()[3]; got != 1 {
-		t.Fatalf("+Inf bucket count = %d, want 1", got)
+	if got := h.Counts(); !equalCounts(got, []int64{2, 10, 1, 2}) {
+		t.Fatalf("counts = %v, want [2 10 1 2]", got)
 	}
-	if got := h.Percentile(100); got != 100 {
-		t.Fatalf("p100 with +Inf observation = %v, want 100", got)
+	if got, want := h.Sum(), 20+0.5+1+4+4.5+100; got != want {
+		t.Fatalf("sum = %v, want %v", got, want)
+	}
+	if h.Count() != 15 {
+		t.Fatalf("count = %d, want 15", h.Count())
 	}
 }
 
@@ -71,46 +72,30 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(1e-5)
 	a.Observe(2e-3)
 	b.Observe(4e-2)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
+	b.Observe(1e3) // +Inf bucket
+	want := a.Counts()
+	for i, c := range b.Counts() {
+		want[i] += c
 	}
-	if got, want := a.Sum(), 1e-5+2e-3+4e-2; math.Abs(got-want) > 1e-15 {
+	a.Merge(b)
+	if got := a.Counts(); !equalCounts(got, want) {
+		t.Fatalf("merged counts = %v, want bucket-wise sum %v", got, want)
+	}
+	if a.Count() != 4 {
+		t.Fatalf("merged count = %d, want 4", a.Count())
+	}
+	if got, want := a.Sum(), 1e-5+2e-3+4e-2+1e3; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("merged sum = %v, want %v", got, want)
 	}
-	if a.Min() != 1e-5 || a.Max() != 4e-2 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	if b.Count() != 2 {
+		t.Fatalf("merge modified its source: count %d", b.Count())
 	}
-}
-
-// TestHistogramNearestRankEquivalence is the satellite gate for
-// replacing sort-based quantiles: on dense data the histogram-backed
-// percentile must agree with the exact nearest-rank sample percentile
-// to within one bucket's width.
-func TestHistogramNearestRankEquivalence(t *testing.T) {
-	// Fine uniform buckets over the data range.
-	const width = 1e-4
-	var bounds []float64
-	for b := width; b <= 0.1+width; b += width {
-		bounds = append(bounds, b)
-	}
-	h := NewHistogram(bounds)
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 0, 20000)
-	for i := 0; i < 20000; i++ {
-		v := rng.Float64() * 0.1
-		xs = append(xs, v)
-		h.Observe(v)
-	}
-	sort.Float64s(xs)
-	for _, p := range []float64{1, 10, 25, 50, 75, 90, 95, 99, 99.9} {
-		exact := NearestRank(xs, p)
-		est := h.Percentile(p)
-		if math.Abs(est-exact) > width {
-			t.Fatalf("p%v: histogram %v vs nearest-rank %v differ by more than bucket width %v",
-				p, est, exact, width)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging different bucket layouts did not panic")
 		}
-	}
+	}()
+	a.Merge(NewHistogram([]float64{1, 2}))
 }
 
 func TestNearestRankMatchesLegacyFormula(t *testing.T) {

@@ -66,7 +66,7 @@ func (s *Server) BacklogSeconds() float64 {
 func (s *Server) backlogLocked() float64 {
 	b := 0.0
 	for w, f := range s.schedModel {
-		if d := f - s.clocks[w]; d > 0 {
+		if d := f - s.workers[w].SimMakespan; d > 0 {
 			b += d
 		}
 	}

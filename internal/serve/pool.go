@@ -31,7 +31,8 @@ type deviceClass struct {
 // pool is the worker topology plus the scheduler's modeled finish time
 // per worker. sched is written only by the scheduler goroutine (at
 // dispatch), so EFT placement needs no locking and cannot race with
-// the workers' execution clocks: sched[w] leads clocks[w] by exactly
+// the workers' execution clocks: sched[w] leads the worker's clock
+// (Server.workers[w].SimMakespan) by exactly
 // the batches dispatched-but-not-finished, and the two converge to the
 // same value because both advance by the same job costs in the same
 // per-worker FIFO order.

@@ -28,7 +28,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -296,7 +298,6 @@ type tenantStats struct {
 	paddedRows    int64 // zero-padding rows across those batches
 	batchSizes    map[int]int64
 	simMakespan   float64
-	lat           latWindow
 	priLat        [numPriorities]latWindow
 	// stages accumulates the per-priority stage-latency decomposition
 	// over the tenant's lifetime (unbounded sums, unlike the latency
@@ -348,9 +349,6 @@ func (ts *tenantStats) merge(o *tenantStats) {
 	for k, v := range o.batchSizes {
 		ts.batchSizes[k] += v
 	}
-	for _, v := range o.lat.samples {
-		ts.lat.add(v)
-	}
 	for pri := range o.priLat {
 		for _, v := range o.priLat[pri].samples {
 			ts.priLat[pri].add(v)
@@ -367,16 +365,31 @@ func (ts *tenantStats) merge(o *tenantStats) {
 	}
 }
 
-// stagesSnapshot builds the exported per-priority breakdown map (only
-// classes with traffic appear).
-func (ts *tenantStats) stagesSnapshot() map[Priority]StageBreakdown {
-	out := make(map[Priority]StageBreakdown)
+// snapshot copies the counters into an exported Stats (only priority
+// classes with traffic appear in its maps). Variants, Devices and
+// BacklogSeconds are not tenantStats' to know; callers fill them.
+func (ts *tenantStats) snapshot() Stats {
+	st := Stats{
+		Requests:          ts.requests,
+		Batches:           ts.batches,
+		Evictions:         ts.evictions,
+		FailedBatches:     ts.failedBatches,
+		PaddedBatches:     ts.paddedBatches,
+		PaddedRows:        ts.paddedRows,
+		BatchSizes:        maps.Clone(ts.batchSizes),
+		SimMakespan:       ts.simMakespan,
+		PriorityLatencies: make(map[Priority][]float64),
+		Stages:            make(map[Priority]StageBreakdown),
+	}
 	for _, pri := range priorityOrder {
+		if w := ts.priLat[pri].snapshot(); w != nil {
+			st.PriorityLatencies[pri] = w
+		}
 		if ts.stages[pri].Count > 0 {
-			out[pri] = ts.stages[pri]
+			st.Stages[pri] = ts.stages[pri]
 		}
 	}
-	return out
+	return st
 }
 
 // tenant is one deployed model: its compiler, buckets, batching
@@ -463,21 +476,21 @@ type Server struct {
 	dispCosts []float64
 	dispLive  []bool
 
-	mu            sync.Mutex
-	closed        bool
-	flushing      bool // Close started: dispatch greedily, ignore windows
-	nextOrder     int
-	lruTick       int64              // variant use counter (LRU eviction order)
-	pendingTotal  int                // queued (absorbed, undispatched) requests across tenants
-	tenants       map[string]*tenant // live models by name
-	order         []*tenant          // live models in deploy order (scheduler scan + WRR ties)
-	retired       tenantStats        // merged counters of undeployed models (traffic stays counted)
-	workerCh      []chan batchJob
-	clocks        []float64 // per-worker simulated seconds
-	workerBusy    []float64 // per-worker simulated seconds spent executing
-	workerBatches []int64   // per-worker dispatched batches
-	workerPadded  []int64   // per-worker padded batches (bucket > rows)
-	workerFailed  []int64   // per-worker failed batches
+	mu           sync.Mutex
+	closed       bool
+	flushing     bool // Close started: dispatch greedily, ignore windows
+	nextOrder    int
+	lruTick      int64              // variant use counter (LRU eviction order)
+	pendingTotal int                // queued (absorbed, undispatched) requests across tenants
+	tenants      map[string]*tenant // live models by name
+	order        []*tenant          // live models in deploy order (scheduler scan + WRR ties)
+	retired      tenantStats        // merged counters of undeployed models (traffic stays counted)
+	workerCh     []chan batchJob
+	// workers are the per-worker rows Stats reports, kept current by
+	// runBatch: SimMakespan is the worker's simulated clock, and
+	// BusySeconds and the batch counters accumulate. UtilizationShare
+	// is filled only on the snapshot copies.
+	workers []DeviceStats
 	// schedModel mirrors the pool's scheduler-owned finish times under
 	// s.mu, so the backlog probe can read the EFT model from any
 	// goroutine without racing the scheduler.
@@ -509,21 +522,20 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	workers := len(opts.Devices)
 	s := &Server{
-		opts:          opts,
-		pool:          newPool(opts.Devices),
-		incoming:      make(chan *request, opts.QueueDepth),
-		kick:          make(chan struct{}, 1),
-		done:          make(chan struct{}),
-		compileSem:    make(chan struct{}, opts.CompileJobs),
-		tenants:       make(map[string]*tenant),
-		retired:       newTenantStats(),
-		workerCh:      make([]chan batchJob, workers),
-		clocks:        make([]float64, workers),
-		workerBusy:    make([]float64, workers),
-		workerBatches: make([]int64, workers),
-		workerPadded:  make([]int64, workers),
-		workerFailed:  make([]int64, workers),
-		schedModel:    make([]float64, workers),
+		opts:       opts,
+		pool:       newPool(opts.Devices),
+		incoming:   make(chan *request, opts.QueueDepth),
+		kick:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		compileSem: make(chan struct{}, opts.CompileJobs),
+		tenants:    make(map[string]*tenant),
+		retired:    newTenantStats(),
+		workerCh:   make([]chan batchJob, workers),
+		workers:    make([]DeviceStats, workers),
+		schedModel: make([]float64, workers),
+	}
+	for w, dev := range opts.Devices {
+		s.workers[w] = DeviceStats{Worker: w, Device: dev.Name}
 	}
 	s.dispCosts = make([]float64, len(s.pool.classes))
 	s.dispLive = make([]bool, len(s.pool.classes))
@@ -808,90 +820,35 @@ func (s *Server) ModelStats(name string) (Stats, bool) {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	agg := Stats{
-		Requests:          s.retired.requests,
-		Batches:           s.retired.batches,
-		Evictions:         s.retired.evictions,
-		FailedBatches:     s.retired.failedBatches,
-		PaddedBatches:     s.retired.paddedBatches,
-		PaddedRows:        s.retired.paddedRows,
-		BatchSizes:        make(map[int]int64),
-		Latencies:         s.retired.lat.snapshot(),
-		PriorityLatencies: make(map[Priority][]float64),
-		Stages:            s.retired.stagesSnapshot(),
-	}
-	for k, v := range s.retired.batchSizes {
-		agg.BatchSizes[k] = v
-	}
-	for _, pri := range priorityOrder {
-		if w := s.retired.priLat[pri].snapshot(); w != nil {
-			agg.PriorityLatencies[pri] = w
-		}
-	}
-	variants := make(map[int]bool)
+	return s.statsLocked()
+}
+
+// statsLocked is Stats for a caller holding s.mu: the retired
+// snapshot, plus every live tenant's, plus the server-level fields.
+func (s *Server) statsLocked() Stats {
+	agg := s.retired.snapshot()
 	for _, t := range s.order {
-		agg.Requests += t.stats.requests
-		agg.Batches += t.stats.batches
-		agg.Evictions += t.stats.evictions
-		agg.FailedBatches += t.stats.failedBatches
-		agg.PaddedBatches += t.stats.paddedBatches
-		agg.PaddedRows += t.stats.paddedRows
-		for k, v := range t.stats.batchSizes {
-			agg.BatchSizes[k] += v
-		}
-		for key, v := range t.variants {
-			if v.mod != nil && v.err == nil {
-				variants[key.bucket] = true
-			}
-		}
-		agg.Latencies = append(agg.Latencies, t.stats.lat.samples...)
-		for _, pri := range priorityOrder {
-			if w := t.stats.priLat[pri].samples; len(w) > 0 {
-				agg.PriorityLatencies[pri] = append(agg.PriorityLatencies[pri], w...)
-			}
-			if b := t.stats.stages[pri]; b.Count > 0 {
-				merged := agg.Stages[pri]
-				merged.Add(b)
-				agg.Stages[pri] = merged
-			}
-		}
+		agg.Add(t.snapshotLocked())
 	}
-	for b := range variants {
-		agg.Variants = append(agg.Variants, b)
-	}
-	sort.Ints(agg.Variants)
-	for _, c := range s.clocks {
-		if c > agg.SimMakespan {
-			agg.SimMakespan = c
-		}
-	}
+	agg.SimMakespan = s.simMakespanLocked()
 	agg.Devices = s.deviceStatsLocked()
 	agg.BacklogSeconds = s.backlogLocked()
 	return agg
 }
 
-// deviceStatsLocked builds the per-worker device rows (caller holds
-// s.mu). Batches sum to the aggregate batch count and utilization
-// shares to 1 (once any work ran), so per-device accounting is exact
-// against the aggregate.
+// deviceStatsLocked copies the per-worker rows and fills their
+// UtilizationShare (caller holds s.mu). Batches sum to the aggregate
+// batch count and utilization shares to 1 (once any work ran), so
+// per-device accounting is exact against the aggregate.
 func (s *Server) deviceStatsLocked() []DeviceStats {
 	total := 0.0
-	for _, b := range s.workerBusy {
-		total += b
+	for _, w := range s.workers {
+		total += w.BusySeconds
 	}
-	out := make([]DeviceStats, len(s.clocks))
-	for w := range out {
-		out[w] = DeviceStats{
-			Worker:        w,
-			Device:        s.pool.devices[w].Name,
-			Batches:       s.workerBatches[w],
-			FailedBatches: s.workerFailed[w],
-			PaddedBatches: s.workerPadded[w],
-			BusySeconds:   s.workerBusy[w],
-			SimMakespan:   s.clocks[w],
-		}
-		if total > 0 {
-			out[w].UtilizationShare = s.workerBusy[w] / total
+	out := slices.Clone(s.workers)
+	if total > 0 {
+		for w := range out {
+			out[w].UtilizationShare = out[w].BusySeconds / total
 		}
 	}
 	return out
@@ -914,48 +871,28 @@ func (s *Server) Pending() int {
 func (s *Server) SimMakespan() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.simMakespanLocked()
+}
+
+func (s *Server) simMakespanLocked() float64 {
 	var m float64
-	for _, c := range s.clocks {
-		if c > m {
-			m = c
-		}
+	for _, w := range s.workers {
+		m = max(m, w.SimMakespan)
 	}
 	return m
 }
 
-// snapshotLocked copies one tenant's counters (caller holds s.mu).
+// snapshotLocked is one tenant's Stats: its counters plus the buckets
+// with a live compiled variant (caller holds s.mu).
 func (t *tenant) snapshotLocked() Stats {
-	st := Stats{
-		Requests:          t.stats.requests,
-		Batches:           t.stats.batches,
-		Evictions:         t.stats.evictions,
-		FailedBatches:     t.stats.failedBatches,
-		PaddedBatches:     t.stats.paddedBatches,
-		PaddedRows:        t.stats.paddedRows,
-		BatchSizes:        make(map[int]int64, len(t.stats.batchSizes)),
-		SimMakespan:       t.stats.simMakespan,
-		Latencies:         t.stats.lat.snapshot(),
-		PriorityLatencies: make(map[Priority][]float64),
-		Stages:            t.stats.stagesSnapshot(),
-	}
-	for k, v := range t.stats.batchSizes {
-		st.BatchSizes[k] = v
-	}
-	buckets := make(map[int]bool)
+	st := t.stats.snapshot()
 	for key, v := range t.variants {
 		if v.mod != nil && v.err == nil {
-			buckets[key.bucket] = true
+			st.Variants = append(st.Variants, key.bucket)
 		}
 	}
-	for b := range buckets {
-		st.Variants = append(st.Variants, b)
-	}
-	sort.Ints(st.Variants)
-	for _, pri := range priorityOrder {
-		if w := t.stats.priLat[pri].snapshot(); w != nil {
-			st.PriorityLatencies[pri] = w
-		}
-	}
+	slices.Sort(st.Variants)
+	st.Variants = slices.Compact(st.Variants)
 	return st
 }
 
@@ -1887,26 +1824,27 @@ func (s *Server) runBatch(id int, job batchJob) {
 	// lead the clock forever and bias every later placement away from
 	// this worker). Only unpriceable batches (never committed) leave
 	// the clock untouched.
-	execStart := s.clocks[id]
+	w := &s.workers[id]
+	execStart := w.SimMakespan
 	if job.priced {
 		if job.arrival > execStart {
 			execStart = job.arrival
 		}
-		s.clocks[id] = execStart + job.cost
-		s.workerBusy[id] += job.cost
+		w.SimMakespan = execStart + job.cost
+		w.BusySeconds += job.cost
 	}
 	if fault.StallSimSeconds > 0 {
 		// A stalled device stream: the batch (and every later start on
 		// this worker) is late by the stall, but no useful work was
 		// bought, so busy seconds stay untouched.
-		s.clocks[id] += fault.StallSimSeconds
+		w.SimMakespan += fault.StallSimSeconds
 	}
-	s.workerBatches[id]++
+	w.Batches++
 	if err != nil {
-		s.workerFailed[id]++
+		w.FailedBatches++
 	}
-	doneAt := s.clocks[id]
-	device := s.pool.devices[id].Name
+	doneAt := w.SimMakespan
+	device := w.Device
 	st := &job.t.stats
 	if job.t.removed {
 		// The tenant was undeployed while this batch was in flight; its
@@ -1922,7 +1860,7 @@ func (s *Server) runBatch(id int, job batchJob) {
 	if b > n {
 		st.paddedBatches++
 		st.paddedRows += int64(b - n)
-		s.workerPadded[id]++
+		w.PaddedBatches++
 	}
 	if doneAt > st.simMakespan {
 		st.simMakespan = doneAt
@@ -1935,7 +1873,6 @@ func (s *Server) runBatch(id int, job batchJob) {
 	if err == nil {
 		for i, r := range job.reqs {
 			lat := doneAt - r.simArrival
-			st.lat.add(lat)
 			st.priLat[r.priority].add(lat)
 			f, q, e := splitStages(lat, job.arrival-r.simArrival, execStart-job.arrival)
 			stages[i] = [3]float64{f, q, e}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -470,8 +471,9 @@ func TestNormalizeBucketsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLatencyPercentileEdgeCases is the satellite coverage for the
-// percentile math: empty window, p=0, p=100, and a single sample.
+// TestLatencyPercentileEdgeCases covers the percentile math: empty
+// windows, p=0, p=100, a single sample, and several priority windows
+// ranked together.
 func TestLatencyPercentileEdgeCases(t *testing.T) {
 	empty := Stats{}
 	if got := empty.LatencyPercentile(50); got != 0 {
@@ -480,18 +482,15 @@ func TestLatencyPercentileEdgeCases(t *testing.T) {
 	if got := empty.PriorityPercentile(PriorityHigh, 99); got != 0 {
 		t.Errorf("empty priority window p99 = %g, want 0", got)
 	}
-	single := Stats{Latencies: []float64{7.5}}
+	single := Stats{PriorityLatencies: map[Priority][]float64{PriorityNormal: {7.5}}}
 	for _, p := range []float64{0, 50, 100} {
 		if got := single.LatencyPercentile(p); got != 7.5 {
 			t.Errorf("single sample p%g = %g, want 7.5", p, got)
 		}
 	}
-	s := Stats{
-		Latencies: []float64{4, 1, 3, 2}, // unordered on purpose
-		PriorityLatencies: map[Priority][]float64{
-			PriorityBulk: {30, 10, 20},
-		},
-	}
+	s := Stats{PriorityLatencies: map[Priority][]float64{
+		PriorityNormal: {4, 1, 3, 2}, // unordered on purpose
+	}}
 	if got := s.LatencyPercentile(0); got != 1 {
 		t.Errorf("p0 = %g, want the minimum 1", got)
 	}
@@ -507,10 +506,85 @@ func TestLatencyPercentileEdgeCases(t *testing.T) {
 	if got := s.LatencyPercentile(250); got != 4 {
 		t.Errorf("p>100 = %g, want clamped to maximum 4", got)
 	}
+	if got := s.PriorityPercentile(PriorityHigh, 50); got != 0 {
+		t.Errorf("missing priority window p50 = %g, want 0", got)
+	}
+	// Two windows rank as one: the seven samples 1,2,3,4,10,20,30 put
+	// nearest-rank p50 (rank 4) at 4 and p75 (rank 6) at 20, values
+	// neither window reaches alone at that percentile.
+	s.PriorityLatencies[PriorityBulk] = []float64{30, 10, 20}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {50, 4}, {75, 20}, {100, 30}} {
+		if got := s.LatencyPercentile(c.p); got != c.want {
+			t.Errorf("two windows p%g = %g, want %g", c.p, got, c.want)
+		}
+	}
 	if got := s.PriorityPercentile(PriorityBulk, 100); got != 30 {
 		t.Errorf("bulk p100 = %g, want 30", got)
 	}
-	if got := s.PriorityPercentile(PriorityHigh, 50); got != 0 {
-		t.Errorf("missing priority window p50 = %g, want 0", got)
+	if got := s.PriorityPercentile(PriorityNormal, 100); got != 4 {
+		t.Errorf("normal p100 = %g, want 4", got)
+	}
+}
+
+// TestStatsAddCoversEveryField sets every exported Stats field of o to
+// a non-zero value and adds o into a zero Stats: a field that stays
+// zero has no Add rule, so a field added later without one fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var o Stats
+	v := reflect.ValueOf(&o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		setNonZero(t, v.Type().Field(i).Name, f)
+	}
+	var agg Stats
+	agg.Add(o)
+	a := reflect.ValueOf(agg)
+	for i := 0; i < a.NumField(); i++ {
+		if a.Type().Field(i).IsExported() && a.Field(i).IsZero() {
+			t.Errorf("Stats.%s is still zero after Add: it has no combining rule", a.Type().Field(i).Name)
+		}
+	}
+	if !reflect.DeepEqual(agg, o) {
+		t.Errorf("zero.Add(o) = %+v, want o = %+v", agg, o)
+	}
+}
+
+// setNonZero fills f with a non-zero value of its kind: 1 for numbers,
+// a one-element slice or map for collections (element and key filled
+// recursively), every exported field for structs.
+func setNonZero(t *testing.T, name string, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.SetInt(1)
+	case reflect.Float64:
+		f.SetFloat(1)
+	case reflect.String:
+		f.SetString("x")
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Slice:
+		e := reflect.New(f.Type().Elem()).Elem()
+		setNonZero(t, name, e)
+		f.Set(reflect.Append(reflect.MakeSlice(f.Type(), 0, 1), e))
+	case reflect.Map:
+		k := reflect.New(f.Type().Key()).Elem()
+		e := reflect.New(f.Type().Elem()).Elem()
+		setNonZero(t, name, k)
+		setNonZero(t, name, e)
+		m := reflect.MakeMap(f.Type())
+		m.SetMapIndex(k, e)
+		f.Set(m)
+	case reflect.Struct:
+		for i := 0; i < f.NumField(); i++ {
+			if f.Type().Field(i).IsExported() {
+				setNonZero(t, name, f.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("Stats.%s: no non-zero value for kind %s; extend setNonZero", name, f.Kind())
 	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"slices"
+
 	"bolt/internal/obs"
 )
 
@@ -117,15 +119,13 @@ type Stats struct {
 	// so far: for a model snapshot, the simulated clock when its last
 	// batch finished; for the aggregate, the largest worker clock.
 	SimMakespan float64
-	// Latencies holds recent requests' SimLatency values, unordered:
-	// for a model snapshot, its last latencyWindow completions; for the
-	// aggregate, each model's window concatenated (so the total is
-	// bounded by models x latencyWindow, and every tenant's recent
-	// traffic is represented regardless of its request rate). Either
-	// way a long-running server's stats stay O(1) in lifetime traffic.
-	Latencies []float64
-	// PriorityLatencies holds the same bounded windows split by request
-	// priority (for per-priority percentiles).
+	// PriorityLatencies holds recent requests' SimLatency values split
+	// by request priority, each window unordered: for a model snapshot,
+	// its last latencyWindow completions of that priority; for an
+	// aggregate, the same windows concatenated across models (and
+	// replicas), so every tenant's recent traffic is represented
+	// regardless of its request rate. Either way a long-running
+	// server's stats stay O(1) in lifetime traffic.
 	PriorityLatencies map[Priority][]float64
 	// Stages is the per-priority stage-latency breakdown (only
 	// priorities that served traffic appear). Unlike the bounded
@@ -181,8 +181,7 @@ type StageBreakdown struct {
 	Latency float64
 }
 
-// Add folds another breakdown into this one (the fleet layer uses it
-// to aggregate replica breakdowns).
+// Add folds another breakdown into this one.
 func (b *StageBreakdown) Add(o StageBreakdown) {
 	b.Count += o.Count
 	b.FormationWait += o.FormationWait
@@ -190,6 +189,50 @@ func (b *StageBreakdown) Add(o StageBreakdown) {
 	b.Execute += o.Execute
 	b.Deliver += o.Deliver
 	b.Latency += o.Latency
+}
+
+// Add folds another snapshot into this one. It is the one rule by
+// which serving stats combine — a server's tenants into its aggregate,
+// a fleet's replicas into theirs: counters and BacklogSeconds add,
+// BatchSizes add per bucket, the latency windows concatenate, Stages
+// add, Devices append, Variants become the sorted union, and
+// SimMakespan takes the larger value. s must own its maps and slices
+// (a zero Stats does); o is only read.
+func (s *Stats) Add(o Stats) {
+	s.Requests += o.Requests
+	s.Batches += o.Batches
+	s.Evictions += o.Evictions
+	s.FailedBatches += o.FailedBatches
+	s.BacklogSeconds += o.BacklogSeconds
+	s.PaddedBatches += o.PaddedBatches
+	s.PaddedRows += o.PaddedRows
+	if s.BatchSizes == nil {
+		s.BatchSizes = make(map[int]int64, len(o.BatchSizes))
+	}
+	for k, v := range o.BatchSizes {
+		s.BatchSizes[k] += v
+	}
+	for _, b := range o.Variants {
+		if i, found := slices.BinarySearch(s.Variants, b); !found {
+			s.Variants = slices.Insert(s.Variants, i, b)
+		}
+	}
+	s.Devices = append(s.Devices, o.Devices...)
+	s.SimMakespan = max(s.SimMakespan, o.SimMakespan)
+	if s.PriorityLatencies == nil {
+		s.PriorityLatencies = make(map[Priority][]float64, len(o.PriorityLatencies))
+	}
+	for pri, w := range o.PriorityLatencies {
+		s.PriorityLatencies[pri] = append(s.PriorityLatencies[pri], w...)
+	}
+	if s.Stages == nil {
+		s.Stages = make(map[Priority]StageBreakdown, len(o.Stages))
+	}
+	for pri, b := range o.Stages {
+		merged := s.Stages[pri]
+		merged.Add(b)
+		s.Stages[pri] = merged
+	}
 }
 
 // splitStages decomposes one request's end-to-end latency into
@@ -240,15 +283,15 @@ func (s Stats) Throughput() float64 {
 }
 
 // LatencyPercentile returns the p-th percentile (0..100) of request
-// latencies, in simulated seconds, by the nearest-rank method
-// (ceil(p/100*n)), so small sample windows do not understate the tail.
-// The bench artifacts' p50/p99 fields derive from these bounded
-// windows, so this path stays exact; the histogram-backed estimates
-// (obs.Histogram.Percentile) serve the unbounded per-stage breakdowns
-// in Server.Snapshot, tied to this one by an equivalence test on dense
-// data.
+// latencies, in simulated seconds, ranking every PriorityLatencies
+// window together by the nearest-rank method (ceil(p/100*n)), so small
+// sample windows do not understate the tail.
 func (s Stats) LatencyPercentile(p float64) float64 {
-	return obs.NearestRank(s.Latencies, p)
+	var all []float64
+	for _, w := range s.PriorityLatencies {
+		all = append(all, w...)
+	}
+	return obs.NearestRank(all, p)
 }
 
 // PriorityPercentile is LatencyPercentile restricted to one priority
