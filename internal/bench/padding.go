@@ -77,9 +77,10 @@ type paddingResult struct {
 
 // floodPadding replays the prepared request stream against one policy
 // and returns the aggregate stats. Batch composition is deterministic:
-// the variant compiles are gated shut until the scheduler has absorbed
-// the entire stream (nothing can be priced, so nothing can dispatch),
-// then the gate opens and every planning decision sees the full queue —
+// the variant compiles are gated shut until the entire stream is queued
+// (nothing can be priced, so nothing can dispatch; InferAsync returns
+// with its request already queued), then the gate opens and every
+// planning decision sees the full queue —
 // host scheduling noise cannot change which rows coalesce. From there
 // the outcome depends only on modeled costs and simulated arrivals.
 func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddingPolicy, inputs []map[string]*tensor.Tensor, arrivals []float64) serve.Stats {
@@ -115,9 +116,6 @@ func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddin
 			panic(err)
 		}
 		chans[i] = ch
-	}
-	for srv.Pending() < len(inputs) {
-		time.Sleep(200 * time.Microsecond)
 	}
 	close(gate)
 	for _, ch := range chans {

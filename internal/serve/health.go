@@ -43,12 +43,13 @@ type FaultHook func(worker int) BatchFault
 // simulated seconds of work that is accepted but not yet finished.
 // It is the sum of
 //
-//   - in-flight work: per worker, the scheduler's committed finish
-//     time minus the worker's execution clock (the batches dispatched
-//     but not yet retired — exactly the gap the pool's finish-time
-//     model maintains), and
-//   - queued work: per tenant, the modeled cost of draining its
-//     accepted rows as a greedy chain of exact buckets, priced with
+//   - in-flight work: per worker, the pool's committed finish time
+//     minus the worker's execution clock (the batches dispatched but
+//     not yet retired — exactly the gap the pool's finish-time model
+//     maintains), and
+//   - queued work: per tenant, the modeled cost of draining its queued
+//     rows (a request counts from the moment InferTo returns) as a
+//     greedy chain of exact buckets, priced with
 //     the same memoized per-class costs EFT dispatch uses (unpriced
 //     buckets — cold tenants whose pricing compiles are still in
 //     flight — contribute zero rather than blocking the probe).
@@ -65,13 +66,13 @@ func (s *Server) BacklogSeconds() float64 {
 // backlogLocked computes the modeled backlog (caller holds s.mu).
 func (s *Server) backlogLocked() float64 {
 	b := 0.0
-	for w, f := range s.schedModel {
+	for w, f := range s.pool.sched {
 		if d := f - s.workers[w].SimMakespan; d > 0 {
 			b += d
 		}
 	}
 	for _, t := range s.order {
-		m := t.accepted
+		m := t.pending
 		for m > 0 {
 			k := bucketFor(t.buckets, m)
 			if c := s.minClassCostLocked(t, k); !math.IsInf(c, 1) {

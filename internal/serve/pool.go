@@ -18,8 +18,8 @@ import (
 // finish time (clock + cost) is smallest. Big buckets therefore
 // gravitate to the fast device while small batches keep the slower
 // streams busy, and the whole placement sequence is deterministic —
-// the pool's finish-time model is owned by the scheduler goroutine and
-// advanced at dispatch, never read from the racy execution clocks.
+// the pool's finish-time model is advanced at dispatch under
+// Server.mu, never read from the racy execution clocks.
 
 // deviceClass is one group of same-device workers. Variants and batch
 // costs are cached per class, not per worker.
@@ -29,18 +29,18 @@ type deviceClass struct {
 }
 
 // pool is the worker topology plus the scheduler's modeled finish time
-// per worker. sched is written only by the scheduler goroutine (at
-// dispatch), so EFT placement needs no locking and cannot race with
-// the workers' execution clocks: sched[w] leads the worker's clock
-// (Server.workers[w].SimMakespan) by exactly
-// the batches dispatched-but-not-finished, and the two converge to the
-// same value because both advance by the same job costs in the same
-// per-worker FIFO order.
+// per worker. sched is guarded by Server.mu: the scheduler places and
+// commits under it at dispatch, and the planner and the backlog probe
+// read it under it. It never reads the workers' execution clocks:
+// sched[w] leads the worker's clock (Server.workers[w].SimMakespan) by
+// exactly the batches dispatched-but-not-finished, and the two converge
+// to the same value because both advance by the same job costs in the
+// same per-worker FIFO order.
 type pool struct {
 	devices []*gpu.Device // worker index -> device
 	classes []deviceClass
 	classOf []int     // worker index -> class id
-	sched   []float64 // modeled finish time per worker (scheduler-owned)
+	sched   []float64 // modeled finish time per worker (guarded by Server.mu)
 }
 
 // newPool groups one worker per device into device classes (by device

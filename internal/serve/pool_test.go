@@ -122,8 +122,9 @@ func TestServerHeteroDispatchAndDeviceStats(t *testing.T) {
 	defer s.Close()
 	// An hour-long window holds bulk rows for full buckets, so the 64
 	// requests always run as 16 batches of 4. With a zero window the
-	// batch sizes followed how many arrivals the scheduler had absorbed,
-	// which made the per-device row counts depend on host timing.
+	// batch sizes followed how many requests were queued when the
+	// scheduler looked, which made the per-device row counts depend on
+	// host timing.
 	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 4}, BatchWindow: time.Hour}); err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,9 @@ type Result struct {
 }
 
 // Sink receives one request's Result. The server calls Deliver exactly
-// once per accepted request, from one of its own goroutines (a worker,
-// the scheduler, or an Undeploy caller) and never while holding its
-// locks, so Deliver must not block: it runs on the path that feeds
+// once per accepted request, from a worker goroutine (or from the
+// Undeploy caller that orphaned the request) and never while holding
+// its locks, so Deliver must not block: it runs on the path that feeds
 // every later batch.
 type Sink interface {
 	Deliver(Result)
@@ -125,11 +125,9 @@ type ServerOptions struct {
 	// cache). Dispatch is cost-aware earliest-finish-time across the
 	// pool. It must hold at least one device and no nil entry.
 	Devices []*gpu.Device
-	// QueueDepth is the pending-request capacity across all models:
-	// the scheduler stops absorbing arrivals once the queued backlog
-	// reaches it, so producers fill the same-sized channel behind it
-	// and Infer blocks (backpressure; total buffered requests are
-	// bounded by ~2x QueueDepth). Values < 1 mean 1024.
+	// QueueDepth bounds the accepted-but-undispatched requests across
+	// all models: Infer blocks once QueueDepth of them await dispatch
+	// (backpressure). Values < 1 mean 1024.
 	QueueDepth int
 	// BatchWindow is the default batch window for models whose
 	// DeployOptions leave it zero: how long the batcher holds an
@@ -396,7 +394,6 @@ func (ts *tenantStats) snapshot() Stats {
 // policy, per-priority queues, per-device variant cache, and counters.
 type tenant struct {
 	name            string
-	order           int // deploy order (WRR tie-break, deterministic iteration)
 	compile         CompileFunc
 	buckets         []int // sorted ascending, 1 always present
 	window          time.Duration
@@ -409,14 +406,11 @@ type tenant struct {
 	// must never reach the planner, whatever its flags say.
 	planRuns int64
 
-	wrr     int // smooth weighted-round-robin current weight
-	queues  [numPriorities][]*request
-	pending int
-	// accepted counts requests accepted by InferAsync and not yet taken
-	// into a batch — a superset of pending that also covers requests
-	// still in flight to the scheduler's queues, so the backlog probe
-	// sees a request the moment InferAsync returns.
-	accepted int
+	wrr    int // smooth weighted-round-robin current weight
+	queues [numPriorities][]*request
+	// pending counts queued requests: accepted by InferTo and not yet
+	// taken into a batch.
+	pending  int
 	removed  bool
 	variants map[vkey]*variant
 	// costs memoizes each (class, bucket)'s modeled batch cost past the
@@ -459,16 +453,14 @@ func (t *tenant) adaptive() bool {
 type Server struct {
 	opts ServerOptions
 
-	incoming   chan *request
-	kick       chan struct{} // nudges the scheduler (Close, Undeploy)
+	kick       chan struct{} // nudges the scheduler (arrival, Close, Undeploy, pricing)
 	done       chan struct{} // scheduler exited
 	wg         sync.WaitGroup
 	inflight   sync.WaitGroup
 	compileSem chan struct{} // bounds concurrent variant compiles
 
 	// pool is the worker topology (device classes) plus the scheduler's
-	// modeled finish times; its sched slice is touched only by the
-	// scheduler goroutine.
+	// modeled finish times; its sched slice is guarded by mu.
 	pool *pool
 	// Scheduler-goroutine scratch, reused across batches: nextJob's
 	// ready tenants and dispatch's per-class costs and liveness.
@@ -476,12 +468,15 @@ type Server struct {
 	dispCosts []float64
 	dispLive  []bool
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// room is broadcast (over mu) whenever pendingTotal drops, a model
+	// is undeployed, or Close starts: InferTo waits on it while the
+	// queues are full.
+	room         sync.Cond
 	closed       bool
-	flushing     bool // Close started: dispatch greedily, ignore windows
-	nextOrder    int
+	flushing     bool               // Close started: dispatch greedily, ignore windows
 	lruTick      int64              // variant use counter (LRU eviction order)
-	pendingTotal int                // queued (absorbed, undispatched) requests across tenants
+	pendingTotal int                // queued (accepted, undispatched) requests across tenants
 	tenants      map[string]*tenant // live models by name
 	order        []*tenant          // live models in deploy order (scheduler scan + WRR ties)
 	retired      tenantStats        // merged counters of undeployed models (traffic stays counted)
@@ -491,13 +486,9 @@ type Server struct {
 	// BusySeconds and the batch counters accumulate. UtilizationShare
 	// is filled only on the snapshot copies.
 	workers []DeviceStats
-	// schedModel mirrors the pool's scheduler-owned finish times under
-	// s.mu, so the backlog probe can read the EFT model from any
-	// goroutine without racing the scheduler.
-	schedModel []float64
-	// nextReq assigns request ids in InferAsync acceptance order
-	// (guarded by s.mu), correlating a request's spans across the
-	// scheduler, worker, and fleet layers.
+	// nextReq assigns request ids in InferTo acceptance order, which is
+	// also queue order (guarded by s.mu), correlating a request's spans
+	// across the scheduler, worker, and fleet layers.
 	nextReq int64
 
 	// Tracing (nil/empty when ServerOptions.Trace is unset). Each
@@ -524,7 +515,6 @@ func NewServer(opts ServerOptions) *Server {
 	s := &Server{
 		opts:       opts,
 		pool:       newPool(opts.Devices),
-		incoming:   make(chan *request, opts.QueueDepth),
 		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		compileSem: make(chan struct{}, opts.CompileJobs),
@@ -532,8 +522,8 @@ func NewServer(opts ServerOptions) *Server {
 		retired:    newTenantStats(),
 		workerCh:   make([]chan batchJob, workers),
 		workers:    make([]DeviceStats, workers),
-		schedModel: make([]float64, workers),
 	}
+	s.room.L = &s.mu
 	for w, dev := range opts.Devices {
 		s.workers[w] = DeviceStats{Worker: w, Device: dev.Name}
 	}
@@ -595,7 +585,6 @@ func (s *Server) Deploy(name string, compile CompileFunc, opts DeployOptions) er
 	}
 	t := &tenant{
 		name:            name,
-		order:           s.nextOrder,
 		compile:         compile,
 		buckets:         buckets,
 		minCost:         minCost,
@@ -608,7 +597,6 @@ func (s *Server) Deploy(name string, compile CompileFunc, opts DeployOptions) er
 		costs:           make(map[vkey]float64),
 		stats:           newTenantStats(),
 	}
-	s.nextOrder++
 	s.tenants[name] = t
 	s.order = append(s.order, t)
 	return nil
@@ -645,6 +633,7 @@ func (s *Server) Undeploy(name string) error {
 	}
 	s.pendingTotal -= t.pending
 	t.pending = 0
+	s.room.Broadcast()
 	s.mu.Unlock()
 	for _, r := range orphans {
 		s.respond(r, Result{
@@ -697,12 +686,22 @@ func (s *Server) InferAsync(model string, inputs map[string]*tensor.Tensor, opts
 // channel. A caller that routes results onward (the fleet router) reacts
 // inside Deliver without a goroutine of its own waiting per request. An
 // error means the request was not accepted and sink is never called.
-// Like InferAsync, it blocks while the server's queue is full.
+// Like InferAsync, it blocks while QueueDepth accepted requests await
+// dispatch; a producer still blocked when Close starts gets ErrClosed.
+// When it returns nil the request is already in its tenant's queue.
 func (s *Server) InferTo(model string, inputs map[string]*tensor.Tensor, opts InferOptions, sink Sink) error {
 	if opts.Priority < 0 || opts.Priority >= numPriorities {
 		return fmt.Errorf("serve: unknown priority %d", opts.Priority)
 	}
+	arrival := opts.SimArrival
+	if arrival < 0 {
+		arrival = 0
+	}
 	s.mu.Lock()
+	// Wait for room in the queues; Close or an Undeploy ends the wait.
+	for !s.closed && s.pendingTotal >= s.opts.QueueDepth && s.tenants[model] != nil {
+		s.room.Wait()
+	}
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
@@ -714,9 +713,7 @@ func (s *Server) InferTo(model string, inputs map[string]*tensor.Tensor, opts In
 	}
 	s.inflight.Add(1)
 	t.stats.requests++
-	t.accepted++
 	s.nextReq++
-	id := s.nextReq
 	wait := opts.MaxWait
 	if opts.Priority == PriorityHigh {
 		wait = 0 // high ignores MaxWait: it dispatches immediately
@@ -727,21 +724,19 @@ func (s *Server) InferTo(model string, inputs map[string]*tensor.Tensor, opts In
 			wait = t.window
 		}
 	}
-	s.mu.Unlock()
-	arrival := opts.SimArrival
-	if arrival < 0 {
-		arrival = 0
-	}
-	r := &request{
+	t.queues[opts.Priority] = append(t.queues[opts.Priority], &request{
 		t:          t,
-		id:         id,
+		id:         s.nextReq,
 		inputs:     inputs,
 		sink:       sink,
 		priority:   opts.Priority,
 		deadline:   time.Now().Add(wait),
 		simArrival: arrival,
-	}
-	s.incoming <- r
+	})
+	t.pending++
+	s.pendingTotal++
+	s.mu.Unlock()
+	s.nudge()
 	return nil
 }
 
@@ -854,18 +849,6 @@ func (s *Server) deviceStatsLocked() []DeviceStats {
 	return out
 }
 
-// Pending returns the number of accepted, not-yet-dispatched requests
-// across all models. Benchmarks that want a deterministic batch
-// composition gate the first dispatch (e.g. behind the compile
-// function) and poll Pending until every enqueued request is visible to
-// the scheduler, so planning always sees the whole queue regardless of
-// wall-clock scheduling noise.
-func (s *Server) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pendingTotal
-}
-
 // SimMakespan returns the largest worker clock without building the
 // full aggregate snapshot.
 func (s *Server) SimMakespan() float64 {
@@ -896,10 +879,10 @@ func (t *tenant) snapshotLocked() Stats {
 	return st
 }
 
-// Close rejects new requests, flushes and answers every accepted
-// request (batch windows are cut short), and stops the scheduler and
-// workers; in-flight compiles have finished when it returns. Safe to
-// call more than once.
+// Close rejects new requests — producers blocked on a full queue get
+// ErrClosed — flushes and answers every accepted request (batch windows
+// are cut short), and stops the scheduler and workers; in-flight
+// compiles have finished when it returns. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -910,10 +893,10 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.flushing = true
+	s.room.Broadcast()
 	s.mu.Unlock()
 	s.nudge()
 	s.inflight.Wait()
-	close(s.incoming)
 	<-s.done
 	s.wg.Wait()
 }
@@ -932,30 +915,10 @@ func (s *Server) respond(r *request, res Result) {
 	s.inflight.Done()
 }
 
-// enqueue moves an accepted request into its tenant's priority queue
-// (or answers it immediately if the tenant was undeployed in between).
-func (s *Server) enqueue(r *request) {
-	s.mu.Lock()
-	removed := r.t.removed
-	if !removed {
-		r.t.queues[r.priority] = append(r.t.queues[r.priority], r)
-		r.t.pending++
-		s.pendingTotal++
-	}
-	s.mu.Unlock()
-	if removed {
-		s.respond(r, Result{
-			Err:      fmt.Errorf("serve: model %q undeployed: %w", r.t.name, ErrNotDeployed),
-			Model:    r.t.name,
-			Priority: r.priority,
-		})
-	}
-}
-
-// schedule is the scheduler loop: it absorbs arrivals into per-tenant
-// priority queues and dispatches ready batches to workers by modeled
-// earliest finish time across the device pool (deterministic,
-// cost-aware load balance across the simulated streams). Tenant
+// schedule is the scheduler loop: it dispatches ready batches from the
+// per-tenant priority queues to workers by modeled earliest finish
+// time across the device pool (deterministic, cost-aware load balance
+// across the simulated streams). Tenant
 // selection is weighted round-robin; within a tenant, batches drain
 // high-priority requests first.
 func (s *Server) schedule() {
@@ -968,17 +931,14 @@ func (s *Server) schedule() {
 		}
 		close(s.done)
 	}()
-	open := true // incoming not yet closed
 	for {
-		open = s.drainIncoming(open)
 		if job := s.nextJob(time.Now()); job != nil {
 			s.dispatch(job)
 			continue
 		}
-		if !open && !s.hasPending() {
+		if !s.await() {
 			return
 		}
-		s.await(open)
 	}
 }
 
@@ -986,8 +946,9 @@ func (s *Server) schedule() {
 // commits that worker's modeled finish time, and hands the batch over.
 // Every device class is already priced when a batch reaches here
 // (nextJob defers un-priced buckets to background pricing compiles),
-// so pricing is a single locked read of the cost memo. On homogeneous
-// pools with equal costs EFT degenerates to round-robin; with mixed
+// so pricing, placement and commit are one locked section over the
+// cost memo and the pool's finish-time model. On homogeneous pools
+// with equal costs EFT degenerates to round-robin; with mixed
 // devices the fast class absorbs proportionally more work, and a full
 // bucket never waits while any worker's modeled finish time would
 // admit it earlier.
@@ -1015,19 +976,12 @@ func (s *Server) dispatch(job *batchJob) {
 			costs[c], live[c] = math.Inf(1), false
 		}
 	}
-	s.mu.Unlock()
 	pl := s.pool.place(costs, live, job.arrival)
+	s.pool.commit(pl)
+	s.mu.Unlock()
 	job.worker, job.class = pl.worker, pl.class
 	if !math.IsInf(pl.finish, 1) {
 		job.cost, job.priced = costs[pl.class], true
-	}
-	s.pool.commit(pl)
-	if job.priced {
-		// Mirror the committed finish time under s.mu for the backlog
-		// probe (the pool's own sched stays scheduler-private).
-		s.mu.Lock()
-		s.schedModel[pl.worker] = pl.finish
-		s.mu.Unlock()
 	}
 	if s.tr != nil {
 		var eft strings.Builder
@@ -1058,19 +1012,24 @@ func (s *Server) dispatch(job *batchJob) {
 	s.workerCh[pl.worker] <- *job
 }
 
+// resolvedLocked reports whether a variant has a resolved price: a
+// memoized cost, or a compile that completed with an error (caller
+// holds s.mu).
+func resolvedLocked(t *tenant, key vkey) bool {
+	if _, ok := t.costs[key]; ok {
+		return true
+	}
+	v := t.variants[key]
+	return v != nil && v.err != nil
+}
+
 // bucketPricedLocked reports whether every device class has a resolved
-// price for the bucket: a memoized cost, or a compile that completed
-// with an error (caller holds s.mu).
+// price for the bucket (caller holds s.mu).
 func (s *Server) bucketPricedLocked(t *tenant, k int) bool {
 	for c := range s.pool.classes {
-		key := vkey{class: c, bucket: k}
-		if _, ok := t.costs[key]; ok {
-			continue
+		if !resolvedLocked(t, vkey{class: c, bucket: k}) {
+			return false
 		}
-		if v := t.variants[key]; v != nil && v.err != nil {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -1106,17 +1065,8 @@ func (s *Server) priceBucket(t *tenant, k int) {
 	defer s.wg.Done()
 	var wg sync.WaitGroup
 	for c := range s.pool.classes {
-		key := vkey{class: c, bucket: k}
 		s.mu.Lock()
-		done := t.removed
-		if !done {
-			_, done = t.costs[key]
-		}
-		if !done {
-			if v := t.variants[key]; v != nil && v.err != nil {
-				done = true
-			}
-		}
+		done := t.removed || resolvedLocked(t, vkey{class: c, bucket: k})
 		s.mu.Unlock()
 		if done {
 			continue
@@ -1134,46 +1084,20 @@ func (s *Server) priceBucket(t *tenant, k int) {
 	s.nudge()
 }
 
-// drainIncoming absorbs requests already queued on the incoming
-// channel without blocking, stopping once the absorbed backlog reaches
-// QueueDepth (further arrivals stay in the channel, so producers feel
-// backpressure). Returns whether the channel is still open.
-func (s *Server) drainIncoming(open bool) bool {
-	for open {
-		if s.queuesFull() {
-			return true
-		}
-		select {
-		case r, ok := <-s.incoming:
-			if !ok {
-				return false
-			}
-			s.enqueue(r)
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// queuesFull reports whether the absorbed backlog has reached the
-// configured QueueDepth.
-func (s *Server) queuesFull() bool {
+// await blocks until something can have changed the schedule — a
+// nudge (arrival, Close, Undeploy, a finished pricing compile) or the
+// nearest request deadline — and reports false instead once the server
+// is closed and every queue is drained.
+func (s *Server) await() bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pendingTotal >= s.opts.QueueDepth
-}
-
-// await blocks until something can have changed the schedule: a new
-// arrival (only while the backlog has room), a nudge (Close/Undeploy),
-// or the nearest request deadline.
-func (s *Server) await(open bool) {
-	var inCh chan *request
-	if open && !s.queuesFull() {
-		inCh = s.incoming
+	if s.closed && s.pendingTotal == 0 {
+		s.mu.Unlock()
+		return false
 	}
+	wait, ok := s.nearestDeadlineLocked(time.Now())
+	s.mu.Unlock()
 	var timerC <-chan time.Time
-	if wait, ok := s.nearestDeadline(time.Now()); ok {
+	if ok {
 		// An already-expired deadline (floored to 0) can reach here
 		// only while a batch waits on a background pricing compile —
 		// nextJob dispatches expired work otherwise. Poll at 1ms
@@ -1187,38 +1111,20 @@ func (s *Server) await(open bool) {
 		timerC = timer.C
 	}
 	select {
-	case r, ok := <-inCh:
-		if ok {
-			s.enqueue(r)
-		}
-		// A closed channel is noticed by the next drainIncoming.
 	case <-s.kick:
 	case <-timerC:
 	}
+	return true
 }
 
-// hasPending reports whether any tenant has queued requests.
-func (s *Server) hasPending() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.order {
-		if t.pending > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// nearestDeadline returns how long until the earliest queued request's
+// nearestDeadlineLocked returns how long until the earliest queued request's
 // deadline (clamped to >= 0), or ok=false when nothing is queued. The
 // scan is O(queued requests) because MaxWait can vary per request
 // (FIFO heads are not necessarily earliest); at this simulation's
-// scale (queues bounded near QueueDepth) that is deliberate — an
+// scale (queues bounded by QueueDepth) that is deliberate — an
 // incremental per-queue minimum is the upgrade path if servers ever
-// hold very deep backlogs.
-func (s *Server) nearestDeadline(now time.Time) (time.Duration, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// hold very deep backlogs (caller holds s.mu).
+func (s *Server) nearestDeadlineLocked(now time.Time) (time.Duration, bool) {
 	var wait time.Duration
 	found := false
 	for _, t := range s.order {
@@ -1258,7 +1164,7 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 		s.ready = ready[:0]
 	}()
 	for _, t := range s.order {
-		if t.pending == 0 || t.removed {
+		if t.pending == 0 {
 			continue
 		}
 		if (t.continuous && t.adaptive()) || s.flushing || len(t.queues[PriorityHigh]) > 0 || t.pending >= t.maxBucket() {
@@ -1288,14 +1194,15 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 	// invert it (the skipped pickWRR calls would also corrupt the
 	// smooth-WRR state). Pricing the whole ladder, not just the bucket
 	// the current pending count maps to, makes the set of pricing
-	// compiles independent of how many arrivals the scheduler happened
-	// to have absorbed when it first looked; the adaptive planner also
+	// compiles independent of how many requests happened to be queued
+	// when the scheduler first looked; the adaptive planner also
 	// compares arbitrary rungs, and a plan made on a half-priced ladder
 	// would depend on compile timing. Unpriced buckets compile on
 	// background goroutines — overlapping through the CompileJobs pool
 	// and nudging the scheduler when done — so the scheduler goroutine
-	// itself stays responsive (arrivals, Undeploy, Close) during a cold
-	// tenant's first compile. Warm avoids the stall entirely.
+	// itself keeps dispatching other tenants (and answers Undeploy and
+	// Close) during a cold tenant's first compile. Warm avoids the stall
+	// entirely.
 	allPriced := true
 	for _, t := range ready {
 		for _, b := range t.buckets {
@@ -1321,8 +1228,8 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 	}
 	reqs := takeBatch(t, plan.take, now)
 	t.pending -= len(reqs)
-	t.accepted -= len(reqs)
 	s.pendingTotal -= len(reqs)
+	s.room.Broadcast()
 	if s.tr != nil {
 		arr := 0.0
 		for _, r := range reqs {
@@ -1397,15 +1304,15 @@ func (s *Server) planAdaptiveLocked(t *tenant, now time.Time) (dispatchPlan, pla
 // dispatchOrderLocked returns up to limit queued requests in exactly
 // the order takeBatch would drain them — expired deadlines first, then
 // priority-then-FIFO — without removing anything (caller holds s.mu).
-// The planner prices the very rows the dispatch will take.
+// The planner prices the very rows the dispatch will take. An expired
+// row the first pass leaves behind was cut by the limit, which then
+// stops the second pass too, so the second pass takes only fresh rows.
 func dispatchOrderLocked(t *tenant, limit int, now time.Time) []*request {
 	reqs := make([]*request, 0, limit)
-	seen := make(map[*request]bool, limit)
-	for pass := 0; pass < 2; pass++ {
+	for _, expired := range [2]bool{true, false} {
 		for _, pri := range priorityOrder {
 			for _, r := range t.queues[pri] {
-				if len(reqs) < limit && !seen[r] && (pass == 1 || !r.deadline.After(now)) {
-					seen[r] = true
+				if len(reqs) < limit && r.deadline.After(now) != expired {
 					reqs = append(reqs, r)
 				}
 			}

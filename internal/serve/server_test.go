@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,8 +126,8 @@ func TestServerBulkWaitsForFullBucket(t *testing.T) {
 // with weights 2:1 the picks interleave proportionally (no starvation,
 // no bursts) and are deterministic.
 func TestPickWRRProportionalShare(t *testing.T) {
-	a := &tenant{name: "a", order: 0, weight: 2}
-	b := &tenant{name: "b", order: 1, weight: 1}
+	a := &tenant{name: "a", weight: 2}
+	b := &tenant{name: "b", weight: 1}
 	var picks []string
 	for i := 0; i < 6; i++ {
 		picks = append(picks, pickWRR([]*tenant{a, b}).name)
@@ -136,8 +137,8 @@ func TestPickWRRProportionalShare(t *testing.T) {
 		t.Errorf("pick sequence %q, want abaaba (smooth 2:1 interleave)", got)
 	}
 	// Under contention with equal weights the picks alternate strictly.
-	c := &tenant{name: "c", order: 0, weight: 1}
-	d := &tenant{name: "d", order: 1, weight: 1}
+	c := &tenant{name: "c", weight: 1}
+	d := &tenant{name: "d", weight: 1}
 	picks = picks[:0]
 	for i := 0; i < 4; i++ {
 		picks = append(picks, pickWRR([]*tenant{c, d}).name)
@@ -315,20 +316,34 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 	h1 := mk(PriorityHigh, fresh)
 	n1, n2 := mk(PriorityNormal, expired), mk(PriorityNormal, fresh)
 	b1 := mk(PriorityBulk, expired)
-	tn := &tenant{}
-	tn.queues[PriorityHigh] = []*request{h1}
-	tn.queues[PriorityNormal] = []*request{n1, n2}
-	tn.queues[PriorityBulk] = []*request{b1}
+	queued := func() *tenant {
+		tn := &tenant{}
+		tn.queues[PriorityHigh] = []*request{h1}
+		tn.queues[PriorityNormal] = []*request{n1, n2}
+		tn.queues[PriorityBulk] = []*request{b1}
+		return tn
+	}
+	order := func(rs []*request) (s string) {
+		for _, r := range rs {
+			s += r.priority.String() + " "
+		}
+		return
+	}
 
+	// The planner's preview is exactly what the take removes, at every
+	// limit — including those that cut the expired rows short.
+	for k := 1; k <= 5; k++ {
+		tn := queued()
+		preview := dispatchOrderLocked(tn, k, now)
+		if taken := takeBatch(tn, k, now); !slices.Equal(preview, taken) {
+			t.Errorf("limit %d: dispatchOrderLocked %v, takeBatch removed %v", k, order(preview), order(taken))
+		}
+	}
+
+	tn := queued()
 	got := takeBatch(tn, 3, now)
 	want := []*request{n1, b1, h1} // expired (priority order) first, then fresh high
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		order := func(rs []*request) (s string) {
-			for _, r := range rs {
-				s += r.priority.String() + " "
-			}
-			return
-		}
 		t.Fatalf("takeBatch order %v, want expired-normal expired-bulk fresh-high (got %v)",
 			order(got), order(want))
 	}
@@ -340,10 +355,10 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 	}
 }
 
-// TestServerQueueDepthBackpressure pins the QueueDepth contract: the
-// scheduler absorbs at most QueueDepth requests into its queues, the
-// channel behind it holds QueueDepth more, and further producers
-// block — then Close flushes everyone.
+// TestServerQueueDepthBackpressure pins the QueueDepth contract: at
+// most QueueDepth accepted requests await dispatch, the next producer
+// blocks, and Close answers the parked requests while the blocked
+// producer gets ErrClosed and is never counted.
 func TestServerQueueDepthBackpressure(t *testing.T) {
 	const depth = 2
 	s := NewServer(ServerOptions{Devices: t4s(1), QueueDepth: depth})
@@ -352,32 +367,43 @@ func TestServerQueueDepthBackpressure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// 2*depth bulk requests park without dispatching (hour-long hold);
-	// these sends must not block.
-	for i := 0; i < 2*depth; i++ {
-		if _, err := s.InferAsync("m", sampleInput(int64(i)), InferOptions{Priority: PriorityBulk}); err != nil {
+	// depth bulk requests park without dispatching (hour-long hold);
+	// these must not block.
+	parked := make([]<-chan Result, depth)
+	for i := range parked {
+		ch, err := s.InferAsync("m", sampleInput(int64(i)), InferOptions{Priority: PriorityBulk})
+		if err != nil {
 			t.Fatal(err)
 		}
+		parked[i] = ch
 	}
 	// The next producer must feel backpressure.
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := s.Infer("m", sampleInput(99), InferOptions{Priority: PriorityBulk})
+		_, err := s.InferAsync("m", sampleInput(99), InferOptions{Priority: PriorityBulk})
 		blocked <- err
 	}()
 	select {
 	case err := <-blocked:
-		t.Fatalf("request beyond 2x QueueDepth did not block (err=%v)", err)
+		t.Fatalf("request beyond QueueDepth did not block (err=%v)", err)
 	case <-time.After(100 * time.Millisecond):
 	}
 	s.Close() // flushes the backlog and unblocks the producer
 	select {
 	case err := <-blocked:
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Errorf("blocked producer got %v", err)
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("blocked producer got %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked producer never released after Close")
+	}
+	for i, ch := range parked {
+		if res := <-ch; res.Err != nil {
+			t.Errorf("parked request %d: %v", i, res.Err)
+		}
+	}
+	if got := s.Stats().Requests; got != depth {
+		t.Errorf("Stats().Requests = %d, want %d (the blocked producer must not count)", got, depth)
 	}
 }
 

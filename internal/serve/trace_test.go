@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"bolt/internal/gpu"
 	"bolt/internal/obs"
@@ -15,10 +14,11 @@ import (
 // Tracing validation: span invariants (nesting, exact stage sums),
 // byte-identical exports across seeded runs and compile-pool widths,
 // and the always-on stage accounting behind Stats.Stages, Result, and
-// Snapshot. The traced server uses the gated-compile idiom (see
-// Server.Pending): nothing can dispatch until the whole stream is
-// queued, so batch composition — and with it the span multiset — is
-// deterministic regardless of host scheduling.
+// Snapshot. The traced server uses the gated-compile idiom: nothing can
+// dispatch until the pricing compiles pass the gate, and every
+// InferAsync returns with its request already queued, so batch
+// composition — and with it the span multiset — is deterministic
+// regardless of host scheduling.
 
 // tracedRun floods a gated two-worker server with a fixed request mix
 // and returns the tracer plus every delivered result (request order).
@@ -53,9 +53,6 @@ func tracedRun(t *testing.T, compileJobs int) (*obs.Tracer, []Result) {
 			t.Fatal(err)
 		}
 		chans[i] = ch
-	}
-	for s.Pending() < n {
-		time.Sleep(200 * time.Microsecond)
 	}
 	close(gate)
 	results := make([]Result, n)
@@ -214,9 +211,6 @@ func TestTraceDisabledLeavesResultsIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			chans[i] = ch
-		}
-		for s.Pending() < n {
-			time.Sleep(200 * time.Microsecond)
 		}
 		close(gate)
 		out := make([]Result, n)

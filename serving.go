@@ -90,8 +90,9 @@ type ServerOptions struct {
 	// Mutually exclusive with Workers: setting both is a configuration
 	// error, not a preference.
 	Devices []*Device
-	// QueueDepth bounds the pending-request queue across all models;
-	// Infer blocks when it is full. Values < 1 mean 1024.
+	// QueueDepth bounds the accepted-but-undispatched requests across
+	// all models: Infer blocks once QueueDepth of them await dispatch.
+	// Values < 1 mean 1024.
 	QueueDepth int
 	// BatchWindow is the default batch window for models that do not
 	// set their own: how long the batcher holds an underfull
