@@ -492,10 +492,19 @@ func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape c
 	geo := ansor.ConvGeometry{M: m, N: nn, K: k, ActivationElems: shape.N * shape.H * shape.W * shape.IC}
 	desc := res.Schedule.ConvDesc(c.dev, geo, n.DType)
 	desc.FLOPs += epi.FLOPsOn(m, nn)
-	layout := n.Layout
+	// Schedules do not change math, so the baseline's numerics are the
+	// functional kernel's at a permissive alignment. The baseline runs
+	// NCHW models directly; the kernel is NHWC, so an NCHW input is
+	// transformed around it.
+	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi}
+	nchw := n.Layout == tensor.LayoutNCHW
 	xs, ws, bs := c.slot(x), c.slot(w), c.optSlot(bias)
 	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return simtConvRun(dst, shape, env.Value(xs), env.Value(ws), optValue(env, bs), epi, layout)
+		x, w, bias := env.Value(xs), env.Value(ws), optValue(env, bs)
+		if !nchw {
+			return conv.RunInto(dst, x, w, bias)
+		}
+		return tensor.ToNCHWInto(dst, conv.Run(tensor.ToNHWC(x), w, bias))
 	}), nil
 }
 
@@ -511,19 +520,6 @@ func (c *compiler) trials() int {
 func simtGemmRun(dst *tensor.Tensor, a, b, bias *tensor.Tensor, epi cutlass.Epilogue) *tensor.Tensor {
 	g := &cutlass.Gemm{Config: permissiveConfig(), Epilogue: epi}
 	return g.RunInto(dst, a, b, bias)
-}
-
-func simtConvRun(dst *tensor.Tensor, s cutlass.ConvShape, x, w, bias *tensor.Tensor, epi cutlass.Epilogue, layout tensor.Layout) *tensor.Tensor {
-	// The baseline runs NCHW models directly; our functional kernels
-	// are NHWC, so transform around them when needed.
-	nchw := layout == tensor.LayoutNCHW
-	if !nchw {
-		conv := &cutlass.Conv2D{Shape: s, Config: permissiveConfig(), Epilogue: epi}
-		return conv.RunInto(dst, x, w, bias)
-	}
-	conv := &cutlass.Conv2D{Shape: s, Config: permissiveConfig(), Epilogue: epi}
-	out := conv.Run(tensor.ToNHWC(x), w, bias)
-	return tensor.ToNCHWInto(dst, out)
 }
 
 func permissiveConfig() cutlass.GemmConfig {

@@ -3,6 +3,7 @@ package cutlass
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
@@ -74,10 +75,24 @@ func (s ConvShape) Validate() error {
 }
 
 // Conv2D is an instantiated implicit-GEMM forward-convolution kernel.
+// Its first launch packs the OHWI weight tensor into an HWIO filter
+// that the kernel keeps; later launches with the same tensor reuse it,
+// and a launch with another tensor packs that one. A weight tensor is
+// therefore read-only from its first launch on, as every relay
+// constant already is.
 type Conv2D struct {
 	Shape    ConvShape
 	Config   GemmConfig
 	Epilogue Epilogue
+
+	filter atomic.Pointer[convFilter]
+}
+
+// convFilter is weight tensor w packed to HWIO: K = (kh, kw, ic) rows
+// of OC contiguous floats, the layout of the GEMM's B.
+type convFilter struct {
+	w    *tensor.Tensor
+	hwio []float32
 }
 
 // NewConv2D validates and instantiates the template.
@@ -144,9 +159,9 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 			out.NumElements(), s.N, oh, ow, s.OC))
 	}
 	r := convRunPool.Get().(*convRun)
-	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: w.Data(), bd: bd, od: out.Data()}
+	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: c.packed(w), bd: bd, od: out.Data()}
 	m, n, k := s.ImplicitGemm()
-	parallelRows(r, m, m*n*k)
+	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k)
 	*r = convRun{} // a pooled run must not pin the operands
 	convRunPool.Put(r)
 	// INT8 outputs are quantized dynamically with a serial max-abs scan
@@ -157,13 +172,36 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 	return out
 }
 
+// packed returns w's HWIO filter, packing it unless w is the tensor
+// the kernel packed last. Concurrent first launches may each pack; the
+// panels hold the same bytes, and the last stored is kept.
+func (c *Conv2D) packed(w *tensor.Tensor) []float32 {
+	if f := c.filter.Load(); f != nil && f.w == w {
+		return f.hwio
+	}
+	s := c.Shape
+	k := s.KH * s.KW * s.IC
+	wd := w.Data()
+	hwio := make([]float32, len(wd))
+	for kk := range k { // row by row: strided writes measured 4x slower
+		row := hwio[kk*s.OC:][:s.OC]
+		for oc := range row {
+			row[oc] = wd[oc*k+kk]
+		}
+	}
+	c.filter.Store(&convFilter{w: w, hwio: hwio})
+	return hwio
+}
+
 // convRun is one RunInto call's operands and the rowKernel that
-// parallelRows partitions over the flattened output-pixel index
-// N·OH·OW. It is pooled so a call allocates nothing, split or not.
+// parallelRows partitions over the output tiles: tileRows output pixels
+// (of the flattened N·OH·OW) by tileCols output channels, numbered
+// panel by panel as the GEMM's are. It is pooled so a call allocates
+// nothing, split or not.
 type convRun struct {
 	s              ConvShape
 	epi            Epilogue
-	xd, wd, bd, od []float32
+	xd, wd, bd, od []float32 // wd is the HWIO filter
 }
 
 var convRunPool = sync.Pool{New: func() any { return new(convRun) }}
@@ -178,103 +216,80 @@ func tapRange(base, k, lim int) (k0, k1 int) {
 	return k0, k1
 }
 
-// run computes output pixels [p0, p1) as a direct implicit GEMM. OHWI
-// weights are already the GEMM's Bᵀ with K = (kh, kw, ic) contiguous
-// per output channel, and for a fixed kh the valid kw range × IC is one
-// contiguous segment of both the NHWC input row and the weight row, so
-// a pixel's reduction is at most KH segment dot products and nothing is
-// packed or copied. A pixel accumulates four output channels at a time
-// in registers (channels past a multiple of 4 go one by one). Every
-// output still sees its products in (kh, kw, ic) order with one float32
-// round per step, so the bytes depend on neither the tiling nor the
-// partition. Channel blocks are the outer loop: four channels' weights
-// stay cached while the range's pixels stream past them.
-func (r *convRun) run(p0, p1 int) {
+// run computes tiles [u0, u1).
+func (r *convRun) run(u0, u1 int) {
+	var acc [tileRows * tileCols]float32
+	m, n, _ := r.s.ImplicitGemm()
+	blocks := tiles(m, tileRows)
+	for u := u0; u < u1; u++ {
+		p0, j0 := u%blocks*tileRows, u/blocks*tileCols
+		r.tile(&acc, p0, min(p0+tileRows, m), j0, min(j0+tileCols, n))
+	}
+}
+
+// tile computes output pixels [p0, p1) x channels [j0, j1) as the
+// GEMM's tile does: a row of the HWIO filter scaled by one input value
+// adds to a pixel's row of output channels. For a fixed kh, a pixel's
+// in-range kw taps x IC are one contiguous run of both its NHWC input
+// row and the filter's K, so the tile walks K one kh row at a time in
+// groups of four, and each pixel takes the part of a group that falls
+// in its run: the whole group through axpy4, a partial one term by
+// term through axpy1, taps over the padding not at all. Every output
+// sees its in-range products in (kh, kw, ic) order with one float32
+// round per step, so the bytes match the direct loop and depend on
+// neither the tiling nor the partition. Zero activations are
+// multiplied in like any other, so an in-range Inf or NaN weight
+// reaches its outputs exactly as in the direct loop.
+func (r *convRun) tile(acc *[tileRows * tileCols]float32, p0, p1, j0, j1 int) {
 	s := r.s
-	oh, ow := s.OutH(), s.OutW()
-	rowX, rowW := s.W*s.IC, s.KW*s.IC
-	ocW := s.KH * rowW
-	for oc := 0; oc < s.OC; {
-		q := 1
-		if oc+4 <= s.OC {
-			q = 4
-		}
-		for p := p0; p < p1; {
-			// One output row's share of the range: its pixels have
-			// the kh taps in common.
-			jo, row := p%ow, p/ow
-			end := min(p1, p+ow-jo)
-			ih := row%oh*s.StrideH - s.PadH
-			kh0, kh1 := tapRange(ih, s.KH, s.H)
-			xrow := (row/oh*s.H + ih + kh0) * rowX
-			wrow := oc*ocW + kh0*rowW
-			for ; p < end; p, jo = p+1, jo+1 {
-				iw := jo*s.StrideW - s.PadW
-				kw0, kw1 := tapRange(iw, s.KW, s.W)
-				xo, wo := xrow+(iw+kw0)*s.IC, wrow+kw0*s.IC
-				seg, nkh := (kw1-kw0)*s.IC, kh1-kh0
-				if seg == 0 {
-					nkh = 0
+	oh, ow, w := s.OutH(), s.OutW(), j1-j0
+	rowK, rowX := s.KW*s.IC, s.W*s.IC // one kh's share of K; one input row
+	c := acc[:(p1-p0)*w]
+	clear(c)
+	// Per pixel: the input row under kernel row 0, the NHWC offset of
+	// input (ih, iw), which may lie in the padding (only in-range taps
+	// are read from it), and its in-range part [lo, hi) of a kh row of K.
+	var ih, xo, lo, hi [tileRows]int
+	for i := range p1 - p0 {
+		p := p0 + i
+		row := p / ow
+		ih[i] = row%oh*s.StrideH - s.PadH
+		iw := p%ow*s.StrideW - s.PadW
+		kw0, kw1 := tapRange(iw, s.KW, s.W)
+		lo[i], hi[i] = kw0*s.IC, kw1*s.IC
+		xo[i] = ((row/oh*s.H+ih[i])*s.W + iw) * s.IC
+	}
+	for kh := range s.KH {
+		for g := 0; g < rowK; g += 4 {
+			k := kh*rowK + g
+			var b [4][]float32
+			for t := range min(4, rowK-g) {
+				b[t] = r.wd[(k+t)*s.OC+j0:][:w]
+			}
+			for i := range p1 - p0 {
+				if h := ih[i] + kh; h < 0 || h >= s.H {
+					continue
 				}
-				if q == 4 {
-					a0, a1, a2, a3 := dot1x4(r.xd, r.wd, xo, rowX, wo, ocW, rowW, seg, nkh)
-					o := r.od[p*s.OC+oc:][:4]
-					o[0], o[1] = r.finish(oc, a0), r.finish(oc+1, a1)
-					o[2], o[3] = r.finish(oc+2, a2), r.finish(oc+3, a3)
-				} else {
-					r.od[p*s.OC+oc] = r.finish(oc, dot1x1(r.xd, r.wd, xo, rowX, wo, rowW, seg, nkh))
+				ci := c[i*w:][:w]
+				xk := xo[i] + kh*rowX
+				if lo[i] <= g && g+4 <= hi[i] {
+					x := r.xd[xk+g:][:4]
+					axpy4(ci, b[0], b[1], b[2], b[3], x[0], x[1], x[2], x[3])
+					continue
+				}
+				for t := max(g, lo[i]); t < min(g+4, hi[i]); t++ {
+					axpy1(ci, b[t-g], r.xd[xk+t])
 				}
 			}
 		}
-		oc += q
 	}
-}
-
-// dot1x4 reduces nkh tap segments of seg elements, the first at xd[xo]
-// and one input row apart, against the weights of four consecutive
-// output channels starting at wd[wo]: four independent add chains.
-// A 2×4 tile measured a third slower: its eight accumulators and eight
-// products do not fit the fifteen registers the compiler has.
-func dot1x4(xd, wd []float32, xo, rowX, wo, ocW, rowW, seg, nkh int) (a0, a1, a2, a3 float32) {
-	for ; nkh > 0; nkh-- {
-		xa := xd[xo : xo+seg]
-		w0 := wd[wo:][:len(xa)]
-		w1 := wd[wo+ocW:][:len(xa)]
-		w2 := wd[wo+2*ocW:][:len(xa)]
-		w3 := wd[wo+3*ocW:][:len(xa)]
-		for i, x := range xa {
-			a0 += x * w0[i]
-			a1 += x * w1[i]
-			a2 += x * w2[i]
-			a3 += x * w3[i]
-		}
-		xo += rowX
-		wo += rowW
-	}
-	return
-}
-
-// dot1x1 reduces one pixel against one output channel.
-func dot1x1(xd, wd []float32, xo, rowX, wo, rowW, seg, nkh int) (a float32) {
-	for ; nkh > 0; nkh-- {
-		xa := xd[xo : xo+seg]
-		w0 := wd[wo:][:len(xa)]
-		for i, x := range xa {
-			a += x * w0[i]
-		}
-		xo += rowX
-		wo += rowW
-	}
-	return
-}
-
-// finish turns output channel oc's accumulator into its stored value.
-func (r *convRun) finish(oc int, acc float32) float32 {
-	var cv float32
+	var bias []float32
 	if r.bd != nil {
-		cv = r.bd[oc]
+		bias = r.bd[j0:j1]
 	}
-	return r.epi.store(acc, cv)
+	for i := range p1 - p0 {
+		r.epi.storeRow(r.od[(p0+i)*s.OC+j0:][:w], c[i*w:][:w], bias)
+	}
 }
 
 // Desc lowers the convolution to a device kernel descriptor using the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"bolt/internal/fp16"
@@ -215,6 +216,8 @@ func TestConvAlignmentAffectsSpeed(t *testing.T) {
 // directConv is the loop RunInto used before the tiled implicit GEMM:
 // one float32 add chain per output in (kh, kw, ic) order, taps outside
 // the input skipped. It stays as the bit-exact oracle for the kernel.
+// The float32 conversion rounds each product, as axpy does, on an
+// architecture whose compiler would otherwise fuse the multiply-add.
 func directConv(c *Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	s := c.Shape
 	oh, ow := s.OutH(), s.OutW()
@@ -242,7 +245,7 @@ func directConv(c *Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
 							xoff := ((in*s.H+ih)*s.W + iw) * s.IC
 							woff := ((oc*s.KH+kh)*s.KW + kw) * s.IC
 							for ic := 0; ic < s.IC; ic++ {
-								sum += xd[xoff+ic] * wd[woff+ic]
+								sum += float32(xd[xoff+ic] * wd[woff+ic])
 							}
 						}
 					}
@@ -302,8 +305,11 @@ func convCase(t *testing.T, seed int64, s ConvShape, epi Epilogue, withBias bool
 
 // Property: the tiled kernel is bit-identical to the direct loop over
 // strides, paddings (including taps that fall wholly outside the
-// input), rectangular kernels, channel counts off the 4-wide tile, odd
-// widths and every output dtype.
+// input), rectangular kernels, IC and OC off a multiple of four, odd
+// widths, OC past one channel panel, pixel counts past one tile row
+// block and every output dtype, and it multiplies zero activations in:
+// an in-range Inf or NaN weight over a zero input gives NaN, as in the
+// direct loop.
 func TestConvBitIdenticalToDirectLoop(t *testing.T) {
 	shapes := []ConvShape{
 		{N: 1, H: 16, W: 16, IC: 3, OC: 8, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, // stem, alignment 1
@@ -334,6 +340,79 @@ func TestConvBitIdenticalToDirectLoop(t *testing.T) {
 		c, x, w, bias := convCase(t, int64(100+i), s, epi, withBias)
 		sameBits(t, fmt.Sprintf("%+v %v bias=%v", s, epi.OutDType, withBias),
 			c.Run(x, w, bias), directConv(c, x, w, bias))
+	}
+
+	panels := []ConvShape{
+		Conv3x3(1, 3, 3, 4, 257, 1, 1), // OC one past a panel
+		Conv3x3(1, 5, 5, 3, 300, 2, 1), // second panel partial, IC 3
+		Conv1x1(1, 3, 3, 8, 512),       // two whole panels, 9 pixels
+		{N: 2, H: 7, W: 5, IC: 5, OC: 7, KH: 3, KW: 2, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1},    // 42 pixels: six row blocks
+		{N: 1, H: 6, W: 6, IC: 13, OC: 260, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, // groups of four straddle taps
+	}
+	for i, s := range panels {
+		epi := Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
+		c, x, w, bias := convCase(t, int64(300+i), s, epi, true)
+		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.Run(x, w, bias), directConv(c, x, w, bias))
+
+		// Zero input pixel (0, 0) and give every output channel one
+		// non-finite weight on the tap that reads it for output pixel
+		// (0, 0): Inf for even channels, NaN for odd ones.
+		for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
+			epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dt}
+			c, x, w, _ := convCase(t, int64(400+i), s, epi, false)
+			clear(x.Data()[:s.IC])
+			wd := w.Data()
+			for oc := 0; oc < s.OC; oc++ {
+				v := float32(math.Inf(1))
+				if oc%2 == 1 {
+					v = float32(math.NaN())
+				}
+				wd[((oc*s.KH+s.PadH)*s.KW+s.PadW)*s.IC] = v
+			}
+			got := c.Run(x, w, nil)
+			sameBits(t, fmt.Sprintf("%+v %v non-finite weights", s, dt), got, directConv(c, x, w, nil))
+			for oc, v := range got.Data()[:s.OC] {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("%+v %v: output (0,0,%d) = %g, want NaN: a zero activation was skipped", s, dt, oc, v)
+				}
+			}
+		}
+	}
+}
+
+// One kernel launched with w1, then w2, then w1 again packs each tensor
+// it is handed: every output matches the direct loop for its own
+// weights.
+func TestConvRepacksOnNewWeights(t *testing.T) {
+	s := Conv3x3(1, 6, 6, 8, 12, 1, 1)
+	c, x, w1, bias := convCase(t, 21, s, BiasActivation(ActReLU), true)
+	_, _, w2, _ := convCase(t, 22, s, BiasActivation(ActReLU), true)
+	for i, w := range []*tensor.Tensor{w1, w2, w1} {
+		sameBits(t, fmt.Sprintf("launch %d", i), c.Run(x, w, bias), directConv(c, x, w, bias))
+	}
+}
+
+// Eight goroutines make a fresh kernel's first launch at once. They may
+// all pack the filter, but every output has the same bytes.
+func TestConvFirstLaunchConcurrent(t *testing.T) {
+	s := Conv3x3(1, 8, 8, 16, 40, 1, 1)
+	c, x, w, bias := convCase(t, 5, s, BiasActivation(ActReLU), true)
+	want := directConv(c, x, w, bias)
+	outs := make([]*tensor.Tensor, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			outs[i] = c.Run(x, w, bias)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, out := range outs {
+		sameBits(t, fmt.Sprintf("goroutine %d", i), out, want)
 	}
 }
 
@@ -438,8 +517,9 @@ func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
 }
 
 // BenchmarkFunctionalConv times RunInto on the ResNet-18 layer shapes
-// at a 64x64 input, batch 1. GFLOP/s is nominal: taps over the padding
-// count, as in ConvShape.FLOPs.
+// at a 64x64 input, batch 1, and on servenet's two layers, the
+// narrowest channel panels the serving benchmark runs. GFLOP/s is
+// nominal: taps over the padding count, as in ConvShape.FLOPs.
 func BenchmarkFunctionalConv(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -450,6 +530,8 @@ func BenchmarkFunctionalConv(b *testing.B) {
 		{"3x3s2", Conv3x3(1, 16, 16, 64, 128, 2, 1)},
 		{"1x1s2", ConvShape{N: 1, H: 16, W: 16, IC: 64, OC: 128, KH: 1, KW: 1, StrideH: 2, StrideW: 2}},
 		{"tail3x3oh2", Conv3x3(1, 2, 2, 512, 512, 1, 1)},
+		{"servenet8to16", Conv3x3(1, 32, 32, 8, 16, 1, 1)},
+		{"servenet16to32s2", Conv3x3(1, 16, 16, 16, 32, 2, 1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := smallConfig()

@@ -118,7 +118,8 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 }
 
 // A GEMM is cut into tiles of up to tileRows output rows by tileCols
-// output columns, the units parallelRows partitions. A tile's
+// output columns, the units parallelRows partitions (a convolution's
+// rows are output pixels and its columns output channels). A tile's
 // accumulators (8 KB) live on its worker's stack, and four B row
 // segments of a column panel (4 KB) stay in L1 while the tile's rows
 // pass over them, so B is read once per tile and not once per row.
@@ -128,12 +129,15 @@ const (
 )
 
 // gemmMACsPerConvMAC states a GEMM's work in the convolution MACs that
-// splitMACs counts, so the split rule stays a time rule: the tiled GEMM
-// measured 6.5-9.7 GMAC/s on one core where the convolution does 3.5,
-// and an M = 1 call, which streams B at 3, parks its caller for longer
-// than the split saves (the caller resumes on the other P and misses
-// its sync.Pools). At 8 a GEMM splits from 2^21 MACs: a classifier
-// layer (1x1000x1280) runs inline and a BERT FFN layer splits.
+// splitMACs counts. Both kernels run the axpy tile: on one core of an
+// Intel Xeon the convolution does 2.1-5.8 GMAC/s nominal on the
+// ResNet-18@64 layers (8.9 on the OH = 2 tail) and the GEMM 4.9-5.7 on
+// the BERT FFN layers, so the factor is no longer a speed ratio. It
+// keeps an M = 1 call inline: one streams B at 3.4 GMAC/s whether
+// split or not (1x1000x1280 measured 364-385 us inline, 371-375 split),
+// and a split parks its caller, which resumes on the other P and misses
+// its sync.Pools. At 8 a GEMM splits from 2^21 MACs: a classifier
+// layer runs inline and a BERT FFN layer splits.
 const gemmMACsPerConvMAC = 8
 
 // tiles returns how many tiles of the given extent cover n.
@@ -210,19 +214,12 @@ func (r *gemmRun) tile(acc *[tileRows * tileCols]float32, i0, i1, j0, j1 int) {
 				crow = r.cd[i*n+j0 : i*n+j1]
 			}
 		}
-		orow := r.od[i*n+j0 : i*n+j1]
-		for j, v := range c[(i-i0)*w:][:w] {
-			var cv float32
-			if crow != nil {
-				cv = crow[j]
-			}
-			orow[j] = r.epi.store(v, cv)
-		}
+		r.epi.storeRow(r.od[i*n+j0:i*n+j1], c[(i-i0)*w:][:w], crow)
 	}
 }
 
-// rowKernel is a kernel call whose output units (GEMM rows, conv output
-// pixels) are independent: run computes units [i0, i1), and any
+// rowKernel is a kernel call whose output units (GEMM or convolution
+// tiles) are independent: run computes units [i0, i1), and any
 // partition of the range gives the same bytes.
 type rowKernel interface{ run(i0, i1 int) }
 
@@ -264,10 +261,11 @@ func startRowPool() {
 
 // splitMACs is the multiply-accumulate count from which a kernel call
 // is split. Waking a parked worker and waiting for its chunk measured
-// about 25 us of host time, and 2^18 MACs are some 75 us of convolution
-// (more of Gemm): the smallest call a two-way split still shortens. A
-// 16x16 Dense layer (2 k MACs) stays inline for one multiply and
-// compare.
+// about 25 us of host time, and 2^18 MACs are some 55-110 us of
+// convolution, about the smallest call a two-way split still shortens:
+// servenet's 16->32 stride-2 layer (2^18.2 MACs) measured 123-125 us
+// inline and 86 us split in two. A 16x16 Dense layer (2 k MACs) stays
+// inline for one multiply and compare.
 const splitMACs = 1 << 18
 
 // parallelRows runs k over [0, units), split evenly across the

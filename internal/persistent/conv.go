@@ -23,6 +23,8 @@ type ConvLayer struct {
 type FusedConv struct {
 	Layers []ConvLayer
 	Kind   Residence
+
+	convs []*cutlass.Conv2D // one functional kernel per layer, each keeping its packed filter
 }
 
 // NewFusedConv validates residence and resource rules.
@@ -76,6 +78,10 @@ func NewFusedConv(layers []ConvLayer, kind Residence, d *gpu.Device) (*FusedConv
 		return nil, fmt.Errorf("persistent: fused conv needs %d B shared memory, cap is %d",
 			gemm.sharedMemBytes(), d.SharedMemBlock)
 	}
+	f.convs = make([]*cutlass.Conv2D, len(layers))
+	for i, l := range layers {
+		f.convs[i] = &cutlass.Conv2D{Shape: l.Shape, Config: l.Config, Epilogue: l.Epilogue}
+	}
 	return f, nil
 }
 
@@ -98,7 +104,8 @@ func (f *FusedConv) Name() string {
 }
 
 // Run executes the chain functionally; results must equal running each
-// conv kernel unfused. weights[i] is OHWI for layer i; biases[i] may be
+// conv kernel unfused. weights[i] is OHWI for layer i and read-only
+// from the chain's first run on (see cutlass.Conv2D); biases[i] may be
 // nil.
 func (f *FusedConv) Run(x *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
 	return f.RunInto(nil, x, weights, biases)
@@ -112,14 +119,13 @@ func (f *FusedConv) RunInto(dst *tensor.Tensor, x *tensor.Tensor, weights, biase
 		panic(fmt.Sprintf("persistent: %d weights for %d conv layers", len(weights), len(f.Layers)))
 	}
 	cur := x
-	for i, l := range f.Layers {
-		conv := &cutlass.Conv2D{Shape: l.Shape, Config: l.Config, Epilogue: l.Epilogue}
+	for i, conv := range f.convs {
 		var b *tensor.Tensor
 		if biases != nil {
 			b = biases[i]
 		}
 		var out *tensor.Tensor
-		if i == len(f.Layers)-1 {
+		if i == len(f.convs)-1 {
 			out = dst
 		}
 		cur = conv.RunInto(out, cur, weights[i], b)
