@@ -2,6 +2,7 @@ package cutlass
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,11 +76,11 @@ func (s ConvShape) Validate() error {
 }
 
 // Conv2D is an instantiated implicit-GEMM forward-convolution kernel.
-// Its first launch packs the OHWI weight tensor into an HWIO filter
-// that the kernel keeps; later launches with the same tensor reuse it,
-// and a launch with another tensor packs that one. A weight tensor is
-// therefore read-only from its first launch on, as every relay
-// constant already is.
+// Its first launch packs the OHWI weight tensor into a panel-major
+// filter that the kernel keeps; later launches with the same tensor
+// reuse it, and a launch with another tensor packs that one. A weight
+// tensor is therefore read-only from its first launch on, as every
+// relay constant already is.
 type Conv2D struct {
 	Shape    ConvShape
 	Config   GemmConfig
@@ -88,11 +89,13 @@ type Conv2D struct {
 	filter atomic.Pointer[convFilter]
 }
 
-// convFilter is weight tensor w packed to HWIO: K = (kh, kw, ic) rows
-// of OC contiguous floats, the layout of the GEMM's B.
+// convFilter is weight tensor w packed panel-major: ⌈OC/panelCols⌉
+// panels, each K = (kh, kw, ic) rows of panelCols contiguous output
+// channels, the last panel zero-padded to panelCols. Panel q, row kk
+// starts at (q·K + kk)·panelCols.
 type convFilter struct {
-	w    *tensor.Tensor
-	hwio []float32
+	w      *tensor.Tensor
+	panels []float32
 }
 
 // NewConv2D validates and instantiates the template.
@@ -172,25 +175,28 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 	return out
 }
 
-// packed returns w's HWIO filter, packing it unless w is the tensor
-// the kernel packed last. Concurrent first launches may each pack; the
-// panels hold the same bytes, and the last stored is kept.
+// packed returns w's panel-major filter, packing it unless w is the
+// tensor the kernel packed last. Concurrent first launches may each
+// pack; the panels hold the same bytes, and the last stored is kept.
 func (c *Conv2D) packed(w *tensor.Tensor) []float32 {
 	if f := c.filter.Load(); f != nil && f.w == w {
-		return f.hwio
+		return f.panels
 	}
 	s := c.Shape
 	k := s.KH * s.KW * s.IC
 	wd := w.Data()
-	hwio := make([]float32, len(wd))
-	for kk := range k { // row by row: strided writes measured 4x slower
-		row := hwio[kk*s.OC:][:s.OC]
-		for oc := range row {
-			row[oc] = wd[oc*k+kk]
+	panels := make([]float32, tiles(s.OC, panelCols)*k*panelCols)
+	for oc0 := 0; oc0 < s.OC; oc0 += panelCols {
+		p := panels[oc0*k:][:k*panelCols]
+		for kk := range k { // row by row: strided writes measured 4x slower
+			row := p[kk*panelCols:][:panelCols]
+			for j := range min(panelCols, s.OC-oc0) {
+				row[j] = wd[(oc0+j)*k+kk]
+			}
 		}
 	}
-	c.filter.Store(&convFilter{w: w, hwio: hwio})
-	return hwio
+	c.filter.Store(&convFilter{w: w, panels: panels})
+	return panels
 }
 
 // convRun is one RunInto call's operands and the rowKernel that
@@ -201,7 +207,7 @@ func (c *Conv2D) packed(w *tensor.Tensor) []float32 {
 type convRun struct {
 	s              ConvShape
 	epi            Epilogue
-	xd, wd, bd, od []float32 // wd is the HWIO filter
+	xd, wd, bd, od []float32 // wd is the panel-major filter
 }
 
 var convRunPool = sync.Pool{New: func() any { return new(convRun) }}
@@ -227,69 +233,132 @@ func (r *convRun) run(u0, u1 int) {
 	}
 }
 
-// tile computes output pixels [p0, p1) x channels [j0, j1) as the
-// GEMM's tile does: a row of the HWIO filter scaled by one input value
-// adds to a pixel's row of output channels. For a fixed kh, a pixel's
-// in-range kw taps x IC are one contiguous run of both its NHWC input
-// row and the filter's K, so the tile walks K one kh row at a time in
-// groups of four, and each pixel takes the part of a group that falls
-// in its run: the whole group through axpy4, a partial one term by
-// term through axpy1, taps over the padding not at all. Every output
+// tile computes output pixels [p0, p1) x channels [j0, j1), whole
+// filter panels but the last, with convMicro: four pixels (a quad) by
+// one panel at a time. For a fixed kh, a pixel's in-range kw taps x IC
+// are one contiguous run [lo, hi) of both its NHWC input row and the
+// filter's K. A quad's runs cut the kh row into at most seven segments,
+// taken in ascending order, and each is one micro-kernel call per
+// panel. So no tap over the padding is multiplied, and every output
 // sees its in-range products in (kh, kw, ic) order with one float32
-// round per step, so the bytes match the direct loop and depend on
-// neither the tiling nor the partition. Zero activations are
-// multiplied in like any other, so an in-range Inf or NaN weight
-// reaches its outputs exactly as in the direct loop.
+// round per step: the bytes match the direct loop and depend on neither
+// the tiling nor the partition. Zero activations are multiplied in like
+// any other, so an in-range Inf or NaN weight reaches its outputs
+// exactly as in the direct loop. The zero-padded channels of a last
+// panel are accumulated and never stored. Panels are the middle loop so
+// that a kh row of a panel, read for the tile's first quad, is still in
+// L1 for its second.
 func (r *convRun) tile(acc *[tileRows * tileCols]float32, p0, p1, j0, j1 int) {
 	s := r.s
-	oh, ow, w := s.OutH(), s.OutW(), j1-j0
-	rowK, rowX := s.KW*s.IC, s.W*s.IC // one kh's share of K; one input row
-	c := acc[:(p1-p0)*w]
-	clear(c)
-	// Per pixel: the input row under kernel row 0, the NHWC offset of
-	// input (ih, iw), which may lie in the padding (only in-range taps
-	// are read from it), and its in-range part [lo, hi) of a kh row of K.
-	var ih, xo, lo, hi [tileRows]int
+	oh, ow := s.OutH(), s.OutW()
+	rowK, k := s.KW*s.IC, s.KH*s.KW*s.IC
+	q0, q1 := j0/panelCols, tiles(j1, panelCols) // the tile's panels
+	// Pixel i's accumulators are row i of acc, panel q at
+	// (q-q0)·panelCols.
+	var px [tileRows]convPixel
 	for i := range p1 - p0 {
 		p := p0 + i
 		row := p / ow
-		ih[i] = row%oh*s.StrideH - s.PadH
+		ih := row%oh*s.StrideH - s.PadH
 		iw := p%ow*s.StrideW - s.PadW
 		kw0, kw1 := tapRange(iw, s.KW, s.W)
-		lo[i], hi[i] = kw0*s.IC, kw1*s.IC
-		xo[i] = ((row/oh*s.H+ih[i])*s.W + iw) * s.IC
+		px[i] = convPixel{ih: ih, xo: ((row/oh*s.H+ih)*s.W + iw) * s.IC, lo: kw0 * s.IC, hi: kw1 * s.IC}
+		clear(acc[i*tileCols:][:(q1-q0)*panelCols])
 	}
+	var junk [panelCols]float32
+	var segs [tileRows / 4][7]convSeg
 	for kh := range s.KH {
-		for g := 0; g < rowK; g += 4 {
-			k := kh*rowK + g
-			var b [4][]float32
-			for t := range min(4, rowK-g) {
-				b[t] = r.wd[(k+t)*s.OC+j0:][:w]
-			}
-			for i := range p1 - p0 {
-				if h := ih[i] + kh; h < 0 || h >= s.H {
-					continue
-				}
-				ci := c[i*w:][:w]
-				xk := xo[i] + kh*rowX
-				if lo[i] <= g && g+4 <= hi[i] {
-					x := r.xd[xk+g:][:4]
-					axpy4(ci, b[0], b[1], b[2], b[3], x[0], x[1], x[2], x[3])
-					continue
-				}
-				for t := max(g, lo[i]); t < min(g+4, hi[i]); t++ {
-					axpy1(ci, b[t-g], r.xd[xk+t])
+		var nseg [tileRows / 4]int
+		for i0 := 0; i0 < p1-p0; i0 += 4 {
+			nseg[i0/4] = r.segments(&segs[i0/4], px[i0:min(i0+4, p1-p0)], kh)
+		}
+		for q := q0; q < q1; q++ {
+			b := r.wd[(q*k+kh*rowK)*panelCols:][:rowK*panelCols]
+			for qd, n := range nseg {
+				for si := range n {
+					sg := &segs[qd][si]
+					var c [4]*[panelCols]float32
+					for l := range c {
+						c[l] = &junk
+						if sg.on[l] {
+							c[l] = (*[panelCols]float32)(acc[(4*qd+l)*tileCols+(q-q0)*panelCols:])
+						}
+					}
+					convMicro(&c, &sg.x, b[sg.t0*panelCols:sg.t1*panelCols])
 				}
 			}
 		}
 	}
+	w := j1 - j0
 	var bias []float32
 	if r.bd != nil {
 		bias = r.bd[j0:j1]
 	}
 	for i := range p1 - p0 {
-		r.epi.storeRow(r.od[(p0+i)*s.OC+j0:][:w], c[i*w:][:w], bias)
+		r.epi.storeRow(r.od[(p0+i)*s.OC+j0:][:w], acc[i*tileCols:][:w], bias)
 	}
+}
+
+// convPixel is where a tile's output pixel reads its input: the input
+// row under kernel row 0, the NHWC offset of input (ih, iw), which may
+// lie in the padding (only in-range taps are read from it), and its
+// in-range run [lo, hi) of a kh row of K.
+type convPixel struct{ ih, xo, lo, hi int }
+
+// convSeg is one micro-kernel call of a quad: taps [t0, t1) of a kh
+// row of K, the lanes whose run covers them, and each lane's input. A
+// lane that is off (its input row is padding, its run misses the
+// segment, or the tile has no pixel for it) reads an active lane's
+// input and adds into a junk row.
+type convSeg struct {
+	t0, t1 int
+	on     [4]bool
+	x      [4][]float32
+}
+
+// segments cuts kernel row kh into the segments of a quad's pixels
+// (one to four) and returns how many there are.
+func (r *convRun) segments(segs *[7]convSeg, quad []convPixel, kh int) int {
+	s := r.s
+	// The lanes' runs, empty for a lane whose input row is padding, and
+	// their ends, sorted and deduplicated: the segment boundaries.
+	var run [4][2]int
+	var buf [8]int
+	cuts := buf[:0]
+	for l, p := range quad {
+		if h := p.ih + kh; h < 0 || h >= s.H || p.lo == p.hi {
+			continue
+		}
+		run[l] = [2]int{p.lo, p.hi}
+		cuts = append(cuts, p.lo, p.hi)
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	ns := 0
+	for g := 0; g+1 < len(cuts); g++ {
+		sg := &segs[ns]
+		sg.t0, sg.t1, sg.on = cuts[g], cuts[g+1], [4]bool{}
+		f := -1
+		for l, p := range quad {
+			if run[l][0] <= sg.t0 && sg.t1 <= run[l][1] {
+				xk := p.xo + kh*s.W*s.IC
+				sg.on[l], sg.x[l] = true, r.xd[xk+sg.t0:xk+sg.t1]
+				if f < 0 {
+					f = l
+				}
+			}
+		}
+		if f < 0 { // a gap between the lanes' runs
+			continue
+		}
+		for l := range sg.x {
+			if !sg.on[l] {
+				sg.x[l] = sg.x[f]
+			}
+		}
+		ns++
+	}
+	return ns
 }
 
 // Desc lowers the convolution to a device kernel descriptor using the

@@ -306,11 +306,18 @@ func convCase(t *testing.T, seed int64, s ConvShape, epi Epilogue, withBias bool
 // Property: the tiled kernel is bit-identical to the direct loop over
 // strides, paddings (including taps that fall wholly outside the
 // input), rectangular kernels, IC and OC off a multiple of four, odd
-// widths, OC past one channel panel, pixel counts past one tile row
+// widths, OC past one filter panel and one tile, narrow inputs whose
+// quads carry four different tap runs, pixel counts past one tile row
 // block and every output dtype, and it multiplies zero activations in:
 // an in-range Inf or NaN weight over a zero input gives NaN, as in the
-// direct loop.
+// direct loop. It holds for the selected micro-kernel and for the Go
+// body, which other architectures run.
 func TestConvBitIdenticalToDirectLoop(t *testing.T) {
+	t.Run("selected body", checkConvBitIdentical)
+	t.Run("Go body", func(t *testing.T) { withGoConvMicro(func() { checkConvBitIdentical(t) }) })
+}
+
+func checkConvBitIdentical(t *testing.T) {
 	shapes := []ConvShape{
 		{N: 1, H: 16, W: 16, IC: 3, OC: 8, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, // stem, alignment 1
 		{N: 2, H: 9, W: 9, IC: 8, OC: 6, KH: 1, KW: 1, StrideH: 2, StrideW: 2},                     // 1x1 strided, OC off the tile
@@ -322,6 +329,16 @@ func TestConvBitIdenticalToDirectLoop(t *testing.T) {
 	for len(shapes) < 120 {
 		s := ConvShape{N: 1 + rng.Intn(2), H: 1 + rng.Intn(10), W: 1 + rng.Intn(10),
 			IC: []int{1, 3, 8, 13}[rng.Intn(4)], OC: 1 + rng.Intn(13),
+			KH: 1 + rng.Intn(4), KW: 1 + rng.Intn(4),
+			StrideH: 1 + rng.Intn(2), StrideW: 1 + rng.Intn(2),
+			PadH: rng.Intn(4), PadW: rng.Intn(4)}
+		if s.Validate() == nil {
+			shapes = append(shapes, s)
+		}
+	}
+	for len(shapes) < 180 { // whole and partial filter panels over inputs at most 5 wide
+		s := ConvShape{N: 1 + rng.Intn(2), H: 1 + rng.Intn(6), W: 1 + rng.Intn(5),
+			IC: []int{1, 3, 8, 13}[rng.Intn(4)], OC: []int{16, 17, 31, 33, 48}[rng.Intn(5)],
 			KH: 1 + rng.Intn(4), KW: 1 + rng.Intn(4),
 			StrideH: 1 + rng.Intn(2), StrideW: 1 + rng.Intn(2),
 			PadH: rng.Intn(4), PadW: rng.Intn(4)}
@@ -378,6 +395,47 @@ func TestConvBitIdenticalToDirectLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzConv checks the kernel against the direct loop on random
+// geometry (batch, input size, channels, kernel, stride, padding),
+// output dtype and activation, with Inf or NaN weights on random taps,
+// under the selected micro-kernel and the Go body. The seed corpus in
+// testdata/fuzz/FuzzConv runs with the other tests;
+// go test -run '^$' -fuzz FuzzConv ./internal/cutlass/ explores. A
+// case has one kind of non-finite weight, ±Inf or NaN, so no sum sees
+// two NaNs of different payloads: which survives is the adder's
+// operand order, which Go leaves to the compiler (the fuzzer's
+// coverage instrumentation flips it in the direct loop).
+func FuzzConv(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n, h, w, ic, oc, kh, kw, stride, pad, nonFinite uint8) {
+		s := ConvShape{N: 1 + int(n%2), H: 1 + int(h%12), W: 1 + int(w%12),
+			IC: 1 + int(ic%16), OC: 1 + int(oc%64), KH: 1 + int(kh%5), KW: 1 + int(kw%5),
+			StrideH: 1 + int(stride%3), StrideW: 1 + int(stride/3%3),
+			PadH: int(pad % 4), PadW: int(pad / 4 % 4)}
+		if s.Validate() != nil {
+			return
+		}
+		pick := uint64(seed)
+		epi := Epilogue{Alpha: 1, Beta: 1, BiasVector: true,
+			Act:      []Activation{ActIdentity, ActReLU, ActHardswish}[pick%3],
+			OutDType: []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3]}
+		c, x, wt, bias := convCase(t, seed, s, epi, true)
+		rng := rand.New(rand.NewSource(seed))
+		wd := wt.Data()
+		for i := range int(nonFinite % 8) {
+			v := float32(math.Inf(1 - 2*(i%2)))
+			if nonFinite&8 != 0 {
+				v = float32(math.NaN())
+			}
+			wd[rng.Intn(len(wd))] = v
+		}
+		want := directConv(c, x, wt, bias)
+		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.Run(x, wt, bias), want)
+		withGoConvMicro(func() {
+			sameBits(t, fmt.Sprintf("%+v %v, Go body", s, epi.OutDType), c.Run(x, wt, bias), want)
+		})
+	})
 }
 
 // One kernel launched with w1, then w2, then w1 again packs each tensor
@@ -517,7 +575,9 @@ func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
 }
 
 // BenchmarkFunctionalConv times RunInto on the ResNet-18 layer shapes
-// at a 64x64 input, batch 1, and on servenet's two layers, the
+// at a 64x64 input, batch 1, on RepVGG-A0@64's layers that hold most of
+// its conv time (the 4x4 192-channel layer, run 13 times per image, and
+// the M = 4 wide-OC stride-2 tails), and on servenet's two layers, the
 // narrowest channel panels the serving benchmark runs. GFLOP/s is
 // nominal: taps over the padding count, as in ConvShape.FLOPs.
 func BenchmarkFunctionalConv(b *testing.B) {
@@ -530,6 +590,9 @@ func BenchmarkFunctionalConv(b *testing.B) {
 		{"3x3s2", Conv3x3(1, 16, 16, 64, 128, 2, 1)},
 		{"1x1s2", ConvShape{N: 1, H: 16, W: 16, IC: 64, OC: 128, KH: 1, KW: 1, StrideH: 2, StrideW: 2}},
 		{"tail3x3oh2", Conv3x3(1, 2, 2, 512, 512, 1, 1)},
+		{"repvgg4x4c192", Conv3x3(1, 4, 4, 192, 192, 1, 1)},
+		{"repvggTail192to1280s2", Conv3x3(1, 4, 4, 192, 1280, 2, 1)},
+		{"repvggTail256to512s2", Conv3x3(1, 4, 4, 256, 512, 2, 1)},
 		{"servenet8to16", Conv3x3(1, 32, 32, 8, 16, 1, 1)},
 		{"servenet16to32s2", Conv3x3(1, 16, 16, 16, 32, 2, 1)},
 	} {

@@ -119,25 +119,27 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 
 // A GEMM is cut into tiles of up to tileRows output rows by tileCols
 // output columns, the units parallelRows partitions (a convolution's
-// rows are output pixels and its columns output channels). A tile's
-// accumulators (8 KB) live on its worker's stack, and four B row
-// segments of a column panel (4 KB) stay in L1 while the tile's rows
-// pass over them, so B is read once per tile and not once per row.
+// rows are output pixels and its columns output channels, tileCols /
+// panelCols filter panels). A tile's accumulators (8 KB) live on its
+// worker's stack, and four B row segments of a column panel (4 KB) stay
+// in L1 while the tile's rows pass over them, so B is read once per
+// tile and not once per row.
 const (
 	tileRows = 8
 	tileCols = 256
 )
 
 // gemmMACsPerConvMAC states a GEMM's work in the convolution MACs that
-// splitMACs counts. Both kernels run the axpy tile: on one core of an
-// Intel Xeon the convolution does 2.1-5.8 GMAC/s nominal on the
-// ResNet-18@64 layers (8.9 on the OH = 2 tail) and the GEMM 4.9-5.7 on
-// the BERT FFN layers, so the factor is no longer a speed ratio. It
-// keeps an M = 1 call inline: one streams B at 3.4 GMAC/s whether
-// split or not (1x1000x1280 measured 364-385 us inline, 371-375 split),
-// and a split parks its caller, which resumes on the other P and misses
-// its sync.Pools. At 8 a GEMM splits from 2^21 MACs: a classifier
-// layer runs inline and a BERT FFN layer splits.
+// splitMACs counts. It is not a speed ratio: on one core of an Intel
+// Xeon (two-core VM, best of six) the convolution's AVX2 micro-kernel
+// does 5.2-17 GMAC/s nominal on the ResNet-18@64 layers (3.7 on the
+// 1x1 stride-2 layer, two thirds of whose time is its epilogue) and
+// the GEMM's SSE axpy tile 5.6-6.7 on the BERT FFN layers. It keeps an
+// M = 1 call inline: one streams B at 3.4 GMAC/s whether split or not
+// (1x1000x1280 measured 364-385 us inline, 371-375 split), and a split
+// parks its caller, which resumes on the other P and misses its
+// sync.Pools. At 8 a GEMM splits from 2^21 MACs: a classifier layer
+// runs inline and a BERT FFN layer splits.
 const gemmMACsPerConvMAC = 8
 
 // tiles returns how many tiles of the given extent cover n.
@@ -261,11 +263,13 @@ func startRowPool() {
 
 // splitMACs is the multiply-accumulate count from which a kernel call
 // is split. Waking a parked worker and waiting for its chunk measured
-// about 25 us of host time, and 2^18 MACs are some 55-110 us of
-// convolution, about the smallest call a two-way split still shortens:
-// servenet's 16->32 stride-2 layer (2^18.2 MACs) measured 123-125 us
-// inline and 86 us split in two. A 16x16 Dense layer (2 k MACs) stays
-// inline for one multiply and compare.
+// about 25 us of host time, and 2^18 MACs are some 15-70 us of
+// convolution on one core, about the smallest call a two-way split
+// might still shorten. A call at that edge is no longer shortened:
+// servenet's 16->32 stride-2 layer (2^18.2 MACs) measured 54 us inline
+// and 67 us split in two (medians of 12 alternating pairs, inline
+// faster in 11). A 16x16 Dense layer (2 k MACs) stays inline for one
+// multiply and compare.
 const splitMACs = 1 << 18
 
 // parallelRows runs k over [0, units), split evenly across the
