@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestMultiModelFairnessAndPrioritySLO is the multimodel experiment's
 // acceptance gate: under a mixed-priority flood over two tenants
@@ -36,5 +39,15 @@ func TestMultiModelFairnessAndPrioritySLO(t *testing.T) {
 	}
 	if art.ThroughputRatio <= 0 {
 		t.Errorf("throughput ratio %g, want > 0", art.ThroughputRatio)
+	}
+}
+
+// TestMultiModelDeterministic pins the experiment's reproducibility:
+// with the variant compiles gated until the whole stream is queued,
+// two runs on the quick suite produce the same result, field for field.
+func TestMultiModelDeterministic(t *testing.T) {
+	a, b := quick().runMultiModel(), quick().runMultiModel()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two multimodel runs differ:\n%+v\n%+v", a, b)
 	}
 }

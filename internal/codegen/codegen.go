@@ -149,21 +149,12 @@ func optValue(env *rt.Env, slot int) *tensor.Tensor {
 	return env.Value(slot)
 }
 
-// gemmResult returns the resolved config for a dense workload. Every
+// result returns the resolved config for a Dense or Conv2D node. Every
 // TunerBolt task must have been covered by the tuning pipeline; a miss
 // means extraction and lowering drifted apart, which must fail loudly
 // rather than silently serial-profile with broken accounting.
-func (c *compiler) gemmResult(w profiler.GemmWorkload) (profiler.Result, error) {
-	key := gemmTaskKey(w, c.dev)
-	if r, ok := c.resolved[key]; ok {
-		return r, nil
-	}
-	return profiler.Result{}, fmt.Errorf("tuning pipeline did not resolve %s", key)
-}
-
-// convResult is the convolution counterpart of gemmResult.
-func (c *compiler) convResult(s cutlass.ConvShape, dt tensor.DType) (profiler.Result, error) {
-	key := convTaskKey(s, dt, c.dev)
+func (c *compiler) result(n *relay.Node) (profiler.Result, error) {
+	key := taskKey(n, c.dev)
 	if r, ok := c.resolved[key]; ok {
 		return r, nil
 	}
@@ -314,7 +305,7 @@ func (c *compiler) lowerDense(n *relay.Node) (rt.Kernel, error) {
 		return c.lowerAnsorGemm(n, x, w, bias, m, nn, k, epi)
 	}
 
-	res, err := c.gemmResult(wl)
+	res, err := c.result(n)
 	if err != nil {
 		return rt.Kernel{}, err
 	}
@@ -342,7 +333,7 @@ func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
 		return c.lowerAnsorConv(n, x, w, bias, shape, epi)
 	}
 
-	res, err := c.convResult(shape, n.DType)
+	res, err := c.result(n)
 	if err != nil {
 		return rt.Kernel{}, err
 	}

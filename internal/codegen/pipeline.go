@@ -19,31 +19,35 @@ import (
 	"sort"
 	"sync"
 
-	"bolt/internal/cutlass"
 	"bolt/internal/gpu"
 	"bolt/internal/profiler"
 	"bolt/internal/relay"
 	"bolt/internal/rt"
-	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
 )
 
-// tuningTask is one unique tuning workload (either a GEMM or a Conv).
+// tuningTask is one unique tuning workload, GEMM or convolution.
 type tuningTask struct {
-	key    tunelog.Key
-	gemm   profiler.GemmWorkload
-	conv   profiler.ConvWorkload
-	isConv bool
+	key tunelog.Key
+	w   profiler.Workload
 }
 
-// gemmTaskKey keys a dense workload for dedup and the tuning log.
-func gemmTaskKey(w profiler.GemmWorkload, dev *gpu.Device) tunelog.Key {
+// taskKey keys a Dense or Conv2D node's workload for dedup, the tuning
+// log and lowering's lookup.
+func taskKey(n *relay.Node, dev *gpu.Device) tunelog.Key {
+	if n.Op == relay.OpConv2D {
+		return tunelog.ConvKey(n.Conv, n.DType, dev.Name)
+	}
+	w := denseWorkload(n)
 	return tunelog.GemmKey(w.M, w.N, w.K, w.DType, dev.Name)
 }
 
-// convTaskKey keys a convolution workload.
-func convTaskKey(s cutlass.ConvShape, dt tensor.DType, dev *gpu.Device) tunelog.Key {
-	return tunelog.ConvKey(s, dt, dev.Name)
+// workload reads the tuning problem off a Dense or Conv2D node.
+func workload(n *relay.Node) profiler.Workload {
+	if n.Op == relay.OpConv2D {
+		return profiler.ConvWorkload{Shape: n.Conv, DType: n.DType}
+	}
+	return denseWorkload(n)
 }
 
 // denseWorkload reads the GEMM problem off a Dense node.
@@ -58,34 +62,18 @@ func denseWorkload(n *relay.Node) profiler.GemmWorkload {
 func extractWorkloads(g *relay.Graph, dev *gpu.Device) (unique []tuningTask, total int) {
 	seen := make(map[tunelog.Key]bool)
 	for _, n := range g.Nodes {
-		var t tuningTask
-		switch n.Op {
-		case relay.OpDense:
-			w := denseWorkload(n)
-			t = tuningTask{key: gemmTaskKey(w, dev), gemm: w}
-		case relay.OpConv2D:
-			t = tuningTask{key: convTaskKey(n.Conv, n.DType, dev), conv: profiler.ConvWorkload{Shape: n.Conv, DType: n.DType}, isConv: true}
-		default:
+		if n.Op != relay.OpDense && n.Op != relay.OpConv2D {
 			continue
 		}
 		total++
-		if !seen[t.key] {
-			seen[t.key] = true
-			unique = append(unique, t)
+		key := taskKey(n, dev)
+		if seen[key] {
+			continue
 		}
+		seen[key] = true
+		unique = append(unique, tuningTask{key: key, w: workload(n)})
 	}
 	return unique, total
-}
-
-// planTask computes a task's guided profiling plan (which candidates
-// to measure, or a measurement-free predicted pick). The planner's
-// model is frozen for the whole planning pass, so plans are
-// independent of pool width and task order.
-func planTask(p *profiler.Profiler, t tuningTask) (profiler.Plan, error) {
-	if t.isConv {
-		return p.PlanConv(t.conv)
-	}
-	return p.PlanGemm(t.gemm)
 }
 
 // guidanceFor resolves the pipeline's effective guidance: the
@@ -114,14 +102,7 @@ func guidanceFor(opts Options) (profiler.Guidance, error) {
 // task on this device (a corrupt or foreign entry must fall through to
 // profiling rather than produce an unlaunchable kernel).
 func cacheUsable(e tunelog.Entry, t tuningTask, dev *gpu.Device) bool {
-	if e.Config.Validate(dev) != nil {
-		return false
-	}
-	if t.isConv {
-		conv := &cutlass.Conv2D{Shape: t.conv.Shape, Config: e.Config, Epilogue: cutlass.DefaultEpilogue()}
-		return conv.SupportsProblem()
-	}
-	return e.Config.SupportsProblem(t.gemm.M, t.gemm.N, t.gemm.K)
+	return e.Config.Validate(dev) == nil && t.w.Supports(e.Config)
 }
 
 // runTuningPipeline executes stages 1-3 and returns the resolved
@@ -166,7 +147,7 @@ func runTuningPipeline(g *relay.Graph, dev *gpu.Device, opts Options) (map[tunel
 	planner.Guide = guide
 	plans := make([]profiler.Plan, len(pending))
 	for i, t := range pending {
-		if plans[i], err = planTask(planner, t); err != nil {
+		if plans[i], err = planner.Plan(t.w); err != nil {
 			return nil, stats, fmt.Errorf("planning %s: %w", t.key, err)
 		}
 	}
@@ -216,11 +197,7 @@ func runTuningPipeline(g *relay.Graph, dev *gpu.Device, opts Options) (map[tunel
 	errs := make([]error, len(pending))
 	for i, t := range pending {
 		if plans[i].Predicted {
-			if t.isConv {
-				results[i], errs[i] = planner.ProfileConvPlan(t.conv, plans[i])
-			} else {
-				results[i], errs[i] = planner.ProfileGemmPlan(t.gemm, plans[i])
-			}
+			results[i], errs[i] = planner.ProfilePlan(t.w, plans[i])
 		}
 	}
 	clocks := make([]gpu.Clock, poolJobs)
@@ -235,12 +212,7 @@ func runTuningPipeline(g *relay.Graph, dev *gpu.Device, opts Options) (map[tunel
 				if plans[i].Predicted {
 					continue
 				}
-				t := pending[i]
-				if t.isConv {
-					results[i], errs[i] = worker.ProfileConvPlan(t.conv, plans[i])
-				} else {
-					results[i], errs[i] = worker.ProfileGemmPlan(t.gemm, plans[i])
-				}
+				results[i], errs[i] = worker.ProfilePlan(pending[i].w, plans[i])
 			}
 		}(w)
 	}

@@ -118,11 +118,6 @@ func ToFloat32(h Float16) float32 {
 	}
 }
 
-// FromFloat64 converts a float64 to binary16 (via float32, rounding twice;
-// the double rounding is harmless for our value ranges and matches how
-// host code typically produces half data).
-func FromFloat64(f float64) Float16 { return FromFloat32(float32(f)) }
-
 // ToFloat64 converts a binary16 value to float64 exactly.
 func ToFloat64(h Float16) float64 { return float64(ToFloat32(h)) }
 

@@ -173,76 +173,53 @@ func UnfusedConvTime(d *gpu.Device, layers []ConvLayer) float64 {
 // residence, mirroring Bolt's automatic selection. It returns the
 // fused kernel with the lower modeled time among valid options.
 func ChooseGemmResidence(m int, layers []GemmLayer, d *gpu.Device) (*FusedGemm, error) {
-	var best *FusedGemm
-	var firstErr error
-	for _, kind := range []Residence{RFResident, SMEMResident} {
-		for _, tbM := range []int{layers[0].Config.TB.M, 64, 32, 16} {
-			ls := retileForResidence(layers, kind)
-			for i := range ls {
-				ls[i].Config.TB.M = tbM
-				if ls[i].Config.Warp.M > tbM {
-					ls[i].Config.Warp.M = tbM
-				}
-			}
-			f, err := NewFusedGemm(m, ls, kind, d)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if best == nil || f.Time(d) < best.Time(d) {
-				best = f
-			}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("persistent: no valid residence: %w", firstErr)
-	}
-	return best, nil
+	return chooseResidence(layers, func(l *GemmLayer) *cutlass.GemmConfig { return &l.Config },
+		func(ls []GemmLayer, kind Residence) (*FusedGemm, error) { return NewFusedGemm(m, ls, kind, d) }, d)
 }
 
-// ChooseConvResidence is the convolution counterpart of
-// ChooseGemmResidence.
+// ChooseConvResidence is ChooseGemmResidence for a convolution chain.
 func ChooseConvResidence(layers []ConvLayer, d *gpu.Device) (*FusedConv, error) {
-	var best *FusedConv
+	return chooseResidence(layers, func(l *ConvLayer) *cutlass.GemmConfig { return &l.Config },
+		func(ls []ConvLayer, kind Residence) (*FusedConv, error) { return NewFusedConv(ls, kind, d) }, d)
+}
+
+// chooseResidence is the one residence search: every residence kind
+// crossed with the first layer's ThreadBlock_M and three smaller ones,
+// each layer's config retiled for the kind, keeping the valid fused
+// kernel with the lowest modeled time.
+func chooseResidence[L any, F interface{ Time(*gpu.Device) float64 }](layers []L, config func(*L) *cutlass.GemmConfig,
+	build func([]L, Residence) (F, error), d *gpu.Device) (F, error) {
+	var best F
+	found := false
 	var firstErr error
 	for _, kind := range []Residence{RFResident, SMEMResident} {
-		for _, tbM := range []int{layers[0].Config.TB.M, 64, 32, 16} {
-			ls := make([]ConvLayer, len(layers))
+		for _, tbM := range []int{config(&layers[0]).TB.M, 64, 32, 16} {
+			ls := make([]L, len(layers))
 			copy(ls, layers)
 			for i := range ls {
-				ls[i].Config = residenceConfig(ls[i].Config, kind)
-				ls[i].Config.TB.M = tbM
-				if ls[i].Config.Warp.M > tbM {
-					ls[i].Config.Warp.M = tbM
+				cfg := config(&ls[i])
+				*cfg = residenceConfig(*cfg, kind)
+				cfg.TB.M = tbM
+				if cfg.Warp.M > tbM {
+					cfg.Warp.M = tbM
 				}
 			}
-			f, err := NewFusedConv(ls, kind, d)
+			f, err := build(ls, kind)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			if best == nil || f.Time(d) < best.Time(d) {
-				best = f
+			if !found || f.Time(d) < best.Time(d) {
+				best, found = f, true
 			}
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("persistent: no valid residence: %w", firstErr)
+	if !found {
+		return best, fmt.Errorf("persistent: no valid residence: %w", firstErr)
 	}
 	return best, nil
-}
-
-func retileForResidence(layers []GemmLayer, kind Residence) []GemmLayer {
-	out := make([]GemmLayer, len(layers))
-	copy(out, layers)
-	for i := range out {
-		out[i].Config = residenceConfig(out[i].Config, kind)
-	}
-	return out
 }
 
 // residenceConfig adjusts warp tiling for the residence kind:

@@ -283,3 +283,13 @@ func TestTinyNWorkloads(t *testing.T) {
 		t.Error("tiny-N fusion should still win (launch latency dominates)")
 	}
 }
+
+// retileForResidence applies residenceConfig to every layer of a copy.
+func retileForResidence(layers []GemmLayer, kind Residence) []GemmLayer {
+	out := make([]GemmLayer, len(layers))
+	copy(out, layers)
+	for i := range out {
+		out[i].Config = residenceConfig(out[i].Config, kind)
+	}
+	return out
+}

@@ -206,7 +206,7 @@ func TestTrustGateRefusesPoisonedModel(t *testing.T) {
 	for _, m := range []int{64, 128, 256, 512, 1024} {
 		for _, n := range []int{256, 768, 2048} {
 			wl := GemmWorkload{M: m, N: n, K: 512, DType: tensor.FP16}
-			group := gemmGroupID(wl)
+			group := wl.Group()
 			for _, cfg := range enum.GemmCandidates(wl) {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				y := -14 + 6*float64(seed>>11)/float64(1<<53)

@@ -16,6 +16,10 @@
 // then measures each candidate on the device. Sample kernels are
 // generated once per architecture and reused across models and
 // workloads, so per-workload tuning costs seconds, not hours.
+//
+// A convolution is planned and measured as its implicit GEMM, through
+// the same path as a GEMM: both are a Workload, and Plan, ProfilePlan
+// and the result cache serve either kind.
 package profiler
 
 import (
@@ -32,6 +36,23 @@ import (
 	"bolt/internal/tensor"
 )
 
+// Workload is one tuning problem. A convolution is tuned as the
+// implicit GEMM CUTLASS runs it as (paper §3.2.3): the same template
+// candidates, with the alignments taken from the channel counts, so
+// both kinds are planned, measured and cached through one path.
+type Workload interface {
+	// Group identifies the workload: it seeds the deterministic
+	// measurement-noise stream and names the cost model's
+	// rank-correlation group.
+	Group() string
+	// Supports reports whether a config's alignments fit the problem.
+	Supports(cfg cutlass.GemmConfig) bool
+
+	candidates(p *Profiler) []cutlass.GemmConfig
+	features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64
+	desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc
+}
+
 // GemmWorkload identifies one GEMM problem.
 type GemmWorkload struct {
 	M, N, K int
@@ -41,12 +62,67 @@ type GemmWorkload struct {
 // String renders like the paper's workload tables: "(M, N, K)".
 func (w GemmWorkload) String() string { return fmt.Sprintf("(%d, %d, %d)", w.M, w.N, w.K) }
 
+// Group implements Workload.
+func (w GemmWorkload) Group() string { return "gemm:" + w.String() + ":" + w.DType.String() }
+
+// Supports implements Workload.
+func (w GemmWorkload) Supports(cfg cutlass.GemmConfig) bool {
+	return cfg.SupportsProblem(w.M, w.N, w.K)
+}
+
+func (w GemmWorkload) candidates(p *Profiler) []cutlass.GemmConfig { return p.GemmCandidates(w) }
+
+func (w GemmWorkload) features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64 {
+	return costmodel.Features(cfg, w.M, w.N, w.K, nil, dev)
+}
+
+func (w GemmWorkload) desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc {
+	g := &cutlass.Gemm{Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
+	return g.Desc(dev, w.M, w.N, w.K)
+}
+
 // ConvWorkload identifies one convolution problem: the full shape plus
 // the element type (same-shape convs of different dtypes are distinct
 // tuning tasks, mirroring tunelog.Key).
 type ConvWorkload struct {
 	Shape cutlass.ConvShape
 	DType tensor.DType
+}
+
+// Group implements Workload.
+func (w ConvWorkload) Group() string { return fmt.Sprintf("conv:%+v:%s", w.Shape, w.DType) }
+
+// Supports implements Workload.
+func (w ConvWorkload) Supports(cfg cutlass.GemmConfig) bool { return w.kernel(cfg).SupportsProblem() }
+
+func (w ConvWorkload) kernel(cfg cutlass.GemmConfig) *cutlass.Conv2D {
+	return &cutlass.Conv2D{Shape: w.Shape, Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
+}
+
+// candidates are the implicit GEMM's, with the alignments rewritten to
+// follow the channel counts, not the implicit-GEMM dims.
+func (w ConvWorkload) candidates(p *Profiler) []cutlass.GemmConfig {
+	m, n, k := w.Shape.ImplicitGemm()
+	cands := p.GemmCandidates(GemmWorkload{M: m, N: n, K: k, DType: w.DType})
+	ica := alignFor(w.Shape.IC, w.DType)
+	oca := alignFor(w.Shape.OC, w.DType)
+	filtered := cands[:0]
+	for _, cfg := range cands {
+		cfg.AlignA, cfg.AlignB, cfg.AlignC = ica, ica, oca
+		if w.Supports(cfg) {
+			filtered = append(filtered, cfg)
+		}
+	}
+	return filtered
+}
+
+func (w ConvWorkload) features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64 {
+	m, n, k := w.Shape.ImplicitGemm()
+	return costmodel.Features(cfg, m, n, k, &w.Shape, dev)
+}
+
+func (w ConvWorkload) desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc {
+	return w.kernel(cfg).Desc(dev)
 }
 
 // Result is the outcome of profiling one workload.
@@ -111,9 +187,8 @@ type Profiler struct {
 	dev   *gpu.Device
 	clock *gpu.Clock
 
-	mu        sync.Mutex
-	gemmCache map[GemmWorkload]Result
-	convCache map[ConvWorkload]Result
+	mu    sync.Mutex
+	cache map[Workload]Result
 
 	// CompileLatency is the simulated cost of building one sample
 	// program. Bolt pre-generates them per architecture, so this is
@@ -143,8 +218,7 @@ func New(dev *gpu.Device, clock *gpu.Clock) *Profiler {
 	return &Profiler{
 		dev:            dev,
 		clock:          clock,
-		gemmCache:      make(map[GemmWorkload]Result),
-		convCache:      make(map[ConvWorkload]Result),
+		cache:          make(map[Workload]Result),
 		CompileLatency: 0.9, // seconds per sample program (nvcc on one template)
 		compiled:       make(map[string]bool),
 		Measure:        m,
@@ -260,7 +334,7 @@ func (p *Profiler) GemmCandidates(w GemmWorkload) []cutlass.GemmConfig {
 							AlignA: alignA, AlignB: alignB, AlignC: alignC,
 							Op: op, DType: w.DType,
 						}
-						if cfg.Validate(p.dev) == nil && cfg.SupportsProblem(w.M, w.N, w.K) {
+						if cfg.Validate(p.dev) == nil && w.Supports(cfg) {
 							out = append(out, cfg)
 						}
 					}
@@ -313,29 +387,27 @@ func (p *Profiler) chargeCompile(name string) {
 	}
 }
 
-// gemmGroupID identifies a GEMM workload for both the deterministic
-// noise stream and the cost model's rank-correlation groups.
-func gemmGroupID(w GemmWorkload) string { return "gemm:" + w.String() + ":" + w.DType.String() }
-
-// convGroupID is the convolution counterpart of gemmGroupID.
-func convGroupID(w ConvWorkload) string { return fmt.Sprintf("conv:%+v:%s", w.Shape, w.DType) }
-
-// plan applies the profiler's guidance to an enumerated candidate
-// list. Without an applicable model it returns a full sweep in
-// enumeration order (the exact unguided behavior). With one, it ranks
-// candidates by predicted time (stable sort, so ties keep enumeration
-// order and the plan is deterministic), then either keeps the top-k
-// or — when held-out confidence clears the trust threshold — resolves
-// the workload measurement-free from the prediction.
-func (p *Profiler) plan(cands []cutlass.GemmConfig, feat func(cutlass.GemmConfig) []float64) Plan {
+// Plan enumerates a workload's candidates and applies the profiler's
+// guidance. It charges no clock and takes no measurement. Without an
+// applicable model it returns a full sweep in enumeration order (the
+// exact unguided behavior). With one, it ranks candidates by predicted
+// time (stable sort, so ties keep enumeration order and the plan is
+// deterministic), then either keeps the top-k or — when held-out
+// confidence clears the trust threshold — resolves the workload
+// measurement-free from the prediction.
+func (p *Profiler) Plan(w Workload) (Plan, error) {
+	cands := w.candidates(p)
+	if len(cands) == 0 {
+		return Plan{}, fmt.Errorf("profiler: no valid candidates for %v", w)
+	}
 	pl := Plan{Enumerated: len(cands), Measure: cands}
 	g := p.Guide
 	if g.Model == nil || !g.Model.Trained() || (g.TopK <= 0 && g.TrustThreshold <= 0) {
-		return pl
+		return pl, nil
 	}
 	preds := make([]float64, len(cands))
 	for i, cfg := range cands {
-		preds[i] = g.Model.Predict(feat(cfg))
+		preds[i] = g.Model.Predict(w.features(cfg, p.dev))
 	}
 	idx := make([]int, len(cands))
 	for i := range idx {
@@ -348,7 +420,7 @@ func (p *Profiler) plan(cands []cutlass.GemmConfig, feat func(cutlass.GemmConfig
 		pl.Config = cands[idx[0]]
 		pl.Time = math.Exp(preds[idx[0]])
 		pl.Measure = nil
-		return pl
+		return pl, nil
 	}
 	// Only cut the list when top-k actually shrinks it; a full-length
 	// sweep stays in enumeration order so a below-threshold trust gate
@@ -361,176 +433,64 @@ func (p *Profiler) plan(cands []cutlass.GemmConfig, feat func(cutlass.GemmConfig
 		pl.Guided = true
 		pl.Measure = ranked
 	}
-	return pl
+	return pl, nil
 }
 
-// PlanGemm enumerates a GEMM workload's candidates and applies the
-// profiler's guidance. It charges no clock and takes no measurement.
-func (p *Profiler) PlanGemm(w GemmWorkload) (Plan, error) {
-	cands := p.GemmCandidates(w)
-	if len(cands) == 0 {
-		return Plan{}, fmt.Errorf("profiler: no valid candidates for %s", w)
-	}
-	return p.plan(cands, func(cfg cutlass.GemmConfig) []float64 {
-		return costmodel.Features(cfg, w.M, w.N, w.K, nil, p.dev)
-	}), nil
-}
+// ProfileGemm measures a GEMM workload's candidates (all of them, or
+// the guided subset) and returns the fastest, caching the result.
+func (p *Profiler) ProfileGemm(w GemmWorkload) (Result, error) { return p.profile(w) }
 
-// ProfileGemm measures the workload's candidates (all of them, or the
-// guided subset) and returns the fastest, caching the result.
-func (p *Profiler) ProfileGemm(w GemmWorkload) (Result, error) {
+// ProfileConv is ProfileGemm for a convolution.
+func (p *Profiler) ProfileConv(w ConvWorkload) (Result, error) { return p.profile(w) }
+
+func (p *Profiler) profile(w Workload) (Result, error) {
 	p.mu.Lock()
-	if r, ok := p.gemmCache[w]; ok {
-		p.mu.Unlock()
+	r, ok := p.cache[w]
+	p.mu.Unlock()
+	if ok {
 		return r, nil
 	}
-	p.mu.Unlock()
-	plan, err := p.PlanGemm(w)
+	plan, err := p.Plan(w)
 	if err != nil {
 		return Result{}, err
 	}
-	return p.ProfileGemmPlan(w, plan)
+	return p.ProfilePlan(w, plan)
 }
 
-// ProfileGemmPlan resolves a workload according to a previously
-// computed plan: a predicted plan caches the model's pick without
-// measuring (zero tuning-clock charge); otherwise exactly the planned
-// candidates are compiled and measured. Every measurement is fed back
-// to the guidance model (training is a separate, explicit Fit so the
-// ranking stays frozen while a profiling pool is in flight).
-func (p *Profiler) ProfileGemmPlan(w GemmWorkload, plan Plan) (Result, error) {
+// ProfilePlan resolves a workload according to a previously computed
+// plan: a predicted plan caches the model's pick without measuring
+// (zero tuning-clock charge); otherwise exactly the planned candidates
+// are compiled and measured. Every measurement is fed back to the
+// guidance model (training is a separate, explicit Fit so the ranking
+// stays frozen while a profiling pool is in flight).
+func (p *Profiler) ProfilePlan(w Workload, plan Plan) (Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if r, ok := p.gemmCache[w]; ok {
+	if r, ok := p.cache[w]; ok {
 		return r, nil
 	}
 	if plan.Predicted {
 		r := Result{Config: plan.Config, Time: plan.Time, Enumerated: plan.Enumerated, Predicted: true, PredictionError: -1}
-		p.gemmCache[w] = r
-		return r, nil
-	}
-	if len(plan.Measure) == 0 {
-		return Result{}, fmt.Errorf("profiler: empty measurement plan for %s", w)
-	}
-	group := gemmGroupID(w)
-	rng := workloadRNG(group)
-	best := Result{Time: -1, Candidates: len(plan.Measure), Enumerated: plan.Enumerated, PredictionError: -1}
-	bestPred := math.NaN()
-	for _, cfg := range plan.Measure {
-		p.chargeCompile(cfg.Name())
-		g := &cutlass.Gemm{Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
-		t := gpu.Measure(p.dev, g.Desc(p.dev, w.M, w.N, w.K), p.Measure, rng, p.clock)
-		var pred float64
-		if p.Guide.Model != nil && t > 0 {
-			f := costmodel.Features(cfg, w.M, w.N, w.K, nil, p.dev)
-			if p.Guide.Model.Trained() {
-				pred = p.Guide.Model.Predict(f)
-			} else {
-				pred = math.NaN()
-			}
-			p.Guide.Model.Observe(group, f, math.Log(t))
-		} else {
-			pred = math.NaN()
-		}
-		if best.Time < 0 || t < best.Time {
-			best.Time = t
-			best.Config = cfg
-			bestPred = pred
-		}
-	}
-	if !math.IsNaN(bestPred) && best.Time > 0 {
-		best.PredictionError = math.Abs(math.Exp(bestPred)-best.Time) / best.Time
-	}
-	p.gemmCache[w] = best
-	return best, nil
-}
-
-// ConvCandidates enumerates the architecture-guided configurations for
-// a convolution: the implicit-GEMM candidates with alignments rewritten
-// to follow the channel counts, not the implicit-GEMM dims.
-func (p *Profiler) ConvCandidates(w ConvWorkload) []cutlass.GemmConfig {
-	s := w.Shape
-	m, n, k := s.ImplicitGemm()
-	cands := p.GemmCandidates(GemmWorkload{M: m, N: n, K: k, DType: w.DType})
-	ica := alignFor(s.IC, w.DType)
-	oca := alignFor(s.OC, w.DType)
-	filtered := cands[:0]
-	for _, cfg := range cands {
-		cfg.AlignA, cfg.AlignB, cfg.AlignC = ica, ica, oca
-		conv := &cutlass.Conv2D{Shape: s, Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
-		if conv.SupportsProblem() {
-			filtered = append(filtered, cfg)
-		}
-	}
-	return filtered
-}
-
-// PlanConv enumerates a convolution workload's candidates and applies
-// the profiler's guidance (no clock charge, no measurement).
-func (p *Profiler) PlanConv(w ConvWorkload) (Plan, error) {
-	filtered := p.ConvCandidates(w)
-	if len(filtered) == 0 {
-		return Plan{}, fmt.Errorf("profiler: no valid candidates for %v", w)
-	}
-	s := w.Shape
-	m, n, k := s.ImplicitGemm()
-	return p.plan(filtered, func(cfg cutlass.GemmConfig) []float64 {
-		return costmodel.Features(cfg, m, n, k, &s, p.dev)
-	}), nil
-}
-
-// ProfileConv measures candidates for a convolution workload (all of
-// them, or the guided subset).
-func (p *Profiler) ProfileConv(w ConvWorkload) (Result, error) {
-	p.mu.Lock()
-	if r, ok := p.convCache[w]; ok {
-		p.mu.Unlock()
-		return r, nil
-	}
-	p.mu.Unlock()
-	plan, err := p.PlanConv(w)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.ProfileConvPlan(w, plan)
-}
-
-// ProfileConvPlan is the convolution counterpart of ProfileGemmPlan.
-func (p *Profiler) ProfileConvPlan(w ConvWorkload, plan Plan) (Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.convCache[w]; ok {
-		return r, nil
-	}
-	if plan.Predicted {
-		r := Result{Config: plan.Config, Time: plan.Time, Enumerated: plan.Enumerated, Predicted: true, PredictionError: -1}
-		p.convCache[w] = r
+		p.cache[w] = r
 		return r, nil
 	}
 	if len(plan.Measure) == 0 {
 		return Result{}, fmt.Errorf("profiler: empty measurement plan for %v", w)
 	}
-	s := w.Shape
-	m, n, k := s.ImplicitGemm()
-	group := convGroupID(w)
+	group := w.Group()
 	rng := workloadRNG(group)
 	best := Result{Time: -1, Candidates: len(plan.Measure), Enumerated: plan.Enumerated, PredictionError: -1}
 	bestPred := math.NaN()
 	for _, cfg := range plan.Measure {
 		p.chargeCompile(cfg.Name())
-		conv := &cutlass.Conv2D{Shape: s, Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
-		t := gpu.Measure(p.dev, conv.Desc(p.dev), p.Measure, rng, p.clock)
-		var pred float64
+		t := gpu.Measure(p.dev, w.desc(cfg, p.dev), p.Measure, rng, p.clock)
+		pred := math.NaN()
 		if p.Guide.Model != nil && t > 0 {
-			f := costmodel.Features(cfg, m, n, k, &s, p.dev)
+			f := w.features(cfg, p.dev)
 			if p.Guide.Model.Trained() {
 				pred = p.Guide.Model.Predict(f)
-			} else {
-				pred = math.NaN()
 			}
 			p.Guide.Model.Observe(group, f, math.Log(t))
-		} else {
-			pred = math.NaN()
 		}
 		if best.Time < 0 || t < best.Time {
 			best.Time = t
@@ -541,7 +501,7 @@ func (p *Profiler) ProfileConvPlan(w ConvWorkload, plan Plan) (Result, error) {
 	if !math.IsNaN(bestPred) && best.Time > 0 {
 		best.PredictionError = math.Abs(math.Exp(bestPred)-best.Time) / best.Time
 	}
-	p.convCache[w] = best
+	p.cache[w] = best
 	return best, nil
 }
 

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"reflect"
 	"testing"
 
 	"bolt/internal/cutlass"
@@ -181,5 +182,62 @@ func TestTuningTimeIsMinutesNotHours(t *testing.T) {
 	}
 	if min := clock.Elapsed() / 60; min > 20 {
 		t.Errorf("profiling 7 tasks took %.1f simulated minutes, want < 20", min)
+	}
+}
+
+// The group strings seed every measurement's noise stream and name the
+// cost model's rank groups, so the merged tuning path must keep them
+// byte for byte.
+func TestWorkloadGroupsPinned(t *testing.T) {
+	for _, c := range []struct {
+		w    Workload
+		want string
+	}{
+		{GemmWorkload{M: 1280, N: 3072, K: 768, DType: tensor.FP16}, "gemm:(1280, 3072, 768):float16"},
+		{ConvWorkload{Shape: cutlass.Conv3x3(32, 56, 56, 64, 128, 2, 1), DType: tensor.INT8}, "conv:conv 32x56x56x64 k3x3 s2 ic64 oc128:int8"},
+	} {
+		if got := c.w.Group(); got != c.want {
+			t.Errorf("Group() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// A 1x1 convolution and the GEMM it lowers to share (M, N, K, dtype)
+// but are distinct workloads: the one cache must never hand one kind's
+// result to the other, in either order.
+func TestCacheKeepsKindsApart(t *testing.T) {
+	conv := ConvWorkload{Shape: cutlass.Conv1x1(1, 14, 14, 256, 512), DType: tensor.FP16}
+	m, n, k := conv.Shape.ImplicitGemm()
+	gemm := GemmWorkload{M: m, N: n, K: k, DType: tensor.FP16}
+	fresh := func(w Workload) Result {
+		r, err := New(gpu.T4(), nil).profile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	wantConv, wantGemm := fresh(conv), fresh(gemm)
+	if reflect.DeepEqual(wantConv, wantGemm) {
+		t.Fatalf("conv and GEMM results coincide (%+v); the test cannot tell them apart", wantConv)
+	}
+	for _, order := range [][]Workload{{conv, gemm}, {gemm, conv}} {
+		p := New(gpu.T4(), nil)
+		for _, w := range order {
+			if _, err := p.profile(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			w    Workload
+			want Result
+		}{{conv, wantConv}, {gemm, wantGemm}} {
+			got, err := p.profile(c.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%v after %v: got %+v, want a fresh profiler's %+v", c.w, order, got, c.want)
+			}
+		}
 	}
 }

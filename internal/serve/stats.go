@@ -33,10 +33,6 @@ const (
 // one tenant: latency-sensitive first, bulk last.
 var priorityOrder = [numPriorities]Priority{PriorityHigh, PriorityNormal, PriorityBulk}
 
-// Priorities lists every priority in dispatch order (for stats
-// iteration).
-func Priorities() []Priority { return priorityOrder[:] }
-
 func (p Priority) String() string {
 	switch p {
 	case PriorityHigh:

@@ -195,10 +195,6 @@ func (t *Tensor) DType() DType { return t.dtype }
 // Layout returns the memory layout tag.
 func (t *Tensor) Layout() Layout { return t.layout }
 
-// SetLayout overrides the layout tag without moving data. Use Transform
-// to actually permute.
-func (t *Tensor) SetLayout(l Layout) { t.layout = l }
-
 // Data exposes the backing float32 slice (aliased, not copied).
 func (t *Tensor) Data() []float32 { return t.data }
 
