@@ -95,9 +95,18 @@ type servingResult struct {
 
 // floodServer replays the prepared requests (with their simulated
 // arrival times) against a one-model server and returns the model's
-// serving stats, with SimMakespan taken server-wide.
+// serving stats, with SimMakespan taken server-wide. The variant
+// compiles are gated shut until the whole stream is queued, as in
+// floodPadding, so host scheduling noise cannot change which rows
+// coalesce.
 func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
 	const model = "default"
+	gate := make(chan struct{})
+	inner := s.tenantCompiler(servingModel(), log)
+	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		<-gate
+		return inner(dev, batch)
+	}
 	srv := serve.NewServer(serve.ServerOptions{
 		Devices:     s.devices(workers),
 		QueueDepth:  len(inputs),
@@ -106,10 +115,7 @@ func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs
 		TraceLabel:  label,
 	})
 	defer srv.Close()
-	if err := srv.Deploy(model, s.tenantCompiler(servingModel(), log), serve.DeployOptions{Buckets: buckets}); err != nil {
-		panic(err)
-	}
-	if err := srv.Warm(model); err != nil {
+	if err := srv.Deploy(model, gated, serve.DeployOptions{Buckets: buckets}); err != nil {
 		panic(err)
 	}
 	chans := make([]<-chan serve.Result, len(inputs))
@@ -120,6 +126,7 @@ func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs
 		}
 		chans[i] = ch
 	}
+	close(gate)
 	for _, ch := range chans {
 		if res := <-ch; res.Err != nil {
 			panic(res.Err)

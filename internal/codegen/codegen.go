@@ -93,7 +93,7 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 	for i, n := range g.Nodes {
 		c.slots[n.ID] = i
 	}
-	m := &rt.Module{Graph: g, Device: dev, Plan: relay.PlanMemory(g)}
+	m := &rt.Module{Graph: g, Device: dev}
 	if opts.Tuner == TunerBolt {
 		if opts.Profiler == nil {
 			return nil, fmt.Errorf("codegen: TunerBolt requires a profiler")
@@ -495,7 +495,7 @@ func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape c
 		if !nchw {
 			return conv.RunInto(dst, x, w, bias)
 		}
-		return tensor.ToNCHWInto(dst, conv.Run(tensor.ToNHWC(x), w, bias))
+		return tensor.ToNCHWInto(dst, conv.RunInto(nil, tensor.ToNHWCInto(nil, x), w, bias))
 	}), nil
 }
 

@@ -178,8 +178,8 @@ func TestZooPlannedExecutorGolden(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m := compileZoo(t, c.build())
-			if m.Plan == nil {
-				t.Fatal("compiled module has no memory plan")
+			if m.Memory().ArenaBuffers == 0 {
+				t.Fatal("compiled module plans no arena")
 			}
 			in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, c.batch, 3, 32, 32)
 			in.FillRandom(42, 1)

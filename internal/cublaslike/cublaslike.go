@@ -110,7 +110,7 @@ func (l *Library) Gemm(a, b *tensor.Tensor) *tensor.Tensor {
 	as, bs := a.Shape(), b.Shape()
 	cfg := l.selectConfig(as[0], bs[1], as[1])
 	g := &cutlass.Gemm{Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
-	return g.Run(a, b, nil)
+	return g.RunInto(nil, a, b, nil)
 }
 
 // ConvTime prices a forward convolution through the library.

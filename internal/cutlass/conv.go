@@ -123,16 +123,11 @@ func (c *Conv2D) SupportsProblem() bool {
 	return s.IC%c.Config.AlignA == 0 && s.IC%c.Config.AlignB == 0 && s.OC%c.Config.AlignC == 0
 }
 
-// Run executes the convolution functionally. x is NHWC (N,H,W,IC);
-// w is OHWI (OC,KH,KW,IC); bias is a length-OC vector or nil. The
-// output is NHWC (N,OH,OW,OC), quantized to the epilogue out dtype.
-func (c *Conv2D) Run(x, w, bias *tensor.Tensor) *tensor.Tensor {
-	return c.RunInto(nil, x, w, bias)
-}
-
-// RunInto executes like Run but writes into dst, an NHWC
-// (N,OH,OW,OC) tensor of the epilogue's output dtype that must not
-// alias any operand. A nil dst allocates. It returns the destination.
+// RunInto executes the convolution functionally. x is NHWC
+// (N,H,W,IC); w is OHWI (OC,KH,KW,IC); bias is a length-OC vector or
+// nil. The output is NHWC (N,OH,OW,OC), quantized to the epilogue out
+// dtype, written into dst, which must not alias any operand. A nil dst
+// allocates. It returns the destination.
 func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	s := c.Shape
 	xs, ws := x.Shape(), w.Shape()

@@ -86,7 +86,7 @@ func TestConvMatchesReference(t *testing.T) {
 	}
 	x := randNHWC(1, 2, 8, 8, 8)
 	w := randOHWI(2, 16, 3, 3, 8)
-	got := conv.Run(x, w, nil)
+	got := conv.RunInto(nil, x, w, nil)
 	want := ReferenceConv2D(s, x, w, nil, DefaultEpilogue())
 	if !tensor.AllClose(got, want, 1e-2, 1e-3) {
 		t.Errorf("conv deviates from reference: %g", tensor.MaxAbsDiff(got, want))
@@ -102,7 +102,7 @@ func TestConvStrideAndPad(t *testing.T) {
 	}
 	x := randNHWC(3, 1, 9, 9, 8)
 	w := randOHWI(4, 8, 3, 3, 8)
-	got := conv.Run(x, w, nil)
+	got := conv.RunInto(nil, x, w, nil)
 	if !got.Shape().Equal(tensor.Shape{1, 5, 5, 8}) {
 		t.Fatalf("output shape %v, want (1,5,5,8)", got.Shape())
 	}
@@ -124,7 +124,7 @@ func TestConvBiasEpilogue(t *testing.T) {
 		w := randOHWI(6, 8, 1, 1, 8)
 		bias := tensor.New(tensor.FP16, 8)
 		bias.FillRandom(7, 1)
-		got := conv.Run(x, w, bias)
+		got := conv.RunInto(nil, x, w, bias)
 		want := ReferenceConv2D(s, x, w, bias, BiasActivation(act))
 		if !tensor.AllClose(got, want, 1e-2, 1e-3) {
 			t.Errorf("%s conv epilogue deviates: %g", act, tensor.MaxAbsDiff(got, want))
@@ -139,13 +139,13 @@ func TestConv1x1IsPointwiseGemm(t *testing.T) {
 	conv, _ := NewConv2D(s, convConfig(), DefaultEpilogue(), d)
 	x := randNHWC(8, 2, 4, 4, 16)
 	w := randOHWI(9, 8, 1, 1, 16)
-	got := conv.Run(x, w, nil)
+	got := conv.RunInto(nil, x, w, nil)
 
 	g, _ := NewGemm(convConfig(), DefaultEpilogue(), d)
 	a := tensor.Reshape(x, 2*4*4, 16)
 	// Weights OHWI (8,1,1,16) -> (8,16); GEMM needs K x N = 16 x 8.
 	wm := tensor.Transpose2D(tensor.Reshape(w, 8, 16))
-	want := g.Run(a, wm, nil)
+	want := g.RunInto(nil, a, wm, nil)
 	if tensor.MaxAbsDiff(tensor.Reshape(got, 32, 8), want) != 0 {
 		t.Error("1x1 conv != equivalent GEMM")
 	}
@@ -356,7 +356,7 @@ func checkConvBitIdentical(t *testing.T) {
 		}
 		c, x, w, bias := convCase(t, int64(100+i), s, epi, withBias)
 		sameBits(t, fmt.Sprintf("%+v %v bias=%v", s, epi.OutDType, withBias),
-			c.Run(x, w, bias), directConv(c, x, w, bias))
+			c.RunInto(nil, x, w, bias), directConv(c, x, w, bias))
 	}
 
 	panels := []ConvShape{
@@ -369,7 +369,7 @@ func checkConvBitIdentical(t *testing.T) {
 	for i, s := range panels {
 		epi := Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
 		c, x, w, bias := convCase(t, int64(300+i), s, epi, true)
-		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.Run(x, w, bias), directConv(c, x, w, bias))
+		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.RunInto(nil, x, w, bias), directConv(c, x, w, bias))
 
 		// Zero input pixel (0, 0) and give every output channel one
 		// non-finite weight on the tap that reads it for output pixel
@@ -386,7 +386,7 @@ func checkConvBitIdentical(t *testing.T) {
 				}
 				wd[((oc*s.KH+s.PadH)*s.KW+s.PadW)*s.IC] = v
 			}
-			got := c.Run(x, w, nil)
+			got := c.RunInto(nil, x, w, nil)
 			sameBits(t, fmt.Sprintf("%+v %v non-finite weights", s, dt), got, directConv(c, x, w, nil))
 			for oc, v := range got.Data()[:s.OC] {
 				if !math.IsNaN(float64(v)) {
@@ -431,9 +431,9 @@ func FuzzConv(f *testing.F) {
 			wd[rng.Intn(len(wd))] = v
 		}
 		want := directConv(c, x, wt, bias)
-		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.Run(x, wt, bias), want)
+		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
 		withGoConvMicro(func() {
-			sameBits(t, fmt.Sprintf("%+v %v, Go body", s, epi.OutDType), c.Run(x, wt, bias), want)
+			sameBits(t, fmt.Sprintf("%+v %v, Go body", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
 		})
 	})
 }
@@ -446,7 +446,7 @@ func TestConvRepacksOnNewWeights(t *testing.T) {
 	c, x, w1, bias := convCase(t, 21, s, BiasActivation(ActReLU), true)
 	_, _, w2, _ := convCase(t, 22, s, BiasActivation(ActReLU), true)
 	for i, w := range []*tensor.Tensor{w1, w2, w1} {
-		sameBits(t, fmt.Sprintf("launch %d", i), c.Run(x, w, bias), directConv(c, x, w, bias))
+		sameBits(t, fmt.Sprintf("launch %d", i), c.RunInto(nil, x, w, bias), directConv(c, x, w, bias))
 	}
 }
 
@@ -464,7 +464,7 @@ func TestConvFirstLaunchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			outs[i] = c.Run(x, w, bias)
+			outs[i] = c.RunInto(nil, x, w, bias)
 		}()
 	}
 	close(start)
@@ -487,7 +487,7 @@ func TestConvSkipsPaddedTapsWithNonFiniteWeights(t *testing.T) {
 			wd[tap] = float32(math.Inf(1))
 			wd[tap+1] = float32(math.NaN())
 		}
-		got := c.Run(x, w, nil)
+		got := c.RunInto(nil, x, w, nil)
 		sameBits(t, dt.String(), got, directConv(c, x, w, nil))
 		for oc, v := range got.Data()[:s.OC] {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -530,7 +530,7 @@ func TestConvPartitionIndependent(t *testing.T) {
 		c, x, w, bias := convCase(t, 11, tc.s, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, OutDType: tc.dt}, true)
 		want := directConv(c, x, w, bias)
 		for _, procs := range []int{1, 2, 8} {
-			got := atProcs(procs, func() *tensor.Tensor { return c.Run(x, w, bias) })
+			got := atProcs(procs, func() *tensor.Tensor { return c.RunInto(nil, x, w, bias) })
 			sameBits(t, fmt.Sprintf("%v at GOMAXPROCS %d", tc.s, procs), got, want)
 		}
 	}
@@ -558,10 +558,10 @@ func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	c, x, w, bias := convCase(t, 3, Conv3x3(1, 8, 8, 32, 32, 1, 1), BiasActivation(ActReLU), true)
-	cdst := c.Run(x, w, bias)
+	cdst := c.RunInto(nil, x, w, bias)
 	g, _ := NewGemm(smallConfig(), DefaultEpilogue(), gpu.T4())
 	a, b := randMat(t, 1, 8, 512), randMat(t, 2, 512, 512) // one row block cut into two panels
-	gdst := g.Run(a, b, nil)
+	gdst := g.RunInto(nil, a, b, nil)
 	for name, call := range map[string]func(){
 		"conv": func() { c.RunInto(cdst, x, w, bias) },
 		"gemm": func() { g.RunInto(gdst, a, b, nil) },
@@ -607,7 +607,7 @@ func BenchmarkFunctionalConv(b *testing.B) {
 			w := randOHWI(2, bc.s.OC, bc.s.KH, bc.s.KW, bc.s.IC)
 			bias := tensor.New(tensor.FP16, bc.s.OC)
 			bias.FillRandom(3, 1)
-			dst := c.Run(x, w, bias)
+			dst := c.RunInto(nil, x, w, bias)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.RunInto(dst, x, w, bias)

@@ -30,28 +30,22 @@ func (g *Gemm) Name() string {
 	return g.Config.Name() + "_" + g.Epilogue.String()
 }
 
-// Run executes the kernel functionally. A is M×K, B is K×N. c is the
-// epilogue source operand: a length-N bias vector when
+// RunInto executes the kernel functionally. A is M×K, B is K×N. c is
+// the epilogue source operand: a length-N bias vector when
 // Epilogue.BiasVector is set, an M×N matrix when Beta != 0 otherwise,
 // or nil. The result is quantized to the epilogue's output dtype.
-// Accumulation is FP32, as on tensor cores.
-func (g *Gemm) Run(a, b, c *tensor.Tensor) *tensor.Tensor {
-	d, _ := g.run(nil, a, b, c)
-	return d
-}
-
-// RunInto executes like Run but writes the result into dst, which must
-// be an M×N tensor of the epilogue's output dtype and must not alias
-// any operand (the planner guarantees this for arena destinations).
-// A nil dst allocates. It returns the destination.
+// Accumulation is FP32, as on tensor cores. It writes the result into
+// dst, which must be an M×N tensor of the epilogue's output dtype and
+// must not alias any operand (the planner guarantees this for arena
+// destinations). A nil dst allocates. It returns the destination.
 func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, c *tensor.Tensor) *tensor.Tensor {
 	d, _ := g.run(dst, a, b, c)
 	return d
 }
 
-// RunWithReduction executes like Run and additionally returns the
-// column-sum reduction tensor when Epilogue.ReduceColumns is set
-// (nil otherwise).
+// RunWithReduction executes like RunInto with a nil dst and
+// additionally returns the column-sum reduction tensor when
+// Epilogue.ReduceColumns is set (nil otherwise).
 func (g *Gemm) RunWithReduction(a, b, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	return g.run(nil, a, b, c)
 }

@@ -39,7 +39,7 @@ func TestGemmMatchesReference(t *testing.T) {
 	}
 	a := randMat(t, 1, 48, 64)
 	b := randMat(t, 2, 64, 32)
-	got := g.Run(a, b, nil)
+	got := g.RunInto(nil, a, b, nil)
 	want := ReferenceGemm(a, b, nil, DefaultEpilogue())
 	if !tensor.AllClose(got, want, 1e-2, 1e-3) {
 		t.Errorf("gemm deviates from reference: max diff %g", tensor.MaxAbsDiff(got, want))
@@ -58,7 +58,7 @@ func TestGemmBiasActivationEpilogues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := g.Run(a, b, bias)
+		got := g.RunInto(nil, a, b, bias)
 		want := ReferenceGemm(a, b, bias, epi)
 		if !tensor.AllClose(got, want, 1e-2, 1e-3) {
 			t.Errorf("%s epilogue deviates: max diff %g", act, tensor.MaxAbsDiff(got, want))
@@ -76,7 +76,7 @@ func TestGemmBetaMatrix(t *testing.T) {
 	a := randMat(t, 6, 16, 32)
 	b := randMat(t, 7, 32, 16)
 	c := randMat(t, 8, 16, 16)
-	got := g.Run(a, b, c)
+	got := g.RunInto(nil, a, b, c)
 	want := ReferenceGemm(a, b, c, epi)
 	if !tensor.AllClose(got, want, 1e-2, 1e-3) {
 		t.Errorf("alpha/beta epilogue deviates: %g", tensor.MaxAbsDiff(got, want))
@@ -123,7 +123,7 @@ func TestGemmFP32Output(t *testing.T) {
 	}
 	a := randMat(t, 11, 16, 16)
 	b := randMat(t, 12, 16, 16)
-	out := g.Run(a, b, nil)
+	out := g.RunInto(nil, a, b, nil)
 	if out.DType() != tensor.FP32 {
 		t.Error("output dtype conversion not honored")
 	}
@@ -142,13 +142,13 @@ func TestGemmShapePanics(t *testing.T) {
 	}
 	a := randMat(t, 13, 16, 32)
 	bBad := randMat(t, 14, 16, 16) // K mismatch
-	expectPanic("k mismatch", func() { g.Run(a, bBad, nil) })
+	expectPanic("k mismatch", func() { g.RunInto(nil, a, bBad, nil) })
 	bUnaligned := randMat(t, 15, 32, 15) // N=15 violates align 8
-	expectPanic("alignment", func() { g.Run(a, bUnaligned, nil) })
+	expectPanic("alignment", func() { g.RunInto(nil, a, bUnaligned, nil) })
 	biasBad := randMat(t, 16, 1, 7)
 	bOK := randMat(t, 17, 32, 16)
 	gb, _ := NewGemm(smallConfig(), BiasActivation(ActReLU), d)
-	expectPanic("bias length", func() { gb.Run(a, bOK, tensor.Reshape(biasBad, 7)) })
+	expectPanic("bias length", func() { gb.RunInto(nil, a, bOK, tensor.Reshape(biasBad, 7)) })
 }
 
 func TestDescResources(t *testing.T) {
@@ -242,9 +242,9 @@ func TestGemmLinearityProperty(t *testing.T) {
 			sum.Data()[i] += v
 		}
 		sum.Quantize()
-		d1 := g.Run(a1, b, nil)
-		d2 := g.Run(a2, b, nil)
-		ds := g.Run(sum, b, nil)
+		d1 := g.RunInto(nil, a1, b, nil)
+		d2 := g.RunInto(nil, a2, b, nil)
+		ds := g.RunInto(nil, sum, b, nil)
 		for i := range ds.Data() {
 			if math.Abs(float64(ds.Data()[i]-(d1.Data()[i]+d2.Data()[i]))) > 0.05 {
 				return false
@@ -266,7 +266,7 @@ func TestGemmIdentityProperty(t *testing.T) {
 		eye.Set(1, i, i)
 	}
 	a := randMat(t, 20, 24, 16)
-	out := g.Run(a, eye, nil)
+	out := g.RunInto(nil, a, eye, nil)
 	if tensor.MaxAbsDiff(out, a) != 0 {
 		t.Error("A x I != A")
 	}
@@ -446,7 +446,7 @@ func TestGemmSkipsZeroOperandsWithNonFiniteWeights(t *testing.T) {
 					bd[kk*n+j] = nonFinite[j%len(nonFinite)]
 				}
 			}
-			got := g.Run(a, b, nil)
+			got := g.RunInto(nil, a, b, nil)
 			want, _ := axpyGemm(g, a, b, nil)
 			sameBits(t, fmt.Sprintf("%v mask %09b", dt, mask), got, want)
 			for j := 0; j < n; j++ {
@@ -491,7 +491,7 @@ func TestGemmPartitionIndependent(t *testing.T) {
 		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
 		want, _ := axpyGemm(g, a, b, bias)
 		for _, procs := range []int{1, 2, 8} {
-			got := atProcs(procs, func() *tensor.Tensor { return g.Run(a, b, bias) })
+			got := atProcs(procs, func() *tensor.Tensor { return g.RunInto(nil, a, b, bias) })
 			sameBits(t, fmt.Sprintf("%dx%dx%d at GOMAXPROCS %d", tc.m, tc.n, tc.k, procs), got, want)
 		}
 	}
@@ -515,7 +515,7 @@ func BenchmarkFunctionalGemm(b *testing.B) {
 			a.FillRandom(1, 1)
 			w.FillRandom(2, 1)
 			bias.FillRandom(3, 1)
-			dst := g.Run(a, w, bias)
+			dst := g.RunInto(nil, a, w, bias)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.RunInto(dst, a, w, bias)

@@ -66,7 +66,7 @@ func TestInt8Functional(t *testing.T) {
 	b := tensor.New(tensor.INT8, 64, 32)
 	a.FillRandom(1, 10) // quantizes to integers in [-10, 10]
 	b.FillRandom(2, 10)
-	got := g.Run(a, b, nil)
+	got := g.RunInto(nil, a, b, nil)
 	want := ReferenceGemm(a, b, nil, Epilogue{Alpha: 1, OutDType: tensor.FP32})
 	if tensor.MaxAbsDiff(got, want) != 0 {
 		t.Errorf("INT8 GEMM deviates: %g (integer math must be exact)", tensor.MaxAbsDiff(got, want))

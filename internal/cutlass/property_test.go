@@ -153,7 +153,7 @@ func TestNoNaNProperty(t *testing.T) {
 		a.FillRandom(int64(i), 2)
 		b.FillRandom(int64(i+100), 2)
 		bias.FillRandom(int64(i+200), 2)
-		out := g.Run(a, b, bias)
+		out := g.RunInto(nil, a, b, bias)
 		for _, v := range out.Data() {
 			if v != v {
 				t.Fatalf("NaN in output at iteration %d", i)

@@ -1,11 +1,12 @@
-// Package fp16 implements IEEE 754 binary16 (half precision) arithmetic
+// Package fp16 implements IEEE 754 binary16 (half precision) rounding
 // in software.
 //
 // Bolt's evaluation runs entirely in FP16 on tensor cores; this package
 // is the numeric substrate that stands in for the GPU's native half
-// type. Values are stored as raw uint16 bit patterns (type Float16) and
-// converted to float32 for arithmetic, exactly as CUDA device code
-// promotes __half to float inside the MMA pipeline's FP32 accumulators.
+// type. Kernels compute in float32, exactly as CUDA device code promotes
+// __half to float inside the MMA pipeline's FP32 accumulators, and
+// Round/Quantize model the store to half. Float16 holds a raw uint16
+// bit pattern for the conversions that define that rounding.
 package fp16
 
 import "math"
@@ -137,53 +138,8 @@ func IsInf(h Float16, sign int) bool {
 // IsFinite reports whether h is neither infinite nor NaN.
 func IsFinite(h Float16) bool { return h&0x7C00 != 0x7C00 }
 
-// Neg returns h with its sign flipped (including for zero, Inf, NaN).
-func Neg(h Float16) Float16 { return h ^ 0x8000 }
-
 // Abs returns h with the sign bit cleared.
 func Abs(h Float16) Float16 { return h &^ 0x8000 }
-
-// Add returns the binary16 sum a+b, computed in float32 and rounded once.
-func Add(a, b Float16) Float16 { return FromFloat32(ToFloat32(a) + ToFloat32(b)) }
-
-// Sub returns the binary16 difference a-b.
-func Sub(a, b Float16) Float16 { return FromFloat32(ToFloat32(a) - ToFloat32(b)) }
-
-// Mul returns the binary16 product a*b.
-func Mul(a, b Float16) Float16 { return FromFloat32(ToFloat32(a) * ToFloat32(b)) }
-
-// Div returns the binary16 quotient a/b.
-func Div(a, b Float16) Float16 { return FromFloat32(ToFloat32(a) / ToFloat32(b)) }
-
-// FMA returns a*b+c with a single final rounding, mirroring the HFMA2
-// behaviour of accumulating in higher precision before the half store.
-func FMA(a, b, c Float16) Float16 {
-	return FromFloat32(float32(float64(ToFloat32(a))*float64(ToFloat32(b)) + float64(ToFloat32(c))))
-}
-
-// Less reports a < b under IEEE ordering (NaN compares false).
-func Less(a, b Float16) bool { return ToFloat32(a) < ToFloat32(b) }
-
-// Equal reports a == b under IEEE semantics (+0 == -0; NaN != NaN).
-func Equal(a, b Float16) bool { return ToFloat32(a) == ToFloat32(b) }
-
-// EncodeSlice converts a []float32 into freshly allocated binary16 values.
-func EncodeSlice(src []float32) []Float16 {
-	dst := make([]Float16, len(src))
-	for i, f := range src {
-		dst[i] = FromFloat32(f)
-	}
-	return dst
-}
-
-// DecodeSlice converts binary16 values into freshly allocated float32s.
-func DecodeSlice(src []Float16) []float32 {
-	dst := make([]float32, len(src))
-	for i, h := range src {
-		dst[i] = ToFloat32(h)
-	}
-	return dst
-}
 
 // Float32 bit patterns of the magnitudes where Round changes regime.
 const (

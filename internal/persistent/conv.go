@@ -103,15 +103,10 @@ func (f *FusedConv) Name() string {
 	return fmt.Sprintf("cutlass_b2b_conv2d_fprop_x%d_%s", len(f.Layers), f.Kind)
 }
 
-// Run executes the chain functionally; results must equal running each
-// conv kernel unfused. weights[i] is OHWI for layer i and read-only
-// from the chain's first run on (see cutlass.Conv2D); biases[i] may be
-// nil.
-func (f *FusedConv) Run(x *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
-	return f.RunInto(nil, x, weights, biases)
-}
-
-// RunInto executes like Run but the final layer writes into dst (nil
+// RunInto executes the chain functionally; results must equal running
+// each conv kernel unfused. weights[i] is OHWI for layer i and
+// read-only from the chain's first run on (see cutlass.Conv2D);
+// biases[i] may be nil. The final layer writes into dst (nil
 // allocates); in-chain intermediates stay kernel-internal. It returns
 // the destination.
 func (f *FusedConv) RunInto(dst *tensor.Tensor, x *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {

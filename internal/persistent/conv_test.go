@@ -90,7 +90,7 @@ func TestFusedConvNumerics(t *testing.T) {
 	b1 := tensor.New(tensor.FP16, 16)
 	b1.FillRandom(5, 0.5)
 
-	fused := f.Run(x, []*tensor.Tensor{w0, w1}, []*tensor.Tensor{b0, b1})
+	fused := f.RunInto(nil, x, []*tensor.Tensor{w0, w1}, []*tensor.Tensor{b0, b1})
 
 	d0 := cutlass.ReferenceConv2D(layers[0].Shape, x, w0, b0, layers[0].Epilogue)
 	d1 := cutlass.ReferenceConv2D(layers[1].Shape, d0, w1, b1, layers[1].Epilogue)

@@ -163,19 +163,14 @@ func (f *FusedGemm) Name() string {
 	return fmt.Sprintf("cutlass_b2b_gemm_x%d_%s", len(f.Layers), f.Kind)
 }
 
-// Run executes the fused chain functionally: numerically it must be
-// identical to running the layers' unfused kernels in sequence (the
+// RunInto executes the fused chain functionally: numerically it must
+// be identical to running the layers' unfused kernels in sequence (the
 // intermediate is converted to FP16 in-register before feeding the next
 // main loop, exactly as the unfused pipeline's store+load would).
-// weights[i] is layer i's K×N matrix; biases[i] may be nil.
-func (f *FusedGemm) Run(a0 *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
-	return f.RunInto(nil, a0, weights, biases)
-}
-
-// RunInto executes like Run but the final layer writes into dst (nil
-// allocates); the in-chain intermediates model the fused kernel's
-// register/SMEM residence and never touch the arena. It returns the
-// destination.
+// weights[i] is layer i's K×N matrix; biases[i] may be nil. The final
+// layer writes into dst (nil allocates); the in-chain intermediates
+// model the fused kernel's register/SMEM residence and never touch the
+// arena. It returns the destination.
 func (f *FusedGemm) RunInto(dst *tensor.Tensor, a0 *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
 	if len(weights) != len(f.Layers) {
 		panic(fmt.Sprintf("persistent: %d weights for %d layers", len(weights), len(f.Layers)))

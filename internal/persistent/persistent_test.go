@@ -147,7 +147,7 @@ func TestFusedGemmNumericsMatchUnfused(t *testing.T) {
 	b1 := tensor.New(tensor.FP16, 16)
 	b1.FillRandom(5, 0.5)
 
-	fused := f.Run(a0, []*tensor.Tensor{w0, w1}, []*tensor.Tensor{b0, b1})
+	fused := f.RunInto(nil, a0, []*tensor.Tensor{w0, w1}, []*tensor.Tensor{b0, b1})
 
 	// Unfused reference: two independent reference GEMMs.
 	d0 := cutlass.ReferenceGemm(a0, w0, b0, layers[0].Epilogue)
@@ -246,7 +246,7 @@ func TestThreeLayerChain(t *testing.T) {
 		w.FillRandom(int64(20+i), 0.2)
 	}
 	f3 := &FusedGemm{M: 64, Layers: layers, Kind: RFResident}
-	got := f3.Run(a0, ws, nil)
+	got := f3.RunInto(nil, a0, ws, nil)
 	cur := a0
 	for i, l := range layers {
 		cur = cutlass.ReferenceGemm(cur, ws[i], nil, l.Epilogue)

@@ -80,7 +80,7 @@ func TestFusedNumericsProperty(t *testing.T) {
 			bs[j].FillRandom(int64(i*100+j), 0.3)
 		}
 		small := &FusedGemm{M: m, Layers: f.Layers, Kind: f.Kind}
-		got := small.Run(a, ws, bs)
+		got := small.RunInto(nil, a, ws, bs)
 		cur := a
 		for j, l := range layers {
 			cur = cutlass.ReferenceGemm(cur, ws[j], bs[j], l.Epilogue)

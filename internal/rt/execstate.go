@@ -12,7 +12,7 @@ import (
 // ExecStates can execute the same program concurrently — the serving
 // engine keeps one in flight per worker.
 //
-// States are built by Module.NewState and recycled through the
+// States are built by Module.newState and recycled through the
 // module's free list (Module.AcquireState / Module.ReleaseState), so a
 // steady-state serving loop performs no arena or environment
 // allocation at all.
@@ -22,13 +22,16 @@ type ExecState struct {
 	dst   []*tensor.Tensor
 }
 
-// initProgram computes the immutable per-program metadata every
-// ExecState shares: the arena buffer capacities and the env slots that
-// hold caller-owned input tensors. Called once, lazily, under
+// initProgram derives the immutable per-program metadata every
+// ExecState shares from the graph: the static memory plan, its arena
+// buffer capacities, the env slots that hold caller-owned input
+// tensors, and the memory report. Called once, lazily, under
 // m.progOnce.
 func (m *Module) initProgram() {
-	m.arenaElems = make([]int, len(m.Plan.Buffers))
-	for i, b := range m.Plan.Buffers {
+	p := relay.PlanMemory(m.Graph)
+	m.plan = p
+	m.arenaElems = make([]int, len(p.Buffers))
+	for i, b := range p.Buffers {
 		m.arenaElems[i] = b.Elems
 	}
 	for i := range m.Kernels {
@@ -36,23 +39,35 @@ func (m *Module) initProgram() {
 			m.inputSlots = append(m.inputSlots, m.Kernels[i].Slot)
 		}
 	}
+	r := &m.mem
+	for _, n := range m.Graph.Nodes {
+		switch n.Op {
+		case relay.OpConstant:
+			r.ParamBytes += n.Shape.NumElements() * n.DType.Size()
+		case relay.OpInput:
+		default:
+			if b := n.Shape.NumElements() * n.DType.Size(); b > r.PeakActivationBytes {
+				r.PeakActivationBytes = b
+			}
+		}
+	}
+	r.NaiveActivationBytes = p.NaiveBytes
+	r.PlannedArenaBytes = p.ArenaBytes()
+	r.ArenaBuffers = len(p.Buffers)
+	r.ReuseFactor = p.ReuseFactor()
 }
 
-// NewState materializes a fresh execution state from the memory plan:
+// newState materializes a fresh execution state from the memory plan:
 // one arena allocation plus one tensor header per planned node (nodes
 // sharing a buffer have disjoint live ranges, so their views are valid
-// whenever the executor reads them). Panics if the module has no
-// memory plan (hand-built modules execute clone-based through Run).
-func (m *Module) NewState() *ExecState {
-	if m.Plan == nil {
-		panic("rt: NewState requires a memory-planned module")
-	}
+// whenever the executor reads them).
+func (m *Module) newState() *ExecState {
 	m.progOnce.Do(m.initProgram)
 	arena := tensor.NewArena(m.arenaElems)
 	dst := make([]*tensor.Tensor, len(m.Kernels))
 	for i := range m.Kernels {
 		n := m.Kernels[i].Node
-		bi, ok := m.Plan.Assign[n.ID]
+		bi, ok := m.plan.Assign[n.ID]
 		if !ok {
 			continue // inputs and constants live outside the arena
 		}
@@ -76,7 +91,7 @@ func (m *Module) AcquireState() *ExecState {
 		return st
 	}
 	m.poolMu.Unlock()
-	return m.NewState()
+	return m.newState()
 }
 
 // ReleaseState returns a state to the free list. The caller must be

@@ -7,10 +7,12 @@
 // subgraph, plain TVM kernels for the rest — compiled "into a single
 // runtime file".
 //
-// Execution is slot-based and memory-planned: every kernel's value
-// lives at a dense slot index (no map lookups on the hot path), and
-// intermediate tensors are views into a liveness-planned arena that is
-// allocated once and recycled across kernels and across Run calls.
+// There is one way to run a module. Execution is slot-based and
+// memory-planned: every kernel's value lives at a dense slot index (no
+// map lookups on the hot path), and intermediate tensors are views into
+// a liveness-planned arena that is allocated once and recycled across
+// kernels and across Run calls. The module derives that plan from its
+// Graph on first use, whoever built it.
 package rt
 
 import (
@@ -41,9 +43,9 @@ type Kernel struct {
 	// Source is the emitted CUDA-like code (Bolt kernels only).
 	Source string
 	// Exec computes the node's output. A non-nil dst is the kernel's
-	// planned arena destination: the kernel must write its result there
-	// and return it. A nil dst means allocate (the clone-based
-	// reference semantics).
+	// planned destination: the kernel must write its result there and
+	// return it. Inputs and constants get a nil dst and return their
+	// tensor; for any other kernel a nil dst means allocate.
 	Exec func(env *Env, dst *tensor.Tensor) *tensor.Tensor
 }
 
@@ -132,35 +134,28 @@ type Module struct {
 	// Tuning reports what compilation's tuning pipeline did (zero for
 	// the baseline tuner, which accounts its search on its own clock).
 	Tuning TuningStats
-	// Plan is the static memory plan execution states allocate their
-	// arenas from (set by codegen; nil for hand-built modules, which
-	// then execute clone-based).
-	Plan *relay.MemoryPlan
 
-	// progOnce computes the immutable per-program metadata shared by
-	// every ExecState: arena buffer capacities and input slots.
+	// progOnce derives the immutable per-program metadata shared by
+	// every ExecState from Graph: the static memory plan, its arena
+	// buffer capacities, the input slots and the memory report.
 	progOnce   sync.Once
+	plan       *relay.MemoryPlan
 	arenaElems []int
 	// inputSlots are the env slots holding caller-owned input tensors,
 	// cleared after each planned run so a pooled state does not retain
 	// the previous request's data.
 	inputSlots []int
+	mem        MemoryReport
 
 	// poolMu guards free, the sync.Pool-style free list of execution
 	// states Run recycles through.
 	poolMu sync.Mutex
 	free   []*ExecState
-
-	// memOnce memoizes Memory for hand-built modules (planning on the
-	// fly is pure but not free).
-	memOnce sync.Once
-	mem     MemoryReport
 }
 
 // Run executes the module functionally and returns the output tensor.
 //
-// With a memory plan (every codegen-compiled module), Run acquires a
-// pooled execution state, writes intermediates into its
+// Run acquires a pooled execution state, writes intermediates into its
 // liveness-planned arena, copies the output out, and releases the
 // state — so the returned tensor is caller-owned and Run is safe for
 // any number of concurrent callers. After warmup the pool holds one
@@ -169,52 +164,29 @@ type Module struct {
 // semantics instead manage a state explicitly with AcquireState /
 // RunOn / ReleaseState.
 func (m *Module) Run(inputs map[string]*tensor.Tensor) *tensor.Tensor {
-	if m.Plan == nil {
-		return m.exec(NewEnv(len(m.Kernels), inputs), nil)
-	}
 	st := m.AcquireState()
 	out := m.RunOn(st, inputs).Clone()
 	m.ReleaseState(st)
 	return out
 }
 
-// RunRows executes the module on a (possibly padded) batch and returns
-// only the first rows rows of the output, caller-owned. This is the
-// padded-dispatch execution path: the serving scheduler may run a
-// partial batch on a larger compiled bucket with zero-padded inputs,
-// and the padding rows' outputs must never reach a caller. Every
-// operator the runtime executes is row-independent along the leading
-// batch dimension, so the real rows are bit-identical to an unpadded
-// run. Safe for concurrent callers, like Run.
-func (m *Module) RunRows(inputs map[string]*tensor.Tensor, rows int) *tensor.Tensor {
-	if m.Plan == nil {
-		return tensor.StripBatch(m.exec(NewEnv(len(m.Kernels), inputs), nil), rows)
-	}
-	st := m.AcquireState()
-	out := tensor.StripBatch(m.RunOn(st, inputs), rows)
-	m.ReleaseState(st)
-	return out
-}
-
 // RunUnplanned executes with the clone-based reference semantics:
-// every kernel allocates a fresh output and nothing is recycled. It is
+// every kernel writes a fresh output and nothing is recycled. It is
 // the oracle the planned executor is validated against bit-for-bit,
 // and is safe for concurrent callers.
 //
-// For memory-planned modules each destination is freshly allocated
-// with the node's annotated dtype — the same typing the planned
-// arena views use. Under mixed precision a node's dtype can differ
-// from its operand's (an INT8 anchor feeding float glue), and letting
-// each op allocate from its input's dtype would quantize on the wrong
-// grid and diverge from the planned path.
+// Each planned destination is freshly allocated with the node's
+// annotated dtype — the same typing the planned arena views use. Under
+// mixed precision a node's dtype can differ from its operand's (an
+// INT8 anchor feeding float glue), and letting each op allocate from
+// its input's dtype would quantize on the wrong grid and diverge from
+// the planned path.
 func (m *Module) RunUnplanned(inputs map[string]*tensor.Tensor) *tensor.Tensor {
-	if m.Plan == nil {
-		return m.exec(NewEnv(len(m.Kernels), inputs), nil)
-	}
+	m.progOnce.Do(m.initProgram)
 	dst := make([]*tensor.Tensor, len(m.Kernels))
 	for i := range m.Kernels {
 		n := m.Kernels[i].Node
-		if _, ok := m.Plan.Assign[n.ID]; ok {
+		if _, ok := m.plan.Assign[n.ID]; ok {
 			dst[i] = tensor.NewWithLayout(n.DType, n.Layout, n.Shape...)
 		}
 	}
@@ -225,11 +197,7 @@ func (m *Module) exec(env *Env, dst []*tensor.Tensor) *tensor.Tensor {
 	var out *tensor.Tensor
 	for i := range m.Kernels {
 		k := &m.Kernels[i]
-		var d *tensor.Tensor
-		if dst != nil {
-			d = dst[i]
-		}
-		v := k.Exec(env, d)
+		v := k.Exec(env, dst[i])
 		env.vals[k.Slot] = v
 		if k.Node == m.Graph.Output {
 			out = v
@@ -332,33 +300,10 @@ type MemoryReport struct {
 	ReuseFactor float64
 }
 
-// Memory reports the module's memory plan from the graph and its
-// memory plan. The report is computed once and memoized: hand-built
-// modules (Plan == nil) would otherwise re-run relay.PlanMemory on
-// every call.
+// Memory reports the module's parameter storage and the memory plan
+// it executes on.
 func (m *Module) Memory() MemoryReport {
-	m.memOnce.Do(func() {
-		r := &m.mem
-		for _, n := range m.Graph.Nodes {
-			switch n.Op {
-			case relay.OpConstant:
-				r.ParamBytes += n.Shape.NumElements() * n.DType.Size()
-			case relay.OpInput:
-			default:
-				if b := n.Shape.NumElements() * n.DType.Size(); b > r.PeakActivationBytes {
-					r.PeakActivationBytes = b
-				}
-			}
-		}
-		plan := m.Plan
-		if plan == nil {
-			plan = relay.PlanMemory(m.Graph)
-		}
-		r.NaiveActivationBytes = plan.NaiveBytes
-		r.PlannedArenaBytes = plan.ArenaBytes()
-		r.ArenaBuffers = len(plan.Buffers)
-		r.ReuseFactor = plan.ReuseFactor()
-	})
+	m.progOnce.Do(m.initProgram)
 	return m.mem
 }
 

@@ -15,10 +15,10 @@ import (
 // deliberately simple memory-bound SIMT kernels — exactly the ops BYOC
 // leaves outside the Bolt subgraph.
 //
-// Every operator has a destination-writing form (XxxInto) used by the
-// planned executor: the result is written into dst, a pre-planned
-// arena view, so the serving hot path performs no per-op allocation.
-// A nil dst allocates, which is the clone-based reference semantics.
+// Every operator has one entry point, its destination-writing form
+// (XxxInto): the executor passes a pre-planned arena view as dst, so
+// the serving hot path performs no per-op allocation. A nil dst
+// allocates.
 // The elementwise kernels (bias-add, activation, add, batch-norm,
 // softmax) are single-pass and index-aligned, so dst may alias the
 // first operand's buffer — the in-place case the memory planner emits
@@ -58,12 +58,8 @@ func likeInput(dst, x *tensor.Tensor) *tensor.Tensor {
 	return tensor.NewWithLayout(x.DType(), x.Layout(), x.Shape()...)
 }
 
-// BiasAddRun broadcasts bias over the trailing (channel) dimension.
-func BiasAddRun(x, bias *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
-	return BiasAddInto(nil, x, bias, layout)
-}
-
-// BiasAddInto is the destination form of BiasAddRun; dst may alias x.
+// BiasAddInto broadcasts bias over the channel dimension; dst may
+// alias x.
 func BiasAddInto(dst, x, bias *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
 	out := likeInput(dst, x)
 	d := out.Data()
@@ -91,13 +87,8 @@ func BiasAddInto(dst, x, bias *tensor.Tensor, layout tensor.Layout) *tensor.Tens
 	return out
 }
 
-// ActivationRun applies the nonlinearity elementwise.
-func ActivationRun(x *tensor.Tensor, act cutlass.Activation) *tensor.Tensor {
-	return ActivationInto(nil, x, act)
-}
-
-// ActivationInto is the destination form of ActivationRun; dst may
-// alias x.
+// ActivationInto applies the nonlinearity elementwise; dst may alias
+// x.
 func ActivationInto(dst, x *tensor.Tensor, act cutlass.Activation) *tensor.Tensor {
 	out := likeInput(dst, x)
 	d := out.Data()
@@ -108,12 +99,7 @@ func ActivationInto(dst, x *tensor.Tensor, act cutlass.Activation) *tensor.Tenso
 	return out
 }
 
-// AddRun is elementwise addition.
-func AddRun(a, b *tensor.Tensor) *tensor.Tensor {
-	return AddInto(nil, a, b)
-}
-
-// AddInto is the destination form of AddRun; dst may alias a or b.
+// AddInto is elementwise addition; dst may alias a or b.
 func AddInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
 	out := likeInput(dst, a)
 	d := out.Data()
@@ -125,13 +111,8 @@ func AddInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BatchNormRun applies inference-mode BN over the channel axis.
-func BatchNormRun(x, gamma, beta, mean, variance *tensor.Tensor, eps float64, layout tensor.Layout) *tensor.Tensor {
-	return BatchNormInto(nil, x, gamma, beta, mean, variance, eps, layout)
-}
-
-// BatchNormInto is the destination form of BatchNormRun; dst may alias
-// x.
+// BatchNormInto applies inference-mode BN over the channel axis; dst
+// may alias x.
 func BatchNormInto(dst, x, gamma, beta, mean, variance *tensor.Tensor, eps float64, layout tensor.Layout) *tensor.Tensor {
 	out := likeInput(dst, x)
 	d := out.Data()
@@ -165,14 +146,9 @@ func BatchNormInto(dst, x, gamma, beta, mean, variance *tensor.Tensor, eps float
 	return out
 }
 
-// MaxPoolRun computes 2-D max pooling for NHWC or NCHW tensors.
-func MaxPoolRun(x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) *tensor.Tensor {
-	return MaxPoolInto(nil, x, p, layout)
-}
-
-// MaxPoolInto is the destination form of MaxPoolRun; dst must not
-// alias x. The inner loops index the raw data slices directly — no
-// per-element bounds-checked At/Set calls on the hot path.
+// MaxPoolInto computes 2-D max pooling for NHWC or NCHW tensors; dst
+// must not alias x. The inner loops index the raw data slices directly
+// — no per-element bounds-checked At/Set calls on the hot path.
 func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) *tensor.Tensor {
 	s := x.Shape()
 	var n, h, w, c int
@@ -253,13 +229,8 @@ func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout)
 	return out
 }
 
-// GlobalAvgPoolRun averages spatial dims to (N, C).
-func GlobalAvgPoolRun(x *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
-	return GlobalAvgPoolInto(nil, x, layout)
-}
-
-// GlobalAvgPoolInto is the destination form of GlobalAvgPoolRun; dst
-// must not alias x. Inner loops index raw data directly.
+// GlobalAvgPoolInto averages spatial dims to (N, C); dst must not
+// alias x. Inner loops index raw data directly.
 func GlobalAvgPoolInto(dst, x *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
 	s := x.Shape()
 	var n, h, w, c int
@@ -300,13 +271,8 @@ func GlobalAvgPoolInto(dst, x *tensor.Tensor, layout tensor.Layout) *tensor.Tens
 	return out
 }
 
-// SoftmaxRun applies a numerically stable row softmax over the last
-// dimension.
-func SoftmaxRun(x *tensor.Tensor) *tensor.Tensor {
-	return SoftmaxInto(nil, x)
-}
-
-// SoftmaxInto is the destination form of SoftmaxRun; dst may alias x.
+// SoftmaxInto applies a numerically stable row softmax over the last
+// dimension; dst may alias x.
 func SoftmaxInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	s := x.Shape()
 	cols := s[len(s)-1]
@@ -340,14 +306,9 @@ func SoftmaxInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// FlattenRun reshapes to (N, rest).
-func FlattenRun(x *tensor.Tensor) *tensor.Tensor {
-	return FlattenInto(nil, x)
-}
-
-// FlattenInto is the destination form of FlattenRun. When the planner
-// aliases dst to x's buffer (flatten is a pure reinterpretation), the
-// copy degenerates to a no-op.
+// FlattenInto reshapes to (N, rest). When the planner aliases dst to
+// x's buffer (flatten is a pure reinterpretation), the copy
+// degenerates to a no-op.
 func FlattenInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	if dst == nil {
 		n := x.Shape()[0]

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"bolt/internal/cutlass"
@@ -15,19 +16,19 @@ func TestBiasAddRunLayouts(t *testing.T) {
 
 	// NCHW: channel is dim 1.
 	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNCHW, 1, 2, 2, 2)
-	out := BiasAddRun(x, bias, tensor.LayoutNCHW)
+	out := BiasAddInto(nil, x, bias, tensor.LayoutNCHW)
 	if out.At(0, 0, 1, 1) != 1 || out.At(0, 1, 0, 0) != 2 {
 		t.Error("NCHW bias broadcast wrong")
 	}
 	// NHWC: channel is the trailing dim.
 	x2 := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 1, 2, 2, 2)
-	out2 := BiasAddRun(x2, bias, tensor.LayoutNHWC)
+	out2 := BiasAddInto(nil, x2, bias, tensor.LayoutNHWC)
 	if out2.At(0, 1, 1, 0) != 1 || out2.At(0, 0, 0, 1) != 2 {
 		t.Error("NHWC bias broadcast wrong")
 	}
 	// 2-D: feature is the trailing dim.
 	x3 := tensor.New(tensor.FP32, 3, 2)
-	out3 := BiasAddRun(x3, bias, tensor.LayoutRowMajor)
+	out3 := BiasAddInto(nil, x3, bias, tensor.LayoutRowMajor)
 	if out3.At(2, 0) != 1 || out3.At(0, 1) != 2 {
 		t.Error("2-D bias broadcast wrong")
 	}
@@ -35,18 +36,18 @@ func TestBiasAddRunLayouts(t *testing.T) {
 
 func TestActivationAndAddRun(t *testing.T) {
 	x := tensor.FromData(tensor.FP32, []float32{-1, 0, 2}, 3)
-	relu := ActivationRun(x, cutlass.ActReLU)
+	relu := ActivationInto(nil, x, cutlass.ActReLU)
 	if relu.At(0) != 0 || relu.At(2) != 2 {
 		t.Error("ReLU wrong")
 	}
 	y := tensor.FromData(tensor.FP32, []float32{10, 20, 30}, 3)
-	sum := AddRun(x, y)
+	sum := AddInto(nil, x, y)
 	if sum.At(0) != 9 || sum.At(2) != 32 {
 		t.Error("Add wrong")
 	}
 	// Original tensors untouched.
 	if x.At(0) != -1 {
-		t.Error("ActivationRun/AddRun must not mutate inputs")
+		t.Error("ActivationInto/AddInto with a nil dst must not mutate inputs")
 	}
 }
 
@@ -56,7 +57,7 @@ func TestBatchNormRun(t *testing.T) {
 	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNCHW, 1, 1, 2, 2)
 	x.Fill(5)
 	one := func(v float32) *tensor.Tensor { return tensor.FromData(tensor.FP32, []float32{v}, 1) }
-	out := BatchNormRun(x, one(2), one(1), one(3), one(4), 0, tensor.LayoutNCHW)
+	out := BatchNormInto(nil, x, one(2), one(1), one(3), one(4), 0, tensor.LayoutNCHW)
 	if out.At(0, 0, 0, 0) != 3 {
 		t.Errorf("BN output %g, want 3", out.At(0, 0, 0, 0))
 	}
@@ -69,7 +70,7 @@ func TestMaxPoolRun(t *testing.T) {
 			x.Set(float32(i*4+j), 0, i, j, 0)
 		}
 	}
-	out := MaxPoolRun(x, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNHWC)
+	out := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNHWC)
 	if !out.Shape().Equal(tensor.Shape{1, 2, 2, 1}) {
 		t.Fatalf("pool shape %v", out.Shape())
 	}
@@ -83,13 +84,13 @@ func TestMaxPoolRun(t *testing.T) {
 		}
 	}
 	// Padded pooling must ignore out-of-bounds (-inf identity).
-	padded := MaxPoolRun(x, relay.PoolAttrs{Kernel: 3, Stride: 2, Pad: 1}, tensor.LayoutNHWC)
+	padded := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 3, Stride: 2, Pad: 1}, tensor.LayoutNHWC)
 	if padded.At(0, 0, 0, 0) != 5 {
 		t.Errorf("padded pool corner %g, want 5", padded.At(0, 0, 0, 0))
 	}
 	// NCHW path.
-	xc := tensor.ToNCHW(x)
-	outc := MaxPoolRun(xc, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNCHW)
+	xc := tensor.ToNCHWInto(nil, x)
+	outc := MaxPoolInto(nil, xc, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNCHW)
 	if outc.At(0, 0, 1, 1) != 15 {
 		t.Error("NCHW pool wrong")
 	}
@@ -98,7 +99,7 @@ func TestMaxPoolRun(t *testing.T) {
 func TestGlobalAvgPoolRun(t *testing.T) {
 	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 2, 2, 2, 3)
 	x.Fill(4)
-	out := GlobalAvgPoolRun(x, tensor.LayoutNHWC)
+	out := GlobalAvgPoolInto(nil, x, tensor.LayoutNHWC)
 	if !out.Shape().Equal(tensor.Shape{2, 3}) {
 		t.Fatalf("gap shape %v", out.Shape())
 	}
@@ -109,7 +110,7 @@ func TestGlobalAvgPoolRun(t *testing.T) {
 
 func TestSoftmaxRun(t *testing.T) {
 	x := tensor.FromData(tensor.FP32, []float32{1, 2, 3, 1000, 1000, 1000}, 2, 3)
-	out := SoftmaxRun(x)
+	out := SoftmaxInto(nil, x)
 	// Rows sum to 1; huge values must not overflow (stability).
 	for r := 0; r < 2; r++ {
 		sum := float32(0)
@@ -131,7 +132,7 @@ func TestSoftmaxRun(t *testing.T) {
 
 func TestFlattenRun(t *testing.T) {
 	x := tensor.New(tensor.FP16, 2, 3, 4)
-	out := FlattenRun(x)
+	out := FlattenInto(nil, x)
 	if !out.Shape().Equal(tensor.Shape{2, 12}) {
 		t.Errorf("flatten shape %v", out.Shape())
 	}
@@ -156,8 +157,8 @@ func TestDescsAreMemoryBound(t *testing.T) {
 
 func TestModuleAccounting(t *testing.T) {
 	d := gpu.T4()
-	n1 := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x"}
-	n2 := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{n1}}
+	n1 := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x", Shape: tensor.Shape{2}, DType: tensor.FP32}
+	n2 := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{n1}, Shape: tensor.Shape{2}, DType: tensor.FP32}
 	g := &relay.Graph{Nodes: []*relay.Node{n1, n2}, Inputs: []*relay.Node{n1}, Output: n2}
 	in := tensor.FromData(tensor.FP32, []float32{-2, 3}, 2)
 	m := &Module{
@@ -192,10 +193,11 @@ func TestModuleAccounting(t *testing.T) {
 	}
 }
 
-// TestModuleRunRowsStripsPadding pins the padded-execution contract:
-// RunRows on a zero-padded batch returns only the real rows, and those
-// rows are bit-identical to running the same inputs unpadded — the
-// runtime's operators are row-independent along the batch dim.
+// TestModuleRunRowsStripsPadding pins the padded-execution contract
+// the serving scheduler relies on: run a zero-padded batch, strip it
+// back to its real rows, and those rows are bit-identical to the
+// reference executor's and to the unpadded values — the runtime's
+// operators are row-independent along the batch dim.
 func TestModuleRunRowsStripsPadding(t *testing.T) {
 	d := gpu.T4()
 	n1 := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x", Shape: tensor.Shape{4, 2}, DType: tensor.FP32}
@@ -216,9 +218,9 @@ func TestModuleRunRowsStripsPadding(t *testing.T) {
 	}
 	real2 := tensor.FromData(tensor.FP32, []float32{-2, 3, 5, -7}, 2, 2)
 	padded := tensor.PadBatch(real2, 4)
-	out := m.RunRows(map[string]*tensor.Tensor{"x": padded}, 2)
+	out := tensor.StripBatch(m.Run(map[string]*tensor.Tensor{"x": padded}), 2)
 	if !out.Shape().Equal(tensor.Shape{2, 2}) {
-		t.Fatalf("RunRows shape %v, want (2, 2)", out.Shape())
+		t.Fatalf("stripped shape %v, want (2, 2)", out.Shape())
 	}
 	oracle := m.RunUnplanned(map[string]*tensor.Tensor{"x": padded})
 	for i := 0; i < 4; i++ {
@@ -230,6 +232,81 @@ func TestModuleRunRowsStripsPadding(t *testing.T) {
 	for i, v := range want {
 		if out.Data()[i] != v {
 			t.Errorf("out[%d] = %g, want %g", i, out.Data()[i], v)
+		}
+	}
+}
+
+// chainModule builds a fresh hand-made module x -> relu -> +x ->
+// softmax over a (rows, 8) input. The add and the softmax run in place
+// over their first operand's buffer, so the arena recycles across
+// kernels.
+func chainModule(rows int) *Module {
+	shape := tensor.Shape{rows, 8}
+	x := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x", Shape: shape, DType: tensor.FP32}
+	a := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{x}, Shape: shape, DType: tensor.FP32}
+	b := &relay.Node{ID: 2, Op: relay.OpAdd, Inputs: []*relay.Node{a, x}, Shape: shape, DType: tensor.FP32}
+	c := &relay.Node{ID: 3, Op: relay.OpSoftmax, Inputs: []*relay.Node{b}, Shape: shape, DType: tensor.FP32}
+	g := &relay.Graph{Nodes: []*relay.Node{x, a, b, c}, Inputs: []*relay.Node{x}, Output: c}
+	desc := ElementwiseLikeDesc("ew", rows*8, 1, 1, tensor.FP32)
+	return &Module{
+		Graph:  g,
+		Device: gpu.T4(),
+		Kernels: []Kernel{
+			{Name: "in", Node: x, Slot: 0,
+				Exec: func(env *Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input("x") }},
+			{Name: "relu", Node: a, Slot: 1, Launches: 1, Desc: desc,
+				Exec: func(env *Env, dst *tensor.Tensor) *tensor.Tensor {
+					return ActivationInto(dst, env.Value(0), cutlass.ActReLU)
+				}},
+			{Name: "add", Node: b, Slot: 2, Launches: 1, Desc: desc,
+				Exec: func(env *Env, dst *tensor.Tensor) *tensor.Tensor {
+					return AddInto(dst, env.Value(1), env.Value(0))
+				}},
+			{Name: "softmax", Node: c, Slot: 3, Launches: 1, Desc: desc,
+				Exec: func(env *Env, dst *tensor.Tensor) *tensor.Tensor {
+					return SoftmaxInto(dst, env.Value(2))
+				}},
+		},
+	}
+}
+
+// TestModuleFirstUseConcurrent races the one-time plan derivation: on
+// a fresh module, goroutines call Run, RunUnplanned and Memory together.
+// Every output must be bit-identical to a sequential reference module's
+// and every MemoryReport equal to its report (run under -race).
+func TestModuleFirstUseConcurrent(t *testing.T) {
+	const rows, callers = 4, 8
+	x := tensor.New(tensor.FP32, rows, 8)
+	x.FillRandom(11, 2)
+	inputs := map[string]*tensor.Tensor{"x": x}
+	ref := chainModule(rows)
+	want := ref.RunUnplanned(inputs)
+	wantMem := ref.Memory()
+	if wantMem.ArenaBuffers == 0 || wantMem.ReuseFactor <= 1 {
+		t.Fatalf("reference plan recycles nothing: %+v", wantMem)
+	}
+
+	m := chainModule(rows)
+	outs := make([]*tensor.Tensor, 2*callers)
+	mems := make([]MemoryReport, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(3)
+		go func() { defer wg.Done(); outs[2*i] = m.Run(inputs) }()
+		go func() { defer wg.Done(); outs[2*i+1] = m.RunUnplanned(inputs) }()
+		go func() { defer wg.Done(); mems[i] = m.Memory() }()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		for j, v := range out.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[j]) {
+				t.Fatalf("output %d element %d = %g, want %g", i, j, v, want.Data()[j])
+			}
+		}
+	}
+	for i, mem := range mems {
+		if mem != wantMem {
+			t.Errorf("memory report %d = %+v, want %+v", i, mem, wantMem)
 		}
 	}
 }

@@ -277,9 +277,9 @@ func TestServerVariantEvictionLRU(t *testing.T) {
 	}
 }
 
-// The fake module graphs must be plannable, or eviction sizing
-// (Module.Memory) would panic; pin that assumption here so a change to
-// fakeVariant fails loudly.
+// The fake module graphs must be plannable, or execution and eviction
+// sizing (Module.Memory) would panic; pin that assumption here so a
+// change to fakeVariant fails loudly.
 func TestFakeVariantIsPlannable(t *testing.T) {
 	mod, err := fakeVariant(gpu.T4(), 2)
 	if err != nil {

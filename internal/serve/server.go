@@ -1923,29 +1923,12 @@ func execBatch(mod *rt.Module, reqs []*request, bucket int) (outs []*tensor.Tens
 		}
 		batchIn[name] = stacked
 	}
-	outs = make([]*tensor.Tensor, n)
-	if bucket > n {
-		// Padded run: RunRows strips the output back to the real rows
-		// (pooled state handled inside, like Run).
-		out := mod.RunRows(batchIn, n)
-		for i := range reqs {
-			outs[i] = tensor.SliceBatch(out, i)
-		}
-		return outs, nil
-	}
-	if mod.Plan == nil {
-		// Hand-built module without a memory plan: clone-based path.
-		out := mod.Run(batchIn)
-		for i := range reqs {
-			outs[i] = tensor.SliceBatch(out, i)
-		}
-		return outs, nil
-	}
 	st := mod.AcquireState()
 	// Deferred so a recovered execution panic still re-pools the state
 	// (ReleaseState drops the aborted run's input references).
 	defer mod.ReleaseState(st)
 	view := mod.RunOn(st, batchIn)
+	outs = make([]*tensor.Tensor, n)
 	for i := range reqs {
 		outs[i] = tensor.SliceBatch(view, i)
 	}

@@ -37,7 +37,7 @@ func TestLayoutIntoVariantsMatchAllocating(t *testing.T) {
 	x := NewWithLayout(FP16, LayoutNCHW, 2, 3, 4, 5)
 	x.FillRandom(11, 1)
 
-	want := ToNHWC(x)
+	want := ToNHWCInto(nil, x)
 	dst := NewWithLayout(FP16, LayoutNHWC, 2, 4, 5, 3)
 	if got := ToNHWCInto(dst, x); MaxAbsDiff(got, want) != 0 {
 		t.Error("ToNHWCInto deviates from ToNHWC")
@@ -47,14 +47,14 @@ func TestLayoutIntoVariantsMatchAllocating(t *testing.T) {
 		t.Error("ToNCHWInto does not invert ToNHWC")
 	}
 
-	nhwc := ToNHWC(x)
-	wantPad := PadChannels(nhwc, 8)
+	nhwc := ToNHWCInto(nil, x)
+	wantPad := PadChannelsInto(nil, nhwc, 8)
 	dstPad := NewWithLayout(FP16, LayoutNHWC, 2, 4, 5, 8)
 	dstPad.Fill(9) // dirty destination: pad lanes must be re-zeroed
 	if got := PadChannelsInto(dstPad, nhwc, 8); MaxAbsDiff(got, wantPad) != 0 {
 		t.Error("PadChannelsInto deviates (stale pad lanes?)")
 	}
-	wantSlice := SliceChannels(wantPad, 3)
+	wantSlice := SliceChannelsInto(nil, wantPad, 3)
 	dstSlice := NewWithLayout(FP16, LayoutNHWC, 2, 4, 5, 3)
 	if got := SliceChannelsInto(dstSlice, wantPad, 3); MaxAbsDiff(got, wantSlice) != 0 {
 		t.Error("SliceChannelsInto deviates")

@@ -2,14 +2,11 @@ package tensor
 
 import "fmt"
 
-// ToNHWC returns a copy of a 4-D NCHW tensor permuted to NHWC. If the
-// tensor is already NHWC it is deep-copied unchanged. This is the
-// reference semantics for the layout-transformation kernels Bolt folds
-// into a model's first and last layers.
-func ToNHWC(t *Tensor) *Tensor { return ToNHWCInto(nil, t) }
-
-// ToNHWCInto permutes into out (which must not alias t's data); a nil
-// out allocates. It returns out.
+// ToNHWCInto writes a 4-D NCHW tensor permuted to NHWC into out (which
+// must not alias t's data); a nil out allocates. If the tensor is
+// already NHWC it is copied unchanged. This is the reference semantics
+// for the layout-transformation kernels Bolt folds into a model's first
+// and last layers. It returns out.
 func ToNHWCInto(out, t *Tensor) *Tensor {
 	switch t.layout {
 	case LayoutNHWC:
@@ -41,12 +38,9 @@ func ToNHWCInto(out, t *Tensor) *Tensor {
 	}
 }
 
-// ToNCHW returns a copy of a 4-D NHWC tensor permuted to NCHW. If the
-// tensor is already NCHW it is deep-copied unchanged.
-func ToNCHW(t *Tensor) *Tensor { return ToNCHWInto(nil, t) }
-
-// ToNCHWInto permutes into out (which must not alias t's data); a nil
-// out allocates. It returns out.
+// ToNCHWInto writes a 4-D NHWC tensor permuted to NCHW into out (which
+// must not alias t's data); a nil out allocates. If the tensor is
+// already NCHW it is copied unchanged. It returns out.
 func ToNCHWInto(out, t *Tensor) *Tensor {
 	switch t.layout {
 	case LayoutNCHW:
@@ -78,15 +72,12 @@ func ToNCHWInto(out, t *Tensor) *Tensor {
 	}
 }
 
-// PadChannels returns a copy of an NHWC tensor whose channel dimension is
-// zero-padded up to newC. This is the reference semantics of Bolt's
+// PadChannelsInto writes an NHWC tensor with its channel dimension
+// zero-padded up to newC into out (which must not alias t's data); a
+// nil out allocates. This is the reference semantics of Bolt's
 // automated kernel padding (Section 3.2.3): tensors whose channel count
 // is not divisible by 8 are padded so alignment-8 (128-bit) vectorized
-// access becomes legal.
-func PadChannels(t *Tensor, newC int) *Tensor { return PadChannelsInto(nil, t, newC) }
-
-// PadChannelsInto pads into out (which must not alias t's data); a nil
-// out allocates. It returns out.
+// access becomes legal. It returns out.
 func PadChannelsInto(out, t *Tensor, newC int) *Tensor {
 	if t.layout != LayoutNHWC {
 		panic("tensor: PadChannels requires NHWC layout")
@@ -118,12 +109,10 @@ func PadChannelsInto(out, t *Tensor, newC int) *Tensor {
 	return out
 }
 
-// SliceChannels returns a copy of an NHWC tensor keeping only the first
-// newC channels. It inverts PadChannels on the valid region.
-func SliceChannels(t *Tensor, newC int) *Tensor { return SliceChannelsInto(nil, t, newC) }
-
-// SliceChannelsInto slices into out (which must not alias t's data); a
-// nil out allocates. It returns out.
+// SliceChannelsInto writes an NHWC tensor keeping only the first newC
+// channels into out (which must not alias t's data); a nil out
+// allocates. It inverts PadChannelsInto on the valid region and returns
+// out.
 func SliceChannelsInto(out, t *Tensor, newC int) *Tensor {
 	if t.layout != LayoutNHWC {
 		panic("tensor: SliceChannels requires NHWC layout")

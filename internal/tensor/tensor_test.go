@@ -168,11 +168,11 @@ func TestAllClose(t *testing.T) {
 func TestLayoutRoundTrip(t *testing.T) {
 	src := NewWithLayout(FP32, LayoutNCHW, 2, 3, 4, 5)
 	src.FillRandom(7, 1)
-	nhwc := ToNHWC(src)
+	nhwc := ToNHWCInto(nil, src)
 	if nhwc.Layout() != LayoutNHWC || !nhwc.Shape().Equal(Shape{2, 4, 5, 3}) {
 		t.Fatalf("ToNHWC produced %v %v", nhwc.Layout(), nhwc.Shape())
 	}
-	back := ToNCHW(nhwc)
+	back := ToNCHWInto(nil, nhwc)
 	if MaxAbsDiff(src, back) != 0 {
 		t.Error("NCHW->NHWC->NCHW is not identity")
 	}
@@ -188,7 +188,7 @@ func TestLayoutElementMapping(t *testing.T) {
 			}
 		}
 	}
-	nhwc := ToNHWC(src)
+	nhwc := ToNHWCInto(nil, src)
 	for c := 0; c < 2; c++ {
 		for h := 0; h < 2; h++ {
 			for w := 0; w < 2; w++ {
@@ -203,7 +203,7 @@ func TestLayoutElementMapping(t *testing.T) {
 func TestPadSliceChannels(t *testing.T) {
 	src := NewWithLayout(FP16, LayoutNHWC, 2, 3, 3, 3)
 	src.FillRandom(9, 1)
-	padded := PadChannels(src, 8)
+	padded := PadChannelsInto(nil, src, 8)
 	if !padded.Shape().Equal(Shape{2, 3, 3, 8}) {
 		t.Fatalf("padded shape %v", padded.Shape())
 	}
@@ -219,7 +219,7 @@ func TestPadSliceChannels(t *testing.T) {
 			}
 		}
 	}
-	back := SliceChannels(padded, 3)
+	back := SliceChannelsInto(nil, padded, 3)
 	if MaxAbsDiff(src, back) != 0 {
 		t.Error("pad/slice is not identity on valid region")
 	}
@@ -265,7 +265,7 @@ func TestLayoutRoundTripProperty(t *testing.T) {
 		N, C, H, W := int(n%4)+1, int(c%9)+1, int(h%6)+1, int(w%6)+1
 		src := NewWithLayout(FP32, LayoutNCHW, N, C, H, W)
 		src.FillRandom(seed, 10)
-		return MaxAbsDiff(src, ToNCHW(ToNHWC(src))) == 0
+		return MaxAbsDiff(src, ToNCHWInto(nil, ToNHWCInto(nil, src))) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -279,7 +279,7 @@ func TestPadSliceProperty(t *testing.T) {
 		P := C + int(pad%8)
 		src := NewWithLayout(FP16, LayoutNHWC, 1, 3, 3, C)
 		src.FillRandom(seed, 1)
-		return MaxAbsDiff(src, SliceChannels(PadChannels(src, P), C)) == 0
+		return MaxAbsDiff(src, SliceChannelsInto(nil, PadChannelsInto(nil, src, P), C)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
