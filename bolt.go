@@ -233,12 +233,12 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 			return nil, err
 		}
 	}
-	res, err := compileTemplated(g, dev, templatedConfig{
-		cache:          cache,
-		jobs:           opts.Jobs,
-		emitSource:     opts.EmitSource,
-		topK:           opts.TopK,
-		trustThreshold: opts.TrustThreshold,
+	res, err := compileTemplated(g, dev, codegen.Options{
+		Log:            cache,
+		Jobs:           opts.Jobs,
+		TopK:           opts.TopK,
+		TrustThreshold: opts.TrustThreshold,
+		EmitSource:     opts.EmitSource,
 	})
 	if err != nil {
 		return nil, err
@@ -253,44 +253,18 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	return res, nil
 }
 
-// templatedConfig parameterizes one templated compile: the shared
-// tuning log (nil for no cache, no guidance), the profiling pool
-// width, and the guided-tuning knobs.
-type templatedConfig struct {
-	cache          *tunelog.Log
-	jobs           int
-	emitSource     bool
-	topK           int
-	trustThreshold float64
-}
-
-// compileTemplated is the templated (non-baseline) pipeline over an
-// in-memory tuning log: graph optimization, profiling through the
-// log, code generation, and the module-build charge. Compile wraps it
-// with CacheFile load/save; the serving Server calls it directly with
-// a log it loaded once and shares across every tenant's variant
-// compiles.
-func compileTemplated(g *Graph, dev *Device, cfg templatedConfig) (*CompileResult, error) {
+// compileTemplated is the templated (non-baseline) pipeline,
+// codegen.Build on a fresh profiler, with opts.Log the in-memory
+// tuning log (nil for no cache, no guidance). Compile wraps it with
+// CacheFile load/save; the serving Server calls it directly with a log
+// it loaded once and shares across every tenant's variant compiles.
+func compileTemplated(g *Graph, dev *Device, opts codegen.Options) (*CompileResult, error) {
 	var clock gpu.Clock
-	if err := relay.Optimize(g, dev); err != nil {
-		return nil, err
-	}
-	p := profiler.New(dev, &clock)
-	m, err := codegen.Compile(g, dev, codegen.Options{
-		Tuner:          codegen.TunerBolt,
-		Profiler:       p,
-		Log:            cfg.cache,
-		Jobs:           cfg.jobs,
-		TopK:           cfg.topK,
-		TrustThreshold: cfg.trustThreshold,
-		EmitSource:     cfg.emitSource,
-	})
+	opts.Profiler = profiler.New(dev, &clock)
+	m, err := codegen.Build(g, dev, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Charge the final module build (instantiating and compiling each
-	// selected template into the runtime file).
-	clock.Advance(gpu.ModuleBuildSeconds(m.TemplatedKernels()))
 	return &CompileResult{
 		Module:     m,
 		TuningTime: clock.ElapsedDuration(),

@@ -80,7 +80,10 @@ type AutoscaleOptions struct {
 
 // FleetOptions configures a Fleet: the initial replica pools, the
 // per-replica serving knobs, the shared compilation cache, and the
-// robustness machinery (hedging, autoscaling, fault injection).
+// robustness machinery (hedging, autoscaling, fault injection). It is
+// bolt's own struct, not an alias of fleet.Options, because CacheFile,
+// Jobs and the FleetReplica Workers shorthand are consumed here and
+// nowhere below, and callers write these literals field by field.
 type FleetOptions struct {
 	// Replicas are the initial replica pools. Nil means one replica of
 	// one worker.

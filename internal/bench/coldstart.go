@@ -6,13 +6,12 @@ import (
 	"bolt/internal/codegen"
 	"bolt/internal/gpu"
 	"bolt/internal/models"
-	"bolt/internal/profiler"
-	"bolt/internal/relay"
 	"bolt/internal/rt"
 	"bolt/internal/tunelog"
 )
 
-// The coldstart experiment is the PR-7 ablation: what does cost-model
+// The coldstart experiment is the guided-tuning ablation: what does
+// cost-model
 // guidance buy on a cold tuning log? On each device class (T4 and
 // A100) a full sweep of ResNet-18 trains the log's cost model; the
 // trained model is then transferred into fresh *entry-free* logs — the
@@ -61,18 +60,11 @@ type coldstartResult struct {
 	Devices []coldstartDevice
 }
 
-// coldstartCompile runs the templated pipeline for ResNet-18 against
+// coldstartCompile runs the templated recipe for ResNet-18 against
 // the given log with the guidance knobs set.
 func (s *Suite) coldstartCompile(dev *gpu.Device, log *tunelog.Log, topK int, trust float64) *rt.Module {
-	g := models.ResNet(18, s.Batch)
-	if err := relay.Optimize(g, dev); err != nil {
-		panic(err)
-	}
-	p := profiler.New(dev, nil)
-	p.Measure.NoiseStdDev = 0
-	m, err := codegen.Compile(g, dev, codegen.Options{
-		Tuner: codegen.TunerBolt, Profiler: p, Log: log,
-		Jobs: 4, TopK: topK, TrustThreshold: trust,
+	m, _, err := compileOn(models.ResNet(18, s.Batch), dev, codegen.Options{
+		Log: log, Jobs: 4, TopK: topK, TrustThreshold: trust,
 	})
 	if err != nil {
 		panic(err)

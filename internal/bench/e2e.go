@@ -30,22 +30,13 @@ func (s *Suite) e2eModels() []struct {
 	}
 }
 
-// compileBolt runs the full Bolt pipeline (optimize + profile +
-// codegen) and returns the module plus its tuning clock.
+// compileBolt runs the templated recipe on the suite's device and
+// returns the module plus its tuning clock.
 func (s *Suite) compileBolt(g *relay.Graph) (*rt.Module, *gpu.Clock) {
-	p, clock := s.newProfiler()
-	if err := relay.Optimize(g, s.Dev); err != nil {
-		panic(err)
-	}
-	m, err := codegen.Compile(g, s.Dev, codegen.Options{Tuner: codegen.TunerBolt, Profiler: p})
+	m, clock, err := compileOn(g, s.Dev, codegen.Options{})
 	if err != nil {
 		panic(err)
 	}
-	// Final module build: each selected template is instantiated and
-	// compiled into the runtime file (nvcc on the generated CUDA).
-	// This — not the candidate search — is most of Bolt's minutes in
-	// Figure 10b.
-	clock.Advance(gpu.ModuleBuildSeconds(m.TemplatedKernels()))
 	return m, clock
 }
 

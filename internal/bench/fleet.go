@@ -14,7 +14,7 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// The fleet experiment exercises the PR-9 replicated-serving layer:
+// The fleet experiment exercises the replicated-serving layer:
 // N server replicas behind the EFT-backlog router, sharing one tuning
 // log. One seeded Poisson stream is replayed against a healthy
 // three-replica fleet and against the same fleet with a scripted worker
@@ -323,12 +323,7 @@ func (s *Suite) runFleet() fleetResult {
 	}
 	meanGap := 0.5 * mod8.Time() / 8
 	arrivals := PoissonArrivals(requests, meanGap, 23)
-	inputs := make([]map[string]*tensor.Tensor, requests)
-	for i := range inputs {
-		in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 8, 32, 32)
-		in.FillRandom(int64(i+1), 1)
-		inputs[i] = map[string]*tensor.Tensor{"image": in}
-	}
+	inputs := seededInputs(requests, "image", 1, 8, 32, 32)
 
 	art := fleetResult{
 		Model:     "servenet-8x32",

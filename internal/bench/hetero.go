@@ -12,7 +12,7 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// The hetero experiment exercises the PR-5 heterogeneous device pool:
+// The hetero experiment exercises the heterogeneous device pool:
 // one server whose workers model different GPUs (Tesla T4 and A100),
 // each deployed model compiled per-(device, bucket) through one shared
 // tuning log (keys are device-scoped, so both families coexist), and
@@ -21,8 +21,8 @@ import (
 // 1x T4 + 1x A100 pool, and a 2x A100 pool; the mixed pool must beat
 // the homogeneous T4 pool on modeled makespan, and the A100's share of
 // the served batches must track its modeled speed advantage. Every
-// number is computed on the simulated clocks, so the experiment is
-// deterministic.
+// number is computed on the simulated clocks, and every pool floods
+// through the gated harness, so the experiment is deterministic.
 
 // heteroModel builds the source CNN for the heterogeneous experiment:
 // wider than the serving CNN so the batch-8 variant is compute-heavy
@@ -94,50 +94,6 @@ type heteroResult struct {
 	WorkShareRatio   float64
 }
 
-// floodPool replays the prepared request stream against one pool
-// configuration and returns its aggregate stats.
-func (s *Suite) floodPool(devices []*gpu.Device, log *tunelog.Log, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
-	srv := serve.NewServer(serve.ServerOptions{
-		Devices:     devices,
-		QueueDepth:  len(inputs),
-		BatchWindow: 10 * time.Millisecond,
-		CompileJobs: 2,
-		Trace:       s.Trace,
-		TraceLabel:  label,
-	})
-	defer srv.Close()
-	if err := srv.Deploy("widenet", s.tenantCompiler(heteroModel(), log), serve.DeployOptions{
-		Buckets: []int{1, 2, 4, 8},
-	}); err != nil {
-		panic(err)
-	}
-	// Warm every (device, bucket) variant so the flood measures
-	// dispatch, not compilation interleaving (the shared log makes all
-	// but the first pool's compiles measurement-free).
-	if err := srv.Warm("widenet"); err != nil {
-		panic(err)
-	}
-	chans := make([]<-chan serve.Result, len(inputs))
-	for i, in := range inputs {
-		// Bulk priority: batches dispatch as full largest buckets in
-		// FIFO order, so batch composition is deterministic.
-		ch, err := srv.InferAsync("widenet", in, serve.InferOptions{
-			Priority:   serve.PriorityBulk,
-			SimArrival: arrivals[i],
-		})
-		if err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-	}
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			panic(res.Err)
-		}
-	}
-	return srv.Stats()
-}
-
 func (s *Suite) runHetero() heteroResult {
 	requests := s.HeteroRequests
 	requests -= requests % 8 // full largest buckets only
@@ -149,7 +105,7 @@ func (s *Suite) runHetero() heteroResult {
 	compile := s.tenantCompiler(heteroModel(), log)
 
 	// Price the full bucket on both devices (this also primes the
-	// shared tuning log, so every pool below warms measurement-free).
+	// shared tuning log, so every pool below compiles measurement-free).
 	mod8T4, err := compile(t4, 8)
 	if err != nil {
 		panic(err)
@@ -165,12 +121,9 @@ func (s *Suite) runHetero() heteroResult {
 	// makespan measures capacity, not the arrival span) while arrivals
 	// still stagger batch starts.
 	arrivals := PoissonArrivals(requests, 0.25*cost8T4/8, 17)
-	inputs := make([]map[string]*tensor.Tensor, requests)
-	for i := range inputs {
-		in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 16, 32, 32)
-		in.FillRandom(int64(i+1), 1)
-		inputs[i] = map[string]*tensor.Tensor{"image": in}
-	}
+	// Bulk priority: batches dispatch as full largest buckets in FIFO
+	// order.
+	reqs := stream("widenet", seededInputs(requests, "image", 1, 16, 32, 32), arrivals, serve.PriorityBulk)
 
 	art := heteroResult{
 		Model:             "widenet-16x32",
@@ -189,7 +142,13 @@ func (s *Suite) runHetero() heteroResult {
 		{"2x A100", []*gpu.Device{a100, a100}},
 	}
 	for _, p := range pools {
-		st := s.floodPool(p.devices, log, inputs, arrivals, "hetero "+p.name)
+		st := flood(serve.ServerOptions{
+			Devices:     p.devices,
+			BatchWindow: 10 * time.Millisecond,
+			CompileJobs: 2,
+			Trace:       s.Trace,
+			TraceLabel:  "hetero " + p.name,
+		}, []floodTenant{{"widenet", compile, serve.DeployOptions{Buckets: []int{1, 2, 4, 8}}}}, reqs).Stats()
 		row := heteroRow{
 			Pool:       p.name,
 			Requests:   st.Requests,

@@ -6,15 +6,13 @@ import (
 	"time"
 
 	"bolt/internal/cutlass"
-	"bolt/internal/gpu"
 	"bolt/internal/relay"
-	"bolt/internal/rt"
 	"bolt/internal/serve"
 	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
 )
 
-// The multimodel experiment exercises the PR-4 multi-tenant server:
+// The multimodel experiment exercises the multi-tenant server:
 // two models (the serving CNN and an MLP) deployed on one shared
 // worker pool, driven by a mixed-priority seeded Poisson request
 // stream on the simulated clock (so the latency tails reflect
@@ -85,48 +83,13 @@ func (s *Suite) runMultiModel() multiModelResult {
 	}
 	const workers = 2
 	log := tunelog.New()
-	// The variant compiles are gated shut until the whole stream is
-	// queued, as in floodPadding: every planning decision then sees the
-	// full queue, so host scheduling noise cannot change which rows
-	// coalesce, and the table is the same on every run.
-	gate := make(chan struct{})
-	gated := func(inner serve.CompileFunc) serve.CompileFunc {
-		return func(dev *gpu.Device, batch int) (*rt.Module, error) {
-			<-gate
-			return inner(dev, batch)
-		}
+	tenants := []floodTenant{
+		{"servenet-8x32", s.tenantCompiler(servingModel(), log), serve.DeployOptions{Buckets: []int{1, 2, 4, 8}}},
+		{"mlp-256", s.tenantCompiler(multiMLPModel(), log), serve.DeployOptions{Buckets: []int{1, 2, 4, 8}}},
 	}
-	type tenantSpec struct {
-		name    string
-		compile serve.CompileFunc
-		input   func(seed int64) map[string]*tensor.Tensor
-	}
-	tenants := []tenantSpec{
-		{"servenet-8x32", gated(s.tenantCompiler(servingModel(), log)), func(seed int64) map[string]*tensor.Tensor {
-			in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 8, 32, 32)
-			in.FillRandom(seed, 1)
-			return map[string]*tensor.Tensor{"image": in}
-		}},
-		{"mlp-256", gated(s.tenantCompiler(multiMLPModel(), log)), func(seed int64) map[string]*tensor.Tensor {
-			in := tensor.New(tensor.FP16, 1, 256)
-			in.FillRandom(seed, 1)
-			return map[string]*tensor.Tensor{"x": in}
-		}},
-	}
-
-	srv := serve.NewServer(serve.ServerOptions{
-		Devices:     s.devices(workers),
-		QueueDepth:  len(tenants) * requests,
-		BatchWindow: 5 * time.Millisecond,
-		CompileJobs: 2,
-		Trace:       s.Trace,
-		TraceLabel:  "multimodel",
-	})
-	defer srv.Close()
-	for _, tn := range tenants {
-		if err := srv.Deploy(tn.name, tn.compile, serve.DeployOptions{Buckets: []int{1, 2, 4, 8}}); err != nil {
-			panic(err)
-		}
+	inputs := [][]map[string]*tensor.Tensor{
+		seededInputs(requests, "image", 1, 8, 32, 32),
+		seededInputs(requests, "x", 1, 256),
 	}
 	// Offered load: the tenants' requests interleave one-for-one on a
 	// seeded Poisson arrival stream at ~4x one worker's CNN bucket-8
@@ -138,29 +101,26 @@ func (s *Suite) runMultiModel() multiModelResult {
 		panic(err)
 	}
 	arrivals := PoissonArrivals(len(tenants)*requests, 0.25*mod8.Time()/8, 11)
-	var chans []<-chan serve.Result
+	reqs := make([]floodReq, 0, len(arrivals))
 	for i := 0; i < requests; i++ {
 		pri := serve.PriorityBulk
 		if i%4 == 0 {
 			pri = serve.PriorityHigh
 		}
 		for k, tn := range tenants {
-			ch, err := srv.InferAsync(tn.name, tn.input(int64(i+1)), serve.InferOptions{
+			reqs = append(reqs, floodReq{tn.name, inputs[k][i], serve.InferOptions{
 				Priority:   pri,
 				SimArrival: arrivals[i*len(tenants)+k],
-			})
-			if err != nil {
-				panic(err)
-			}
-			chans = append(chans, ch)
+			}})
 		}
 	}
-	close(gate)
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			panic(res.Err)
-		}
-	}
+	srv := flood(serve.ServerOptions{
+		Devices:     s.devices(workers),
+		BatchWindow: 5 * time.Millisecond,
+		CompileJobs: 2,
+		Trace:       s.Trace,
+		TraceLabel:  "multimodel",
+	}, tenants, reqs)
 
 	art := multiModelResult{Workers: workers, RequestsPerModel: requests}
 	minT, maxT := math.Inf(1), 0.0

@@ -6,26 +6,25 @@ import (
 	"time"
 
 	"bolt/internal/gpu"
-	"bolt/internal/rt"
 	"bolt/internal/serve"
-	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
 )
 
-// The padding experiment is the PR-6 ablation: the same seeded Poisson
-// request stream (the PR-5 mixed 1x T4 + 1x A100 pool and widenet
-// model) replayed under four batching policies — strict buckets with
-// the fixed batch window, continuous marginal-gain formation, continuous
-// formation plus padded-bucket dispatch, and the single-bucket guard
-// (adaptive flags on a one-rung ladder, which must short-circuit to
-// strict with zero padded batches). The strict baseline holds partial
-// batches for the window while devices idle; continuous formation
-// dispatches as soon as the modeled marginal gain of one more row goes
-// negative, and padding lets those partial batches ride a larger
-// compiled bucket when the cost model prices that earlier than a chain
-// of exact buckets. Every number is computed on the simulated clocks,
-// and batch composition is made deterministic by gating the variant
-// compiles until the whole stream is queued (see floodPadding).
+// The padding experiment is the padded-dispatch ablation: the same
+// seeded Poisson request stream (the hetero experiment's mixed 1x T4 +
+// 1x A100 pool and widenet model) replayed under four batching
+// policies — strict buckets with the fixed batch window, continuous
+// marginal-gain formation, continuous formation plus padded-bucket
+// dispatch, and the single-bucket guard (adaptive flags on a one-rung
+// ladder, which must short-circuit to strict with zero padded batches).
+// The strict baseline holds partial batches for the window while
+// devices idle; continuous formation dispatches as soon as the modeled
+// marginal gain of one more row goes negative, and padding lets those
+// partial batches ride a larger compiled bucket when the cost model
+// prices that earlier than a chain of exact buckets. Every number is
+// computed on the simulated clocks, and batch composition is made
+// deterministic by gating the variant compiles until the whole stream
+// is queued.
 
 // paddingPolicy is one batching policy under test.
 type paddingPolicy struct {
@@ -75,57 +74,6 @@ type paddingResult struct {
 	GuardPaddedBatches int64
 }
 
-// floodPadding replays the prepared request stream against one policy
-// and returns the aggregate stats. Batch composition is deterministic:
-// the variant compiles are gated shut until the entire stream is queued
-// (nothing can be priced, so nothing can dispatch; InferAsync returns
-// with its request already queued), then the gate opens and every
-// planning decision sees the full queue —
-// host scheduling noise cannot change which rows coalesce. From there
-// the outcome depends only on modeled costs and simulated arrivals.
-func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddingPolicy, inputs []map[string]*tensor.Tensor, arrivals []float64) serve.Stats {
-	gate := make(chan struct{})
-	inner := s.tenantCompiler(heteroModel(), log)
-	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
-		<-gate
-		return inner(dev, batch)
-	}
-	srv := serve.NewServer(serve.ServerOptions{
-		Devices:     devices,
-		QueueDepth:  len(inputs),
-		BatchWindow: 10 * time.Millisecond,
-		CompileJobs: 2,
-		Trace:       s.Trace,
-		TraceLabel:  "padding " + pol.name,
-	})
-	defer srv.Close()
-	if err := srv.Deploy("widenet", gated, serve.DeployOptions{
-		Buckets:            pol.buckets,
-		AllowPadding:       pol.pad,
-		ContinuousBatching: pol.continuous,
-	}); err != nil {
-		panic(err)
-	}
-	chans := make([]<-chan serve.Result, len(inputs))
-	for i, in := range inputs {
-		ch, err := srv.InferAsync("widenet", in, serve.InferOptions{
-			Priority:   serve.PriorityBulk,
-			SimArrival: arrivals[i],
-		})
-		if err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-	}
-	close(gate)
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			panic(res.Err)
-		}
-	}
-	return srv.Stats()
-}
-
 func (s *Suite) runPadding() paddingResult {
 	requests := s.PaddingRequests
 	requests -= requests % 8 // strict baseline: full largest buckets only
@@ -156,14 +104,9 @@ func (s *Suite) runPadding() paddingResult {
 	// gaps continuous formation and padding exist to close. (Near
 	// saturation the comparison inverts: a backlogged queue hands strict
 	// full buckets for free and padding only spends compute the pool no
-	// longer has spare.) Arrivals use the PR-5 seeded Poisson generator.
+	// longer has spare.) Arrivals use the seeded Poisson generator.
 	arrivals := PoissonArrivals(requests, 1.25*cost8T4/8, 17)
-	inputs := make([]map[string]*tensor.Tensor, requests)
-	for i := range inputs {
-		in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 16, 32, 32)
-		in.FillRandom(int64(i+1), 1)
-		inputs[i] = map[string]*tensor.Tensor{"image": in}
-	}
+	reqs := stream("widenet", seededInputs(requests, "image", 1, 16, 32, 32), arrivals, serve.PriorityBulk)
 
 	guardN := 16
 	if guardN > requests {
@@ -186,11 +129,21 @@ func (s *Suite) runPadding() paddingResult {
 	}
 	devices := []*gpu.Device{t4, a100}
 	for _, pol := range policies {
-		ins, arrs := inputs, arrivals
-		if pol.requests > 0 && pol.requests < len(inputs) {
-			ins, arrs = inputs[:pol.requests], arrivals[:pol.requests]
+		polReqs := reqs
+		if pol.requests > 0 && pol.requests < len(reqs) {
+			polReqs = reqs[:pol.requests]
 		}
-		st := s.floodPadding(devices, log, pol, ins, arrs)
+		st := flood(serve.ServerOptions{
+			Devices:     devices,
+			BatchWindow: 10 * time.Millisecond,
+			CompileJobs: 2,
+			Trace:       s.Trace,
+			TraceLabel:  "padding " + pol.name,
+		}, []floodTenant{{"widenet", compile, serve.DeployOptions{
+			Buckets:            pol.buckets,
+			AllowPadding:       pol.pad,
+			ContinuousBatching: pol.continuous,
+		}}}, polReqs).Stats()
 		row := paddingRow{
 			Policy:        pol.name,
 			Requests:      st.Requests,

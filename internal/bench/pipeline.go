@@ -27,14 +27,7 @@ func (s *Suite) ExtensionCompileCache() *Table {
 	}
 	build := func() *relay.Graph { return models.RepVGG("A0", 8, models.RepVGGOptions{}) }
 	compileWithLog := func(log *tunelog.Log, jobs int) rt.TuningStats {
-		g := build()
-		if err := relay.Optimize(g, s.Dev); err != nil {
-			panic(err)
-		}
-		p, _ := s.newProfiler()
-		m, err := codegen.Compile(g, s.Dev, codegen.Options{
-			Tuner: codegen.TunerBolt, Profiler: p, Log: log, Jobs: jobs,
-		})
+		m, _, err := compileOn(build(), s.Dev, codegen.Options{Log: log, Jobs: jobs})
 		if err != nil {
 			panic(err)
 		}

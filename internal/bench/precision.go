@@ -15,15 +15,16 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// The precision experiment exercises the PR-8 mixed-precision serving
-// path end to end: one BERT FFN model (the examples/bert workload in
+// The precision experiment exercises the mixed-precision serving path
+// end to end: one BERT FFN model (the examples/bert workload in
 // served form — GELU rides the up-projection GEMM's epilogue) deployed
 // at FP32, FP16, and INT8 on an A100 worker, each arm accuracy-gated
 // against the FP32 RunUnplanned oracle at deploy time and then flooded
 // with the identical seeded Poisson request stream. A fourth arm
 // requests INT8 under an impossible budget to demonstrate the FP32
-// fallback. Every number is computed on the simulated clocks, so the
-// experiment is deterministic.
+// fallback. Every number is computed on the simulated clocks, and every
+// arm floods through the gated harness, so the experiment is
+// deterministic.
 
 // precisionGELUModel is the served BERT-base FFN block at batch 1.
 func precisionGELUModel() *relay.Graph { return models.BERTMLP(1, 768, 3072) }
@@ -63,21 +64,6 @@ type precisionResult struct {
 	DivergencesWithinGate bool
 }
 
-// precisionCompilerOn compiles a precision-cast graph for one device
-// through the shared tuning log (dtype-scoped keys keep FP32/FP16/INT8
-// variants of the same shapes apart in one cache).
-func precisionCompilerOn(dev *gpu.Device, log *tunelog.Log) func(*relay.Graph) (*rt.Module, error) {
-	return func(g *relay.Graph) (*rt.Module, error) {
-		if err := relay.Optimize(g, dev); err != nil {
-			return nil, err
-		}
-		p, _ := newProfilerOn(dev)
-		return codegen.Compile(g, dev, codegen.Options{
-			Tuner: codegen.TunerBolt, Profiler: p, Log: log,
-		})
-	}
-}
-
 func (s *Suite) runPrecision() precisionResult {
 	requests := s.PrecisionRequests
 	requests -= requests % 8 // full largest buckets only
@@ -86,7 +72,12 @@ func (s *Suite) runPrecision() precisionResult {
 	}
 	dev := gpu.A100()
 	log := tunelog.New()
-	compile := precisionCompilerOn(dev, log)
+	// The gate's compiles share the arms' tuning log: dtype-scoped keys
+	// keep FP32/FP16/INT8 variants of the same shapes apart in it.
+	compile := func(g *relay.Graph) (*rt.Module, error) {
+		m, _, err := compileOn(g, dev, codegen.Options{Log: log})
+		return m, err
+	}
 
 	arms := []struct {
 		name   string
@@ -132,12 +123,7 @@ func (s *Suite) runPrecision() precisionResult {
 		}
 	}
 	arrivals := PoissonArrivals(requests, 0.25*fastest/8, 23)
-	inputs := make([]map[string]*tensor.Tensor, requests)
-	for i := range inputs {
-		in := tensor.New(tensor.FP16, 1, 768)
-		in.FillRandom(int64(i+1), 1)
-		inputs[i] = map[string]*tensor.Tensor{"tokens": in}
-	}
+	reqs := stream("bertmlp", seededInputs(requests, "tokens", 1, 768), arrivals, serve.PriorityBulk)
 
 	art := precisionResult{
 		Model:    "bert-mlp-768-3072",
@@ -146,40 +132,15 @@ func (s *Suite) runPrecision() precisionResult {
 	}
 	var fp32TP, fp16TP, int8TP float64
 	for i, a := range arms {
-		srv := serve.NewServer(serve.ServerOptions{
+		st := flood(serve.ServerOptions{
 			Devices:     []*gpu.Device{dev},
-			QueueDepth:  requests,
 			BatchWindow: 10 * time.Millisecond,
 			CompileJobs: 2,
 			Trace:       s.Trace,
 			TraceLabel:  "precision " + a.name,
-		})
-		if err := srv.Deploy("bertmlp", s.tenantCompiler(deployed[i], log), serve.DeployOptions{
+		}, []floodTenant{{"bertmlp", s.tenantCompiler(deployed[i], log), serve.DeployOptions{
 			Buckets: []int{1, 2, 4, 8},
-		}); err != nil {
-			panic(err)
-		}
-		if err := srv.Warm("bertmlp"); err != nil {
-			panic(err)
-		}
-		chans := make([]<-chan serve.Result, requests)
-		for r := range inputs {
-			ch, err := srv.InferAsync("bertmlp", inputs[r], serve.InferOptions{
-				Priority:   serve.PriorityBulk,
-				SimArrival: arrivals[r],
-			})
-			if err != nil {
-				panic(err)
-			}
-			chans[r] = ch
-		}
-		for _, ch := range chans {
-			if res := <-ch; res.Err != nil {
-				panic(res.Err)
-			}
-		}
-		st := srv.Stats()
-		srv.Close()
+		}}}, reqs).Stats()
 		rep := reports[i]
 		row := precisionRow{
 			Arm:        a.name,

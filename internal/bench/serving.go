@@ -16,7 +16,7 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// The serving experiment exercises the PR-3 concurrent serving engine:
+// The serving experiment exercises the concurrent serving engine:
 // a seeded Poisson stream of single-sample requests is coalesced by
 // the dynamic batcher into batch-bucketed runs over lazily compiled
 // variants, and throughput/latency are measured on the simulated
@@ -44,26 +44,21 @@ func servingModel() *relay.Graph {
 }
 
 // tenantCompiler returns a serving variant compiler for one source
-// graph: Rebatch the source at the bucket size and run the regular
-// pipeline for the worker's device, backed by a shared in-memory
-// tuning log, so buckets whose workloads overlap (and recompiles of a
-// bucket ever seen before) measure nothing. Multiple tenants sharing
-// one log model the server-wide tuning cache; a T4 worker and an A100
-// worker each compile variants tuned for their own silicon while
-// recording into that one log.
+// graph: Rebatch the source at the bucket size and run the templated
+// recipe for the worker's device, backed by a shared in-memory tuning
+// log, so buckets whose workloads overlap (and recompiles of a bucket
+// ever seen before) measure nothing. Multiple tenants sharing one log
+// model the server-wide tuning cache; a T4 worker and an A100 worker
+// each compile variants tuned for their own silicon while recording
+// into that one log.
 func (s *Suite) tenantCompiler(src *relay.Graph, log *tunelog.Log) serve.CompileFunc {
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		g, err := relay.Rebatch(src, batch)
 		if err != nil {
 			return nil, err
 		}
-		if err := relay.Optimize(g, dev); err != nil {
-			return nil, err
-		}
-		p, _ := newProfilerOn(dev)
-		return codegen.Compile(g, dev, codegen.Options{
-			Tuner: codegen.TunerBolt, Profiler: p, Log: log,
-		})
+		m, _, err := compileOn(g, dev, codegen.Options{Log: log})
+		return m, err
 	}
 }
 
@@ -91,50 +86,6 @@ type servingResult struct {
 	// must not regress allocation behavior (acceptance: within 2x).
 	SingleCallerAllocsPerRun      float64
 	ConcurrentCallersAllocsPerRun float64
-}
-
-// floodServer replays the prepared requests (with their simulated
-// arrival times) against a one-model server and returns the model's
-// serving stats, with SimMakespan taken server-wide. The variant
-// compiles are gated shut until the whole stream is queued, as in
-// floodPadding, so host scheduling noise cannot change which rows
-// coalesce.
-func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
-	const model = "default"
-	gate := make(chan struct{})
-	inner := s.tenantCompiler(servingModel(), log)
-	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
-		<-gate
-		return inner(dev, batch)
-	}
-	srv := serve.NewServer(serve.ServerOptions{
-		Devices:     s.devices(workers),
-		QueueDepth:  len(inputs),
-		BatchWindow: 5 * time.Millisecond,
-		Trace:       s.Trace,
-		TraceLabel:  label,
-	})
-	defer srv.Close()
-	if err := srv.Deploy(model, gated, serve.DeployOptions{Buckets: buckets}); err != nil {
-		panic(err)
-	}
-	chans := make([]<-chan serve.Result, len(inputs))
-	for i, in := range inputs {
-		ch, err := srv.InferAsync(model, in, serve.InferOptions{SimArrival: arrivals[i]})
-		if err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-	}
-	close(gate)
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			panic(res.Err)
-		}
-	}
-	st, _ := srv.ModelStats(model)
-	st.SimMakespan = srv.SimMakespan()
-	return st
 }
 
 // measureRunAllocs reports steady-state allocations per Module.Run
@@ -169,12 +120,7 @@ func measureRunAllocs(mod *rt.Module, inputs map[string]*tensor.Tensor, callers,
 
 func (s *Suite) runServing() servingResult {
 	requests := s.ServingRequests
-	inputs := make([]map[string]*tensor.Tensor, requests)
-	for i := range inputs {
-		in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 8, 32, 32)
-		in.FillRandom(int64(i+1), 1)
-		inputs[i] = map[string]*tensor.Tensor{"image": in}
-	}
+	inputs := seededInputs(requests, "image", 1, 8, 32, 32)
 	log := tunelog.New()
 	buckets := []int{1, 2, 4, 8}
 	art := servingResult{Model: "servenet-8x32", Requests: requests}
@@ -202,8 +148,13 @@ func (s *Suite) runServing() servingResult {
 	}
 	var base, four float64
 	for _, c := range configs {
-		label := fmt.Sprintf("serving %dw b%d", c.workers, c.buckets[len(c.buckets)-1])
-		st := s.floodServer(log, c.workers, c.buckets, inputs, arrivals, label)
+		st := flood(serve.ServerOptions{
+			Devices:     s.devices(c.workers),
+			BatchWindow: 5 * time.Millisecond,
+			Trace:       s.Trace,
+			TraceLabel:  fmt.Sprintf("serving %dw b%d", c.workers, c.buckets[len(c.buckets)-1]),
+		}, []floodTenant{{"default", s.tenantCompiler(servingModel(), log), serve.DeployOptions{Buckets: c.buckets}}},
+			stream("default", inputs, arrivals, serve.PriorityNormal)).Stats()
 		row := servingRun{
 			Workers:    c.workers,
 			MaxBucket:  c.buckets[len(c.buckets)-1],

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bolt/internal/ansor"
+	"bolt/internal/codegen"
 	"bolt/internal/cublaslike"
 	"bolt/internal/gpu"
 	"bolt/internal/obs"
 	"bolt/internal/profiler"
+	"bolt/internal/relay"
+	"bolt/internal/rt"
 )
 
 // Suite holds the shared state for running the paper's experiments on
@@ -108,6 +111,15 @@ func newProfilerOn(dev *gpu.Device) (*profiler.Profiler, *gpu.Clock) {
 	p := profiler.New(dev, &clock)
 	p.Measure.NoiseStdDev = 0
 	return p, &clock
+}
+
+// compileOn runs codegen.Build for dev on newProfilerOn's noise-free
+// profiler and returns the module with that profiler's tuning clock.
+func compileOn(g *relay.Graph, dev *gpu.Device, opts codegen.Options) (*rt.Module, *gpu.Clock, error) {
+	p, clock := newProfilerOn(dev)
+	opts.Profiler = p
+	m, err := codegen.Build(g, dev, opts)
+	return m, clock, err
 }
 
 // newAnsor builds a baseline tuner with an attached tuning clock.

@@ -13,6 +13,11 @@
 //     evolutionary searcher over SIMT schedules; graph-level state is
 //     whatever TVM's standard operator fusion gives (epilogues fused
 //     into the generated kernel, no persistent fusion, no padding).
+//
+// Build is the full templated pipeline (graph optimization, profiling,
+// code generation and the module-build charge); every templated
+// compile goes through it. Compile is the lowering step alone, which
+// the Ansor baseline calls directly on its TVM-fused graph.
 package codegen
 
 import (
@@ -76,9 +81,30 @@ type Options struct {
 	EmitSource bool
 }
 
+// Build runs the templated recipe of paper Figure 3 on g: graph-level
+// optimization (relay.Optimize), then Compile with the Bolt backend
+// through opts.Profiler, then the final module build (each selected
+// template instantiated and compiled into the runtime file) charged to
+// the profiler's clock. That build, not the candidate search, is most
+// of Bolt's minutes in Figure 10b. opts.Tuner is ignored.
+func Build(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
+	if err := relay.Optimize(g, dev); err != nil {
+		return nil, err
+	}
+	opts.Tuner = TunerBolt
+	m, err := Compile(g, dev, opts)
+	if err != nil {
+		return nil, err
+	}
+	if c := opts.Profiler.Clock(); c != nil {
+		c.Advance(gpu.ModuleBuildSeconds(m.TemplatedKernels()))
+	}
+	return m, nil
+}
+
 // Compile lowers the graph. For TunerBolt the graph should already be
-// optimized (relay.Optimize); for TunerAnsor it should carry TVM-level
-// fusion only (fold BN + fuse epilogue).
+// optimized (Build does that first); for TunerAnsor it should carry
+// TVM-level fusion only (fold BN + fuse epilogue).
 //
 // For TunerBolt, compilation is a staged pipeline (see pipeline.go):
 // workload extraction, dedup + cache lookup, a parallel profiling

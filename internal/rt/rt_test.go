@@ -193,12 +193,12 @@ func TestModuleAccounting(t *testing.T) {
 	}
 }
 
-// TestModuleRunRowsStripsPadding pins the padded-execution contract
+// TestModulePaddedRunStripsToRealRows pins the padded-execution contract
 // the serving scheduler relies on: run a zero-padded batch, strip it
 // back to its real rows, and those rows are bit-identical to the
 // reference executor's and to the unpadded values — the runtime's
 // operators are row-independent along the batch dim.
-func TestModuleRunRowsStripsPadding(t *testing.T) {
+func TestModulePaddedRunStripsToRealRows(t *testing.T) {
 	d := gpu.T4()
 	n1 := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x", Shape: tensor.Shape{4, 2}, DType: tensor.FP32}
 	n2 := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{n1}, Shape: tensor.Shape{4, 2}, DType: tensor.FP32}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bolt/internal/accuracy"
+	"bolt/internal/codegen"
 	"bolt/internal/gpu"
 	"bolt/internal/obs"
 	"bolt/internal/relay"
@@ -73,7 +74,11 @@ var (
 )
 
 // ServerOptions configures the resources every model deployed on one
-// Server shares.
+// Server shares. It is bolt's own struct, not an alias of
+// serve.ServerOptions, because CacheFile, Jobs (also the profiling-pool
+// width) and the Workers shorthand, like DeployOptions' TopK,
+// TrustThreshold, Precision and AccuracyBudget, are consumed here and
+// nowhere below, and callers write these literals field by field.
 type ServerOptions struct {
 	// Workers is the number of concurrent executors (simulated device
 	// streams) shared by all models: shorthand for Workers copies of
@@ -339,6 +344,7 @@ func newTenantPipeline(gateDev *Device, cp *cachePersister, jobs int) *tenantPip
 // measurement-free from its peers' entries.
 func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOptions) (serve.CompileFunc, serve.DeployOptions, error) {
 	src := g
+	cfg := codegen.Options{Log: p.cp.cache, Jobs: p.jobs, TopK: opts.TopK, TrustThreshold: opts.TrustThreshold}
 	if dt, ok := opts.Precision.dtype(); ok {
 		// Precision-rewrite the source once, gated: the requested
 		// variant must clear the tenant's accuracy budget against the
@@ -349,12 +355,7 @@ func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOption
 		deployed, rep, err := accuracy.GatePrecision(g, dt, opts.AccuracyBudget,
 			calibrationBatches, calibrationSeed,
 			func(cg *relay.Graph) (*rt.Module, error) {
-				res, err := compileTemplated(cg, p.gateDev, templatedConfig{
-					cache:          p.cp.cache,
-					jobs:           p.jobs,
-					topK:           opts.TopK,
-					trustThreshold: opts.TrustThreshold,
-				})
+				res, err := compileTemplated(cg, p.gateDev, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -373,12 +374,7 @@ func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOption
 		if err != nil {
 			return nil, err
 		}
-		res, err := compileTemplated(vg, dev, templatedConfig{
-			cache:          p.cp.cache,
-			jobs:           p.jobs,
-			topK:           opts.TopK,
-			trustThreshold: opts.TrustThreshold,
-		})
+		res, err := compileTemplated(vg, dev, cfg)
 		if err != nil {
 			return nil, err
 		}
