@@ -51,7 +51,10 @@ func main() {
 	b1 := tensor.New(tensor.FP16, n1)
 	b1.FillRandom(5, 0.5)
 
-	small := &persistent.FusedGemm{M: mSmall, Layers: layers, Kind: fused.Kind}
+	small, err := persistent.NewFusedGemm(mSmall, layers, fused.Kind, dev)
+	if err != nil {
+		log.Fatal(err)
+	}
 	got := small.RunInto(nil, a0, []*tensor.Tensor{w0, w1}, []*tensor.Tensor{b0, b1})
 	d0 := cutlass.ReferenceGemm(a0, w0, b0, relu)
 	want := cutlass.ReferenceGemm(d0, w1, b1, relu)

@@ -114,6 +114,11 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	for _, n := range g.Nodes {
+		if err := constantWeights(n); err != nil {
+			return nil, fmt.Errorf("codegen: %w", err)
+		}
+	}
 	c := &compiler{g: g, dev: dev, opts: opts, ansorCache: map[string]ansor.Result{}}
 	c.slots = make(map[int]int, len(g.Nodes))
 	for i, n := range g.Nodes {
@@ -295,6 +300,34 @@ func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 	}
 }
 
+// constantWeights rejects a Dense, Conv2D or persistent chain whose
+// weight (or a chain's bias) is not a constant. A templated kernel
+// packs its weight tensor at its first launch and keeps the panels
+// (cutlass.Gemm), so the tensor must hold the same bytes on every run:
+// a computed weight is an arena view whose header a reused ExecState
+// passes again with new data, and an input would stay reachable from
+// the kernel after its request.
+func constantWeights(n *relay.Node) error {
+	var operands []*relay.Node
+	switch n.Op {
+	case relay.OpDense, relay.OpConv2D:
+		operands = n.Inputs[1:2]
+	case relay.OpPersistentGemm, relay.OpPersistentConv:
+		for _, cl := range n.Chain {
+			operands = append(operands, cl.Weight)
+			if cl.Bias != nil {
+				operands = append(operands, cl.Bias)
+			}
+		}
+	}
+	for _, o := range operands {
+		if o.Op != relay.OpConstant {
+			return fmt.Errorf("%s operand %s is not a constant", n.Op, o)
+		}
+	}
+	return nil
+}
+
 func kname(n *relay.Node) string { return fmt.Sprintf("%s_%d", n.Op, n.ID) }
 
 func shapeElems(n *relay.Node) int { return n.Shape.NumElements() }
@@ -336,9 +369,9 @@ func (c *compiler) lowerDense(n *relay.Node) (rt.Kernel, error) {
 		return rt.Kernel{}, err
 	}
 	g := &cutlass.Gemm{Config: res.Config, Epilogue: epi}
-	xs, ws, bs := c.slot(x), c.slot(w), c.optSlot(bias)
+	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	kern := launchKernel(n, g.Desc(c.dev, m, nn, k), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return g.RunInto(dst, env.Value(xs), env.Value(ws), optValue(env, bs))
+		return g.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	})
 	if c.opts.EmitSource {
 		kern.Source = emitGemmSource(g, m, nn, k)
@@ -364,9 +397,9 @@ func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
 		return rt.Kernel{}, err
 	}
 	conv := &cutlass.Conv2D{Shape: shape, Config: res.Config, Epilogue: epi}
-	xs, ws, bs := c.slot(x), c.slot(w), c.optSlot(bias)
+	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	kern := launchKernel(n, conv.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return conv.RunInto(dst, env.Value(xs), env.Value(ws), optValue(env, bs))
+		return conv.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	})
 	if c.opts.EmitSource {
 		kern.Source = emitConvSource(conv)
@@ -389,9 +422,8 @@ func (c *compiler) lowerPersistentGemm(n *relay.Node) (rt.Kernel, error) {
 		return rt.Kernel{}, err
 	}
 	xs := c.slot(n.Inputs[0])
-	operands := c.chainOperands(n.Chain)
+	ws, bs := chainOperands(n.Chain)
 	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		ws, bs := operands(env)
 		return f.RunInto(dst, env.Value(xs), ws, bs)
 	})
 	if c.opts.EmitSource {
@@ -400,49 +432,19 @@ func (c *compiler) lowerPersistentGemm(n *relay.Node) (rt.Kernel, error) {
 	return kern, nil
 }
 
-// chainOperands resolves a persistent chain's weights and biases.
-// Constant operands (the universal case) are bound at compile time so
-// the hot path allocates nothing; anything else falls back to a
-// per-call environment lookup.
-func (c *compiler) chainOperands(chain []relay.ChainLayer) func(env *rt.Env) (ws, bs []*tensor.Tensor) {
-	allConst := true
-	for _, cl := range chain {
-		if cl.Weight.Op != relay.OpConstant || (cl.Bias != nil && cl.Bias.Op != relay.OpConstant) {
-			allConst = false
-			break
-		}
-	}
-	if allConst {
-		ws := make([]*tensor.Tensor, len(chain))
-		bs := make([]*tensor.Tensor, len(chain))
-		for i, cl := range chain {
-			ws[i] = cl.Weight.Value
-			if cl.Bias != nil {
-				bs[i] = cl.Bias.Value
-			}
-		}
-		return func(*rt.Env) ([]*tensor.Tensor, []*tensor.Tensor) { return ws, bs }
-	}
-	wSlots := make([]int, len(chain))
-	bSlots := make([]int, len(chain))
+// chainOperands returns a persistent chain's weights and biases, bound
+// at compile time (every chain operand is a constant, see
+// constantWeights) so the hot path allocates nothing.
+func chainOperands(chain []relay.ChainLayer) (ws, bs []*tensor.Tensor) {
+	ws = make([]*tensor.Tensor, len(chain))
+	bs = make([]*tensor.Tensor, len(chain))
 	for i, cl := range chain {
-		wSlots[i] = c.slot(cl.Weight)
-		bSlots[i] = -1
+		ws[i] = cl.Weight.Value
 		if cl.Bias != nil {
-			bSlots[i] = c.slot(cl.Bias)
+			bs[i] = cl.Bias.Value
 		}
 	}
-	return func(env *rt.Env) ([]*tensor.Tensor, []*tensor.Tensor) {
-		ws := make([]*tensor.Tensor, len(wSlots))
-		bs := make([]*tensor.Tensor, len(bSlots))
-		for i, s := range wSlots {
-			ws[i] = env.Value(s)
-			if bSlots[i] >= 0 {
-				bs[i] = env.Value(bSlots[i])
-			}
-		}
-		return ws, bs
-	}
+	return ws, bs
 }
 
 func (c *compiler) lowerPersistentConv(n *relay.Node) (rt.Kernel, error) {
@@ -466,9 +468,8 @@ func (c *compiler) lowerPersistentConv(n *relay.Node) (rt.Kernel, error) {
 		return rt.Kernel{}, err
 	}
 	xs := c.slot(n.Inputs[0])
-	operands := c.chainOperands(n.Chain)
+	ws, bs := chainOperands(n.Chain)
 	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		ws, bs := operands(env)
 		return f.RunInto(dst, env.Value(xs), ws, bs)
 	})
 	if c.opts.EmitSource {
@@ -489,11 +490,12 @@ func (c *compiler) lowerAnsorGemm(n *relay.Node, x, w, bias *relay.Node, m, nn, 
 	}
 	desc := res.Schedule.GemmDesc(c.dev, m, nn, k, n.DType)
 	desc.FLOPs += epi.FLOPsOn(m, nn)
-	xs, ws, bs := c.slot(x), c.slot(w), c.optSlot(bias)
-	// Functional execution reuses the reference path (numerics are
-	// schedule-independent).
+	// Schedules do not change math, so the baseline's numerics are the
+	// functional kernel's at a permissive alignment.
+	g := &cutlass.Gemm{Config: permissiveConfig(), Epilogue: epi}
+	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return simtGemmRun(dst, env.Value(xs), env.Value(ws), optValue(env, bs), epi)
+		return g.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	}), nil
 }
 
@@ -515,13 +517,13 @@ func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape c
 	// transformed around it.
 	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi}
 	nchw := n.Layout == tensor.LayoutNCHW
-	xs, ws, bs := c.slot(x), c.slot(w), c.optSlot(bias)
+	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		x, w, bias := env.Value(xs), env.Value(ws), optValue(env, bs)
+		x, bias := env.Value(xs), optValue(env, bs)
 		if !nchw {
-			return conv.RunInto(dst, x, w, bias)
+			return conv.RunInto(dst, x, wv, bias)
 		}
-		return tensor.ToNCHWInto(dst, conv.RunInto(nil, tensor.ToNHWCInto(nil, x), w, bias))
+		return tensor.ToNCHWInto(dst, conv.RunInto(nil, tensor.ToNHWCInto(nil, x), wv, bias))
 	}), nil
 }
 
@@ -532,13 +534,8 @@ func (c *compiler) trials() int {
 	return 900
 }
 
-// simtGemmRun executes a GEMM functionally with a permissive alignment
-// config (the baseline's numerics; schedules do not change math).
-func simtGemmRun(dst *tensor.Tensor, a, b, bias *tensor.Tensor, epi cutlass.Epilogue) *tensor.Tensor {
-	g := &cutlass.Gemm{Config: permissiveConfig(), Epilogue: epi}
-	return g.RunInto(dst, a, b, bias)
-}
-
+// permissiveConfig is the configuration the baseline's functional
+// kernels run at: alignment 1, so every shape launches.
 func permissiveConfig() cutlass.GemmConfig {
 	return cutlass.GemmConfig{
 		TB:     cutlass.Shape3{M: 64, N: 64, K: 32},

@@ -294,3 +294,43 @@ func TestSliceChannelsExecution(t *testing.T) {
 		t.Fatalf("output shape %v, want logical OC=30", out.Shape())
 	}
 }
+
+// A templated kernel keeps its weight packed from the first launch, so
+// a weight computed at run time (here relu of an input) must be refused
+// at compile time by both backends rather than read stale on a second
+// run of a reused state.
+func TestComputedWeightRejected(t *testing.T) {
+	dev := gpu.T4()
+	graphs := map[string]func() *relay.Graph{
+		"dense": func() *relay.Graph {
+			b := relay.NewBuilder()
+			x := b.Input("x", tensor.FP16, 8, 32)
+			y := b.Activation(b.Input("y", tensor.FP16, 32, 16), cutlass.ActReLU)
+			return b.Build(b.Dense(x, y))
+		},
+		"conv": func() *relay.Graph {
+			b := relay.NewBuilder()
+			x := b.Input("x", tensor.FP16, 1, 8, 6, 6)
+			w := b.Activation(b.Input("w", tensor.FP16, 16, 3, 3, 8), cutlass.ActReLU)
+			return b.Build(b.Conv2D(x, w, 1, 1))
+		},
+	}
+	for name, build := range graphs {
+		g := build()
+		p := profiler.New(dev, nil)
+		if err := relay.Optimize(g, dev); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p})
+		if err == nil || !strings.Contains(err.Error(), "not a constant") {
+			t.Errorf("%s, bolt: computed weight compiled (err %v)", name, err)
+		}
+		g = build()
+		relay.FoldBatchNorm(g)
+		relay.FuseEpilogue(g)
+		_, err = Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: newTestTuner(dev), AnsorTrials: 4})
+		if err == nil || !strings.Contains(err.Error(), "not a constant") {
+			t.Errorf("%s, ansor: computed weight compiled (err %v)", name, err)
+		}
+	}
+}

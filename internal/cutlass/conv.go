@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
@@ -77,25 +76,14 @@ func (s ConvShape) Validate() error {
 
 // Conv2D is an instantiated implicit-GEMM forward-convolution kernel.
 // Its first launch packs the OHWI weight tensor into a panel-major
-// filter that the kernel keeps; later launches with the same tensor
-// reuse it, and a launch with another tensor packs that one. A weight
-// tensor is therefore read-only from its first launch on, as every
-// relay constant already is.
+// filter that the kernel keeps (see panelCache): a weight tensor is
+// read-only from its first launch on.
 type Conv2D struct {
 	Shape    ConvShape
 	Config   GemmConfig
 	Epilogue Epilogue
 
-	filter atomic.Pointer[convFilter]
-}
-
-// convFilter is weight tensor w packed panel-major: ⌈OC/panelCols⌉
-// panels, each K = (kh, kw, ic) rows of panelCols contiguous output
-// channels, the last panel zero-padded to panelCols. Panel q, row kk
-// starts at (q·K + kk)·panelCols.
-type convFilter struct {
-	w      *tensor.Tensor
-	panels []float32
+	filter panelCache
 }
 
 // NewConv2D validates and instantiates the template.
@@ -156,9 +144,9 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 		panic(fmt.Sprintf("cutlass: conv destination has %d elements, want NHWC (%d,%d,%d,%d)",
 			out.NumElements(), s.N, oh, ow, s.OC))
 	}
-	r := convRunPool.Get().(*convRun)
-	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: c.packed(w), bd: bd, od: out.Data()}
 	m, n, k := s.ImplicitGemm()
+	r := convRunPool.Get().(*convRun)
+	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: c.filter.packed(w, k, n, 1, k), bd: bd, od: out.Data()}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k)
 	*r = convRun{} // a pooled run must not pin the operands
 	convRunPool.Put(r)
@@ -170,35 +158,11 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 	return out
 }
 
-// packed returns w's panel-major filter, packing it unless w is the
-// tensor the kernel packed last. Concurrent first launches may each
-// pack; the panels hold the same bytes, and the last stored is kept.
-func (c *Conv2D) packed(w *tensor.Tensor) []float32 {
-	if f := c.filter.Load(); f != nil && f.w == w {
-		return f.panels
-	}
-	s := c.Shape
-	k := s.KH * s.KW * s.IC
-	wd := w.Data()
-	panels := make([]float32, tiles(s.OC, panelCols)*k*panelCols)
-	for oc0 := 0; oc0 < s.OC; oc0 += panelCols {
-		p := panels[oc0*k:][:k*panelCols]
-		for kk := range k { // row by row: strided writes measured 4x slower
-			row := p[kk*panelCols:][:panelCols]
-			for j := range min(panelCols, s.OC-oc0) {
-				row[j] = wd[(oc0+j)*k+kk]
-			}
-		}
-	}
-	c.filter.Store(&convFilter{w: w, panels: panels})
-	return panels
-}
-
 // convRun is one RunInto call's operands and the rowKernel that
 // parallelRows partitions over the output tiles: tileRows output pixels
 // (of the flattened N·OH·OW) by tileCols output channels, numbered
-// panel by panel as the GEMM's are. It is pooled so a call allocates
-// nothing, split or not.
+// column tile by column tile as the GEMM's are. It is pooled so a call
+// allocates nothing, split or not.
 type convRun struct {
 	s              ConvShape
 	epi            Epilogue
@@ -229,7 +193,7 @@ func (r *convRun) run(u0, u1 int) {
 }
 
 // tile computes output pixels [p0, p1) x channels [j0, j1), whole
-// filter panels but the last, with convMicro: four pixels (a quad) by
+// filter panels but the last, with microKernel: four pixels (a quad) by
 // one panel at a time. For a fixed kh, a pixel's in-range kw taps x IC
 // are one contiguous run [lo, hi) of both its NHWC input row and the
 // filter's K. A quad's runs cut the kh row into at most seven segments,
@@ -237,12 +201,12 @@ func (r *convRun) run(u0, u1 int) {
 // panel. So no tap over the padding is multiplied, and every output
 // sees its in-range products in (kh, kw, ic) order with one float32
 // round per step: the bytes match the direct loop and depend on neither
-// the tiling nor the partition. Zero activations are multiplied in like
-// any other, so an in-range Inf or NaN weight reaches its outputs
-// exactly as in the direct loop. The zero-padded channels of a last
-// panel are accumulated and never stored. Panels are the middle loop so
-// that a kh row of a panel, read for the tile's first quad, is still in
-// L1 for its second.
+// the tiling nor the partition. Zero activations are multiplied in, by
+// the micro-kernel's zero rule, so an in-range Inf or NaN weight
+// reaches its outputs exactly as in the direct loop. The zero-padded
+// channels of a last panel are accumulated and never stored. Panels are
+// the middle loop so that a kh row of a panel, read for the tile's
+// first quad, is still in L1 for its second.
 func (r *convRun) tile(acc *[tileRows * tileCols]float32, p0, p1, j0, j1 int) {
 	s := r.s
 	oh, ow := s.OutH(), s.OutW()
@@ -279,7 +243,7 @@ func (r *convRun) tile(acc *[tileRows * tileCols]float32, p0, p1, j0, j1 int) {
 							c[l] = (*[panelCols]float32)(acc[(4*qd+l)*tileCols+(q-q0)*panelCols:])
 						}
 					}
-					convMicro(&c, &sg.x, b[sg.t0*panelCols:sg.t1*panelCols])
+					microKernel(&c, &sg.x, b[sg.t0*panelCols:sg.t1*panelCols])
 				}
 			}
 		}

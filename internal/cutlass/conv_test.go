@@ -216,7 +216,7 @@ func TestConvAlignmentAffectsSpeed(t *testing.T) {
 // directConv is the loop RunInto used before the tiled implicit GEMM:
 // one float32 add chain per output in (kh, kw, ic) order, taps outside
 // the input skipped. It stays as the bit-exact oracle for the kernel.
-// The float32 conversion rounds each product, as axpy does, on an
+// The float32 conversion rounds each product, as the micro-kernel does, on an
 // architecture whose compiler would otherwise fuse the multiply-add.
 func directConv(c *Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	s := c.Shape
@@ -314,7 +314,7 @@ func convCase(t *testing.T, seed int64, s ConvShape, epi Epilogue, withBias bool
 // body, which other architectures run.
 func TestConvBitIdenticalToDirectLoop(t *testing.T) {
 	t.Run("selected body", checkConvBitIdentical)
-	t.Run("Go body", func(t *testing.T) { withGoConvMicro(func() { checkConvBitIdentical(t) }) })
+	t.Run("Go body", func(t *testing.T) { withGoMicroKernel(func() { checkConvBitIdentical(t) }) })
 }
 
 func checkConvBitIdentical(t *testing.T) {
@@ -432,7 +432,7 @@ func FuzzConv(f *testing.F) {
 		}
 		want := directConv(c, x, wt, bias)
 		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
-		withGoConvMicro(func() {
+		withGoMicroKernel(func() {
 			sameBits(t, fmt.Sprintf("%+v %v, Go body", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
 		})
 	})

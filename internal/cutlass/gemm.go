@@ -11,10 +11,15 @@ import (
 
 // Gemm is an instantiated GEMM kernel template: a tile configuration
 // plus a fused epilogue. It computes D = epilogue(A·B, C) where A is
-// M×K and B is K×N, both row-major.
+// M×K and B is K×N, both row-major. Its first launch packs B
+// panel-major and the kernel keeps the panels (see panelCache): B is
+// read-only from its first launch on, and a caller that launches one
+// GEMM more than once keeps its Gemm so that it packs once.
 type Gemm struct {
 	Config   GemmConfig
 	Epilogue Epilogue
+
+	b panelCache
 }
 
 // NewGemm instantiates the template after validating the configuration.
@@ -84,7 +89,7 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 	}
 	od := out.Data()
 	r := gemmRunPool.Get().(*gemmRun)
-	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: b.Data(), cd: cdata, od: od}
+	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, k, n, n, 1), cd: cdata, od: od}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k/gemmMACsPerConvMAC)
 	*r = gemmRun{} // a pooled run must not pin the operands
 	gemmRunPool.Put(r)
@@ -112,28 +117,31 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 }
 
 // A GEMM is cut into tiles of up to tileRows output rows by tileCols
-// output columns, the units parallelRows partitions (a convolution's
-// rows are output pixels and its columns output channels, tileCols /
-// panelCols filter panels). A tile's accumulators (8 KB) live on its
-// worker's stack, and four B row segments of a column panel (4 KB) stay
-// in L1 while the tile's rows pass over them, so B is read once per
-// tile and not once per row.
+// output columns, tileCols/panelCols panels of B, the units
+// parallelRows partitions (a convolution's rows are output pixels and
+// its columns output channels). A tile's accumulators (8 KB) live on
+// its worker's stack. A GEMM tile takes k in blocks of kBlock: a block
+// of a panel (8 KB) stays in L1 while the tile's quads pass over it, and
+// the tile's rows of A (4 KB) while its panels do, so B is read once
+// per tile and not once per quad.
 const (
 	tileRows = 8
 	tileCols = 256
+	kBlock   = 128
 )
 
 // gemmMACsPerConvMAC states a GEMM's work in the convolution MACs that
-// splitMACs counts. It is not a speed ratio: on one core of an Intel
-// Xeon (two-core VM, best of six) the convolution's AVX2 micro-kernel
-// does 5.2-17 GMAC/s nominal on the ResNet-18@64 layers (3.7 on the
-// 1x1 stride-2 layer, two thirds of whose time is its epilogue) and
-// the GEMM's SSE axpy tile 5.6-6.7 on the BERT FFN layers. It keeps an
-// M = 1 call inline: one streams B at 3.4 GMAC/s whether split or not
-// (1x1000x1280 measured 364-385 us inline, 371-375 split), and a split
-// parks its caller, which resumes on the other P and misses its
-// sync.Pools. At 8 a GEMM splits from 2^21 MACs: a classifier layer
-// runs inline and a BERT FFN layer splits.
+// splitMACs counts. It is not a speed ratio: both run one micro-kernel.
+// It keeps an M = 1 call inline. Split, one is faster alone
+// (1x1000x1280 measured 201 us split against 350 inline, 1x1000x512 78
+// against 139; medians of 12 alternating pairs on an Intel Xeon,
+// two-core VM, split faster in all 12), but a split parks its caller,
+// which resumes on the other P, so the tile's pooled state is put back
+// to another P's sync.Pool and the pool grows new chain links: with the
+// zoo heads split, run_cnn read 14.5 allocations per operation against
+// 13 (+11 %, 10 alternating pairs) for 2.8 % more operations per
+// second. At 8 a GEMM splits from 2^21 MACs: a classifier layer runs
+// inline and a BERT FFN layer splits.
 const gemmMACsPerConvMAC = 8
 
 // tiles returns how many tiles of the given extent cover n.
@@ -150,9 +158,9 @@ type gemmRun struct {
 
 var gemmRunPool = sync.Pool{New: func() any { return new(gemmRun) }}
 
-// run computes tiles [u0, u1). Tiles are numbered panel by panel, so a
-// contiguous range shares its B panels between row blocks and two
-// ranges read disjoint parts of B.
+// run computes tiles [u0, u1). Tiles are numbered column tile by
+// column tile, so a contiguous range shares its B panels between row
+// blocks and two ranges read disjoint parts of B.
 func (r *gemmRun) run(u0, u1 int) {
 	var acc [tileRows * tileCols]float32
 	blocks := tiles(r.m, tileRows)
@@ -162,55 +170,51 @@ func (r *gemmRun) run(u0, u1 int) {
 	}
 }
 
-// tile computes output rows [i0, i1) x columns [j0, j1) in axpy form
-// with k outermost, four steps to a pass over each accumulator row.
-// Every output sees its products in ascending k with one float32 round
-// per multiply and per add, so the bytes depend on neither the tiling
-// nor the partition. A zero A[i,k] contributes nothing and B[k,:] is
-// not read for row i, so a non-finite weight under a zero activation
-// never reaches a sum; a group of four with a zero goes term by term.
+// tile computes output rows [i0, i1) x columns [j0, j1), whole panels
+// of B but the last, with microKernel: four rows (a quad) by one panel
+// at a time, k in blocks of kBlock. A quad's spare lanes read its first
+// row of A and add into a junk row. Every output sees its products in
+// ascending k with one float32 round per multiply and per add, so the
+// bytes depend on neither the tiling nor the partition, and zero
+// activations are multiplied in (the micro-kernel's zero rule). The
+// zero-padded columns of a last panel are accumulated and never stored.
 func (r *gemmRun) tile(acc *[tileRows * tileCols]float32, i0, i1, j0, j1 int) {
-	n, k, w := r.n, r.k, j1-j0
-	c := acc[:(i1-i0)*w]
-	clear(c)
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		var b [4][]float32
-		for t := range b {
-			b[t] = r.bd[(kk+t)*n+j0:][:w]
-		}
-		for i := i0; i < i1; i++ {
-			a := r.ad[i*k+kk:][:4]
-			ci := c[(i-i0)*w:][:w]
-			if a[0] != 0 && a[1] != 0 && a[2] != 0 && a[3] != 0 {
-				axpy4(ci, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
-				continue
-			}
-			for t, av := range a {
-				if av != 0 {
-					axpy1(ci, b[t], av)
+	n, k, rows := r.n, r.k, i1-i0
+	q0, q1 := j0/panelCols, tiles(j1, panelCols) // the tile's panels
+	// Row i's accumulators are row i of acc, panel q at (q-q0)·panelCols.
+	for i := range rows {
+		clear(acc[i*tileCols:][:(q1-q0)*panelCols])
+	}
+	var junk [panelCols]float32
+	for k0 := 0; k0 < k; k0 += kBlock {
+		k1 := min(k0+kBlock, k)
+		for q := q0; q < q1; q++ {
+			b := r.bd[(q*k+k0)*panelCols : (q*k+k1)*panelCols]
+			for l0 := 0; l0 < rows; l0 += 4 {
+				var c [4]*[panelCols]float32
+				var x [4][]float32
+				for l := range c {
+					c[l], x[l] = &junk, r.ad[(i0+l0)*k+k0:][:k1-k0]
+					if l0+l < rows {
+						c[l] = (*[panelCols]float32)(acc[(l0+l)*tileCols+(q-q0)*panelCols:])
+						x[l] = r.ad[(i0+l0+l)*k+k0:][:k1-k0]
+					}
 				}
+				microKernel(&c, &x, b)
 			}
 		}
 	}
-	for ; kk < k; kk++ {
-		b := r.bd[kk*n+j0:][:w]
-		for i := i0; i < i1; i++ {
-			if av := r.ad[i*k+kk]; av != 0 {
-				axpy1(c[(i-i0)*w:][:w], b, av)
-			}
-		}
-	}
-	for i := i0; i < i1; i++ {
+	w := j1 - j0
+	for i := range rows {
 		var crow []float32 // the epilogue's source operand for this row
 		if r.cd != nil {
 			if r.epi.BiasVector {
 				crow = r.cd[j0:j1]
 			} else {
-				crow = r.cd[i*n+j0 : i*n+j1]
+				crow = r.cd[(i0+i)*n+j0:][:w]
 			}
 		}
-		r.epi.storeRow(r.od[i*n+j0:i*n+j1], c[(i-i0)*w:][:w], crow)
+		r.epi.storeRow(r.od[(i0+i)*n+j0:][:w], acc[i*tileCols:][:w], crow)
 	}
 }
 

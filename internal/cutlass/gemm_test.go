@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -310,10 +311,12 @@ func TestGELUMonotoneNearOrigin(t *testing.T) {
 	}
 }
 
-// axpyGemm is the loop Gemm.run used before the tiled kernel: one row at
-// a time, one float32 add chain per output in ascending k, zero A[i,k]
-// skipped. It stays as the bit-exact oracle for the kernel.
-func axpyGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
+// directGemm is the plain loop: one float32 add chain per output in
+// ascending k from +0, every product formed (no zero is skipped), then
+// the epilogue's store. It is the bit-exact oracle for the kernel. The
+// float32 conversion rounds each product, as the micro-kernel does, on
+// an architecture whose compiler would otherwise fuse the multiply-add.
+func directGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
 	m, k, n := a.Shape()[0], a.Shape()[1], b.Shape()[1]
 	out = tensor.New(g.Epilogue.OutDType, m, n)
 	ad, bd, od := a.Data(), b.Data(), out.Data()
@@ -321,20 +324,12 @@ func axpyGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
 	if c != nil {
 		cd = c.Data()
 	}
-	acc := make([]float32, n)
 	for i := 0; i < m; i++ {
-		clear(acc)
-		for kk := 0; kk < k; kk++ {
-			av := ad[i*k+kk]
-			if av == 0 {
-				continue
+		for j := 0; j < n; j++ {
+			var sum float32
+			for kk := 0; kk < k; kk++ {
+				sum += float32(ad[i*k+kk] * bd[kk*n+j])
 			}
-			brow := bd[kk*n : (kk+1)*n]
-			for j := range acc {
-				acc[j] += float32(av * brow[j])
-			}
-		}
-		for j := range acc {
 			var cv float32
 			if cd != nil {
 				if g.Epilogue.BiasVector {
@@ -343,7 +338,7 @@ func axpyGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
 					cv = cd[i*n+j]
 				}
 			}
-			od[i*n+j] = g.Epilogue.store(acc[j], cv)
+			od[i*n+j] = g.Epilogue.store(sum, cv)
 		}
 	}
 	if g.Epilogue.OutDType == tensor.INT8 {
@@ -373,11 +368,18 @@ func gemmAt1(t *testing.T, epi Epilogue) *Gemm {
 	return g
 }
 
-// Property: the tiled kernel is bit-identical to the row-at-a-time loop
-// over row counts around the row block, column counts around the vector
-// width and the panel, K on and off a multiple of four, dense, half-zero
-// and all-zero A, every output dtype and every epilogue source operand.
-func TestGemmBitIdenticalToAxpyLoop(t *testing.T) {
+// Property: the tiled kernel is bit-identical to the direct loop over
+// row counts around the quad and the row block, column counts around
+// the panel and the tile, K on and off a multiple of four, dense,
+// half-zero and all-zero A, every output dtype and every epilogue
+// source operand. It holds for the selected micro-kernel and for the
+// Go body, which other architectures run.
+func TestGemmBitIdenticalToDirectLoop(t *testing.T) {
+	t.Run("selected body", checkGemmBitIdentical)
+	t.Run("Go body", func(t *testing.T) { withGoMicroKernel(func() { checkGemmBitIdentical(t) }) })
+}
+
+func checkGemmBitIdentical(t *testing.T) {
 	type shape struct{ m, n, k int }
 	shapes := []shape{
 		{1, 1, 1}, {8, 3, 4}, {9, 255, 5}, {8, 256, 8}, {9, 257, 13}, {17, 1030, 7}, {16, 512, 3}, {7, 513, 12},
@@ -414,7 +416,7 @@ func TestGemmBitIdenticalToAxpyLoop(t *testing.T) {
 		g := gemmAt1(t, epi)
 		what := fmt.Sprintf("%dx%dx%d %v zeros=%v source=%d", s.m, s.n, s.k, epi.OutDType, zeros, i/3%3)
 		got, gotRed := g.RunWithReduction(a, b, c)
-		want, wantRed := axpyGemm(g, a, b, c)
+		want, wantRed := directGemm(g, a, b, c)
 		sameBits(t, what, got, want)
 		if epi.ReduceColumns {
 			sameBits(t, what+" reduction", gotRed, wantRed)
@@ -422,12 +424,13 @@ func TestGemmBitIdenticalToAxpyLoop(t *testing.T) {
 	}
 }
 
-// A zero A[i,k] skips B[k,:] for row i and is never multiplied by it:
-// an Inf or NaN weight row under zero activations leaves the output row
-// finite, whichever positions of a group of four (or of the K tail) the
-// zeros hold and whether a column is done by the vector or the tail.
-func TestGemmSkipsZeroOperandsWithNonFiniteWeights(t *testing.T) {
-	const m, n, k = 3, 11, 9 // two groups of four and a tail step; two vectors and three tail columns
+// A zero activation is multiplied in, as in a convolution: an Inf or
+// NaN weight row under zero activations, +0 in row 0 and -0 in row 2,
+// makes those rows NaN in every column, whichever positions of a quad's
+// run or of the partial panel the zeros hold, and every output matches
+// the direct loop bit for bit.
+func TestGemmMultipliesZeroActivations(t *testing.T) {
+	const m, n, k = 3, 11, 9 // a partial quad, a partial panel
 	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 	for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
 		g := gemmAt1(t, Epilogue{Alpha: 1, OutDType: dt})
@@ -447,12 +450,12 @@ func TestGemmSkipsZeroOperandsWithNonFiniteWeights(t *testing.T) {
 				}
 			}
 			got := g.RunInto(nil, a, b, nil)
-			want, _ := axpyGemm(g, a, b, nil)
+			want, _ := directGemm(g, a, b, nil)
 			sameBits(t, fmt.Sprintf("%v mask %09b", dt, mask), got, want)
 			for j := 0; j < n; j++ {
 				for _, i := range []int{0, 2} {
-					if v := float64(got.At(i, j)); math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("%v mask %09b: output (%d,%d) = %g: a skipped row of B reached the sum", dt, mask, i, j, v)
+					if v := float64(got.At(i, j)); !math.IsNaN(v) {
+						t.Fatalf("%v mask %09b: output (%d,%d) = %g, want NaN: a zero activation was skipped", dt, mask, i, j, v)
 					}
 				}
 				if v := float64(got.At(1, j)); !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -463,10 +466,111 @@ func TestGemmSkipsZeroOperandsWithNonFiniteWeights(t *testing.T) {
 	}
 }
 
+// FuzzGemm checks the kernel against the direct loop on random M, N
+// and K (quads, panels and k blocks whole and partial), epilogue
+// source operand (none, a bias vector, a beta matrix), activation,
+// output dtype and column reduction, with zero activations and Inf or
+// NaN weights at random places, under the selected micro-kernel and
+// the Go body, inline and split at GOMAXPROCS 1 and 2. The seed corpus
+// in testdata/fuzz/FuzzGemm runs with the other tests;
+// go test -run '^$' -fuzz FuzzGemm ./internal/cutlass/ explores. As in
+// FuzzConv, a case has one kind of non-finite weight, so no sum sees
+// two NaNs of different payloads.
+func FuzzGemm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, m, n, k uint16, zeros, nonFinite uint8) {
+		mm, nn, kk := 1+int(m%24), 1+int(n%600), 1+int(k%400)
+		pick := uint64(seed)
+		epi := Epilogue{Alpha: 1,
+			Act:           []Activation{ActIdentity, ActReLU, ActGELU}[pick%3],
+			OutDType:      []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3],
+			ReduceColumns: pick/9%2 == 1}
+		a, b := randMat(t, seed, mm, kk), randMat(t, seed+1, kk, nn)
+		var c *tensor.Tensor
+		switch pick / 18 % 3 {
+		case 1:
+			epi.Beta, epi.BiasVector = 1, true
+			c = tensor.Reshape(randMat(t, seed+2, 1, nn), nn)
+		case 2:
+			epi.Alpha, epi.Beta = 0.5, 2
+			c = randMat(t, seed+2, mm, nn)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ad, bd := a.Data(), b.Data()
+		for i := range ad {
+			if rng.Intn(8) < int(zeros%9) {
+				ad[i] = 0
+			}
+		}
+		for i := range int(nonFinite % 8) {
+			v := float32(math.Inf(1 - 2*(i%2)))
+			if nonFinite&8 != 0 {
+				v = float32(math.NaN())
+			}
+			bd[rng.Intn(len(bd))] = v
+		}
+		g := gemmAt1(t, epi)
+		want, wantRed := directGemm(g, a, b, c)
+		check := func(body string) {
+			for _, procs := range []int{1, 2} {
+				what := fmt.Sprintf("%dx%dx%d %v source=%d, %s body at GOMAXPROCS %d", mm, nn, kk, epi.OutDType, pick/18%3, body, procs)
+				var gotRed *tensor.Tensor
+				got := atProcs(procs, func() *tensor.Tensor {
+					out, red := g.RunWithReduction(a, b, c)
+					gotRed = red
+					return out
+				})
+				sameBits(t, what, got, want)
+				if epi.ReduceColumns {
+					sameBits(t, what+" reduction", gotRed, wantRed)
+				}
+			}
+		}
+		check("selected")
+		withGoMicroKernel(func() { check("Go") })
+	})
+}
+
+// One kernel launched with B1, then B2, then B1 again packs each tensor
+// it is handed: every output matches the direct loop for its own
+// weights.
+func TestGemmRepacksOnNewWeights(t *testing.T) {
+	g := gemmAt1(t, BiasActivation(ActReLU))
+	a, bias := randMat(t, 21, 6, 40), tensor.Reshape(randMat(t, 22, 1, 20), 20)
+	b1, b2 := randMat(t, 23, 40, 20), randMat(t, 24, 40, 20)
+	for i, b := range []*tensor.Tensor{b1, b2, b1} {
+		want, _ := directGemm(g, a, b, bias)
+		sameBits(t, fmt.Sprintf("launch %d", i), g.RunInto(nil, a, b, bias), want)
+	}
+}
+
+// Eight goroutines make a fresh kernel's first launch at once. They may
+// all pack B, but every output has the same bytes.
+func TestGemmFirstLaunchConcurrent(t *testing.T) {
+	g := gemmAt1(t, BiasActivation(ActReLU))
+	a, b, bias := randMat(t, 5, 9, 200), randMat(t, 6, 200, 40), tensor.Reshape(randMat(t, 7, 1, 40), 40)
+	want, _ := directGemm(g, a, b, bias)
+	outs := make([]*tensor.Tensor, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			outs[i] = g.RunInto(nil, a, b, bias)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, out := range outs {
+		sameBits(t, fmt.Sprintf("goroutine %d", i), out, want)
+	}
+}
+
 // Gemm bytes do not depend on how parallelRows partitions the tiles:
 // problems on both sides of the GEMM's split threshold, at the panel
 // and row-block edges and with a single row cut into panels, agree with
-// the row-at-a-time loop at 1, 2 and 8 processors.
+// the direct loop at 1, 2 and 8 processors.
 func TestGemmPartitionIndependent(t *testing.T) {
 	cases := []struct {
 		m, n, k int
@@ -489,7 +593,7 @@ func TestGemmPartitionIndependent(t *testing.T) {
 		}
 		g := gemmAt1(t, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt})
 		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
-		want, _ := axpyGemm(g, a, b, bias)
+		want, _ := directGemm(g, a, b, bias)
 		for _, procs := range []int{1, 2, 8} {
 			got := atProcs(procs, func() *tensor.Tensor { return g.RunInto(nil, a, b, bias) })
 			sameBits(t, fmt.Sprintf("%dx%dx%d at GOMAXPROCS %d", tc.m, tc.n, tc.k, procs), got, want)

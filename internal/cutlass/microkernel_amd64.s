@@ -1,7 +1,7 @@
 #include "textflag.h"
 
 // One lane of a tap: ACC0:ACC1 += broadcast(x[l][t]) * (Y8:Y9), the
-// filter row, with T0-T2 as scratch. VMULPS and VADDPS round each
+// weight row, with T0-T2 as scratch. VMULPS and VADDPS round each
 // product and each sum to float32; the accumulator is the add's first
 // source.
 #define LANE(X, ACC0, ACC1, T0, T1, T2) \
@@ -11,8 +11,8 @@
 	VADDPS       T1, ACC0, ACC0 \
 	VADDPS       T2, ACC1, ACC1
 
-// func convMicroAVX2(c *[4]*[16]float32, x *[4][]float32, b []float32)
-TEXT ·convMicroAVX2(SB), NOSPLIT, $0-40
+// func microKernelAVX2(c *[4]*[16]float32, x *[4][]float32, b []float32)
+TEXT ·microKernelAVX2(SB), NOSPLIT, $0-40
 	MOVQ c+0(FP), AX
 	MOVQ x+8(FP), BX
 	MOVQ b_base+16(FP), SI

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// withGoConvMicro runs f with the convolution's micro-kernel forced to
-// its Go body, the one every architecture without assembly runs.
-func withGoConvMicro(f func()) {
-	defer func(v bool) { haveConvAVX2 = v }(haveConvAVX2)
-	haveConvAVX2 = false
+// withGoMicroKernel runs f with the micro-kernel forced to its Go body,
+// the one every architecture without assembly runs.
+func withGoMicroKernel(f func()) {
+	defer func(v bool) { haveAVX2 = v }(haveAVX2)
+	haveAVX2 = false
 	f()
 }
 
@@ -19,8 +19,8 @@ func withGoConvMicro(f func()) {
 // loop, with four distinct lanes and with off lanes sharing one junk
 // row, on finite and non-finite values, and writes nothing outside the
 // four accumulator rows.
-func TestConvMicroMatchesGoBody(t *testing.T) {
-	if !haveConvAVX2 {
+func TestMicroKernelMatchesGoBody(t *testing.T) {
+	if !haveAVX2 {
 		t.Log("no AVX2 body on this host: the Go body is checked against itself")
 	}
 	const maxTaps = 37
@@ -77,8 +77,8 @@ func TestConvMicroMatchesGoBody(t *testing.T) {
 			}
 			got, want := append([]float32(nil), init...), append([]float32(nil), init...)
 			xg, xw := xs, xs
-			convMicro(rows(got, junk), &xg, b[:n*panelCols])
-			convMicroGo(rows(want, junk), &xw, b[:n*panelCols])
+			microKernel(rows(got, junk), &xg, b[:n*panelCols])
+			microKernelGo(rows(want, junk), &xw, b[:n*panelCols])
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("n %d junk %v: element %d is %g (%#x), want %g (%#x)", n, junk, i,

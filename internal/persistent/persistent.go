@@ -59,6 +59,8 @@ type FusedGemm struct {
 	M      int
 	Layers []GemmLayer
 	Kind   Residence
+
+	gemms []*cutlass.Gemm // one functional kernel per layer, each keeping its packed weights
 }
 
 func roundUp(x, to int) int { return (x + to - 1) / to * to }
@@ -109,6 +111,10 @@ func NewFusedGemm(m int, layers []GemmLayer, kind Residence, d *gpu.Device) (*Fu
 	if f.sharedMemBytes() > d.SharedMemBlock {
 		return nil, fmt.Errorf("persistent: fused kernel needs %d B shared memory, cap is %d",
 			f.sharedMemBytes(), d.SharedMemBlock)
+	}
+	f.gemms = make([]*cutlass.Gemm, len(layers))
+	for i, l := range layers {
+		f.gemms[i] = &cutlass.Gemm{Config: l.Config, Epilogue: l.Epilogue}
 	}
 	return f, nil
 }
@@ -167,23 +173,27 @@ func (f *FusedGemm) Name() string {
 // be identical to running the layers' unfused kernels in sequence (the
 // intermediate is converted to FP16 in-register before feeding the next
 // main loop, exactly as the unfused pipeline's store+load would).
-// weights[i] is layer i's K×N matrix; biases[i] may be nil. The final
-// layer writes into dst (nil allocates); the in-chain intermediates
-// model the fused kernel's register/SMEM residence and never touch the
-// arena. It returns the destination.
+// weights[i] is layer i's K×N matrix, read-only from the chain's first
+// run on (see cutlass.Gemm); biases[i] may be nil. The final layer
+// writes into dst (nil allocates); the in-chain intermediates model the
+// fused kernel's register/SMEM residence and never touch the arena. It
+// returns the destination. f must come from NewFusedGemm, which builds
+// the per-layer kernels.
 func (f *FusedGemm) RunInto(dst *tensor.Tensor, a0 *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
 	if len(weights) != len(f.Layers) {
 		panic(fmt.Sprintf("persistent: %d weights for %d layers", len(weights), len(f.Layers)))
 	}
+	if len(f.gemms) != len(f.Layers) {
+		panic("persistent: FusedGemm not built by NewFusedGemm")
+	}
 	cur := a0
-	for i, l := range f.Layers {
-		g := &cutlass.Gemm{Config: l.Config, Epilogue: l.Epilogue}
+	for i, g := range f.gemms {
 		var c *tensor.Tensor
 		if biases != nil {
 			c = biases[i]
 		}
 		var out *tensor.Tensor
-		if i == len(f.Layers)-1 {
+		if i == len(f.gemms)-1 {
 			out = dst
 		}
 		cur = g.RunInto(out, cur, weights[i], c)

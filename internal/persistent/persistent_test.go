@@ -157,6 +157,36 @@ func TestFusedGemmNumericsMatchUnfused(t *testing.T) {
 	}
 }
 
+var intermediateSink *tensor.Tensor
+
+// A FusedGemm keeps its per-layer kernels, so only its first run packs
+// the weights: a later RunInto into a destination allocates nothing
+// but the in-chain intermediate, as many objects as tensor.New makes.
+func TestFusedGemmSecondRunPacksNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	layers := twoLayers(64, 128, 16)
+	f, err := NewFusedGemm(32, layers, RFResident, gpu.T4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0 := tensor.New(tensor.FP16, 32, 128)
+	a0.FillRandom(1, 0.5)
+	ws := []*tensor.Tensor{tensor.New(tensor.FP16, 128, 64), tensor.New(tensor.FP16, 64, 16)}
+	bs := []*tensor.Tensor{tensor.New(tensor.FP16, 64), tensor.New(tensor.FP16, 16)}
+	for i := range ws {
+		ws[i].FillRandom(int64(2+i), 0.2)
+		bs[i].FillRandom(int64(4+i), 0.5)
+	}
+	dst := f.RunInto(nil, a0, ws, bs)
+	got := testing.AllocsPerRun(20, func() { f.RunInto(dst, a0, ws, bs) })
+	want := testing.AllocsPerRun(20, func() { intermediateSink = tensor.New(layers[0].Epilogue.OutDType, 32, 64) })
+	if got != want {
+		t.Errorf("second run makes %v allocations, want %v: the intermediate's alone", got, want)
+	}
+}
+
 func TestFusedGemmFasterThanUnfused(t *testing.T) {
 	d := gpu.T4()
 	// Table 1 style: memory-bound, large M, small N/K.
@@ -245,8 +275,7 @@ func TestThreeLayerChain(t *testing.T) {
 	for i, w := range ws {
 		w.FillRandom(int64(20+i), 0.2)
 	}
-	f3 := &FusedGemm{M: 64, Layers: layers, Kind: RFResident}
-	got := f3.RunInto(nil, a0, ws, nil)
+	got := f.RunInto(nil, a0, ws, nil)
 	cur := a0
 	for i, l := range layers {
 		cur = cutlass.ReferenceGemm(cur, ws[i], nil, l.Epilogue)

@@ -79,7 +79,10 @@ func TestFusedNumericsProperty(t *testing.T) {
 			bs[j] = tensor.New(tensor.FP16, l.N)
 			bs[j].FillRandom(int64(i*100+j), 0.3)
 		}
-		small := &FusedGemm{M: m, Layers: f.Layers, Kind: f.Kind}
+		small, err := NewFusedGemm(m, f.Layers, f.Kind, d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := small.RunInto(nil, a, ws, bs)
 		cur := a
 		for j, l := range layers {

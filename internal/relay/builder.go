@@ -62,7 +62,8 @@ func (b *Builder) Weight(name string, shape ...int) *Node {
 	return b.Constant(name, t)
 }
 
-// Dense adds X·W with X (M×K) and W (K×N).
+// Dense adds X·W with X (M×K) and W (K×N). W must be a Constant (or
+// Weight) for the graph to compile: kernels pack their weights once.
 func (b *Builder) Dense(x, w *Node) *Node {
 	xs, ws := x.Shape, w.Shape
 	if len(xs) != 2 || len(ws) != 2 {
@@ -76,7 +77,8 @@ func (b *Builder) Dense(x, w *Node) *Node {
 }
 
 // Conv2D adds a convolution. x must be 4-D; w must be OHWI
-// (OC, KH, KW, IC). Geometry attributes come from shape.
+// (OC, KH, KW, IC) and, as for Dense, a Constant. Geometry attributes
+// come from shape.
 func (b *Builder) Conv2D(x, w *Node, stride, pad int) *Node {
 	xs, ws := x.Shape, w.Shape
 	if len(xs) != 4 || len(ws) != 4 {

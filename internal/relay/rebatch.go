@@ -7,7 +7,9 @@ import "fmt"
 // batch to the requested one, and convolution geometry follows. The
 // source graph is not modified, and constants (weights, folded
 // parameters) are shared by reference — a serving engine holding many
-// batch variants of one model pays for a single set of parameters.
+// batch variants of one model keeps a single set of parameter tensors.
+// Each compiled variant's kernels still pack their own panel-major copy
+// of the weights on first launch (see cutlass.Gemm).
 //
 // The clone is a fresh graph, so the usual compilation pipeline
 // (relay.Optimize, codegen.Compile) can mutate it freely. This is how
