@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bolt"
+	"bolt/internal/models"
 )
 
 // fileState is what a rewrite cannot leave alone: saves go through a
@@ -135,5 +136,33 @@ func TestServerThatWarmsFromItsCacheDoesNotRewriteIt(t *testing.T) {
 	serveOnce()
 	if !before.untouched(stateOf(t, cache)) {
 		t.Error("a server whose Warm hit every workload rewrote its cache file")
+	}
+}
+
+// TestCacheFileBytesAreReproducible: the same compiles into the same
+// cache file write the same bytes, wherever the file lives. Two models
+// share the file, so it holds both models' entries and a cost model
+// trained on both.
+func TestCacheFileBytesAreReproducible(t *testing.T) {
+	dev := bolt.T4()
+	var files [2][]byte
+	for i := range files {
+		cache := filepath.Join(t.TempDir(), "tune.json")
+		for _, g := range []*bolt.Graph{models.ResNet(18, 1), models.RepVGG("A0", 1, models.RepVGGOptions{})} {
+			if _, err := bolt.Compile(g, dev, bolt.Options{CacheFile: cache, Jobs: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two runs wrote %d and %d bytes that differ", len(files[0]), len(files[1]))
+	}
+	if !bytes.Contains(files[0], []byte(`"model":{"seed":1,"obs":[`)) {
+		t.Error("the cache file holds no trained cost model")
 	}
 }

@@ -7,15 +7,15 @@
 // math/rand global state anywhere. A Predictor's weights depend only
 // on the *set* of observations it has seen (never their arrival
 // order), so a profiling pool of any width trains the same model, and
-// a model reloaded from JSON reproduces the exact ranking it would
-// have produced in the process that saved it.
+// a model reloaded from its State reproduces the exact ranking it
+// would have produced in the process that saved it.
 package costmodel
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -116,7 +116,14 @@ const (
 // records measurements (idempotently — re-observing an identical
 // sample is a no-op, so merging two logs never double-counts), Fit
 // retrains from the full observation set in a canonical order, and
-// Predict scores candidates with the weights of the last Fit.
+// Predict scores candidates with the weights of the last fit.
+//
+// An ingest (IngestRows, Ingest) fits too, but on first use: it
+// records how many observations it covers, and the next Predict,
+// Trained or Confidence fits exactly those before answering. The
+// weights are the ones an eager fit at ingest time would have
+// produced, and a process that loads a model it never queries never
+// pays for a fit.
 type Predictor struct {
 	mu      sync.Mutex
 	seed    int64
@@ -125,6 +132,11 @@ type Predictor struct {
 	seen    map[uint64]struct{}
 	weights []float64
 	conf    float64
+	// deferred is the observation count the last ingest's fit covers,
+	// 0 once that fit ran (or was superseded by Fit). An ingest that
+	// leaves no observations has nothing to fit: the weights of an
+	// empty set are already nil.
+	deferred int
 }
 
 // NewPredictor returns an empty predictor. The seed parameterizes the
@@ -132,7 +144,7 @@ type Predictor struct {
 // score confidence); two predictors with the same seed and the same
 // observation set are bit-identical.
 func NewPredictor(seed int64) *Predictor {
-	return &Predictor{seed: seed, seen: make(map[uint64]struct{})}
+	return &Predictor{seed: seed}
 }
 
 // obsHash fingerprints an observation under a seed: the basis of both
@@ -189,22 +201,24 @@ func (p *Predictor) observeLocked(o Observation, owned bool) {
 }
 
 // IngestRows merges observation rows — a decoded State's, or another
-// predictor's — under Observe's rules and refits. The predictor keeps
-// the rows' feature slices, so the caller must not write them again.
+// predictor's — under Observe's rules, and refits on first use. The
+// predictor keeps the rows' feature slices, so the caller must not
+// write them again.
 func (p *Predictor) IngestRows(rows []Observation) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ingestLocked(rows)
-}
-
-func (p *Predictor) ingestLocked(rows []Observation) {
+	if p.seen == nil {
+		p.seen = make(map[uint64]struct{}, len(rows))
+	}
+	p.obs = slices.Grow(p.obs, len(rows))
 	for _, o := range rows {
 		p.observeLocked(o, true)
 	}
-	p.fitLocked()
+	p.deferred = len(p.obs)
 }
 
-// Ingest merges every observation of other (dedup applies) and refits.
+// Ingest merges every observation of other (dedup applies), and refits
+// on first use.
 func (p *Predictor) Ingest(other *Predictor) {
 	if other == nil || other == p {
 		return
@@ -242,7 +256,18 @@ func lessObs(a, b Observation) bool {
 	if len(a.Feat) != len(b.Feat) {
 		return len(a.Feat) < len(b.Feat)
 	}
-	return a.Y < b.Y
+	if a.Y != b.Y {
+		return a.Y < b.Y
+	}
+	// Equal as numbers, distinct observations differ only in the sign
+	// of a zero: -0 first keeps the order total, so a saved State sorts
+	// back to itself.
+	for i := range a.Feat {
+		if math.Signbit(a.Feat[i]) != math.Signbit(b.Feat[i]) {
+			return math.Signbit(a.Feat[i])
+		}
+	}
+	return math.Signbit(a.Y) && !math.Signbit(b.Y)
 }
 
 // Fit retrains the model: training rows (the non-held-out majority)
@@ -252,11 +277,21 @@ func lessObs(a, b Observation) bool {
 func (p *Predictor) Fit() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.fitLocked()
+	p.fitLocked(len(p.obs))
 }
 
-func (p *Predictor) fitLocked() {
-	rows := p.sortedLocked()
+// settleLocked runs an ingest's deferred fit, if one is pending.
+func (p *Predictor) settleLocked() {
+	if p.deferred > 0 {
+		p.fitLocked(p.deferred)
+	}
+}
+
+// fitLocked fits the first n observations (in arrival order), and
+// settles any deferred fit.
+func (p *Predictor) fitLocked(n int) {
+	p.deferred = 0
+	rows := sortedObs(p.obs[:n])
 
 	var trainF [][]float64
 	var trainY []float64
@@ -369,10 +404,11 @@ func spearman(a, b []float64) float64 {
 
 // Predict returns the model's score for a feature vector — predicted
 // log kernel seconds, lower is faster — using the weights of the last
-// Fit (0 before any successful fit).
+// fit (0 before any successful fit).
 func (p *Predictor) Predict(feat []float64) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.settleLocked()
 	if p.weights == nil {
 		return 0
 	}
@@ -384,10 +420,11 @@ func (p *Predictor) Predict(feat []float64) float64 {
 func (p *Predictor) Trained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.settleLocked()
 	return p.weights != nil
 }
 
-// Confidence returns the held-out ranking quality of the last Fit in
+// Confidence returns the held-out ranking quality of the last fit in
 // [0, 1]: the sample-weighted mean Spearman rank correlation between
 // predicted and measured times across held-out workload groups (0
 // until enough held-out samples exist). This is what a trust gate
@@ -395,14 +432,15 @@ func (p *Predictor) Trained() bool {
 func (p *Predictor) Confidence() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.settleLocked()
 	return p.conf
 }
 
 // State is the persistence format, and the only description of it:
 // the seed and the raw observation set in canonical order. Weights are
-// derived state and are refit on load, so a loaded model is
-// bit-identical to the one that saved it. A tuning log embeds the
-// struct in its own file as is.
+// derived state, refit after a load (on first use), so a loaded model
+// is bit-identical to the one that saved it. A tuning log writes the
+// struct under its JSON names in its own file.
 type State struct {
 	Seed int64         `json:"seed"`
 	Obs  []Observation `json:"obs"`
@@ -414,35 +452,13 @@ type State struct {
 func (p *Predictor) State() State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return State{Seed: p.seed, Obs: p.sortedLocked()}
+	return State{Seed: p.seed, Obs: sortedObs(p.obs)}
 }
 
-// sortedLocked returns a copy of the observations in canonical order.
-func (p *Predictor) sortedLocked() []Observation {
-	rows := make([]Observation, len(p.obs))
-	copy(rows, p.obs)
+// sortedObs returns a copy of obs in canonical order.
+func sortedObs(obs []Observation) []Observation {
+	rows := make([]Observation, len(obs))
+	copy(rows, obs)
 	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a], rows[b]) })
 	return rows
-}
-
-// MarshalJSON serializes the predictor's State.
-func (p *Predictor) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.State())
-}
-
-// UnmarshalJSON replaces the predictor's state with the serialized
-// observation set and refits.
-func (p *Predictor) UnmarshalJSON(data []byte) error {
-	var st State
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.seed = st.Seed
-	p.dim = 0
-	p.obs = nil
-	p.seen = make(map[uint64]struct{})
-	p.ingestLocked(st.Obs)
-	return nil
 }

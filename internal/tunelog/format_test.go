@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -15,13 +16,12 @@ import (
 )
 
 // headLog and headSave are the file format and encoder as they were
-// before the model was embedded as plain rows: the predictor
-// marshalled itself (MarshalJSON, compacted into the document, then
-// the whole document indented) and the sort rendered both keys on
-// every comparison. Save must keep writing these bytes.
+// before the frame: the same document, indented by encoding/json, with
+// entries in the order of their keys' names. Load must still read
+// these files.
 type headLog struct {
-	Entries []jsonEntry          `json:"entries"`
-	Model   *costmodel.Predictor `json:"model,omitempty"`
+	Entries []jsonEntry      `json:"entries"`
+	Model   *costmodel.State `json:"model,omitempty"`
 }
 
 func headSave(l *Log, w io.Writer) error {
@@ -32,7 +32,8 @@ func headSave(l *Log, w io.Writer) error {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key.String() < rows[j].Key.String() })
 	out := headLog{Entries: rows}
 	if l.Model != nil && l.Model.Len() > 0 {
-		out.Model = l.Model
+		st := l.Model.State()
+		out.Model = &st
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -40,16 +41,19 @@ func headSave(l *Log, w io.Writer) error {
 }
 
 // headLoad is the old two-step load of a file's model: decode it into
-// a predictor of its own (which fits), then ingest that predictor into
-// the log's (which fits again).
+// a predictor of its own (which fitted), then ingest that predictor
+// into the log's (which fitted again).
 func headLoad(t *testing.T, file []byte) *costmodel.Predictor {
 	t.Helper()
 	var db headLog
 	if err := json.Unmarshal(file, &db); err != nil {
 		t.Fatal(err)
 	}
+	own := costmodel.NewPredictor(db.Model.Seed)
+	own.IngestRows(db.Model.Obs)
+	own.Fit()
 	p := costmodel.NewPredictor(1)
-	p.Ingest(db.Model)
+	p.Ingest(own)
 	return p
 }
 
@@ -91,34 +95,118 @@ func weightsOf(p *costmodel.Predictor, dim int) []uint64 {
 	return w
 }
 
-func TestSaveBytesMatchOldEncoder(t *testing.T) {
-	l := richLog()
-	if !l.Model.Trained() || l.Model.Confidence() == 0 {
-		t.Fatalf("setup: model trained=%v confidence=%v", l.Model.Trained(), l.Model.Confidence())
+// sameModel checks that two predictors hold the same observations and
+// fit bit-identical weights and confidence.
+func sameModel(t *testing.T, got, want *costmodel.Predictor, dim int, what string) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Errorf("%s: %d observations, want %d", what, got.Len(), want.Len())
 	}
-	var want, got bytes.Buffer
-	if err := headSave(l, &want); err != nil {
+	if g, w := math.Float64bits(got.Confidence()), math.Float64bits(want.Confidence()); g != w {
+		t.Errorf("%s: confidence %v, want %v", what, got.Confidence(), want.Confidence())
+	}
+	g, w := weightsOf(got, dim), weightsOf(want, dim)
+	for i := range w {
+		if g[i] != w[i] {
+			t.Errorf("%s: weight %d differs", what, i)
+		}
+	}
+}
+
+func TestOldFormatStillLoads(t *testing.T) {
+	src := richLog()
+	if !src.Model.Trained() || src.Model.Confidence() == 0 {
+		t.Fatalf("setup: model trained=%v confidence=%v", src.Model.Trained(), src.Model.Confidence())
+	}
+	var old bytes.Buffer
+	if err := headSave(src, &old); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save(&got); err != nil {
+	if _, ok := decodeFrame(old.Bytes()); ok {
+		t.Fatal("setup: the frame decoder took an indented file")
+	}
+	l := New()
+	if err := l.Load(bytes.NewReader(old.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("Save wrote %d bytes, the old encoder %d, and they differ", got.Len(), want.Len())
+	if !reflect.DeepEqual(l.entries, src.entries) {
+		t.Errorf("an old file loaded %d entries, want the %d saved, equal", len(l.entries), len(src.entries))
 	}
-	// Without a trained model the "model" member is absent, as before.
+	sameModel(t, l.Model, src.Model, 5, "a model loaded from an old file")
+	if l.Dirty() {
+		t.Error("a log loaded from an old file is dirty")
+	}
+
+	// The next save writes the frame.
+	var framed, want bytes.Buffer
+	if err := l.Save(&framed); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := decodeFrame(framed.Bytes()); !ok || !bytes.Equal(framed.Bytes(), want.Bytes()) {
+		t.Errorf("an old file saves back as %d bytes, not the %d-byte frame its log saves", framed.Len(), want.Len())
+	}
+	if framed.Len() >= old.Len() {
+		t.Errorf("the frame (%d bytes) is no smaller than the indented file (%d)", framed.Len(), old.Len())
+	}
+}
+
+func TestSaveIsOneJSONDocument(t *testing.T) {
 	empty := New()
 	empty.Record(GemmKey(1, 2, 3, tensor.FP32, "T4"), Entry{Trials: 1})
-	want.Reset()
-	got.Reset()
-	if err := headSave(empty, &want); err != nil {
-		t.Fatal(err)
+	for name, l := range map[string]*Log{"a trained log": richLog(), "a model-free log": empty, "an empty log": New()} {
+		var file bytes.Buffer
+		if err := l.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		var doc jsonLog
+		if err := json.Unmarshal(file.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: encoding/json cannot read what Save wrote: %v", name, err)
+		}
+		framed, ok := decodeFrame(file.Bytes())
+		if !ok {
+			t.Fatalf("%s: the frame decoder declined what Save wrote:\n%s", name, file.Bytes())
+		}
+		if !reflect.DeepEqual(framed, doc) {
+			t.Errorf("%s: the frame decoder and encoding/json read different logs", name)
+		}
+		entries := make(map[Key]Entry)
+		for _, row := range doc.Entries {
+			entries[row.Key] = row.Entry
+		}
+		if len(doc.Entries) != len(l.entries) || !reflect.DeepEqual(entries, l.entries) {
+			t.Errorf("%s: the document holds %d entries, the log %d", name, len(doc.Entries), len(l.entries))
+		}
+		st := l.Model.State()
+		switch {
+		case len(st.Obs) == 0 && doc.Model != nil:
+			t.Errorf("%s: a model without observations was written", name)
+		case len(st.Obs) > 0 && (doc.Model == nil || !reflect.DeepEqual(*doc.Model, st)):
+			t.Errorf("%s: the document's model is not the log's State", name)
+		}
 	}
-	if err := empty.Save(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) || bytes.Contains(got.Bytes(), []byte(`"model"`)) {
-		t.Fatalf("model-free log encodes as %q, want %q", got.Bytes(), want.Bytes())
+}
+
+// A log holding a number JSON cannot carry refuses to save, and writes
+// nothing it could not read back.
+func TestSaveRefusesNonFiniteNumbers(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l := richLog()
+		l.Model.Observe("bad", []float64{1, bad, 0, 0, 1}, -3)
+		var w bytes.Buffer
+		if err := l.Save(&w); err == nil || w.Len() != 0 {
+			t.Errorf("feature %v: Save returned %v after writing %d bytes", bad, err, w.Len())
+		}
+		if !l.Dirty() {
+			t.Errorf("feature %v: a refused Save left the log clean", bad)
+		}
+		l = richLog()
+		l.Record(GemmKey(9, 9, 9, tensor.FP16, "T4"), Entry{TimeSeconds: bad})
+		if err := l.Save(&w); err == nil || w.Len() != 0 {
+			t.Errorf("entry time %v: Save returned %v after writing %d bytes", bad, err, w.Len())
+		}
 	}
 }
 
@@ -133,20 +221,8 @@ func TestLoadFitsLikeTheOldTwoStepIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := headLoad(t, file.Bytes())
-	const dim = 5
 	for name, p := range map[string]*costmodel.Predictor{"the two-step ingest": want, "the model that was saved": src.Model} {
-		if l.Model.Len() != p.Len() {
-			t.Errorf("loaded %d observations, %s has %d", l.Model.Len(), name, p.Len())
-		}
-		if got, w := math.Float64bits(l.Model.Confidence()), math.Float64bits(p.Confidence()); got != w {
-			t.Errorf("loaded confidence %v differs from %s's %v", l.Model.Confidence(), name, p.Confidence())
-		}
-		got, w := weightsOf(l.Model, dim), weightsOf(p, dim)
-		for i := range w {
-			if got[i] != w[i] {
-				t.Errorf("loaded weight %d differs from %s's", i, name)
-			}
-		}
+		sameModel(t, l.Model, p, 5, "the loaded model against "+name)
 	}
 	if l.Len() != src.Len() {
 		t.Errorf("loaded %d entries, want %d", l.Len(), src.Len())

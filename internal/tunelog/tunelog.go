@@ -9,13 +9,34 @@
 // where the cache misses and the full opaque search cost returns.
 // Maintaining the database across TVM versions and devices also
 // "incurs substantial costs", which the Stale machinery models.
+//
+// # File format
+//
+// A saved log is one JSON document: {"entries": [{"key", "entry"}…],
+// "model": {"seed", "obs": [{"g", "f", "y"}…]}}, with "model" absent
+// when the cost model holds no observations. Save writes it in a fixed
+// frame with one record per line:
+//
+//	{"entries":[
+//	{"key":{…},"entry":{…}},
+//	…
+//	],"model":{"seed":1,"obs":[
+//	{"g":"gemm:…","f":[1,5.044394119358453,…],"y":-10.72},
+//	…
+//	]}}
+//
+// Entry lines are sorted, floats are in strconv's shortest round-trip
+// form and strings are JSON-escaped, so equal logs save equal bytes.
+// Load reads the frame line by line; any other text that decodes as the
+// same document (every earlier version of this package wrote it
+// indented) goes through encoding/json, and the next Save rewrites it
+// in the frame.
 package tunelog
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"bolt/internal/ansor"
@@ -195,49 +216,39 @@ type jsonLog struct {
 	Model   *costmodel.State `json:"model,omitempty"`
 }
 
-// Save writes the database as JSON (the on-disk format TopHub-style
-// registries ship), including the trained cost model when present, and
-// leaves the log clean.
+// Save writes the database — its entries and, when it has any
+// observations, its cost model — in the frame the package doc
+// describes, and leaves the log clean. It writes nothing when the log
+// holds a number the frame cannot carry (NaN or an infinity).
 func (l *Log) Save(w io.Writer) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Entries are written in the order of their keys' names, each name
-	// rendered once.
-	type named struct {
-		name string
-		key  Key
-	}
-	order := make([]named, 0, len(l.entries))
-	for k := range l.entries {
-		order = append(order, named{k.String(), k})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].name < order[j].name })
-	out := jsonLog{Entries: make([]jsonEntry, len(order))}
-	for i, o := range order {
-		out.Entries[i] = jsonEntry{Key: o.key, Entry: l.entries[o.key]}
-	}
 	var model costmodel.State
 	if l.Model != nil {
 		model = l.Model.State()
 	}
-	if len(model.Obs) > 0 {
-		out.Model = &model
+	buf, err := encode(l.entries, model)
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	l.changed, l.savedObs = false, len(model.Obs)
 	return nil
 }
 
-// decode reads the on-disk format. Anything else — including the bare
-// entry array of the format's first version — is an error.
+// decode reads the on-disk format: the frame, or any other text
+// encoding/json reads as the same document (every earlier version
+// wrote it indented). Anything else — including the bare entry array
+// of the format's first version — is an error.
 func decode(r io.Reader) (jsonLog, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
+	}
+	if db, ok := decodeFrame(buf); ok {
+		return db, nil
 	}
 	var db jsonLog
 	if err := json.Unmarshal(buf, &db); err != nil {
@@ -250,8 +261,8 @@ func decode(r io.Reader) (jsonLog, error) {
 // in-memory entry survives a key conflict. Model observations merge
 // (deduplicated) whichever way entries resolve — measurements are
 // facts, not preferences, so there is no conflict to resolve — and the
-// merged model refits. Only a file read into an empty log leaves the
-// log equal to that file, hence clean.
+// merged model refits on first use. Only a file read into an empty log
+// leaves the log equal to that file, hence clean.
 func (l *Log) ingest(db jsonLog, keep bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -271,9 +282,9 @@ func (l *Log) ingest(db jsonLog, keep bool) {
 }
 
 // Load merges a saved database into this one (file entries win key
-// conflicts — use Merge to keep in-memory entries instead). A v2 file's
+// conflicts — use Merge to keep in-memory entries instead). The file's
 // cost model is folded into the log's predictor, so a warm process
-// starts trained.
+// starts trained; the predictor fits on first use.
 func (l *Log) Load(r io.Reader) error {
 	db, err := decode(r)
 	if err != nil {

@@ -3,6 +3,7 @@ package tunelog
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -277,4 +278,87 @@ func TestPredictedEntryRoundTrips(t *testing.T) {
 	if !ok || !e.Predicted {
 		t.Errorf("predicted flag lost across save/load: %+v ok=%v", e, ok)
 	}
+}
+
+// The model a Load leaves fits on first use, over the rows it loaded:
+// observations made in between wait for the next Fit, as they did when
+// Load fitted at once.
+func TestLoadedModelFitsTheLoadedRowsOnFirstUse(t *testing.T) {
+	var file bytes.Buffer
+	if err := richLog().Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	l := New()
+	if err := l.Load(bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	loaded := costmodel.NewPredictor(1)
+	loaded.IngestRows(l.Model.State().Obs)
+	loaded.Fit()
+	for i := 0; i < 40; i++ {
+		x := float64(i)
+		l.Model.Observe(fmt.Sprintf("late%d", i%4), []float64{1, x, -x, x * x, 2}, 0.3*x)
+	}
+	if got, want := l.Model.Confidence(), loaded.Confidence(); got != want {
+		t.Errorf("first-use confidence %v, want %v from the loaded rows alone", got, want)
+	}
+	got, want := weightsOf(l.Model, 5), weightsOf(loaded, 5)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("first-use weight %d differs from the fit of the loaded rows", i)
+		}
+	}
+
+	// An explicit Fit takes in the later rows.
+	l.Model.Fit()
+	all := costmodel.NewPredictor(1)
+	all.IngestRows(l.Model.State().Obs)
+	all.Fit()
+	sameModel(t, l.Model, all, 5, "a refitted loaded model")
+}
+
+// Goroutines that first use a freshly loaded model at once, while
+// others keep observing, all see the weights of the loaded rows.
+func TestLoadedModelConcurrentFirstUse(t *testing.T) {
+	var file bytes.Buffer
+	if err := richLog().Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *Log {
+		l := New()
+		if err := l.Load(bytes.NewReader(file.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	ref := load().Model
+	wantConf, wantW := ref.Confidence(), weightsOf(ref, 5)
+
+	l := load()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 4 {
+			case 0:
+				if w := weightsOf(l.Model, 5); !reflect.DeepEqual(w, wantW) {
+					t.Error("a concurrent first Predict saw other weights")
+				}
+			case 1:
+				if c := l.Model.Confidence(); c != wantConf {
+					t.Errorf("a concurrent first Confidence read %v, want %v", c, wantConf)
+				}
+			case 2:
+				if !l.Model.Trained() {
+					t.Error("a concurrent first Trained read false")
+				}
+			case 3:
+				for i := 0; i < 20; i++ {
+					l.Model.Observe(fmt.Sprintf("g%d", g), []float64{1, float64(i), 0, 0, 1}, float64(i))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
