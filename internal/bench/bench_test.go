@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +15,37 @@ import (
 // quick returns a shared quick-mode suite (per-test isolation is not
 // needed: experiments are deterministic given the suite's seeds).
 func quick() *Suite { return NewQuickSuite(gpu.T4()) }
+
+// checkGolden compares an experiment's modeled result, encoded as
+// indented JSON (floats in their shortest round-trip form, so equal text
+// means bit-equal numbers), to testdata/<name>.json. Callers zero the
+// host-measured fields first. The goldens pin "this change moves no
+// modeled number": a change that does move one must regenerate the file
+// from the printed document and say why.
+func checkGolden(t *testing.T, name string, result any) {
+	t.Helper()
+	got, err := json.MarshalIndent(result, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", name+".json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) == string(want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Errorf("%s line %d: got %q, want %q", path, i+1, gl[i], wl[i])
+			break
+		}
+	}
+	t.Errorf("modeled result differs from %s; the full result is:\n%s", path, got)
+}
 
 func cell(t *testing.T, tab *Table, row int, col string) string {
 	t.Helper()

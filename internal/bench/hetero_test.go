@@ -25,6 +25,7 @@ func TestHeteroDeterministicAndWins(t *testing.T) {
 	if again := run(); !reflect.DeepEqual(art, again) {
 		t.Fatalf("hetero experiment is not deterministic:\nfirst:  %+v\nsecond: %+v", art, again)
 	}
+	checkGolden(t, "hetero", art)
 
 	if art.HeteroSpeedup <= 1.1 {
 		t.Errorf("1x T4 + 1x A100 makespan %.1f us did not beat 2x T4's %.1f us (speedup %.2fx, want > 1.1x)",

@@ -50,4 +50,5 @@ func TestMultiModelDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two multimodel runs differ:\n%+v\n%+v", a, b)
 	}
+	checkGolden(t, "multimodel", a)
 }

@@ -24,6 +24,7 @@ func TestPaddingDeterministicAndGuarded(t *testing.T) {
 	if again := run(); !reflect.DeepEqual(art, again) {
 		t.Fatalf("padding experiment is not deterministic:\nfirst:  %+v\nsecond: %+v", art, again)
 	}
+	checkGolden(t, "padding", art)
 
 	if art.PaddedBatches <= 0 {
 		t.Errorf("continuous+padded row never padded (padded_batches %d); the padded path went unexercised", art.PaddedBatches)

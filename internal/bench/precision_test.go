@@ -14,6 +14,7 @@ import (
 // INT8; and the impossible-budget arm falls back to FP32.
 func TestPrecisionGates(t *testing.T) {
 	art := NewQuickSuite(gpu.T4()).runPrecision()
+	checkGolden(t, "precision", art)
 
 	if art.FP16VsFP32 < 1.5 {
 		t.Errorf("FP16 served throughput %.2fx FP32, want >= 1.5x", art.FP16VsFP32)

@@ -43,6 +43,9 @@ func TestServingScalesWithWorkers(t *testing.T) {
 		t.Errorf("concurrent allocs/run %.1f exceeds 2x single-caller %.1f",
 			art.ConcurrentCallersAllocsPerRun, art.SingleCallerAllocsPerRun)
 	}
+	modeled := art
+	modeled.SingleCallerAllocsPerRun, modeled.ConcurrentCallersAllocsPerRun = 0, 0
+	checkGolden(t, "serving", modeled)
 
 	s.Trace = obs.NewTracer()
 	traced := s.runServing()

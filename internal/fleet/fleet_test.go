@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bolt/internal/gpu"
+	"bolt/internal/obs"
 	"bolt/internal/relay"
 	"bolt/internal/rt"
 	"bolt/internal/serve"
@@ -526,4 +529,45 @@ func TestFleetClosedRejects(t *testing.T) {
 		t.Errorf("Grow after Close: %v, want ErrClosed", err)
 	}
 	f.Close() // idempotent
+}
+
+// TestDroppedSpansGauge overflows a traced replica's worker shard with
+// real traffic and reads the tracer's drop count back from both
+// metrics expositions. The gauge is the shared tracer's total, so the
+// fleet's merge of its replicas reports it once, not once per replica.
+func TestDroppedSpansGauge(t *testing.T) {
+	tr := obs.NewTracer()
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1), t4s(1)}, Trace: tr})
+	if err := f.Deploy("m", testCompile(nil), serve.DeployOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// A worker shard holds 1<<16 spans, and each delivered request
+	// leaves five on its worker's shard: this traffic overflows at least
+	// one of the two workers' shards.
+	const n = 28000
+	chans := make([]<-chan Result, n)
+	for i := range chans {
+		ch, err := f.InferAsync("m", sampleInput(int64(i%16+1)), serve.InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	for _, ch := range chans {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	f.Close()
+	dropped := tr.Dropped()
+	if dropped == 0 {
+		t.Fatalf("%d traced requests dropped no span; the shard did not overflow", n)
+	}
+	want := fmt.Sprintf("\ntrace_dropped_spans %d\n", dropped)
+	if snap := f.replicas[0].srv.Snapshot(); !strings.Contains(snap, want) {
+		t.Errorf("Server.Snapshot lacks %q:\n%s", want, snap)
+	}
+	if snap := f.Snapshot(); !strings.Contains(snap, want) {
+		t.Errorf("Fleet.Snapshot lacks %q:\n%s", want, snap)
+	}
 }

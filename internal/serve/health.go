@@ -49,9 +49,9 @@ type FaultHook func(worker int) BatchFault
 //     maintains), and
 //   - queued work: per tenant, the modeled cost of draining its queued
 //     rows (a request counts from the moment InferTo returns) as a
-//     greedy chain of exact buckets, priced with
-//     the same memoized per-class costs EFT dispatch uses (unpriced
-//     buckets — cold tenants whose pricing compiles are still in
+//     greedy chain of exact buckets, priced with the cheapest class's
+//     cost from the same price table EFT dispatch uses (unpriced
+//     rungs — cold tenants whose pricing compiles are still in
 //     flight — contribute zero rather than blocking the probe).
 //
 // The probe is cheap (O(workers + queued rows), one lock) and is what
@@ -72,13 +72,10 @@ func (s *Server) backlogLocked() float64 {
 		}
 	}
 	for _, t := range s.order {
-		m := t.pending
-		for m > 0 {
-			k := bucketFor(t.buckets, m)
-			if c := s.minClassCostLocked(t, k); !math.IsInf(c, 1) {
+		for r := range chain(t.buckets, t.pending) {
+			if c := t.prices.min[r]; !math.IsInf(c, 1) {
 				b += c
 			}
-			m -= k
 		}
 	}
 	return b

@@ -3,60 +3,78 @@ package serve
 import (
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bolt/internal/gpu"
+	"bolt/internal/rt"
 )
 
-// costLocked reads the memoized cheapest-class cost for a bucket the
-// way the backlog probe prices queued rows.
+// costLocked reads a ladder bucket's cheapest-class price the way the
+// backlog probe prices queued rows.
 func costLocked(s *Server, model string, bucket int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.minClassCostLocked(s.tenants[model], bucket)
+	tn := s.tenants[model]
+	return tn.prices.min[slices.Index(tn.buckets, bucket)]
 }
 
-// TestMinClassCostMemoMatchesScan pins the per-bucket cheapest-cost
-// memo against a scan of the cost map on a two-class pool, for ladder
-// buckets, an off-ladder bucket inside the ladder's range, and buckets
-// past the largest rung (a Warm may name any; the memo does not cover
-// them and must not index past its end).
-func TestMinClassCostMemoMatchesScan(t *testing.T) {
+// TestPriceTableResolution pins the price table on a two-class pool:
+// a cold rung reads unpriced on every class, warmed rungs are priced
+// on both classes (the cheapest class beside them), a failed compile
+// resolves its rung at +Inf — distinguishable from unpriced — and a
+// Warm of off-ladder buckets compiles them without growing or indexing
+// past the table.
+func TestPriceTableResolution(t *testing.T) {
 	s := NewServer(ServerOptions{Devices: []*gpu.Device{gpu.T4(), gpu.A100()}})
 	defer s.Close()
-	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+	failing := func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		if batch == 4 {
+			return nil, errors.New("boom")
+		}
+		return fakeVariant(dev, batch)
+	}
+	if err := s.Deploy("m", failing, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	check := func(when string, buckets ...int) {
-		t.Helper()
+	rung := func(r int) (cost []float64, cheapest float64, priced bool) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		tn := s.tenants["m"]
-		for _, b := range buckets {
-			got, want := s.minClassCostLocked(tn, b), s.scanMinClassCostLocked(tn, b)
-			if got != want {
-				t.Errorf("%s: bucket %d memo %g, scan %g", when, b, got, want)
-			}
+		p := &s.tenants["m"].prices
+		return slices.Clone(p.cost[r]), p.min[r], p.priced(r)
+	}
+	for r := range 3 {
+		cost, cheapest, priced := rung(r)
+		if priced || !math.IsNaN(cost[0]) || !math.IsNaN(cost[1]) || !math.IsInf(cheapest, 1) {
+			t.Errorf("cold rung %d: costs %v, cheapest %g, priced %v; want unpriced", r, cost, cheapest, priced)
 		}
 	}
-	check("cold", 1, 2, 3, 4, 8)
-	if c := costLocked(s, "m", 1); !math.IsInf(c, 1) {
-		t.Fatalf("cold bucket 1 priced at %g, want +Inf", c)
+	if err := s.Warm("m", 1, 3, 4, 8); err == nil || !strings.Contains(err.Error(), "bucket 4") {
+		t.Fatalf("Warm = %v, want the bucket-4 compile errors", err)
 	}
-	if err := s.Warm("m", 1, 3, 4, 8); err != nil {
-		t.Fatal(err)
+	cost, cheapest, priced := rung(0)
+	if !priced || cost[1] >= cost[0] || cheapest != cost[1] {
+		t.Errorf("warmed rung 0: costs %v, cheapest %g, priced %v; want both classes priced, the A100 cheapest", cost, cheapest, priced)
 	}
-	check("warm", 1, 2, 3, 4, 8, 16)
-	for _, b := range []int{1, 3, 4, 8} {
-		if c := costLocked(s, "m", b); c <= 0 || math.IsInf(c, 1) {
-			t.Errorf("warmed bucket %d priced at %g", b, c)
-		}
+	if cost, cheapest, priced := rung(1); priced || !math.IsInf(cheapest, 1) {
+		t.Errorf("unwarmed rung 1: costs %v, cheapest %g, priced %v; want unpriced", cost, cheapest, priced)
 	}
-	if c := costLocked(s, "m", 2); !math.IsInf(c, 1) {
-		t.Errorf("unwarmed bucket 2 priced at %g, want +Inf", c)
+	if cost, cheapest, priced := rung(2); !priced || !math.IsInf(cost[0], 1) || !math.IsInf(cost[1], 1) || !math.IsInf(cheapest, 1) {
+		t.Errorf("failed rung 2: costs %v, cheapest %g, priced %v; want resolved at +Inf", cost, cheapest, priced)
+	}
+	s.mu.Lock()
+	rungs := len(s.tenants["m"].prices.cost)
+	s.mu.Unlock()
+	if rungs != 3 {
+		t.Errorf("price table has %d rungs after off-ladder Warm, want 3", rungs)
+	}
+	st, _ := s.ModelStats("m")
+	if !slices.Equal(st.Variants, []int{1, 3, 8}) {
+		t.Errorf("compiled variants %v, want [1 3 8]", st.Variants)
 	}
 }
 

@@ -113,28 +113,6 @@ func (p *pool) previewFinish(costs []float64, arrival float64) float64 {
 	return p.placeOn(p.sched, costs, nil, arrival).finish
 }
 
-// chainFinish simulates greedily EFT-placing a sequence of batches
-// (each with its own per-class costs and arrival), committing each
-// placement to a scratch copy of sched, and returns the chain's
-// makespan. This is the strict-bucket counterfactual the planner
-// compares a padded dispatch against: without padding, n pending rows
-// drain as a greedy chain of exact buckets, each link placed by the
-// same EFT rule the real dispatcher uses.
-func (p *pool) chainFinish(costSets [][]float64, arrivals []float64) float64 {
-	scratch := append([]float64(nil), p.sched...)
-	finish := 0.0
-	for i, costs := range costSets {
-		pl := p.placeOn(scratch, costs, nil, arrivals[i])
-		if !math.IsInf(pl.finish, 1) {
-			scratch[pl.worker] = pl.finish
-		}
-		if pl.finish > finish {
-			finish = pl.finish
-		}
-	}
-	return finish
-}
-
 // minSched returns the smallest modeled finish time across the pool —
 // the first moment any worker frees up, which continuous batch
 // formation uses as "when could this batch start".

@@ -23,6 +23,13 @@
 // by the variant's modeled batch latency, so throughput and latency
 // statistics are deterministic and reflect what N device streams would
 // deliver, not host scheduling noise.
+//
+// Every batch is sized by one planner (plan.go), a pure function of a
+// tenant's bucket ladder, its AllowPadding/ContinuousBatching flags and
+// its price table (modeled cost per rung and device class), the
+// tenant's queued rows in drain order, and the pool's modeled finish
+// times. It takes no lock, reads no clock and mutates nothing; a strict
+// tenant is the planner with both flags off.
 package serve
 
 import (
@@ -250,10 +257,11 @@ type request struct {
 	priority   Priority
 	deadline   time.Time // when the batcher stops holding it
 	simArrival float64   // arrival time on the simulated clock
+	taken      bool      // drained into a batch (marks it for removal from its queue)
 }
 
 // batchJob is one dispatched batch: requests of a single tenant, in
-// priority-then-FIFO order, plus the scheduler's EFT placement.
+// drain order, plus the scheduler's EFT placement.
 type batchJob struct {
 	t    *tenant
 	reqs []*request
@@ -401,10 +409,6 @@ type tenant struct {
 	maxVariantBytes int64 // per-class LRU budget (0 = unbounded)
 	pad             bool  // DeployOptions.AllowPadding
 	continuous      bool  // DeployOptions.ContinuousBatching
-	// planRuns counts adaptive-planner invocations — the observable for
-	// the single-bucket short-circuit: a model whose ladder has one rung
-	// must never reach the planner, whatever its flags say.
-	planRuns int64
 
 	wrr    int // smooth weighted-round-robin current weight
 	queues [numPriorities][]*request
@@ -413,35 +417,14 @@ type tenant struct {
 	pending  int
 	removed  bool
 	variants map[vkey]*variant
-	// costs memoizes each (class, bucket)'s modeled batch cost past the
-	// variant's lifetime, so EFT pricing of an evicted variant does not
-	// recompile it — only the winning class's execution does.
-	costs map[vkey]float64
-	// minCost[b] is the cheapest class's memoized cost for bucket b up
-	// to the largest configured one (+Inf until some class priced it),
-	// kept in step with costs so routing's backlog probe and the planner
-	// read one slot instead of one map entry per class. Larger buckets
-	// (a Warm may name any) fall back to scanning costs.
-	minCost []float64
-	// pricing marks buckets whose first-use pricing compiles are in
-	// flight on background goroutines; the scheduler skips the tenant's
-	// batches for such a bucket instead of blocking dispatch on the
-	// compile.
-	pricing map[int]bool
-	stats   tenantStats
+	// prices is the ladder's modeled batch cost per device class, the
+	// planner's and the backlog probe's only cost source.
+	prices priceTable
+	stats  tenantStats
 }
 
 // maxBucket returns the tenant's largest configured bucket.
 func (t *tenant) maxBucket() int { return t.buckets[len(t.buckets)-1] }
-
-// adaptive reports whether dispatch for this tenant goes through the
-// padded/continuous planner. Single-bucket models short-circuit to the
-// strict path no matter what the flags say: with one rung there is
-// nothing to pad into and nothing for marginal-gain formation to weigh,
-// so they must pay zero scheduling overhead.
-func (t *tenant) adaptive() bool {
-	return (t.pad || t.continuous) && len(t.buckets) > 1
-}
 
 // Server is a multi-tenant serving engine: several models share one
 // worker pool (the simulated device streams) and one scheduler. Each
@@ -463,10 +446,11 @@ type Server struct {
 	// modeled finish times; its sched slice is guarded by mu.
 	pool *pool
 	// Scheduler-goroutine scratch, reused across batches: nextJob's
-	// ready tenants and dispatch's per-class costs and liveness.
-	ready     []*tenant
-	dispCosts []float64
-	dispLive  []bool
+	// ready tenants and drain-order rows, and dispatch's per-class
+	// liveness.
+	ready    []*tenant
+	rows     []*request
+	dispLive []bool
 
 	mu sync.Mutex
 	// room is broadcast (over mu) whenever pendingTotal drops, a model
@@ -527,7 +511,6 @@ func NewServer(opts ServerOptions) *Server {
 	for w, dev := range opts.Devices {
 		s.workers[w] = DeviceStats{Worker: w, Device: dev.Name}
 	}
-	s.dispCosts = make([]float64, len(s.pool.classes))
 	s.dispLive = make([]bool, len(s.pool.classes))
 	if opts.Trace != nil {
 		label := opts.TraceLabel
@@ -579,22 +562,17 @@ func (s *Server) Deploy(name string, compile CompileFunc, opts DeployOptions) er
 		return fmt.Errorf("serve: model %q already deployed", name)
 	}
 	buckets := normalizeBuckets(opts.Buckets)
-	minCost := make([]float64, buckets[len(buckets)-1]+1)
-	for b := range minCost {
-		minCost[b] = math.Inf(1)
-	}
 	t := &tenant{
 		name:            name,
 		compile:         compile,
 		buckets:         buckets,
-		minCost:         minCost,
+		prices:          newPriceTable(len(buckets), len(s.pool.classes)),
 		window:          window,
 		weight:          weight,
 		maxVariantBytes: opts.MaxVariantBytes,
 		pad:             opts.AllowPadding,
 		continuous:      opts.ContinuousBatching,
 		variants:        make(map[vkey]*variant),
-		costs:           make(map[vkey]float64),
 		stats:           newTenantStats(),
 	}
 	s.tenants[name] = t
@@ -932,11 +910,12 @@ func (s *Server) schedule() {
 		close(s.done)
 	}()
 	for {
-		if job := s.nextJob(time.Now()); job != nil {
+		job, wake := s.nextJob(time.Now())
+		if job != nil {
 			s.dispatch(job)
 			continue
 		}
-		if !s.await() {
+		if !s.await(wake) {
 			return
 		}
 	}
@@ -945,36 +924,24 @@ func (s *Server) schedule() {
 // dispatch places one ready batch on the earliest-finish-time worker,
 // commits that worker's modeled finish time, and hands the batch over.
 // Every device class is already priced when a batch reaches here
-// (nextJob defers un-priced buckets to background pricing compiles),
+// (nextJob defers un-priced ladders to background pricing compiles),
 // so pricing, placement and commit are one locked section over the
-// cost memo and the pool's finish-time model. On homogeneous pools
+// price table and the pool's finish-time model. On homogeneous pools
 // with equal costs EFT degenerates to round-robin; with mixed
 // devices the fast class absorbs proportionally more work, and a full
 // bucket never waits while any worker's modeled finish time would
 // admit it earlier.
 func (s *Server) dispatch(job *batchJob) {
-	if job.bucket < len(job.reqs) {
-		job.bucket = len(job.reqs)
-	}
-	for _, r := range job.reqs {
-		if r.simArrival > job.arrival {
-			job.arrival = r.simArrival
-		}
-	}
-	costs, live := s.dispCosts, s.dispLive
+	live := s.dispLive
 	s.mu.Lock()
-	for c := range costs {
-		key := vkey{class: c, bucket: job.bucket}
-		if cost, ok := job.t.costs[key]; ok {
-			costs[c] = cost
-			v := job.t.variants[key]
-			live[c] = v != nil && v.mod != nil && v.err == nil
-		} else {
-			// Pricing resolved with a failed compile: never placeable
-			// unless every class failed (then worker 0 surfaces the
-			// error).
-			costs[c], live[c] = math.Inf(1), false
-		}
+	// A resolved price never changes, so costs stays readable for the
+	// span below after the lock is released.
+	costs := job.t.prices.cost[slices.Index(job.t.buckets, job.bucket)]
+	for c := range live {
+		// A failed compile is priced +Inf: never placeable unless every
+		// class failed (then worker 0 surfaces the error).
+		v := job.t.variants[vkey{class: c, bucket: job.bucket}]
+		live[c] = v != nil && v.mod != nil && v.err == nil
 	}
 	pl := s.pool.place(costs, live, job.arrival)
 	s.pool.commit(pl)
@@ -1012,61 +979,35 @@ func (s *Server) dispatch(job *batchJob) {
 	s.workerCh[pl.worker] <- *job
 }
 
-// resolvedLocked reports whether a variant has a resolved price: a
-// memoized cost, or a compile that completed with an error (caller
-// holds s.mu).
-func resolvedLocked(t *tenant, key vkey) bool {
-	if _, ok := t.costs[key]; ok {
-		return true
-	}
-	v := t.variants[key]
-	return v != nil && v.err != nil
-}
-
-// bucketPricedLocked reports whether every device class has a resolved
-// price for the bucket (caller holds s.mu).
-func (s *Server) bucketPricedLocked(t *tenant, k int) bool {
-	for c := range s.pool.classes {
-		if !resolvedLocked(t, vkey{class: c, bucket: k}) {
-			return false
-		}
-	}
-	return true
-}
-
 // ensurePricingLocked kicks off background pricing compiles for a
-// bucket's unresolved classes, at most once at a time per bucket
-// (caller holds s.mu). The scheduler keeps dispatching other tenants
-// while the compiles run; completion nudges it back.
-func (s *Server) ensurePricingLocked(t *tenant, k int) {
-	if t.pricing == nil {
-		t.pricing = make(map[int]bool)
-	}
-	if t.pricing[k] {
+// rung's unresolved classes, at most once at a time per rung (caller
+// holds s.mu). Completion nudges the scheduler back.
+func (s *Server) ensurePricingLocked(t *tenant, r int) {
+	if t.prices.pricing[r] {
 		return
 	}
-	t.pricing[k] = true
+	t.prices.pricing[r] = true
 	// Tracked on the server WaitGroup so Close waits for in-flight
 	// pricing compiles — their tuning-log entries land before a
 	// close-time persist.
 	s.wg.Add(1)
-	go s.priceBucket(t, k)
+	go s.priceRung(t, r)
 }
 
-// priceBucket compiles a bucket's variant on every class that has no
+// priceRung compiles a rung's variant on every class that has no
 // resolved price yet (concurrently, each gated by the CompileJobs
 // pool), then clears the in-flight mark and wakes the scheduler.
-// Classes whose cost is memoized are skipped — pricing never
-// recompiles an evicted variant — and an Undeploy races the compiles
-// the same way it races Warm: classes not yet started are abandoned
-// rather than compiled for a dead tenant. A closing (flushing) server
-// still prices, because its queued requests must be answered.
-func (s *Server) priceBucket(t *tenant, k int) {
+// Classes already priced are skipped — pricing never recompiles an
+// evicted variant — and an Undeploy races the compiles the same way it
+// races Warm: classes not yet started are abandoned rather than
+// compiled for a dead tenant. A closing (flushing) server still
+// prices, because its queued requests must be answered.
+func (s *Server) priceRung(t *tenant, r int) {
 	defer s.wg.Done()
 	var wg sync.WaitGroup
 	for c := range s.pool.classes {
 		s.mu.Lock()
-		done := t.removed || resolvedLocked(t, vkey{class: c, bucket: k})
+		done := t.removed || t.prices.resolved(r, c)
 		s.mu.Unlock()
 		if done {
 			continue
@@ -1074,39 +1015,31 @@ func (s *Server) priceBucket(t *tenant, k int) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			s.variantFor(t, c, k)
+			s.variantFor(t, c, t.buckets[r])
 		}(c)
 	}
 	wg.Wait()
 	s.mu.Lock()
-	delete(t.pricing, k)
+	t.prices.pricing[r] = false
 	s.mu.Unlock()
 	s.nudge()
 }
 
 // await blocks until something can have changed the schedule — a
-// nudge (arrival, Close, Undeploy, a finished pricing compile) or the
-// nearest request deadline — and reports false instead once the server
-// is closed and every queue is drained.
-func (s *Server) await() bool {
+// nudge (arrival, Close, Undeploy, a finished pricing compile) or wake,
+// the earliest deadline of a tenant nextJob found not ready (zero for
+// none) — and reports false instead once the server is closed and
+// every queue is drained.
+func (s *Server) await(wake time.Time) bool {
 	s.mu.Lock()
 	if s.closed && s.pendingTotal == 0 {
 		s.mu.Unlock()
 		return false
 	}
-	wait, ok := s.nearestDeadlineLocked(time.Now())
 	s.mu.Unlock()
 	var timerC <-chan time.Time
-	if ok {
-		// An already-expired deadline (floored to 0) can reach here
-		// only while a batch waits on a background pricing compile —
-		// nextJob dispatches expired work otherwise. Poll at 1ms
-		// instead of spinning hot until the compile's nudge arrives;
-		// genuinely future deadlines keep their exact timer.
-		if wait == 0 {
-			wait = time.Millisecond
-		}
-		timer := time.NewTimer(wait)
+	if !wake.IsZero() {
+		timer := time.NewTimer(time.Until(wake))
 		defer timer.Stop()
 		timerC = timer.C
 	}
@@ -1117,43 +1050,36 @@ func (s *Server) await() bool {
 	return true
 }
 
-// nearestDeadlineLocked returns how long until the earliest queued request's
-// deadline (clamped to >= 0), or ok=false when nothing is queued. The
-// scan is O(queued requests) because MaxWait can vary per request
-// (FIFO heads are not necessarily earliest); at this simulation's
-// scale (queues bounded by QueueDepth) that is deliberate — an
-// incremental per-queue minimum is the upgrade path if servers ever
-// hold very deep backlogs (caller holds s.mu).
-func (s *Server) nearestDeadlineLocked(now time.Time) (time.Duration, bool) {
-	var wait time.Duration
-	found := false
-	for _, t := range s.order {
-		for pri := range t.queues {
-			for _, r := range t.queues[pri] {
-				w := r.deadline.Sub(now)
-				if w < 0 {
-					w = 0
-				}
-				if !found || w < wait {
-					wait, found = w, true
-				}
+// earliestDeadline returns the earliest deadline among a tenant's
+// queued requests (the zero time when none is queued). The scan is
+// O(queued requests) because MaxWait can vary per request (FIFO heads
+// are not necessarily earliest); at this simulation's scale (queues
+// bounded by QueueDepth) that is deliberate.
+func (t *tenant) earliestDeadline() time.Time {
+	var d time.Time
+	for pri := range t.queues {
+		for _, r := range t.queues[pri] {
+			if d.IsZero() || r.deadline.Before(d) {
+				d = r.deadline
 			}
 		}
 	}
-	return wait, found
+	return d
 }
 
-// nextJob picks the next batch to dispatch, or nil when no tenant is
-// ready. A tenant is ready when a high-priority request is pending,
-// when its backlog fills its largest bucket, when any queued request's
-// deadline has passed, when the server is flushing for Close, or — for
-// continuous-batching tenants — whenever anything is pending at all
-// (continuous formation is work-conserving: it sizes the batch from the
-// visible queue instead of holding it for a window). Among ready
-// tenants, smooth weighted round-robin decides who goes; the winner's
-// batch is sized by the strict bucket rule or, for adaptive tenants, by
-// the padded/continuous planner.
-func (s *Server) nextJob(now time.Time) *batchJob {
+// nextJob picks the next batch to dispatch, or returns nil and the time
+// the schedule next changes on its own: the earliest deadline among
+// pending tenants that are not ready (zero for none). A tenant is ready
+// when a high-priority request is pending, when its backlog fills its
+// largest bucket, when any queued request's deadline has passed, when
+// the server is flushing for Close, or — for continuous-batching
+// tenants — whenever anything is pending at all (continuous formation
+// is work-conserving: it sizes the batch from the visible queue instead
+// of holding it for a window). Each not-yet-ready tenant's deadlines
+// are scanned once, for both its readiness and the wake time. Among
+// ready tenants, smooth weighted round-robin decides who goes, and the
+// planner sizes the winner's batch from its rows in drain order.
+func (s *Server) nextJob(now time.Time) (*batchJob, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ready := s.ready[:0]
@@ -1163,87 +1089,71 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 		clear(ready)
 		s.ready = ready[:0]
 	}()
+	var wake time.Time
 	for _, t := range s.order {
 		if t.pending == 0 {
 			continue
 		}
-		if (t.continuous && t.adaptive()) || s.flushing || len(t.queues[PriorityHigh]) > 0 || t.pending >= t.maxBucket() {
+		if t.continuous || s.flushing || len(t.queues[PriorityHigh]) > 0 || t.pending >= t.maxBucket() {
 			ready = append(ready, t)
 			continue
 		}
-		urgent := false
-	scan:
-		for pri := range t.queues {
-			for _, r := range t.queues[pri] {
-				if !r.deadline.After(now) {
-					urgent = true
-					break scan
-				}
-			}
-		}
-		if urgent {
+		if d := t.earliestDeadline(); !d.After(now) {
 			ready = append(ready, t)
+		} else if wake.IsZero() || d.Before(wake) {
+			wake = d
 		}
 	}
 	if len(ready) == 0 {
-		return nil
+		return nil, wake
 	}
 	// Every ready tenant's whole bucket ladder must be priced before any
-	// batch goes out: dispatch order is the weighted-round-robin
+	// batch goes out, so no tenant dispatches while any ready tenant's
+	// ladder is unpriced: dispatch order is the weighted-round-robin
 	// contract, and serving whoever happens to be priced first would
 	// invert it (the skipped pickWRR calls would also corrupt the
 	// smooth-WRR state). Pricing the whole ladder, not just the bucket
 	// the current pending count maps to, makes the set of pricing
 	// compiles independent of how many requests happened to be queued
-	// when the scheduler first looked; the adaptive planner also
-	// compares arbitrary rungs, and a plan made on a half-priced ladder
-	// would depend on compile timing. Unpriced buckets compile on
-	// background goroutines — overlapping through the CompileJobs pool
-	// and nudging the scheduler when done — so the scheduler goroutine
-	// itself keeps dispatching other tenants (and answers Undeploy and
-	// Close) during a cold tenant's first compile. Warm avoids the stall
-	// entirely.
-	allPriced := true
+	// when the scheduler first looked; the planner also compares
+	// arbitrary rungs, and a plan made on a half-priced ladder would
+	// depend on compile timing. Unpriced rungs compile on background
+	// goroutines — overlapping through the CompileJobs pool and nudging
+	// the scheduler when done — so the scheduler goroutine stays free to
+	// answer Undeploy and Close during a cold tenant's first compile
+	// (the wake time covers only tenants not yet ready; a ready one
+	// waits for its pricing nudge). Warm avoids the stall entirely.
+	priced := true
 	for _, t := range ready {
-		for _, b := range t.buckets {
-			if !s.bucketPricedLocked(t, b) {
-				s.ensurePricingLocked(t, b)
-				allPriced = false
+		for r := range t.buckets {
+			if !t.prices.priced(r) {
+				s.ensurePricingLocked(t, r)
+				priced = false
 			}
 		}
 	}
-	if !allPriced {
-		return nil
+	if !priced {
+		return nil, wake
 	}
 	t := pickWRR(ready)
 	pending := t.pending
-	var plan dispatchPlan
-	var pt planTrace
-	if t.adaptive() {
-		plan, pt = s.planAdaptiveLocked(t, now)
-	} else {
-		k := bucketFor(t.buckets, t.pending)
-		plan = dispatchPlan{take: k, bucket: k}
-		pt = planTrace{mode: "strict"}
-	}
-	reqs := takeBatch(t, plan.take, now)
+	rows := drainOrder(s.rows[:0], t, t.maxBucket(), now)
+	dp, pt := plan(t, rows, s.pool, s.tr != nil)
+	reqs := take(t, rows[:dp.take])
+	clear(rows) // keep the scratch from holding taken requests
+	s.rows = rows[:0]
 	t.pending -= len(reqs)
 	s.pendingTotal -= len(reqs)
 	s.room.Broadcast()
+	job := &batchJob{t: t, reqs: reqs, bucket: dp.bucket, arrival: latestArrival(reqs)}
 	if s.tr != nil {
-		arr := 0.0
-		for _, r := range reqs {
-			if r.simArrival > arr {
-				arr = r.simArrival
-			}
-		}
 		args := []obs.Arg{
 			{Key: "model", Val: t.name},
 			{Key: "mode", Val: pt.mode},
 			{Key: "pending", Val: pending},
 			{Key: "take", Val: len(reqs)},
-			{Key: "bucket", Val: plan.bucket},
-			{Key: "padded", Val: plan.bucket > len(reqs)},
+			{Key: "bucket", Val: dp.bucket},
+			{Key: "padded", Val: dp.bucket > len(reqs)},
 		}
 		if !math.IsInf(pt.strictFinish, 1) && pt.strictFinish > 0 {
 			args = append(args, obs.Arg{Key: "strict_finish", Val: pt.strictFinish})
@@ -1253,274 +1163,28 @@ func (s *Server) nextJob(now time.Time) *batchJob {
 		}
 		s.trSched.Emit(obs.Span{
 			Name: obs.KindPlan, Cat: obs.CatBatch, Proc: s.trProc,
-			Track: "scheduler", Start: arr, Args: args,
+			Track: "scheduler", Start: job.arrival, Args: args,
 		})
 	}
-	return &batchJob{t: t, reqs: reqs, bucket: plan.bucket}
+	return job, time.Time{}
 }
 
-// planTrace carries the planner's modeled alternatives out to the plan
-// span: which formation mode ran and, when the padded planner priced
-// both schedules, the strict chain's and the best padded rung's
-// modeled finish times.
-type planTrace struct {
-	mode         string
-	strictFinish float64
-	padFinish    float64
-}
-
-// dispatchPlan is one sizing decision: take rows off the queue, run
-// them on the bucket variant (bucket > take means zero-padded rows).
-type dispatchPlan struct {
-	take   int
-	bucket int
-}
-
-// planAdaptiveLocked sizes the next batch for a padding and/or
-// continuous-batching tenant (caller holds s.mu; the tenant's whole
-// bucket ladder is priced). Continuous formation first decides how many
-// visible rows to coalesce; the bucket decision then prices running
-// them padded on a larger rung against draining them as a strict chain.
-func (s *Server) planAdaptiveLocked(t *tenant, now time.Time) (dispatchPlan, planTrace) {
-	t.planRuns++
-	n := t.pending
-	if m := t.maxBucket(); n > m {
-		n = m
+// take removes rows — a prefix of the tenant's drain order — from its
+// queues and returns them as a batch of their own.
+func take(t *tenant, rows []*request) []*request {
+	for _, r := range rows {
+		r.taken = true
 	}
-	vis := dispatchOrderLocked(t, n, now)
-	mode := "padded"
-	if t.continuous {
-		vis = vis[:s.formBatchLocked(t, vis)]
-		mode = "continuous"
-		if t.pad {
-			mode = "continuous+padded"
-		}
-	}
-	plan, pt := s.chooseBucketLocked(t, vis)
-	pt.mode = mode
-	return plan, pt
-}
-
-// dispatchOrderLocked returns up to limit queued requests in exactly
-// the order takeBatch would drain them — expired deadlines first, then
-// priority-then-FIFO — without removing anything (caller holds s.mu).
-// The planner prices the very rows the dispatch will take. An expired
-// row the first pass leaves behind was cut by the limit, which then
-// stops the second pass too, so the second pass takes only fresh rows.
-func dispatchOrderLocked(t *tenant, limit int, now time.Time) []*request {
-	reqs := make([]*request, 0, limit)
-	for _, expired := range [2]bool{true, false} {
-		for _, pri := range priorityOrder {
-			for _, r := range t.queues[pri] {
-				if len(reqs) < limit && r.deadline.After(now) != expired {
-					reqs = append(reqs, r)
-				}
+	for pri, q := range t.queues {
+		kept := q[:0]
+		for _, r := range q {
+			if !r.taken {
+				kept = append(kept, r)
 			}
 		}
+		t.queues[pri] = kept
 	}
-	return reqs
-}
-
-// formBatchLocked is continuous batch formation: starting from the
-// first visible row, the batch absorbs the next queued arrival while
-// the modeled marginal gain of one more row is positive, and returns
-// the chosen row count. The gain of growing from m to m+1 rows is one
-// saved single-row launch (the absorbed row no longer needs its own
-// dispatch) plus the batch-cost delta c(m) − c(m+1), minus the extra
-// wait the m rows already in the batch would pay if the next row's
-// simulated arrival is later than the batch could start (its rows all
-// present and a worker modeled free). Zero-gain rows are absorbed too:
-// without padding, the chain-cost model plateaus exactly at bucket
-// boundaries (rows past a full rung chain as their own dispatches at
-// identical cost), and stopping there would wedge formation at the
-// first rung forever — only a row that costs real extra wait (or a
-// modeled loss) stops the scan. The scan is work-conserving: it
-// only weighs rows already queued, never holds the batch for traffic
-// that might arrive — so a continuous tenant's batch window is reduced
-// to the MaxWait default for its requests. An unpriceable ladder makes
-// the gain NaN, which stops the scan (strict fallback downstream).
-func (s *Server) formBatchLocked(t *tenant, vis []*request) int {
-	m := 1
-	if len(vis) <= m {
-		return len(vis)
-	}
-	c1 := s.dispatchCostLocked(t, 1)
-	minSched := s.pool.minSched()
-	arrMax := vis[0].simArrival
-	for m < len(vis) {
-		next := vis[m].simArrival
-		start := arrMax
-		if minSched > start {
-			start = minSched
-		}
-		extra := next - start
-		if extra < 0 {
-			extra = 0
-		}
-		gain := c1 + s.dispatchCostLocked(t, m) - s.dispatchCostLocked(t, m+1) - float64(m)*extra
-		if !(gain >= 0) { // NaN-safe: an Inf-cost ladder stops here too
-			break
-		}
-		if next > arrMax {
-			arrMax = next
-		}
-		m++
-	}
-	return m
-}
-
-// chooseBucketLocked decides how the chosen rows run: strictly (the
-// largest bucket not exceeding the row count — the pre-padding rule) or
-// padded onto a larger rung. Every larger compiled bucket is priced by
-// the same EFT preview the dispatcher uses, at the full larger
-// variant's cost; the strict alternative is the modeled makespan of
-// draining the rows as a greedy chain of exact buckets. Padding wins
-// only on a strictly earlier modeled completion — ties keep the strict
-// plan, so the padded path never changes a cost-neutral schedule.
-func (s *Server) chooseBucketLocked(t *tenant, vis []*request) (dispatchPlan, planTrace) {
-	n := len(vis)
-	k := bucketFor(t.buckets, n)
-	strict := dispatchPlan{take: k, bucket: k}
-	if !t.pad {
-		return strict, planTrace{}
-	}
-	arr := 0.0
-	for _, r := range vis {
-		if r.simArrival > arr {
-			arr = r.simArrival
-		}
-	}
-	padBucket, padFinish := 0, math.Inf(1)
-	for _, b := range t.buckets {
-		if b <= n {
-			continue
-		}
-		if fin := s.pool.previewFinish(s.classCostsLocked(t, b), arr); fin < padFinish {
-			padBucket, padFinish = b, fin
-		}
-	}
-	if padBucket == 0 && s.tr == nil {
-		return strict, planTrace{padFinish: padFinish}
-	}
-	// The strict chain is the decision input when a padded rung exists;
-	// with tracing on it is priced regardless, so the plan span always
-	// carries both modeled alternatives (previewing on a scratch copy
-	// of sched is side-effect-free — the decision is unchanged).
-	chain := s.chainFinishLocked(t, vis)
-	pt := planTrace{strictFinish: chain, padFinish: padFinish}
-	if padBucket == 0 || !(padFinish < chain) {
-		return strict, pt
-	}
-	return dispatchPlan{take: n, bucket: padBucket}, pt
-}
-
-// chainFinishLocked prices the strict counterfactual for a set of rows:
-// decompose them greedily into exact buckets (in dispatch order, each
-// segment arriving with its latest member) and EFT-place the chain on a
-// scratch copy of the pool's finish times (caller holds s.mu).
-func (s *Server) chainFinishLocked(t *tenant, vis []*request) float64 {
-	var costSets [][]float64
-	var arrivals []float64
-	for i := 0; i < len(vis); {
-		k := bucketFor(t.buckets, len(vis)-i)
-		arr := 0.0
-		for _, r := range vis[i : i+k] {
-			if r.simArrival > arr {
-				arr = r.simArrival
-			}
-		}
-		costSets = append(costSets, s.classCostsLocked(t, k))
-		arrivals = append(arrivals, arr)
-		i += k
-	}
-	return s.pool.chainFinish(costSets, arrivals)
-}
-
-// classCostsLocked returns the tenant's memoized per-class costs for a
-// bucket, +Inf where pricing resolved with a failed compile (caller
-// holds s.mu; the planner only runs on fully priced ladders).
-func (s *Server) classCostsLocked(t *tenant, b int) []float64 {
-	costs := make([]float64, len(s.pool.classes))
-	for c := range costs {
-		if cost, ok := t.costs[vkey{class: c, bucket: b}]; ok {
-			costs[c] = cost
-		} else {
-			costs[c] = math.Inf(1)
-		}
-	}
-	return costs
-}
-
-// minClassCostLocked is the cheapest class's memoized cost for a bucket
-// (+Inf when no class priced it), the planner's device-agnostic cost of
-// one launch (caller holds s.mu).
-func (s *Server) minClassCostLocked(t *tenant, b int) float64 {
-	if b < len(t.minCost) {
-		return t.minCost[b]
-	}
-	return s.scanMinClassCostLocked(t, b)
-}
-
-// scanMinClassCostLocked computes minClassCostLocked from the cost memo
-// itself (caller holds s.mu).
-func (s *Server) scanMinClassCostLocked(t *tenant, b int) float64 {
-	best := math.Inf(1)
-	for c := range s.pool.classes {
-		if cost, ok := t.costs[vkey{class: c, bucket: b}]; ok && cost < best {
-			best = cost
-		}
-	}
-	return best
-}
-
-// dispatchCostLocked is the modeled cost of draining m rows in one
-// dispatch decision (caller holds s.mu): with padding, the cheapest
-// rung that fits them all; without, the summed cost of the greedy
-// exact-bucket chain they would dispatch as.
-func (s *Server) dispatchCostLocked(t *tenant, m int) float64 {
-	if t.pad {
-		best := math.Inf(1)
-		for _, b := range t.buckets {
-			if b < m {
-				continue
-			}
-			if c := s.minClassCostLocked(t, b); c < best {
-				best = c
-			}
-		}
-		return best
-	}
-	total := 0.0
-	for m > 0 {
-		k := bucketFor(t.buckets, m)
-		total += s.minClassCostLocked(t, k)
-		m -= k
-	}
-	return total
-}
-
-// takeBatch drains up to k of a tenant's queued requests. Requests
-// whose deadline has passed go first (MaxWait is a promise: an expired
-// request must not be bypassed indefinitely by a stream of newer,
-// higher-priority arrivals); the rest fill in priority-then-FIFO
-// order.
-func takeBatch(t *tenant, k int, now time.Time) []*request {
-	reqs := make([]*request, 0, k)
-	for pass := 0; pass < 2; pass++ {
-		for _, pri := range priorityOrder {
-			q := t.queues[pri]
-			kept := q[:0]
-			for _, r := range q {
-				if len(reqs) < k && (pass == 1 || !r.deadline.After(now)) {
-					reqs = append(reqs, r)
-				} else {
-					kept = append(kept, r)
-				}
-			}
-			t.queues[pri] = kept
-		}
-	}
-	return reqs
+	return slices.Clone(rows)
 }
 
 // pickWRR implements smooth weighted round-robin: every ready tenant
@@ -1561,18 +1225,6 @@ func normalizeBuckets(buckets []int) []int {
 	return out
 }
 
-// bucketFor returns the largest bucket not exceeding n (bucket 1
-// always exists).
-func bucketFor(buckets []int, n int) int {
-	b := 1
-	for _, k := range buckets {
-		if k <= n {
-			b = k
-		}
-	}
-	return b
-}
-
 func (s *Server) worker(id int) {
 	defer s.wg.Done()
 	for job := range s.workerCh[id] {
@@ -1582,9 +1234,9 @@ func (s *Server) worker(id int) {
 
 // variantFor resolves (compiling at most once, through the shared
 // compile pool) a tenant's module for a batch bucket on one device
-// class. A successful compile memoizes the variant's modeled batch
-// cost (surviving eviction, for dispatch pricing) and then enforces
-// the tenant's per-class LRU budget.
+// class. A compile of a ladder bucket resolves the class's price in
+// the tenant's price table (surviving eviction, for dispatch pricing);
+// a successful one then enforces the tenant's per-class LRU budget.
 func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 	key := vkey{class: class, bucket: batch}
 	s.mu.Lock()
@@ -1614,11 +1266,14 @@ func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 		// post-Do readers are already ordered by the Once itself.
 		s.mu.Lock()
 		v.mod, v.err, v.time, v.bytes = mod, err, tm, bytes
-		if err == nil {
-			t.costs[key] = tm
-			if batch < len(t.minCost) {
-				t.minCost[batch] = s.scanMinClassCostLocked(t, batch)
+		if r := slices.Index(t.buckets, batch); r >= 0 {
+			cost := tm
+			if err != nil {
+				cost = math.Inf(1)
 			}
+			t.prices.resolve(r, class, cost)
+		}
+		if err == nil {
 			s.lruTick++
 			v.lastUse = s.lruTick
 			s.evictLocked(t, class, v)
@@ -1706,9 +1361,6 @@ func (s *Server) evictLocked(t *tenant, class int, keep *variant) {
 func (s *Server) runBatch(id int, job batchJob) {
 	n := len(job.reqs)
 	b := job.bucket
-	if b < n {
-		b = n
-	}
 	var fault BatchFault
 	if s.opts.Fault != nil {
 		fault = s.opts.Fault(id)

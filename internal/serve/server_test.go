@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,7 +214,6 @@ func TestServerUndeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let it reach the tenant queue
 	if err := s.Undeploy("drop"); err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +314,10 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 	h1 := mk(PriorityHigh, fresh)
 	n1, n2 := mk(PriorityNormal, expired), mk(PriorityNormal, fresh)
 	b1 := mk(PriorityBulk, expired)
-	queued := func() *tenant {
-		tn := &tenant{}
-		tn.queues[PriorityHigh] = []*request{h1}
-		tn.queues[PriorityNormal] = []*request{n1, n2}
-		tn.queues[PriorityBulk] = []*request{b1}
-		return tn
-	}
+	tn := &tenant{}
+	tn.queues[PriorityHigh] = []*request{h1}
+	tn.queues[PriorityNormal] = []*request{n1, n2}
+	tn.queues[PriorityBulk] = []*request{b1}
 	order := func(rs []*request) (s string) {
 		for _, r := range rs {
 			s += r.priority.String() + " "
@@ -330,21 +325,10 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 		return
 	}
 
-	// The planner's preview is exactly what the take removes, at every
-	// limit — including those that cut the expired rows short.
-	for k := 1; k <= 5; k++ {
-		tn := queued()
-		preview := dispatchOrderLocked(tn, k, now)
-		if taken := takeBatch(tn, k, now); !slices.Equal(preview, taken) {
-			t.Errorf("limit %d: dispatchOrderLocked %v, takeBatch removed %v", k, order(preview), order(taken))
-		}
-	}
-
-	tn := queued()
-	got := takeBatch(tn, 3, now)
+	got := take(tn, drainOrder(nil, tn, 3, now))
 	want := []*request{n1, b1, h1} // expired (priority order) first, then fresh high
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("takeBatch order %v, want expired-normal expired-bulk fresh-high (got %v)",
+		t.Fatalf("drain order %v, want expired-normal expired-bulk fresh-high (got %v)",
 			order(got), order(want))
 	}
 	if len(tn.queues[PriorityNormal]) != 1 || tn.queues[PriorityNormal][0] != n2 {

@@ -22,7 +22,8 @@ import (
 // / deliver), the per-priority end-to-end latency histograms and
 // stage sums. It reflects everything the server has ever served
 // (undeployed tenants included) and works whether or not tracing is
-// enabled.
+// enabled; with a tracer set it also reports the spans the tracer
+// dropped on full shards.
 func (s *Server) Snapshot() string {
 	reg := obs.NewRegistry()
 	s.FillRegistry(reg)
@@ -46,6 +47,11 @@ func (s *Server) FillRegistry(reg *obs.Registry) {
 	reg.Gauge("pending_requests", nil, float64(s.pendingTotal))
 	reg.Gauge("backlog_seconds", nil, st.BacklogSeconds)
 	reg.Gauge("sim_makespan_seconds", nil, st.SimMakespan)
+	if s.tr != nil {
+		// A gauge, not a counter: fleet replicas share one tracer, and
+		// the registry keeps a gauge's maximum instead of summing copies.
+		reg.Gauge("trace_dropped_spans", nil, float64(s.tr.Dropped()))
+	}
 	for _, d := range st.Devices {
 		wl := obs.L("worker", strconv.Itoa(d.Worker), "device", d.Device)
 		reg.Counter("worker_batches_total", wl, float64(d.Batches))
