@@ -396,7 +396,7 @@ func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
 	if err != nil {
 		return rt.Kernel{}, err
 	}
-	conv := &cutlass.Conv2D{Shape: shape, Config: res.Config, Epilogue: epi}
+	conv := &cutlass.Conv2D{Shape: shape, Config: res.Config, Epilogue: epi, FilterScale: n.FilterScale}
 	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	kern := launchKernel(n, conv.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return conv.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
@@ -461,7 +461,7 @@ func (c *compiler) lowerPersistentConv(n *relay.Node) (rt.Kernel, error) {
 			}
 			cfg.AlignA, cfg.AlignB = a, a
 		}
-		layers[i] = persistent.ConvLayer{Shape: cl.Conv, Config: cfg, Epilogue: cl.Epilogue}
+		layers[i] = persistent.ConvLayer{Shape: cl.Conv, Config: cfg, Epilogue: cl.Epilogue, FilterScale: cl.FilterScale}
 	}
 	f, err := persistent.ChooseConvResidence(layers, c.dev)
 	if err != nil {
@@ -515,7 +515,7 @@ func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape c
 	// functional kernel's at a permissive alignment. The baseline runs
 	// NCHW models directly; the kernel is NHWC, so an NCHW input is
 	// transformed around it.
-	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi}
+	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi, FilterScale: n.FilterScale}
 	nchw := n.Layout == tensor.LayoutNCHW
 	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {

@@ -83,6 +83,14 @@ type Conv2D struct {
 	Config   GemmConfig
 	Epilogue Epilogue
 
+	// FilterScale, when set, holds one factor per output channel (OC
+	// of them) that the filter pack multiplies into the weights: the
+	// kernel convolves with round(w·FilterScale[oc]) in w's dtype, an
+	// INT8 filter recalibrated to the scaled range as
+	// tensor.CalibrateScale would. This is how a folded BatchNorm
+	// reaches the kernel; w itself is never written.
+	FilterScale []float32
+
 	filter panelCache
 }
 
@@ -129,6 +137,9 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 		panic(fmt.Sprintf("cutlass: conv %+v violates alignment %d/%d/%d",
 			s, c.Config.AlignA, c.Config.AlignB, c.Config.AlignC))
 	}
+	if c.FilterScale != nil && len(c.FilterScale) != s.OC {
+		panic(fmt.Sprintf("cutlass: filter scale length %d != OC %d", len(c.FilterScale), s.OC))
+	}
 	var bd []float32
 	if bias != nil {
 		if bias.NumElements() != s.OC {
@@ -146,7 +157,7 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 	}
 	m, n, k := s.ImplicitGemm()
 	r := convRunPool.Get().(*convRun)
-	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: c.filter.packed(w, k, n, 1, k), bd: bd, od: out.Data()}
+	*r = convRun{s: s, epi: c.Epilogue, xd: x.Data(), wd: c.filter.packed(w, c.FilterScale, k, n, 1, k), bd: bd, od: out.Data()}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k)
 	*r = convRun{} // a pooled run must not pin the operands
 	convRunPool.Put(r)

@@ -31,6 +31,42 @@ func randOHWI(seed int64, oc, kh, kw, ic int) *tensor.Tensor {
 	return t
 }
 
+// randFilterScale draws one factor per output channel, of either sign,
+// with magnitudes from 2^-12 to 2^3: scaled FP16 weights land on
+// subnormal halves and below 2^-24 as well as on normal ones.
+func randFilterScale(rng *rand.Rand, oc int) []float32 {
+	scale := make([]float32, oc)
+	for i := range scale {
+		scale[i] = float32(math.Ldexp(1+rng.Float64(), rng.Intn(15)-12))
+		if rng.Intn(4) == 0 {
+			scale[i] = -scale[i]
+		}
+	}
+	return scale
+}
+
+// scaledFilter materializes the filter a FilterScale stands for, as
+// the BatchNorm fold once wrote it: a fresh tensor with output channel
+// c (w's outer dimension) multiplied by scale[c], each product formed
+// in float32 and rounded once to w's dtype, an INT8 tensor
+// recalibrated to the scaled range. It is the oracle for the scaled
+// pack.
+func scaledFilter(w *tensor.Tensor, scale []float32) *tensor.Tensor {
+	out := tensor.NewLike(w)
+	per := w.NumElements() / len(scale)
+	for c, s := range scale {
+		row := out.Data()[c*per : (c+1)*per]
+		for j, v := range w.Data()[c*per : (c+1)*per] {
+			row[j] = v * s
+		}
+		if w.DType() == tensor.FP16 {
+			fp16.Quantize(row)
+		}
+	}
+	out.CalibrateScale()
+	return out
+}
+
 func TestConvShapeGeometry(t *testing.T) {
 	s := Conv3x3(32, 56, 56, 64, 64, 1, 1)
 	if s.OutH() != 56 || s.OutW() != 56 {
@@ -400,13 +436,16 @@ func checkConvBitIdentical(t *testing.T) {
 // FuzzConv checks the kernel against the direct loop on random
 // geometry (batch, input size, channels, kernel, stride, padding),
 // output dtype and activation, with Inf or NaN weights on random taps,
-// under the selected micro-kernel and the Go body. The seed corpus in
-// testdata/fuzz/FuzzConv runs with the other tests;
-// go test -run '^$' -fuzz FuzzConv ./internal/cutlass/ explores. A
-// case has one kind of non-finite weight, ±Inf or NaN, so no sum sees
-// two NaNs of different payloads: which survives is the adder's
-// operand order, which Go leaves to the compiler (the fuzzer's
-// coverage instrumentation flips it in the direct loop).
+// under the selected micro-kernel and the Go body. Half the seeds also
+// give the kernel a FilterScale (randFilterScale) over an FP16, FP32 or
+// INT8 filter; the direct loop then runs over scaledFilter's
+// materialized weights. The seed corpus in testdata/fuzz/FuzzConv runs
+// with the other tests; go test -run '^$' -fuzz FuzzConv
+// ./internal/cutlass/ explores. A case has one kind of non-finite
+// weight, ±Inf or NaN, so no sum sees two NaNs of different payloads:
+// which survives is the adder's operand order, which Go leaves to the
+// compiler (the fuzzer's coverage instrumentation flips it in the
+// direct loop).
 func FuzzConv(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, h, w, ic, oc, kh, kw, stride, pad, nonFinite uint8) {
 		s := ConvShape{N: 1 + int(n%2), H: 1 + int(h%12), W: 1 + int(w%12),
@@ -430,7 +469,13 @@ func FuzzConv(f *testing.F) {
 			}
 			wd[rng.Intn(len(wd))] = v
 		}
-		want := directConv(c, x, wt, bias)
+		direct := wt
+		if pick/9%2 == 1 {
+			wt = wt.AsType([]tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8}[pick/18%3])
+			c.FilterScale = randFilterScale(rng, s.OC)
+			direct = scaledFilter(wt, c.FilterScale)
+		}
+		want := directConv(c, x, direct, bias)
 		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
 		withGoMicroKernel(func() {
 			sameBits(t, fmt.Sprintf("%+v %v, Go body", s, epi.OutDType), c.RunInto(nil, x, wt, bias), want)
@@ -450,27 +495,35 @@ func TestConvRepacksOnNewWeights(t *testing.T) {
 	}
 }
 
-// Eight goroutines make a fresh kernel's first launch at once. They may
-// all pack the filter, but every output has the same bytes.
+// Eight goroutines make a fresh kernel's first launch at once, on a
+// plain filter and on one with a FilterScale. They may all pack the
+// filter, but every output has the same bytes.
 func TestConvFirstLaunchConcurrent(t *testing.T) {
 	s := Conv3x3(1, 8, 8, 16, 40, 1, 1)
-	c, x, w, bias := convCase(t, 5, s, BiasActivation(ActReLU), true)
-	want := directConv(c, x, w, bias)
-	outs := make([]*tensor.Tensor, 8)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			outs[i] = c.RunInto(nil, x, w, bias)
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i, out := range outs {
-		sameBits(t, fmt.Sprintf("goroutine %d", i), out, want)
+	for _, scaled := range []bool{false, true} {
+		c, x, w, bias := convCase(t, 5, s, BiasActivation(ActReLU), true)
+		direct := w
+		if scaled {
+			c.FilterScale = randFilterScale(rand.New(rand.NewSource(5)), s.OC)
+			direct = scaledFilter(w, c.FilterScale)
+		}
+		want := directConv(c, x, direct, bias)
+		outs := make([]*tensor.Tensor, 8)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				outs[i] = c.RunInto(nil, x, w, bias)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, out := range outs {
+			sameBits(t, fmt.Sprintf("scaled=%v goroutine %d", scaled, i), out, want)
+		}
 	}
 }
 

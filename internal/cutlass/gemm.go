@@ -89,7 +89,7 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 	}
 	od := out.Data()
 	r := gemmRunPool.Get().(*gemmRun)
-	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, k, n, n, 1), cd: cdata, od: od}
+	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, nil, k, n, n, 1), cd: cdata, od: od}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k/gemmMACsPerConvMAC)
 	*r = gemmRun{} // a pooled run must not pin the operands
 	gemmRunPool.Put(r)

@@ -3,7 +3,10 @@ package cutlass
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"bolt/internal/tensor"
 )
 
 // withGoMicroKernel runs f with the micro-kernel forced to its Go body,
@@ -93,5 +96,64 @@ func TestMicroKernelMatchesGoBody(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The scaled filter pack is the BatchNorm fold it replaces: panels
+// packed from w with a FilterScale hold the bits of panels packed from
+// scaledFilter's materialized round(w·scale), for FP16 (products on
+// subnormal halves and below 2^-24 included), FP32 and INT8 (the grid
+// recalibrated to the scaled range), at one and at many panels, on
+// both sides of the pack's split and at every partition GOMAXPROCS
+// gives it.
+func TestScaledFilterPanelsMatchMaterialized(t *testing.T) {
+	shapes := []struct{ oc, k int }{
+		{1, 3},
+		{6, 1}, // one tap: both strides are 1
+		{7, 27},
+		{17, 64},   // one element past a panel
+		{33, 7936}, // 261888 elements: just below splitMACs
+		{33, 7952}, // 262416: just above
+		{300, 1000},
+	}
+	if lo, hi := 33*7936, 33*7952; lo >= splitMACs || hi < splitMACs {
+		t.Fatalf("shapes no longer straddle splitMACs = %d", splitMACs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	subnormal := 0
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, dt := range []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8} {
+			for i, s := range shapes {
+				rng := rand.New(rand.NewSource(int64(10*i) + int64(dt)))
+				src := tensor.New(tensor.FP32, s.oc, 1, 1, s.k)
+				for j := range src.Data() {
+					src.Data()[j] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(16)-14))
+				}
+				w := src.AsType(dt)
+				scale := randFilterScale(rng, s.oc)
+				before := w.Clone()
+				var scaled, plain panelCache
+				got := scaled.packed(w, scale, s.k, s.oc, 1, s.k)
+				want := plain.packed(scaledFilter(w, scale), nil, s.k, s.oc, 1, s.k)
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("procs %d %v %+v: panel element %d is %g (%#x), want %g (%#x)", procs, dt, s, j,
+							got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
+					}
+					if a := math.Abs(float64(got[j])); dt == tensor.FP16 && a > 0 && a < 0x1p-14 {
+						subnormal++
+					}
+				}
+				for j, v := range before.Data() {
+					if math.Float32bits(w.Data()[j]) != math.Float32bits(v) {
+						t.Fatalf("procs %d %v %+v: the pack wrote to its weights", procs, dt, s)
+					}
+				}
+			}
+		}
+	}
+	if subnormal == 0 {
+		t.Fatal("no scaled FP16 weight is subnormal: the case guards nothing")
 	}
 }

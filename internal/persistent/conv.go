@@ -13,6 +13,8 @@ type ConvLayer struct {
 	Shape    cutlass.ConvShape
 	Config   cutlass.GemmConfig
 	Epilogue cutlass.Epilogue
+	// FilterScale is the layer kernel's cutlass.Conv2D.FilterScale.
+	FilterScale []float32
 }
 
 // FusedConv is a validated persistent convolution chain. The first
@@ -80,7 +82,7 @@ func NewFusedConv(layers []ConvLayer, kind Residence, d *gpu.Device) (*FusedConv
 	}
 	f.convs = make([]*cutlass.Conv2D, len(layers))
 	for i, l := range layers {
-		f.convs[i] = &cutlass.Conv2D{Shape: l.Shape, Config: l.Config, Epilogue: l.Epilogue}
+		f.convs[i] = &cutlass.Conv2D{Shape: l.Shape, Config: l.Config, Epilogue: l.Epilogue, FilterScale: l.FilterScale}
 	}
 	return f, nil
 }

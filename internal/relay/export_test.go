@@ -6,4 +6,5 @@ var (
 	FoldBatchNormOracle = foldBatchNormOracle
 	ConsumersOracle     = (*Graph).consumersOracle
 	SameBits            = sameBits
+	FoldedConvOutputs   = foldedConvOutputs
 )

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bolt/internal/cutlass"
 	"bolt/internal/tensor"
 )
 
@@ -124,34 +125,53 @@ func sameBits(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// foldedConstants returns the weight and bias a fold left on the
-// graph's one convolution.
-func foldedConstants(t *testing.T, g *Graph) (w, bias *tensor.Tensor) {
+// foldedConv returns the convolution and the bias constant a fold left
+// on the graph's output.
+func foldedConv(t *testing.T, g *Graph) (conv *Node, bias *tensor.Tensor) {
 	t.Helper()
 	if g.Output.Op != OpBiasAdd || g.Output.Inputs[0].Op != OpConv2D {
 		t.Fatalf("graph did not fold: output is %v", g.Output)
 	}
-	return g.Output.Inputs[0].Inputs[1].Value, g.Output.Inputs[1].Value
+	return g.Output.Inputs[0], g.Output.Inputs[1].Value
 }
 
-// TestFoldBatchNormMatchesOracle holds the one-pass fold to the old
-// clone, scale, re-round sequence bit for bit: every dtype, one and odd
-// channel counts, tensors on both sides of the split size, and every
-// partition GOMAXPROCS can produce. The source weights must come out
-// byte-for-byte unchanged.
+// foldedConvOutputs runs the pass's folded conv (the source weight
+// under its FilterScale) and the oracle's (the materialized weight,
+// no scale) as plain cutlass kernels over one seeded NHWC input, and
+// returns both outputs in FP32, unrounded. A fold that matches the
+// oracle gives them the same bytes.
+func foldedConvOutputs(got, want *Node, seed int64) (a, b *tensor.Tensor) {
+	s := got.Conv
+	x := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNHWC, s.N, s.H, s.W, s.IC)
+	x.FillRandom(seed, 1)
+	cfg := cutlass.GemmConfig{TB: cutlass.Shape3{M: 64, N: 64, K: 32}, Warp: cutlass.Shape3{M: 32, N: 32, K: 32},
+		Inst: cutlass.Shape3{M: 16, N: 8, K: 8}, Stages: 2, AlignA: 1, AlignB: 1, AlignC: 1, DType: tensor.FP16}
+	epi := cutlass.Epilogue{Alpha: 1, OutDType: tensor.FP32}
+	folded := &cutlass.Conv2D{Shape: s, Config: cfg, Epilogue: epi, FilterScale: got.FilterScale}
+	plain := &cutlass.Conv2D{Shape: want.Conv, Config: cfg, Epilogue: epi}
+	return folded.RunInto(nil, x, got.Inputs[1].Value, nil), plain.RunInto(nil, x, want.Inputs[1].Value, nil)
+}
+
+// TestFoldBatchNormMatchesOracle holds the pack-time fold to the old
+// clone, scale, re-round sequence bit for bit: the folded conv's output
+// equals a plain conv's over the oracle's materialized weights, for
+// every dtype, one and odd channel counts, and filters on both sides of
+// the size from which the pack splits over cores, at every partition
+// GOMAXPROCS can produce. The conv must keep its source weights, byte
+// for byte unchanged.
 func TestFoldBatchNormMatchesOracle(t *testing.T) {
 	shapes := []struct{ oc, ic, k int }{
 		{1, 3, 1},
 		{1, 64, 3},
 		{7, 5, 3},
 		{33, 16, 1},
-		{113, 64, 3},  // 65088 elements: just below scaleSplitElems
-		{114, 64, 3},  // 65664: just above
-		{3, 2432, 3},  // above, fewer channels than a wide machine has cores
+		{29, 1004, 3}, // 262044 elements over two panels: just below the pack's split
+		{29, 1005, 3}, // 262305: just above
+		{3, 2432, 3},  // above, but one panel: the pack cannot split
 		{257, 128, 3}, // well above, odd
 	}
-	if lo, hi := 113*64*9, 114*64*9; lo >= scaleSplitElems || hi < scaleSplitElems {
-		t.Fatalf("shapes no longer straddle scaleSplitElems = %d", scaleSplitElems)
+	if lo, hi := 29*1004*9, 29*1005*9; lo >= 1<<18 || hi < 1<<18 {
+		t.Fatalf("shapes no longer straddle the pack's split at %d elements", 1<<18)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -165,19 +185,19 @@ func TestFoldBatchNormMatchesOracle(t *testing.T) {
 				if n, m := FoldBatchNorm(got), foldBatchNormOracle(want); n != 1 || m != 1 {
 					t.Fatalf("%v %+v: folded %d, oracle %d, want 1", dt, s, n, m)
 				}
-				gw, gb := foldedConstants(t, got)
-				ww, wb := foldedConstants(t, want)
-				if !sameBits(gw, ww) {
-					t.Errorf("procs %d %v %+v: folded weights differ from the oracle's", procs, dt, s)
+				gc, gb := foldedConv(t, got)
+				wc, wb := foldedConv(t, want)
+				if a, b := foldedConvOutputs(gc, wc, seed); !sameBits(a, b) {
+					t.Errorf("procs %d %v %+v: folded conv differs from one over the oracle's weights", procs, dt, s)
 				}
 				if !sameBits(gb, wb) {
 					t.Errorf("procs %d %v %+v: folded bias differs from the oracle's", procs, dt, s)
 				}
+				if gc.Inputs[1] != src {
+					t.Errorf("procs %d %v %+v: the conv no longer reads its source weights", procs, dt, s)
+				}
 				if !sameBits(src.Value, before) {
 					t.Errorf("procs %d %v %+v: the fold wrote to its source weights", procs, dt, s)
-				}
-				if gw == src.Value || &gw.Data()[0] == &src.Value.Data()[0] {
-					t.Errorf("procs %d %v %+v: folded weights alias the source", procs, dt, s)
 				}
 			}
 		}
@@ -186,12 +206,11 @@ func TestFoldBatchNormMatchesOracle(t *testing.T) {
 
 // TestFoldBatchNormOnSharedWeights is the serving case: Rebatch clones
 // of one graph share their weight tensors, and each clone folds on its
-// own. Every clone must fold to the same weights, and the shared
-// source must survive all of them.
+// own. Every clone must keep reading the shared source, unchanged, and
+// convolve as a plain conv over the oracle's folded weights does.
 func TestFoldBatchNormOnSharedWeights(t *testing.T) {
 	src, w := convBNGraph(tensor.FP16, 24, 16, 3, 5)
 	before := w.Value.Clone()
-	var folded []*tensor.Tensor
 	for _, batch := range []int{1, 4} {
 		v, err := Rebatch(src, batch)
 		if err != nil {
@@ -200,14 +219,21 @@ func TestFoldBatchNormOnSharedWeights(t *testing.T) {
 		if v.Output.Inputs[0].Inputs[1].Value != w.Value {
 			t.Fatal("Rebatch no longer shares weights: this test guards nothing")
 		}
-		if FoldBatchNorm(v) != 1 {
+		want, _ := convBNGraph(tensor.FP16, 24, 16, 3, 5)
+		if want, err = Rebatch(want, batch); err != nil {
+			t.Fatal(err)
+		}
+		if FoldBatchNorm(v) != 1 || foldBatchNormOracle(want) != 1 {
 			t.Fatal("clone did not fold")
 		}
-		fw, _ := foldedConstants(t, v)
-		folded = append(folded, fw)
-	}
-	if !sameBits(folded[0], folded[1]) {
-		t.Error("two clones of one graph folded to different weights")
+		gc, _ := foldedConv(t, v)
+		wc, _ := foldedConv(t, want)
+		if gc.Inputs[1].Value != w.Value {
+			t.Errorf("batch %d: the folded clone no longer shares its weights", batch)
+		}
+		if a, b := foldedConvOutputs(gc, wc, int64(batch)); !sameBits(a, b) {
+			t.Errorf("batch %d: folded clone differs from a conv over the oracle's weights", batch)
+		}
 	}
 	if !sameBits(w.Value, before) {
 		t.Error("folding a clone changed the weights it shares with its source")

@@ -155,6 +155,13 @@ func PadChannels(g *Graph) int {
 				Shape: wNew.Shape().Clone(), DType: wNew.DType(), Layout: wNew.Layout(), Value: wNew}
 			g.insertAfter(n.Inputs[1], wc)
 			n.Inputs[1] = wc
+			if n.FilterScale != nil {
+				// A fresh slice: clones of this graph share the old one.
+				// The padded channels' weights are zero at any scale.
+				sc := make([]float32, newOC)
+				copy(sc, n.FilterScale)
+				n.FilterScale = sc
+			}
 			// Bias (fused epilogue) must be padded too.
 			if len(n.Inputs) > 2 && n.Inputs[2].Op == OpConstant {
 				old := n.Inputs[2].Value

@@ -111,6 +111,8 @@ type ChainLayer struct {
 	Epilogue cutlass.Epilogue
 	Weight   *Node
 	Bias     *Node
+	// FilterScale is the layer's Node.FilterScale (conv chains).
+	FilterScale []float32
 }
 
 // Node is one operator instance in the graph.
@@ -134,6 +136,13 @@ type Node struct {
 	Eps      float64       // OpBatchNorm
 	PadTo    int           // OpPadChannels / OpSliceChannels target channels
 	ToLayout tensor.Layout // OpLayoutTransform
+
+	// FilterScale, set on an OpConv2D by FoldBatchNorm, is a factor per
+	// output channel that the kernel's filter pack multiplies into the
+	// weight operand (cutlass.Conv2D.FilterScale): the weight constant
+	// stays the source tensor. Never written in place: Rebatch and
+	// CastPrecision clones share it.
+	FilterScale []float32
 
 	// Epilogue is attached to Dense/Conv2D nodes by the epilogue-fusion
 	// pass; nil means the op runs with a default linear epilogue.

@@ -3,11 +3,8 @@ package relay
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"bolt/internal/cutlass"
-	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/persistent"
 	"bolt/internal/tensor"
@@ -36,9 +33,11 @@ func (g *Graph) replaceUses(old, new *Node) {
 //	b'    = beta - mean * scale
 //
 // The BN node is replaced by a BiasAdd so the epilogue-fusion pass can
-// absorb it into the kernel. Folded weights are fresh tensors: the
-// source constants are never written, because Rebatch clones of one
-// graph share them by reference and each clone folds on its own.
+// absorb it into the kernel. W' is never materialized: scale is
+// recorded as the conv's FilterScale and the kernel's filter pack,
+// which copies every weight anyway, multiplies it in. The source
+// constant stays the conv's weight operand and is never written, so
+// Rebatch clones of one graph keep sharing it.
 func FoldBatchNorm(g *Graph) int {
 	// A fold rewires its own conv from the BN to a BiasAdd and leaves
 	// every other conv's consumers alone, so one count serves the pass.
@@ -67,9 +66,7 @@ func FoldBatchNorm(g *Graph) int {
 			scale[i] = s
 			shift[i] = bd[i] - md[i]*s
 		}
-		wNew := scaleChannels(w.Value, scale)
-		wNode := &Node{ID: g.NewID(), Op: OpConstant, Name: w.Name + "_bnfold",
-			Shape: wNew.Shape().Clone(), DType: wNew.DType(), Layout: wNew.Layout(), Value: wNew}
+		conv.FilterScale = scale
 		bdt := n.DType
 		if bdt == tensor.INT8 {
 			bdt = tensor.FP16 // the int8 grid would destroy small BN shifts
@@ -77,67 +74,17 @@ func FoldBatchNorm(g *Graph) int {
 		bias := tensor.FromData(bdt, shift, oc)
 		bNode := &Node{ID: g.NewID(), Op: OpConstant, Name: w.Name + "_bnbias",
 			Shape: bias.Shape().Clone(), DType: bias.DType(), Layout: bias.Layout(), Value: bias}
-		conv.Inputs[1] = wNode
 		biasAdd := &Node{ID: g.NewID(), Op: OpBiasAdd, Inputs: []*Node{conv, bNode},
 			Shape: n.Shape.Clone(), DType: n.DType, Layout: n.Layout}
 
-		// Splice: constants and the new BiasAdd enter the node list in
-		// place of the BN node.
-		g.insertAfter(conv, wNode, bNode)
+		// Splice: the bias constant and the new BiasAdd enter the node
+		// list in place of the BN node.
+		g.insertAfter(conv, bNode)
 		g.replaceNode(n, biasAdd)
 		folded++
 	}
 	g.rebuild()
 	return folded
-}
-
-// scaleSplitElems is the weight size from which scaleChannels splits
-// its pass across cores; a smaller pass is over in under 0.1 ms and a
-// hand-off buys nothing.
-const scaleSplitElems = 1 << 16
-
-// scaleChannels returns a fresh tensor holding w with output channel c
-// (the outer dimension of OHWI weights) multiplied by scale[c] and
-// stored in w's dtype: each product is formed in float32 and rounded
-// once. w is only read.
-func scaleChannels(w *tensor.Tensor, scale []float32) *tensor.Tensor {
-	out := tensor.NewLike(w)
-	src, dst := w.Data(), out.Data()
-	oc := len(scale)
-	per := len(src) / oc
-	half := w.DType() == tensor.FP16
-	channels := func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			s := scale[c]
-			row := dst[c*per : (c+1)*per]
-			for j, v := range src[c*per : (c+1)*per] {
-				row[j] = v * s
-			}
-			if half {
-				fp16.Quantize(row) // while the row is in cache
-			}
-		}
-	}
-	workers := min(runtime.GOMAXPROCS(0), oc)
-	if workers < 2 || len(src) < scaleSplitElems {
-		channels(0, oc)
-	} else {
-		chunk := (oc + workers - 1) / workers
-		var wg sync.WaitGroup
-		for c0 := 0; c0 < oc; c0 += chunk {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				channels(c0, min(c0+chunk, oc))
-			}()
-		}
-		wg.Wait()
-	}
-	// Per-channel scaling moved an INT8 tensor's range: re-pick the
-	// per-tensor quantization scale instead of snapping to the
-	// pre-fold grid.
-	out.CalibrateScale()
-	return out
 }
 
 // insertAfter places extra nodes immediately after anchor in the
@@ -370,7 +317,7 @@ func tryFuseConvChain(g *Graph, chain []*Node, d *gpu.Device) bool {
 			}
 			cfg.AlignA, cfg.AlignB = a, a
 		}
-		layers[i] = persistent.ConvLayer{Shape: n.Conv, Config: cfg, Epilogue: epilogueOf(n)}
+		layers[i] = persistent.ConvLayer{Shape: n.Conv, Config: cfg, Epilogue: epilogueOf(n), FilterScale: n.FilterScale}
 	}
 	f, err := persistent.ChooseConvResidence(layers, d)
 	if err != nil {
@@ -384,7 +331,7 @@ func tryFuseConvChain(g *Graph, chain []*Node, d *gpu.Device) bool {
 		Shape: last.Shape.Clone(), DType: chain[0].DType, Layout: last.Layout}
 	node.Inputs = []*Node{chain[0].Inputs[0]}
 	for i, n := range chain {
-		cl := ChainLayer{Conv: n.Conv, Epilogue: layers[i].Epilogue, Weight: n.Inputs[1]}
+		cl := ChainLayer{Conv: n.Conv, Epilogue: layers[i].Epilogue, Weight: n.Inputs[1], FilterScale: n.FilterScale}
 		node.Inputs = append(node.Inputs, n.Inputs[1])
 		if len(n.Inputs) > 2 {
 			cl.Bias = n.Inputs[2]

@@ -6,10 +6,12 @@ import "fmt"
 // input and intermediate value has dim 0 rewritten from the source
 // batch to the requested one, and convolution geometry follows. The
 // source graph is not modified, and constants (weights, folded
-// parameters) are shared by reference — a serving engine holding many
-// batch variants of one model keeps a single set of parameter tensors.
-// Each compiled variant's kernels still pack their own panel-major copy
-// of the weights on first launch (see cutlass.Gemm).
+// parameters) and a conv's FilterScale are shared by reference — a
+// serving engine holding many batch variants of one model keeps a
+// single set of parameter tensors, and folding a variant's BatchNorms
+// writes no weight tensor (see FoldBatchNorm). Each compiled variant's
+// kernels still pack their own panel-major copy of the weights on
+// first launch, the fold applied while packing (see cutlass.Conv2D).
 //
 // The clone is a fresh graph, so the usual compilation pipeline
 // (relay.Optimize, codegen.Compile) can mutate it freely. This is how

@@ -132,18 +132,23 @@ func TestFuseEpilogueActOnly(t *testing.T) {
 	}
 }
 
+// TestFoldBatchNorm folds a two-channel conv + BN by hand: the conv
+// keeps its weights and carries scale = gamma/sqrt(var) as its
+// FilterScale, the BN becomes a BiasAdd of beta - mean*scale, and the
+// conv convolves as a plain one over the oracle's folded weights.
 func TestFoldBatchNorm(t *testing.T) {
-	b := NewBuilder()
-	x := b.Input("x", tensor.FP16, 1, 2, 4, 4)
-	w := b.Weight("w", 2, 1, 1, 2)
-	c := b.Conv2D(x, w, 1, 0)
-	gamma := b.Constant("gamma", tensor.FromData(tensor.FP32, []float32{2, 0.5}, 2))
-	beta := b.Constant("beta", tensor.FromData(tensor.FP32, []float32{1, -1}, 2))
-	mean := b.Constant("mean", tensor.FromData(tensor.FP32, []float32{0.5, 0.25}, 2))
-	variance := b.Constant("var", tensor.FromData(tensor.FP32, []float32{4, 1}, 2))
-	bn := b.BatchNorm(c, gamma, beta, mean, variance, 0)
-	g := b.Build(bn)
-
+	build := func() (*Graph, *Node) {
+		b := NewBuilder()
+		x := b.Input("x", tensor.FP16, 1, 2, 4, 4)
+		w := b.Weight("w", 2, 1, 1, 2)
+		c := b.Conv2D(x, w, 1, 0)
+		gamma := b.Constant("gamma", tensor.FromData(tensor.FP32, []float32{2, 0.5}, 2))
+		beta := b.Constant("beta", tensor.FromData(tensor.FP32, []float32{1, -1}, 2))
+		mean := b.Constant("mean", tensor.FromData(tensor.FP32, []float32{0.5, 0.25}, 2))
+		variance := b.Constant("var", tensor.FromData(tensor.FP32, []float32{4, 1}, 2))
+		return b.Build(b.BatchNorm(c, gamma, beta, mean, variance, 0)), w
+	}
+	g, w := build()
 	origW := w.Value.Clone()
 	if n := FoldBatchNorm(g); n != 1 {
 		t.Fatalf("folded %d BNs, want 1", n)
@@ -155,21 +160,22 @@ func TestFoldBatchNorm(t *testing.T) {
 		t.Fatalf("output is %v, want bias_add", g.Output.Op)
 	}
 	conv := g.Output.Inputs[0]
-	wNew := conv.Inputs[1].Value
-	// scale = gamma/sqrt(var) = [1, 0.5]; channel 0 weights unchanged,
-	// channel 1 halved.
-	per := wNew.NumElements() / 2
-	for j := 0; j < per; j++ {
-		want0 := origW.Data()[j] * 1
-		want1 := origW.Data()[per+j] * 0.5
-		if !close16(wNew.Data()[j], want0) || !close16(wNew.Data()[per+j], want1) {
-			t.Fatalf("weights not folded correctly")
-		}
+	if conv.Inputs[1] != w || !sameBits(w.Value, origW) {
+		t.Error("the conv must keep its source weights, unchanged")
+	}
+	// scale = gamma/sqrt(var) = [1, 0.5]
+	if sc := conv.FilterScale; len(sc) != 2 || sc[0] != 1 || sc[1] != 0.5 {
+		t.Errorf("filter scale = %v, want [1 0.5]", sc)
 	}
 	// shift = beta - mean*scale = [1-0.5, -1-0.125] = [0.5, -1.125]
 	bias := g.Output.Inputs[1].Value
 	if !close16(bias.Data()[0], 0.5) || !close16(bias.Data()[1], -1.125) {
 		t.Errorf("bias = %v, want [0.5, -1.125]", bias.Data())
+	}
+	want, _ := build()
+	foldBatchNormOracle(want)
+	if a, b := foldedConvOutputs(conv, want.Output.Inputs[0], 1); !sameBits(a, b) {
+		t.Error("folded conv differs from a conv over the oracle's weights")
 	}
 }
 

@@ -1,12 +1,21 @@
 package relay_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"bolt/internal/ansor"
+	"bolt/internal/codegen"
+	"bolt/internal/cutlass"
 	"bolt/internal/gpu"
 	"bolt/internal/models"
+	"bolt/internal/profiler"
 	"bolt/internal/relay"
+	"bolt/internal/rt"
+	"bolt/internal/tensor"
 )
 
 // zooGraphs builds the model zoo at a small input, where the graphs
@@ -52,8 +61,11 @@ func TestConsumersOnZoo(t *testing.T) {
 }
 
 // TestFoldBatchNormOnZoo folds every zoo graph with the pass and with
-// its old implementation: same number of folds, same node list, same
-// constants bit for bit.
+// its old implementation: same number of folds, same node list but for
+// the weights the old pass materialized, the other constants bit for
+// bit, and every folded conv, run over its source weights and
+// FilterScale, gives the bytes of a plain conv over the old pass's
+// weights.
 func TestFoldBatchNormOnZoo(t *testing.T) {
 	for name, build := range zooGraphs() {
 		got, want := build(), build()
@@ -67,24 +79,123 @@ func TestFoldBatchNormOnZoo(t *testing.T) {
 		if len(got.Nodes) != len(want.Nodes) {
 			t.Fatalf("%s: %d nodes after the fold, want %d", name, len(got.Nodes), len(want.Nodes))
 		}
+		convs := 0
 		for i, a := range got.Nodes {
 			b := want.Nodes[i]
-			if a.ID != b.ID || a.Op != b.Op || a.Name != b.Name || len(a.Inputs) != len(b.Inputs) {
+			if a.Op != b.Op || len(a.Inputs) != len(b.Inputs) {
 				t.Fatalf("%s: node %d is %v %q, want %v %q", name, i, a, a.Name, b, b.Name)
 			}
-			if a.Op != relay.OpConstant {
-				continue
+			switch {
+			case a.Op == relay.OpConstant && strings.HasSuffix(b.Name, "_bnfold"):
+				if a.Name+"_bnfold" != b.Name {
+					t.Fatalf("%s: node %d is %q, want the source of %q", name, i, a.Name, b.Name)
+				}
+			case a.Op == relay.OpConstant:
+				if a.Name != b.Name || !relay.SameBits(a.Value, b.Value) {
+					t.Fatalf("%s: constant %q differs from the old pass's %q", name, a.Name, b.Name)
+				}
+			case a.Op == relay.OpConv2D:
+				if (a.FilterScale != nil) != strings.HasSuffix(b.Inputs[1].Name, "_bnfold") {
+					t.Fatalf("%s: conv %d folded by one pass only", name, i)
+				}
+				if ga, wa := relay.FoldedConvOutputs(a, b, int64(i)); !relay.SameBits(ga, wa) {
+					t.Fatalf("%s: conv %d differs from a conv over the old pass's weights", name, i)
+				}
+				convs++
 			}
-			if !relay.SameBits(a.Value, b.Value) {
-				t.Fatalf("%s: constant %q differs from the old pass's", name, a.Name)
+		}
+		if convs == 0 {
+			t.Fatalf("%s: no conv compared", name)
+		}
+	}
+}
+
+// foldNet is conv+BN+ReLU layers whose BN statistics spread the
+// folded scales over 2^-6..2^2 (the zoo's unit statistics fold to a
+// scale that rounds away on FP16 weights): a 3x3 conv and a 1x1
+// follower, which fuse into a persistent chain, then a 3x3 conv with
+// 12 output channels, which PadChannels pads to 16.
+func foldNet() *relay.Graph {
+	rng := rand.New(rand.NewSource(9))
+	b := relay.NewBuilder()
+	x := b.Input("data", tensor.FP16, 2, 8, 16, 16)
+	vec := func(name string, oc int, f func() float32) *relay.Node {
+		d := make([]float32, oc)
+		for i := range d {
+			d[i] = f()
+		}
+		return b.Constant(name, tensor.FromData(tensor.FP32, d, oc))
+	}
+	for i, l := range []struct{ ic, oc, k int }{{8, 16, 3}, {16, 16, 1}, {16, 12, 3}} {
+		name := fmt.Sprintf("c%d", i)
+		x = b.Conv2D(x, b.Weight(name+"_w", l.oc, l.k, l.k, l.ic), 1, l.k/2)
+		x = b.BatchNorm(x,
+			vec(name+"_gamma", l.oc, func() float32 { return float32(math.Ldexp(1+rng.Float64(), rng.Intn(8)-6)) }),
+			vec(name+"_beta", l.oc, func() float32 { return float32(rng.NormFloat64()) }),
+			vec(name+"_mean", l.oc, func() float32 { return float32(rng.NormFloat64() / 4) }),
+			vec(name+"_var", l.oc, func() float32 { return float32(0.25 + rng.Float64()) }), 1e-5)
+		x = b.Activation(x, cutlass.ActReLU)
+	}
+	return b.Build(x)
+}
+
+// TestFoldedModulesMatchOracle compiles foldNet, whose folded convs
+// take every lowering (a templated conv, one padded along OC, a
+// persistent chain, and the baseline's conv), and runs it against the
+// same network folded by the old pass, which materialized the weights:
+// the outputs have the same bytes.
+func TestFoldedModulesMatchOracle(t *testing.T) {
+	dev := gpu.T4()
+	in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 2, 8, 16, 16)
+	in.FillRandom(4, 1)
+	bolt := func(fold func(*relay.Graph) int) *rt.Module {
+		g := foldNet()
+		fold(g)
+		m, err := codegen.Build(g, dev, codegen.Options{Profiler: profiler.New(dev, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	baseline := func(fold func(*relay.Graph) int) *rt.Module {
+		g := foldNet()
+		fold(g)
+		relay.FuseEpilogue(g)
+		m, err := codegen.Compile(g, dev, codegen.Options{Tuner: codegen.TunerAnsor,
+			AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, compile := range map[string]func(func(*relay.Graph) int) *rt.Module{"bolt": bolt, "baseline": baseline} {
+		got, want := compile(relay.FoldBatchNorm), compile(relay.FoldBatchNormOracle)
+		if name == "bolt" {
+			chains, padded := 0, 0
+			for _, n := range got.Graph.Nodes {
+				if n.Op == relay.OpPersistentConv {
+					chains++
+				}
+				if n.Op == relay.OpSliceChannels {
+					padded++
+				}
 			}
+			if chains != 1 || padded != 1 {
+				t.Fatalf("bolt: %d persistent chains and %d OC pads, want 1 and 1: the case guards nothing", chains, padded)
+			}
+		}
+		a := got.Run(map[string]*tensor.Tensor{"data": in})
+		b := want.Run(map[string]*tensor.Tensor{"data": in})
+		if !relay.SameBits(a, b) {
+			t.Errorf("%s: folded module differs from the old pass's (max diff %g)", name, tensor.MaxAbsDiff(a, b))
 		}
 	}
 }
 
 // BenchmarkFoldBatchNorm folds ResNet-50 at ImageNet resolution; the
 // pass consumes its graph, so each iteration rebuilds one outside the
-// timer. MB/s is folded weight bytes (float32 in memory) per second.
+// timer. MB/s is the weight bytes (float32 in memory) of the folded
+// convs per second.
 func BenchmarkFoldBatchNorm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -98,8 +209,8 @@ func BenchmarkFoldBatchNorm(b *testing.B) {
 			b.StopTimer()
 			var folded int64
 			for _, n := range g.Nodes {
-				if n.Op == relay.OpConstant && strings.HasSuffix(n.Name, "_bnfold") {
-					folded += int64(4 * n.Value.NumElements())
+				if n.Op == relay.OpConv2D && n.FilterScale != nil {
+					folded += int64(4 * n.Inputs[1].Value.NumElements())
 				}
 			}
 			b.SetBytes(folded)

@@ -1170,7 +1170,9 @@ func (s *Server) nextJob(now time.Time) (*batchJob, time.Time) {
 }
 
 // take removes rows — a prefix of the tenant's drain order — from its
-// queues and returns them as a batch of their own.
+// queues and returns them as a batch of their own. The slots a queue
+// no longer uses are cleared, so a taken request (its inputs and its
+// sink) is not kept reachable by the queue's backing array.
 func take(t *tenant, rows []*request) []*request {
 	for _, r := range rows {
 		r.taken = true
@@ -1182,6 +1184,7 @@ func take(t *tenant, rows []*request) []*request {
 				kept = append(kept, r)
 			}
 		}
+		clear(q[len(kept):])
 		t.queues[pri] = kept
 	}
 	return slices.Clone(rows)

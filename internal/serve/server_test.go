@@ -339,6 +339,30 @@ func TestTakeBatchExpiredFirst(t *testing.T) {
 	}
 }
 
+// TestTakeClearsTakenSlots: after take removes 3 of a queue's 4
+// requests, no slot of the queue's backing array past its new length
+// still points at a request, so taken requests are not kept alive.
+func TestTakeClearsTakenSlots(t *testing.T) {
+	now := time.Now()
+	tn := &tenant{}
+	for range 4 {
+		tn.queues[PriorityNormal] = append(tn.queues[PriorityNormal], &request{priority: PriorityNormal, deadline: now.Add(time.Hour)})
+	}
+	last := tn.queues[PriorityNormal][3]
+	if got := take(tn, drainOrder(nil, tn, 3, now)); len(got) != 3 {
+		t.Fatalf("took %d requests, want 3", len(got))
+	}
+	q := tn.queues[PriorityNormal]
+	if len(q) != 1 || q[0] != last {
+		t.Fatalf("queue holds %v, want the fourth request alone", q)
+	}
+	for i, r := range q[len(q):cap(q)] {
+		if r != nil {
+			t.Errorf("slot %d past the queue's length still holds a taken request", len(q)+i)
+		}
+	}
+}
+
 // TestServerQueueDepthBackpressure pins the QueueDepth contract: at
 // most QueueDepth accepted requests await dispatch, the next producer
 // blocks, and Close answers the parked requests while the blocked

@@ -267,20 +267,50 @@ func (t *Tensor) CalibrateScale() {
 	}
 	var maxAbs float32
 	for _, v := range t.data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+		maxAbs = AbsMax(maxAbs, v)
 	}
-	if maxAbs == 0 {
-		t.scale = 0
-	} else {
-		t.scale = maxAbs / 127
+	t.scale = 0 // all zero: the unset scale, a step of 1
+	if maxAbs != 0 {
+		t.scale = INT8Step(maxAbs)
 	}
 	t.Quantize()
+}
+
+// AbsMax returns the larger of m and |v|, the step of CalibrateScale's
+// max-abs scan: a NaN v leaves m.
+func AbsMax(m, v float32) float32 {
+	if v < 0 {
+		v = -v
+	}
+	if v > m {
+		return v
+	}
+	return m
+}
+
+// INT8Step returns the step of the INT8 grid CalibrateScale picks for
+// a tensor whose largest magnitude is maxAbs: maxAbs/127, or 1 for an
+// all-zero tensor.
+func INT8Step(maxAbs float32) float32 {
+	if maxAbs == 0 {
+		return 1
+	}
+	return maxAbs / 127
+}
+
+// QuantizeINT8 rounds every element of d onto the symmetric INT8 grid
+// of step s > 0, clamped to [-128, 127] steps.
+func QuantizeINT8(d []float32, s float32) {
+	s64 := float64(s)
+	for i, v := range d {
+		q := math.Round(float64(v) / s64)
+		if q > 127 {
+			q = 127
+		} else if q < -128 {
+			q = -128
+		}
+		d[i] = float32(q * s64)
+	}
 }
 
 // Quantize re-rounds all elements through the tensor's dtype. It is a
@@ -290,16 +320,7 @@ func (t *Tensor) Quantize() {
 	case FP16:
 		fp16.Quantize(t.data)
 	case INT8:
-		s := float64(t.Scale())
-		for i, v := range t.data {
-			q := math.Round(float64(v) / s)
-			if q > 127 {
-				q = 127
-			} else if q < -128 {
-				q = -128
-			}
-			t.data[i] = float32(q * s)
-		}
+		QuantizeINT8(t.data, t.Scale())
 	}
 }
 
