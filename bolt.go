@@ -103,8 +103,6 @@ type Options struct {
 	// EmitSource attaches generated CUDA-like CUTLASS instantiations to
 	// each Bolt kernel (inspect with Module.Sources).
 	EmitSource bool
-	// Seed controls baseline search randomness.
-	Seed int64
 	// CacheFile names a persistent tuning-log database (JSON). If the
 	// file exists it is loaded before compilation — workloads found in
 	// it skip profiling entirely — and the (possibly grown) database is
@@ -208,13 +206,9 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 		if trials == 0 {
 			trials = 900
 		}
-		seed := opts.Seed
-		if seed == 0 {
-			seed = 1
-		}
+		// One fixed search seed: a baseline compile is reproducible.
 		m, err := codegen.Compile(g, dev, codegen.Options{
-			Tuner:       codegen.TunerAnsor,
-			AnsorTuner:  ansor.NewTuner(dev, &clock, seed),
+			AnsorTuner:  ansor.NewTuner(dev, &clock, 1),
 			AnsorTrials: trials,
 		})
 		if err != nil {

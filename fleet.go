@@ -8,16 +8,19 @@ import (
 	"bolt/internal/serve"
 )
 
-// Fleet-layer re-exports. The router, autoscaler, and failure
-// injector live in internal/fleet; NewFleet wires them to this
+// Fleet-layer re-exports. The router, autoscaler, and scripted
+// failure injector live in internal/fleet; NewFleet wires them to this
 // package's compilation pipeline and one shared tuning-log cache —
 // which is what lets a replica added at runtime compile its tenants'
 // variants measurement-free from its peers' entries.
 type (
 	// HedgeOptions configures duplicate requests on at-risk deadlines.
 	HedgeOptions = fleet.HedgeOptions
-	// FailurePlan seeds random fault injection across the fleet.
-	FailurePlan = fleet.FailurePlan
+	// AutoscaleOptions drives backlog-based fleet sizing: thresholds on
+	// the mean modeled backlog per live replica, how many consecutive
+	// Fleet.PollAutoscale calls must agree, and the replica-count
+	// floor and cap.
+	AutoscaleOptions = fleet.AutoscaleOptions
 	// BatchFault is one injected fault decision (kill or stall) for one
 	// dispatched batch.
 	BatchFault = serve.BatchFault
@@ -38,8 +41,8 @@ var (
 	ErrFleetClosed = fleet.ErrClosed
 	// ErrNoReplica is returned when no live replica can take a request.
 	ErrNoReplica = fleet.ErrNoReplica
-	// ErrInjectedKill is the default error injected kills answer
-	// batches with.
+	// ErrInjectedKill is the conventional error of a scripted kill
+	// (BatchFault.Err passed to Fleet.InjectFault).
 	ErrInjectedKill = fleet.ErrInjectedKill
 )
 
@@ -51,36 +54,9 @@ type FleetReplica struct {
 	Devices []*Device
 }
 
-// AutoscaleOptions drives backlog-based fleet sizing. The signal is
-// the mean modeled EFT backlog per live replica — the same seconds
-// the router balances on — sampled once per poll; a decision needs
-// SustainPolls consecutive polls past the threshold, so a single
-// burst (or a single idle gap) does not thrash the fleet.
-type AutoscaleOptions struct {
-	// GrowBacklogSeconds grows the fleet when the mean per-replica
-	// backlog stays above it. Zero disables growing.
-	GrowBacklogSeconds float64
-	// ShrinkBacklogSeconds shrinks the fleet when the mean per-replica
-	// backlog stays below it. Zero disables shrinking.
-	ShrinkBacklogSeconds float64
-	// SustainPolls is how many consecutive polls must agree before a
-	// decision fires. Values < 1 mean 1.
-	SustainPolls int
-	// MinReplicas floors the fleet size for shrinking (values < 1 mean
-	// 1); MaxReplicas caps growing (0 means no cap).
-	MinReplicas int
-	MaxReplicas int
-	// Grow is the pool for replicas the autoscaler (or Fleet.Grow)
-	// spawns. The zero value clones the first configured replica.
-	Grow FleetReplica
-	// Interval, when > 0, polls in the background on a ticker. Zero
-	// means manual polling via PollAutoscale.
-	Interval time.Duration
-}
-
 // FleetOptions configures a Fleet: the initial replica pools, the
 // per-replica serving knobs, the shared compilation cache, and the
-// robustness machinery (hedging, autoscaling, fault injection). It is
+// robustness machinery (hedging and autoscaling). It is
 // bolt's own struct, not an alias of fleet.Options, because CacheFile,
 // Jobs and the FleetReplica Workers shorthand are consumed here and
 // nowhere below, and callers write these literals field by field.
@@ -106,12 +82,11 @@ type FleetOptions struct {
 	// result wins and the loser is drained and counted.
 	Hedge HedgeOptions
 	// Autoscale grows the fleet on sustained modeled backlog and
-	// shrinks it when idle; replicas it spawns redeploy every tenant
-	// through the regular Deploy lifecycle and warm before routing.
+	// shrinks it when idle, each time the caller runs
+	// Fleet.PollAutoscale; replicas it spawns take the first replica's
+	// pool, redeploy every tenant through the regular Deploy lifecycle
+	// and warm before routing.
 	Autoscale AutoscaleOptions
-	// Failures seeds the random failure injector; scripted
-	// deterministic faults go through Fleet.InjectFault regardless.
-	Failures *FailurePlan
 	// Trace, when set, records every replica's request-lifecycle spans
 	// plus the router's route/hedge/retry spans into the tracer.
 	// Tracing never touches the simulated clocks.
@@ -151,14 +126,6 @@ func NewFleet(dev *Device, opts FleetOptions) (*Fleet, error) {
 		}
 		replicas[i] = devices
 	}
-	a := opts.Autoscale
-	var grow []*Device // nil: the fleet clones the first replica
-	if a.Grow.Workers > 0 || len(a.Grow.Devices) > 0 {
-		var err error
-		if grow, err = workerDevices("FleetOptions.Autoscale.Grow", dev, a.Grow.Workers, a.Grow.Devices, byName); err != nil {
-			return nil, err
-		}
-	}
 	cp, err := newCachePersister(opts.CacheFile)
 	if err != nil {
 		return nil, err
@@ -170,18 +137,9 @@ func NewFleet(dev *Device, opts FleetOptions) (*Fleet, error) {
 			BatchWindow: opts.BatchWindow,
 			CompileJobs: opts.Jobs,
 			Hedge:       opts.Hedge,
-			Autoscale: fleet.AutoscaleOptions{
-				GrowBacklogSeconds:   a.GrowBacklogSeconds,
-				ShrinkBacklogSeconds: a.ShrinkBacklogSeconds,
-				SustainPolls:         a.SustainPolls,
-				MinReplicas:          a.MinReplicas,
-				MaxReplicas:          a.MaxReplicas,
-				Grow:                 grow,
-				Interval:             a.Interval,
-			},
-			Failures:   opts.Failures,
-			Trace:      opts.Trace,
-			TraceLabel: opts.TraceLabel,
+			Autoscale:   opts.Autoscale,
+			Trace:       opts.Trace,
+			TraceLabel:  opts.TraceLabel,
 		}),
 		pipe: newTenantPipeline(replicas[0][0], cp, opts.Jobs),
 	}, nil
@@ -235,22 +193,22 @@ func (f *Fleet) InferAsync(model string, inputs map[string]*Tensor, opts InferOp
 // Replicas returns the number of live replicas.
 func (f *Fleet) Replicas() int { return f.flt.Replicas() }
 
-// Grow spawns one replica (AutoscaleOptions.Grow's pool, defaulting
-// to the first configured replica), deploys and warms every tenant on
-// it from the shared tuning log, and adds it to the routing set.
+// Grow spawns one replica with the first configured replica's pool,
+// deploys and warms every tenant on it from the shared tuning log, and
+// adds it to the routing set. PollAutoscale grows through it.
 func (f *Fleet) Grow() (int, error) { return f.flt.Grow() }
 
 // Shrink retires the newest live replica after draining it.
 func (f *Fleet) Shrink() (int, error) { return f.flt.Shrink() }
 
-// PollAutoscale samples the backlog once and applies the sizing
-// policy (for deterministic, caller-paced autoscaling; set
-// AutoscaleOptions.Interval for background polling).
+// PollAutoscale samples the mean per-replica backlog once and applies
+// the AutoscaleOptions sizing policy, growing or shrinking by at most
+// one replica. The caller paces the polls.
 func (f *Fleet) PollAutoscale() (grew, shrank bool) { return f.flt.PollAutoscale() }
 
 // InjectFault scripts a fault (kill or stall) for the next count
-// batches dispatched to one worker of one replica — the seedable,
-// deterministic face of the failure injector.
+// batches dispatched to one worker of one replica — the fleet's one
+// failure injector, deterministic by construction.
 func (f *Fleet) InjectFault(replica, worker, count int, fault BatchFault) {
 	f.flt.InjectFault(replica, worker, count, fault)
 }

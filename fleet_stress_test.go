@@ -1,10 +1,11 @@
 package bolt_test
 
-// Fleet-layer validation at the public API (PR 9): the single-replica
+// Fleet-layer validation at the public API: the single-replica
 // equivalence check against a bare Server, the Undeploy/Close drain
-// with hedged duplicates still in flight, and the FleetStats
-// aggregation exactness including a replica grown mid-run. Run with
-// -race (these are in the CI serving-stress list).
+// with hedged duplicates still in flight, the FleetStats aggregation
+// exactness including a replica grown mid-run, and the autoscaler's
+// grow and shrink through PollAutoscale. Run with -race (these are in
+// the CI serving-stress list).
 
 import (
 	"slices"
@@ -259,5 +260,98 @@ func TestFleetStatsAggregationExact(t *testing.T) {
 	union = slices.Compact(union)
 	if len(union) == 0 || !slices.Equal(st.Serve.Variants, union) {
 		t.Errorf("aggregate variants %v, want the non-empty union %v of the replicas' variants", st.Serve.Variants, union)
+	}
+}
+
+// TestFleetAutoscaleGrowsAndShrinks drives the autoscaler through the
+// public API with the README's policy, capped at two replicas: rows
+// held by a long batch window are sustained backlog, so the third poll
+// grows the fleet to two; once the rows are answered the fleet is
+// drained, and three more polls shrink it back to one. Every replica
+// row, the grown and retired one included, sums to the aggregate.
+func TestFleetAutoscaleGrowsAndShrinks(t *testing.T) {
+	flt, err := bolt.NewFleet(bolt.T4(), bolt.FleetOptions{
+		Replicas:    []bolt.FleetReplica{{Workers: 1}},
+		BatchWindow: time.Hour, // queued rows stay queued until MaxWait
+		Autoscale: bolt.AutoscaleOptions{GrowBacklogSeconds: 5e-5, ShrinkBacklogSeconds: 1e-6,
+			SustainPolls: 3, MinReplicas: 1, MaxReplicas: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flt.Close()
+	if err := flt.Deploy("m", buildTiny1(), bolt.DeployOptions{Buckets: []int{1, 2, 4, 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := flt.Warm("m"); err != nil {
+		t.Fatal(err)
+	}
+	// Seven rows, one short of the largest bucket, so none dispatches
+	// before MaxWait: their modeled backlog (~64 us) is over the grow
+	// threshold.
+	const n = 7
+	chans := make([]<-chan bolt.FleetResult, n)
+	for i := range chans {
+		in := bolt.NewTensor(bolt.FP16, 1, 8, 16, 16)
+		in.FillRandom(int64(i+1), 1)
+		ch, err := flt.InferAsync("m", map[string]*bolt.Tensor{"image": in}, bolt.InferOptions{MaxWait: 500 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	if b := flt.Stats().Serve.BacklogSeconds; b <= 5e-5 {
+		t.Fatalf("queued backlog %g s is not over the grow threshold", b)
+	}
+	// poll runs PollAutoscale SustainPolls times: only the last one may
+	// act, and it must grow (or shrink).
+	poll := func(grow bool) {
+		t.Helper()
+		for i := 1; i <= 3; i++ {
+			grew, shrank := flt.PollAutoscale()
+			if grew != (grow && i == 3) || shrank != (!grow && i == 3) {
+				t.Fatalf("poll %d: grew=%v shrank=%v, want only poll 3 to act (grow=%v)", i, grew, shrank, grow)
+			}
+		}
+	}
+	poll(true)
+	if got := flt.Replicas(); got != 2 {
+		t.Fatalf("%d live replicas after the grow, want 2", got)
+	}
+	for i, ch := range chans { // drain: MaxWait dispatches the queued rows
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
+		}
+	}
+	poll(false)
+	if got := flt.Replicas(); got != 1 {
+		t.Fatalf("%d live replicas after the shrink, want 1", got)
+	}
+
+	st := flt.Stats()
+	if st.GrowEvents != 1 || st.ShrinkEvents != 1 {
+		t.Errorf("grow/shrink events %d/%d, want 1/1", st.GrowEvents, st.ShrinkEvents)
+	}
+	if len(st.Replicas) != 2 || !st.Replicas[0].Live || st.Replicas[0].Grown ||
+		st.Replicas[1].Live || !st.Replicas[1].Grown {
+		t.Fatalf("replica rows %+v, want the configured one live and the grown one retired", st.Replicas)
+	}
+	if len(st.Replicas[1].Serve.Variants) == 0 {
+		t.Error("the grown replica holds no warm variant")
+	}
+	var requests, batches, grows, shrinks int64
+	for _, r := range st.Replicas {
+		requests += r.Serve.Requests
+		batches += r.Serve.Batches
+		grows += r.GrowEvents
+		shrinks += r.ShrinkEvents
+	}
+	if requests != st.Serve.Requests || batches != st.Serve.Batches ||
+		grows != st.GrowEvents || shrinks != st.ShrinkEvents {
+		t.Errorf("replica rows sum to requests %d, batches %d, grows %d, shrinks %d; aggregate %d, %d, %d, %d",
+			requests, batches, grows, shrinks, st.Serve.Requests, st.Serve.Batches, st.GrowEvents, st.ShrinkEvents)
+	}
+	if st.Serve.Requests != n || st.Routed != n || st.Delivered != n {
+		t.Errorf("served/routed/delivered %d/%d/%d, want %d each", st.Serve.Requests, st.Routed, st.Delivered, n)
 	}
 }

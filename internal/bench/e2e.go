@@ -47,7 +47,7 @@ func (s *Suite) compileAnsor(g *relay.Graph) (*rt.Module, *gpu.Clock, int) {
 	relay.FuseEpilogue(g)
 	tuner, clock := s.newAnsor()
 	m, err := codegen.Compile(g, s.Dev, codegen.Options{
-		Tuner: codegen.TunerAnsor, AnsorTuner: tuner, AnsorTrials: s.E2ETrialsPerTask,
+		AnsorTuner: tuner, AnsorTrials: s.E2ETrialsPerTask,
 	})
 	if err != nil {
 		panic(err)

@@ -101,3 +101,80 @@ func TestFloodIndependentOfCompileTiming(t *testing.T) {
 		t.Errorf("flood left the padded path unexercised: %+v", fast)
 	}
 }
+
+// TestPlannerFloodGolden pins the dispatch planner's two boundary rules
+// end to end, through flood and a real server, on a launch-bound ladder
+// (a 16x16 Dense: bucket 8 costs under 1 % more than bucket 1 on the
+// T4) over two T4 workers. One stream is replayed under continuous
+// formation alone and under continuous formation with padding:
+//
+//   - Without padding, the exact-bucket chain's cost plateaus at every
+//     bucket boundary: a third row turns the chain 2 into 2+1, which
+//     adds exactly the bucket-1 launch the absorbed row saves. Formation
+//     absorbs that zero-gain row and reaches full buckets; stopping at
+//     zero gain would cut every backlog into batches of two.
+//   - The stream opens with five rows at t=0 and three at t=c1 (c1 the
+//     bucket-1 cost). Bucket 4 takes four of the five on one worker and
+//     the fifth runs alone on the other, so when the three rows plan,
+//     padding them onto bucket 4 finishes at c1+c4, exactly when their
+//     strict chain (bucket 2 after the lone row, bucket 1 after the
+//     four) does. A tie keeps the strict plan.
+//
+// A Poisson tail at a quarter of the pool's bucket-8 capacity follows,
+// so both policies also form, and pad, partial batches under load.
+func TestPlannerFloodGolden(t *testing.T) {
+	b := relay.NewBuilder()
+	x := b.Input("x", tensor.FP16, 1, 16)
+	g := b.Build(b.Dense(x, b.Weight("w", 16, 16)))
+	s := quick()
+	compile := s.tenantCompiler(g, tunelog.New())
+	cost := map[int]float64{}
+	for _, batch := range []int{1, 8} {
+		m, err := compile(s.Dev, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost[batch] = m.Time()
+	}
+	arrivals := []float64{0, 0, 0, 0, 0, cost[1], cost[1], cost[1]}
+	for _, a := range PoissonArrivals(56, cost[8]/4, 1) {
+		arrivals = append(arrivals, 4*cost[8]+a)
+	}
+	reqs := stream("dense", seededInputs(len(arrivals), "x", 1, 16), arrivals, serve.PriorityNormal)
+
+	type policyOutcome struct {
+		Policy        string
+		BatchSizes    map[int]int64
+		PaddedBatches int64
+		PaddedRows    int64
+		SimMakespan   float64
+		P50, P99      float64
+	}
+	var got []policyOutcome
+	for _, pad := range []bool{false, true} {
+		st := flood(serve.ServerOptions{Devices: s.devices(2), CompileJobs: 2},
+			[]floodTenant{{"dense", compile, serve.DeployOptions{
+				Buckets:            []int{1, 2, 4, 8},
+				AllowPadding:       pad,
+				ContinuousBatching: true,
+			}}}, reqs).Stats()
+		name := "continuous"
+		if pad {
+			name = "continuous+padded"
+		}
+		var rows int64
+		for b, n := range st.BatchSizes {
+			rows += int64(b) * n
+		}
+		if st.Requests != int64(len(reqs)) || rows != st.Requests+st.PaddedRows {
+			t.Errorf("%s: served %d of %d requests in batches holding %d rows (%d padded)",
+				name, st.Requests, len(reqs), rows, st.PaddedRows)
+		}
+		got = append(got, policyOutcome{name, st.BatchSizes, st.PaddedBatches, st.PaddedRows,
+			st.SimMakespan, st.LatencyPercentile(50), st.LatencyPercentile(99)})
+	}
+	if got[0].BatchSizes[8] == 0 || got[1].PaddedBatches == 0 {
+		t.Errorf("the stream left a rule unexercised: continuous ran no full bucket, or padding never padded: %+v", got)
+	}
+	checkGolden(t, "planner", got)
+}

@@ -4,15 +4,16 @@
 //
 // Two backends are provided:
 //
-//   - TunerBolt: the paper's system. Anchor ops are profiled by the
-//     light-weight profiler and instantiated as CUTLASS-style templated
-//     kernels (white-box: the module carries the emitted source);
-//     persistent chains lower to b2b kernels; folded layout/pad glue
-//     costs no launches.
-//   - TunerAnsor: the baseline. Anchors are tuned by the opaque
-//     evolutionary searcher over SIMT schedules; graph-level state is
-//     whatever TVM's standard operator fusion gives (epilogues fused
-//     into the generated kernel, no persistent fusion, no padding).
+//   - Bolt (Options.Profiler): the paper's system. Anchor ops are
+//     profiled by the light-weight profiler and instantiated as
+//     CUTLASS-style templated kernels (white-box: the module carries
+//     the emitted source); persistent chains lower to b2b kernels;
+//     folded layout/pad glue costs no launches.
+//   - Ansor (Options.AnsorTuner): the baseline. Anchors are tuned by
+//     the opaque evolutionary searcher over SIMT schedules; graph-level
+//     state is whatever TVM's standard operator fusion gives (epilogues
+//     fused into the generated kernel, no persistent fusion, no
+//     padding).
 //
 // Build is the full templated pipeline (graph optimization, profiling,
 // code generation and the module-build charge); every templated
@@ -34,33 +35,23 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// TunerKind selects the backend.
-type TunerKind int
-
-const (
-	// TunerBolt uses the hardware-native templated search.
-	TunerBolt TunerKind = iota
-	// TunerAnsor uses the opaque auto-tuner baseline.
-	TunerAnsor
-)
-
-// Options configures compilation.
+// Options configures compilation. The backend follows from which
+// tuner is set: AnsorTuner selects the Ansor baseline, and otherwise
+// the Bolt backend runs on Profiler.
 type Options struct {
-	Tuner TunerKind
-
-	// Profiler is required for TunerBolt.
+	// Profiler is required for the Bolt backend.
 	Profiler *profiler.Profiler
 
-	// Log is an optional persistent tuning cache (TunerBolt): workloads
+	// Log is an optional persistent tuning cache (Bolt): workloads
 	// found in it skip measurement entirely, and freshly profiled
 	// workloads are recorded back.
 	Log *tunelog.Log
 
-	// Jobs is the profiling pool width (TunerBolt). Values < 1 mean 1.
+	// Jobs is the profiling pool width (Bolt). Values < 1 mean 1.
 	Jobs int
 
 	// TopK, when > 0, limits guided profiling to the cost model's k
-	// best-ranked candidates per workload (TunerBolt). Requires a model
+	// best-ranked candidates per workload (Bolt). Requires a model
 	// source: either the profiler carries one (Profiler.Guide.Model) or
 	// Log does. Until the model has trained, sweeps stay full.
 	TopK int
@@ -72,8 +63,8 @@ type Options struct {
 	// TopK. 0 means never skip.
 	TrustThreshold float64
 
-	// AnsorTuner and AnsorTrials are required for TunerAnsor; trials is
-	// the measured-candidate budget per distinct workload ("task").
+	// AnsorTuner, when set, selects the Ansor baseline; AnsorTrials is
+	// its measured-candidate budget per distinct workload ("task").
 	AnsorTuner  *ansor.Tuner
 	AnsorTrials int
 
@@ -86,12 +77,15 @@ type Options struct {
 // through opts.Profiler, then the final module build (each selected
 // template instantiated and compiled into the runtime file) charged to
 // the profiler's clock. That build, not the candidate search, is most
-// of Bolt's minutes in Figure 10b. opts.Tuner is ignored.
+// of Bolt's minutes in Figure 10b. Build is the Bolt recipe only: it
+// rejects an AnsorTuner.
 func Build(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
+	if opts.AnsorTuner != nil {
+		return nil, fmt.Errorf("codegen: Build runs the Bolt backend; call Compile for the Ansor baseline")
+	}
 	if err := relay.Optimize(g, dev); err != nil {
 		return nil, err
 	}
-	opts.Tuner = TunerBolt
 	m, err := Compile(g, dev, opts)
 	if err != nil {
 		return nil, err
@@ -102,14 +96,14 @@ func Build(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
 	return m, nil
 }
 
-// Compile lowers the graph. For TunerBolt the graph should already be
-// optimized (Build does that first); for TunerAnsor it should carry
-// TVM-level fusion only (fold BN + fuse epilogue).
+// Compile lowers the graph. For the Bolt backend the graph should
+// already be optimized (Build does that first); for the Ansor baseline
+// it should carry TVM-level fusion only (fold BN + fuse epilogue).
 //
-// For TunerBolt, compilation is a staged pipeline (see pipeline.go):
-// workload extraction, dedup + cache lookup, a parallel profiling
-// pool, and a lowering pass that never blocks on measurement. The
-// module's Tuning field reports what each stage did.
+// For the Bolt backend, compilation is a staged pipeline (see
+// pipeline.go): workload extraction, dedup + cache lookup, a parallel
+// profiling pool, and a lowering pass that never blocks on
+// measurement. The module's Tuning field reports what each stage did.
 func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -125,9 +119,9 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 		c.slots[n.ID] = i
 	}
 	m := &rt.Module{Graph: g, Device: dev}
-	if opts.Tuner == TunerBolt {
+	if opts.AnsorTuner == nil {
 		if opts.Profiler == nil {
-			return nil, fmt.Errorf("codegen: TunerBolt requires a profiler")
+			return nil, fmt.Errorf("codegen: the Bolt backend requires a profiler")
 		}
 		resolved, stats, err := runTuningPipeline(g, dev, opts)
 		if err != nil {
@@ -156,7 +150,7 @@ type compiler struct {
 	// environment (the node's topological position).
 	slots map[int]int
 	// resolved maps tuning tasks to their selected configs (stage 4's
-	// input; filled by the tuning pipeline for TunerBolt).
+	// input; filled by the tuning pipeline for the Bolt backend).
 	resolved map[tunelog.Key]profiler.Result
 }
 
@@ -181,7 +175,7 @@ func optValue(env *rt.Env, slot int) *tensor.Tensor {
 }
 
 // result returns the resolved config for a Dense or Conv2D node. Every
-// TunerBolt task must have been covered by the tuning pipeline; a miss
+// Bolt task must have been covered by the tuning pipeline; a miss
 // means extraction and lowering drifted apart, which must fail loudly
 // rather than silently serial-profile with broken accounting.
 func (c *compiler) result(n *relay.Node) (profiler.Result, error) {
@@ -360,7 +354,7 @@ func (c *compiler) lowerDense(n *relay.Node) (rt.Kernel, error) {
 		bias = n.Inputs[2]
 	}
 
-	if c.opts.Tuner == TunerAnsor {
+	if c.opts.AnsorTuner != nil {
 		return c.lowerAnsorGemm(n, x, w, bias, m, nn, k, epi)
 	}
 
@@ -388,7 +382,7 @@ func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
 		bias = n.Inputs[2]
 	}
 
-	if c.opts.Tuner == TunerAnsor {
+	if c.opts.AnsorTuner != nil {
 		return c.lowerAnsorConv(n, x, w, bias, shape, epi)
 	}
 

@@ -37,7 +37,7 @@ func boltCompile(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	m, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p, EmitSource: true})
+	m, err := Compile(g, dev, Options{Profiler: p, EmitSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func ansorCompile(t *testing.T, g *relay.Graph, dev *gpu.Device, trials int) *rt
 	t.Helper()
 	relay.FoldBatchNorm(g)
 	relay.FuseEpilogue(g)
-	m, err := Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: trials})
+	m, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: trials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBatchNormGraphCompiles(t *testing.T) {
 	g := b.Build(b.Activation(c, cutlass.ActReLU))
 
 	// Unoptimized: BN executes as its own kernel.
-	mRef, err := Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: ansor.NewTuner(dev, nil, 9), AnsorTrials: 8})
+	mRef, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 9), AnsorTrials: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +266,19 @@ func TestCompileErrorPaths(t *testing.T) {
 	bad := &relay.Node{ID: 0, Op: relay.OpKind(999), Shape: tensor.Shape{1}, DType: tensor.FP16}
 	g := &relay.Graph{Nodes: []*relay.Node{bad}, Output: bad}
 	p := profiler.New(dev, nil)
-	if _, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p}); err == nil {
+	if _, err := Compile(g, dev, Options{Profiler: p}); err == nil {
 		t.Error("unsupported op must fail compilation")
 	}
 	// An invalid graph (dangling input) must be rejected up front.
 	orphan := &relay.Node{ID: 1, Op: relay.OpInput, Name: "x", Shape: tensor.Shape{1}, DType: tensor.FP16}
 	use := &relay.Node{ID: 2, Op: relay.OpActivation, Inputs: []*relay.Node{orphan}, Shape: tensor.Shape{1}, DType: tensor.FP16}
 	g2 := &relay.Graph{Nodes: []*relay.Node{use}, Output: use} // orphan missing from Nodes
-	if _, err := Compile(g2, dev, Options{Tuner: TunerBolt, Profiler: p}); err == nil {
+	if _, err := Compile(g2, dev, Options{Profiler: p}); err == nil {
 		t.Error("topologically invalid graph must fail compilation")
+	}
+	// Build is the Bolt recipe: an Ansor tuner is refused, not ignored.
+	if _, err := Build(smallCNN(1), dev, Options{Profiler: p, AnsorTuner: newTestTuner(dev)}); err == nil {
+		t.Error("Build must reject an AnsorTuner")
 	}
 }
 
@@ -321,14 +325,14 @@ func TestComputedWeightRejected(t *testing.T) {
 		if err := relay.Optimize(g, dev); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p})
+		_, err := Compile(g, dev, Options{Profiler: p})
 		if err == nil || !strings.Contains(err.Error(), "not a constant") {
 			t.Errorf("%s, bolt: computed weight compiled (err %v)", name, err)
 		}
 		g = build()
 		relay.FoldBatchNorm(g)
 		relay.FuseEpilogue(g)
-		_, err = Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: newTestTuner(dev), AnsorTrials: 4})
+		_, err = Compile(g, dev, Options{AnsorTuner: newTestTuner(dev), AnsorTrials: 4})
 		if err == nil || !strings.Contains(err.Error(), "not a constant") {
 			t.Errorf("%s, ansor: computed weight compiled (err %v)", name, err)
 		}

@@ -22,7 +22,7 @@ func guidedCompile(t *testing.T, g *relay.Graph, dev *gpu.Device, log *tunelog.L
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
 	m, err := Compile(g, dev, Options{
-		Tuner: TunerBolt, Profiler: p, Log: log,
+		Profiler: p, Log: log,
 		Jobs: jobs, TopK: topK, TrustThreshold: trust,
 	})
 	if err != nil {
@@ -179,10 +179,10 @@ func TestGuidedKnobsRequireModelSource(t *testing.T) {
 	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	if _, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p, TopK: 8}); err == nil {
+	if _, err := Compile(g, dev, Options{Profiler: p, TopK: 8}); err == nil {
 		t.Error("TopK with no model source must fail loudly, not silently full-sweep")
 	}
-	if _, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p, TrustThreshold: 0.5}); err == nil {
+	if _, err := Compile(g, dev, Options{Profiler: p, TrustThreshold: 0.5}); err == nil {
 		t.Error("TrustThreshold with no model source must fail loudly")
 	}
 }

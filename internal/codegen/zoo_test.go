@@ -21,7 +21,7 @@ func compileZoo(t *testing.T, g *relay.Graph) *rt.Module {
 	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	m, err := Compile(g, dev, Options{Tuner: TunerBolt, Profiler: p})
+	m, err := Compile(g, dev, Options{Profiler: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func ansorCompileZoo(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 	t.Helper()
 	relay.FoldBatchNorm(g)
 	relay.FuseEpilogue(g)
-	m, err := Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: ansor.NewTuner(dev, nil, 5), AnsorTrials: 4})
+	m, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 5), AnsorTrials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBaselineZooCompiles(t *testing.T) {
 		g := build()
 		relay.FoldBatchNorm(g)
 		relay.FuseEpilogue(g)
-		m, err := Compile(g, dev, Options{Tuner: TunerAnsor, AnsorTuner: newTestTuner(dev), AnsorTrials: 16})
+		m, err := Compile(g, dev, Options{AnsorTuner: newTestTuner(dev), AnsorTrials: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

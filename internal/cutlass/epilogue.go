@@ -105,10 +105,11 @@ func (a Activation) FLOPs() float64 {
 //
 //	D = act(alpha * accum + beta * C [+ bias broadcast over columns])
 //
-// optionally followed by a partial reduction over columns. This covers
-// the four CUTLASS epilogue patterns the paper lists in §3.1:
-// element-wise operators, data type conversion (OutDType), broadcast
-// vector over columns (BiasVector), and partial column reduction.
+// This covers three of the four CUTLASS epilogue patterns the paper
+// lists in §3.1: element-wise operators, data type conversion
+// (OutDType) and broadcast vector over columns (BiasVector). The
+// fourth, partial column reduction, is left out: no lowering asks for
+// it.
 type Epilogue struct {
 	Alpha float32
 	Beta  float32
@@ -118,8 +119,6 @@ type Epilogue struct {
 	Act        Activation
 	// OutDType is the store type (the "data type conversion" pattern).
 	OutDType tensor.DType
-	// ReduceColumns additionally emits a length-N column-sum tensor.
-	ReduceColumns bool
 }
 
 // DefaultEpilogue is the plain linear-combination epilogue
@@ -184,9 +183,6 @@ func (e Epilogue) flopsPerElement() float64 {
 		f += 2
 	}
 	f += e.Act.FLOPs() * sfuPenalty
-	if e.ReduceColumns {
-		f++
-	}
 	return f
 }
 
@@ -204,9 +200,6 @@ func (e Epilogue) String() string {
 	}
 	if e.Act != ActIdentity {
 		s += "_" + e.Act.String()
-	}
-	if e.ReduceColumns {
-		s += "_reduce"
 	}
 	return s
 }

@@ -44,18 +44,6 @@ func (g *Gemm) Name() string {
 // must not alias any operand (the planner guarantees this for arena
 // destinations). A nil dst allocates. It returns the destination.
 func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, c *tensor.Tensor) *tensor.Tensor {
-	d, _ := g.run(dst, a, b, c)
-	return d
-}
-
-// RunWithReduction executes like RunInto with a nil dst and
-// additionally returns the column-sum reduction tensor when
-// Epilogue.ReduceColumns is set (nil otherwise).
-func (g *Gemm) RunWithReduction(a, b, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return g.run(nil, a, b, c)
-}
-
-func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	as, bs := a.Shape(), b.Shape()
 	if len(as) != 2 || len(bs) != 2 {
 		panic(fmt.Sprintf("cutlass: gemm operands must be 2-D, got %v x %v", as, bs))
@@ -82,14 +70,13 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 		cdata = c.Data()
 	}
 
-	if out == nil {
-		out = tensor.New(g.Epilogue.OutDType, m, n)
-	} else if out.NumElements() != m*n {
-		panic(fmt.Sprintf("cutlass: gemm destination has %d elements, want %dx%d", out.NumElements(), m, n))
+	if dst == nil {
+		dst = tensor.New(g.Epilogue.OutDType, m, n)
+	} else if dst.NumElements() != m*n {
+		panic(fmt.Sprintf("cutlass: gemm destination has %d elements, want %dx%d", dst.NumElements(), m, n))
 	}
-	od := out.Data()
 	r := gemmRunPool.Get().(*gemmRun)
-	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, nil, k, n, n, 1), cd: cdata, od: od}
+	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, nil, k, n, n, 1), cd: cdata, od: dst.Data()}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k/gemmMACsPerConvMAC)
 	*r = gemmRun{} // a pooled run must not pin the operands
 	gemmRunPool.Put(r)
@@ -99,21 +86,9 @@ func (g *Gemm) run(out *tensor.Tensor, a, b, c *tensor.Tensor) (*tensor.Tensor, 
 	// output snaps onto that grid. Doing it as a post-pass keeps the
 	// result independent of the parallelRows partitioning.
 	if g.Epilogue.OutDType == tensor.INT8 {
-		out.CalibrateScale()
+		dst.CalibrateScale()
 	}
-
-	var reduced *tensor.Tensor
-	if g.Epilogue.ReduceColumns {
-		reduced = tensor.New(tensor.FP32, n)
-		rd := reduced.Data()
-		for i := 0; i < m; i++ {
-			row := od[i*n : (i+1)*n]
-			for j, v := range row {
-				rd[j] += v
-			}
-		}
-	}
-	return out, reduced
+	return dst
 }
 
 // A GEMM is cut into tiles of up to tileRows output rows by tileCols

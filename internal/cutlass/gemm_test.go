@@ -84,36 +84,6 @@ func TestGemmBetaMatrix(t *testing.T) {
 	}
 }
 
-func TestGemmColumnReduction(t *testing.T) {
-	d := gpu.T4()
-	epi := DefaultEpilogue()
-	epi.ReduceColumns = true
-	g, err := NewGemm(smallConfig(), epi, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := randMat(t, 9, 24, 16)
-	b := randMat(t, 10, 16, 8)
-	out, red := g.RunWithReduction(a, b, nil)
-	if red == nil {
-		t.Fatal("reduction requested but nil returned")
-	}
-	for j := 0; j < 8; j++ {
-		sum := float32(0)
-		for i := 0; i < 24; i++ {
-			sum += out.At(i, j)
-		}
-		if math.Abs(float64(sum-red.At(j))) > 1e-3 {
-			t.Errorf("column %d reduction %g != %g", j, red.At(j), sum)
-		}
-	}
-	// Without the flag no reduction is produced.
-	g2, _ := NewGemm(smallConfig(), DefaultEpilogue(), d)
-	if _, r := g2.RunWithReduction(a, b, nil); r != nil {
-		t.Error("unexpected reduction tensor")
-	}
-}
-
 func TestGemmFP32Output(t *testing.T) {
 	d := gpu.T4()
 	epi := DefaultEpilogue()
@@ -316,9 +286,9 @@ func TestGELUMonotoneNearOrigin(t *testing.T) {
 // the epilogue's store. It is the bit-exact oracle for the kernel. The
 // float32 conversion rounds each product, as the micro-kernel does, on
 // an architecture whose compiler would otherwise fuse the multiply-add.
-func directGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
+func directGemm(g *Gemm, a, b, c *tensor.Tensor) *tensor.Tensor {
 	m, k, n := a.Shape()[0], a.Shape()[1], b.Shape()[1]
-	out = tensor.New(g.Epilogue.OutDType, m, n)
+	out := tensor.New(g.Epilogue.OutDType, m, n)
 	ad, bd, od := a.Data(), b.Data(), out.Data()
 	var cd []float32
 	if c != nil {
@@ -344,16 +314,7 @@ func directGemm(g *Gemm, a, b, c *tensor.Tensor) (out, reduced *tensor.Tensor) {
 	if g.Epilogue.OutDType == tensor.INT8 {
 		out.CalibrateScale()
 	}
-	if g.Epilogue.ReduceColumns {
-		reduced = tensor.New(tensor.FP32, n)
-		rd := reduced.Data()
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				rd[j] += od[i*n+j]
-			}
-		}
-	}
-	return out, reduced
+	return out
 }
 
 // gemmAt1 instantiates a GEMM at alignment 1, so any M, N and K launch.
@@ -396,7 +357,7 @@ func checkGemmBitIdentical(t *testing.T) {
 	dtypes := []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}
 	acts := []Activation{ActIdentity, ActReLU, ActGELU}
 	for i, s := range shapes {
-		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)], ReduceColumns: i%4 == 0}
+		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
 		a, b := randMat(t, int64(200+i), s.m, s.k), randMat(t, int64(400+i), s.k, s.n)
 		var c *tensor.Tensor
 		switch i / 3 % 3 { // no source operand, a bias vector, a beta matrix
@@ -415,12 +376,7 @@ func checkGemmBitIdentical(t *testing.T) {
 		}
 		g := gemmAt1(t, epi)
 		what := fmt.Sprintf("%dx%dx%d %v zeros=%v source=%d", s.m, s.n, s.k, epi.OutDType, zeros, i/3%3)
-		got, gotRed := g.RunWithReduction(a, b, c)
-		want, wantRed := directGemm(g, a, b, c)
-		sameBits(t, what, got, want)
-		if epi.ReduceColumns {
-			sameBits(t, what+" reduction", gotRed, wantRed)
-		}
+		sameBits(t, what, g.RunInto(nil, a, b, c), directGemm(g, a, b, c))
 	}
 }
 
@@ -450,7 +406,7 @@ func TestGemmMultipliesZeroActivations(t *testing.T) {
 				}
 			}
 			got := g.RunInto(nil, a, b, nil)
-			want, _ := directGemm(g, a, b, nil)
+			want := directGemm(g, a, b, nil)
 			sameBits(t, fmt.Sprintf("%v mask %09b", dt, mask), got, want)
 			for j := 0; j < n; j++ {
 				for _, i := range []int{0, 2} {
@@ -468,11 +424,11 @@ func TestGemmMultipliesZeroActivations(t *testing.T) {
 
 // FuzzGemm checks the kernel against the direct loop on random M, N
 // and K (quads, panels and k blocks whole and partial), epilogue
-// source operand (none, a bias vector, a beta matrix), activation,
-// output dtype and column reduction, with zero activations and Inf or
-// NaN weights at random places, under the selected micro-kernel and
-// the Go body, inline and split at GOMAXPROCS 1 and 2. The seed corpus
-// in testdata/fuzz/FuzzGemm runs with the other tests;
+// source operand (none, a bias vector, a beta matrix), activation and
+// output dtype, with zero activations and Inf or NaN weights at random
+// places, under the selected micro-kernel and the Go body, inline and
+// split at GOMAXPROCS 1 and 2. The seed corpus in
+// testdata/fuzz/FuzzGemm runs with the other tests;
 // go test -run '^$' -fuzz FuzzGemm ./internal/cutlass/ explores. As in
 // FuzzConv, a case has one kind of non-finite weight, so no sum sees
 // two NaNs of different payloads.
@@ -481,9 +437,8 @@ func FuzzGemm(f *testing.F) {
 		mm, nn, kk := 1+int(m%24), 1+int(n%600), 1+int(k%400)
 		pick := uint64(seed)
 		epi := Epilogue{Alpha: 1,
-			Act:           []Activation{ActIdentity, ActReLU, ActGELU}[pick%3],
-			OutDType:      []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3],
-			ReduceColumns: pick/9%2 == 1}
+			Act:      []Activation{ActIdentity, ActReLU, ActGELU}[pick%3],
+			OutDType: []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3]}
 		a, b := randMat(t, seed, mm, kk), randMat(t, seed+1, kk, nn)
 		var c *tensor.Tensor
 		switch pick / 18 % 3 {
@@ -509,20 +464,12 @@ func FuzzGemm(f *testing.F) {
 			bd[rng.Intn(len(bd))] = v
 		}
 		g := gemmAt1(t, epi)
-		want, wantRed := directGemm(g, a, b, c)
+		want := directGemm(g, a, b, c)
 		check := func(body string) {
 			for _, procs := range []int{1, 2} {
 				what := fmt.Sprintf("%dx%dx%d %v source=%d, %s body at GOMAXPROCS %d", mm, nn, kk, epi.OutDType, pick/18%3, body, procs)
-				var gotRed *tensor.Tensor
-				got := atProcs(procs, func() *tensor.Tensor {
-					out, red := g.RunWithReduction(a, b, c)
-					gotRed = red
-					return out
-				})
+				got := atProcs(procs, func() *tensor.Tensor { return g.RunInto(nil, a, b, c) })
 				sameBits(t, what, got, want)
-				if epi.ReduceColumns {
-					sameBits(t, what+" reduction", gotRed, wantRed)
-				}
 			}
 		}
 		check("selected")
@@ -538,7 +485,7 @@ func TestGemmRepacksOnNewWeights(t *testing.T) {
 	a, bias := randMat(t, 21, 6, 40), tensor.Reshape(randMat(t, 22, 1, 20), 20)
 	b1, b2 := randMat(t, 23, 40, 20), randMat(t, 24, 40, 20)
 	for i, b := range []*tensor.Tensor{b1, b2, b1} {
-		want, _ := directGemm(g, a, b, bias)
+		want := directGemm(g, a, b, bias)
 		sameBits(t, fmt.Sprintf("launch %d", i), g.RunInto(nil, a, b, bias), want)
 	}
 }
@@ -548,7 +495,7 @@ func TestGemmRepacksOnNewWeights(t *testing.T) {
 func TestGemmFirstLaunchConcurrent(t *testing.T) {
 	g := gemmAt1(t, BiasActivation(ActReLU))
 	a, b, bias := randMat(t, 5, 9, 200), randMat(t, 6, 200, 40), tensor.Reshape(randMat(t, 7, 1, 40), 40)
-	want, _ := directGemm(g, a, b, bias)
+	want := directGemm(g, a, b, bias)
 	outs := make([]*tensor.Tensor, 8)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -593,7 +540,7 @@ func TestGemmPartitionIndependent(t *testing.T) {
 		}
 		g := gemmAt1(t, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt})
 		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
-		want, _ := directGemm(g, a, b, bias)
+		want := directGemm(g, a, b, bias)
 		for _, procs := range []int{1, 2, 8} {
 			got := atProcs(procs, func() *tensor.Tensor { return g.RunInto(nil, a, b, bias) })
 			sameBits(t, fmt.Sprintf("%dx%dx%d at GOMAXPROCS %d", tc.m, tc.n, tc.k, procs), got, want)

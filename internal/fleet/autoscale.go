@@ -1,17 +1,13 @@
 package fleet
 
-import (
-	"fmt"
-	"time"
-
-	"bolt/internal/gpu"
-)
+import "fmt"
 
 // AutoscaleOptions drives backlog-based fleet sizing. The signal is
 // the mean modeled EFT backlog per live replica — the same seconds
-// the router balances on — sampled once per poll; a decision needs
-// SustainPolls consecutive polls past the threshold, so a single
-// burst (or a single idle gap) does not thrash the fleet.
+// the router balances on — sampled once per PollAutoscale call, which
+// the caller paces; a decision needs SustainPolls consecutive polls
+// past the threshold, so a single burst (or a single idle gap) does
+// not thrash the fleet.
 type AutoscaleOptions struct {
 	// GrowBacklogSeconds grows the fleet when the mean per-replica
 	// backlog stays above it. Zero disables growing.
@@ -26,16 +22,10 @@ type AutoscaleOptions struct {
 	// 1); MaxReplicas caps growing (0 means no cap).
 	MinReplicas int
 	MaxReplicas int
-	// Grow is the device pool for replicas the autoscaler spawns (one
-	// worker per entry). Nil clones the first configured replica.
-	Grow []*gpu.Device
-	// Interval, when > 0, polls in the background on a ticker. Zero
-	// means manual polling via PollAutoscale (what the deterministic
-	// benches use).
-	Interval time.Duration
 }
 
-// Grow spawns one replica, deploys every registered tenant on it, and
+// Grow spawns one replica with the first configured replica's device
+// pool, deploys every registered tenant on it, and
 // warms their variants before the router can see it — so when the
 // deploy closures share a tuning log, the new replica compiles
 // measurement-free from its peers' entries and serves at full speed
@@ -48,15 +38,11 @@ func (f *Fleet) Grow() (int, error) {
 		f.mu.Unlock()
 		return -1, ErrClosed
 	}
-	devices := f.opts.Autoscale.Grow
-	if len(devices) == 0 {
-		devices = f.opts.Replicas[0]
-	}
 	specs := make([]*tenantSpec, 0, len(f.tenants))
 	for _, spec := range f.tenants {
 		specs = append(specs, spec)
 	}
-	r := f.addReplicaLocked(devices, true)
+	r := f.addReplicaLocked(f.opts.Replicas[0], true)
 	// Hide the replica from the router until its tenants are warm.
 	r.live = false
 	f.mu.Unlock()
@@ -124,9 +110,10 @@ func (f *Fleet) Shrink() (int, error) {
 }
 
 // PollAutoscale samples the mean per-replica backlog once and applies
-// the sizing policy, reporting what (if anything) it did. Benches
-// call this between request waves for deterministic scaling; set
-// AutoscaleOptions.Interval for background polling instead.
+// the sizing policy, reporting what (if anything) it did. It is the
+// only way the policy runs: the caller paces the polls (benches poll
+// between request waves), so a run's scaling decisions follow its
+// requests and not a host-clock ticker.
 func (f *Fleet) PollAutoscale() (grew, shrank bool) {
 	a := f.opts.Autoscale
 	sustain := a.SustainPolls
@@ -178,19 +165,4 @@ func (f *Fleet) PollAutoscale() (grew, shrank bool) {
 		}
 	}
 	return grew, shrank
-}
-
-// autoscaleLoop is the background poller (AutoscaleOptions.Interval).
-func (f *Fleet) autoscaleLoop(stop <-chan struct{}) {
-	defer f.scaleWG.Done()
-	t := time.NewTicker(f.opts.Autoscale.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			f.PollAutoscale()
-		}
-	}
 }

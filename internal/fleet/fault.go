@@ -2,63 +2,24 @@ package fleet
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
-	"time"
 
 	"bolt/internal/serve"
 )
 
-// ErrInjectedKill is the default error injected kills answer batches
-// with.
+// ErrInjectedKill is the conventional error of a scripted kill: the
+// BatchFault.Err that tests and benches pass to InjectFault.
 var ErrInjectedKill = errors.New("fleet: injected worker failure")
-
-// FailurePlan seeds random fault injection across the fleet: every
-// dispatched batch on every replica independently draws a fault with
-// the configured probabilities. Scripted, deterministic faults go
-// through Fleet.InjectFault instead (what the gated benches use —
-// random draws are seedable but their assignment to batches depends
-// on worker scheduling order).
-type FailurePlan struct {
-	// Seed seeds the injector's RNG.
-	Seed int64
-	// KillProb is the per-batch probability of a kill (the batch fails
-	// with Err; the replica retries elsewhere).
-	KillProb float64
-	// StallProb is the per-batch probability of a stall of
-	// StallSimSeconds on the simulated clock and StallHostDelay on the
-	// wall clock (what hedges race against).
-	StallProb       float64
-	StallSimSeconds float64
-	StallHostDelay  time.Duration
-	// Err overrides the kill error (nil means ErrInjectedKill).
-	Err error
-}
 
 // faultKey addresses one worker of one replica.
 type faultKey struct{ replica, worker int }
 
 // injector is the fleet's fault source: a scripted per-worker queue
-// consulted first, then the seeded random plan. It backs every
-// replica's serve.ServerOptions.Fault hook.
+// filled by InjectFault. It backs every replica's
+// serve.ServerOptions.Fault hook.
 type injector struct {
 	mu       sync.Mutex
-	rng      *rand.Rand
-	plan     *FailurePlan
 	scripted map[faultKey][]serve.BatchFault
-}
-
-func newInjector(plan *FailurePlan) *injector {
-	in := &injector{scripted: make(map[faultKey][]serve.BatchFault)}
-	if plan != nil {
-		p := *plan
-		if p.Err == nil {
-			p.Err = ErrInjectedKill
-		}
-		in.plan = &p
-		in.rng = rand.New(rand.NewSource(p.Seed))
-	}
-	return in
 }
 
 // hook binds the injector to one replica as its serve.FaultHook.
@@ -68,40 +29,28 @@ func (in *injector) hook(replica int) serve.FaultHook {
 	}
 }
 
-// next pops the scripted fault for (replica, worker) if one is
-// queued, else draws from the random plan.
+// next pops the scripted fault for (replica, worker), or returns the
+// zero fault (a healthy batch) when none is queued.
 func (in *injector) next(replica, worker int) serve.BatchFault {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	key := faultKey{replica, worker}
-	if q := in.scripted[key]; len(q) > 0 {
-		f := q[0]
-		if len(q) == 1 {
-			delete(in.scripted, key)
-		} else {
-			in.scripted[key] = q[1:]
-		}
-		return f
-	}
-	if in.plan == nil {
+	q := in.scripted[key]
+	if len(q) == 0 {
 		return serve.BatchFault{}
 	}
-	switch p := in.rng.Float64(); {
-	case p < in.plan.KillProb:
-		return serve.BatchFault{Err: in.plan.Err}
-	case p < in.plan.KillProb+in.plan.StallProb:
-		return serve.BatchFault{
-			StallSimSeconds: in.plan.StallSimSeconds,
-			StallHostDelay:  in.plan.StallHostDelay,
-		}
+	if len(q) == 1 {
+		delete(in.scripted, key)
+	} else {
+		in.scripted[key] = q[1:]
 	}
-	return serve.BatchFault{}
+	return q[0]
 }
 
 // InjectFault scripts the given fault for the next count batches
 // dispatched to one worker of one replica — deterministic fault
 // placement for tests and gated benches. A zero fault with count > 0
-// scripts healthy batches (useful to delay a random plan).
+// scripts healthy batches, which delays the faults queued after them.
 func (f *Fleet) InjectFault(replica, worker, count int, fault serve.BatchFault) {
 	f.inj.mu.Lock()
 	defer f.inj.mu.Unlock()

@@ -11,18 +11,21 @@
 // finish-time model in-server dispatch uses, so the two levels of
 // load balancing speak one currency). Robustness is first-class:
 //
-//   - a seedable failure injector can kill or stall any replica's
-//     worker mid-stream (through serve.ServerOptions.Fault);
+//   - a scripted failure injector (InjectFault) kills or stalls a
+//     chosen replica worker's next batches mid-stream (through
+//     serve.ServerOptions.Fault), so every fault lands on a known
+//     batch;
 //   - a request whose deadline is at risk is hedged on a second
 //     replica — first healthy result wins, the loser is drained and
 //     counted as canceled (the serving-side analogue of concurrent
 //     error detection: redundant execution masks a faulty stream);
 //   - a failed batch is retried once on a different replica, so an
 //     injected fault costs latency, not answers;
-//   - an autoscaler grows the fleet on sustained backlog and shrinks
-//     it when idle, and a replica added at runtime warms its tenants'
-//     variants measurement-free when the deploy closure shares a
-//     tuning log with its peers (the bolt wrapper wires exactly that).
+//   - a caller-polled autoscaler grows the fleet on sustained backlog
+//     and shrinks it when idle, and a replica added at runtime warms
+//     its tenants' variants measurement-free when the deploy closure
+//     shares a tuning log with its peers (the bolt wrapper wires
+//     exactly that).
 //
 // Supervision costs no goroutine per request. Each attempt is placed
 // with serve.Server.InferTo and a sink inside the request's route, so
@@ -84,9 +87,6 @@ type Options struct {
 	Hedge HedgeOptions
 	// Autoscale configures backlog-driven growth/shrink.
 	Autoscale AutoscaleOptions
-	// Failures seeds the random failure injector (scripted injection
-	// via InjectFault works regardless). Nil means no random faults.
-	Failures *FailurePlan
 	// Trace, when set, records route/hedge/retry spans from the router
 	// plus every replica's request-lifecycle spans into the tracer.
 	// Each replica registers its own trace process ("replica N"); the
@@ -155,9 +155,7 @@ type Fleet struct {
 	// routeWG counts attempts not yet answered (hedge losers included)
 	// plus second-attempt placements in progress, so Close returns only
 	// after every routed request settled.
-	routeWG   sync.WaitGroup
-	stopScale chan struct{}
-	scaleWG   sync.WaitGroup
+	routeWG sync.WaitGroup
 }
 
 // New starts a fleet with the configured initial replicas. No
@@ -169,7 +167,7 @@ func New(opts Options) *Fleet {
 	}
 	f := &Fleet{
 		opts:    opts,
-		inj:     newInjector(opts.Failures),
+		inj:     &injector{scripted: make(map[faultKey][]serve.BatchFault)},
 		tenants: make(map[string]*tenantSpec),
 	}
 	if opts.Trace != nil {
@@ -183,11 +181,6 @@ func New(opts Options) *Fleet {
 	}
 	for _, devices := range opts.Replicas {
 		f.addReplicaLocked(devices, false)
-	}
-	if opts.Autoscale.Interval > 0 {
-		f.stopScale = make(chan struct{})
-		f.scaleWG.Add(1)
-		go f.autoscaleLoop(f.stopScale)
 	}
 	return f
 }
@@ -394,13 +387,7 @@ func (f *Fleet) Close() {
 	wasClosed := f.closed
 	f.closed = true
 	live := f.liveLocked()
-	stop := f.stopScale
-	f.stopScale = nil
 	f.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	f.scaleWG.Wait()
 	if !wasClosed {
 		for _, r := range live {
 			r.srv.Close()

@@ -161,8 +161,7 @@ func TestFoldedModulesMatchOracle(t *testing.T) {
 		g := foldNet()
 		fold(g)
 		relay.FuseEpilogue(g)
-		m, err := codegen.Compile(g, dev, codegen.Options{Tuner: codegen.TunerAnsor,
-			AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: 8})
+		m, err := codegen.Compile(g, dev, codegen.Options{AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

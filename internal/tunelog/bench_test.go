@@ -24,7 +24,7 @@ func BenchmarkLogSaveLoad(b *testing.B) {
 	log := tunelog.New()
 	var clock gpu.Clock
 	if _, err := codegen.Compile(g, dev, codegen.Options{
-		Tuner: codegen.TunerBolt, Profiler: profiler.New(dev, &clock), Log: log, Jobs: 2,
+		Profiler: profiler.New(dev, &clock), Log: log, Jobs: 2,
 	}); err != nil {
 		b.Fatal(err)
 	}

@@ -528,16 +528,9 @@ func (s *Server) Warm(model string, buckets ...int) error {
 
 // Stats aggregates every model's serving counters (with per-priority
 // latency windows; see ServeStats.PriorityPercentile).
-// ServeStats.BacklogSeconds carries the modeled EFT backlog at
-// snapshot time; use Backlog for the probe alone.
+// ServeStats.BacklogSeconds carries the modeled EFT backlog — the
+// simulated seconds of accepted-but-unfinished work — at snapshot time.
 func (s *Server) Stats() ServeStats { return s.srv.Stats() }
-
-// Backlog returns the server's modeled EFT backlog — the simulated
-// seconds of accepted-but-unfinished work (queued rows priced by the
-// dispatcher's own memoized bucket costs, plus committed-but-unretired
-// batch time) — without building a full stats snapshot. This is the
-// signal fleet routers and autoscalers balance on.
-func (s *Server) Backlog() float64 { return s.srv.BacklogSeconds() }
 
 // ModelStats returns one deployed model's serving counters.
 func (s *Server) ModelStats(name string) (ServeStats, bool) { return s.srv.ModelStats(name) }
