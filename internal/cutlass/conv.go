@@ -2,7 +2,6 @@ package cutlass
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"bolt/internal/gpu"
@@ -289,30 +288,45 @@ type convSeg struct {
 // segments cuts kernel row kh into the segments of a quad's pixels
 // (one to four) and returns how many there are.
 func (r *convRun) segments(segs *[7]convSeg, quad []convPixel, kh int) int {
-	s := r.s
-	// The lanes' runs, empty for a lane whose input row is padding, and
-	// their ends, sorted and deduplicated: the segment boundaries.
+	s := &r.s
+	xk := kh * s.W * s.IC
+	// The lanes' runs, empty for a lane whose input row is padding.
 	var run [4][2]int
-	var buf [8]int
-	cuts := buf[:0]
+	shared := len(quad) == 4 // four lanes with one non-empty run
 	for l, p := range quad {
 		if h := p.ih + kh; h < 0 || h >= s.H || p.lo == p.hi {
+			shared = false
 			continue
 		}
 		run[l] = [2]int{p.lo, p.hi}
-		cuts = append(cuts, p.lo, p.hi)
+		shared = shared && run[l] == run[0]
 	}
-	slices.Sort(cuts)
-	cuts = slices.Compact(cuts)
+	if shared { // an interior quad: its run is its one segment
+		sg := &segs[0]
+		sg.t0, sg.t1, sg.on = run[0][0], run[0][1], [4]bool{true, true, true, true}
+		for l, p := range quad {
+			sg.x[l] = r.xd[p.xo+xk+sg.t0 : p.xo+xk+sg.t1]
+		}
+		return 1
+	}
+	// The runs' ends, in ascending order without repeats, are the
+	// segment boundaries.
+	var cuts [8]int
+	nc := 0
+	for _, rn := range run {
+		if rn[0] < rn[1] {
+			nc = addCut(&cuts, nc, rn[0])
+			nc = addCut(&cuts, nc, rn[1])
+		}
+	}
 	ns := 0
-	for g := 0; g+1 < len(cuts); g++ {
+	for g := 0; g+1 < nc; g++ {
 		sg := &segs[ns]
 		sg.t0, sg.t1, sg.on = cuts[g], cuts[g+1], [4]bool{}
 		f := -1
 		for l, p := range quad {
 			if run[l][0] <= sg.t0 && sg.t1 <= run[l][1] {
-				xk := p.xo + kh*s.W*s.IC
-				sg.on[l], sg.x[l] = true, r.xd[xk+sg.t0:xk+sg.t1]
+				sg.on[l], sg.x[l] = true, r.xd[p.xo+xk+sg.t0:p.xo+xk+sg.t1]
 				if f < 0 {
 					f = l
 				}
@@ -329,6 +343,21 @@ func (r *convRun) segments(segs *[7]convSeg, quad []convPixel, kh int) int {
 		ns++
 	}
 	return ns
+}
+
+// addCut inserts v into cuts[:n], kept ascending and without repeats,
+// and returns the new length.
+func addCut(cuts *[8]int, n, v int) int {
+	i := n
+	for i > 0 && cuts[i-1] > v {
+		i--
+	}
+	if i > 0 && cuts[i-1] == v {
+		return n
+	}
+	copy(cuts[i+1:n+1], cuts[i:n])
+	cuts[i] = v
+	return n + 1
 }
 
 // Desc lowers the convolution to a device kernel descriptor using the

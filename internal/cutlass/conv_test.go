@@ -630,8 +630,9 @@ func TestSplitCallAllocatesNoMoreThanInline(t *testing.T) {
 // BenchmarkFunctionalConv times RunInto on the ResNet-18 layer shapes
 // at a 64x64 input, batch 1, on RepVGG-A0@64's layers that hold most of
 // its conv time (the 4x4 192-channel layer, run 13 times per image, and
-// the M = 4 wide-OC stride-2 tails), and on servenet's two layers, the
-// narrowest channel panels the serving benchmark runs. GFLOP/s is
+// the M = 4 wide-OC stride-2 tails), and on servenet's two layers at
+// batch 1 and 8, the narrowest channel panels the serving benchmark
+// runs, where the epilogue and the segment cuts cost most. GFLOP/s is
 // nominal: taps over the padding count, as in ConvShape.FLOPs.
 func BenchmarkFunctionalConv(b *testing.B) {
 	for _, bc := range []struct {
@@ -648,6 +649,8 @@ func BenchmarkFunctionalConv(b *testing.B) {
 		{"repvggTail256to512s2", Conv3x3(1, 4, 4, 256, 512, 2, 1)},
 		{"servenet8to16", Conv3x3(1, 32, 32, 8, 16, 1, 1)},
 		{"servenet16to32s2", Conv3x3(1, 16, 16, 16, 32, 2, 1)},
+		{"servenet8to16b8", Conv3x3(8, 32, 32, 8, 16, 1, 1)},
+		{"servenet16to32s2b8", Conv3x3(8, 16, 16, 16, 32, 2, 1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := smallConfig()

@@ -141,11 +141,10 @@ func (e *Epilogue) apply(acc float32, c float32) float32 {
 
 // store is apply followed by the rounding a store to OutDType FP16
 // performs (INT8 outputs are calibrated over the whole tensor later).
-// The kernels call it once per output element, so it and apply take a
-// pointer: a value receiver is copied through the stack on every call
-// and read back in wider loads than it was stored with, which stalls
-// store forwarding (a ReLU store measured 30 ns an element that way,
-// 18 through the pointer).
+// It and apply are the epilogue's scalar definition: storeRow must
+// give their bytes, and the direct loops the kernels are tested
+// against call them per element. They take a pointer so that a call
+// does not copy the Epilogue through the stack.
 func (e *Epilogue) store(acc float32, c float32) float32 {
 	v := e.apply(acc, c)
 	if e.OutDType == tensor.FP16 {
@@ -155,15 +154,51 @@ func (e *Epilogue) store(acc float32, c float32) float32 {
 }
 
 // storeRow sets dst[j] = store(acc[j], src[j]) over a row of a tile,
-// with a source element of 0 throughout when src is nil.
+// with a source element of 0 throughout when src is nil. It is store as
+// passes over the row, each picked once per row: the linear combination
+// (apply's expression, so a target that fuses the multiply-add fuses it
+// the same way), the activation (a branch-free ReLU, Apply per element
+// for the others) and one fp16.Quantize for an FP16 store.
 func (e *Epilogue) storeRow(dst, acc, src []float32) {
 	dst = dst[:len(acc)]
-	for j, v := range acc {
-		var cv float32
-		if src != nil {
-			cv = src[j]
+	alpha, beta := e.Alpha, e.Beta
+	if src == nil {
+		var c float32
+		for j, v := range acc {
+			dst[j] = alpha*v + beta*c
 		}
-		dst[j] = e.store(v, cv)
+	} else {
+		src = src[:len(acc)]
+		for j, v := range acc {
+			dst[j] = alpha*v + beta*src[j]
+		}
+	}
+	switch e.Act {
+	case ActIdentity:
+	case ActReLU:
+		reluRow(dst)
+	default:
+		for j, v := range dst {
+			dst[j] = e.Act.Apply(v)
+		}
+	}
+	if e.OutDType == tensor.FP16 {
+		fp16.Quantize(dst)
+	}
+}
+
+// reluRow is ActReLU.Apply over a row without a branch per element,
+// whose outcome a conv's outputs leave to chance: the values below
+// zero, which are the float32 bit patterns 0x80000001 (the negative
+// subnormal nearest zero) through 0xFF800000 (-Inf), become +0, and -0
+// and NaN keep their bits, as x < 0 is false for them.
+func reluRow(row []float32) {
+	for j, v := range row {
+		b := math.Float32bits(v)
+		// All ones when b-0x80000001 < 0x7F800000: the subtraction
+		// borrows into the top bit of the 64-bit difference.
+		neg := uint32(int64(uint64(b-0x80000001)-0x7F800000) >> 63)
+		row[j] = math.Float32frombits(b &^ neg)
 	}
 }
 

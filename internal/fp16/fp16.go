@@ -191,16 +191,27 @@ func roundCommon(bits uint32) (uint32, bool) {
 
 // Quantize rounds every element of src through binary16 in place,
 // emulating a store-to-half/load-from-half round trip. It is Round,
-// looped, with Round's common case spelled out because Round as a
-// whole is too large to inline.
+// looped, with roundCommon's two outcomes, a normal half or a zero,
+// selected by a mask rather than a branch: after a ReLU, which of the
+// two an element takes is a coin flip no branch predictor learns.
 func Quantize(src []float32) {
 	for i, f := range src {
-		if b, ok := roundCommon(math.Float32bits(f)); ok {
-			src[i] = math.Float32frombits(b)
-		} else {
-			src[i] = Round(f)
+		bits := math.Float32bits(f)
+		abs := bits &^ signBit
+		normal := belowMask(abs-bitsNormalMin, bitsOverflow-bitsNormalMin)
+		if normal|belowMask(abs, bitsSubnormalMin) == 0 {
+			src[i] = Round(f) // a subnormal half, overflow, Inf or NaN
+			continue
 		}
+		r := (bits + 0xFFF + bits>>13&1) &^ 0x1FFF
+		src[i] = math.Float32frombits(r&normal | bits&signBit&^normal)
 	}
+}
+
+// belowMask is all ones when x < y and zero otherwise: the top bit of
+// the 64-bit difference is set exactly when the subtraction borrows.
+func belowMask(x, y uint32) uint32 {
+	return uint32(int64(uint64(x)-uint64(y)) >> 63)
 }
 
 // Ulp returns the distance between h and the next representable value

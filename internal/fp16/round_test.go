@@ -83,11 +83,20 @@ func TestRoundRandomBits(t *testing.T) {
 	}
 }
 
+// Quantize agrees with the round trip on random magnitudes and on every
+// half value and both its float32 neighbours, each beside a zero, so the
+// select between a normal half and a zero sees both orders.
 func TestQuantizeMatchesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := make([]float32, 4096)
 	for i := range src {
 		src[i] = float32(rng.NormFloat64()) * float32(math.Ldexp(1, rng.Intn(48)-30))
+	}
+	for h := 0; h < 1<<16; h++ {
+		bits := math.Float32bits(ToFloat32(Float16(h)))
+		for _, b := range []uint32{bits, bits + 1, bits - 1} {
+			src = append(src, math.Float32frombits(b), math.Float32frombits(uint32(h%2)<<31))
+		}
 	}
 	want := make([]float32, len(src))
 	for i, f := range src {

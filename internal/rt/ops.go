@@ -199,34 +199,51 @@ func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout)
 			}
 		}
 	} else {
+		// Channels innermost: each output pixel's c-long row starts at
+		// -Inf and takes the elementwise max against the contiguous
+		// input row under each in-range tap, taps in the same (kh, kw)
+		// order as the NCHW loop.
 		for in := 0; in < n; in++ {
 			for io := 0; io < oh; io++ {
 				for jo := 0; jo < ow; jo++ {
-					obase := ((in*oh+io)*ow + jo) * c
-					for ic := 0; ic < c; ic++ {
-						best := neg
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := io*p.Stride - p.Pad + kh
-							if ih < 0 || ih >= h {
+					best := od[((in*oh+io)*ow+jo)*c:][:c]
+					for i := range best {
+						best[i] = neg
+					}
+					for kh := 0; kh < p.Kernel; kh++ {
+						ih := io*p.Stride - p.Pad + kh
+						if ih < 0 || ih >= h {
+							continue
+						}
+						for kw := 0; kw < p.Kernel; kw++ {
+							iw := jo*p.Stride - p.Pad + kw
+							if iw < 0 || iw >= w {
 								continue
 							}
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := jo*p.Stride - p.Pad + kw
-								if iw < 0 || iw >= w {
-									continue
-								}
-								if v := xd[((in*h+ih)*w+iw)*c+ic]; v > best {
-									best = v
-								}
-							}
+							maxRow(best, xd[((in*h+ih)*w+iw)*c:][:c])
 						}
-						od[obase+ic] = best
 					}
 				}
 			}
 		}
 	}
 	return out
+}
+
+// maxRow sets best[i] to x[i] where x[i] > best[i], the pooling loops'
+// rule: a NaN is never taken, and of two equal values (+0 and -0
+// included) the one already in best stays. It selects on the bits
+// rather than branching, as which operand wins is data-dependent.
+func maxRow(best, x []float32) {
+	x = x[:len(best)]
+	for i, v := range x {
+		var take uint32
+		if v > best[i] {
+			take = 1
+		}
+		keep := take - 1 // all ones unless v wins
+		best[i] = math.Float32frombits(math.Float32bits(v)&^keep | math.Float32bits(best[i])&keep)
+	}
 }
 
 // GlobalAvgPoolInto averages spatial dims to (N, C); dst must not

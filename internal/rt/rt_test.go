@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -93,6 +95,99 @@ func TestMaxPoolRun(t *testing.T) {
 	outc := MaxPoolInto(nil, xc, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNCHW)
 	if outc.At(0, 0, 1, 1) != 15 {
 		t.Error("NCHW pool wrong")
+	}
+}
+
+// directMaxPool is the per-element pooling loop, the oracle for
+// MaxPoolInto: every output element walks its window in (kh, kw) order
+// from -Inf and takes a value only when it is greater, so a NaN is
+// never taken and of two equal zeros the first stays.
+func directMaxPool(x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) []float32 {
+	s := x.Shape()
+	n, h, w, c := s[0], s[1], s[2], s[3]
+	at := func(in, ih, iw, ic int) int { return ((in*h+ih)*w+iw)*c + ic }
+	if layout == tensor.LayoutNCHW {
+		n, c, h, w = s[0], s[1], s[2], s[3]
+		at = func(in, ih, iw, ic int) int { return ((in*c+ic)*h+ih)*w + iw }
+	}
+	oh := (h+2*p.Pad-p.Kernel)/p.Stride + 1
+	ow := (w+2*p.Pad-p.Kernel)/p.Stride + 1
+	oat := func(in, io, jo, ic int) int { return ((in*oh+io)*ow+jo)*c + ic }
+	if layout == tensor.LayoutNCHW {
+		oat = func(in, io, jo, ic int) int { return ((in*c+ic)*oh+io)*ow + jo }
+	}
+	xd, od := x.Data(), make([]float32, n*oh*ow*c)
+	for in := range n {
+		for io := range oh {
+			for jo := range ow {
+				for ic := range c {
+					best := float32(math.Inf(-1))
+					for kh := range p.Kernel {
+						ih := io*p.Stride - p.Pad + kh
+						if ih < 0 || ih >= h {
+							continue
+						}
+						for kw := range p.Kernel {
+							iw := jo*p.Stride - p.Pad + kw
+							if iw < 0 || iw >= w {
+								continue
+							}
+							if v := xd[at(in, ih, iw, ic)]; v > best {
+								best = v
+							}
+						}
+					}
+					od[oat(in, io, jo, ic)] = best
+				}
+			}
+		}
+	}
+	return od
+}
+
+// Property: MaxPoolInto gives the direct loop's bits in both layouts,
+// over kernels 2 and 3, strides 1 to 3, padding 0 and 1 and channel
+// counts from 1 to past a multiple of 16, on inputs dense in NaNs, ±0
+// ties and -Inf.
+func TestMaxPoolMatchesDirectLoop(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := math.Float32frombits(0x7FC00001)
+	specials := []float32{nan, 0, negZero, float32(math.Inf(-1)), float32(math.Inf(1)), -1, 1, 2}
+	rng := rand.New(rand.NewSource(40))
+	for _, c := range []int{1, 3, 16, 17} {
+		x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 2, 7, 6, c)
+		xd := x.Data()
+		for i := range xd {
+			if rng.Intn(4) == 0 {
+				xd[i] = float32(rng.NormFloat64())
+			} else {
+				xd[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		xc := tensor.ToNCHWInto(nil, x)
+		for _, k := range []int{2, 3} {
+			for stride := 1; stride <= 3; stride++ {
+				for pad := 0; pad <= 1; pad++ {
+					p := relay.PoolAttrs{Kernel: k, Stride: stride, Pad: pad}
+					for _, in := range []struct {
+						x      *tensor.Tensor
+						layout tensor.Layout
+					}{{x, tensor.LayoutNHWC}, {xc, tensor.LayoutNCHW}} {
+						got := MaxPoolInto(nil, in.x, p, in.layout).Data()
+						want := directMaxPool(in.x, p, in.layout)
+						if len(got) != len(want) {
+							t.Fatalf("C=%d %+v %v: %d outputs, want %d", c, p, in.layout, len(got), len(want))
+						}
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("C=%d %+v %v: output %d is %#x, want %#x", c, p, in.layout, i,
+									math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -335,5 +430,21 @@ func TestMemoryReport(t *testing.T) {
 	}
 	if rep.PeakActivationBytes != 4*16*2 {
 		t.Errorf("peak activation %d, want %d", rep.PeakActivationBytes, 4*16*2)
+	}
+}
+
+// BenchmarkMaxPool times servenet's 2x2/2 pool over the first conv's
+// NHWC output (32x32x16) at batch 1 and 8.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("servenet2x2s2b%d", n), func(b *testing.B) {
+			x := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNHWC, n, 32, 32, 16)
+			x.FillRandom(1, 1)
+			p := relay.PoolAttrs{Kernel: 2, Stride: 2}
+			dst := MaxPoolInto(nil, x, p, tensor.LayoutNHWC)
+			for b.Loop() {
+				MaxPoolInto(dst, x, p, tensor.LayoutNHWC)
+			}
+		})
 	}
 }
