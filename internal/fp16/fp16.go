@@ -176,35 +176,31 @@ func Round(f float32) float32 {
 // input lands: the result is a normal half, or a zero (zeros
 // themselves, lazily initialized weights included, and everything
 // flushed). It reports false elsewhere. Small enough to inline into a
-// loop, and working on bits keeps the value in integer registers.
+// loop, and working on bits keeps the value in integer registers. The
+// two outcomes are selected by a mask rather than a branch: after a
+// ReLU, which of the two an element takes is a coin flip no branch
+// predictor learns.
 func roundCommon(bits uint32) (uint32, bool) {
 	abs := bits &^ signBit
-	if abs-bitsNormalMin < bitsOverflow-bitsNormalMin {
-		// Round to nearest even on the 13 dropped mantissa bits. A
-		// mantissa carry rolls into the exponent by itself and cannot
-		// reach Inf below 65520.
-		bits += 0xFFF + bits>>13&1
-		return bits &^ 0x1FFF, true
-	}
-	return bits & signBit, abs < bitsSubnormalMin
+	normal := belowMask(abs-bitsNormalMin, bitsOverflow-bitsNormalMin)
+	// Round to nearest even on the 13 dropped mantissa bits. A mantissa
+	// carry rolls into the exponent by itself and cannot reach Inf
+	// below 65520.
+	r := (bits + 0xFFF + bits>>13&1) &^ 0x1FFF
+	return r&normal | bits&signBit&^normal, normal|belowMask(abs, bitsSubnormalMin) != 0
 }
 
 // Quantize rounds every element of src through binary16 in place,
 // emulating a store-to-half/load-from-half round trip. It is Round,
-// looped, with roundCommon's two outcomes, a normal half or a zero,
-// selected by a mask rather than a branch: after a ReLU, which of the
-// two an element takes is a coin flip no branch predictor learns.
+// looped, with Round's common case spelled out because Round as a
+// whole is too large to inline.
 func Quantize(src []float32) {
 	for i, f := range src {
-		bits := math.Float32bits(f)
-		abs := bits &^ signBit
-		normal := belowMask(abs-bitsNormalMin, bitsOverflow-bitsNormalMin)
-		if normal|belowMask(abs, bitsSubnormalMin) == 0 {
-			src[i] = Round(f) // a subnormal half, overflow, Inf or NaN
-			continue
+		if b, ok := roundCommon(math.Float32bits(f)); ok {
+			src[i] = math.Float32frombits(b)
+		} else {
+			src[i] = Round(f)
 		}
-		r := (bits + 0xFFF + bits>>13&1) &^ 0x1FFF
-		src[i] = math.Float32frombits(r&normal | bits&signBit&^normal)
 	}
 }
 
