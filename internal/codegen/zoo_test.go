@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"math"
 	"testing"
 
 	"bolt/internal/ansor"
@@ -155,6 +156,54 @@ func TestBaselineZooCompiles(t *testing.T) {
 	}
 }
 
+// smallZoo is every zoo model at 32x32, where functional execution
+// stays affordable.
+var smallZoo = []struct {
+	name  string
+	batch int
+	build func() *relay.Graph
+}{
+	{"VGG-16", 2, func() *relay.Graph { return models.VGGAt(16, 2, 32) }},
+	{"ResNet-18", 2, func() *relay.Graph { return models.ResNetAt(18, 2, 32) }},
+	{"ResNet-50", 1, func() *relay.Graph { return models.ResNetAt(50, 1, 32) }},
+	{"RepVGG-A0", 2, func() *relay.Graph { return models.RepVGGAt("A0", 2, 32, models.RepVGGOptions{}) }},
+	{"RepVGGAug-A0", 2, func() *relay.Graph {
+		return models.RepVGGAt("A0", 2, 32, models.RepVGGOptions{Deepen1x1: true})
+	}},
+}
+
+// smallInput is a seeded 32x32 image batch.
+func smallInput(batch int, seed int64) *tensor.Tensor {
+	in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, batch, 3, 32, 32)
+	in.FillRandom(seed, 1)
+	return in
+}
+
+// TestZooLogitsSeeTheInput: for every zoo model two different images
+// give different, finite logits. A model whose weights are zero from
+// some layer on outputs its classifier bias whatever the image.
+func TestZooLogitsSeeTheInput(t *testing.T) {
+	for _, c := range smallZoo {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.build()
+			if g.Output.Op == relay.OpSoftmax {
+				g.Output = g.Output.Inputs[0] // a saturated softmax hides the logits
+			}
+			m := compileZoo(t, g)
+			a := m.Run(map[string]*tensor.Tensor{"data": smallInput(c.batch, 42)}).Clone()
+			b := m.Run(map[string]*tensor.Tensor{"data": smallInput(c.batch, 43)})
+			for _, v := range append(a.Data(), b.Data()...) {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("logit %g is not finite", v)
+				}
+			}
+			if d := tensor.MaxAbsDiff(a, b); d == 0 {
+				t.Fatal("two different images give the same logits")
+			}
+		})
+	}
+}
+
 // TestZooPlannedExecutorGolden is the planned executor's oracle sweep:
 // for every zoo model (at a reduced resolution so functional execution
 // stays affordable) the arena-planned Run must be bit-identical to the
@@ -162,28 +211,13 @@ func TestBaselineZooCompiles(t *testing.T) {
 // that reuses the recycled arena. The memory report must show the
 // planner genuinely beating the naive sum of intermediates.
 func TestZooPlannedExecutorGolden(t *testing.T) {
-	cases := []struct {
-		name  string
-		batch int
-		build func() *relay.Graph
-	}{
-		{"VGG-16", 2, func() *relay.Graph { return models.VGGAt(16, 2, 32) }},
-		{"ResNet-18", 2, func() *relay.Graph { return models.ResNetAt(18, 2, 32) }},
-		{"ResNet-50", 1, func() *relay.Graph { return models.ResNetAt(50, 1, 32) }},
-		{"RepVGG-A0", 2, func() *relay.Graph { return models.RepVGGAt("A0", 2, 32, models.RepVGGOptions{}) }},
-		{"RepVGGAug-A0", 2, func() *relay.Graph {
-			return models.RepVGGAt("A0", 2, 32, models.RepVGGOptions{Deepen1x1: true})
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range smallZoo {
 		t.Run(c.name, func(t *testing.T) {
 			m := compileZoo(t, c.build())
 			if m.Memory().ArenaBuffers == 0 {
 				t.Fatal("compiled module plans no arena")
 			}
-			in := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, c.batch, 3, 32, 32)
-			in.FillRandom(42, 1)
-			inputs := map[string]*tensor.Tensor{"data": in}
+			inputs := map[string]*tensor.Tensor{"data": smallInput(c.batch, 42)}
 
 			ref := m.RunUnplanned(inputs)
 			first := m.Run(inputs).Clone() // view into the arena: clone before rerunning

@@ -174,12 +174,11 @@ func Round(f float32) float32 {
 
 // roundCommon is Round, on float32 bit patterns, where nearly every
 // input lands: the result is a normal half, or a zero (zeros
-// themselves, lazily initialized weights included, and everything
-// flushed). It reports false elsewhere. Small enough to inline into a
-// loop, and working on bits keeps the value in integer registers. The
-// two outcomes are selected by a mask rather than a branch: after a
-// ReLU, which of the two an element takes is a coin flip no branch
-// predictor learns.
+// themselves and everything flushed). It reports false elsewhere.
+// Small enough to inline into a loop, and working on bits keeps the
+// value in integer registers. The two outcomes are selected by a mask
+// rather than a branch: after a ReLU, which of the two an element
+// takes is a coin flip no branch predictor learns.
 func roundCommon(bits uint32) (uint32, bool) {
 	abs := bits &^ signBit
 	normal := belowMask(abs-bitsNormalMin, bitsOverflow-bitsNormalMin)

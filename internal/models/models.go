@@ -7,7 +7,9 @@
 // All graphs are authored in NCHW FP16 (the PyTorch convention), so
 // Bolt's layout-transformation pass has real work to do. Weights are
 // deterministic pseudo-random (no trained checkpoints; the performance
-// experiments never depend on weight values).
+// experiments never depend on weight values). A weight is its seed:
+// its values are drawn on the first read, so building and compiling a
+// model only to price it holds none of them.
 package models
 
 import (
@@ -43,7 +45,6 @@ func VGGAt(depth, batch, size int) *relay.Graph {
 		panic(fmt.Sprintf("models: no VGG-%d", depth))
 	}
 	b := relay.NewBuilder()
-	b.LazyWeights = true
 	x := b.Input("data", tensor.FP16, batch, 3, size, size)
 	ic := 3
 	li := 0
@@ -105,7 +106,6 @@ func ResNet(depth, batch int) *relay.Graph { return ResNetAt(depth, batch, image
 // adapts via global average pooling).
 func ResNetAt(depth, batch, size int) *relay.Graph {
 	b := relay.NewBuilder()
-	b.LazyWeights = true
 	x := b.Input("data", tensor.FP16, batch, 3, size, size)
 	x = convBN(b, x, "stem", 3, 64, 7, 2, 3, true)
 	x = b.MaxPool(x, 3, 2, 1)
@@ -219,7 +219,6 @@ func RepVGGAt(variant string, batch, size int, opts RepVGGOptions) *relay.Graph 
 		act = cutlass.ActReLU
 	}
 	b := relay.NewBuilder()
-	b.LazyWeights = true
 	x := b.Input("data", tensor.FP16, batch, 3, size, size)
 
 	li := 0
@@ -268,9 +267,6 @@ func RepVGGAt(variant string, batch, size int, opts RepVGGOptions) *relay.Graph 
 // GELU ride the GEMM's epilogue after fusion — and back down. This is
 // the Figure-1 workload in graph form, the served counterpart of the
 // standalone BERTGemms kernels below.
-// Weights are eagerly initialized (no LazyWeights): the mixed-precision
-// accuracy gate diffs real arithmetic against the FP32 oracle, which is
-// vacuous on zero weights.
 func BERTMLP(batch, hidden, ffn int) *relay.Graph {
 	b := relay.NewBuilder()
 	x := b.Input("tokens", tensor.FP16, batch, hidden)

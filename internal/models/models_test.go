@@ -152,15 +152,3 @@ func TestTableWorkloads(t *testing.T) {
 		}
 	}
 }
-
-func TestLazyWeightsKeepMemoryBounded(t *testing.T) {
-	g := VGG(16, 32)
-	// The 25088x4096 FC weight must exist but stay zero (lazy).
-	for _, n := range g.Nodes {
-		if n.Op == relay.OpConstant && n.Value.NumElements() > 1<<20 {
-			if n.Value.Data()[0] != 0 || n.Value.Data()[12345] != 0 {
-				t.Error("large weight was eagerly initialized")
-			}
-		}
-	}
-}

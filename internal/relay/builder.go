@@ -15,12 +15,6 @@ type Builder struct {
 	inputs []*Node
 	nextID int
 	seed   int64
-
-	// LazyWeights skips random initialization for parameters larger
-	// than 1 Mi elements. Model-zoo graphs that are only priced (never
-	// executed functionally) set this to avoid hundreds of megabytes of
-	// RNG fill.
-	LazyWeights bool
 }
 
 // NewBuilder returns an empty graph builder.
@@ -52,12 +46,12 @@ func (b *Builder) Constant(name string, v *tensor.Tensor) *Node {
 }
 
 // Weight creates a deterministic pseudo-random FP16 parameter, for
-// building models without trained checkpoints.
+// building models without trained checkpoints. A weight is its seed:
+// the builder's seed, one more per call, with values in [-0.1, 0.1]
+// drawn on the first read (tensor.Random), so building, optimizing,
+// planning and pricing a graph hold none of its weight values.
 func (b *Builder) Weight(name string, shape ...int) *Node {
-	t := tensor.New(tensor.FP16, shape...)
-	if !b.LazyWeights || t.NumElements() <= 1<<20 {
-		t.FillRandom(b.seed, 0.1)
-	}
+	t := tensor.Random(tensor.FP16, b.seed, 0.1, shape...)
 	b.seed++
 	return b.Constant(name, t)
 }

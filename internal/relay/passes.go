@@ -113,53 +113,41 @@ func (g *Graph) replaceNode(old, new *Node) {
 
 // FuseEpilogue absorbs BiasAdd and activation nodes that immediately
 // follow a Dense/Conv2D anchor into the anchor's epilogue (the CUTLASS
-// epilogue-fusion prerequisite of §3.1). Returns the number of anchors
-// that gained a fused epilogue.
+// epilogue-fusion prerequisite of §3.1): a bias while the epilogue has
+// no bias and no activation, an activation while it has none. Returns
+// the number of nodes absorbed.
+//
+// One sweep over the anchors does it: a fusion changes only the
+// consumers of its anchor (to those of the node absorbed) and of an
+// absorbed bias (to the anchor), so the map is patched, not rebuilt.
 func FuseEpilogue(g *Graph) int {
+	consumers := g.Consumers()
 	fused := 0
-	for {
-		consumers := g.Consumers()
-		changed := false
-		for _, n := range g.Nodes {
-			if !(n.Op == OpDense || n.Op == OpConv2D) {
-				continue
-			}
-			cs := consumers[n.ID]
-			if len(cs) != 1 {
-				continue
-			}
-			next := cs[0]
-			switch next.Op {
-			case OpBiasAdd:
-				if n.Epilogue != nil && n.Epilogue.Act != cutlass.ActIdentity {
-					continue // activation already applied; bias cannot follow
+	for _, n := range append([]*Node(nil), g.Nodes...) {
+		if !(n.Op == OpDense || n.Op == OpConv2D) {
+			continue
+		}
+		for len(consumers[n.ID]) == 1 {
+			next, epi := consumers[n.ID][0], n.Epilogue
+			bare := epi == nil || epi.Act == cutlass.ActIdentity
+			if next.Op == OpBiasAdd && bare && (epi == nil || !epi.BiasVector) {
+				epi = ensureEpilogue(n)
+				epi.Beta, epi.BiasVector = 1, true
+				bias := next.Inputs[1]
+				n.Inputs = append(n.Inputs, bias)
+				for i, c := range consumers[bias.ID] {
+					if c == next {
+						consumers[bias.ID][i] = n
+					}
 				}
-				epi := ensureEpilogue(n)
-				if epi.BiasVector {
-					continue // already has a bias
-				}
-				epi.Beta = 1
-				epi.BiasVector = true
-				n.Inputs = append(n.Inputs, next.Inputs[1])
-				g.replaceNode(next, n)
-				changed = true
-				fused++
-			case OpActivation:
-				epi := ensureEpilogue(n)
-				if epi.Act != cutlass.ActIdentity {
-					continue
-				}
-				epi.Act = next.Act
-				g.replaceNode(next, n)
-				changed = true
-				fused++
-			}
-			if changed {
+			} else if next.Op == OpActivation && bare {
+				ensureEpilogue(n).Act = next.Act
+			} else {
 				break
 			}
-		}
-		if !changed {
-			break
+			g.replaceNode(next, n)
+			consumers[n.ID] = consumers[next.ID]
+			fused++
 		}
 	}
 	g.rebuild()

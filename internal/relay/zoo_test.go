@@ -60,6 +60,31 @@ func TestConsumersOnZoo(t *testing.T) {
 	}
 }
 
+// TestFuseEpilogueOnZoo fuses every zoo graph, as authored and with
+// its BatchNorms folded, with the pass and with its old implementation:
+// same count, node list, epilogues and inputs.
+func TestFuseEpilogueOnZoo(t *testing.T) {
+	graphs := zooGraphs()
+	graphs["repvgg-a0-aug"] = func() *relay.Graph {
+		return models.RepVGGAt("A0", 1, 32, models.RepVGGOptions{Deepen1x1: true})
+	}
+	graphs["bert-mlp"] = func() *relay.Graph { return models.BERTMLP(8, 64, 256) }
+	for name, build := range graphs {
+		for _, fold := range []bool{false, true} {
+			got, want := build(), build()
+			if fold {
+				relay.FoldBatchNorm(got)
+				relay.FoldBatchNorm(want)
+			}
+			n, m := relay.FuseEpilogue(got), relay.FuseEpilogueOracle(want)
+			if n != m || n == 0 {
+				t.Fatalf("%s (folded %v): fused %d, the old pass %d", name, fold, n, m)
+			}
+			relay.SameFusion(t, name, got, want)
+		}
+	}
+}
+
 // TestFoldBatchNormOnZoo folds every zoo graph with the pass and with
 // its old implementation: same number of folds, same node list but for
 // the weights the old pass materialized, the other constants bit for

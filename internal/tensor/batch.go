@@ -13,7 +13,7 @@ func sampleElems(t *Tensor) int {
 	if len(t.shape) == 0 || t.shape[0] == 0 {
 		panic(fmt.Sprintf("tensor: no batch dimension in shape %v", t.shape))
 	}
-	return len(t.data) / t.shape[0]
+	return t.NumElements() / t.shape[0]
 }
 
 // StackBatch concatenates single-sample tensors (leading dim 1, equal
@@ -36,7 +36,7 @@ func StackBatch(samples []*Tensor) *Tensor {
 		if !s.shape.Equal(first.shape) || s.dtype != first.dtype || s.layout != first.layout {
 			panic(fmt.Sprintf("tensor: StackBatch sample %d is %v, want %v", i, s, first))
 		}
-		copy(out.data[i*per:(i+1)*per], s.data)
+		copy(out.data[i*per:(i+1)*per], s.vals())
 	}
 	return out
 }
@@ -57,7 +57,7 @@ func PadBatch(t *Tensor, rows int) *Tensor {
 	shape[0] = rows
 	out := NewWithLayout(t.dtype, t.layout, shape...)
 	out.scale = t.scale
-	copy(out.data, t.data) // the tail stays zero
+	copy(out.data, t.vals()) // the tail stays zero
 	return out
 }
 
@@ -74,7 +74,7 @@ func StripBatch(t *Tensor, rows int) *Tensor {
 	shape[0] = rows
 	out := &Tensor{shape: shape, dtype: t.dtype, layout: t.layout, scale: t.scale}
 	per := sampleElems(t)
-	out.data = append([]float32(nil), t.data[:rows*per]...)
+	out.data = append([]float32(nil), t.vals()[:rows*per]...)
 	return out
 }
 
@@ -90,6 +90,6 @@ func SliceBatch(t *Tensor, i int) *Tensor {
 	shape[0] = 1
 	out := &Tensor{shape: shape, dtype: t.dtype, layout: t.layout, scale: t.scale}
 	per := sampleElems(t)
-	out.data = append([]float32(nil), t.data[i*per:(i+1)*per]...)
+	out.data = append([]float32(nil), t.vals()[i*per:(i+1)*per]...)
 	return out
 }

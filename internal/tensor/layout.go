@@ -13,15 +13,15 @@ func ToNHWCInto(out, t *Tensor) *Tensor {
 		if out == nil {
 			return t.Clone()
 		}
-		copy(out.data, t.data)
+		copy(out.claim(), t.vals())
 		return out
 	case LayoutNCHW:
 		n, c, h, w := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
 		if out == nil {
 			out = NewWithLayout(t.dtype, LayoutNHWC, n, h, w, c)
 		}
-		src := t.data
-		dst := out.data
+		src := t.vals()
+		dst := out.claim()
 		for in := 0; in < n; in++ {
 			for ic := 0; ic < c; ic++ {
 				for ih := 0; ih < h; ih++ {
@@ -47,15 +47,15 @@ func ToNCHWInto(out, t *Tensor) *Tensor {
 		if out == nil {
 			return t.Clone()
 		}
-		copy(out.data, t.data)
+		copy(out.claim(), t.vals())
 		return out
 	case LayoutNHWC:
 		n, h, w, c := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
 		if out == nil {
 			out = NewWithLayout(t.dtype, LayoutNCHW, n, c, h, w)
 		}
-		src := t.data
-		dst := out.data
+		src := t.vals()
+		dst := out.claim()
 		for in := 0; in < n; in++ {
 			for ih := 0; ih < h; ih++ {
 				for iw := 0; iw < w; iw++ {
@@ -90,16 +90,17 @@ func PadChannelsInto(out, t *Tensor, newC int) *Tensor {
 		if out == nil {
 			return t.Clone()
 		}
-		copy(out.data, t.data)
+		copy(out.claim(), t.vals())
 		return out
 	}
 	if out == nil {
 		out = NewWithLayout(t.dtype, LayoutNHWC, n, h, w, newC)
 	}
+	src, dst := t.vals(), out.claim()
 	rows := n * h * w
 	for r := 0; r < rows; r++ {
-		dstRow := out.data[r*newC : (r+1)*newC]
-		copy(dstRow, t.data[r*c:(r+1)*c])
+		dstRow := dst[r*newC : (r+1)*newC]
+		copy(dstRow, src[r*c:(r+1)*c])
 		// Arena buffers are recycled, so the pad lanes must be
 		// re-zeroed on every execution.
 		for i := c; i < newC; i++ {
@@ -124,9 +125,10 @@ func SliceChannelsInto(out, t *Tensor, newC int) *Tensor {
 	if out == nil {
 		out = NewWithLayout(t.dtype, LayoutNHWC, n, h, w, newC)
 	}
+	src, dst := t.vals(), out.claim()
 	rows := n * h * w
 	for r := 0; r < rows; r++ {
-		copy(out.data[r*newC:(r+1)*newC], t.data[r*c:r*c+newC])
+		copy(dst[r*newC:(r+1)*newC], src[r*c:r*c+newC])
 	}
 	return out
 }
@@ -138,9 +140,10 @@ func Transpose2D(t *Tensor) *Tensor {
 	}
 	r, c := t.shape[0], t.shape[1]
 	out := New(t.dtype, c, r)
+	src := t.vals()
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
-			out.data[j*r+i] = t.data[i*c+j]
+			out.data[j*r+i] = src[i*c+j]
 		}
 	}
 	return out

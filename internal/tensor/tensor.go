@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"bolt/internal/fp16"
 )
@@ -140,26 +141,83 @@ type Tensor struct {
 	// is treated as 1 (the plain integer grid), so zero-valued Tensor
 	// literals keep their historical semantics.
 	scale float32
+	// gen is a seeded tensor's generator (see Random): data stays nil
+	// until the first read draws it.
+	gen *generator
+}
+
+// generator is the seed a Random tensor's values are drawn from, and
+// the once that draws them.
+type generator struct {
+	once  sync.Once
+	seed  int64
+	scale float32
 }
 
 // New allocates a zero tensor of the given dtype and shape with the
 // default layout for its rank (NCHW for 4-D, RowMajor otherwise).
 func New(dtype DType, shape ...int) *Tensor {
-	layout := LayoutRowMajor
-	if len(shape) == 4 {
-		layout = LayoutNCHW
-	}
-	return NewWithLayout(dtype, layout, shape...)
+	return NewWithLayout(dtype, defaultLayout(shape), shape...)
 }
 
 // NewWithLayout allocates a zero tensor with an explicit layout.
 func NewWithLayout(dtype DType, layout Layout, shape ...int) *Tensor {
+	t := header(dtype, layout, shape)
+	t.alloc()
+	return t
+}
+
+// Random returns a tensor holding exactly what New followed by
+// FillRandom(seed, scale) would, but allocates nothing: the values are
+// drawn on the first read, once, however many goroutines read at once.
+// Shape, NumElements and Bytes never draw, so a graph of seeded
+// weights can be built, planned and priced without holding its values.
+func Random(dtype DType, seed int64, scale float32, shape ...int) *Tensor {
+	t := header(dtype, defaultLayout(shape), shape)
+	t.gen = &generator{seed: seed, scale: scale}
+	return t
+}
+
+// defaultLayout is NCHW for a 4-D shape and RowMajor otherwise.
+func defaultLayout(shape []int) Layout {
+	if len(shape) == 4 {
+		return LayoutNCHW
+	}
+	return LayoutRowMajor
+}
+
+// header returns a tensor without storage.
+func header(dtype DType, layout Layout, shape []int) *Tensor {
 	s := Shape(shape).Clone()
-	n := s.NumElements()
-	if n < 0 {
+	if s.NumElements() < 0 {
 		panic(fmt.Sprintf("tensor: negative shape %v", s))
 	}
-	return &Tensor{shape: s, dtype: dtype, layout: layout, data: make([]float32, n)}
+	return &Tensor{shape: s, dtype: dtype, layout: layout}
+}
+
+func (t *Tensor) alloc() { t.data = make([]float32, t.shape.NumElements()) }
+
+// vals returns the tensor's values, drawing a seeded tensor's on the
+// first call. Every read goes through it. The draw calls only
+// unexported bodies: a public accessor would re-enter the once.
+func (t *Tensor) vals() []float32 {
+	if g := t.gen; g != nil {
+		g.once.Do(func() {
+			t.alloc()
+			t.fillRandom(g.seed, g.scale)
+		})
+	}
+	return t.data
+}
+
+// claim returns the storage of a tensor whose every element the caller
+// is about to overwrite: a seeded tensor not yet drawn is allocated,
+// not drawn.
+func (t *Tensor) claim() []float32 {
+	if g := t.gen; g != nil {
+		g.once.Do(t.alloc)
+	}
+	return t.data
 }
 
 // FromData builds a tensor around the given backing data (not copied).
@@ -169,12 +227,8 @@ func FromData(dtype DType, data []float32, shape ...int) *Tensor {
 	if s.NumElements() != len(data) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), s))
 	}
-	layout := LayoutRowMajor
-	if len(shape) == 4 {
-		layout = LayoutNCHW
-	}
-	t := &Tensor{shape: s, dtype: dtype, layout: layout, data: data}
-	t.Quantize()
+	t := &Tensor{shape: s, dtype: dtype, layout: defaultLayout(shape), data: data}
+	t.quantize()
 	return t
 }
 
@@ -196,18 +250,18 @@ func (t *Tensor) DType() DType { return t.dtype }
 func (t *Tensor) Layout() Layout { return t.layout }
 
 // Data exposes the backing float32 slice (aliased, not copied).
-func (t *Tensor) Data() []float32 { return t.data }
+func (t *Tensor) Data() []float32 { return t.vals() }
 
 // NumElements returns the element count.
-func (t *Tensor) NumElements() int { return len(t.data) }
+func (t *Tensor) NumElements() int { return t.shape.NumElements() }
 
 // Bytes returns the size of the tensor in device memory.
-func (t *Tensor) Bytes() int { return len(t.data) * t.dtype.Size() }
+func (t *Tensor) Bytes() int { return t.NumElements() * t.dtype.Size() }
 
 // At returns the element at the given multi-index (row-major within the
 // declared shape ordering).
 func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
+	return t.vals()[t.offset(idx)]
 }
 
 // Set stores v at the given multi-index, quantizing for FP16 tensors.
@@ -215,7 +269,7 @@ func (t *Tensor) Set(v float32, idx ...int) {
 	if t.dtype == FP16 {
 		v = fp16.Round(v)
 	}
-	t.data[t.offset(idx)] = v
+	t.vals()[t.offset(idx)] = v
 }
 
 func (t *Tensor) offset(idx []int) int {
@@ -235,7 +289,7 @@ func (t *Tensor) offset(idx []int) int {
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := &Tensor{shape: t.shape.Clone(), dtype: t.dtype, layout: t.layout, scale: t.scale}
-	c.data = append([]float32(nil), t.data...)
+	c.data = append([]float32(nil), t.vals()...)
 	return c
 }
 
@@ -251,6 +305,7 @@ func (t *Tensor) Scale() float32 {
 // SetScale sets the INT8 quantization step without requantizing the
 // data. Non-positive scales reset to the unset (grid-of-1) state.
 func (t *Tensor) SetScale(s float32) {
+	t.vals() // a seeded tensor's draw quantizes on the step it had
 	if s <= 0 {
 		s = 0
 	}
@@ -266,14 +321,14 @@ func (t *Tensor) CalibrateScale() {
 		return
 	}
 	var maxAbs float32
-	for _, v := range t.data {
+	for _, v := range t.vals() {
 		maxAbs = AbsMax(maxAbs, v)
 	}
 	t.scale = 0 // all zero: the unset scale, a step of 1
 	if maxAbs != 0 {
 		t.scale = INT8Step(maxAbs)
 	}
-	t.Quantize()
+	t.quantize()
 }
 
 // AbsMax returns the larger of m and |v|, the step of CalibrateScale's
@@ -316,6 +371,11 @@ func QuantizeINT8(d []float32, s float32) {
 // Quantize re-rounds all elements through the tensor's dtype. It is a
 // no-op for FP32.
 func (t *Tensor) Quantize() {
+	t.vals()
+	t.quantize()
+}
+
+func (t *Tensor) quantize() {
 	switch t.dtype {
 	case FP16:
 		fp16.Quantize(t.data)
@@ -329,8 +389,9 @@ func (t *Tensor) Fill(v float32) {
 	if t.dtype == FP16 {
 		v = fp16.Round(v)
 	}
-	for i := range t.data {
-		t.data[i] = v
+	d := t.claim()
+	for i := range d {
+		d[i] = v
 	}
 }
 
@@ -338,11 +399,16 @@ func (t *Tensor) Fill(v float32) {
 // [-scale, scale] using the given seed, then quantizes. Kernels are
 // validated against reference implementations on this data.
 func (t *Tensor) FillRandom(seed int64, scale float32) {
+	t.claim()
+	t.fillRandom(seed, scale)
+}
+
+func (t *Tensor) fillRandom(seed int64, scale float32) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := range t.data {
 		t.data[i] = (rng.Float32()*2 - 1) * scale
 	}
-	t.Quantize()
+	t.quantize()
 }
 
 // AsType returns a copy converted to the requested dtype. Converting
@@ -356,13 +422,13 @@ func (t *Tensor) AsType(d DType) *Tensor {
 		c.CalibrateScale()
 		return c
 	}
-	c.Quantize()
+	c.quantize()
 	return c
 }
 
 // String summarizes the tensor without dumping all data.
 func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor{%s %s %s, %d elems}", t.dtype, t.layout, t.shape, len(t.data))
+	return fmt.Sprintf("Tensor{%s %s %s, %d elems}", t.dtype, t.layout, t.shape, t.NumElements())
 }
 
 // MaxAbsDiff returns the maximum elementwise absolute difference between
@@ -372,8 +438,9 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	var m float64
-	for i := range a.data {
-		d := math.Abs(float64(a.data[i]) - float64(b.data[i]))
+	ad, bd := a.vals(), b.vals()
+	for i := range ad {
+		d := math.Abs(float64(ad[i]) - float64(bd[i]))
 		if d > m {
 			m = d
 		}
@@ -387,8 +454,9 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if !a.shape.Equal(b.shape) {
 		return false
 	}
-	for i := range a.data {
-		x, y := float64(a.data[i]), float64(b.data[i])
+	ad, bd := a.vals(), b.vals()
+	for i := range ad {
+		x, y := float64(ad[i]), float64(bd[i])
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return false
 		}

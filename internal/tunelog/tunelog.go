@@ -34,9 +34,11 @@
 package tunelog
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"sync"
 
 	"bolt/internal/ansor"
@@ -243,7 +245,7 @@ func (l *Log) Save(w io.Writer) error {
 // wrote it indented). Anything else — including the bare entry array
 // of the format's first version — is an error.
 func decode(r io.Reader) (jsonLog, error) {
-	buf, err := io.ReadAll(r)
+	buf, err := readAll(r)
 	if err != nil {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
@@ -255,6 +257,19 @@ func decode(r io.Reader) (jsonLog, error) {
 		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
 	}
 	return db, nil
+}
+
+// readAll reads r to the end. A file is read into one buffer sized
+// from its Stat, as os.ReadFile does, instead of one grown by doubling.
+func readAll(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+			b.Grow(int(fi.Size()) + bytes.MinRead) // room for the read that sees EOF
+		}
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // ingest folds a decoded file into this log; keep says whether an

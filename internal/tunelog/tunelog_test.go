@@ -3,6 +3,9 @@ package tunelog
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -361,4 +364,42 @@ func TestLoadedModelConcurrentFirstUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestReadAllSizesFileBuffer: a file reads into one buffer sized from
+// its Stat, with exactly its bytes, whatever its size relative to the
+// final read's headroom: the allocation count does not grow with the
+// file, as io.ReadAll's doubling does.
+func TestReadAllSizesFileBuffer(t *testing.T) {
+	allocs0 := -1.0
+	for _, size := range []int{0, 1, 511, 512, 513, 100_000} {
+		want := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
+		path := filepath.Join(t.TempDir(), "log.json")
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		got, err := readAll(f)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("size %d: read %d bytes (%v), want the file's %d", size, len(got), err, size)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readAll(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs0 < 0 {
+			allocs0 = allocs
+		}
+		if allocs != allocs0 {
+			t.Errorf("size %d: %.0f allocations per read, %.0f for an empty file", size, allocs, allocs0)
+		}
+	}
 }
