@@ -659,14 +659,19 @@ func BenchmarkFunctionalConv(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x := randNHWC(1, bc.s.N, bc.s.H, bc.s.W, bc.s.IC)
+			// Four inputs in turn, so that a branch on the data meets
+			// outcomes it has not learned from the previous iteration.
+			var xs [4]*tensor.Tensor
+			for i := range xs {
+				xs[i] = randNHWC(int64(1+i), bc.s.N, bc.s.H, bc.s.W, bc.s.IC)
+			}
 			w := randOHWI(2, bc.s.OC, bc.s.KH, bc.s.KW, bc.s.IC)
 			bias := tensor.New(tensor.FP16, bc.s.OC)
 			bias.FillRandom(3, 1)
-			dst := c.RunInto(nil, x, w, bias)
+			dst := c.RunInto(nil, xs[0], w, bias)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.RunInto(dst, x, w, bias)
+				c.RunInto(dst, xs[i%len(xs)], w, bias)
 			}
 			b.ReportMetric(bc.s.FLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

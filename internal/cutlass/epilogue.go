@@ -154,13 +154,27 @@ func (e *Epilogue) store(acc float32, c float32) float32 {
 }
 
 // storeRow sets dst[j] = store(acc[j], src[j]) over a row of a tile,
-// with a source element of 0 throughout when src is nil. It is store as
-// passes over the row, each picked once per row: the linear combination
-// (apply's expression, so a target that fuses the multiply-add fuses it
-// the same way), the activation (a branch-free ReLU, Apply per element
-// for the others) and one fp16.Quantize for an FP16 store.
+// with a source element of 0 throughout when src is nil. Where the
+// processor has AVX2 and F16C, storeRowSIMD takes the row's whole
+// 8-lane groups for Identity or ReLU into FP16 or FP32. The rest, and
+// every other epilogue, is store as passes over the row, each picked
+// once per row: the linear combination (apply's expression, so a target
+// that fuses the multiply-add fuses it the same way), the activation (a
+// branch-free ReLU, Apply per element for the others) and one
+// fp16.Quantize for an FP16 store.
 func (e *Epilogue) storeRow(dst, acc, src []float32) {
 	dst = dst[:len(acc)]
+	if src != nil {
+		src = src[:len(acc)]
+	}
+	n := e.storeRowSIMD(dst, acc, src)
+	if n == len(acc) {
+		return
+	}
+	dst, acc = dst[n:], acc[n:]
+	if src != nil {
+		src = src[n:]
+	}
 	alpha, beta := e.Alpha, e.Beta
 	if src == nil {
 		var c float32
@@ -168,7 +182,6 @@ func (e *Epilogue) storeRow(dst, acc, src []float32) {
 			dst[j] = alpha*v + beta*c
 		}
 	} else {
-		src = src[:len(acc)]
 		for j, v := range acc {
 			dst[j] = alpha*v + beta*src[j]
 		}

@@ -232,10 +232,14 @@ func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout)
 
 // maxRow sets best[i] to x[i] where x[i] > best[i], the pooling loops'
 // rule: a NaN is never taken, and of two equal values (+0 and -0
-// included) the one already in best stays. It selects on the bits
-// rather than branching, as which operand wins is data-dependent.
+// included) the one already in best stays. Where the processor has
+// AVX2, maxRowSIMD takes the row's whole 8-lane groups; the rest selects
+// on the bits rather than branching, as which operand wins is
+// data-dependent.
 func maxRow(best, x []float32) {
 	x = x[:len(best)]
+	n := maxRowSIMD(best, x)
+	best, x = best[n:], x[n:]
 	for i, v := range x {
 		var take uint32
 		if v > best[i] {

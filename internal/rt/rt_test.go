@@ -148,8 +148,21 @@ func directMaxPool(x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) []
 // Property: MaxPoolInto gives the direct loop's bits in both layouts,
 // over kernels 2 and 3, strides 1 to 3, padding 0 and 1 and channel
 // counts from 1 to past a multiple of 16, on inputs dense in NaNs, ±0
-// ties and -Inf.
+// ties and -Inf, with maxRow's AVX2 body selected (where the host has
+// it) and with the Go loop.
 func TestMaxPoolMatchesDirectLoop(t *testing.T) {
+	if !haveAVX2 {
+		t.Log("no AVX2 body on this host: the Go loop is checked twice")
+	}
+	t.Run("selected body", checkMaxPoolMatchesDirectLoop)
+	t.Run("Go loop", func(t *testing.T) {
+		defer func(v bool) { haveAVX2 = v }(haveAVX2)
+		haveAVX2 = false
+		checkMaxPoolMatchesDirectLoop(t)
+	})
+}
+
+func checkMaxPoolMatchesDirectLoop(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nan := math.Float32frombits(0x7FC00001)
 	specials := []float32{nan, 0, negZero, float32(math.Inf(-1)), float32(math.Inf(1)), -1, 1, 2}
