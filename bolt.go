@@ -200,8 +200,9 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 		if opts.TopK > 0 || opts.TrustThreshold > 0 {
 			return nil, fmt.Errorf("bolt: guided tuning (TopK/TrustThreshold) is not supported with Baseline: the Ansor-style search has its own internal cost model")
 		}
-		relay.FoldBatchNorm(g)
-		relay.FuseEpilogue(g)
+		if err := relay.OptimizeTVM(g); err != nil {
+			return nil, err
+		}
 		trials := opts.BaselineTrials
 		if trials == 0 {
 			trials = 900

@@ -1,6 +1,7 @@
 // Quickstart: build a small convolutional network with the public API,
 // compile it with Bolt, execute it functionally, and compare against
-// the Ansor-style baseline — the whole paper in 80 lines.
+// the Ansor-style baseline — the whole paper in 80 lines. It exits
+// non-zero when the two outputs differ by more than FP16 noise.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,6 +12,10 @@ import (
 
 	"bolt"
 )
+
+// fp16Noise bounds |bolt - baseline| on the output probabilities: two
+// FP16 ulps at 1.0, the largest probability.
+const fp16Noise = 1.0 / 1024
 
 func main() {
 	dev := bolt.T4()
@@ -56,7 +61,11 @@ func main() {
 
 	fmt.Println("=== quickstart: Bolt vs opaque auto-tuning ===")
 	fmt.Printf("output shape:              %v (probabilities, rows sum to 1)\n", outBolt.Shape())
-	fmt.Printf("max |bolt - baseline|:     %.4g (FP16 noise only)\n", maxDiff(outBolt, outBase))
+	d := maxDiff(outBolt, outBase)
+	fmt.Printf("max |bolt - baseline|:     %.4g (FP16 noise only)\n", d)
+	if d > fp16Noise {
+		log.Fatalf("bolt and the baseline differ by %.4g, more than FP16 noise (%.4g)", d, fp16Noise)
+	}
 	fmt.Printf("bolt latency:              %.1f us  (%d kernel launches)\n",
 		boltRes.Module.Time()*1e6, boltRes.Module.LaunchCount())
 	fmt.Printf("baseline latency:          %.1f us  (%d kernel launches)\n",

@@ -349,7 +349,7 @@ func (s *Suite) ExtensionINT8() *Table {
 		if err != nil {
 			panic(err)
 		}
-		i8 := &cutlass.Gemm{Config: int8Cfg, Epilogue: cutlass.Epilogue{Alpha: 1, OutDType: tensor.INT8}}
+		i8 := &cutlass.Gemm{Config: int8Cfg, Epilogue: cutlass.Epilogue{OutDType: tensor.INT8}}
 		i8T := i8.Time(s.Dev, w.M, w.N, w.K)
 		t.AddRow(fmt.Sprintf("(%d,%d,%d)", w.M, w.N, w.K), us(res.Time), us(i8T), f2(res.Time/i8T))
 	}

@@ -40,11 +40,12 @@ func (s *Suite) compileBolt(g *relay.Graph) (*rt.Module, *gpu.Clock) {
 	return m, clock
 }
 
-// compileAnsor runs the baseline pipeline: TVM-level fusion only, all
-// anchors tuned by the opaque searcher.
+// compileAnsor runs the baseline pipeline: the TVM-level passes only
+// (relay.OptimizeTVM), all anchors tuned by the opaque searcher.
 func (s *Suite) compileAnsor(g *relay.Graph) (*rt.Module, *gpu.Clock, int) {
-	relay.FoldBatchNorm(g)
-	relay.FuseEpilogue(g)
+	if err := relay.OptimizeTVM(g); err != nil {
+		panic(err)
+	}
 	tuner, clock := s.newAnsor()
 	m, err := codegen.Compile(g, s.Dev, codegen.Options{
 		AnsorTuner: tuner, AnsorTrials: s.E2ETrialsPerTask,

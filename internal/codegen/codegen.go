@@ -11,9 +11,9 @@
 //     folded layout/pad glue costs no launches.
 //   - Ansor (Options.AnsorTuner): the baseline. Anchors are tuned by
 //     the opaque evolutionary searcher over SIMT schedules; graph-level
-//     state is whatever TVM's standard operator fusion gives (epilogues
-//     fused into the generated kernel, no persistent fusion, no
-//     padding).
+//     state is whatever TVM's standard passes give (relay.OptimizeTVM:
+//     epilogues fused into the generated kernel, NHWC activations, no
+//     persistent fusion, no padding).
 //
 // Build is the full templated pipeline (graph optimization, profiling,
 // code generation and the module-build charge); every templated
@@ -98,7 +98,9 @@ func Build(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
 
 // Compile lowers the graph. For the Bolt backend the graph should
 // already be optimized (Build does that first); for the Ansor baseline
-// it should carry TVM-level fusion only (fold BN + fuse epilogue).
+// it should carry the TVM-level passes only (relay.OptimizeTVM). Both
+// run their convolutions, biases, batch norms and pools in NHWC: a
+// 4-D operand in another layout to one of them is an error.
 //
 // For the Bolt backend, compilation is a staged pipeline (see
 // pipeline.go): workload extraction, dedup + cache lookup, a parallel
@@ -110,6 +112,9 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 	}
 	for _, n := range g.Nodes {
 		if err := constantWeights(n); err != nil {
+			return nil, fmt.Errorf("codegen: %w", err)
+		}
+		if err := nhwcOperand(n); err != nil {
 			return nil, fmt.Errorf("codegen: %w", err)
 		}
 	}
@@ -204,10 +209,9 @@ func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 		return c.lowerPersistentConv(n)
 	case relay.OpBiasAdd:
 		x, b := c.slot(n.Inputs[0]), c.slot(n.Inputs[1])
-		layout := n.Layout
 		return launchKernel(n, rt.ElementwiseLikeDesc(kname(n), shapeElems(n), 2, 1, n.DType),
 			func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-				return rt.BiasAddInto(dst, env.Value(x), env.Value(b), layout)
+				return rt.BiasAddInto(dst, env.Value(x), env.Value(b))
 			}), nil
 	case relay.OpActivation:
 		x := c.slot(n.Inputs[0])
@@ -226,28 +230,25 @@ func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 		x, ga, be := c.slot(n.Inputs[0]), c.slot(n.Inputs[1]), c.slot(n.Inputs[2])
 		me, va := c.slot(n.Inputs[3]), c.slot(n.Inputs[4])
 		eps := n.Eps
-		layout := n.Layout
 		return launchKernel(n, rt.ElementwiseLikeDesc(kname(n), shapeElems(n), 1, 2, n.DType),
 			func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-				return rt.BatchNormInto(dst, env.Value(x), env.Value(ga), env.Value(be), env.Value(me), env.Value(va), eps, layout)
+				return rt.BatchNormInto(dst, env.Value(x), env.Value(ga), env.Value(be), env.Value(me), env.Value(va), eps)
 			}), nil
 	case relay.OpMaxPool:
 		x := c.slot(n.Inputs[0])
 		pool := n.Pool
-		layout := n.Layout
 		return launchKernel(n, rt.PoolDesc(kname(n), shapeElems(n), pool.Kernel, n.DType),
 			func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-				return rt.MaxPoolInto(dst, env.Value(x), pool, layout)
+				return rt.MaxPoolInto(dst, env.Value(x), pool)
 			}), nil
 	case relay.OpGlobalAvgPool:
 		x := c.slot(n.Inputs[0])
-		layout := n.Inputs[0].Layout
 		inElems := n.Inputs[0].Shape.NumElements()
 		desc := rt.ElementwiseLikeDesc(kname(n), shapeElems(n), 1, 1, n.DType)
 		desc.GlobalLoadB = float64(inElems * n.DType.Size())
 		return launchKernel(n, desc,
 			func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-				return rt.GlobalAvgPoolInto(dst, env.Value(x), layout)
+				return rt.GlobalAvgPoolInto(dst, env.Value(x))
 			}), nil
 	case relay.OpFlatten:
 		x := c.slot(n.Inputs[0])
@@ -317,6 +318,21 @@ func constantWeights(n *relay.Node) error {
 	for _, o := range operands {
 		if o.Op != relay.OpConstant {
 			return fmt.Errorf("%s operand %s is not a constant", n.Op, o)
+		}
+	}
+	return nil
+}
+
+// nhwcOperand rejects a 4-D activation in any layout but NHWC for the
+// lowerings that read channels innermost (a convolution, a bias or
+// batch-norm broadcast, a pool): relay.TransformLayout gives them NHWC,
+// and an NCHW operand would broadcast or pool the wrong axis without
+// any error.
+func nhwcOperand(n *relay.Node) error {
+	switch n.Op {
+	case relay.OpConv2D, relay.OpBiasAdd, relay.OpBatchNorm, relay.OpMaxPool, relay.OpGlobalAvgPool:
+		if x := n.Inputs[0]; len(x.Shape) == 4 && x.Layout != tensor.LayoutNHWC {
+			return fmt.Errorf("%s reads NHWC, but its operand %s is %v (run relay.TransformLayout first)", n, x, x.Layout)
 		}
 	}
 	return nil
@@ -506,18 +522,11 @@ func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape c
 	desc := res.Schedule.ConvDesc(c.dev, geo, n.DType)
 	desc.FLOPs += epi.FLOPsOn(m, nn)
 	// Schedules do not change math, so the baseline's numerics are the
-	// functional kernel's at a permissive alignment. The baseline runs
-	// NCHW models directly; the kernel is NHWC, so an NCHW input is
-	// transformed around it.
+	// functional kernel's at a permissive alignment.
 	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi, FilterScale: n.FilterScale}
-	nchw := n.Layout == tensor.LayoutNCHW
 	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
 	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		x, bias := env.Value(xs), optValue(env, bs)
-		if !nchw {
-			return conv.RunInto(dst, x, wv, bias)
-		}
-		return tensor.ToNCHWInto(dst, conv.RunInto(nil, tensor.ToNHWCInto(nil, x), wv, bias))
+		return conv.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	}), nil
 }
 

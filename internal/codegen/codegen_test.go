@@ -46,8 +46,9 @@ func boltCompile(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 
 func ansorCompile(t *testing.T, g *relay.Graph, dev *gpu.Device, trials int) *rt.Module {
 	t.Helper()
-	relay.FoldBatchNorm(g)
-	relay.FuseEpilogue(g)
+	if err := relay.OptimizeTVM(g); err != nil {
+		t.Fatal(err)
+	}
 	m, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: trials})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +192,11 @@ func TestBatchNormGraphCompiles(t *testing.T) {
 	c = b.BatchNorm(c, ga, be, me, va, 1e-5)
 	g := b.Build(b.Activation(c, cutlass.ActReLU))
 
-	// Unoptimized: BN executes as its own kernel.
+	// Unoptimized: BN executes as its own kernel (in NHWC, as every
+	// fallback op does).
+	if err := relay.TransformLayout(g); err != nil {
+		t.Fatal(err)
+	}
 	mRef, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 9), AnsorTrials: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +281,14 @@ func TestCompileErrorPaths(t *testing.T) {
 	if _, err := Compile(g2, dev, Options{Profiler: p}); err == nil {
 		t.Error("topologically invalid graph must fail compilation")
 	}
+	// An NHWC-only lowering handed an NCHW activation (the layout pass
+	// never ran) fails, naming the node, rather than pool the wrong axis.
+	b := relay.NewBuilder()
+	pool := b.MaxPool(b.Input("data", tensor.FP16, 1, 8, 4, 4), 2, 2, 0)
+	_, err := Compile(b.Build(pool), dev, Options{Profiler: p})
+	if err == nil || !strings.Contains(err.Error(), pool.String()) || !strings.Contains(err.Error(), "NCHW") {
+		t.Errorf("a max-pool of an NCHW operand compiled (err %v), want an error naming %s", err, pool)
+	}
 	// Build is the Bolt recipe: an Ansor tuner is refused, not ignored.
 	if _, err := Build(smallCNN(1), dev, Options{Profiler: p, AnsorTuner: newTestTuner(dev)}); err == nil {
 		t.Error("Build must reject an AnsorTuner")
@@ -330,8 +343,9 @@ func TestComputedWeightRejected(t *testing.T) {
 			t.Errorf("%s, bolt: computed weight compiled (err %v)", name, err)
 		}
 		g = build()
-		relay.FoldBatchNorm(g)
-		relay.FuseEpilogue(g)
+		if err := relay.OptimizeTVM(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		_, err = Compile(g, dev, Options{AnsorTuner: newTestTuner(dev), AnsorTrials: 4})
 		if err == nil || !strings.Contains(err.Error(), "not a constant") {
 			t.Errorf("%s, ansor: computed weight compiled (err %v)", name, err)

@@ -119,10 +119,11 @@ func (c *Conv2D) SupportsProblem() bool {
 }
 
 // RunInto executes the convolution functionally. x is NHWC
-// (N,H,W,IC); w is OHWI (OC,KH,KW,IC); bias is a length-OC vector or
-// nil. The output is NHWC (N,OH,OW,OC), quantized to the epilogue out
-// dtype, written into dst, which must not alias any operand. A nil dst
-// allocates. It returns the destination.
+// (N,H,W,IC); w is OHWI (OC,KH,KW,IC); bias is a length-OC vector when
+// Epilogue.BiasVector is set, nil otherwise. The output is NHWC
+// (N,OH,OW,OC), quantized to the epilogue out dtype, written into dst,
+// which must not alias any operand. A nil dst allocates. It returns the
+// destination.
 func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	s := c.Shape
 	xs, ws := x.Shape(), w.Shape()
@@ -139,11 +140,9 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 	if c.FilterScale != nil && len(c.FilterScale) != s.OC {
 		panic(fmt.Sprintf("cutlass: filter scale length %d != OC %d", len(c.FilterScale), s.OC))
 	}
+	c.Epilogue.checkBias(bias, s.OC)
 	var bd []float32
 	if bias != nil {
-		if bias.NumElements() != s.OC {
-			panic(fmt.Sprintf("cutlass: bias length %d != OC %d", bias.NumElements(), s.OC))
-		}
 		bd = bias.Data()
 	}
 	oh, ow := s.OutH(), s.OutW()
@@ -383,7 +382,7 @@ func (c *Conv2D) Desc(d *gpu.Device) gpu.KernelDesc {
 	actB := L2Discounted(d, float64(s.N*s.H*s.W*s.IC)*float64(esize), (tilesN+g-1)/g)
 	wB := L2Discounted(d, float64(s.OC*s.KH*s.KW*s.IC)*float64(esize), (tilesM+g-1)/g)
 	loadB := actB + wB
-	if bias := c.Epilogue; bias.Beta != 0 && bias.BiasVector {
+	if c.Epilogue.BiasVector {
 		loadB += float64(s.OC * esize)
 	}
 	storeB := float64(m) * float64(n) * float64(c.Epilogue.OutDType.Size())
@@ -427,7 +426,7 @@ func ReferenceConv2D(s ConvShape, x, w, bias *tensor.Tensor, epi Epilogue) *tens
 	out := tensor.NewWithLayout(epi.OutDType, tensor.LayoutNHWC, s.N, oh, ow, s.OC)
 	xd, wd, od := x.Data(), w.Data(), out.Data()
 	var bd []float32
-	if bias != nil {
+	if epi.BiasVector {
 		bd = bias.Data()
 	}
 	for in := 0; in < s.N; in++ {

@@ -386,9 +386,9 @@ func checkConvBitIdentical(t *testing.T) {
 	acts := []Activation{ActIdentity, ActReLU, ActHardswish}
 	for i, s := range shapes {
 		withBias := i%2 == 0
-		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
+		epi := Epilogue{Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
 		if withBias {
-			epi.Beta, epi.BiasVector = 1, true
+			epi.BiasVector = true
 		}
 		c, x, w, bias := convCase(t, int64(100+i), s, epi, withBias)
 		sameBits(t, fmt.Sprintf("%+v %v bias=%v", s, epi.OutDType, withBias),
@@ -403,7 +403,7 @@ func checkConvBitIdentical(t *testing.T) {
 		{N: 1, H: 6, W: 6, IC: 13, OC: 260, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, // groups of four straddle taps
 	}
 	for i, s := range panels {
-		epi := Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
+		epi := Epilogue{BiasVector: true, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
 		c, x, w, bias := convCase(t, int64(300+i), s, epi, true)
 		sameBits(t, fmt.Sprintf("%+v %v", s, epi.OutDType), c.RunInto(nil, x, w, bias), directConv(c, x, w, bias))
 
@@ -411,7 +411,7 @@ func checkConvBitIdentical(t *testing.T) {
 		// non-finite weight on the tap that reads it for output pixel
 		// (0, 0): Inf for even channels, NaN for odd ones.
 		for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
-			epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dt}
+			epi := Epilogue{Act: acts[i%len(acts)], OutDType: dt}
 			c, x, w, _ := convCase(t, int64(400+i), s, epi, false)
 			clear(x.Data()[:s.IC])
 			wd := w.Data()
@@ -456,7 +456,7 @@ func FuzzConv(f *testing.F) {
 			return
 		}
 		pick := uint64(seed)
-		epi := Epilogue{Alpha: 1, Beta: 1, BiasVector: true,
+		epi := Epilogue{BiasVector: true,
 			Act:      []Activation{ActIdentity, ActReLU, ActHardswish}[pick%3],
 			OutDType: []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3]}
 		c, x, wt, bias := convCase(t, seed, s, epi, true)
@@ -533,7 +533,7 @@ func TestConvFirstLaunchConcurrent(t *testing.T) {
 func TestConvSkipsPaddedTapsWithNonFiniteWeights(t *testing.T) {
 	s := Conv3x3(1, 6, 6, 8, 8, 1, 1)
 	for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
-		c, x, w, _ := convCase(t, 7, s, Epilogue{Alpha: 1, OutDType: dt}, false)
+		c, x, w, _ := convCase(t, 7, s, Epilogue{OutDType: dt}, false)
 		wd := w.Data()
 		for oc := 0; oc < s.OC; oc++ {
 			tap := oc * 3 * 3 * s.IC // (oc, kh 0, kw 0): padding for output pixel (0, 0)
@@ -580,7 +580,7 @@ func TestConvPartitionIndependent(t *testing.T) {
 		if m*n*k >= splitMACs != tc.split {
 			t.Fatalf("%v: %d MACs is on the wrong side of splitMACs %d", tc.s, m*n*k, splitMACs)
 		}
-		c, x, w, bias := convCase(t, 11, tc.s, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, OutDType: tc.dt}, true)
+		c, x, w, bias := convCase(t, 11, tc.s, Epilogue{BiasVector: true, OutDType: tc.dt}, true)
 		want := directConv(c, x, w, bias)
 		for _, procs := range []int{1, 2, 8} {
 			got := atProcs(procs, func() *tensor.Tensor { return c.RunInto(nil, x, w, bias) })

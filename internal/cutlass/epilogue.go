@@ -103,40 +103,56 @@ func (a Activation) FLOPs() float64 {
 
 // Epilogue describes the fused tail of a GEMM/Conv kernel:
 //
-//	D = act(alpha * accum + beta * C [+ bias broadcast over columns])
+//	D[i][j] = act(accum[i][j] [+ bias[j]])
 //
 // This covers three of the four CUTLASS epilogue patterns the paper
-// lists in §3.1: element-wise operators, data type conversion
+// lists in §3.1: element-wise operators (Act), data type conversion
 // (OutDType) and broadcast vector over columns (BiasVector). The
 // fourth, partial column reduction, is left out: no lowering asks for
-// it.
+// it. The zero value is DefaultEpilogue.
 type Epilogue struct {
-	Alpha float32
-	Beta  float32
-	// BiasVector: C is interpreted as a length-N vector broadcast over
-	// rows (the BiasAdd pattern) rather than a full matrix.
+	// BiasVector adds a length-N bias vector, one value per output
+	// column (the BiasAdd pattern), to the accumulator. A kernel with
+	// it takes the vector as its source operand; one without takes
+	// none.
 	BiasVector bool
 	Act        Activation
 	// OutDType is the store type (the "data type conversion" pattern).
 	OutDType tensor.DType
 }
 
-// DefaultEpilogue is the plain linear-combination epilogue
-// (alpha=1, beta=0, identity activation, FP16 out).
+// DefaultEpilogue is the plain epilogue: no bias, identity activation,
+// FP16 out.
 func DefaultEpilogue() Epilogue {
-	return Epilogue{Alpha: 1, OutDType: tensor.FP16}
+	return Epilogue{OutDType: tensor.FP16}
 }
 
 // BiasActivation builds the common BiasAdd+activation epilogue.
 func BiasActivation(act Activation) Epilogue {
-	return Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: act, OutDType: tensor.FP16}
+	return Epilogue{BiasVector: true, Act: act, OutDType: tensor.FP16}
 }
 
-// apply computes one output element from an accumulator value and the
-// corresponding source operand element (bias or C matrix; 0 if none).
-func (e *Epilogue) apply(acc float32, c float32) float32 {
-	v := e.Alpha*acc + e.Beta*c
-	return e.Act.Apply(v)
+// checkBias panics unless bias, the source operand a kernel was
+// handed, is what the epilogue reads: a length-n vector with
+// BiasVector, nil without.
+func (e *Epilogue) checkBias(bias *tensor.Tensor, n int) {
+	switch {
+	case e.BiasVector && bias == nil:
+		panic("cutlass: a bias epilogue needs a bias vector")
+	case !e.BiasVector && bias != nil:
+		panic("cutlass: a bias vector for an epilogue without one")
+	case bias != nil && bias.NumElements() != n:
+		panic(fmt.Sprintf("cutlass: bias length %d != %d output columns", bias.NumElements(), n))
+	}
+}
+
+// apply computes one output element from an accumulator value and its
+// column's bias, which only a BiasVector epilogue reads.
+func (e *Epilogue) apply(acc, bias float32) float32 {
+	if e.BiasVector {
+		acc += bias
+	}
+	return e.Act.Apply(acc)
 }
 
 // store is apply followed by the rounding a store to OutDType FP16
@@ -145,46 +161,39 @@ func (e *Epilogue) apply(acc float32, c float32) float32 {
 // give their bytes, and the direct loops the kernels are tested
 // against call them per element. They take a pointer so that a call
 // does not copy the Epilogue through the stack.
-func (e *Epilogue) store(acc float32, c float32) float32 {
-	v := e.apply(acc, c)
+func (e *Epilogue) store(acc, bias float32) float32 {
+	v := e.apply(acc, bias)
 	if e.OutDType == tensor.FP16 {
 		return fp16.Round(v)
 	}
 	return v
 }
 
-// storeRow sets dst[j] = store(acc[j], src[j]) over a row of a tile,
-// with a source element of 0 throughout when src is nil. Where the
-// processor has AVX2 and F16C, storeRowSIMD takes the row's whole
-// 8-lane groups for Identity or ReLU into FP16 or FP32. The rest, and
-// every other epilogue, is store as passes over the row, each picked
-// once per row: the linear combination (apply's expression, so a target
-// that fuses the multiply-add fuses it the same way), the activation (a
-// branch-free ReLU, Apply per element for the others) and one
-// fp16.Quantize for an FP16 store.
-func (e *Epilogue) storeRow(dst, acc, src []float32) {
+// storeRow sets dst[j] = store(acc[j], bias[j]) over a row of a tile;
+// bias is the row's columns of the bias vector, nil without
+// BiasVector. Where the processor has AVX2 and F16C, storeRowSIMD takes
+// the row's whole 8-lane groups for Identity or ReLU into FP16 or FP32.
+// The rest, and every other epilogue, is store as passes over the row,
+// each picked once per row: the bias add (apply's expression), the
+// activation (a branch-free ReLU, Apply per element for the others) and
+// one fp16.Quantize for an FP16 store.
+func (e *Epilogue) storeRow(dst, acc, bias []float32) {
 	dst = dst[:len(acc)]
-	if src != nil {
-		src = src[:len(acc)]
+	if bias != nil {
+		bias = bias[:len(acc)]
 	}
-	n := e.storeRowSIMD(dst, acc, src)
+	n := e.storeRowSIMD(dst, acc, bias)
 	if n == len(acc) {
 		return
 	}
 	dst, acc = dst[n:], acc[n:]
-	if src != nil {
-		src = src[n:]
-	}
-	alpha, beta := e.Alpha, e.Beta
-	if src == nil {
-		var c float32
+	if bias != nil {
+		bias = bias[n:]
 		for j, v := range acc {
-			dst[j] = alpha*v + beta*c
+			dst[j] = v + bias[j]
 		}
 	} else {
-		for j, v := range acc {
-			dst[j] = alpha*v + beta*src[j]
-		}
+		copy(dst, acc)
 	}
 	switch e.Act {
 	case ActIdentity:
@@ -226,9 +235,9 @@ const sfuPenalty = 10
 // flopsPerElement counts epilogue arithmetic per output element in
 // tensor-core-equivalent flops (for kernel pricing; see sfuPenalty).
 func (e Epilogue) flopsPerElement() float64 {
-	f := 1.0 // alpha scale
-	if e.Beta != 0 {
-		f += 2
+	f := 1.0 // the accumulator's conversion
+	if e.BiasVector {
+		f += 2 // the bias load and add
 	}
 	f += e.Act.FLOPs() * sfuPenalty
 	return f

@@ -7,18 +7,15 @@ DATA f16cFix<>+8(SB)/4, $0x33800000
 DATA f16cFix<>+12(SB)/4, $0x7FC00000
 GLOBL f16cFix<>(SB), RODATA|NOPTR, $16
 
-// func storeRowF16C(dst, acc, src *float32, n int, alpha, beta float32, relu, half bool)
-TEXT ·storeRowF16C(SB), NOSPLIT, $0-42
+// func storeRowF16C(dst, acc, bias *float32, n int, relu, half bool)
+TEXT ·storeRowF16C(SB), NOSPLIT, $0-34
 	MOVQ    dst+0(FP), DI
 	MOVQ    acc+8(FP), SI
-	MOVQ    src+16(FP), DX
+	MOVQ    bias+16(FP), DX
 	MOVQ    n+24(FP), CX
-	VBROADCASTSS alpha+32(FP), Y0
-	VBROADCASTSS beta+36(FP), Y1
-	MOVBLZX relu+40(FP), R8
-	MOVBLZX half+41(FP), R9
+	MOVBLZX relu+32(FP), R8
+	MOVBLZX half+33(FP), R9
 	VXORPS  Y2, Y2, Y2
-	VMULPS  Y2, Y1, Y3          // beta*0, the addend without a source
 	VBROADCASTSS f16cFix<>+0(SB), Y10   // sign bit
 	VBROADCASTSS f16cFix<>+4(SB), Y11   // magnitude bits
 	VBROADCASTSS f16cFix<>+8(SB), Y12   // 2^-24, the smallest half subnormal
@@ -27,14 +24,10 @@ TEXT ·storeRowF16C(SB), NOSPLIT, $0-42
 
 loop:
 	VMOVUPS (SI)(AX*4), Y4
-	VMULPS Y0, Y4, Y4           // alpha*acc, acc's NaN first
-	VMOVAPS Y3, Y5
 	TESTQ  DX, DX
-	JEQ    sum
-	VMOVUPS (DX)(AX*4), Y5
-	VMULPS Y1, Y5, Y5           // beta*src, src's NaN first
-sum:
-	VADDPS Y5, Y4, Y4
+	JEQ    act
+	VADDPS (DX)(AX*4), Y4, Y4   // acc + bias, acc's NaN first
+act:
 	TESTB  R8, R8
 	JEQ    round
 	VCMPPS  $1, Y2, Y4, Y5      // v < 0: false for -0 and NaN

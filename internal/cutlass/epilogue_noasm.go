@@ -7,4 +7,4 @@ package cutlass
 // architecture.
 var haveF16C = false
 
-func (e *Epilogue) storeRowSIMD(dst, acc, src []float32) int { return 0 }
+func (e *Epilogue) storeRowSIMD(dst, acc, bias []float32) int { return 0 }

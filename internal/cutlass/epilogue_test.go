@@ -7,33 +7,28 @@ import (
 	"math/rand"
 	"testing"
 
+	"bolt/internal/fp16"
 	"bolt/internal/tensor"
 )
 
-// checkStoreRow runs storeRow over acc and src (nil for no source) and
-// fails at the first element whose bits differ from the scalar store.
-// The one freedom is a NaN's payload where both products of the linear
-// combination are NaN: which of the two the adder returns is its
-// operand order, which Go leaves to the compiler.
-func checkStoreRow(t *testing.T, what string, e *Epilogue, acc, src []float32) {
+// checkStoreRow runs storeRow over acc and bias (nil without
+// BiasVector) and fails at the first element whose bits differ from
+// the scalar store, NaN payloads included: where acc and bias are both
+// NaN, the add returns acc's, in the row pass as in the compiled
+// scalar add.
+func checkStoreRow(t *testing.T, what string, e *Epilogue, acc, bias []float32) {
 	t.Helper()
 	got := make([]float32, len(acc))
-	e.storeRow(got, acc, src)
+	e.storeRow(got, acc, bias)
 	for j, a := range acc {
-		var c float32
-		if src != nil {
-			c = src[j]
+		var b float32
+		if bias != nil {
+			b = bias[j]
 		}
-		want := e.store(a, c)
-		gb, wb := math.Float32bits(got[j]), math.Float32bits(want)
-		if gb == wb {
-			continue
+		if gb, wb := math.Float32bits(got[j]), math.Float32bits(e.store(a, b)); gb != wb {
+			t.Fatalf("%s: element %d (acc %#x, bias %#x): storeRow gives %#x, store %#x",
+				what, j, math.Float32bits(a), math.Float32bits(b), gb, wb)
 		}
-		if p, q := float64(e.Alpha*a), float64(e.Beta*c); math.IsNaN(p) && math.IsNaN(q) && got[j] != got[j] && want != want {
-			continue
-		}
-		t.Fatalf("%s: element %d (acc %#x, src %#x, alpha %g, beta %g): storeRow gives %#x, store %#x",
-			what, j, math.Float32bits(a), math.Float32bits(c), e.Alpha, e.Beta, gb, wb)
 	}
 }
 
@@ -63,12 +58,10 @@ func withGoStoreRow(f func()) {
 }
 
 // Property: storeRow is store, element by element and bit for bit, for
-// every activation, output dtype and source (a bias vector, a row of C,
-// none), with Alpha and Beta that are negative, zero or NaNs with a
-// payload, over rows that hold every special value against every other,
-// with the F16C pass selected (where the host has it) and with the Go
-// passes. A NaN alpha against a NaN accumulator, stored as FP32, pins
-// which of the two the multiply returns.
+// every activation, output dtype and source (a bias vector or none),
+// over rows that hold every special value against every other (NaNs
+// with payloads in both acc and bias among them), with the F16C pass
+// selected (where the host has it) and with the Go passes.
 func TestStoreRowMatchesStore(t *testing.T) {
 	if !haveF16C {
 		t.Log("no F16C pass on this host: the Go passes are checked twice")
@@ -81,38 +74,52 @@ func checkStoreRowMatchesStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	n := len(epilogueSpecials)
 	// Every special against every special, then normals.
-	acc, src := make([]float32, n*n+64), make([]float32, n*n+64)
+	acc, bias := make([]float32, n*n+64), make([]float32, n*n+64)
 	for i := range n * n {
-		acc[i], src[i] = epilogueSpecials[i/n], epilogueSpecials[i%n]
+		acc[i], bias[i] = epilogueSpecials[i/n], epilogueSpecials[i%n]
 	}
 	for i := n * n; i < len(acc); i++ {
-		acc[i], src[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		acc[i], bias[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
 	}
-	nan := math.Float32frombits(0x7FC0BEEF)
-	scales := [][2]float32{{1, 1}, {1, 0}, {0, 1}, {0, 0}, {-0.5, 2}, {1.5, -0.25}, {-1, -1}, {nan, 1}, {1, nan}, {nan, -nan}}
 	for act := ActIdentity; act <= ActSigmoid; act++ {
 		for _, out := range []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8} {
-			for _, ab := range scales {
-				for _, source := range []string{"bias vector", "C row", "no source"} {
-					e := Epilogue{Alpha: ab[0], Beta: ab[1], BiasVector: source == "bias vector", Act: act, OutDType: out}
-					s := src
-					if source == "no source" {
-						s = nil
-					}
-					what := fmt.Sprintf("%v %v alpha %g beta %g %s", act, out, ab[0], ab[1], source)
-					checkStoreRow(t, what, &e, acc, s)
-					// Short rows: a tile's last columns, one lane and
-					// one 8-lane group with a ragged tail.
-					checkStoreRow(t, what+", 1 column", &e, acc[3:4], s[:min(len(s), 1)])
-					checkStoreRow(t, what+", 11 columns", &e, acc[5:16], s[:min(len(s), 11)])
+			for _, withBias := range []bool{true, false} {
+				e := Epilogue{BiasVector: withBias, Act: act, OutDType: out}
+				b := bias
+				if !withBias {
+					b = nil
 				}
+				what := fmt.Sprintf("%v %v bias %t", act, out, withBias)
+				checkStoreRow(t, what, &e, acc, b)
+				// Short rows: a tile's last columns, one lane and
+				// one 8-lane group with a ragged tail.
+				checkStoreRow(t, what+", 1 column", &e, acc[3:4], b[:min(len(b), 1)])
+				checkStoreRow(t, what+", 11 columns", &e, acc[5:16], b[:min(len(b), 11)])
 			}
 		}
 	}
 }
 
+// The zero Epilogue is DefaultEpilogue and stores the accumulator as
+// FP16 (while the epilogue had an Alpha, the zero value zeroed every
+// output).
+func TestZeroEpilogueIsDefault(t *testing.T) {
+	var zero Epilogue
+	if zero != DefaultEpilogue() {
+		t.Fatalf("Epilogue{} = %+v, DefaultEpilogue() = %+v", zero, DefaultEpilogue())
+	}
+	acc := []float32{1.5, -2, 0.1, 65504}
+	got := make([]float32, len(acc))
+	zero.storeRow(got, acc, nil)
+	for j, a := range acc {
+		if got[j] != fp16.Round(a) {
+			t.Errorf("Epilogue{} stores %g as %g, want %g", a, got[j], fp16.Round(a))
+		}
+	}
+}
+
 // Every float32 bit pattern, as the accumulator of the plain FP16 store
-// (Identity, alpha 1, beta 0, no source), through the F16C pass gives
+// (Identity, no bias), through the F16C pass gives
 // store's bits: the two fix-up blends cover every input on which the
 // hardware's rounding parts from fp16.Round.
 func TestStoreRowExhaustive(t *testing.T) {
@@ -157,28 +164,27 @@ func TestStoreRowExhaustive(t *testing.T) {
 }
 
 // FuzzEpilogueRow checks storeRow against the scalar store on raw
-// float32 bits: acc and src are little-endian float32 rows (src padded
-// with zeros or cut to acc's length, or no source at all), alpha and
-// beta are float32 bit patterns, and kind picks the activation, the
-// output dtype and the source. Each input runs with the F16C pass
-// selected (where the host has it) and with the Go passes. The seed corpus in
+// float32 bits: acc and bias are little-endian float32 rows (bias
+// padded with zeros or cut to acc's length, or no bias at all), and
+// kind picks the activation, the output dtype and whether there is a
+// bias. Each input runs with the F16C pass selected (where the host has
+// it) and with the Go passes. The seed corpus in
 // testdata/fuzz/FuzzEpilogueRow runs with the other tests;
 // go test -run '^$' -fuzz FuzzEpilogueRow ./internal/cutlass/ explores.
 func FuzzEpilogueRow(f *testing.F) {
-	f.Fuzz(func(t *testing.T, accBytes, srcBytes []byte, alpha, beta uint32, kind uint8) {
+	f.Fuzz(func(t *testing.T, accBytes, biasBytes []byte, kind uint8) {
 		acc := floatsLE(accBytes)
-		var src []float32
+		var bias []float32
 		if kind/18%2 == 0 {
-			src = floatsLE(srcBytes)
-			src = append(src, make([]float32, max(0, len(acc)-len(src)))...)[:len(acc)]
+			bias = floatsLE(biasBytes)
+			bias = append(bias, make([]float32, max(0, len(acc)-len(bias)))...)[:len(acc)]
 		}
-		e := Epilogue{Alpha: math.Float32frombits(alpha), Beta: math.Float32frombits(beta),
-			BiasVector: src != nil,
-			Act:        Activation(kind % 6),
-			OutDType:   []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8}[kind/6%3]}
-		what := fmt.Sprintf("%v %v source %t", e.Act, e.OutDType, src != nil)
-		checkStoreRow(t, what, &e, acc, src)
-		withGoStoreRow(func() { checkStoreRow(t, what+", Go passes", &e, acc, src) })
+		e := Epilogue{BiasVector: bias != nil,
+			Act:      Activation(kind % 6),
+			OutDType: []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8}[kind/6%3]}
+		what := fmt.Sprintf("%v %v bias %t", e.Act, e.OutDType, e.BiasVector)
+		checkStoreRow(t, what, &e, acc, bias)
+		withGoStoreRow(func() { checkStoreRow(t, what+", Go passes", &e, acc, bias) })
 	})
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Gemm is an instantiated GEMM kernel template: a tile configuration
-// plus a fused epilogue. It computes D = epilogue(A·B, C) where A is
+// plus a fused epilogue. It computes D = epilogue(A·B, bias) where A is
 // M×K and B is K×N, both row-major. Its first launch packs B
 // panel-major and the kernel keeps the panels (see panelCache): B is
 // read-only from its first launch on, and a caller that launches one
@@ -35,15 +35,15 @@ func (g *Gemm) Name() string {
 	return g.Config.Name() + "_" + g.Epilogue.String()
 }
 
-// RunInto executes the kernel functionally. A is M×K, B is K×N. c is
-// the epilogue source operand: a length-N bias vector when
-// Epilogue.BiasVector is set, an M×N matrix when Beta != 0 otherwise,
-// or nil. The result is quantized to the epilogue's output dtype.
-// Accumulation is FP32, as on tensor cores. It writes the result into
-// dst, which must be an M×N tensor of the epilogue's output dtype and
-// must not alias any operand (the planner guarantees this for arena
-// destinations). A nil dst allocates. It returns the destination.
-func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, c *tensor.Tensor) *tensor.Tensor {
+// RunInto executes the kernel functionally. A is M×K, B is K×N. bias
+// is the epilogue's source operand: a length-N vector when
+// Epilogue.BiasVector is set, nil otherwise. The result is quantized
+// to the epilogue's output dtype. Accumulation is FP32, as on tensor
+// cores. It writes the result into dst, which must be an M×N tensor of
+// the epilogue's output dtype and must not alias any operand (the
+// planner guarantees this for arena destinations). A nil dst
+// allocates. It returns the destination.
+func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, bias *tensor.Tensor) *tensor.Tensor {
 	as, bs := a.Shape(), b.Shape()
 	if len(as) != 2 || len(bs) != 2 {
 		panic(fmt.Sprintf("cutlass: gemm operands must be 2-D, got %v x %v", as, bs))
@@ -57,17 +57,10 @@ func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, c *tensor.Tensor) *tensor.Tenso
 		panic(fmt.Sprintf("cutlass: problem (%d,%d,%d) violates alignment %d/%d/%d",
 			m, n, k, g.Config.AlignA, g.Config.AlignB, g.Config.AlignC))
 	}
-	var cdata []float32
-	if c != nil {
-		cs := c.Shape()
-		if g.Epilogue.BiasVector {
-			if c.NumElements() != n {
-				panic(fmt.Sprintf("cutlass: bias length %d != N %d", c.NumElements(), n))
-			}
-		} else if len(cs) != 2 || cs[0] != m || cs[1] != n {
-			panic(fmt.Sprintf("cutlass: C shape %v != (%d, %d)", cs, m, n))
-		}
-		cdata = c.Data()
+	g.Epilogue.checkBias(bias, n)
+	var bd []float32
+	if bias != nil {
+		bd = bias.Data()
 	}
 
 	if dst == nil {
@@ -76,7 +69,7 @@ func (g *Gemm) RunInto(dst *tensor.Tensor, a, b, c *tensor.Tensor) *tensor.Tenso
 		panic(fmt.Sprintf("cutlass: gemm destination has %d elements, want %dx%d", dst.NumElements(), m, n))
 	}
 	r := gemmRunPool.Get().(*gemmRun)
-	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, nil, k, n, n, 1), cd: cdata, od: dst.Data()}
+	*r = gemmRun{epi: g.Epilogue, m: m, n: n, k: k, ad: a.Data(), bd: g.b.packed(b, nil, k, n, n, 1), biasd: bd, od: dst.Data()}
 	parallelRows(r, tiles(m, tileRows)*tiles(n, tileCols), m*n*k/gemmMACsPerConvMAC)
 	*r = gemmRun{} // a pooled run must not pin the operands
 	gemmRunPool.Put(r)
@@ -126,9 +119,9 @@ func tiles(n, tile int) int { return (n + tile - 1) / tile }
 // parallelRows partitions over the output tiles. It is pooled so a
 // call allocates nothing, split or not.
 type gemmRun struct {
-	epi            Epilogue
-	m, n, k        int
-	ad, bd, cd, od []float32
+	epi               Epilogue
+	m, n, k           int
+	ad, bd, biasd, od []float32
 }
 
 var gemmRunPool = sync.Pool{New: func() any { return new(gemmRun) }}
@@ -180,16 +173,12 @@ func (r *gemmRun) tile(acc *[tileRows * tileCols]float32, i0, i1, j0, j1 int) {
 		}
 	}
 	w := j1 - j0
+	var bias []float32
+	if r.biasd != nil {
+		bias = r.biasd[j0:j1]
+	}
 	for i := range rows {
-		var crow []float32 // the epilogue's source operand for this row
-		if r.cd != nil {
-			if r.epi.BiasVector {
-				crow = r.cd[j0:j1]
-			} else {
-				crow = r.cd[(i0+i)*n+j0:][:w]
-			}
-		}
-		r.epi.storeRow(r.od[(i0+i)*n+j0:][:w], acc[i*tileCols:][:w], crow)
+		r.epi.storeRow(r.od[(i0+i)*n+j0:][:w], acc[i*tileCols:][:w], bias)
 	}
 }
 
@@ -293,12 +282,8 @@ func (g *Gemm) Desc(d *gpu.Device, m, n, k int) gpu.KernelDesc {
 	cfg := g.Config
 	tilesM, tilesN := cfg.tileCounts(m, n)
 	loadB, storeB := cfg.traffic(d, m, n, k, g.Epilogue.OutDType.Size())
-	if g.Epilogue.Beta != 0 {
-		if g.Epilogue.BiasVector {
-			loadB += float64(n) * float64(cfg.DType.Size())
-		} else {
-			loadB += float64(m) * float64(n) * float64(cfg.DType.Size())
-		}
+	if g.Epilogue.BiasVector {
+		loadB += float64(n) * float64(cfg.DType.Size())
 	}
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	flops += g.Epilogue.flopsPerElement() * float64(m) * float64(n)
@@ -331,16 +316,17 @@ func (g *Gemm) Time(d *gpu.Device, m, n, k int) float64 {
 	return d.KernelTime(g.Desc(d, m, n, k))
 }
 
-// ReferenceGemm computes D = act(alpha*A·B + beta*C) with no tiling at
-// FP64 accumulation — the oracle kernels are validated against.
-func ReferenceGemm(a, b, c *tensor.Tensor, epi Epilogue) *tensor.Tensor {
+// ReferenceGemm computes D = act(A·B + bias) with no tiling at FP64
+// accumulation — the oracle kernels are validated against. bias is
+// read only with epi.BiasVector.
+func ReferenceGemm(a, b, bias *tensor.Tensor, epi Epilogue) *tensor.Tensor {
 	as, bs := a.Shape(), b.Shape()
 	m, k, n := as[0], as[1], bs[1]
 	out := tensor.New(epi.OutDType, m, n)
 	ad, bd, od := a.Data(), b.Data(), out.Data()
-	var cd []float32
-	if c != nil {
-		cd = c.Data()
+	var biasd []float32
+	if epi.BiasVector {
+		biasd = bias.Data()
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -348,15 +334,11 @@ func ReferenceGemm(a, b, c *tensor.Tensor, epi Epilogue) *tensor.Tensor {
 			for kk := 0; kk < k; kk++ {
 				sum += float64(ad[i*k+kk]) * float64(bd[kk*n+j])
 			}
-			var cv float32
-			if cd != nil {
-				if epi.BiasVector {
-					cv = cd[j]
-				} else {
-					cv = cd[i*n+j]
-				}
+			var bv float32
+			if biasd != nil {
+				bv = biasd[j]
 			}
-			od[i*n+j] = epi.apply(float32(sum), cv)
+			od[i*n+j] = epi.apply(float32(sum), bv)
 		}
 	}
 	if epi.OutDType == tensor.INT8 {

@@ -67,23 +67,6 @@ func TestGemmBiasActivationEpilogues(t *testing.T) {
 	}
 }
 
-func TestGemmBetaMatrix(t *testing.T) {
-	d := gpu.T4()
-	epi := Epilogue{Alpha: 0.5, Beta: 2, OutDType: tensor.FP16}
-	g, err := NewGemm(smallConfig(), epi, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := randMat(t, 6, 16, 32)
-	b := randMat(t, 7, 32, 16)
-	c := randMat(t, 8, 16, 16)
-	got := g.RunInto(nil, a, b, c)
-	want := ReferenceGemm(a, b, c, epi)
-	if !tensor.AllClose(got, want, 1e-2, 1e-3) {
-		t.Errorf("alpha/beta epilogue deviates: %g", tensor.MaxAbsDiff(got, want))
-	}
-}
-
 func TestGemmFP32Output(t *testing.T) {
 	d := gpu.T4()
 	epi := DefaultEpilogue()
@@ -200,7 +183,7 @@ func TestElementwiseDescIsMemoryBound(t *testing.T) {
 // within FP16 tolerance.
 func TestGemmLinearityProperty(t *testing.T) {
 	d := gpu.T4()
-	g, _ := NewGemm(smallConfig(), Epilogue{Alpha: 1, OutDType: tensor.FP32}, d)
+	g, _ := NewGemm(smallConfig(), Epilogue{OutDType: tensor.FP32}, d)
 	f := func(seed int64) bool {
 		a1 := tensor.New(tensor.FP16, 8, 16)
 		a2 := tensor.New(tensor.FP16, 8, 16)
@@ -286,13 +269,13 @@ func TestGELUMonotoneNearOrigin(t *testing.T) {
 // the epilogue's store. It is the bit-exact oracle for the kernel. The
 // float32 conversion rounds each product, as the micro-kernel does, on
 // an architecture whose compiler would otherwise fuse the multiply-add.
-func directGemm(g *Gemm, a, b, c *tensor.Tensor) *tensor.Tensor {
+func directGemm(g *Gemm, a, b, bias *tensor.Tensor) *tensor.Tensor {
 	m, k, n := a.Shape()[0], a.Shape()[1], b.Shape()[1]
 	out := tensor.New(g.Epilogue.OutDType, m, n)
 	ad, bd, od := a.Data(), b.Data(), out.Data()
-	var cd []float32
-	if c != nil {
-		cd = c.Data()
+	var biasd []float32
+	if bias != nil {
+		biasd = bias.Data()
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -300,15 +283,11 @@ func directGemm(g *Gemm, a, b, c *tensor.Tensor) *tensor.Tensor {
 			for kk := 0; kk < k; kk++ {
 				sum += float32(ad[i*k+kk] * bd[kk*n+j])
 			}
-			var cv float32
-			if cd != nil {
-				if g.Epilogue.BiasVector {
-					cv = cd[j]
-				} else {
-					cv = cd[i*n+j]
-				}
+			var bv float32
+			if biasd != nil {
+				bv = biasd[j]
 			}
-			od[i*n+j] = g.Epilogue.store(sum, cv)
+			od[i*n+j] = g.Epilogue.store(sum, bv)
 		}
 	}
 	if g.Epilogue.OutDType == tensor.INT8 {
@@ -357,16 +336,12 @@ func checkGemmBitIdentical(t *testing.T) {
 	dtypes := []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}
 	acts := []Activation{ActIdentity, ActReLU, ActGELU}
 	for i, s := range shapes {
-		epi := Epilogue{Alpha: 1, Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
+		epi := Epilogue{Act: acts[i%len(acts)], OutDType: dtypes[i%len(dtypes)]}
 		a, b := randMat(t, int64(200+i), s.m, s.k), randMat(t, int64(400+i), s.k, s.n)
 		var c *tensor.Tensor
-		switch i / 3 % 3 { // no source operand, a bias vector, a beta matrix
-		case 1:
-			epi.Beta, epi.BiasVector = 1, true
+		if i/3%2 == 1 { // a bias vector, else no source operand
+			epi.BiasVector = true
 			c = tensor.Reshape(randMat(t, int64(600+i), 1, s.n), s.n)
-		case 2:
-			epi.Alpha, epi.Beta = 0.5, 2
-			c = randMat(t, int64(600+i), s.m, s.n)
 		}
 		zeros := []float64{0, 0.5, 1}[i/9%3]
 		for j, ad := 0, a.Data(); j < len(ad); j++ {
@@ -375,7 +350,7 @@ func checkGemmBitIdentical(t *testing.T) {
 			}
 		}
 		g := gemmAt1(t, epi)
-		what := fmt.Sprintf("%dx%dx%d %v zeros=%v source=%d", s.m, s.n, s.k, epi.OutDType, zeros, i/3%3)
+		what := fmt.Sprintf("%dx%dx%d %v zeros=%v bias=%t", s.m, s.n, s.k, epi.OutDType, zeros, epi.BiasVector)
 		sameBits(t, what, g.RunInto(nil, a, b, c), directGemm(g, a, b, c))
 	}
 }
@@ -389,7 +364,7 @@ func TestGemmMultipliesZeroActivations(t *testing.T) {
 	const m, n, k = 3, 11, 9 // a partial quad, a partial panel
 	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 	for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16} {
-		g := gemmAt1(t, Epilogue{Alpha: 1, OutDType: dt})
+		g := gemmAt1(t, Epilogue{OutDType: dt})
 		for mask := 1; mask < 1<<k; mask++ {
 			a, b := randMat(t, 1, m, k), randMat(t, 2, k, n)
 			ad, bd := a.Data(), b.Data()
@@ -424,7 +399,7 @@ func TestGemmMultipliesZeroActivations(t *testing.T) {
 
 // FuzzGemm checks the kernel against the direct loop on random M, N
 // and K (quads, panels and k blocks whole and partial), epilogue
-// source operand (none, a bias vector, a beta matrix), activation and
+// source operand (none or a bias vector), activation and
 // output dtype, with zero activations and Inf or NaN weights at random
 // places, under the selected micro-kernel and the Go body, inline and
 // split at GOMAXPROCS 1 and 2. The seed corpus in
@@ -436,18 +411,14 @@ func FuzzGemm(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, m, n, k uint16, zeros, nonFinite uint8) {
 		mm, nn, kk := 1+int(m%24), 1+int(n%600), 1+int(k%400)
 		pick := uint64(seed)
-		epi := Epilogue{Alpha: 1,
+		epi := Epilogue{
 			Act:      []Activation{ActIdentity, ActReLU, ActGELU}[pick%3],
 			OutDType: []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8}[pick/3%3]}
 		a, b := randMat(t, seed, mm, kk), randMat(t, seed+1, kk, nn)
 		var c *tensor.Tensor
-		switch pick / 18 % 3 {
-		case 1:
-			epi.Beta, epi.BiasVector = 1, true
+		if pick/18%2 == 1 {
+			epi.BiasVector = true
 			c = tensor.Reshape(randMat(t, seed+2, 1, nn), nn)
-		case 2:
-			epi.Alpha, epi.Beta = 0.5, 2
-			c = randMat(t, seed+2, mm, nn)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		ad, bd := a.Data(), b.Data()
@@ -467,7 +438,7 @@ func FuzzGemm(f *testing.F) {
 		want := directGemm(g, a, b, c)
 		check := func(body string) {
 			for _, procs := range []int{1, 2} {
-				what := fmt.Sprintf("%dx%dx%d %v source=%d, %s body at GOMAXPROCS %d", mm, nn, kk, epi.OutDType, pick/18%3, body, procs)
+				what := fmt.Sprintf("%dx%dx%d %v bias=%t, %s body at GOMAXPROCS %d", mm, nn, kk, epi.OutDType, epi.BiasVector, body, procs)
 				got := atProcs(procs, func() *tensor.Tensor { return g.RunInto(nil, a, b, c) })
 				sameBits(t, what, got, want)
 			}
@@ -538,7 +509,7 @@ func TestGemmPartitionIndependent(t *testing.T) {
 		if tc.m*tc.n*tc.k/gemmMACsPerConvMAC >= splitMACs != tc.split {
 			t.Fatalf("%dx%dx%d is on the wrong side of the split threshold", tc.m, tc.n, tc.k)
 		}
-		g := gemmAt1(t, Epilogue{Alpha: 1, Beta: 1, BiasVector: true, Act: ActGELU, OutDType: tc.dt})
+		g := gemmAt1(t, Epilogue{BiasVector: true, Act: ActGELU, OutDType: tc.dt})
 		a, b, bias := randMat(t, 1, tc.m, tc.k), randMat(t, 2, tc.k, tc.n), randMat(t, 3, 1, tc.n)
 		want := directGemm(g, a, b, bias)
 		for _, procs := range []int{1, 2, 8} {

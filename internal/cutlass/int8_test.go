@@ -42,7 +42,7 @@ func TestMaxAlignment(t *testing.T) {
 
 func TestInt8DoubleRateOverFP16(t *testing.T) {
 	d := gpu.T4()
-	i8 := &Gemm{Config: int8Config(), Epilogue: Epilogue{Alpha: 1, OutDType: tensor.INT8}}
+	i8 := &Gemm{Config: int8Config(), Epilogue: Epilogue{OutDType: tensor.INT8}}
 	f16 := &Gemm{Config: stdConfig(), Epilogue: DefaultEpilogue()}
 	m, n, k := 4096, 4096, 4096
 	ratio := f16.Time(d, m, n, k) / i8.Time(d, m, n, k)
@@ -58,7 +58,7 @@ func TestInt8Functional(t *testing.T) {
 	cfg := int8Config()
 	cfg.TB = Shape3{64, 64, 64}
 	cfg.Warp = Shape3{32, 32, 64}
-	g, err := NewGemm(cfg, Epilogue{Alpha: 1, OutDType: tensor.FP32}, d)
+	g, err := NewGemm(cfg, Epilogue{OutDType: tensor.FP32}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestInt8Functional(t *testing.T) {
 	a.FillRandom(1, 10) // quantizes to integers in [-10, 10]
 	b.FillRandom(2, 10)
 	got := g.RunInto(nil, a, b, nil)
-	want := ReferenceGemm(a, b, nil, Epilogue{Alpha: 1, OutDType: tensor.FP32})
+	want := ReferenceGemm(a, b, nil, Epilogue{OutDType: tensor.FP32})
 	if tensor.MaxAbsDiff(got, want) != 0 {
 		t.Errorf("INT8 GEMM deviates: %g (integer math must be exact)", tensor.MaxAbsDiff(got, want))
 	}

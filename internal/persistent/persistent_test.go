@@ -272,13 +272,16 @@ func TestThreeLayerChain(t *testing.T) {
 		tensor.New(tensor.FP16, 64, 32),
 		tensor.New(tensor.FP16, 32, 16),
 	}
+	bs := make([]*tensor.Tensor, len(ws))
 	for i, w := range ws {
 		w.FillRandom(int64(20+i), 0.2)
+		bs[i] = tensor.New(tensor.FP16, layers[i].N)
+		bs[i].FillRandom(int64(30+i), 0.1)
 	}
-	got := f.RunInto(nil, a0, ws, nil)
+	got := f.RunInto(nil, a0, ws, bs)
 	cur := a0
 	for i, l := range layers {
-		cur = cutlass.ReferenceGemm(cur, ws[i], nil, l.Epilogue)
+		cur = cutlass.ReferenceGemm(cur, ws[i], bs[i], l.Epilogue)
 	}
 	if !tensor.AllClose(got, cur, 1e-2, 1e-3) {
 		t.Errorf("3-layer fused deviates: %g", tensor.MaxAbsDiff(got, cur))

@@ -146,7 +146,7 @@ func foldedConvOutputs(got, want *Node, seed int64) (a, b *tensor.Tensor) {
 	x.FillRandom(seed, 1)
 	cfg := cutlass.GemmConfig{TB: cutlass.Shape3{M: 64, N: 64, K: 32}, Warp: cutlass.Shape3{M: 32, N: 32, K: 32},
 		Inst: cutlass.Shape3{M: 16, N: 8, K: 8}, Stages: 2, AlignA: 1, AlignB: 1, AlignC: 1, DType: tensor.FP16}
-	epi := cutlass.Epilogue{Alpha: 1, OutDType: tensor.FP32}
+	epi := cutlass.Epilogue{OutDType: tensor.FP32}
 	folded := &cutlass.Conv2D{Shape: s, Config: cfg, Epilogue: epi, FilterScale: got.FilterScale}
 	plain := &cutlass.Conv2D{Shape: want.Conv, Config: cfg, Epilogue: epi}
 	return folded.RunInto(nil, x, got.Inputs[1].Value, nil), plain.RunInto(nil, x, want.Inputs[1].Value, nil)

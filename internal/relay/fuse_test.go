@@ -35,7 +35,6 @@ func fuseEpilogueOracle(g *Graph) int {
 				if epi.BiasVector {
 					continue // already has a bias
 				}
-				epi.Beta = 1
 				epi.BiasVector = true
 				n.Inputs = append(n.Inputs, next.Inputs[1])
 				g.replaceNode(next, n)

@@ -8,73 +8,91 @@ import (
 
 // TransformLayout rewrites a graph authored in NCHW (the PyTorch
 // convention) into NHWC, the only layout the templated convolution
-// kernels support (paper §3.2.3). A layout-transform op is inserted
-// after each 4-D input and, if needed, before a 4-D output; both are
-// marked Folded because Bolt implements them inside the adjacent
-// kernel's generated CUDA rather than as separate launches, with the
-// destination tensor pre-allocated in the model's parameters.
+// kernels support (paper §3.2.3). Every 4-D NCHW intermediate becomes
+// NHWC but a 4-D Softmax, and every operand reaches its consumer in the
+// layout the consumer reads: NCHW for the ops that read a tensor in
+// memory order (a Flatten and a 4-D Softmax, which must see the
+// authored order), NHWC for the rest. Where an operand is in the other
+// layout a layout-transform op is inserted, one per value and layout
+// and shared by the value's consumers; a 4-D NHWC output is transformed
+// back to NCHW. Every transform is marked Folded because Bolt
+// implements it inside the adjacent kernel's generated CUDA rather than
+// as a separate launch, with the destination tensor pre-allocated in
+// the model's parameters. Running the pass twice changes nothing.
 func TransformLayout(g *Graph) error {
-	// Permute every 4-D NCHW intermediate to NHWC.
 	for _, n := range g.Nodes {
-		if n.Op == OpInput || n.Op == OpConstant {
+		if n.Op == OpInput || n.Op == OpConstant || n.Op == OpLayoutTransform || readsNCHW(n) {
 			continue
 		}
 		if len(n.Shape) == 4 && n.Layout == tensor.LayoutNCHW {
-			n.Shape = tensor.Shape{n.Shape[0], n.Shape[2], n.Shape[3], n.Shape[1]}
+			n.Shape = permute(n.Shape, tensor.LayoutNHWC)
 			n.Layout = tensor.LayoutNHWC
 		}
 	}
-	// Insert input transforms (skipping inputs already fed through one,
-	// so the pass is idempotent).
-	id := g.NewID()
-	consumers := g.Consumers()
-	for _, in := range g.Inputs {
-		if len(in.Shape) != 4 || in.Layout != tensor.LayoutNCHW {
+	type key struct {
+		id int
+		to tensor.Layout
+	}
+	transforms := map[key]*Node{}
+	transform := func(x *Node, to tensor.Layout, name string) *Node {
+		k := key{x.ID, to}
+		if tr, ok := transforms[k]; ok {
+			return tr
+		}
+		tr := &Node{ID: g.NewID(), Op: OpLayoutTransform, Inputs: []*Node{x},
+			Shape: permute(x.Shape, to), DType: x.DType, Layout: to, ToLayout: to,
+			Folded: true, Name: name}
+		g.insertAfter(x, tr)
+		transforms[k] = tr
+		return tr
+	}
+	for _, n := range append([]*Node(nil), g.Nodes...) {
+		if n.Op == OpInput || n.Op == OpConstant || n.Op == OpLayoutTransform {
 			continue
 		}
-		already := false
-		for _, c := range consumers[in.ID] {
-			if c.Op == OpLayoutTransform {
-				already = true
-			}
+		want, other := tensor.LayoutNHWC, tensor.LayoutNCHW
+		if readsNCHW(n) {
+			want, other = other, want
 		}
-		if already {
-			continue
-		}
-		tr := &Node{ID: id, Op: OpLayoutTransform, Inputs: []*Node{in},
-			Shape: tensor.Shape{in.Shape[0], in.Shape[2], in.Shape[3], in.Shape[1]},
-			DType: in.DType, Layout: tensor.LayoutNHWC, ToLayout: tensor.LayoutNHWC,
-			Folded: true, Name: "layout_in"}
-		id++
-		// Rewire all consumers of the input except the transform itself.
-		for _, n := range g.Nodes {
-			if n == tr {
+		for i, x := range n.Inputs {
+			if x.Op == OpConstant || len(x.Shape) != 4 || x.Layout != other {
 				continue
 			}
-			for i, x := range n.Inputs {
-				if x == in {
-					n.Inputs[i] = tr
-				}
+			name := "layout_to_" + want.String()
+			if x.Op == OpInput {
+				name = "layout_in"
 			}
-		}
-		g.insertAfter(in, tr)
-		if g.Output == in {
-			g.Output = tr
+			n.Inputs[i] = transform(x, want, name)
 		}
 	}
-	// If the output is a 4-D NHWC tensor, transform back to NCHW so the
-	// caller sees the layout the model was authored in.
-	out := g.Output
-	if len(out.Shape) == 4 && out.Layout == tensor.LayoutNHWC {
-		tr := &Node{ID: g.NewID(), Op: OpLayoutTransform, Inputs: []*Node{out},
-			Shape: tensor.Shape{out.Shape[0], out.Shape[3], out.Shape[1], out.Shape[2]},
-			DType: out.DType, Layout: tensor.LayoutNCHW, ToLayout: tensor.LayoutNCHW,
-			Folded: true, Name: "layout_out"}
-		g.insertAfter(out, tr)
-		g.Output = tr
+	// The caller sees the layout the model was authored in.
+	if out := g.Output; len(out.Shape) == 4 && out.Layout == tensor.LayoutNHWC {
+		g.Output = transform(out, tensor.LayoutNCHW, "layout_out")
 	}
 	g.rebuild()
 	return g.Validate()
+}
+
+// readsNCHW reports whether n reads its operand in memory order, so
+// that it must see a 4-D operand in the authored NCHW layout: a Flatten
+// of a 4-D tensor, and a 4-D Softmax, whose rows are the last axis.
+func readsNCHW(n *Node) bool {
+	switch n.Op {
+	case OpFlatten:
+		return len(n.Inputs[0].Shape) == 4
+	case OpSoftmax:
+		return len(n.Shape) == 4
+	}
+	return false
+}
+
+// permute returns the 4-D shape s, whose layout is the other one of
+// NCHW and NHWC, in layout to.
+func permute(s tensor.Shape, to tensor.Layout) tensor.Shape {
+	if to == tensor.LayoutNHWC {
+		return tensor.Shape{s[0], s[2], s[3], s[1]}
+	}
+	return tensor.Shape{s[0], s[3], s[1], s[2]}
 }
 
 // padLastDim zero-pads the innermost dimension of a 4-D tensor to

@@ -132,7 +132,7 @@ func FuseEpilogue(g *Graph) int {
 			bare := epi == nil || epi.Act == cutlass.ActIdentity
 			if next.Op == OpBiasAdd && bare && (epi == nil || !epi.BiasVector) {
 				epi = ensureEpilogue(n)
-				epi.Beta, epi.BiasVector = 1, true
+				epi.BiasVector = true
 				bias := next.Inputs[1]
 				n.Inputs = append(n.Inputs, bias)
 				for i, c := range consumers[bias.ID] {
@@ -413,14 +413,24 @@ func PartitionBYOC(g *Graph) (boltNodes, tvmNodes int) {
 	return boltNodes, tvmNodes
 }
 
-// Optimize runs the full Bolt graph pipeline in order: BatchNorm
-// folding, epilogue fusion, layout transformation, kernel padding,
-// persistent fusion, and BYOC partitioning.
-func Optimize(g *Graph, d *gpu.Device) error {
+// OptimizeTVM runs the graph passes TVM's standard pipeline gives
+// both backends, in order: BatchNorm folding, epilogue fusion and the
+// layout transformation to NHWC. It is the whole graph-level recipe of
+// the Ansor baseline, and Optimize starts with it.
+func OptimizeTVM(g *Graph) error {
 	FoldBatchNorm(g)
 	FuseEpilogue(g)
 	if err := TransformLayout(g); err != nil {
 		return fmt.Errorf("relay: layout transform: %w", err)
+	}
+	return nil
+}
+
+// Optimize runs the full Bolt graph pipeline in order: OptimizeTVM,
+// then kernel padding, persistent fusion, and BYOC partitioning.
+func Optimize(g *Graph, d *gpu.Device) error {
+	if err := OptimizeTVM(g); err != nil {
+		return err
 	}
 	PadChannels(g)
 	FusePersistent(g, d)

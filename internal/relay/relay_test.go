@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"fmt"
 	"testing"
 
 	"bolt/internal/cutlass"
@@ -310,6 +311,51 @@ func TestTransformLayout(t *testing.T) {
 	for _, n := range g.Nodes {
 		if n.Op == OpLayoutTransform && !n.Folded {
 			t.Error("layout transforms must be folded into adjacent kernels")
+		}
+	}
+}
+
+// TransformLayout gives a Flatten and a 4-D Softmax their operand in
+// NCHW through one folded transform each, which costs no launch, and
+// a second run of the pass changes nothing.
+func TestTransformLayoutFoldsReaderTransforms(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		head func(b *Builder, c *Node) *Node
+	}{
+		{"flatten", func(b *Builder, c *Node) *Node {
+			return b.Dense(b.Flatten(c), b.Weight("wfc", 16*4*4, 10))
+		}},
+		{"softmax", func(b *Builder, c *Node) *Node { return b.Softmax(c) }},
+	} {
+		b := NewBuilder()
+		x := b.Input("data", tensor.FP16, 2, 8, 4, 4)
+		g := b.Build(tc.head(b, b.Conv2D(x, b.Weight("w", 16, 3, 3, 8), 1, 1)))
+		if err := TransformLayout(g); err != nil {
+			t.Fatal(err)
+		}
+		count := func() string {
+			var s string
+			for _, n := range g.Nodes {
+				if n.Op == OpLayoutTransform {
+					s += fmt.Sprintf(" %s(%v->%v)", n.Name, n.Inputs[0].Layout, n.ToLayout)
+					if !n.Folded {
+						t.Errorf("%s: transform %s is not folded", tc.name, n.Name)
+					}
+				}
+			}
+			return s
+		}
+		// The input's transform to NHWC, and the reader's to NCHW.
+		const want = " layout_in(NCHW->NHWC) layout_to_NCHW(NHWC->NCHW)"
+		if got := count(); got != want {
+			t.Errorf("%s: transforms%s, want%s", tc.name, got, want)
+		}
+		if err := TransformLayout(g); err != nil {
+			t.Fatal(err)
+		}
+		if got := count(); got != want {
+			t.Errorf("%s: a second pass leaves transforms%s, want%s", tc.name, got, want)
 		}
 	}
 }

@@ -58,30 +58,16 @@ func likeInput(dst, x *tensor.Tensor) *tensor.Tensor {
 	return tensor.NewWithLayout(x.DType(), x.Layout(), x.Shape()...)
 }
 
-// BiasAddInto broadcasts bias over the channel dimension; dst may
-// alias x.
-func BiasAddInto(dst, x, bias *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
+// BiasAddInto broadcasts bias over the innermost (channel) dimension
+// of an NHWC or 2-D x; dst may alias x.
+func BiasAddInto(dst, x, bias *tensor.Tensor) *tensor.Tensor {
 	out := likeInput(dst, x)
 	d := out.Data()
 	xd := x.Data()
 	bd := bias.Data()
 	c := len(bd)
-	s := x.Shape()
-	if len(s) == 4 && layout == tensor.LayoutNCHW {
-		n, ch, h, w := s[0], s[1], s[2], s[3]
-		for in := 0; in < n; in++ {
-			for ic := 0; ic < ch; ic++ {
-				base := (in*ch + ic) * h * w
-				b := bd[ic]
-				for i := 0; i < h*w; i++ {
-					d[base+i] = xd[base+i] + b
-				}
-			}
-		}
-	} else {
-		for i := range d {
-			d[i] = xd[i] + bd[i%c]
-		}
+	for i := range d {
+		d[i] = xd[i] + bd[i%c]
 	}
 	out.Quantize()
 	return out
@@ -111,9 +97,9 @@ func AddInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BatchNormInto applies inference-mode BN over the channel axis; dst
-// may alias x.
-func BatchNormInto(dst, x, gamma, beta, mean, variance *tensor.Tensor, eps float64, layout tensor.Layout) *tensor.Tensor {
+// BatchNormInto applies inference-mode BN over the innermost (channel)
+// axis of an NHWC or 2-D x; dst may alias x.
+func BatchNormInto(dst, x, gamma, beta, mean, variance *tensor.Tensor, eps float64) *tensor.Tensor {
 	out := likeInput(dst, x)
 	d := out.Data()
 	xd := x.Data()
@@ -125,103 +111,46 @@ func BatchNormInto(dst, x, gamma, beta, mean, variance *tensor.Tensor, eps float
 		scale[i] = s
 		shift[i] = beta.Data()[i] - mean.Data()[i]*s
 	}
-	s := x.Shape()
-	if len(s) == 4 && layout == tensor.LayoutNCHW {
-		n, ch, h, w := s[0], s[1], s[2], s[3]
-		for in := 0; in < n; in++ {
-			for ic := 0; ic < ch; ic++ {
-				base := (in*ch + ic) * h * w
-				sc, sh := scale[ic], shift[ic]
-				for i := 0; i < h*w; i++ {
-					d[base+i] = xd[base+i]*sc + sh
-				}
-			}
-		}
-	} else {
-		for i := range d {
-			d[i] = xd[i]*scale[i%c] + shift[i%c]
-		}
+	for i := range d {
+		d[i] = xd[i]*scale[i%c] + shift[i%c]
 	}
 	out.Quantize()
 	return out
 }
 
-// MaxPoolInto computes 2-D max pooling for NHWC or NCHW tensors; dst
-// must not alias x. The inner loops index the raw data slices directly
-// — no per-element bounds-checked At/Set calls on the hot path.
-func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) *tensor.Tensor {
+// MaxPoolInto computes 2-D max pooling of an NHWC tensor; dst must
+// not alias x. Channels are innermost: each output pixel's c-long row
+// starts at -Inf and takes the elementwise max against the contiguous
+// input row under each in-range tap, taps in (kh, kw) order.
+func MaxPoolInto(dst, x *tensor.Tensor, p relay.PoolAttrs) *tensor.Tensor {
 	s := x.Shape()
-	var n, h, w, c int
-	if layout == tensor.LayoutNCHW {
-		n, c, h, w = s[0], s[1], s[2], s[3]
-	} else {
-		n, h, w, c = s[0], s[1], s[2], s[3]
-	}
+	n, h, w, c := s[0], s[1], s[2], s[3]
 	oh := (h+2*p.Pad-p.Kernel)/p.Stride + 1
 	ow := (w+2*p.Pad-p.Kernel)/p.Stride + 1
 	out := dst
 	if out == nil {
-		if layout == tensor.LayoutNCHW {
-			out = tensor.NewWithLayout(x.DType(), layout, n, c, oh, ow)
-		} else {
-			out = tensor.NewWithLayout(x.DType(), layout, n, oh, ow, c)
-		}
+		out = tensor.NewWithLayout(x.DType(), tensor.LayoutNHWC, n, oh, ow, c)
 	}
 	xd, od := x.Data(), out.Data()
 	neg := float32(math.Inf(-1))
-	if layout == tensor.LayoutNCHW {
-		for in := 0; in < n; in++ {
-			for ic := 0; ic < c; ic++ {
-				plane := (in*c + ic) * h * w
-				oplane := (in*c + ic) * oh * ow
-				for io := 0; io < oh; io++ {
-					for jo := 0; jo < ow; jo++ {
-						best := neg
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := io*p.Stride - p.Pad + kh
-							if ih < 0 || ih >= h {
-								continue
-							}
-							row := plane + ih*w
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := jo*p.Stride - p.Pad + kw
-								if iw < 0 || iw >= w {
-									continue
-								}
-								if v := xd[row+iw]; v > best {
-									best = v
-								}
-							}
-						}
-						od[oplane+io*ow+jo] = best
-					}
+	for in := 0; in < n; in++ {
+		for io := 0; io < oh; io++ {
+			for jo := 0; jo < ow; jo++ {
+				best := od[((in*oh+io)*ow+jo)*c:][:c]
+				for i := range best {
+					best[i] = neg
 				}
-			}
-		}
-	} else {
-		// Channels innermost: each output pixel's c-long row starts at
-		// -Inf and takes the elementwise max against the contiguous
-		// input row under each in-range tap, taps in the same (kh, kw)
-		// order as the NCHW loop.
-		for in := 0; in < n; in++ {
-			for io := 0; io < oh; io++ {
-				for jo := 0; jo < ow; jo++ {
-					best := od[((in*oh+io)*ow+jo)*c:][:c]
-					for i := range best {
-						best[i] = neg
+				for kh := 0; kh < p.Kernel; kh++ {
+					ih := io*p.Stride - p.Pad + kh
+					if ih < 0 || ih >= h {
+						continue
 					}
-					for kh := 0; kh < p.Kernel; kh++ {
-						ih := io*p.Stride - p.Pad + kh
-						if ih < 0 || ih >= h {
+					for kw := 0; kw < p.Kernel; kw++ {
+						iw := jo*p.Stride - p.Pad + kw
+						if iw < 0 || iw >= w {
 							continue
 						}
-						for kw := 0; kw < p.Kernel; kw++ {
-							iw := jo*p.Stride - p.Pad + kw
-							if iw < 0 || iw >= w {
-								continue
-							}
-							maxRow(best, xd[((in*h+ih)*w+iw)*c:][:c])
-						}
+						maxRow(best, xd[((in*h+ih)*w+iw)*c:][:c])
 					}
 				}
 			}
@@ -250,42 +179,24 @@ func maxRow(best, x []float32) {
 	}
 }
 
-// GlobalAvgPoolInto averages spatial dims to (N, C); dst must not
-// alias x. Inner loops index raw data directly.
-func GlobalAvgPoolInto(dst, x *tensor.Tensor, layout tensor.Layout) *tensor.Tensor {
+// GlobalAvgPoolInto averages the spatial dims of an NHWC tensor to
+// (N, C); dst must not alias x. Inner loops index raw data directly.
+func GlobalAvgPoolInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	s := x.Shape()
-	var n, h, w, c int
-	if layout == tensor.LayoutNCHW {
-		n, c, h, w = s[0], s[1], s[2], s[3]
-	} else {
-		n, h, w, c = s[0], s[1], s[2], s[3]
-	}
+	n, h, w, c := s[0], s[1], s[2], s[3]
 	out := dst
 	if out == nil {
 		out = tensor.New(x.DType(), n, c)
 	}
 	xd, od := x.Data(), out.Data()
 	inv := 1 / float32(h*w)
-	if layout == tensor.LayoutNCHW {
-		for in := 0; in < n; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				sum := float32(0)
-				for i := 0; i < h*w; i++ {
-					sum += xd[base+i]
-				}
-				od[in*c+ic] = sum * inv
+	for in := 0; in < n; in++ {
+		for ic := 0; ic < c; ic++ {
+			sum := float32(0)
+			for i := 0; i < h*w; i++ {
+				sum += xd[(in*h*w+i)*c+ic]
 			}
-		}
-	} else {
-		for in := 0; in < n; in++ {
-			for ic := 0; ic < c; ic++ {
-				sum := float32(0)
-				for i := 0; i < h*w; i++ {
-					sum += xd[(in*h*w+i)*c+ic]
-				}
-				od[in*c+ic] = sum * inv
-			}
+			od[in*c+ic] = sum * inv
 		}
 	}
 	out.Quantize()

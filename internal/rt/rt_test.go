@@ -16,21 +16,15 @@ import (
 func TestBiasAddRunLayouts(t *testing.T) {
 	bias := tensor.FromData(tensor.FP32, []float32{1, 2}, 2)
 
-	// NCHW: channel is dim 1.
-	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNCHW, 1, 2, 2, 2)
-	out := BiasAddInto(nil, x, bias, tensor.LayoutNCHW)
-	if out.At(0, 0, 1, 1) != 1 || out.At(0, 1, 0, 0) != 2 {
-		t.Error("NCHW bias broadcast wrong")
-	}
 	// NHWC: channel is the trailing dim.
 	x2 := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 1, 2, 2, 2)
-	out2 := BiasAddInto(nil, x2, bias, tensor.LayoutNHWC)
+	out2 := BiasAddInto(nil, x2, bias)
 	if out2.At(0, 1, 1, 0) != 1 || out2.At(0, 0, 0, 1) != 2 {
 		t.Error("NHWC bias broadcast wrong")
 	}
 	// 2-D: feature is the trailing dim.
 	x3 := tensor.New(tensor.FP32, 3, 2)
-	out3 := BiasAddInto(nil, x3, bias, tensor.LayoutRowMajor)
+	out3 := BiasAddInto(nil, x3, bias)
 	if out3.At(2, 0) != 1 || out3.At(0, 1) != 2 {
 		t.Error("2-D bias broadcast wrong")
 	}
@@ -56,10 +50,10 @@ func TestActivationAndAddRun(t *testing.T) {
 func TestBatchNormRun(t *testing.T) {
 	// One channel with gamma=2, beta=1, mean=3, var=4 (eps=0):
 	// y = (x-3)/2*2 + 1 = x - 2.
-	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNCHW, 1, 1, 2, 2)
+	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 1, 2, 2, 1)
 	x.Fill(5)
 	one := func(v float32) *tensor.Tensor { return tensor.FromData(tensor.FP32, []float32{v}, 1) }
-	out := BatchNormInto(nil, x, one(2), one(1), one(3), one(4), 0, tensor.LayoutNCHW)
+	out := BatchNormInto(nil, x, one(2), one(1), one(3), one(4), 0)
 	if out.At(0, 0, 0, 0) != 3 {
 		t.Errorf("BN output %g, want 3", out.At(0, 0, 0, 0))
 	}
@@ -72,7 +66,7 @@ func TestMaxPoolRun(t *testing.T) {
 			x.Set(float32(i*4+j), 0, i, j, 0)
 		}
 	}
-	out := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNHWC)
+	out := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 2, Stride: 2})
 	if !out.Shape().Equal(tensor.Shape{1, 2, 2, 1}) {
 		t.Fatalf("pool shape %v", out.Shape())
 	}
@@ -86,36 +80,23 @@ func TestMaxPoolRun(t *testing.T) {
 		}
 	}
 	// Padded pooling must ignore out-of-bounds (-inf identity).
-	padded := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 3, Stride: 2, Pad: 1}, tensor.LayoutNHWC)
+	padded := MaxPoolInto(nil, x, relay.PoolAttrs{Kernel: 3, Stride: 2, Pad: 1})
 	if padded.At(0, 0, 0, 0) != 5 {
 		t.Errorf("padded pool corner %g, want 5", padded.At(0, 0, 0, 0))
 	}
-	// NCHW path.
-	xc := tensor.ToNCHWInto(nil, x)
-	outc := MaxPoolInto(nil, xc, relay.PoolAttrs{Kernel: 2, Stride: 2}, tensor.LayoutNCHW)
-	if outc.At(0, 0, 1, 1) != 15 {
-		t.Error("NCHW pool wrong")
-	}
 }
 
-// directMaxPool is the per-element pooling loop, the oracle for
-// MaxPoolInto: every output element walks its window in (kh, kw) order
-// from -Inf and takes a value only when it is greater, so a NaN is
-// never taken and of two equal zeros the first stays.
-func directMaxPool(x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) []float32 {
+// directMaxPool is the per-element pooling loop over an NHWC tensor,
+// the oracle for MaxPoolInto: every output element walks its window in
+// (kh, kw) order from -Inf and takes a value only when it is greater,
+// so a NaN is never taken and of two equal zeros the first stays.
+func directMaxPool(x *tensor.Tensor, p relay.PoolAttrs) []float32 {
 	s := x.Shape()
 	n, h, w, c := s[0], s[1], s[2], s[3]
 	at := func(in, ih, iw, ic int) int { return ((in*h+ih)*w+iw)*c + ic }
-	if layout == tensor.LayoutNCHW {
-		n, c, h, w = s[0], s[1], s[2], s[3]
-		at = func(in, ih, iw, ic int) int { return ((in*c+ic)*h+ih)*w + iw }
-	}
 	oh := (h+2*p.Pad-p.Kernel)/p.Stride + 1
 	ow := (w+2*p.Pad-p.Kernel)/p.Stride + 1
 	oat := func(in, io, jo, ic int) int { return ((in*oh+io)*ow+jo)*c + ic }
-	if layout == tensor.LayoutNCHW {
-		oat = func(in, io, jo, ic int) int { return ((in*c+ic)*oh+io)*ow + jo }
-	}
 	xd, od := x.Data(), make([]float32, n*oh*ow*c)
 	for in := range n {
 		for io := range oh {
@@ -145,8 +126,7 @@ func directMaxPool(x *tensor.Tensor, p relay.PoolAttrs, layout tensor.Layout) []
 	return od
 }
 
-// Property: MaxPoolInto gives the direct loop's bits in both layouts,
-// over kernels 2 and 3, strides 1 to 3, padding 0 and 1 and channel
+// Property: MaxPoolInto gives the direct loop's bits over kernels 2 and 3, strides 1 to 3, padding 0 and 1 and channel
 // counts from 1 to past a multiple of 16, on inputs dense in NaNs, ±0
 // ties and -Inf, with maxRow's AVX2 body selected (where the host has
 // it) and with the Go loop.
@@ -177,25 +157,19 @@ func checkMaxPoolMatchesDirectLoop(t *testing.T) {
 				xd[i] = specials[rng.Intn(len(specials))]
 			}
 		}
-		xc := tensor.ToNCHWInto(nil, x)
 		for _, k := range []int{2, 3} {
 			for stride := 1; stride <= 3; stride++ {
 				for pad := 0; pad <= 1; pad++ {
 					p := relay.PoolAttrs{Kernel: k, Stride: stride, Pad: pad}
-					for _, in := range []struct {
-						x      *tensor.Tensor
-						layout tensor.Layout
-					}{{x, tensor.LayoutNHWC}, {xc, tensor.LayoutNCHW}} {
-						got := MaxPoolInto(nil, in.x, p, in.layout).Data()
-						want := directMaxPool(in.x, p, in.layout)
-						if len(got) != len(want) {
-							t.Fatalf("C=%d %+v %v: %d outputs, want %d", c, p, in.layout, len(got), len(want))
-						}
-						for i := range want {
-							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-								t.Fatalf("C=%d %+v %v: output %d is %#x, want %#x", c, p, in.layout, i,
-									math.Float32bits(got[i]), math.Float32bits(want[i]))
-							}
+					got := MaxPoolInto(nil, x, p).Data()
+					want := directMaxPool(x, p)
+					if len(got) != len(want) {
+						t.Fatalf("C=%d %+v: %d outputs, want %d", c, p, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("C=%d %+v: output %d is %#x, want %#x", c, p, i,
+								math.Float32bits(got[i]), math.Float32bits(want[i]))
 						}
 					}
 				}
@@ -207,7 +181,7 @@ func checkMaxPoolMatchesDirectLoop(t *testing.T) {
 func TestGlobalAvgPoolRun(t *testing.T) {
 	x := tensor.NewWithLayout(tensor.FP32, tensor.LayoutNHWC, 2, 2, 2, 3)
 	x.Fill(4)
-	out := GlobalAvgPoolInto(nil, x, tensor.LayoutNHWC)
+	out := GlobalAvgPoolInto(nil, x)
 	if !out.Shape().Equal(tensor.Shape{2, 3}) {
 		t.Fatalf("gap shape %v", out.Shape())
 	}
@@ -454,9 +428,9 @@ func BenchmarkMaxPool(b *testing.B) {
 			x := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNHWC, n, 32, 32, 16)
 			x.FillRandom(1, 1)
 			p := relay.PoolAttrs{Kernel: 2, Stride: 2}
-			dst := MaxPoolInto(nil, x, p, tensor.LayoutNHWC)
+			dst := MaxPoolInto(nil, x, p)
 			for b.Loop() {
-				MaxPoolInto(dst, x, p, tensor.LayoutNHWC)
+				MaxPoolInto(dst, x, p)
 			}
 		})
 	}

@@ -1556,27 +1556,23 @@ func execBatch(mod *rt.Module, reqs []*request, bucket int) (outs []*tensor.Tens
 			outs, err = nil, fmt.Errorf("serve: batch execution failed: %v", p)
 		}
 	}()
-	n := len(reqs)
+	n, rows := len(reqs), max(len(reqs), bucket)
 	batchIn := make(map[string]*tensor.Tensor, len(reqs[0].inputs))
-	for name := range reqs[0].inputs {
-		var stacked *tensor.Tensor
-		if n == 1 {
-			stacked = reqs[0].inputs[name]
-		} else {
-			samples := make([]*tensor.Tensor, len(reqs))
-			for i, r := range reqs {
-				s, ok := r.inputs[name]
-				if !ok {
-					return nil, fmt.Errorf("serve: request %d in batch is missing input %q", i, name)
-				}
-				samples[i] = s
+	var buf [8]*tensor.Tensor // a bucket's samples, without an allocation
+	for name, in := range reqs[0].inputs {
+		if rows == 1 {
+			batchIn[name] = in
+			continue
+		}
+		samples := buf[:0]
+		for i, r := range reqs {
+			s, ok := r.inputs[name]
+			if !ok {
+				return nil, fmt.Errorf("serve: request %d in batch is missing input %q", i, name)
 			}
-			stacked = tensor.StackBatch(samples)
+			samples = append(samples, s)
 		}
-		if bucket > n {
-			stacked = tensor.PadBatch(stacked, bucket)
-		}
-		batchIn[name] = stacked
+		batchIn[name] = tensor.StackBatchPadded(samples, rows)
 	}
 	st := mod.AcquireState()
 	// Deferred so a recovered execution panic still re-pools the state

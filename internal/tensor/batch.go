@@ -19,16 +19,21 @@ func sampleElems(t *Tensor) int {
 // StackBatch concatenates single-sample tensors (leading dim 1, equal
 // shapes) into one batch tensor with leading dim len(samples) — the
 // dynamic batcher's request-coalescing step.
-func StackBatch(samples []*Tensor) *Tensor {
-	if len(samples) == 0 {
-		panic("tensor: StackBatch of zero samples")
+func StackBatch(samples []*Tensor) *Tensor { return StackBatchPadded(samples, len(samples)) }
+
+// StackBatchPadded is StackBatch into a batch of rows samples, the rows
+// past len(samples) zero: PadBatch(StackBatch(samples), rows) in one
+// allocation.
+func StackBatchPadded(samples []*Tensor, rows int) *Tensor {
+	if len(samples) == 0 || rows < len(samples) {
+		panic(fmt.Sprintf("tensor: StackBatch of %d samples into %d rows", len(samples), rows))
 	}
 	first := samples[0]
 	if len(first.shape) == 0 || first.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: StackBatch sample shape %v must have leading dim 1", first.shape))
 	}
 	shape := first.shape.Clone()
-	shape[0] = len(samples)
+	shape[0] = rows
 	out := NewWithLayout(first.dtype, first.layout, shape...)
 	out.scale = first.scale
 	per := sampleElems(first)
