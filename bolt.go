@@ -15,10 +15,9 @@
 //
 // Compile runs graph-level optimization (BatchNorm folding, epilogue
 // fusion, layout transformation, kernel padding, persistent kernel
-// fusion), BYOC partitioning, hardware-native profiling of every
-// templated kernel, and code generation. Set Options.Baseline to
-// compile through the opaque Ansor-style auto-tuner instead, for
-// comparisons.
+// fusion), hardware-native profiling of every templated kernel, and
+// code generation. CompileBaseline compiles through the opaque
+// Ansor-style auto-tuner instead, for comparisons.
 package bolt
 
 import (
@@ -94,12 +93,6 @@ func NewTensor(dt tensor.DType, shape ...int) *Tensor { return tensor.New(dt, sh
 
 // Options configures Compile.
 type Options struct {
-	// Baseline compiles with the opaque Ansor-style auto-tuner instead
-	// of Bolt's templated search (for comparison experiments).
-	Baseline bool
-	// BaselineTrials is the per-task measurement budget for the
-	// baseline tuner (default 900, the TVM-recommended setting).
-	BaselineTrials int
 	// EmitSource attaches generated CUDA-like CUTLASS instantiations to
 	// each Bolt kernel (inspect with Module.Sources).
 	EmitSource bool
@@ -185,39 +178,6 @@ func saveCache(log *tunelog.Log, path string) error {
 
 // Compile optimizes and compiles a graph for the device.
 func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
-	var clock gpu.Clock
-	if opts.Baseline {
-		// The opaque tuner has no workload-keyed cache (a tuning log
-		// cannot help shapes it searches from scratch, §2.1) and no
-		// profiling pool, so these options would be silently dropped —
-		// fail loudly instead.
-		if opts.CacheFile != "" {
-			return nil, fmt.Errorf("bolt: Options.CacheFile is not supported with Baseline: the Ansor-style search has no persistent tuning-log integration")
-		}
-		if opts.Jobs > 1 {
-			return nil, fmt.Errorf("bolt: Options.Jobs is not supported with Baseline: the Ansor-style search has no profiling pool")
-		}
-		if opts.TopK > 0 || opts.TrustThreshold > 0 {
-			return nil, fmt.Errorf("bolt: guided tuning (TopK/TrustThreshold) is not supported with Baseline: the Ansor-style search has its own internal cost model")
-		}
-		if err := relay.OptimizeTVM(g); err != nil {
-			return nil, err
-		}
-		trials := opts.BaselineTrials
-		if trials == 0 {
-			trials = 900
-		}
-		// One fixed search seed: a baseline compile is reproducible.
-		m, err := codegen.Compile(g, dev, codegen.Options{
-			AnsorTuner:  ansor.NewTuner(dev, &clock, 1),
-			AnsorTrials: trials,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &CompileResult{Module: m, TuningTime: clock.ElapsedDuration()}, nil
-	}
-
 	if (opts.TopK > 0 || opts.TrustThreshold > 0) && opts.CacheFile == "" {
 		return nil, fmt.Errorf("bolt: guided tuning (TopK=%d, TrustThreshold=%g) requires Options.CacheFile: the cost model persists in the tuning log", opts.TopK, opts.TrustThreshold)
 	}
@@ -248,7 +208,24 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	return res, nil
 }
 
-// compileTemplated is the templated (non-baseline) pipeline,
+// CompileBaseline compiles g through the opaque Ansor-style auto-tuner
+// instead of Bolt's templated search, for comparison experiments: the
+// TVM-level graph passes only, then every distinct anchor workload
+// ("task") tuned with a budget of trials measured candidates. trials <
+// 1 means 900, the TVM-recommended budget. The search has one fixed
+// seed, so a baseline compile is reproducible; it has no tuning log, no
+// profiling pool and its own internal cost model, so none of Options
+// applies to it.
+func CompileBaseline(g *Graph, dev *Device, trials int) (*CompileResult, error) {
+	var clock gpu.Clock
+	m, err := codegen.Baseline(g, dev, ansor.NewTuner(dev, &clock, 1), trials)
+	if err != nil {
+		return nil, err
+	}
+	return &CompileResult{Module: m, TuningTime: clock.ElapsedDuration()}, nil
+}
+
+// compileTemplated is the templated pipeline,
 // codegen.Build on a fresh profiler, with opts.Log the in-memory
 // tuning log (nil for no cache, no guidance). Compile wraps it with
 // CacheFile load/save; the serving Server calls it directly with a log

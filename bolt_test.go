@@ -48,7 +48,7 @@ func TestPublicBaselineAgreesNumerically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := bolt.Compile(buildTiny(), dev, bolt.Options{Baseline: true, BaselineTrials: 16})
+	baseRes, err := bolt.CompileBaseline(buildTiny(), dev, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

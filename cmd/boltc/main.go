@@ -64,18 +64,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
 		os.Exit(2)
 	}
-	if *baseline && (*cacheFile != "" || *jobs > 1) {
-		fmt.Fprintln(os.Stderr, "warning: -cache and -jobs apply to the Bolt pipeline only; ignored with -baseline")
-		*cacheFile = ""
-		*jobs = 1
+	if *baseline && (*cacheFile != "" || *jobs > 1 || *emit) {
+		// The opaque search has no tuning log, no profiling pool and no
+		// templated source to emit.
+		fmt.Fprintln(os.Stderr, "-cache, -jobs and -emit apply to the Bolt pipeline only; they cannot be combined with -baseline")
+		flag.Usage()
+		os.Exit(2)
 	}
 	dev := bolt.T4()
 
 	t0 := time.Now()
-	res, err := bolt.Compile(g, dev, bolt.Options{
-		Baseline: *baseline, BaselineTrials: *trials, EmitSource: *emit,
-		CacheFile: *cacheFile, Jobs: *jobs,
-	})
+	var res *bolt.CompileResult
+	var err error
+	if *baseline {
+		res, err = bolt.CompileBaseline(g, dev, *trials)
+	} else {
+		res, err = bolt.Compile(g, dev, bolt.Options{EmitSource: *emit, CacheFile: *cacheFile, Jobs: *jobs})
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

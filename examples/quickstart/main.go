@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Compile the same network with the opaque auto-tuner baseline.
-	baseRes, err := bolt.Compile(build(), dev, bolt.Options{Baseline: true, BaselineTrials: 64})
+	baseRes, err := bolt.CompileBaseline(build(), dev, 64)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,6 @@ func TestGuidedKnobValidation(t *testing.T) {
 	if _, err := bolt.Compile(buildTinyMLP(), bolt.T4(), bolt.Options{TrustThreshold: 0.5}); err == nil {
 		t.Error("TrustThreshold without CacheFile must fail")
 	}
-	if _, err := bolt.Compile(buildTinyMLP(), bolt.T4(), bolt.Options{Baseline: true, TopK: 8, BaselineTrials: 4}); err == nil {
-		t.Error("TopK with Baseline must fail: the opaque tuner has its own internal model")
-	}
 }
 
 func TestGuidedCompileThroughCacheFile(t *testing.T) {

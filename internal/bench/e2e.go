@@ -40,32 +40,15 @@ func (s *Suite) compileBolt(g *relay.Graph) (*rt.Module, *gpu.Clock) {
 	return m, clock
 }
 
-// compileAnsor runs the baseline pipeline: the TVM-level passes only
-// (relay.OptimizeTVM), all anchors tuned by the opaque searcher.
-func (s *Suite) compileAnsor(g *relay.Graph) (*rt.Module, *gpu.Clock, int) {
-	if err := relay.OptimizeTVM(g); err != nil {
-		panic(err)
-	}
+// compileAnsor runs the baseline recipe on the suite's device and
+// returns the module plus its tuner's clock.
+func (s *Suite) compileAnsor(g *relay.Graph) (*rt.Module, *gpu.Clock) {
 	tuner, clock := s.newAnsor()
-	m, err := codegen.Compile(g, s.Dev, codegen.Options{
-		AnsorTuner: tuner, AnsorTrials: s.E2ETrialsPerTask,
-	})
+	m, err := codegen.Baseline(g, s.Dev, tuner, s.E2ETrialsPerTask)
 	if err != nil {
 		panic(err)
 	}
-	// Count distinct tuning tasks for the tuning-time scaling note.
-	tasks := 0
-	seen := map[string]bool{}
-	for _, n := range g.Nodes {
-		if n.Op == relay.OpConv2D || n.Op == relay.OpDense {
-			key := fmt.Sprint(n.Op, n.Shape, n.Conv)
-			if !seen[key] {
-				seen[key] = true
-				tasks++
-			}
-		}
-	}
-	return m, clock, tasks
+	return m, clock
 }
 
 // e2eResult caches one model's end-to-end measurements so Figure 10a
@@ -84,7 +67,7 @@ func (s *Suite) runE2E() []e2eResult {
 	var out []e2eResult
 	for _, m := range s.e2eModels() {
 		bolt, boltClock := s.compileBolt(m.Build())
-		ansorMod, ansorClock, _ := s.compileAnsor(m.Build())
+		ansorMod, ansorClock := s.compileAnsor(m.Build())
 		// Scale the baseline's tuning time to the paper's 900
 		// trials/task budget when running in quick mode.
 		scale := 900.0 / float64(s.E2ETrialsPerTask)

@@ -1,24 +1,22 @@
 // Package codegen lowers an optimized relay graph into a runnable,
-// priceable rt.Module — the BYOC code-generation stage of paper
-// Figure 3.
+// priceable rt.Module — the code-generation stage of paper Figure 3.
 //
-// Two backends are provided:
+// Two backends are provided, each as one whole recipe:
 //
-//   - Bolt (Options.Profiler): the paper's system. Anchor ops are
-//     profiled by the light-weight profiler and instantiated as
-//     CUTLASS-style templated kernels (white-box: the module carries
+//   - Build, the paper's system: relay.Optimize, then every anchor is
+//     profiled by the light-weight profiler and instantiated as a
+//     CUTLASS-style templated kernel (white-box: the module can carry
 //     the emitted source); persistent chains lower to b2b kernels;
 //     folded layout/pad glue costs no launches.
-//   - Ansor (Options.AnsorTuner): the baseline. Anchors are tuned by
-//     the opaque evolutionary searcher over SIMT schedules; graph-level
-//     state is whatever TVM's standard passes give (relay.OptimizeTVM:
-//     epilogues fused into the generated kernel, NHWC activations, no
-//     persistent fusion, no padding).
+//   - Baseline, the Ansor-style comparison: the graph gets only what
+//     TVM's standard passes give (relay.OptimizeTVM: epilogues fused
+//     into the generated kernel, NHWC activations, no persistent
+//     fusion, no padding), and anchors are tuned by the opaque
+//     evolutionary searcher over SIMT schedules.
 //
-// Build is the full templated pipeline (graph optimization, profiling,
-// code generation and the module-build charge); every templated
-// compile goes through it. Compile is the lowering step alone, which
-// the Ansor baseline calls directly on its TVM-fused graph.
+// Both end in the same lowering: every op lowers by its kind, and the
+// backend supplies only an anchor's functional config and the price of
+// its launch.
 package codegen
 
 import (
@@ -35,25 +33,23 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// Options configures compilation. The backend follows from which
-// tuner is set: AnsorTuner selects the Ansor baseline, and otherwise
-// the Bolt backend runs on Profiler.
+// Options configures Build.
 type Options struct {
-	// Profiler is required for the Bolt backend.
+	// Profiler measures the candidate kernels; it is required.
 	Profiler *profiler.Profiler
 
-	// Log is an optional persistent tuning cache (Bolt): workloads
-	// found in it skip measurement entirely, and freshly profiled
-	// workloads are recorded back.
+	// Log is an optional persistent tuning cache: workloads found in it
+	// skip measurement entirely, and freshly profiled workloads are
+	// recorded back.
 	Log *tunelog.Log
 
-	// Jobs is the profiling pool width (Bolt). Values < 1 mean 1.
+	// Jobs is the profiling pool width. Values < 1 mean 1.
 	Jobs int
 
 	// TopK, when > 0, limits guided profiling to the cost model's k
-	// best-ranked candidates per workload (Bolt). Requires a model
-	// source: either the profiler carries one (Profiler.Guide.Model) or
-	// Log does. Until the model has trained, sweeps stay full.
+	// best-ranked candidates per workload. Requires a model source:
+	// either the profiler carries one (Profiler.Guide.Model) or Log
+	// does. Until the model has trained, sweeps stay full.
 	TopK int
 
 	// TrustThreshold, when > 0, skips measurement entirely for a
@@ -63,50 +59,58 @@ type Options struct {
 	// TopK. 0 means never skip.
 	TrustThreshold float64
 
-	// AnsorTuner, when set, selects the Ansor baseline; AnsorTrials is
-	// its measured-candidate budget per distinct workload ("task").
-	AnsorTuner  *ansor.Tuner
-	AnsorTrials int
-
-	// EmitSource attaches generated CUDA-like source to Bolt kernels.
+	// EmitSource attaches generated CUDA-like source to each kernel.
 	EmitSource bool
 }
 
 // Build runs the templated recipe of paper Figure 3 on g: graph-level
-// optimization (relay.Optimize), then Compile with the Bolt backend
-// through opts.Profiler, then the final module build (each selected
-// template instantiated and compiled into the runtime file) charged to
-// the profiler's clock. That build, not the candidate search, is most
-// of Bolt's minutes in Figure 10b. Build is the Bolt recipe only: it
-// rejects an AnsorTuner.
+// optimization (relay.Optimize), the tuning pipeline on opts.Profiler
+// (see pipeline.go; the module's Tuning field reports what each stage
+// did), lowering at the resolved configs, then the final module build
+// (each selected template instantiated and compiled into the runtime
+// file) charged to the profiler's clock. That build, not the candidate
+// search, is most of Bolt's minutes in Figure 10b.
 func Build(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
-	if opts.AnsorTuner != nil {
-		return nil, fmt.Errorf("codegen: Build runs the Bolt backend; call Compile for the Ansor baseline")
+	if opts.Profiler == nil {
+		return nil, fmt.Errorf("codegen: Build requires a profiler")
 	}
 	if err := relay.Optimize(g, dev); err != nil {
 		return nil, err
 	}
-	m, err := Compile(g, dev, opts)
+	resolved, stats, err := runTuningPipeline(g, dev, opts)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: tuning pipeline: %w", err)
+	}
+	m, err := compile(g, dev, boltBackend{dev: dev, resolved: resolved}, opts.EmitSource)
 	if err != nil {
 		return nil, err
 	}
+	m.Tuning = stats
 	if c := opts.Profiler.Clock(); c != nil {
 		c.Advance(gpu.ModuleBuildSeconds(m.TemplatedKernels()))
 	}
 	return m, nil
 }
 
-// Compile lowers the graph. For the Bolt backend the graph should
-// already be optimized (Build does that first); for the Ansor baseline
-// it should carry the TVM-level passes only (relay.OptimizeTVM). Both
-// run their convolutions, biases, batch norms and pools in NHWC: a
-// 4-D operand in another layout to one of them is an error.
-//
-// For the Bolt backend, compilation is a staged pipeline (see
-// pipeline.go): workload extraction, dedup + cache lookup, a parallel
-// profiling pool, and a lowering pass that never blocks on
-// measurement. The module's Tuning field reports what each stage did.
-func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) {
+// Baseline runs the Ansor baseline's recipe on g: the TVM-level graph
+// passes (relay.OptimizeTVM), then lowering with each distinct anchor
+// workload ("task") tuned once by tuner with a budget of trials
+// measured candidates. trials < 1 means 900, the TVM-recommended
+// budget. The search is charged to the tuner's own clock.
+func Baseline(g *relay.Graph, dev *gpu.Device, tuner *ansor.Tuner, trials int) (*rt.Module, error) {
+	if trials < 1 {
+		trials = 900
+	}
+	if err := relay.OptimizeTVM(g); err != nil {
+		return nil, err
+	}
+	return compile(g, dev, &ansorBackend{dev: dev, tuner: tuner, trials: trials, tuned: map[string]ansor.Result{}}, false)
+}
+
+// compile lowers a graph the recipe has optimized, through backend b.
+// Both recipes run convolutions, biases, batch norms and pools in NHWC:
+// a 4-D operand in another layout to one of them is an error.
+func compile(g *relay.Graph, dev *gpu.Device, b backend, emitSource bool) (*rt.Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,23 +122,12 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 			return nil, fmt.Errorf("codegen: %w", err)
 		}
 	}
-	c := &compiler{g: g, dev: dev, opts: opts, ansorCache: map[string]ansor.Result{}}
+	c := &compiler{dev: dev, backend: b, emitSource: emitSource}
 	c.slots = make(map[int]int, len(g.Nodes))
 	for i, n := range g.Nodes {
 		c.slots[n.ID] = i
 	}
 	m := &rt.Module{Graph: g, Device: dev}
-	if opts.AnsorTuner == nil {
-		if opts.Profiler == nil {
-			return nil, fmt.Errorf("codegen: the Bolt backend requires a profiler")
-		}
-		resolved, stats, err := runTuningPipeline(g, dev, opts)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: tuning pipeline: %w", err)
-		}
-		c.resolved = resolved
-		m.Tuning = stats
-	}
 	for i, n := range g.Nodes {
 		k, err := c.lower(n)
 		if err != nil {
@@ -146,29 +139,105 @@ func Compile(g *relay.Graph, dev *gpu.Device, opts Options) (*rt.Module, error) 
 	return m, nil
 }
 
+// backend is what the two recipes lower differently: the config a Dense
+// or Conv2D node's functional kernel runs at, and the price of its
+// launch. Every other op lowers by its kind, the same for both.
+type backend interface {
+	config(n *relay.Node) (cutlass.GemmConfig, error)
+	gemmDesc(n *relay.Node, g *cutlass.Gemm, m, nn, k int) gpu.KernelDesc
+	convDesc(n *relay.Node, conv *cutlass.Conv2D) gpu.KernelDesc
+}
+
+// boltBackend runs each anchor at the config the tuning pipeline
+// resolved for its task, and prices the templated kernel itself.
+type boltBackend struct {
+	dev      *gpu.Device
+	resolved map[tunelog.Key]profiler.Result
+}
+
+// config returns the node's resolved config. Every task must have been
+// covered by the tuning pipeline; a miss means extraction and lowering
+// drifted apart, which must fail loudly rather than silently
+// serial-profile with broken accounting.
+func (b boltBackend) config(n *relay.Node) (cutlass.GemmConfig, error) {
+	key := taskKey(n, b.dev)
+	if r, ok := b.resolved[key]; ok {
+		return r.Config, nil
+	}
+	return cutlass.GemmConfig{}, fmt.Errorf("tuning pipeline did not resolve %s", key)
+}
+
+func (b boltBackend) gemmDesc(_ *relay.Node, g *cutlass.Gemm, m, nn, k int) gpu.KernelDesc {
+	return g.Desc(b.dev, m, nn, k)
+}
+
+func (b boltBackend) convDesc(_ *relay.Node, conv *cutlass.Conv2D) gpu.KernelDesc {
+	return conv.Desc(b.dev)
+}
+
+// ansorBackend prices each anchor at the SIMT schedule the opaque tuner
+// found for its workload, tuned once per distinct workload. TVM's own
+// operator fusion computes the epilogue inside the generated kernel, so
+// only the epilogue's flops are charged on top of the schedule.
+// Schedules do not change math, so the functional kernel runs at
+// permissiveConfig.
+type ansorBackend struct {
+	dev    *gpu.Device
+	tuner  *ansor.Tuner
+	trials int
+	tuned  map[string]ansor.Result
+}
+
+func (a *ansorBackend) config(*relay.Node) (cutlass.GemmConfig, error) {
+	return permissiveConfig(), nil
+}
+
+func (a *ansorBackend) gemmDesc(n *relay.Node, g *cutlass.Gemm, m, nn, k int) gpu.KernelDesc {
+	key := fmt.Sprintf("gemm_%d_%d_%d", m, nn, k)
+	res, ok := a.tuned[key]
+	if !ok {
+		res = a.tuner.TuneGemm(m, nn, k, a.trials, n.DType)
+		a.tuned[key] = res
+	}
+	desc := res.Schedule.GemmDesc(a.dev, m, nn, k, n.DType)
+	desc.FLOPs += g.Epilogue.FLOPsOn(m, nn)
+	return desc
+}
+
+func (a *ansorBackend) convDesc(n *relay.Node, conv *cutlass.Conv2D) gpu.KernelDesc {
+	s := conv.Shape
+	m, nn, k := s.ImplicitGemm()
+	geo := ansor.ConvGeometry{M: m, N: nn, K: k, ActivationElems: s.N * s.H * s.W * s.IC}
+	key := fmt.Sprintf("conv_%d_%d_%d_%d", m, nn, k, s.StrideH)
+	res, ok := a.tuned[key]
+	if !ok {
+		res = a.tuner.TuneConv(geo, a.trials, n.DType)
+		a.tuned[key] = res
+	}
+	desc := res.Schedule.ConvDesc(a.dev, geo, n.DType)
+	desc.FLOPs += conv.Epilogue.FLOPsOn(m, nn)
+	return desc
+}
+
 type compiler struct {
-	g          *relay.Graph
 	dev        *gpu.Device
-	opts       Options
-	ansorCache map[string]ansor.Result
+	backend    backend
+	emitSource bool
 	// slots maps node ID -> dense slot index in the execution
 	// environment (the node's topological position).
 	slots map[int]int
-	// resolved maps tuning tasks to their selected configs (stage 4's
-	// input; filled by the tuning pipeline for the Bolt backend).
-	resolved map[tunelog.Key]profiler.Result
 }
 
 // slot returns the environment slot holding the node's value.
 func (c *compiler) slot(n *relay.Node) int { return c.slots[n.ID] }
 
-// optSlot returns the node's slot, or -1 for an absent operand (e.g.
-// a dense/conv without a fused bias).
-func (c *compiler) optSlot(n *relay.Node) int {
-	if n == nil {
+// biasSlot returns the slot of a Dense or Conv2D node's fused bias, or
+// -1 when it has none.
+func (c *compiler) biasSlot(n *relay.Node) int {
+	if len(n.Inputs) < 3 {
 		return -1
 	}
-	return c.slot(n)
+	return c.slot(n.Inputs[2])
 }
 
 // optValue fetches an optional operand from the environment.
@@ -179,23 +248,10 @@ func optValue(env *rt.Env, slot int) *tensor.Tensor {
 	return env.Value(slot)
 }
 
-// result returns the resolved config for a Dense or Conv2D node. Every
-// Bolt task must have been covered by the tuning pipeline; a miss
-// means extraction and lowering drifted apart, which must fail loudly
-// rather than silently serial-profile with broken accounting.
-func (c *compiler) result(n *relay.Node) (profiler.Result, error) {
-	key := taskKey(n, c.dev)
-	if r, ok := c.resolved[key]; ok {
-		return r, nil
-	}
-	return profiler.Result{}, fmt.Errorf("tuning pipeline did not resolve %s", key)
-}
-
 func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 	switch n.Op {
 	case relay.OpInput:
-		name := n.Name
-		return freeKernel(n, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input(name) }), nil
+		return freeKernel(n, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return input(env, n) }), nil
 	case relay.OpConstant:
 		v := n.Value
 		return freeKernel(n, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return v }), nil
@@ -295,6 +351,19 @@ func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 	}
 }
 
+// input returns the caller's tensor for Input node n. The layout pass
+// permutes it by its own layout tag, so a tensor whose shape, or 4-D
+// layout, is not the node's would run to a wrong result: it panics,
+// naming the input. The dtype is not checked: a precision-cast graph
+// takes the caller's FP16 tensors.
+func input(env *rt.Env, n *relay.Node) *tensor.Tensor {
+	v := env.Input(n.Name)
+	if !v.Shape().Equal(n.Shape) || len(n.Shape) == 4 && v.Layout() != n.Layout {
+		panic(fmt.Sprintf("codegen: input %q is %v %v, the graph's is %v %v", n.Name, v.Shape(), v.Layout(), n.Shape, n.Layout))
+	}
+	return v
+}
+
 // constantWeights rejects a Dense, Conv2D or persistent chain whose
 // weight (or a chain's bias) is not a constant. A templated kernel
 // packs its weight tensor at its first launch and keeps the panels
@@ -361,57 +430,33 @@ func epilogueOf(n *relay.Node) cutlass.Epilogue {
 }
 
 func (c *compiler) lowerDense(n *relay.Node) (rt.Kernel, error) {
-	x, w := n.Inputs[0], n.Inputs[1]
-	wl := denseWorkload(n)
-	m, nn, k := wl.M, wl.N, wl.K
-	epi := epilogueOf(n)
-	var bias *relay.Node
-	if len(n.Inputs) > 2 {
-		bias = n.Inputs[2]
-	}
-
-	if c.opts.AnsorTuner != nil {
-		return c.lowerAnsorGemm(n, x, w, bias, m, nn, k, epi)
-	}
-
-	res, err := c.result(n)
+	cfg, err := c.backend.config(n)
 	if err != nil {
 		return rt.Kernel{}, err
 	}
-	g := &cutlass.Gemm{Config: res.Config, Epilogue: epi}
-	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
-	kern := launchKernel(n, g.Desc(c.dev, m, nn, k), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
+	wl := denseWorkload(n)
+	g := &cutlass.Gemm{Config: cfg, Epilogue: epilogueOf(n)}
+	xs, wv, bs := c.slot(n.Inputs[0]), n.Inputs[1].Value, c.biasSlot(n)
+	kern := launchKernel(n, c.backend.gemmDesc(n, g, wl.M, wl.N, wl.K), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return g.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	})
-	if c.opts.EmitSource {
-		kern.Source = emitGemmSource(g, m, nn, k)
+	if c.emitSource {
+		kern.Source = emitGemmSource(g, wl.M, wl.N, wl.K)
 	}
 	return kern, nil
 }
 
 func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
-	x, w := n.Inputs[0], n.Inputs[1]
-	shape := n.Conv
-	epi := epilogueOf(n)
-	var bias *relay.Node
-	if len(n.Inputs) > 2 {
-		bias = n.Inputs[2]
-	}
-
-	if c.opts.AnsorTuner != nil {
-		return c.lowerAnsorConv(n, x, w, bias, shape, epi)
-	}
-
-	res, err := c.result(n)
+	cfg, err := c.backend.config(n)
 	if err != nil {
 		return rt.Kernel{}, err
 	}
-	conv := &cutlass.Conv2D{Shape: shape, Config: res.Config, Epilogue: epi, FilterScale: n.FilterScale}
-	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
-	kern := launchKernel(n, conv.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
+	conv := &cutlass.Conv2D{Shape: n.Conv, Config: cfg, Epilogue: epilogueOf(n), FilterScale: n.FilterScale}
+	xs, wv, bs := c.slot(n.Inputs[0]), n.Inputs[1].Value, c.biasSlot(n)
+	kern := launchKernel(n, c.backend.convDesc(n, conv), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return conv.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
 	})
-	if c.opts.EmitSource {
+	if c.emitSource {
 		kern.Source = emitConvSource(conv)
 	}
 	return kern, nil
@@ -436,7 +481,7 @@ func (c *compiler) lowerPersistentGemm(n *relay.Node) (rt.Kernel, error) {
 	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return f.RunInto(dst, env.Value(xs), ws, bs)
 	})
-	if c.opts.EmitSource {
+	if c.emitSource {
 		kern.Source = emitPersistentGemmSource(f, m)
 	}
 	return kern, nil
@@ -482,59 +527,10 @@ func (c *compiler) lowerPersistentConv(n *relay.Node) (rt.Kernel, error) {
 	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return f.RunInto(dst, env.Value(xs), ws, bs)
 	})
-	if c.opts.EmitSource {
+	if c.emitSource {
 		kern.Source = emitPersistentConvSource(f)
 	}
 	return kern, nil
-}
-
-// lowerAnsorGemm prices a Dense through the baseline tuner. TVM's own
-// operator fusion computes the epilogue inside the generated kernel,
-// so only the extra flops are charged.
-func (c *compiler) lowerAnsorGemm(n *relay.Node, x, w, bias *relay.Node, m, nn, k int, epi cutlass.Epilogue) (rt.Kernel, error) {
-	key := fmt.Sprintf("gemm_%d_%d_%d", m, nn, k)
-	res, ok := c.ansorCache[key]
-	if !ok {
-		res = c.opts.AnsorTuner.TuneGemm(m, nn, k, c.trials(), n.DType)
-		c.ansorCache[key] = res
-	}
-	desc := res.Schedule.GemmDesc(c.dev, m, nn, k, n.DType)
-	desc.FLOPs += epi.FLOPsOn(m, nn)
-	// Schedules do not change math, so the baseline's numerics are the
-	// functional kernel's at a permissive alignment.
-	g := &cutlass.Gemm{Config: permissiveConfig(), Epilogue: epi}
-	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
-	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return g.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
-	}), nil
-}
-
-func (c *compiler) lowerAnsorConv(n *relay.Node, x, w, bias *relay.Node, shape cutlass.ConvShape, epi cutlass.Epilogue) (rt.Kernel, error) {
-	m, nn, k := shape.ImplicitGemm()
-	key := fmt.Sprintf("conv_%d_%d_%d_%d", m, nn, k, shape.StrideH)
-	res, ok := c.ansorCache[key]
-	if !ok {
-		geo := ansor.ConvGeometry{M: m, N: nn, K: k, ActivationElems: shape.N * shape.H * shape.W * shape.IC}
-		res = c.opts.AnsorTuner.TuneConv(geo, c.trials(), n.DType)
-		c.ansorCache[key] = res
-	}
-	geo := ansor.ConvGeometry{M: m, N: nn, K: k, ActivationElems: shape.N * shape.H * shape.W * shape.IC}
-	desc := res.Schedule.ConvDesc(c.dev, geo, n.DType)
-	desc.FLOPs += epi.FLOPsOn(m, nn)
-	// Schedules do not change math, so the baseline's numerics are the
-	// functional kernel's at a permissive alignment.
-	conv := &cutlass.Conv2D{Shape: shape, Config: permissiveConfig(), Epilogue: epi, FilterScale: n.FilterScale}
-	xs, wv, bs := c.slot(x), w.Value, c.optSlot(bias)
-	return launchKernel(n, desc, func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return conv.RunInto(dst, env.Value(xs), wv, optValue(env, bs))
-	}), nil
-}
-
-func (c *compiler) trials() int {
-	if c.opts.AnsorTrials > 0 {
-		return c.opts.AnsorTrials
-	}
-	return 900
 }
 
 // permissiveConfig is the configuration the baseline's functional

@@ -32,12 +32,9 @@ func smallCNN(batch int) *relay.Graph {
 
 func boltCompile(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 	t.Helper()
-	if err := relay.Optimize(g, dev); err != nil {
-		t.Fatal(err)
-	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	m, err := Compile(g, dev, Options{Profiler: p, EmitSource: true})
+	m, err := Build(g, dev, Options{Profiler: p, EmitSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +43,17 @@ func boltCompile(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 
 func ansorCompile(t *testing.T, g *relay.Graph, dev *gpu.Device, trials int) *rt.Module {
 	t.Helper()
-	if err := relay.OptimizeTVM(g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: trials})
+	m, err := Baseline(g, dev, ansor.NewTuner(dev, nil, 3), trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// lowerOnly runs the lowering both recipes share on g as it stands,
+// without a recipe's graph passes, through the baseline's backend.
+func lowerOnly(g *relay.Graph, dev *gpu.Device) (*rt.Module, error) {
+	return compile(g, dev, &ansorBackend{dev: dev, tuner: newTestTuner(dev), trials: 8, tuned: map[string]ansor.Result{}}, false)
 }
 
 func TestBoltCompileAndRun(t *testing.T) {
@@ -197,7 +197,7 @@ func TestBatchNormGraphCompiles(t *testing.T) {
 	if err := relay.TransformLayout(g); err != nil {
 		t.Fatal(err)
 	}
-	mRef, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 9), AnsorTrials: 8})
+	mRef, err := lowerOnly(g, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,28 +270,23 @@ func TestCompileErrorPaths(t *testing.T) {
 	// A graph with an op no backend implements (constructed directly).
 	bad := &relay.Node{ID: 0, Op: relay.OpKind(999), Shape: tensor.Shape{1}, DType: tensor.FP16}
 	g := &relay.Graph{Nodes: []*relay.Node{bad}, Output: bad}
-	p := profiler.New(dev, nil)
-	if _, err := Compile(g, dev, Options{Profiler: p}); err == nil {
+	if _, err := lowerOnly(g, dev); err == nil {
 		t.Error("unsupported op must fail compilation")
 	}
 	// An invalid graph (dangling input) must be rejected up front.
 	orphan := &relay.Node{ID: 1, Op: relay.OpInput, Name: "x", Shape: tensor.Shape{1}, DType: tensor.FP16}
 	use := &relay.Node{ID: 2, Op: relay.OpActivation, Inputs: []*relay.Node{orphan}, Shape: tensor.Shape{1}, DType: tensor.FP16}
 	g2 := &relay.Graph{Nodes: []*relay.Node{use}, Output: use} // orphan missing from Nodes
-	if _, err := Compile(g2, dev, Options{Profiler: p}); err == nil {
+	if _, err := lowerOnly(g2, dev); err == nil {
 		t.Error("topologically invalid graph must fail compilation")
 	}
 	// An NHWC-only lowering handed an NCHW activation (the layout pass
 	// never ran) fails, naming the node, rather than pool the wrong axis.
 	b := relay.NewBuilder()
 	pool := b.MaxPool(b.Input("data", tensor.FP16, 1, 8, 4, 4), 2, 2, 0)
-	_, err := Compile(b.Build(pool), dev, Options{Profiler: p})
+	_, err := lowerOnly(b.Build(pool), dev)
 	if err == nil || !strings.Contains(err.Error(), pool.String()) || !strings.Contains(err.Error(), "NCHW") {
 		t.Errorf("a max-pool of an NCHW operand compiled (err %v), want an error naming %s", err, pool)
-	}
-	// Build is the Bolt recipe: an Ansor tuner is refused, not ignored.
-	if _, err := Build(smallCNN(1), dev, Options{Profiler: p, AnsorTuner: newTestTuner(dev)}); err == nil {
-		t.Error("Build must reject an AnsorTuner")
 	}
 }
 
@@ -333,20 +328,11 @@ func TestComputedWeightRejected(t *testing.T) {
 		},
 	}
 	for name, build := range graphs {
-		g := build()
-		p := profiler.New(dev, nil)
-		if err := relay.Optimize(g, dev); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		_, err := Compile(g, dev, Options{Profiler: p})
+		_, err := Build(build(), dev, Options{Profiler: profiler.New(dev, nil)})
 		if err == nil || !strings.Contains(err.Error(), "not a constant") {
 			t.Errorf("%s, bolt: computed weight compiled (err %v)", name, err)
 		}
-		g = build()
-		if err := relay.OptimizeTVM(g); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		_, err = Compile(g, dev, Options{AnsorTuner: newTestTuner(dev), AnsorTrials: 4})
+		_, err = Baseline(build(), dev, newTestTuner(dev), 4)
 		if err == nil || !strings.Contains(err.Error(), "not a constant") {
 			t.Errorf("%s, ansor: computed weight compiled (err %v)", name, err)
 		}

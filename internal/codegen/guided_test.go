@@ -16,12 +16,9 @@ import (
 // the guidance knobs set, returning the module and its stats.
 func guidedCompile(t *testing.T, g *relay.Graph, dev *gpu.Device, log *tunelog.Log, topK int, trust float64, jobs int) *rt.Module {
 	t.Helper()
-	if err := relay.Optimize(g, dev); err != nil {
-		t.Fatal(err)
-	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	m, err := Compile(g, dev, Options{
+	m, err := Build(g, dev, Options{
 		Profiler: p, Log: log,
 		Jobs: jobs, TopK: topK, TrustThreshold: trust,
 	})
@@ -173,16 +170,12 @@ func extractTasks(t *testing.T, dev *gpu.Device) []tunelog.Key {
 
 func TestGuidedKnobsRequireModelSource(t *testing.T) {
 	dev := gpu.T4()
-	g := models.ResNet(18, 8)
-	if err := relay.Optimize(g, dev); err != nil {
-		t.Fatal(err)
-	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	if _, err := Compile(g, dev, Options{Profiler: p, TopK: 8}); err == nil {
+	if _, err := Build(models.ResNet(18, 8), dev, Options{Profiler: p, TopK: 8}); err == nil {
 		t.Error("TopK with no model source must fail loudly, not silently full-sweep")
 	}
-	if _, err := Compile(g, dev, Options{Profiler: p, TrustThreshold: 0.5}); err == nil {
+	if _, err := Build(models.ResNet(18, 8), dev, Options{Profiler: p, TrustThreshold: 0.5}); err == nil {
 		t.Error("TrustThreshold with no model source must fail loudly")
 	}
 }

@@ -1,7 +1,9 @@
 package codegen
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"bolt/internal/cutlass"
@@ -116,6 +118,35 @@ func TestSoftmax4DReadsAuthoredOrder(t *testing.T) {
 		if !tensor.AllClose(got, want, 1e-2, 2e-3) {
 			t.Errorf("%s: 4-D softmax deviates from the authored function: max |diff| %g",
 				name, tensor.MaxAbsDiff(got, want))
+		}
+	}
+}
+
+// A module checks each input against its graph Input node: a tensor
+// holding NCHW bytes but tagged NHWC, or of another shape, panics with
+// a message naming the input, on both backends, where the layout pass
+// would otherwise permute it by its own tag into a wrong result.
+func TestInputCheckedAgainstGraph(t *testing.T) {
+	build := func() *relay.Graph {
+		g, _, _ := layoutNet(func(b *relay.Builder, c *relay.Node) *relay.Node { return c })
+		return g
+	}
+	in := layoutInput()
+	mistagged := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNHWC, 2, 8, 4, 4)
+	copy(mistagged.Data(), in.Data())
+	reshaped := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNCHW, 1, 8, 4, 4)
+	for name, m := range bothBackends(t, build) {
+		m.Run(map[string]*tensor.Tensor{"data": in})
+		for what, bad := range map[string]*tensor.Tensor{"mistagged": mistagged, "reshaped": reshaped} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, `input "data"`) {
+						t.Errorf("%s, %s input: panic %q, want one naming input \"data\"", name, what, msg)
+					}
+				}()
+				m.Run(map[string]*tensor.Tensor{"data": bad})
+			}()
 		}
 	}
 }

@@ -17,12 +17,9 @@ import (
 func compileZoo(t *testing.T, g *relay.Graph) *rt.Module {
 	t.Helper()
 	dev := gpu.T4()
-	if err := relay.Optimize(g, dev); err != nil {
-		t.Fatal(err)
-	}
 	p := profiler.New(dev, nil)
 	p.Measure.NoiseStdDev = 0
-	m, err := Compile(g, dev, Options{Profiler: p})
+	m, err := Build(g, dev, Options{Profiler: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +30,7 @@ func compileZoo(t *testing.T, g *relay.Graph) *rt.Module {
 // trial budget (the functional path is what matters here).
 func ansorCompileZoo(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 	t.Helper()
-	if err := relay.OptimizeTVM(g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(g, dev, Options{AnsorTuner: ansor.NewTuner(dev, nil, 5), AnsorTrials: 4})
+	m, err := Baseline(g, dev, ansor.NewTuner(dev, nil, 5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +38,8 @@ func ansorCompileZoo(t *testing.T, g *relay.Graph, dev *gpu.Device) *rt.Module {
 }
 
 // TestZooCompiles is the integration sweep: every model in the zoo
-// must optimize, partition, profile, and compile, producing a module
-// with sane accounting.
+// must optimize, profile, and compile, producing a module with sane
+// accounting.
 func TestZooCompiles(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -144,11 +138,7 @@ func TestBaselineZooCompiles(t *testing.T) {
 		func() *relay.Graph { return models.ResNet(18, 8) },
 		func() *relay.Graph { return models.RepVGG("A0", 8, models.RepVGGOptions{}) },
 	} {
-		g := build()
-		if err := relay.OptimizeTVM(g); err != nil {
-			t.Fatal(err)
-		}
-		m, err := Compile(g, dev, Options{AnsorTuner: newTestTuner(dev), AnsorTrials: 16})
+		m, err := Baseline(build(), dev, newTestTuner(dev), 16)
 		if err != nil {
 			t.Fatal(err)
 		}

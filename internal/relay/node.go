@@ -2,8 +2,8 @@
 // TVM Relay, sufficient to express the convolutional networks and
 // transformer GEMM workloads in the Bolt paper, plus the graph-level
 // passes Bolt adds: BatchNorm folding, epilogue fusion, persistent
-// kernel fusion, layout transformation, channel padding, and BYOC
-// partitioning (paper Figure 3).
+// kernel fusion, layout transformation and channel padding (paper
+// Figure 3).
 package relay
 
 import (
@@ -72,31 +72,6 @@ func (o OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// Target identifies which backend executes a node after BYOC
-// partitioning.
-type Target int
-
-const (
-	// TargetUnassigned means partitioning has not run.
-	TargetUnassigned Target = iota
-	// TargetBolt marks nodes offloaded to Bolt's CUTLASS codegen.
-	TargetBolt
-	// TargetTVM marks nodes kept on the fallback TVM codegen.
-	TargetTVM
-)
-
-// String names the target.
-func (t Target) String() string {
-	switch t {
-	case TargetBolt:
-		return "bolt"
-	case TargetTVM:
-		return "tvm"
-	default:
-		return "unassigned"
-	}
-}
-
 // PoolAttrs configures pooling operators.
 type PoolAttrs struct {
 	Kernel, Stride, Pad int
@@ -150,9 +125,6 @@ type Node struct {
 
 	// Chain holds the fused layers for persistent ops.
 	Chain []ChainLayer
-
-	// Target is assigned by the BYOC partitioner.
-	Target Target
 
 	// Folded marks glue ops (layout transforms, padding) that Bolt's
 	// codegen folds into an adjacent templated kernel so they cost no

@@ -179,12 +179,15 @@ func epilogueOf(n *Node) cutlass.Epilogue {
 // FuseEpilogue. Returns the number of chains created.
 func FusePersistent(g *Graph, d *gpu.Device) int {
 	created := 0
+	// tried holds the heads whose chain failed to fuse, so they are not
+	// retried forever.
+	tried := make(map[*Node]bool)
 	for {
 		consumers := g.Consumers()
 		var head *Node
 		var chain []*Node
 		for _, n := range g.Nodes {
-			if !(n.Op == OpDense || n.Op == OpConv2D) {
+			if !(n.Op == OpDense || n.Op == OpConv2D) || tried[n] {
 				continue
 			}
 			c := collectChain(n, consumers)
@@ -198,17 +201,10 @@ func FusePersistent(g *Graph, d *gpu.Device) int {
 			break
 		}
 		if !tryFuseChain(g, head, chain, d) {
-			// Mark the head so we do not retry it forever.
-			head.Target = TargetBolt
+			tried[head] = true
 			continue
 		}
 		created++
-	}
-	// Clear the temporary marks.
-	for _, n := range g.Nodes {
-		if n.Target == TargetBolt {
-			n.Target = TargetUnassigned
-		}
 	}
 	g.rebuild()
 	return created
@@ -217,9 +213,6 @@ func FusePersistent(g *Graph, d *gpu.Device) int {
 // collectChain walks forward from anchor while the single consumer is a
 // fusable follower of the same kind.
 func collectChain(anchor *Node, consumers map[int][]*Node) []*Node {
-	if anchor.Target != TargetUnassigned { // already attempted
-		return nil
-	}
 	chain := []*Node{anchor}
 	cur := anchor
 	for {
@@ -393,26 +386,6 @@ func AlignFor(n int) int {
 	return 1
 }
 
-// PartitionBYOC assigns each node to the Bolt backend (templated
-// CUTLASS codegen) or the TVM fallback, the BYOC split of paper
-// Figure 3. Anchors and padding/layout ops adjacent to them go to
-// Bolt; everything else stays on TVM.
-func PartitionBYOC(g *Graph) (boltNodes, tvmNodes int) {
-	for _, n := range g.Nodes {
-		switch {
-		case n.IsAnchor() || n.Op == OpPadChannels || n.Op == OpSliceChannels || n.Op == OpLayoutTransform:
-			n.Target = TargetBolt
-			boltNodes++
-		case n.Op == OpInput || n.Op == OpConstant:
-			n.Target = TargetUnassigned
-		default:
-			n.Target = TargetTVM
-			tvmNodes++
-		}
-	}
-	return boltNodes, tvmNodes
-}
-
 // OptimizeTVM runs the graph passes TVM's standard pipeline gives
 // both backends, in order: BatchNorm folding, epilogue fusion and the
 // layout transformation to NHWC. It is the whole graph-level recipe of
@@ -427,13 +400,12 @@ func OptimizeTVM(g *Graph) error {
 }
 
 // Optimize runs the full Bolt graph pipeline in order: OptimizeTVM,
-// then kernel padding, persistent fusion, and BYOC partitioning.
+// then kernel padding and persistent fusion.
 func Optimize(g *Graph, d *gpu.Device) error {
 	if err := OptimizeTVM(g); err != nil {
 		return err
 	}
 	PadChannels(g)
 	FusePersistent(g, d)
-	PartitionBYOC(g)
 	return g.Validate()
 }

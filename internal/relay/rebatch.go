@@ -14,7 +14,7 @@ import "fmt"
 // first launch, the fold applied while packing (see cutlass.Conv2D).
 //
 // The clone is a fresh graph, so the usual compilation pipeline
-// (relay.Optimize, codegen.Compile) can mutate it freely. This is how
+// (codegen.Build) can mutate it freely. This is how
 // the serving engine manufactures batch-bucketed variants of one
 // source model: new batch sizes are new workloads for the tuner
 // (paper §2.1's dynamic-shape motivation), and the tunelog cache keeps

@@ -426,36 +426,6 @@ func TestPadOutputChannels(t *testing.T) {
 	}
 }
 
-func TestPartitionBYOC(t *testing.T) {
-	d := gpu.T4()
-	b := NewBuilder()
-	x := b.Input("x", tensor.FP16, 8, 3, 32, 32)
-	c := b.Conv2D(x, b.Weight("w", 16, 3, 3, 3), 1, 1)
-	c = b.BiasAdd(c, b.Weight("b", 16))
-	c = b.Activation(c, cutlass.ActReLU)
-	p := b.MaxPool(c, 2, 2, 0)
-	f := b.Flatten(p)
-	fc := b.Dense(f, b.Weight("wfc", 16*16*16, 10))
-	sm := b.Softmax(fc)
-	g := b.Build(sm)
-
-	if err := Optimize(g, d); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range g.Nodes {
-		switch n.Op {
-		case OpConv2D, OpDense, OpPersistentConv, OpPersistentGemm, OpPadChannels, OpSliceChannels, OpLayoutTransform:
-			if n.Target != TargetBolt {
-				t.Errorf("%s should be on Bolt, got %v", n, n.Target)
-			}
-		case OpMaxPool, OpSoftmax, OpFlatten:
-			if n.Target != TargetTVM {
-				t.Errorf("%s should be on TVM, got %v", n, n.Target)
-			}
-		}
-	}
-}
-
 func TestOptimizePipelineOnResNetBlock(t *testing.T) {
 	d := gpu.T4()
 	b := NewBuilder()

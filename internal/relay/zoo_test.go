@@ -184,11 +184,8 @@ func TestFoldedModulesMatchOracle(t *testing.T) {
 	}
 	baseline := func(fold func(*relay.Graph) int) *rt.Module {
 		g := foldNet()
-		fold(g) // OptimizeTVM's own fold then finds no BatchNorm left
-		if err := relay.OptimizeTVM(g); err != nil {
-			t.Fatal(err)
-		}
-		m, err := codegen.Compile(g, dev, codegen.Options{AnsorTuner: ansor.NewTuner(dev, nil, 3), AnsorTrials: 8})
+		fold(g) // Baseline's own fold then finds no BatchNorm left
+		m, err := codegen.Baseline(g, dev, ansor.NewTuner(dev, nil, 3), 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,10 +59,7 @@ func TestCompileDrawsNoWeight(t *testing.T) {
 		t.Fatal("no seeded weights in the graph")
 	}
 	dev := gpu.T4()
-	if err := relay.Optimize(g, dev); err != nil {
-		t.Fatal(err)
-	}
-	m, err := codegen.Compile(g, dev, codegen.Options{Profiler: profiler.New(dev, nil)})
+	m, err := codegen.Build(g, dev, codegen.Options{Profiler: profiler.New(dev, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"bolt/internal/gpu"
 	"bolt/internal/models"
 	"bolt/internal/profiler"
-	"bolt/internal/relay"
 	"bolt/internal/tunelog"
 )
 
@@ -18,12 +17,9 @@ import (
 func BenchmarkLogSaveLoad(b *testing.B) {
 	dev := gpu.T4()
 	g := models.ResNet(50, 1)
-	if err := relay.Optimize(g, dev); err != nil {
-		b.Fatal(err)
-	}
 	log := tunelog.New()
 	var clock gpu.Clock
-	if _, err := codegen.Compile(g, dev, codegen.Options{
+	if _, err := codegen.Build(g, dev, codegen.Options{
 		Profiler: profiler.New(dev, &clock), Log: log, Jobs: 2,
 	}); err != nil {
 		b.Fatal(err)

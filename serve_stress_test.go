@@ -198,15 +198,3 @@ func buildTiny1() *bolt.Graph {
 	d := b.Dense(g, b.Weight("fc", 16, 8))
 	return b.Build(b.Softmax(d))
 }
-
-// TestBaselineRejectsPipelineOptions pins the satellite fix: the
-// Baseline path must reject the options it used to drop silently.
-func TestBaselineRejectsPipelineOptions(t *testing.T) {
-	dev := bolt.T4()
-	if _, err := bolt.Compile(buildTiny(), dev, bolt.Options{Baseline: true, CacheFile: "x.json"}); err == nil {
-		t.Error("Baseline+CacheFile must error")
-	}
-	if _, err := bolt.Compile(buildTiny(), dev, bolt.Options{Baseline: true, Jobs: 4}); err == nil {
-		t.Error("Baseline+Jobs must error")
-	}
-}
