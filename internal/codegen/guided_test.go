@@ -2,8 +2,10 @@ package codegen
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"bolt/internal/costmodel"
 	"bolt/internal/gpu"
 	"bolt/internal/models"
 	"bolt/internal/profiler"
@@ -177,5 +179,56 @@ func TestGuidedKnobsRequireModelSource(t *testing.T) {
 	}
 	if _, err := Build(models.ResNet(18, 8), dev, Options{Profiler: p, TrustThreshold: 0.5}); err == nil {
 		t.Error("TrustThreshold with no model source must fail loudly")
+	}
+}
+
+// TestDeferredPipelineFitMatchesEager checks that the model a cold
+// compile trains, whose fit waits for its first use, answers bit for
+// bit as a predictor that ingested the same rows and fitted at once:
+// its prediction for every candidate of every workload, and its
+// confidence.
+func TestDeferredPipelineFitMatchesEager(t *testing.T) {
+	dev := gpu.T4()
+	g := models.ResNet(18, 1)
+	log := tunelog.New()
+	if _, err := Build(g, dev, Options{Profiler: profiler.New(dev, nil), Log: log, Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	eager := costmodel.NewPredictor(1)
+	eager.IngestRows(log.Model.State().Obs)
+	eager.Fit()
+	if !eager.Trained() || !log.Model.Trained() {
+		t.Fatalf("trained: eager %v, deferred %v", eager.Trained(), log.Model.Trained())
+	}
+
+	tasks, _ := extractWorkloads(g, dev)
+	planner := profiler.New(dev, nil)
+	n := 0
+	for _, task := range tasks {
+		pl, err := planner.Plan(task.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range pl.Measure {
+			var f []float64
+			switch w := task.w.(type) {
+			case profiler.GemmWorkload:
+				f = costmodel.Features(cfg, w.M, w.N, w.K, nil, dev)
+			case profiler.ConvWorkload:
+				m, n, k := w.Shape.ImplicitGemm()
+				f = costmodel.Features(cfg, m, n, k, &w.Shape, dev)
+			}
+			got, want := log.Model.Predict(f), eager.Predict(f)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %s: deferred fit predicts %v, eager %v", task.key, cfg.Name(), got, want)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no candidates predicted")
+	}
+	if got, want := log.Model.Confidence(), eager.Confidence(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("deferred fit's confidence %v, eager %v", got, want)
 	}
 }

@@ -140,7 +140,7 @@ func runTuningPipeline(g *relay.Graph, dev *gpu.Device, opts Options) (map[tunel
 	}
 
 	// Stage 2.5: planning. Every task's measurement plan is computed
-	// upfront against a frozen cost model (Predict uses the last Fit;
+	// upfront against a frozen cost model (Predict uses the last fit;
 	// workers only Observe), so the plans — and therefore kernel
 	// selection — are independent of pool width and completion order.
 	planner := proto.Worker(nil, nil)
@@ -220,9 +220,11 @@ func runTuningPipeline(g *relay.Graph, dev *gpu.Device, opts Options) (map[tunel
 
 	// Fold this run's measurements into the model once the pool has
 	// drained: the next pipeline (or the next first-use compile in a
-	// serving process) plans against everything learned here.
+	// serving process) plans against everything learned here. The fit
+	// waits for that first use, so a compile that only saves the model
+	// never runs it.
 	if guide.Model != nil {
-		guide.Model.Fit()
+		guide.Model.DeferFit()
 	}
 
 	measureSeconds := 0.0

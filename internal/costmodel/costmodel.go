@@ -39,13 +39,22 @@ func Solve(feats [][]float64, targets []float64, lambda float64) []float64 {
 		a[i] = make([]float64, n)
 		a[i][i] = lambda
 	}
+	// X'X is symmetric: accumulate its upper triangle and mirror it.
+	// Each mirrored sum adds the same products in the same row order,
+	// so the matrix is the one a full accumulation builds.
 	for r, f := range feats {
 		y := targets[r]
 		for i := 0; i < n; i++ {
 			b[i] += f[i] * y
-			for j := 0; j < n; j++ {
-				a[i][j] += f[i] * f[j]
+			ai := a[i]
+			for j := i; j < n; j++ {
+				ai[j] += f[i] * f[j]
 			}
+		}
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			a[i][j] = a[j][i]
 		}
 	}
 	// Gaussian elimination with partial pivoting.
@@ -118,24 +127,27 @@ const (
 // retrains from the full observation set in a canonical order, and
 // Predict scores candidates with the weights of the last fit.
 //
-// An ingest (IngestRows, Ingest) fits too, but on first use: it
-// records how many observations it covers, and the next Predict,
-// Trained or Confidence fits exactly those before answering. The
-// weights are the ones an eager fit at ingest time would have
-// produced, and a process that loads a model it never queries never
-// pays for a fit.
+// An ingest (IngestRows, Ingest) and DeferFit fit too, but on first
+// use: they record how many observations the fit covers, and the next
+// Predict, Trained or Confidence fits exactly those before answering.
+// The weights are the ones an eager fit at that point would have
+// produced, and a process that loads or trains a model it never
+// queries never pays for a fit.
 type Predictor struct {
-	mu      sync.Mutex
-	seed    int64
-	dim     int
-	obs     []Observation
+	mu   sync.Mutex
+	seed int64
+	dim  int
+	obs  []Observation
+	// hashes[i] is obsHash of obs[i]: the dedup key, and the held-out
+	// split's.
+	hashes  []uint64
 	seen    map[uint64]struct{}
 	weights []float64
 	conf    float64
-	// deferred is the observation count the last ingest's fit covers,
-	// 0 once that fit ran (or was superseded by Fit). An ingest that
-	// leaves no observations has nothing to fit: the weights of an
-	// empty set are already nil.
+	// deferred is the observation count the pending fit covers, 0 once
+	// that fit ran (or was superseded by Fit). A pending fit of no
+	// observations is none: the weights of an empty set are already
+	// nil.
 	deferred int
 }
 
@@ -198,6 +210,7 @@ func (p *Predictor) observeLocked(o Observation, owned bool) {
 	}
 	p.seen[h] = struct{}{}
 	p.obs = append(p.obs, o)
+	p.hashes = append(p.hashes, h)
 }
 
 // IngestRows merges observation rows — a decoded State's, or another
@@ -211,9 +224,24 @@ func (p *Predictor) IngestRows(rows []Observation) {
 		p.seen = make(map[uint64]struct{}, len(rows))
 	}
 	p.obs = slices.Grow(p.obs, len(rows))
+	p.hashes = slices.Grow(p.hashes, len(rows))
 	for _, o := range rows {
 		p.observeLocked(o, true)
 	}
+	p.deferLocked()
+}
+
+// DeferFit is Fit on first use: the next Predict, Trained or
+// Confidence fits the observations recorded so far, and a predictor
+// that is only saved never fits.
+func (p *Predictor) DeferFit() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.deferLocked()
+}
+
+// deferLocked marks a fit of every current observation as pending.
+func (p *Predictor) deferLocked() {
 	p.deferred = len(p.obs)
 }
 
@@ -280,7 +308,7 @@ func (p *Predictor) Fit() {
 	p.fitLocked(len(p.obs))
 }
 
-// settleLocked runs an ingest's deferred fit, if one is pending.
+// settleLocked runs a deferred fit, if one is pending.
 func (p *Predictor) settleLocked() {
 	if p.deferred > 0 {
 		p.fitLocked(p.deferred)
@@ -291,17 +319,26 @@ func (p *Predictor) settleLocked() {
 // settles any deferred fit.
 func (p *Predictor) fitLocked(n int) {
 	p.deferred = 0
-	rows := sortedObs(p.obs[:n])
+	// Each row carries its stored hash through the canonical sort.
+	type hashed struct {
+		o Observation
+		h uint64
+	}
+	rows := make([]hashed, n)
+	for i := range rows {
+		rows[i] = hashed{p.obs[i], p.hashes[i]}
+	}
+	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a].o, rows[b].o) })
 
 	var trainF [][]float64
 	var trainY []float64
 	var held []Observation
-	for _, o := range rows {
-		if obsHash(p.seed, o)%heldOutMod == 0 {
-			held = append(held, o)
+	for _, r := range rows {
+		if r.h%heldOutMod == 0 {
+			held = append(held, r.o)
 		} else {
-			trainF = append(trainF, o.Feat)
-			trainY = append(trainY, o.Y)
+			trainF = append(trainF, r.o.Feat)
+			trainY = append(trainY, r.o.Y)
 		}
 	}
 	w := Solve(trainF, trainY, ridgeLambda)

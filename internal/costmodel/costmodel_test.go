@@ -55,6 +55,115 @@ func TestSolveUnderdeterminedReturnsNil(t *testing.T) {
 	}
 }
 
+// solveFull is Solve as it was before it accumulated only the upper
+// triangle of X'X: every entry summed on its own.
+func solveFull(feats [][]float64, targets []float64, lambda float64) []float64 {
+	if len(feats) == 0 {
+		return nil
+	}
+	n := len(feats[0])
+	if len(feats) < n {
+		return nil
+	}
+	a := make([][]float64, n)
+	b := make([]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+		a[i][i] = lambda
+	}
+	for r, f := range feats {
+		y := targets[r]
+		for i := 0; i < n; i++ {
+			b[i] += f[i] * y
+			for j := 0; j < n; j++ {
+				a[i][j] += f[i] * f[j]
+			}
+		}
+	}
+	for col := 0; col < n; col++ {
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+				piv = r
+			}
+		}
+		a[col], a[piv] = a[piv], a[col]
+		b[col], b[piv] = b[piv], b[col]
+		if math.Abs(a[col][col]) < 1e-12 {
+			continue
+		}
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / a[col][col]
+			for j := col; j < n; j++ {
+				a[r][j] -= f * a[col][j]
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	w := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		sum := b[i]
+		for j := i + 1; j < n; j++ {
+			sum -= a[i][j] * w[j]
+		}
+		if math.Abs(a[i][i]) < 1e-12 {
+			w[i] = 0
+		} else {
+			w[i] = sum / a[i][i]
+		}
+	}
+	return w
+}
+
+// TestSolveMatchesFullAccumulation checks Solve bit for bit against a
+// full accumulation of X'X, on random rows of mixed sign and magnitude
+// and on rows drawn from a handful of vectors (zeros of both signs, a
+// constant column, collinear columns).
+func TestSolveMatchesFullAccumulation(t *testing.T) {
+	var g lcg = 11
+	pool := [][]float64{
+		{1, 0, math.Copysign(0, -1), 3, 6, -2.5},
+		{1, math.Copysign(0, -1), 0, 1e-300, 2e-300, 7},
+		{1, 4.25, -4.25, 1e150, 2e150, 0},
+		{1, 0.1, 0.2, 0.30000000000000004, 0.6000000000000001, -0.1},
+		{1, -3, 3, -3, -6, 3},
+	}
+	for _, tc := range []struct {
+		name string
+		rows int
+		row  func() []float64
+	}{
+		{"random", 200, func() []float64 {
+			f := make([]float64, 9)
+			for j := range f {
+				f[j] = (g.next() - 0.5) * math.Pow(10, float64(int(g.next()*12)-6))
+			}
+			return f
+		}},
+		{"duplicates", 300, func() []float64 {
+			return append([]float64(nil), pool[int(g.next()*float64(len(pool)))]...)
+		}},
+	} {
+		var feats [][]float64
+		var targets []float64
+		for i := 0; i < tc.rows; i++ {
+			feats = append(feats, tc.row())
+			targets = append(targets, g.next()*20-10)
+		}
+		for _, lambda := range []float64{0, 1e-2} {
+			got, want := Solve(feats, targets, lambda), solveFull(feats, targets, lambda)
+			if len(got) != len(want) {
+				t.Fatalf("%s, lambda %g: %d weights, want %d", tc.name, lambda, len(got), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s, lambda %g: weight %d = %v, want %v", tc.name, lambda, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // synthObs builds a deterministic learnable dataset: groups of
 // candidates whose log-time is a fixed linear function of the
 // features plus small group-specific structure.

@@ -14,6 +14,7 @@ package cutlass
 
 import (
 	"fmt"
+	"strconv"
 
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
@@ -25,7 +26,21 @@ type Shape3 struct {
 }
 
 // String renders as "MxNxK" in CUTLASS kernel-name convention.
-func (s Shape3) String() string { return fmt.Sprintf("%dx%dx%d", s.M, s.N, s.K) }
+func (s Shape3) String() string {
+	var buf [64]byte
+	return string(appendInts(buf[:0], "x", s.M, s.N, s.K))
+}
+
+// appendInts writes xs in decimal, sep between each two.
+func appendInts(b []byte, sep string, xs ...int) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return b
+}
 
 // Area returns M*N, the output footprint of the tile.
 func (s Shape3) Area() int { return s.M * s.N }
@@ -95,12 +110,17 @@ func (c GemmConfig) RegsPerThread() int {
 // Name renders a CUTLASS-style kernel name, e.g.
 // "cutlass_tensorop_h1688gemm_128x128_32x2_align8".
 func (c GemmConfig) Name() string {
-	op := "simt_s"
+	var buf [128]byte
+	b := append(buf[:0], "cutlass_"...)
 	if c.Op == gpu.OpClassTensorOp {
-		op = fmt.Sprintf("tensorop_h%d%d%d", c.Inst.M, c.Inst.N, c.Inst.K)
+		b = appendInts(append(b, "tensorop_h"...), "", c.Inst.M, c.Inst.N, c.Inst.K)
+	} else {
+		b = append(b, "simt_s"...)
 	}
-	return fmt.Sprintf("cutlass_%sgemm_%dx%d_%dx%d_align%d",
-		op, c.TB.M, c.TB.N, c.TB.K, c.Stages, c.AlignC)
+	b = appendInts(append(b, "gemm_"...), "x", c.TB.M, c.TB.N)
+	b = appendInts(append(b, '_'), "x", c.TB.K, c.Stages)
+	b = appendInts(append(b, "_align"...), "", c.AlignC)
+	return string(b)
 }
 
 // validAlign accepts the CUTLASS alignment ladder; 16 exists for

@@ -364,10 +364,14 @@ func warpPartitions(tb cutlass.Shape3, warps int, inst cutlass.Shape3) []cutlass
 }
 
 func dedupConfigs(in []cutlass.GemmConfig) []cutlass.GemmConfig {
-	seen := make(map[string]bool, len(in))
+	type configKey struct {
+		TB, Warp                   cutlass.Shape3
+		Stages, SwizzleLog, AlignA int
+	}
+	seen := make(map[configKey]bool, len(in))
 	out := in[:0]
 	for _, c := range in {
-		key := fmt.Sprintf("%v|%v|%d|%d|%d", c.TB, c.Warp, c.Stages, c.SwizzleLog, c.AlignA)
+		key := configKey{c.TB, c.Warp, c.Stages, c.SwizzleLog, c.AlignA}
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, c)

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -239,5 +240,56 @@ func TestCacheKeepsKindsApart(t *testing.T) {
 				t.Errorf("%v after %v: got %+v, want a fresh profiler's %+v", c.w, order, got, c.want)
 			}
 		}
+	}
+}
+
+// TestConfigStringsMatchSprintf pins GemmConfig.Name and Shape3.String
+// to the fmt.Sprintf forms they replaced, and dedupConfigs to a set
+// keyed on those strings, over every candidate T4 and A100 enumerate
+// for GEMMs of each size class, alignment and dtype.
+func TestConfigStringsMatchSprintf(t *testing.T) {
+	var all []cutlass.GemmConfig
+	for _, dev := range []*gpu.Device{gpu.T4(), gpu.A100()} {
+		p := New(dev, nil)
+		for _, dt := range []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8} {
+			for _, m := range []int{32, 1024} {
+				for _, n := range []int{30, 64, 768, 3072} {
+					for _, k := range []int{33, 64, 768} {
+						all = append(all, p.GemmCandidates(GemmWorkload{M: m, N: n, K: k, DType: dt})...)
+					}
+				}
+			}
+		}
+	}
+	if len(all) == 0 {
+		t.Fatal("no candidates enumerated")
+	}
+	for _, c := range all {
+		for _, s := range []cutlass.Shape3{c.TB, c.Warp, c.Inst} {
+			if got, want := s.String(), fmt.Sprintf("%dx%dx%d", s.M, s.N, s.K); got != want {
+				t.Fatalf("Shape3.String() = %q, want %q", got, want)
+			}
+		}
+		op := "simt_s"
+		if c.Op == gpu.OpClassTensorOp {
+			op = fmt.Sprintf("tensorop_h%d%d%d", c.Inst.M, c.Inst.N, c.Inst.K)
+		}
+		want := fmt.Sprintf("cutlass_%sgemm_%dx%d_%dx%d_align%d", op, c.TB.M, c.TB.N, c.TB.K, c.Stages, c.AlignC)
+		if got := c.Name(); got != want {
+			t.Fatalf("Name() = %q, want %q", got, want)
+		}
+	}
+
+	seen := make(map[string]bool)
+	var want []cutlass.GemmConfig
+	for _, c := range all {
+		key := fmt.Sprintf("%v|%v|%d|%d|%d", c.TB, c.Warp, c.Stages, c.SwizzleLog, c.AlignA)
+		if !seen[key] {
+			seen[key] = true
+			want = append(want, c)
+		}
+	}
+	if got := dedupConfigs(append([]cutlass.GemmConfig(nil), all...)); !reflect.DeepEqual(got, want) {
+		t.Errorf("dedupConfigs kept %d configs, a string-keyed set %d", len(got), len(want))
 	}
 }

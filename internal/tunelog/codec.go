@@ -57,6 +57,9 @@ func encode(entries map[Key]Entry, model costmodel.State) ([]byte, error) {
 	b = append(b, frameModel...)
 	b = strconv.AppendInt(b, model.Seed, 10)
 	b = append(b, frameObs...)
+	// A trained log's numbers repeat (a few percent are distinct): each
+	// distinct one is formatted once, and a repeat copies its bytes.
+	memo := make(floatMemo)
 	for i, o := range model.Obs {
 		if !finite(o) {
 			return nil, fmt.Errorf("tunelog: observation of %q holds a non-finite number", o.Group)
@@ -71,10 +74,10 @@ func encode(entries map[Key]Entry, model costmodel.State) ([]byte, error) {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(b, f)
+			b = memo.append(b, f)
 		}
 		b = append(b, `],"y":`...)
-		b = appendFloat(b, o.Y)
+		b = memo.append(b, o.Y)
 		b = append(b, '}')
 	}
 	return append(b, "\n"+frameObsEnd+"\n"...), nil
@@ -92,6 +95,23 @@ func finite(o costmodel.Observation) bool {
 // appendFloat writes f in strconv's shortest round-trip form.
 func appendFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
+// floatMemo holds the bytes appendFloat wrote for each number, keyed by
+// its bits (so -0 and 0 stay apart). The bytes are sub-slices of the
+// buffer being written: an append never changes bytes already in it.
+type floatMemo map[uint64][]byte
+
+// append writes f as appendFloat does.
+func (m floatMemo) append(b []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if s, ok := m[bits]; ok {
+		return append(b, s...)
+	}
+	n := len(b)
+	b = appendFloat(b, f)
+	m[bits] = b[n:len(b):len(b)]
+	return b
 }
 
 // appendString writes s as a JSON string. A string that needs an
@@ -164,7 +184,8 @@ func decodeFrame(buf []byte) (db jsonLog, ok bool) {
 		return jsonLog{}, false
 	}
 	d := obsDecoder{
-		groups: make(map[string]string),
+		groups:  make(map[string]string),
+		numbers: make(map[numToken]float64),
 		// Every feature is followed by a comma or a bracket, and so is
 		// every line: the commas bound the feature count.
 		slab: make([]float64, 0, bytes.Count(rest, []byte{','})),
@@ -213,6 +234,46 @@ type obsDecoder struct {
 	groups map[string]string
 	// slab backs every row's features, each capped at its own length.
 	slab []float64
+	// numbers holds the value of every number token read so far: a
+	// trained log's numbers repeat, so each distinct one is parsed once.
+	numbers map[numToken]float64
+}
+
+// numToken is a number token as a map key that costs no allocation.
+// Any float64's shortest form fits; a longer token skips the memo.
+type numToken struct {
+	n uint8
+	b [24]byte
+}
+
+// number parses the JSON number that b starts with and returns its
+// length. ok is false when b does not start with one or it does not
+// fit a float64, as encoding/json would refuse it.
+func (d *obsDecoder) number(b []byte) (f float64, n int, ok bool) {
+	for n < len(b) && isNumberByte(b[n]) {
+		n++
+	}
+	tok := b[:n]
+	var k numToken
+	memo := n <= len(k.b)
+	if memo {
+		k.n = uint8(n)
+		copy(k.b[:], tok)
+		if f, ok := d.numbers[k]; ok {
+			return f, n, true
+		}
+	}
+	if !isNumber(tok) {
+		return 0, n, false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, n, false
+	}
+	if memo {
+		d.numbers[k] = f
+	}
+	return f, n, true
 }
 
 func (d *obsDecoder) observation(rec []byte) (costmodel.Observation, bool) {
@@ -244,7 +305,7 @@ func (d *obsDecoder) observation(rec []byte) (costmodel.Observation, bool) {
 		rest = rest[1:]
 	} else {
 		for {
-			f, n, ok := parseNumber(rest)
+			f, n, ok := d.number(rest)
 			if !ok || n == len(rest) {
 				return o, false
 			}
@@ -266,23 +327,9 @@ func (d *obsDecoder) observation(rec []byte) (costmodel.Observation, bool) {
 	if rest, ok = bytes.CutSuffix(rest, []byte{'}'}); !ok {
 		return o, false
 	}
-	y, n, ok := parseNumber(rest)
+	y, n, ok := d.number(rest)
 	o.Y = y
 	return o, ok && n == len(rest)
-}
-
-// parseNumber parses the JSON number that b starts with and returns its
-// length. ok is false when b does not start with one or it does not
-// fit a float64, as encoding/json would refuse it.
-func parseNumber(b []byte) (f float64, n int, ok bool) {
-	for n < len(b) && isNumberByte(b[n]) {
-		n++
-	}
-	if !isNumber(b[:n]) {
-		return 0, 0, false
-	}
-	f, err := strconv.ParseFloat(string(b[:n]), 64)
-	return f, n, err == nil
 }
 
 func isNumberByte(c byte) bool {

@@ -210,6 +210,41 @@ func TestSaveRefusesNonFiniteNumbers(t *testing.T) {
 	}
 }
 
+// TestDecodeLongTokens feeds the frame decoder numbers its memo does
+// not hold: tokens longer than its 24-byte key, one whose 24-byte
+// prefix is a memoized token of another value, and numbers that
+// overflow a float64. Each decodes as encoding/json reads it, or is
+// refused as encoding/json refuses it.
+func TestDecodeLongTokens(t *testing.T) {
+	const long = "0.100000000000000000000000000001" // 32 bytes: 0.1
+	for _, tc := range []struct {
+		name, obs string
+		ok        bool
+	}{
+		{"long", `{"g":"a","f":[` + long + `,` + long + `],"y":` + long + `}`, true},
+		{"prefix", `{"g":"a","f":[1.0000000000000000000000,1.0000000000000000000000e1],"y":1.0000000000000000000000e1}`, true},
+		{"24 and 25 bytes", `{"g":"a","f":[123456789012345678901234,1234567890123456789012345],"y":0}`, true},
+		{"overflow", `{"g":"a","f":[1],"y":1e400}`, false},
+		{"long overflow", `{"g":"a","f":[1000000000000000000000000000000e300],"y":0}`, false},
+		{"repeated overflow", `{"g":"a","f":[1e400,1e400],"y":0}`, false},
+		{"underflow", `{"g":"a","f":[1e-400,-0.000000000000000000000001e-400],"y":0}`, true},
+	} {
+		file := []byte("{\"entries\":[\n],\"model\":{\"seed\":1,\"obs\":[\n" + tc.obs + "\n]}}\n")
+		var want jsonLog
+		jsonErr := json.Unmarshal(file, &want)
+		got, ok := decodeFrame(file)
+		if ok != tc.ok || (jsonErr == nil) != tc.ok {
+			t.Fatalf("%s: the frame decoder accepted = %v, encoding/json's error %v; want accepted = %v", tc.name, ok, jsonErr, tc.ok)
+		}
+		if ok && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the frame decoder read %+v, encoding/json %+v", tc.name, got.Model, want.Model)
+		}
+		if err := New().Load(bytes.NewReader(file)); (err == nil) != tc.ok {
+			t.Errorf("%s: Load returned %v", tc.name, err)
+		}
+	}
+}
+
 func TestLoadFitsLikeTheOldTwoStepIngest(t *testing.T) {
 	src := richLog()
 	var file bytes.Buffer

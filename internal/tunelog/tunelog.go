@@ -31,6 +31,13 @@
 // same document (every earlier version of this package wrote it
 // indented) goes through encoding/json, and the next Save rewrites it
 // in the frame.
+//
+// A trained log's numbers repeat: a few percent of them are distinct.
+// Save formats each distinct number once and Load parses each distinct
+// number token once, per call. A loaded model fits on its first use
+// (Predict, Trained or Confidence), and so does the refit the tuning
+// pipeline asks for after its measurements: a compile that only saves
+// the model never fits it.
 package tunelog
 
 import (
