@@ -23,6 +23,7 @@ package bolt
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"bolt/internal/ansor"
@@ -153,11 +154,20 @@ func loadCache(path string) (*tunelog.Log, error) {
 
 // saveCache writes the tuning-log database back to path atomically
 // (temp file + rename), so an interrupted compile never leaves a
-// truncated database behind.
+// truncated database behind. Each save writes a temp file of its own
+// name, so concurrent saves to one path never rename each other's: the
+// last rename wins.
 func saveCache(log *tunelog.Log, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
+		return fmt.Errorf("bolt: writing cache: %w", err)
+	}
+	tmp := f.Name()
+	// A temp file is private; the cache is as readable as os.Create
+	// would have made it.
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return fmt.Errorf("bolt: writing cache: %w", err)
 	}
 	if err := log.Save(f); err != nil {

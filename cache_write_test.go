@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"bolt"
 	"bolt/internal/models"
+	"bolt/internal/tunelog"
 )
 
 // fileState is what a rewrite cannot leave alone: saves go through a
@@ -162,7 +164,42 @@ func TestCacheFileBytesAreReproducible(t *testing.T) {
 	if !bytes.Equal(files[0], files[1]) {
 		t.Fatalf("two runs wrote %d and %d bytes that differ", len(files[0]), len(files[1]))
 	}
-	if !bytes.Contains(files[0], []byte(`"model":{"seed":1,"obs":[`)) {
+	if !bytes.Contains(files[0], []byte(`"model":{"seed":1,"workloads":[`)) {
 		t.Error("the cache file holds no trained cost model")
+	}
+}
+
+// TestConcurrentCompilesShareACacheFile: compiles that run at once on
+// one cache file each save through a temp file of their own, so none
+// fails on another's rename, and the file left behind loads.
+func TestConcurrentCompilesShareACacheFile(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "tune.json")
+	graphs := []*bolt.Graph{models.ResNet(18, 1), models.ResNet(50, 1), models.VGG(16, 1), models.RepVGG("A0", 1, models.RepVGGOptions{})}
+	errs := make([]error, len(graphs))
+	var wg sync.WaitGroup
+	for i, g := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = bolt.Compile(g, bolt.T4(), bolt.Options{CacheFile: cache, Jobs: 2})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("compile %d: %v", i, err)
+		}
+	}
+	f, err := os.Open(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log := tunelog.New()
+	if err := log.Load(f); err != nil || log.Len() == 0 {
+		t.Fatalf("the cache file loads %d entries: %v", log.Len(), err)
+	}
+	if tmps, _ := filepath.Glob(cache + ".*"); len(tmps) > 0 {
+		t.Errorf("temp files left behind: %v", tmps)
 	}
 }

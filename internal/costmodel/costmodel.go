@@ -3,6 +3,11 @@
 // ridge regression over schedule/template features predicting log
 // kernel time, trained online as measurements land.
 //
+// A Predictor keeps measurements, not vectors: an Observation is a
+// config's log time on a Workload (the problem, its rank group and the
+// device's name). Features are derived from it when the model first
+// fits, so they always follow the current Features.
+//
 // The package is deliberately deterministic and seedable — no
 // math/rand global state anywhere. A Predictor's weights depend only
 // on the *set* of observations it has seen (never their arrival
@@ -12,12 +17,16 @@
 package costmodel
 
 import (
-	"encoding/binary"
-	"hash/fnv"
+	"cmp"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+
+	"bolt/internal/cutlass"
+	"bolt/internal/gpu"
+	"bolt/internal/tensor"
 )
 
 // Solve fits ridge regression — (X'X + lambda I) w = X'y — by
@@ -93,16 +102,30 @@ func Solve(feats [][]float64, targets []float64, lambda float64) []float64 {
 	return w
 }
 
-// Observation is one measured sample the predictor learns from.
+// Workload is the problem a measurement ran: a GEMM, or a convolution
+// as its implicit GEMM, on one device. With the config, it is all that
+// Features reads.
+type Workload struct {
+	// Group identifies the workload. The model's job is ranking
+	// candidates *within* one workload, so held-out confidence is rank
+	// correlation computed per group.
+	Group string
+	// M, N, K are the GEMM dims (a convolution's implicit GEMM).
+	M, N, K int
+	// Conv is the convolution geometry, zero for a GEMM.
+	Conv  cutlass.ConvShape
+	DType tensor.DType
+	// Device is the name of the device measured on (see gpu.Named).
+	Device string
+}
+
+// Observation is one measured sample the predictor learns from: a
+// config's time on a workload.
 type Observation struct {
-	// Group identifies the workload the sample belongs to. The model's
-	// job is ranking candidates *within* one workload, so held-out
-	// confidence is rank correlation computed per group.
-	Group string `json:"g"`
-	// Feat is the feature vector (see Features).
-	Feat []float64 `json:"f"`
+	Workload *Workload // shared, never written
+	Config   cutlass.GemmConfig
 	// Y is the learning target: log kernel seconds (lower is faster).
-	Y float64 `json:"y"`
+	Y float64
 }
 
 const (
@@ -127,6 +150,10 @@ const (
 // retrains from the full observation set in a canonical order, and
 // Predict scores candidates with the weights of the last fit.
 //
+// A fit derives the features of each observation it has not seen yet
+// and keeps them for later fits, so a process that records or loads
+// measurements it never queries computes no features at all.
+//
 // An ingest (IngestRows, Ingest) and DeferFit fit too, but on first
 // use: they record how many observations the fit covers, and the next
 // Predict, Trained or Confidence fits exactly those before answering.
@@ -136,12 +163,23 @@ const (
 type Predictor struct {
 	mu   sync.Mutex
 	seed int64
-	dim  int
-	obs  []Observation
-	// hashes[i] is obsHash of obs[i]: the dedup key, and the held-out
-	// split's.
-	hashes  []uint64
-	seen    map[uint64]struct{}
+	// obs are the distinct observations in arrival order, seen their
+	// set. Equal workloads share the pointer workloads keeps (in is the
+	// last pointer observed, kept its kept one); devices maps a name to
+	// its gpu.Named, nil if unknown.
+	obs       []Observation
+	seen      map[obsKey]struct{}
+	workloads map[Workload]*Workload
+	in, kept  *Workload
+	devices   map[string]*gpu.Device
+	// Derived for obs[:len(hashes)]: their vectors back to back, their
+	// obsHash, and whether an earlier observation holds the same value
+	// (a fit counts a value once); values is the set of the hashes.
+	feats  []float64
+	hashes []uint64
+	dup    []bool
+	values map[uint64]struct{}
+
 	weights []float64
 	conf    float64
 	// deferred is the observation count the pending fit covers, 0 once
@@ -149,6 +187,14 @@ type Predictor struct {
 	// observations is none: the weights of an empty set are already
 	// nil.
 	deferred int
+}
+
+// obsKey is an observation's value, small enough for a map to hold in
+// place; the target is its bits, so -0 and 0 stay apart.
+type obsKey struct {
+	w   *Workload
+	cfg [16]int32
+	y   uint64
 }
 
 // NewPredictor returns an empty predictor. The seed parameterizes the
@@ -159,76 +205,98 @@ func NewPredictor(seed int64) *Predictor {
 	return &Predictor{seed: seed}
 }
 
-// obsHash fingerprints an observation under a seed: the basis of both
-// the dedup set and the held-out split. It depends only on the
-// observation's value, never on insertion order.
-func obsHash(seed int64, o Observation) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(seed))
-	h.Write(b[:])
-	h.Write([]byte(o.Group))
-	for _, f := range o.Feat {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		h.Write(b[:])
+// obsHash fingerprints an observation's value under a seed: hash/fnv's
+// FNV-1a over the seed, the group, every feature and the target, numbers
+// as eight little-endian bytes. It keys the fit's value dedup and
+// held-out split, so those never depend on insertion order.
+func obsHash(seed int64, group string, feat []float64, y float64) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	word := func(x uint64) {
+		h = (h ^ x&0xff) * prime
+		h = (h ^ x>>8&0xff) * prime
+		h = (h ^ x>>16&0xff) * prime
+		h = (h ^ x>>24&0xff) * prime
+		h = (h ^ x>>32&0xff) * prime
+		h = (h ^ x>>40&0xff) * prime
+		h = (h ^ x>>48&0xff) * prime
+		h = (h ^ x>>56) * prime
 	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(o.Y))
-	h.Write(b[:])
-	return h.Sum64()
+	word(uint64(seed))
+	for i := 0; i < len(group); i++ {
+		h = (h ^ uint64(group[i])) * prime
+	}
+	for _, f := range feat {
+		word(math.Float64bits(f))
+	}
+	word(math.Float64bits(y))
+	return h
 }
 
-// Observe records one measured sample. Non-finite targets, empty
-// features, dimension mismatches, and exact duplicates are dropped.
-func (p *Predictor) Observe(group string, feat []float64, y float64) {
+// Observe records one measured sample. It drops a sample with no
+// workload, a non-finite target, a device gpu.Named does not know or a
+// config not valid on it (the model could not derive its features),
+// and an exact duplicate.
+func (p *Predictor) Observe(o Observation) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.observeLocked(Observation{Group: group, Feat: feat, Y: y}, false)
+	p.observeLocked(o)
 }
 
-// observeLocked applies Observe's rules to one row. owned says the
-// row's feature slice is the predictor's to keep (nobody will write it
-// again); otherwise a kept row stores a copy.
-func (p *Predictor) observeLocked(o Observation, owned bool) {
-	if len(o.Feat) == 0 || math.IsNaN(o.Y) || math.IsInf(o.Y, 0) {
+// observeLocked applies Observe's rules to one row.
+func (p *Predictor) observeLocked(o Observation) {
+	if o.Workload == nil || math.IsNaN(o.Y) || math.IsInf(o.Y, 0) {
 		return
 	}
-	if p.dim == 0 {
-		p.dim = len(o.Feat)
+	// A workload's rows mostly arrive together, under one pointer.
+	if o.Workload != p.in {
+		w := p.workloads[*o.Workload]
+		if w == nil {
+			w = o.Workload
+			if p.workloads == nil {
+				p.workloads = make(map[Workload]*Workload)
+				p.devices = make(map[string]*gpu.Device)
+			}
+			p.workloads[*w] = w
+			if _, ok := p.devices[w.Device]; !ok {
+				p.devices[w.Device] = gpu.Named(w.Device)
+			}
+		}
+		p.in, p.kept = o.Workload, w
 	}
-	if len(o.Feat) != p.dim {
+	c := &o.Config
+	k := obsKey{p.kept, [16]int32{int32(c.TB.M), int32(c.TB.N), int32(c.TB.K), int32(c.Warp.M), int32(c.Warp.N),
+		int32(c.Warp.K), int32(c.Inst.M), int32(c.Inst.N), int32(c.Inst.K), int32(c.Stages), int32(c.SwizzleLog),
+		int32(c.AlignA), int32(c.AlignB), int32(c.AlignC), int32(c.Op), int32(c.DType)}, math.Float64bits(o.Y)}
+	if _, ok := p.seen[k]; ok {
 		return
 	}
-	h := obsHash(p.seed, o)
+	if dev := p.devices[p.kept.Device]; dev == nil || c.Validate(dev) != nil {
+		return
+	}
 	if p.seen == nil {
-		p.seen = make(map[uint64]struct{})
+		p.seen = make(map[obsKey]struct{})
 	}
-	if _, ok := p.seen[h]; ok {
-		return
-	}
-	if !owned {
-		o.Feat = append([]float64(nil), o.Feat...)
-	}
-	p.seen[h] = struct{}{}
+	p.seen[k] = struct{}{}
+	o.Workload = p.kept
 	p.obs = append(p.obs, o)
-	p.hashes = append(p.hashes, h)
 }
 
-// IngestRows merges observation rows — a decoded State's, or another
+// IngestRows merges observations — a decoded State's, or another
 // predictor's — under Observe's rules, and refits on first use. The
-// predictor keeps the rows' feature slices, so the caller must not
-// write them again.
+// predictor keeps the rows' workloads, so the caller must not write
+// them again.
 func (p *Predictor) IngestRows(rows []Observation) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.seen == nil {
-		p.seen = make(map[uint64]struct{}, len(rows))
+		p.seen = make(map[obsKey]struct{}, len(rows))
 	}
 	p.obs = slices.Grow(p.obs, len(rows))
-	p.hashes = slices.Grow(p.hashes, len(rows))
 	for _, o := range rows {
-		p.observeLocked(o, true)
+		p.observeLocked(o)
 	}
-	p.deferLocked()
+	p.deferred = len(p.obs)
 }
 
 // DeferFit is Fit on first use: the next Predict, Trained or
@@ -237,11 +305,6 @@ func (p *Predictor) IngestRows(rows []Observation) {
 func (p *Predictor) DeferFit() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.deferLocked()
-}
-
-// deferLocked marks a fit of every current observation as pending.
-func (p *Predictor) deferLocked() {
 	p.deferred = len(p.obs)
 }
 
@@ -251,12 +314,7 @@ func (p *Predictor) Ingest(other *Predictor) {
 	if other == nil || other == p {
 		return
 	}
-	// Stored feature slices are never written, so two predictors can
-	// share them.
-	other.mu.Lock()
-	rows := append([]Observation(nil), other.obs...)
-	other.mu.Unlock()
-	p.IngestRows(rows)
+	p.IngestRows(other.State().Obs)
 }
 
 // Len returns the number of distinct observations recorded.
@@ -266,36 +324,37 @@ func (p *Predictor) Len() int {
 	return len(p.obs)
 }
 
-// lessObs is the canonical observation order: fits iterate
-// observations sorted by value, so weights never depend on which
-// worker measured what first.
-func lessObs(a, b Observation) bool {
-	if a.Group != b.Group {
-		return a.Group < b.Group
+// sample is an observation as the fit sees it.
+type sample struct {
+	group string
+	feat  []float64
+	y     float64
+	h     uint64
+}
+
+// cmpSample is the canonical fit order: a fit iterates samples sorted
+// by value, so weights never depend on which worker measured what
+// first.
+func cmpSample(a, b sample) int {
+	if a.group != b.group {
+		return strings.Compare(a.group, b.group)
 	}
-	for i := range a.Feat {
-		if i >= len(b.Feat) {
-			return false
-		}
-		if a.Feat[i] != b.Feat[i] {
-			return a.Feat[i] < b.Feat[i]
-		}
-	}
-	if len(a.Feat) != len(b.Feat) {
-		return len(a.Feat) < len(b.Feat)
-	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	// Equal as numbers, distinct observations differ only in the sign
-	// of a zero: -0 first keeps the order total, so a saved State sorts
-	// back to itself.
-	for i := range a.Feat {
-		if math.Signbit(a.Feat[i]) != math.Signbit(b.Feat[i]) {
-			return math.Signbit(a.Feat[i])
+	for i, x := range a.feat {
+		if y := b.feat[i]; x != y {
+			return cmp.Compare(x, y)
 		}
 	}
-	return math.Signbit(a.Y) && !math.Signbit(b.Y)
+	if a.y != b.y {
+		return cmp.Compare(a.y, b.y)
+	}
+	// Equal as numbers, distinct samples differ only in the sign of a
+	// zero: -0, the larger bits, first keeps the order total.
+	for i, x := range a.feat {
+		if c := cmp.Compare(math.Float64bits(b.feat[i]), math.Float64bits(x)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(math.Float64bits(b.y), math.Float64bits(a.y))
 }
 
 // Fit retrains the model: training rows (the non-held-out majority)
@@ -319,26 +378,37 @@ func (p *Predictor) settleLocked() {
 // settles any deferred fit.
 func (p *Predictor) fitLocked(n int) {
 	p.deferred = 0
-	// Each row carries its stored hash through the canonical sort.
-	type hashed struct {
-		o Observation
-		h uint64
+	if p.values == nil {
+		p.values = make(map[uint64]struct{}, n)
 	}
-	rows := make([]hashed, n)
-	for i := range rows {
-		rows[i] = hashed{p.obs[i], p.hashes[i]}
+	p.feats = slices.Grow(p.feats, (n-len(p.hashes))*NumFeatures)
+	for i := len(p.hashes); i < n; i++ {
+		o := p.obs[i]
+		p.feats = o.Workload.AppendFeatures(p.feats, o.Config, p.devices[o.Workload.Device])
+		h := obsHash(p.seed, o.Workload.Group, p.feats[i*NumFeatures:], o.Y)
+		_, dup := p.values[h]
+		p.values[h] = struct{}{}
+		p.hashes = append(p.hashes, h)
+		p.dup = append(p.dup, dup)
 	}
-	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a].o, rows[b].o) })
+	rows := make([]sample, 0, n)
+	for i, o := range p.obs[:n] {
+		if !p.dup[i] {
+			feat := p.feats[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
+			rows = append(rows, sample{o.Workload.Group, feat, o.Y, p.hashes[i]})
+		}
+	}
+	slices.SortFunc(rows, cmpSample)
 
 	var trainF [][]float64
 	var trainY []float64
-	var held []Observation
+	var held []sample
 	for _, r := range rows {
 		if r.h%heldOutMod == 0 {
-			held = append(held, r.o)
+			held = append(held, r)
 		} else {
-			trainF = append(trainF, r.o.Feat)
-			trainY = append(trainY, r.o.Y)
+			trainF = append(trainF, r.feat)
+			trainY = append(trainY, r.y)
 		}
 	}
 	w := Solve(trainF, trainY, ridgeLambda)
@@ -348,20 +418,20 @@ func (p *Predictor) fitLocked(n int) {
 	}
 	p.weights = w
 
-	// held is sorted by Group first, so groups are contiguous and the
+	// held is sorted by group first, so groups are contiguous and the
 	// confidence sum is accumulated in a deterministic order.
 	total, votes := 0.0, 0
 	for i := 0; i < len(held); {
 		j := i
-		for j < len(held) && held[j].Group == held[i].Group {
+		for j < len(held) && held[j].group == held[i].group {
 			j++
 		}
 		if n := j - i; n >= minGroupRank {
 			preds := make([]float64, n)
 			actual := make([]float64, n)
 			for k, o := range held[i:j] {
-				preds[k] = dot(w, o.Feat)
-				actual[k] = o.Y
+				preds[k] = dot(w, o.feat)
+				actual[k] = o.y
 			}
 			total += spearman(preds, actual) * float64(n)
 			votes += n
@@ -473,29 +543,21 @@ func (p *Predictor) Confidence() float64 {
 	return p.conf
 }
 
-// State is the persistence format, and the only description of it:
-// the seed and the raw observation set in canonical order. Weights are
-// derived state, refit after a load (on first use), so a loaded model
-// is bit-identical to the one that saved it. A tuning log writes the
-// struct under its JSON names in its own file.
+// State is the persistence form, and the only description of it: the
+// seed and the measurements, each a workload, a config and a target.
+// Features and weights are derived, on first use after a load, so a
+// loaded model is bit-identical to the one that saved it. A tuning log
+// writes it in its own file, sorted.
 type State struct {
-	Seed int64         `json:"seed"`
-	Obs  []Observation `json:"obs"`
+	Seed int64
+	Obs  []Observation
 }
 
 // State returns the predictor's persisted form, observations in
-// canonical order (stable files under any training interleaving). The
-// rows share the predictor's feature slices: read-only.
+// arrival order. The rows are the predictor's own, which it never
+// writes again: read-only.
 func (p *Predictor) State() State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return State{Seed: p.seed, Obs: sortedObs(p.obs)}
-}
-
-// sortedObs returns a copy of obs in canonical order.
-func sortedObs(obs []Observation) []Observation {
-	rows := make([]Observation, len(obs))
-	copy(rows, obs)
-	sort.Slice(rows, func(a, b int) bool { return lessObs(rows[a], rows[b]) })
-	return rows
+	return State{Seed: p.seed, Obs: p.obs[:len(p.obs):len(p.obs)]}
 }

@@ -1,9 +1,12 @@
 package costmodel
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"bolt/internal/cutlass"
@@ -164,25 +167,44 @@ func TestSolveMatchesFullAccumulation(t *testing.T) {
 	}
 }
 
-// synthObs builds a deterministic learnable dataset: groups of
-// candidates whose log-time is a fixed linear function of the
-// features plus small group-specific structure.
-func synthObs(groups, perGroup int) []Observation {
-	truth := []float64{-8, 0.6, -0.9, 0.3, 1.1}
-	var g lcg = 99
-	var out []Observation
-	for gi := 0; gi < groups; gi++ {
-		for s := 0; s < perGroup; s++ {
-			f := []float64{1, g.next() * 3, g.next() * 3, g.next() * 3, g.next()}
-			y := 0.0
-			for j := range f {
-				y += truth[j] * f[j]
+// t4Configs enumerates valid T4 FP16 tensor-op configs.
+func t4Configs() []cutlass.GemmConfig {
+	dev := gpu.T4()
+	var out []cutlass.GemmConfig
+	for _, tb := range []cutlass.Shape3{{M: 64, N: 64, K: 32}, {M: 128, N: 64, K: 32}, {M: 64, N: 128, K: 32}, {M: 128, N: 128, K: 32}, {M: 128, N: 256, K: 32}, {M: 256, N: 128, K: 32}} {
+		for _, warp := range []cutlass.Shape3{{M: 32, N: 32, K: 32}, {M: 64, N: 32, K: 32}, {M: 32, N: 64, K: 32}, {M: 64, N: 64, K: 32}} {
+			for sw := 1; sw <= 2; sw++ {
+				cfg := cutlass.GemmConfig{TB: tb, Warp: warp, Inst: cutlass.InstructionShape(dev.Arch), Stages: 2, SwizzleLog: sw,
+					AlignA: 8, AlignB: 8, AlignC: 8, Op: gpu.OpClassTensorOp, DType: tensor.FP16}
+				if cfg.Validate(dev) == nil {
+					out = append(out, cfg)
+				}
 			}
-			out = append(out, Observation{Group: fmt.Sprintf("wl-%d", gi), Feat: f, Y: y})
 		}
 	}
 	return out
 }
+
+// synthObs builds a deterministic learnable dataset: groups of T4 GEMM
+// workloads, each measured on perGroup configs at the simulator's
+// noiseless kernel time.
+func synthObs(groups, perGroup int) []Observation {
+	dev := gpu.T4()
+	cfgs := t4Configs()
+	var out []Observation
+	for gi := 0; gi < groups; gi++ {
+		w := &Workload{Group: fmt.Sprintf("wl-%d", gi), M: 128 << (gi % 5), N: 256 * (1 + gi%3), K: 64 * (3 + gi),
+			DType: tensor.FP16, Device: dev.Name}
+		for _, cfg := range cfgs[:perGroup] {
+			g := &cutlass.Gemm{Config: cfg, Epilogue: cutlass.DefaultEpilogue()}
+			out = append(out, Observation{Workload: w, Config: cfg, Y: math.Log(dev.KernelTime(g.Desc(dev, w.M, w.N, w.K)))})
+		}
+	}
+	return out
+}
+
+// features is an observation's vector, as a fit derives it.
+func features(o Observation) []float64 { return o.Workload.AppendFeatures(nil, o.Config, gpu.T4()) }
 
 func TestPredictorRankingIsInsertionOrderIndependent(t *testing.T) {
 	obs := synthObs(10, 24)
@@ -190,7 +212,7 @@ func TestPredictorRankingIsInsertionOrderIndependent(t *testing.T) {
 	fitFrom := func(order []int) *Predictor {
 		p := NewPredictor(1)
 		for _, i := range order {
-			p.Observe(obs[i].Group, obs[i].Feat, obs[i].Y)
+			p.Observe(obs[i])
 		}
 		p.Fit()
 		return p
@@ -212,7 +234,8 @@ func TestPredictorRankingIsInsertionOrderIndependent(t *testing.T) {
 
 	a, b, c := fitFrom(fwd), fitFrom(rev), fitFrom(interleaved)
 	for i := range obs {
-		pa, pb, pc := a.Predict(obs[i].Feat), b.Predict(obs[i].Feat), c.Predict(obs[i].Feat)
+		f := features(obs[i])
+		pa, pb, pc := a.Predict(f), b.Predict(f), c.Predict(f)
 		if pa != pb || pa != pc {
 			t.Fatalf("obs %d: predictions diverge across insertion orders: %v %v %v", i, pa, pb, pc)
 		}
@@ -226,7 +249,7 @@ func TestPredictorRankingIsInsertionOrderIndependent(t *testing.T) {
 func TestPredictorConfidenceSeparatesLearnableFromPoisoned(t *testing.T) {
 	good := NewPredictor(1)
 	for _, o := range synthObs(10, 24) {
-		good.Observe(o.Group, o.Feat, o.Y)
+		good.Observe(o)
 	}
 	good.Fit()
 	if !good.Trained() {
@@ -236,13 +259,14 @@ func TestPredictorConfidenceSeparatesLearnableFromPoisoned(t *testing.T) {
 		t.Fatalf("learnable data should give high held-out confidence, got %.3f", c)
 	}
 
-	// Poison: identical features, targets replaced by values
+	// Poison: the same measurements, targets replaced by values
 	// uncorrelated with them — the model cannot rank held-out
 	// candidates, so the trust gate must see low confidence.
 	poisoned := NewPredictor(1)
 	var g lcg = 12345
 	for _, o := range synthObs(10, 24) {
-		poisoned.Observe(o.Group, o.Feat, g.next()*10-15)
+		o.Y = g.next()*10 - 15
+		poisoned.Observe(o)
 	}
 	poisoned.Fit()
 	if c := poisoned.Confidence(); c > 0.35 {
@@ -250,14 +274,127 @@ func TestPredictorConfidenceSeparatesLearnableFromPoisoned(t *testing.T) {
 	}
 }
 
+// Observe keeps a measurement once, whatever pointer names its
+// workload, and drops a sample whose features it could not derive.
 func TestPredictorObserveDeduplicates(t *testing.T) {
 	p := NewPredictor(1)
-	f := []float64{1, 2, 3}
-	p.Observe("g", f, -7)
-	p.Observe("g", f, -7)
-	p.Observe("g", f, -7.5) // different target: a distinct sample
+	o := synthObs(1, 1)[0]
+	same := *o.Workload
+	p.Observe(o)
+	p.Observe(Observation{Workload: &same, Config: o.Config, Y: o.Y})
+	o.Y -= 0.5 // different target: a distinct sample
+	p.Observe(o)
 	if p.Len() != 2 {
 		t.Fatalf("want 2 distinct observations after duplicate insert, got %d", p.Len())
+	}
+	unknown := *o.Workload
+	unknown.Device = "GeForce 256"
+	bad := o.Config
+	bad.Stages = 3 // multistage pipelines need sm_80
+	for what, d := range map[string]Observation{
+		"no workload":        {Config: o.Config, Y: -1},
+		"a NaN target":       {Workload: o.Workload, Config: o.Config, Y: math.NaN()},
+		"an infinite target": {Workload: o.Workload, Config: o.Config, Y: math.Inf(-1)},
+		"an unknown device":  {Workload: &unknown, Config: o.Config, Y: -1},
+		"an invalid config":  {Workload: o.Workload, Config: bad, Y: -1},
+	} {
+		p.Observe(d)
+		if p.Len() != 2 {
+			t.Fatalf("a sample with %s was kept", what)
+		}
+	}
+}
+
+// Two measurements whose derived values are equal — configs that
+// differ only in which operand has the narrower alignment, at one
+// target — are one sample to the fit, as they were when rows held
+// vectors.
+func TestFitDedupsEqualDerivedValues(t *testing.T) {
+	obs := synthObs(10, 24)
+	a, b := obs[5], obs[5]
+	a.Config.AlignA, a.Config.AlignB = 8, 4
+	b.Config.AlignA, b.Config.AlignB = 4, 8
+	if !slices.Equal(features(a), features(b)) {
+		t.Fatal("setup: the two configs derive different features")
+	}
+	one, both := NewPredictor(1), NewPredictor(1)
+	for _, o := range obs {
+		one.Observe(o)
+		both.Observe(o)
+	}
+	one.Observe(a)
+	both.Observe(a)
+	both.Observe(b)
+	one.Fit()
+	both.Fit()
+	if both.Len() != one.Len()+1 {
+		t.Fatalf("Len %d, want %d: both measurements are kept", both.Len(), one.Len()+1)
+	}
+	if !slices.Equal(one.weights, both.weights) || one.conf != both.conf {
+		t.Error("a repeated derived value changed the fit")
+	}
+}
+
+// A fit derives each row's features once: a row observed after a fit
+// is derived by the next, and the model predicts as one fitted on all
+// rows at once.
+func TestFitDerivesFeaturesOnce(t *testing.T) {
+	obs := synthObs(10, 24)
+	p := NewPredictor(1)
+	for _, o := range obs[:200] {
+		p.Observe(o)
+	}
+	p.DeferFit()
+	if len(p.feats) != 0 {
+		t.Fatal("observing and deferring a fit derived features")
+	}
+	p.Trained()
+	if len(p.feats) != 200*NumFeatures {
+		t.Fatalf("a fit of 200 rows derived %d numbers", len(p.feats))
+	}
+	// A value no derivation writes: a later fit that derived the first
+	// rows again would overwrite it.
+	kept := p.feats[1]
+	p.feats[1] = math.Pi
+	for _, o := range obs[200:] {
+		p.Observe(o)
+	}
+	p.Fit()
+	if p.feats[1] != math.Pi {
+		t.Fatal("a second fit derived a row the first had derived")
+	}
+	p.feats[1] = kept
+	p.Fit()
+	all := NewPredictor(1)
+	all.IngestRows(obs)
+	all.Fit()
+	if len(p.feats) != len(obs)*NumFeatures || !slices.Equal(p.feats, all.feats) {
+		t.Fatal("a second fit did not derive exactly the new rows")
+	}
+	if !slices.Equal(p.weights, all.weights) || p.conf != all.conf {
+		t.Error("an incremental derivation fits other weights than one pass")
+	}
+}
+
+// obsHash is FNV-1a over the bytes hash/fnv hashes: the seed, the
+// group, each feature and the target, numbers little-endian.
+func TestObsHashMatchesFNV(t *testing.T) {
+	for _, o := range synthObs(3, 4) {
+		for _, seed := range []int64{1, -7} {
+			f := features(o)
+			h := fnv.New64a()
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(seed))
+			h.Write(b[:])
+			h.Write([]byte(o.Workload.Group))
+			for _, x := range append(f, o.Y) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+			if got, want := obsHash(seed, o.Workload.Group, f, o.Y), h.Sum64(); got != want {
+				t.Fatalf("obsHash %#x, hash/fnv %#x", got, want)
+			}
+		}
 	}
 }
 
@@ -265,7 +402,7 @@ func TestPredictorJSONRoundTripIsBitIdentical(t *testing.T) {
 	p := NewPredictor(42)
 	obs := synthObs(10, 24)
 	for _, o := range obs {
-		p.Observe(o.Group, o.Feat, o.Y)
+		p.Observe(o)
 	}
 	p.Fit()
 
@@ -273,6 +410,7 @@ func TestPredictorJSONRoundTripIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Decoded rows each hold a workload of their own.
 	var st State
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
@@ -289,7 +427,7 @@ func TestPredictorJSONRoundTripIsBitIdentical(t *testing.T) {
 		t.Fatalf("confidence changed across round-trip: %v -> %v", p.Confidence(), q.Confidence())
 	}
 	for i := range obs {
-		if a, b := p.Predict(obs[i].Feat), q.Predict(obs[i].Feat); a != b {
+		if a, b := p.Predict(features(obs[i])), q.Predict(features(obs[i])); a != b {
 			t.Fatalf("obs %d: prediction changed across round-trip: %v -> %v", i, a, b)
 		}
 	}
@@ -302,57 +440,35 @@ func TestPredictorJSONRoundTripIsBitIdentical(t *testing.T) {
 	}
 }
 
-// State is the one description of the file format: canonical order
-// whatever the training interleaving, and rows that IngestRows turns
-// back into the same model.
-func TestStateIsCanonicalAndIngestRowsRebuildsTheModel(t *testing.T) {
+// A State's rows, ingested, rebuild the model that saved them, and the
+// rows observed in any order fit the same model: the fit sorts them.
+func TestIngestRowsRebuildsTheModel(t *testing.T) {
 	obs := synthObs(6, 20)
 	p, rev := NewPredictor(7), NewPredictor(7)
 	for i := range obs {
-		p.Observe(obs[i].Group, obs[i].Feat, obs[i].Y)
-		o := obs[len(obs)-1-i]
-		rev.Observe(o.Group, o.Feat, o.Y)
+		p.Observe(obs[i])
+		rev.Observe(obs[len(obs)-1-i])
 	}
 	p.Fit()
+	rev.Fit()
 	st := p.State()
 	if st.Seed != 7 || len(st.Obs) != len(obs) {
 		t.Fatalf("State has seed %d and %d rows, want 7 and %d", st.Seed, len(st.Obs), len(obs))
 	}
-	for i := 1; i < len(st.Obs); i++ {
-		if !lessObs(st.Obs[i-1], st.Obs[i]) {
-			t.Fatalf("State rows %d and %d are out of canonical order", i-1, i)
-		}
-	}
-	a, _ := json.Marshal(st)
-	b, _ := json.Marshal(rev.State())
-	if string(a) != string(b) {
-		t.Fatal("State and a reordered predictor's State disagree on the bytes")
+	if !slices.Equal(p.weights, rev.weights) || p.conf != rev.conf {
+		t.Fatal("rows observed in reverse fit another model")
 	}
 
-	// Rows that crossed a file: a decoded State owns its slices.
-	var decoded State
-	if err := json.Unmarshal(a, &decoded); err != nil {
-		t.Fatal(err)
-	}
 	q := NewPredictor(7)
-	q.IngestRows(decoded.Obs)
-	q.IngestRows(decoded.Obs) // a second helping adds nothing
+	q.IngestRows(st.Obs)
+	q.IngestRows(st.Obs) // a second helping adds nothing
 	if q.Len() != p.Len() || q.Confidence() != p.Confidence() {
 		t.Fatalf("IngestRows built %d rows at confidence %v, want %d at %v", q.Len(), q.Confidence(), p.Len(), p.Confidence())
 	}
 	for i := range obs {
-		if x, y := p.Predict(obs[i].Feat), q.Predict(obs[i].Feat); x != y {
+		if x, y := p.Predict(features(obs[i])), q.Predict(features(obs[i])); x != y {
 			t.Fatalf("obs %d: IngestRows model predicts %v, the trained one %v", i, y, x)
 		}
-	}
-
-	// Observe copies what it keeps: the caller may reuse its buffer.
-	buf := append([]float64(nil), obs[0].Feat...)
-	r := NewPredictor(7)
-	r.Observe("g", buf, -1)
-	buf[0] = 1e9
-	if got := r.State().Obs[0].Feat[0]; got != obs[0].Feat[0] {
-		t.Fatalf("Observe kept the caller's slice: stored feature became %v", got)
 	}
 }
 
@@ -376,5 +492,12 @@ func TestFeaturesDimensionIsStable(t *testing.T) {
 	a100 := Features(cfg, 1024, 1024, 1024, nil, gpu.A100())
 	if len(a100) != len(gemm) {
 		t.Fatalf("device change altered feature dimension: %d vs %d", len(a100), len(gemm))
+	}
+	if len(gemm) != NumFeatures {
+		t.Fatalf("a vector of %d features, NumFeatures %d", len(gemm), NumFeatures)
+	}
+	w := &Workload{M: m, N: n, K: k, Conv: shape}
+	if !slices.Equal(w.AppendFeatures(nil, cfg, dev), conv) {
+		t.Error("a conv Workload derives other features than Features of its shape")
 	}
 }

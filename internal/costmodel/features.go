@@ -8,6 +8,18 @@ import (
 	"bolt/internal/tensor"
 )
 
+// NumFeatures is the length of every feature vector.
+const NumFeatures = 35
+
+// log2p1 holds log2(x+1) for the small integers most features take the
+// log of: the tiles, alignments and SM counts.
+var log2p1 = func() (t [1025]float64) {
+	for x := range t {
+		t[x] = math.Log2(float64(x) + 1)
+	}
+	return t
+}()
+
 // Features extracts the model's input vector for one templated-kernel
 // candidate: the CUTLASS template parameters, the workload geometry,
 // occupancy-derived launch structure (grid size, waves, resident
@@ -15,12 +27,31 @@ import (
 // class. Pass conv for convolution workloads (m, n, k are then the
 // implicit-GEMM dims) and nil for plain GEMMs.
 //
-// The vector length is constant for a given workload kind mix, so one
-// Predictor can learn across GEMM and Conv tasks on several devices
-// at once.
+// The vector has the same NumFeatures entries for every kind of
+// workload, so one Predictor can learn across GEMM and Conv tasks on
+// several devices at once.
 func Features(cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev *gpu.Device) []float64 {
+	return appendFeatures(make([]float64, 0, NumFeatures), cfg, m, n, k, conv, dev)
+}
+
+// AppendFeatures appends the model's input vector for cfg on this
+// workload, on dev (the device it names), to f.
+func (w *Workload) AppendFeatures(f []float64, cfg cutlass.GemmConfig, dev *gpu.Device) []float64 {
+	var conv *cutlass.ConvShape
+	if w.Conv != (cutlass.ConvShape{}) {
+		conv = &w.Conv
+	}
+	return appendFeatures(f, cfg, w.M, w.N, w.K, conv, dev)
+}
+
+func appendFeatures(f []float64, cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev *gpu.Device) []float64 {
 	lg := func(x float64) float64 { return math.Log2(x + 1) }
-	lgi := func(x int) float64 { return lg(float64(x)) }
+	lgi := func(x int) float64 {
+		if uint(x) < uint(len(log2p1)) {
+			return log2p1[x]
+		}
+		return lg(float64(x))
+	}
 
 	tilesM := (m + cfg.TB.M - 1) / cfg.TB.M
 	tilesN := (n + cfg.TB.N - 1) / cfg.TB.N
@@ -34,12 +65,12 @@ func Features(cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev 
 	})
 	// Wave quantization: blocks on the busiest SM in steady state (the
 	// occupancy-rule launch structure, statically derivable).
-	waves, critical := 0.0, 0.0
+	waves, critical := 0, 0
 	if slots := occ.BlocksPerSM * dev.SMs; slots > 0 {
-		waves = float64((grid + slots - 1) / slots)
+		waves = (grid + slots - 1) / slots
 		full := grid / slots
 		tail := grid % slots
-		critical = float64(full*occ.BlocksPerSM + (tail+dev.SMs-1)/dev.SMs)
+		critical = full*occ.BlocksPerSM + (tail+dev.SMs-1)/dev.SMs
 	}
 	underutil := lgi(dev.SMs) - lgi(grid)
 	if underutil < 0 {
@@ -99,10 +130,10 @@ func Features(cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev 
 		float64(m)*float64(n)*esize
 	trafficLg := math.Log2(traffic + 1)
 
-	f := []float64{
+	f = append(f,
 		1, // bias
 		lgi(cfg.TB.M), lgi(cfg.TB.N), lgi(cfg.TB.K),
-		lgi(cfg.Warp.M * cfg.Warp.N),
+		lgi(cfg.Warp.M*cfg.Warp.N),
 		float64(cfg.WarpCount()),
 		float64(cfg.Stages),
 		float64(cfg.SwizzleLog),
@@ -110,8 +141,8 @@ func Features(cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev 
 		lgi(m), lgi(n), lgi(k),
 		lgi(grid), lgi(kIters),
 		underutil,
-		lg(waves),
-		lg(critical),
+		lgi(waves),
+		lgi(critical),
 		float64(occ.WarpsPerSM),
 		occ.Fraction,
 		issueLg,
@@ -124,15 +155,15 @@ func Features(cfg cutlass.GemmConfig, m, n, k int, conv *cutlass.ConvShape, dev 
 		lgi(dev.SMs),
 		lg(dev.PeakTFLOPS(cfg.Op, cfg.DType)),
 		lg(dev.DRAMBWGBs),
-	}
+	)
 	// Dtype indicators: mixed-precision serving trains one model over
 	// FP32/FP16/INT8 candidates, and peak TFLOPS alone cannot separate
 	// e.g. element-size effects on the SIMT path from op-class effects.
 	// FP16 — the zoo's authored precision — is the all-zeros baseline,
 	// so FP16-only training data yields the exact pre-mixed-precision
-	// regression (all-zero columns draw zero weight). (Growing the
-	// vector is safe: the predictor drops persisted observations whose
-	// dimension no longer matches.)
+	// regression (all-zero columns draw zero weight). A saved model
+	// holds measurements, not vectors, so the vector can grow: the next
+	// fit derives the new layout for every row.
 	switch cfg.DType {
 	case tensor.FP32:
 		f = append(f, 1, 0)

@@ -114,6 +114,17 @@ func A100() *Device {
 	}
 }
 
+// Named returns a new device of the given Name, made by one of the
+// constructors above; nil for a name none of them makes.
+func Named(name string) *Device {
+	for _, d := range []*Device{T4(), A100()} {
+		if d.Name == name {
+			return d
+		}
+	}
+	return nil
+}
+
 // PeakTFLOPS returns the peak throughput (TFLOPS) for an op class and
 // data type on this device.
 func (d *Device) PeakTFLOPS(op OpClass, dt tensor.DType) float64 {

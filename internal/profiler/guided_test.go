@@ -196,7 +196,7 @@ func TestTrustGateRefusesPoisonedModel(t *testing.T) {
 	dev := gpu.T4()
 	w := GemmWorkload{M: 384, N: 512, K: 512, DType: tensor.FP16}
 
-	// Poison: real candidate features, targets replaced by a
+	// Poison: real candidates, targets replaced by a
 	// deterministic pseudo-random stream uncorrelated with them. The
 	// model trains (weights exist) but cannot rank held-out samples,
 	// so its confidence must stay below any sane threshold.
@@ -206,11 +206,11 @@ func TestTrustGateRefusesPoisonedModel(t *testing.T) {
 	for _, m := range []int{64, 128, 256, 512, 1024} {
 		for _, n := range []int{256, 768, 2048} {
 			wl := GemmWorkload{M: m, N: n, K: 512, DType: tensor.FP16}
-			group := wl.Group()
+			mw := wl.model(dev)
 			for _, cfg := range enum.GemmCandidates(wl) {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				y := -14 + 6*float64(seed>>11)/float64(1<<53)
-				poisoned.Observe(group, costmodel.Features(cfg, wl.M, wl.N, wl.K, nil, dev), y)
+				poisoned.Observe(costmodel.Observation{Workload: mw, Config: cfg, Y: y})
 			}
 		}
 	}
@@ -293,5 +293,39 @@ func TestGuidedConvProfileRespectsBudget(t *testing.T) {
 	}
 	if ratio := r.Time / oracle.Time; ratio > 1.15 {
 		t.Fatalf("guided conv pick is %.3fx the oracle, want <= 1.15x", ratio)
+	}
+}
+
+// An unguided plan never asks the model anything, so a loaded model's
+// pending fit stays pending through it: planning with the model
+// attached allocates what planning without it does, while a guided
+// plan pays for the fit.
+func TestUnguidedPlanLeavesAPendingFitPending(t *testing.T) {
+	dev := gpu.T4()
+	rows := trainGemmModel(t, dev).State().Obs
+	w := GemmWorkload{M: 384, N: 512, K: 512, DType: tensor.FP16}
+	allocs := func(g Guidance, attach bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			model := costmodel.NewPredictor(1)
+			model.IngestRows(rows) // the fit waits for first use
+			p := New(dev, nil)
+			if attach {
+				g.Model = model
+			}
+			p.Guide = g
+			if _, err := p.Plan(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A fit allocates hundreds of times; map growth moves a count by a
+	// few.
+	const slack = 8
+	detached := allocs(Guidance{}, false)
+	if unguided := allocs(Guidance{}, true); unguided > detached+slack {
+		t.Errorf("an unguided plan made %v allocations with a pending model attached, %v without: it fitted", unguided, detached)
+	}
+	if guided := allocs(Guidance{TopK: 8}, true); guided < detached+10*slack {
+		t.Errorf("setup: a guided plan made %v allocations, not far more than the %v of planning alone", guided, detached)
 	}
 }

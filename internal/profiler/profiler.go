@@ -49,7 +49,8 @@ type Workload interface {
 	Supports(cfg cutlass.GemmConfig) bool
 
 	candidates(p *Profiler) []cutlass.GemmConfig
-	features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64
+	// model is the workload as the cost model learns it, measured on dev.
+	model(dev *gpu.Device) *costmodel.Workload
 	desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc
 }
 
@@ -72,8 +73,8 @@ func (w GemmWorkload) Supports(cfg cutlass.GemmConfig) bool {
 
 func (w GemmWorkload) candidates(p *Profiler) []cutlass.GemmConfig { return p.GemmCandidates(w) }
 
-func (w GemmWorkload) features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64 {
-	return costmodel.Features(cfg, w.M, w.N, w.K, nil, dev)
+func (w GemmWorkload) model(dev *gpu.Device) *costmodel.Workload {
+	return &costmodel.Workload{Group: w.Group(), M: w.M, N: w.N, K: w.K, DType: w.DType, Device: dev.Name}
 }
 
 func (w GemmWorkload) desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc {
@@ -116,9 +117,9 @@ func (w ConvWorkload) candidates(p *Profiler) []cutlass.GemmConfig {
 	return filtered
 }
 
-func (w ConvWorkload) features(cfg cutlass.GemmConfig, dev *gpu.Device) []float64 {
+func (w ConvWorkload) model(dev *gpu.Device) *costmodel.Workload {
 	m, n, k := w.Shape.ImplicitGemm()
-	return costmodel.Features(cfg, m, n, k, &w.Shape, dev)
+	return &costmodel.Workload{Group: w.Group(), M: m, N: n, K: k, Conv: w.Shape, DType: w.DType, Device: dev.Name}
 }
 
 func (w ConvWorkload) desc(cfg cutlass.GemmConfig, dev *gpu.Device) gpu.KernelDesc {
@@ -406,12 +407,17 @@ func (p *Profiler) Plan(w Workload) (Plan, error) {
 	}
 	pl := Plan{Enumerated: len(cands), Measure: cands}
 	g := p.Guide
-	if g.Model == nil || !g.Model.Trained() || (g.TopK <= 0 && g.TrustThreshold <= 0) {
+	// An unguided plan never asks the model anything, so it leaves a
+	// pending fit pending.
+	if g.Model == nil || (g.TopK <= 0 && g.TrustThreshold <= 0) || !g.Model.Trained() {
 		return pl, nil
 	}
+	wl := w.model(p.dev)
 	preds := make([]float64, len(cands))
+	var f []float64
 	for i, cfg := range cands {
-		preds[i] = g.Model.Predict(w.features(cfg, p.dev))
+		f = wl.AppendFeatures(f[:0], cfg, p.dev)
+		preds[i] = g.Model.Predict(f)
 	}
 	idx := make([]int, len(cands))
 	for i := range idx {
@@ -481,20 +487,22 @@ func (p *Profiler) ProfilePlan(w Workload, plan Plan) (Result, error) {
 	if len(plan.Measure) == 0 {
 		return Result{}, fmt.Errorf("profiler: empty measurement plan for %v", w)
 	}
-	group := w.Group()
-	rng := workloadRNG(group)
+	rng := workloadRNG(w.Group())
+	var wl *costmodel.Workload
+	if p.Guide.Model != nil {
+		wl = w.model(p.dev)
+	}
 	best := Result{Time: -1, Candidates: len(plan.Measure), Enumerated: plan.Enumerated, PredictionError: -1}
 	bestPred := math.NaN()
 	for _, cfg := range plan.Measure {
 		p.chargeCompile(cfg.Name())
 		t := gpu.Measure(p.dev, w.desc(cfg, p.dev), p.Measure, rng, p.clock)
 		pred := math.NaN()
-		if p.Guide.Model != nil && t > 0 {
-			f := w.features(cfg, p.dev)
+		if wl != nil && t > 0 {
 			if p.Guide.Model.Trained() {
-				pred = p.Guide.Model.Predict(f)
+				pred = p.Guide.Model.Predict(wl.AppendFeatures(nil, cfg, p.dev))
 			}
-			p.Guide.Model.Observe(group, f, math.Log(t))
+			p.Guide.Model.Observe(costmodel.Observation{Workload: wl, Config: cfg, Y: math.Log(t)})
 		}
 		if best.Time < 0 || t < best.Time {
 			best.Time = t

@@ -2,8 +2,9 @@ package tunelog_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"strconv"
+	"slices"
 	"testing"
 
 	"bolt/internal/codegen"
@@ -11,6 +12,7 @@ import (
 	"bolt/internal/gpu"
 	"bolt/internal/models"
 	"bolt/internal/profiler"
+	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
 )
 
@@ -32,56 +34,41 @@ func resnet50Log(tb testing.TB) *tunelog.Log {
 	return log
 }
 
-// plainObs renders observation lines with every number formatted on
-// its own, as Save did before it memoized them. Groups must need no
-// escape.
-func plainObs(obs []costmodel.Observation) []byte {
-	var b []byte
-	for i, o := range obs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n{\"g\":\""+o.Group+"\",\"f\":["...)
-		for j, f := range o.Feat {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendFloat(b, f, 'g', -1, 64)
-		}
-		b = append(b, `],"y":`...)
-		b = strconv.AppendFloat(b, o.Y, 'g', -1, 64)
-		b = append(b, '}')
-	}
-	return b
-}
-
-// TestEncodeMatchesUnmemoized checks the observation lines Save writes
-// against each number formatted on its own: on a trained ResNet-50 log,
-// and on rows that put -0 and 0 in one column and hold subnormals.
-func TestEncodeMatchesUnmemoized(t *testing.T) {
+// TestSaveKeepsTargetBits saves and reloads a trained ResNet-50 log,
+// and rows whose targets are -0 and 0 and subnormals: the reloaded
+// model holds every measurement of the saved one, each target bit for
+// bit.
+func TestSaveKeepsTargetBits(t *testing.T) {
 	edge := tunelog.New()
 	tiny := math.SmallestNonzeroFloat64
-	for i, row := range [][]float64{
-		{1, 0, tiny, 0.1},
-		{1, math.Copysign(0, -1), -tiny, 0.1},
-		{1, 0, 2.2250738585072009e-308, math.Copysign(0, -1)},
-		{1, math.Copysign(0, -1), tiny, 0},
-		{1, 0, -2.2250738585072009e-308, -0.1},
-	} {
-		y := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1e-310}[i]
-		edge.Model.Observe("edge", row, y)
+	w := &costmodel.Workload{Group: "edge", M: 512, N: 3072, K: 768, DType: tensor.FP16, Device: "Tesla T4"}
+	cfgs := profiler.New(gpu.T4(), nil).GemmCandidates(profiler.GemmWorkload{M: 512, N: 3072, K: 768, DType: tensor.FP16})
+	for i, y := range []float64{0, math.Copysign(0, -1), tiny, -tiny, 1e-310, 2.2250738585072009e-308} {
+		edge.Model.Observe(costmodel.Observation{Workload: w, Config: cfgs[0], Y: y})
+		edge.Model.Observe(costmodel.Observation{Workload: w, Config: cfgs[i+1], Y: y})
 	}
 	for name, l := range map[string]*tunelog.Log{"ResNet-50": resnet50Log(t), "signed zeros and subnormals": edge} {
 		var file bytes.Buffer
 		if err := l.Save(&file); err != nil {
 			t.Fatal(err)
 		}
-		_, obs, ok := bytes.Cut(file.Bytes(), []byte(`,"obs":[`))
-		if obs, ok = bytes.CutSuffix(obs, []byte("\n]}}\n")); !ok {
-			t.Fatalf("%s: no observation list in\n%s", name, file.Bytes())
+		again := tunelog.New()
+		if err := again.Load(bytes.NewReader(file.Bytes())); err != nil {
+			t.Fatal(err)
 		}
-		if want := plainObs(l.Model.State().Obs); !bytes.Equal(obs, want) {
-			t.Errorf("%s: Save wrote\n%s\nformatting each number gives\n%s", name, obs, want)
+		got, want := keys(again.Model.State().Obs), keys(l.Model.State().Obs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d rows reloaded as\n%v\nsaved as\n%v", name, len(got), got, want)
 		}
 	}
+}
+
+// keys lists observations as sorted strings, targets as bits.
+func keys(obs []costmodel.Observation) []string {
+	k := make([]string, len(obs))
+	for i, o := range obs {
+		k[i] = fmt.Sprintf("%#v %#v %x", *o.Workload, o.Config, math.Float64bits(o.Y))
+	}
+	slices.Sort(k)
+	return k
 }

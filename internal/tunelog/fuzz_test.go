@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -35,13 +36,13 @@ func FuzzTunelogDecode(f *testing.F) {
 		if err := again.Load(bytes.NewReader(first.Bytes())); err != nil {
 			t.Fatalf("a saved log does not load: %v\n%s", err, first.Bytes())
 		}
-		if _, ok := decodeFrame(first.Bytes()); !ok && !bytes.Contains(first.Bytes(), []byte{'\\'}) {
-			t.Errorf("the frame decoder declined an escape-free save:\n%s", first.Bytes())
+		if _, ok := decodeFrame(first.Bytes()); !ok {
+			t.Errorf("the frame decoder declined a save:\n%s", first.Bytes())
 		}
 		if !reflect.DeepEqual(again.entries, l.entries) {
 			t.Errorf("entries changed across Save and Load")
 		}
-		if !reflect.DeepEqual(again.Model.State(), l.Model.State()) {
+		if !slices.Equal(obsKeys(again.Model.State().Obs), obsKeys(l.Model.State().Obs)) {
 			t.Errorf("the model changed across Save and Load")
 		}
 		if err := again.Save(&second); err != nil {

@@ -13,31 +13,38 @@
 // # File format
 //
 // A saved log is one JSON document: {"entries": [{"key", "entry"}…],
-// "model": {"seed", "obs": [{"g", "f", "y"}…]}}, with "model" absent
-// when the cost model holds no observations. Save writes it in a fixed
-// frame with one record per line:
+// "model": {"seed", "workloads": [{"g", "key"}…], "measurements":
+// [[w, config…, y]…]}}, with "model" absent when the cost model holds
+// no observations. The model part is its measurements: a table of the
+// workloads measured, each its rank-group name verbatim and its full
+// Key, and one row per measurement, [w, config…, y] — the workload's
+// position in the table, the config's 16 fields (configFields) and the
+// log kernel time. Features are derived from a row when the model
+// first fits. Save writes the document in a fixed frame, one record
+// per line:
 //
 //	{"entries":[
 //	{"key":{…},"entry":{…}},
 //	…
-//	],"model":{"seed":1,"obs":[
-//	{"g":"gemm:…","f":[1,5.044394119358453,…],"y":-10.72},
+//	],"model":{"seed":1,"workloads":[
+//	{"g":"conv:…","key":{…}},
+//	…
+//	],"measurements":[
+//	[0,128,64,32,64,32,32,16,8,8,2,1,8,8,8,1,0,-9.21993587287548],
 //	…
 //	]}}
 //
-// Entry lines are sorted, floats are in strconv's shortest round-trip
-// form and strings are JSON-escaped, so equal logs save equal bytes.
-// Load reads the frame line by line; any other text that decodes as the
-// same document (every earlier version of this package wrote it
-// indented) goes through encoding/json, and the next Save rewrites it
-// in the frame.
+// Entry and workload lines are sorted, and each workload's rows, so
+// equal logs save equal bytes; numbers are in strconv's shortest form.
+// Load reads the frame itself; any other text that decodes as the same
+// document goes through encoding/json, and the next Save rewrites it in
+// the frame. Files of earlier versions, whose model rows held
+// feature vectors ("obs": [{"g", "f", "y"}…]), load their entries and
+// drop those rows: the model retrains.
 //
-// A trained log's numbers repeat: a few percent of them are distinct.
-// Save formats each distinct number once and Load parses each distinct
-// number token once, per call. A loaded model fits on its first use
-// (Predict, Trained or Confidence), and so does the refit the tuning
-// pipeline asks for after its measurements: a compile that only saves
-// the model never fits it.
+// A loaded model fits on its first use (Predict, Trained or
+// Confidence), and so does the refit the tuning pipeline asks for after
+// its measurements: a compile that only saves the model never fits it.
 package tunelog
 
 import (
@@ -46,11 +53,13 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"sync"
 
 	"bolt/internal/ansor"
 	"bolt/internal/costmodel"
 	"bolt/internal/cutlass"
+	"bolt/internal/gpu"
 	"bolt/internal/tensor"
 )
 
@@ -218,17 +227,75 @@ type jsonEntry struct {
 	Entry Entry `json:"entry"`
 }
 
-// jsonLog is the on-disk format: the entry rows plus the cost model
-// trained from them, in the model's own persistence format.
+// jsonLog is the on-disk format the package doc describes.
 type jsonLog struct {
-	Entries []jsonEntry      `json:"entries"`
-	Model   *costmodel.State `json:"model,omitempty"`
+	Entries []jsonEntry `json:"entries"`
+	Model   *jsonModel  `json:"model,omitempty"`
 }
 
-// Save writes the database — its entries and, when it has any
-// observations, its cost model — in the frame the package doc
-// describes, and leaves the log clean. It writes nothing when the log
-// holds a number the frame cannot carry (NaN or an infinity).
+type jsonModel struct {
+	Seed      int64          `json:"seed"`
+	Workloads []jsonWorkload `json:"workloads"`
+	Rows      [][]float64    `json:"measurements"`
+}
+
+type jsonWorkload struct {
+	Group string `json:"g"`
+	Key   Key    `json:"key"`
+}
+
+// configFields lists a config's fields in a row's order.
+func configFields(c cutlass.GemmConfig) [16]int {
+	return [...]int{c.TB.M, c.TB.N, c.TB.K, c.Warp.M, c.Warp.N, c.Warp.K, c.Inst.M, c.Inst.N, c.Inst.K,
+		c.Stages, c.SwizzleLog, c.AlignA, c.AlignB, c.AlignC, int(c.Op), int(c.DType)}
+}
+
+// workloadKey is the tuning key of a model workload.
+func workloadKey(w *costmodel.Workload) Key {
+	if w.Conv != (cutlass.ConvShape{}) {
+		return Key{Kind: "conv2d", M: w.M, N: w.N, K: w.K, DType: w.DType.String(), Conv: w.Conv, Device: w.Device, Version: 1}
+	}
+	return Key{Kind: "gemm", M: w.M, N: w.N, K: w.K, DType: w.DType.String(), Device: w.Device, Version: 1}
+}
+
+// observations reads the model's rows. A workload of a dtype this
+// build does not name yields rows with no workload, which the predictor
+// drops, as it drops a device it does not know. A row that is not a
+// measurement of a workload in the table is an error.
+func (m *jsonModel) observations() ([]costmodel.Observation, error) {
+	table := make([]*costmodel.Workload, len(m.Workloads))
+	for i, w := range m.Workloads {
+		for _, dt := range []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8} {
+			if dt.String() == w.Key.DType {
+				table[i] = &costmodel.Workload{Group: w.Group, M: w.Key.M, N: w.Key.N, K: w.Key.K, Conv: w.Key.Conv, DType: dt, Device: w.Key.Device}
+			}
+		}
+	}
+	obs := make([]costmodel.Observation, len(m.Rows))
+	for i, r := range m.Rows {
+		var f [17]int
+		for j := range f {
+			if len(r) != len(f)+1 || r[j] != math.Trunc(r[j]) || math.Abs(r[j]) > math.MaxInt32 {
+				return nil, fmt.Errorf("tunelog: a measurement row %v is not [workload, 16 config fields, y]", r)
+			}
+			f[j] = int(r[j])
+		}
+		if f[0] < 0 || f[0] >= len(table) {
+			return nil, fmt.Errorf("tunelog: a measurement of workload %d, of a table of %d", f[0], len(table))
+		}
+		obs[i] = costmodel.Observation{Workload: table[f[0]], Y: r[17], Config: cutlass.GemmConfig{
+			TB: cutlass.Shape3{M: f[1], N: f[2], K: f[3]}, Warp: cutlass.Shape3{M: f[4], N: f[5], K: f[6]},
+			Inst: cutlass.Shape3{M: f[7], N: f[8], K: f[9]}, Stages: f[10], SwizzleLog: f[11],
+			AlignA: f[12], AlignB: f[13], AlignC: f[14], Op: gpu.OpClass(f[15]), DType: tensor.DType(f[16]),
+		}}
+	}
+	return obs, nil
+}
+
+// Save writes the database — its entries and, when it has any, its
+// cost model's measurements — in the frame the package doc describes,
+// and leaves the log clean. It writes nothing when an entry holds a
+// number the frame cannot carry (NaN or an infinity).
 func (l *Log) Save(w io.Writer) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -279,13 +346,23 @@ func readAll(r io.Reader) ([]byte, error) {
 	return b.Bytes(), err
 }
 
-// ingest folds a decoded file into this log; keep says whether an
+// ingest reads a saved database into this log; keep says whether an
 // in-memory entry survives a key conflict. Model observations merge
 // (deduplicated) whichever way entries resolve — measurements are
 // facts, not preferences, so there is no conflict to resolve — and the
 // merged model refits on first use. Only a file read into an empty log
 // leaves the log equal to that file, hence clean.
-func (l *Log) ingest(db jsonLog, keep bool) {
+func (l *Log) ingest(r io.Reader, keep bool) error {
+	db, err := decode(r)
+	if err != nil {
+		return err
+	}
+	var obs []costmodel.Observation
+	if db.Model != nil {
+		if obs, err = db.Model.observations(); err != nil {
+			return err
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	wasEmpty := len(l.entries) == 0 && l.modelLen() == 0
@@ -298,37 +375,24 @@ func (l *Log) ingest(db jsonLog, keep bool) {
 		if l.Model == nil {
 			l.Model = costmodel.NewPredictor(1)
 		}
-		l.Model.IngestRows(db.Model.Obs)
+		l.Model.IngestRows(obs)
 	}
 	l.changed, l.savedObs = !wasEmpty, l.modelLen()
+	return nil
 }
 
 // Load merges a saved database into this one (file entries win key
 // conflicts — use Merge to keep in-memory entries instead). The file's
-// cost model is folded into the log's predictor, so a warm process
+// measurements are folded into the log's predictor, so a warm process
 // starts trained; the predictor fits on first use.
-func (l *Log) Load(r io.Reader) error {
-	db, err := decode(r)
-	if err != nil {
-		return err
-	}
-	l.ingest(db, false)
-	return nil
-}
+func (l *Log) Load(r io.Reader) error { return l.ingest(r, false) }
 
 // Merge reads a saved database and adds only entries whose keys are
 // absent from this log: in-memory entries win conflicts. This is the
 // write-back direction — a server persisting its shared log merges in
 // what other processes wrote to the file without clobbering its own
 // fresher results. Cost-model observations merge symmetrically.
-func (l *Log) Merge(r io.Reader) error {
-	db, err := decode(r)
-	if err != nil {
-		return err
-	}
-	l.ingest(db, true)
-	return nil
-}
+func (l *Log) Merge(r io.Reader) error { return l.ingest(r, true) }
 
 // GemmKey builds the key for a GEMM task.
 func GemmKey(m, n, k int, dt tensor.DType, device string) Key {

@@ -198,9 +198,9 @@ func TestMergeMemoryWins(t *testing.T) {
 func trainedModel(scale float64) *costmodel.Predictor {
 	p := costmodel.NewPredictor(1)
 	for g := 0; g < 4; g++ {
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 16; i++ {
 			x := float64(i + g)
-			p.Observe(fmt.Sprintf("g%d", g), []float64{1, x, x * x}, scale*(2*x-1))
+			p.Observe(measurement(fmt.Sprintf("g%d", g), i, scale*(2*x-1)))
 		}
 	}
 	p.Fit()
@@ -299,13 +299,12 @@ func TestLoadedModelFitsTheLoadedRowsOnFirstUse(t *testing.T) {
 	loaded.IngestRows(l.Model.State().Obs)
 	loaded.Fit()
 	for i := 0; i < 40; i++ {
-		x := float64(i)
-		l.Model.Observe(fmt.Sprintf("late%d", i%4), []float64{1, x, -x, x * x, 2}, 0.3*x)
+		l.Model.Observe(measurement(fmt.Sprintf("late%d", i%4), i, 0.3*float64(i)))
 	}
 	if got, want := l.Model.Confidence(), loaded.Confidence(); got != want {
 		t.Errorf("first-use confidence %v, want %v from the loaded rows alone", got, want)
 	}
-	got, want := weightsOf(l.Model, 5), weightsOf(loaded, 5)
+	got, want := weightsOf(l.Model, costmodel.NumFeatures), weightsOf(loaded, costmodel.NumFeatures)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("first-use weight %d differs from the fit of the loaded rows", i)
@@ -317,7 +316,7 @@ func TestLoadedModelFitsTheLoadedRowsOnFirstUse(t *testing.T) {
 	all := costmodel.NewPredictor(1)
 	all.IngestRows(l.Model.State().Obs)
 	all.Fit()
-	sameModel(t, l.Model, all, 5, "a refitted loaded model")
+	sameModel(t, l.Model, all, "a refitted loaded model")
 }
 
 // Goroutines that first use a freshly loaded model at once, while
@@ -358,7 +357,7 @@ func TestLoadedModelConcurrentFirstUse(t *testing.T) {
 				}
 			case 3:
 				for i := 0; i < 20; i++ {
-					l.Model.Observe(fmt.Sprintf("g%d", g), []float64{1, float64(i), 0, 0, 1}, float64(i))
+					l.Model.Observe(measurement(fmt.Sprintf("g%d", g), i, float64(i)))
 				}
 			}
 		}(g)

@@ -1,11 +1,15 @@
 package bolt_test
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"bolt"
 	"bolt/internal/models"
+	"bolt/internal/tunelog"
 )
 
 // TestZooModeledGolden pins what each backend makes of the four zoo
@@ -57,5 +61,50 @@ func TestZooModeledGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZooGuidedGolden replays the tuning story's shared log on the T4
+// at 224x224, batch 1, two profiling jobs: ResNet-50 cold into a fresh
+// cache file trains the cost model, then ResNet-18, VGG-16 and
+// RepVGG-A0 compile guided (TopK 8) through the same file. It pins each
+// compile's simulated tuning time, measurement count and modeled
+// latency, and the final model's confidence bit for bit: a change to
+// how the log stores or the model derives its data leaves them all.
+func TestZooGuidedGolden(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "shared.json")
+	for _, c := range []struct {
+		name         string
+		build        func() *bolt.Graph
+		topK         int
+		tuning       time.Duration
+		measurements int
+		seconds      float64
+	}{
+		{"ResNet-50", func() *bolt.Graph { return models.ResNet(50, 1) }, 0, 7*time.Minute + 36347241107, 1290, 0.0010654166609845362},
+		{"ResNet-18", func() *bolt.Graph { return models.ResNet(18, 1) }, 8, 3*time.Minute + 20441366545, 64, 0.0004332726801815364},
+		{"VGG-16", func() *bolt.Graph { return models.VGG(16, 1) }, 8, 2*time.Minute + 41696882418, 96, 0.001885570041707171},
+		{"RepVGG-A0", func() *bolt.Graph { return models.RepVGG("A0", 1, models.RepVGGOptions{}) }, 8, 3*time.Minute + 36602060384, 72, 0.00028989581112385957},
+	} {
+		res, err := bolt.Compile(c.build(), bolt.T4(), bolt.Options{Jobs: 2, CacheFile: file, TopK: c.topK})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.TuningTime != c.tuning || res.Tuning.Measurements != c.measurements || res.Module.Time() != c.seconds {
+			t.Errorf("%s: tuning %v, %d measurements, %v s; want %v, %d, %v s", c.name,
+				res.TuningTime, res.Tuning.Measurements, res.Module.Time(), c.tuning, c.measurements, c.seconds)
+		}
+	}
+	f, err := os.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log := tunelog.New()
+	if err := log.Load(f); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(log.Model.Confidence()), uint64(0x3fe715e7df86cad7); got != want {
+		t.Errorf("model confidence %v (%#x); want %v (%#x)", math.Float64frombits(got), got, math.Float64frombits(want), want)
 	}
 }
