@@ -307,43 +307,19 @@ func (f *Fleet) emitRoute(res serve.Result, rep *replica, hedged, retried bool, 
 		dur = 0
 	}
 	f.trShard.Emit(obs.Span{
-		Name: obs.KindRoute, Cat: obs.CatFleet, Proc: f.trProc,
-		Track: "router", Start: start, Dur: dur,
-		Args: []obs.Arg{
-			{Key: "model", Val: note.model},
-			{Key: "replica", Val: rep.id},
-			{Key: "hedged", Val: hedged},
-			{Key: "retried", Val: retried},
-			{Key: "error", Val: res.Err != nil},
-		},
+		Name: obs.KindRoute, Cat: obs.CatFleet, Proc: f.trProc, Start: start, Dur: dur,
+		Model: note.model, Replica: rep.id, Hedged: hedged, Retried: retried, Failed: res.Err != nil,
 	})
 	if note.hedgeTo >= 0 {
-		loser := note.hedgeFrom
-		if loser == rep.id {
-			loser = note.hedgeTo
-		}
 		f.trShard.Emit(obs.Span{
-			Name: obs.KindHedge, Cat: obs.CatFleet, Proc: f.trProc,
-			Track: "router", Start: start, Dur: dur,
-			Args: []obs.Arg{
-				{Key: "model", Val: note.model},
-				{Key: "from", Val: note.hedgeFrom},
-				{Key: "to", Val: note.hedgeTo},
-				{Key: "winner", Val: rep.id},
-				{Key: "loser", Val: loser},
-			},
+			Name: obs.KindHedge, Cat: obs.CatFleet, Proc: f.trProc, Start: start, Dur: dur,
+			Model: note.model, From: note.hedgeFrom, To: note.hedgeTo, Replica: rep.id,
 		})
 	}
 	if note.retryTo >= 0 {
 		f.trShard.Emit(obs.Span{
-			Name: obs.KindRetry, Cat: obs.CatFleet, Proc: f.trProc,
-			Track: "router", Start: start, Dur: dur,
-			Args: []obs.Arg{
-				{Key: "model", Val: note.model},
-				{Key: "from", Val: note.retryFrom},
-				{Key: "to", Val: note.retryTo},
-				{Key: "delivered", Val: rep.id},
-			},
+			Name: obs.KindRetry, Cat: obs.CatFleet, Proc: f.trProc, Start: start, Dur: dur,
+			Model: note.model, From: note.retryFrom, To: note.retryTo, Replica: rep.id,
 		})
 	}
 }

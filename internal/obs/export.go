@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // traceEvent is one entry of the Chrome trace-event format's
@@ -22,7 +21,7 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteJSON exports every collected span as Chrome trace-event JSON.
+// ExportJSON exports every collected span as Chrome trace-event JSON.
 // Spans become "X" (complete) events with ts/dur in microseconds of
 // simulated time; process and track names become "M" metadata events.
 // The output is canonical: same spans, same bytes, regardless of how
@@ -32,107 +31,71 @@ type traceEvent struct {
 // start (tuning happens off the serving clock), so each compile track
 // is laid out sequentially — span k starts where span k-1 ended —
 // which renders as a packed tuning timeline in Perfetto.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	spans := t.Spans()
-	procs := t.Processes()
+func (t *Tracer) ExportJSON() []byte {
+	spans := t.sorted()
+	t.mu.Lock()
+	procs := append([]string(nil), t.procs...)
+	t.mu.Unlock()
 
 	// Assign tids per (proc, track) in first-appearance order over the
 	// canonical span sequence; tid 0 is reserved so Perfetto doesn't
 	// merge a track with the process summary row.
-	type key struct {
-		proc  int
-		track string
-	}
-	tids := make(map[key]int)
-	order := make([]key, 0, 8)
-	for i := range spans {
-		k := key{spans[i].Proc, spans[i].Track}
-		if _, ok := tids[k]; !ok {
-			tids[k] = len(order) + 1
-			order = append(order, k)
+	tids := make(map[trackID]int)
+	var order []trackID
+	for _, sp := range spans {
+		if id := sp.track(); tids[id] == 0 {
+			order = append(order, id)
+			tids[id] = len(order)
 		}
 	}
 
-	events := make([]traceEvent, 0, len(spans)+len(procs)+len(order))
-	for pid := 1; pid <= len(procs); pid++ {
-		events = append(events, traceEvent{
-			Name: "process_name",
-			Ph:   "M",
-			PID:  pid,
-			Args: map[string]any{"name": procs[pid-1]},
-		})
+	var buf bytes.Buffer
+	buf.WriteString("{\"traceEvents\":[\n")
+	first := true
+	write := func(ev traceEvent) {
+		b, err := json.Marshal(&ev)
+		if err != nil {
+			// Every exported value is a string, bool, int or finite float.
+			panic(fmt.Sprintf("obs: export: %v", err))
+		}
+		if !first {
+			buf.WriteString(",\n")
+		}
+		first = false
+		buf.Write(b)
 	}
-	for _, k := range order {
-		events = append(events, traceEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			PID:  k.proc,
-			TID:  tids[k],
-			Args: map[string]any{"name": k.track},
-		})
+	for pid := 1; pid <= len(procs); pid++ {
+		write(traceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": procs[pid-1]}})
+	}
+	for i, id := range order {
+		write(traceEvent{Name: "thread_name", Ph: "M", PID: id.proc, TID: i + 1, Args: map[string]any{"name": id.String()}})
 	}
 
 	// Sequential layout offsets for compile tracks.
-	offsets := make(map[key]float64)
-	for i := range spans {
-		sp := &spans[i]
-		k := key{sp.Proc, sp.Track}
+	offsets := make(map[trackID]float64)
+	for _, sp := range spans {
+		id := sp.track()
 		ts := sp.Start
 		if sp.Cat == CatCompile {
-			ts = offsets[k]
-			offsets[k] += sp.Dur
+			ts = offsets[id]
+			offsets[id] += sp.Dur
 		}
 		dur := sp.Dur * 1e6
-		ev := traceEvent{
-			Name: sp.Name,
-			Cat:  sp.Cat,
-			Ph:   "X",
-			TS:   ts * 1e6,
-			Dur:  &dur,
-			PID:  sp.Proc,
-			TID:  tids[k],
-		}
-		if len(sp.Args) > 0 || sp.Req != 0 {
-			args := make(map[string]any, len(sp.Args)+1)
+		ev := traceEvent{Name: sp.Name, Cat: sp.Cat, Ph: "X", TS: ts * 1e6, Dur: &dur, PID: sp.Proc, TID: tids[id]}
+		keys := sp.keys()
+		if len(keys) > 0 || sp.Req != 0 {
+			ev.Args = make(map[string]any, len(keys)+1)
 			if sp.Req != 0 {
-				args["req"] = sp.Req
+				ev.Args["req"] = sp.Req
 			}
-			for _, a := range sp.Args {
-				args[a.Key] = a.Val
-			}
-			ev.Args = args
-		}
-		events = append(events, ev)
-	}
-
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i := range events {
-		b, err := json.Marshal(&events[i])
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
+			for _, k := range keys {
+				if v := argOf[k](sp); v != nil {
+					ev.Args[k] = v
+				}
 			}
 		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
+		write(ev)
 	}
-	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return err
-}
-
-// ExportJSON is WriteJSON into a byte slice.
-func (t *Tracer) ExportJSON() []byte {
-	var buf bytes.Buffer
-	if err := t.WriteJSON(&buf); err != nil {
-		// bytes.Buffer never errors; json.Marshal of traceEvent cannot
-		// fail for the value types Emit accepts.
-		panic(fmt.Sprintf("obs: export: %v", err))
-	}
+	buf.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 	return buf.Bytes()
 }

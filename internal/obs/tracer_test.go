@@ -22,17 +22,19 @@ func emitSample(t *Tracer) {
 	}
 	wg.Add(3)
 	go emit(sched, []Span{
-		{Name: KindPlan, Cat: CatBatch, Track: "scheduler", Start: 0, Args: []Arg{{"bucket", 4}}},
-		{Name: KindDispatch, Cat: CatBatch, Track: "scheduler", Start: 0, Args: []Arg{{"worker", 0}}},
-		{Name: KindPlan, Cat: CatBatch, Track: "scheduler", Start: 1e-3, Args: []Arg{{"bucket", 2}}},
+		{Name: KindPlan, Cat: CatBatch, Start: 0, Bucket: 4},
+		{Name: KindDispatch, Cat: CatBatch, Start: 0, Worker: 0},
+		{Name: KindPlan, Cat: CatBatch, Start: 1e-3, Bucket: 2},
 	})
 	go emit(w0, []Span{
-		{Name: KindExecute, Cat: CatBatch, Track: "worker 0", Start: 0, Dur: 2e-3},
-		{Name: KindRequest, Cat: CatRequest, Track: "req 1", Req: 1, Start: 0, Dur: 2e-3},
+		{Name: KindExecute, Cat: CatBatch, Worker: 0, Start: 0, Dur: 2e-3},
+		// A delivered request: the root and its four stage children.
+		{Name: KindRequest, Cat: CatRequest, Req: 1, Start: 0, Dur: 2e-3,
+			FormationWait: 5e-4, QueueWait: 5e-4, Execute: 1e-3},
 	})
 	go emit(w1, []Span{
-		{Name: KindExecute, Cat: CatBatch, Track: "worker 1", Start: 1e-3, Dur: 2e-3},
-		{Name: KindCompile, Cat: CatCompile, Track: "compile", Dur: 5e-2, Args: []Arg{{"kind", "cold"}}},
+		{Name: KindExecute, Cat: CatBatch, Worker: 1, Start: 1e-3, Dur: 2e-3},
+		{Name: KindCompile, Cat: CatCompile, Dur: 5e-2, Outcome: "cold"},
 	})
 	wg.Wait()
 }
@@ -54,15 +56,18 @@ func TestTracerCanonicalOrderDeterministic(t *testing.T) {
 func TestTracerQueryAPI(t *testing.T) {
 	tr := NewTracer()
 	emitSample(tr)
-	if got := tr.Len(); got != 7 {
-		t.Fatalf("Len = %d, want 7", got)
+	if got := tr.Len(); got != 11 {
+		t.Fatalf("Len = %d, want 11", got)
 	}
 	if got := len(tr.ByKind(KindPlan)); got != 2 {
 		t.Fatalf("ByKind(plan) = %d spans, want 2", got)
 	}
 	reqs := tr.ByRequest(1, 1)
-	if len(reqs) != 1 || reqs[0].Name != KindRequest {
-		t.Fatalf("ByRequest = %+v, want one request span", reqs)
+	if len(reqs) != 5 {
+		t.Fatalf("ByRequest = %+v, want the request span and its four children", reqs)
+	}
+	if got := len(tr.ByKind(KindRequest)); got != 1 {
+		t.Fatalf("ByKind(request) = %d spans, want 1", got)
 	}
 	spans := tr.Spans()
 	for i := 1; i < len(spans); i++ {
@@ -84,6 +89,59 @@ func TestTracerShardCapacityDrops(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("Dropped = %d, want 6", got)
+	}
+}
+
+// TestTracerCapCountsStageChildren pins the cap semantics of a
+// delivered request: its root and four stage children are checked
+// against the shard cap one by one, so a shard with room for three
+// keeps three and drops two.
+func TestTracerCapCountsStageChildren(t *testing.T) {
+	tr := NewTracer()
+	tr.shardCap = 3
+	tr.NewShard().Emit(Span{Name: KindRequest, Cat: CatRequest, Req: 1, Dur: 3e-3,
+		FormationWait: 1e-3, QueueWait: 1e-3, Execute: 1e-3})
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("Len = %d, want 3", got)
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Fatalf("Dropped = %d, want 2", got)
+	}
+	spans := tr.Spans()
+	if spans[0].Name != KindEnqueue || spans[1].Name != KindRequest || spans[2].Name != KindDispatch {
+		t.Fatalf("kept %v %v %v, want enqueue, request, dispatch", spans[0].Name, spans[1].Name, spans[2].Name)
+	}
+}
+
+// TestTracerQueriesWhileEmitting reads the tracer while a worker
+// appends to its shard: the query and the export see a prefix of each
+// shard (run with -race).
+func TestTracerQueriesWhileEmitting(t *testing.T) {
+	tr := NewTracer()
+	sh := tr.NewShard()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= 2000; i++ {
+			sh.Emit(Span{Name: KindRequest, Cat: CatRequest, Req: i, Start: float64(i), Dur: 3,
+				FormationWait: 1, QueueWait: 1, Execute: 1})
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if n := len(tr.Spans()); n%5 != 0 {
+			t.Fatalf("Spans saw %d spans, not whole requests", n)
+		}
+		if !json.Valid(tr.ExportJSON()) {
+			t.Fatal("export is not valid JSON")
+		}
+	}
+	if got := tr.Len(); got != 10000 {
+		t.Fatalf("Len = %d, want 10000", got)
 	}
 }
 
@@ -130,7 +188,7 @@ func TestTracerExportSchema(t *testing.T) {
 			t.Fatalf("unexpected phase %q", ph)
 		}
 	}
-	if meta == 0 || complete != 7 {
-		t.Fatalf("got %d metadata and %d complete events, want >0 and 7", meta, complete)
+	if meta == 0 || complete != 11 {
+		t.Fatalf("got %d metadata and %d complete events, want >0 and 11", meta, complete)
 	}
 }

@@ -960,20 +960,10 @@ func (s *Server) dispatch(job *batchJob) {
 			eft.WriteByte('=')
 			eft.WriteString(strconv.FormatFloat(cost, 'g', -1, 64))
 		}
-		args := []obs.Arg{
-			{Key: "model", Val: job.t.name},
-			{Key: "bucket", Val: job.bucket},
-			{Key: "rows", Val: len(job.reqs)},
-			{Key: "worker", Val: pl.worker},
-			{Key: "class", Val: s.pool.classes[pl.class].dev.Name},
-			{Key: "eft_costs", Val: eft.String()},
-		}
-		if !math.IsInf(pl.finish, 1) {
-			args = append(args, obs.Arg{Key: "finish", Val: pl.finish})
-		}
 		s.trSched.Emit(obs.Span{
-			Name: obs.KindDispatch, Cat: obs.CatBatch, Proc: s.trProc,
-			Track: "scheduler", Start: job.arrival, Args: args,
+			Name: obs.KindDispatch, Cat: obs.CatBatch, Proc: s.trProc, Start: job.arrival,
+			Model: job.t.name, Bucket: job.bucket, Rows: len(job.reqs), Worker: pl.worker,
+			Class: s.pool.classes[pl.class].dev.Name, EFTCosts: eft.String(), Finish: pl.finish,
 		})
 	}
 	s.workerCh[pl.worker] <- *job
@@ -1147,23 +1137,10 @@ func (s *Server) nextJob(now time.Time) (*batchJob, time.Time) {
 	s.room.Broadcast()
 	job := &batchJob{t: t, reqs: reqs, bucket: dp.bucket, arrival: latestArrival(reqs)}
 	if s.tr != nil {
-		args := []obs.Arg{
-			{Key: "model", Val: t.name},
-			{Key: "mode", Val: pt.mode},
-			{Key: "pending", Val: pending},
-			{Key: "take", Val: len(reqs)},
-			{Key: "bucket", Val: dp.bucket},
-			{Key: "padded", Val: dp.bucket > len(reqs)},
-		}
-		if !math.IsInf(pt.strictFinish, 1) && pt.strictFinish > 0 {
-			args = append(args, obs.Arg{Key: "strict_finish", Val: pt.strictFinish})
-		}
-		if !math.IsInf(pt.padFinish, 1) && pt.padFinish > 0 {
-			args = append(args, obs.Arg{Key: "padded_finish", Val: pt.padFinish})
-		}
 		s.trSched.Emit(obs.Span{
-			Name: obs.KindPlan, Cat: obs.CatBatch, Proc: s.trProc,
-			Track: "scheduler", Start: job.arrival, Args: args,
+			Name: obs.KindPlan, Cat: obs.CatBatch, Proc: s.trProc, Start: job.arrival,
+			Model: t.name, Mode: pt.mode, Pending: pending, Rows: len(reqs), Bucket: dp.bucket,
+			StrictFinish: pt.strictFinish, PaddedFinish: pt.padFinish,
 		})
 	}
 	return job, time.Time{}
@@ -1283,42 +1260,30 @@ func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 		}
 		s.mu.Unlock()
 		if s.tr != nil {
-			args := []obs.Arg{
-				{Key: "model", Val: t.name},
-				{Key: "device", Val: s.pool.classes[class].dev.Name},
-				{Key: "bucket", Val: batch},
+			// Compile spans live off the serving clock (tuning happens
+			// before traffic is timed); Start is 0 and the exporter lays
+			// the compile track out sequentially.
+			sp := obs.Span{
+				Name: obs.KindCompile, Cat: obs.CatCompile, Proc: s.trProc,
+				Model: t.name, Device: s.pool.classes[class].dev.Name, Bucket: batch, Outcome: "error",
 			}
-			dur := 0.0
-			if err != nil {
-				args = append(args, obs.Arg{Key: "kind", Val: "error"})
-			} else {
+			if err == nil {
 				// cold: the tuner measured candidates; predicted: the
 				// cost model resolved workloads measurement-free; warm:
 				// every workload came from the shared tuning log.
 				tu := mod.Tuning
-				kind := "warm"
+				sp.Outcome = "warm"
 				switch {
 				case tu.Measurements > 0:
-					kind = "cold"
+					sp.Outcome = "cold"
 				case tu.PredictedWorkloads > 0:
-					kind = "predicted"
+					sp.Outcome = "predicted"
 				}
-				dur = tu.TuningSeconds
-				args = append(args,
-					obs.Arg{Key: "kind", Val: kind},
-					obs.Arg{Key: "measurements", Val: tu.Measurements},
-					obs.Arg{Key: "cache_hits", Val: tu.CacheHits},
-					obs.Arg{Key: "predicted_workloads", Val: tu.PredictedWorkloads},
-					obs.Arg{Key: "modeled_batch_seconds", Val: tm},
-				)
+				sp.Dur = tu.TuningSeconds
+				sp.Measurements, sp.CacheHits, sp.PredictedWorkloads = tu.Measurements, tu.CacheHits, tu.PredictedWorkloads
+				sp.ModeledSeconds = tm
 			}
-			// Compile spans live off the serving clock (tuning happens
-			// before traffic is timed); Start is 0 and the exporter lays
-			// the compile track out sequentially.
-			s.trCompile.Emit(obs.Span{
-				Name: obs.KindCompile, Cat: obs.CatCompile, Proc: s.trProc,
-				Track: "compile", Dur: dur, Args: args,
-			})
+			s.trCompile.Emit(sp)
 		}
 	})
 	return v
@@ -1445,16 +1410,8 @@ func (s *Server) runBatch(id int, job batchJob) {
 	if s.tr != nil {
 		s.trWork[id].Emit(obs.Span{
 			Name: obs.KindExecute, Cat: obs.CatBatch, Proc: s.trProc,
-			Track: "worker " + strconv.Itoa(id),
 			Start: execStart, Dur: doneAt - execStart,
-			Args: []obs.Arg{
-				{Key: "model", Val: job.t.name},
-				{Key: "bucket", Val: b},
-				{Key: "rows", Val: n},
-				{Key: "padded_rows", Val: b - n},
-				{Key: "device", Val: device},
-				{Key: "failed", Val: err != nil},
-			},
+			Model: job.t.name, Bucket: b, Rows: n, Worker: id, Device: device, Failed: err != nil,
 		})
 	}
 	for i, r := range job.reqs {
@@ -1467,79 +1424,27 @@ func (s *Server) runBatch(id int, job batchJob) {
 			Device:     device,
 			SimArrival: r.simArrival,
 		}
+		f, q, e := stages[i][0], stages[i][1], stages[i][2]
 		if err == nil {
 			res.Output = outs[i]
 			res.SimLatency = doneAt - r.simArrival
-			f, q, e := stages[i][0], stages[i][1], stages[i][2]
 			// QueueWait + ExecuteSeconds reproduces SimLatency
 			// bit-exactly: splitStages guarantees (f+q)+e == lat.
 			res.QueueWait = f + q
 			res.ExecuteSeconds = e
-			if s.tr != nil {
-				s.emitRequestSpans(id, r, res, f, q, e)
-			}
-		} else if s.tr != nil {
+		}
+		if s.tr != nil {
+			// A delivered request's span records its stage tree; a
+			// failed one only the request.
 			s.trWork[id].Emit(obs.Span{
-				Name: obs.KindRequest, Cat: obs.CatRequest, Proc: s.trProc,
-				Track: reqTrack(r.id), Req: r.id,
+				Name: obs.KindRequest, Cat: obs.CatRequest, Proc: s.trProc, Req: r.id,
 				Start: r.simArrival, Dur: doneAt - r.simArrival,
-				Args: []obs.Arg{
-					{Key: "model", Val: job.t.name},
-					{Key: "priority", Val: r.priority.String()},
-					{Key: "failed", Val: true},
-				},
+				Model: job.t.name, Priority: r.priority.String(), Bucket: b, Worker: id, Device: device,
+				Failed: err != nil, FormationWait: f, QueueWait: q, Execute: e,
 			})
 		}
 		s.respond(r, res)
 	}
-}
-
-// reqTrack names a request's Perfetto track.
-func reqTrack(id int64) string { return "req " + strconv.FormatInt(id, 10) }
-
-// emitRequestSpans records one delivered request's lifecycle tree: a
-// root request span covering arrival → delivery with enqueue /
-// dispatch-wait / execute / deliver children tiling it. The children's
-// durations are the exact stage decomposition, so their sum equals the
-// root's duration bit-for-bit.
-func (s *Server) emitRequestSpans(worker int, r *request, res Result, f, q, e float64) {
-	sh := s.trWork[worker]
-	track := reqTrack(r.id)
-	sh.Emit(obs.Span{
-		Name: obs.KindRequest, Cat: obs.CatRequest, Proc: s.trProc,
-		Track: track, Req: r.id,
-		Start: r.simArrival, Dur: res.SimLatency,
-		Args: []obs.Arg{
-			{Key: "model", Val: res.Model},
-			{Key: "priority", Val: r.priority.String()},
-			{Key: "bucket", Val: res.Batch},
-			{Key: "worker", Val: res.Worker},
-			{Key: "device", Val: res.Device},
-		},
-	})
-	t0 := r.simArrival
-	t1 := t0 + f
-	t2 := t1 + q
-	sh.Emit(obs.Span{
-		Name: obs.KindEnqueue, Cat: obs.CatRequest, Proc: s.trProc,
-		Track: track, Req: r.id, Start: t0, Dur: f,
-		Args: []obs.Arg{{Key: "stage", Val: stageNames[stageFormation]}},
-	})
-	sh.Emit(obs.Span{
-		Name: obs.KindDispatch, Cat: obs.CatRequest, Proc: s.trProc,
-		Track: track, Req: r.id, Start: t1, Dur: q,
-		Args: []obs.Arg{{Key: "stage", Val: stageNames[stageQueue]}},
-	})
-	sh.Emit(obs.Span{
-		Name: obs.KindExecute, Cat: obs.CatRequest, Proc: s.trProc,
-		Track: track, Req: r.id, Start: t2, Dur: e,
-		Args: []obs.Arg{{Key: "stage", Val: stageNames[stageExecute]}},
-	})
-	sh.Emit(obs.Span{
-		Name: obs.KindDeliver, Cat: obs.CatRequest, Proc: s.trProc,
-		Track: track, Req: r.id, Start: t2 + e, Dur: 0,
-		Args: []obs.Arg{{Key: "stage", Val: stageNames[stageDeliver]}},
-	})
 }
 
 // execBatch stacks the requests' inputs into batch tensors (zero-padded

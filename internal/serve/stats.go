@@ -149,7 +149,7 @@ const (
 	numStages
 )
 
-// stageNames label the stages in Snapshot expositions and trace spans.
+// stageNames label the stages in Snapshot expositions.
 var stageNames = [numStages]string{"formation_wait", "queue_wait", "execute", "deliver"}
 
 // StageBreakdown is one priority class's accumulated stage-latency

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -79,6 +81,19 @@ func TestTraceExportDeterministic(t *testing.T) {
 	tr4, _ := tracedRun(t, 4)
 	if b := tr4.ExportJSON(); !bytes.Equal(a, b) {
 		t.Fatalf("trace differs across CompileJobs 1 vs 4:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestTraceGoldenDigest pins tracedRun's export bytes across
+// refactors of the tracer and the server's span emission; the
+// determinism test above only compares two runs of the same code.
+func TestTraceGoldenDigest(t *testing.T) {
+	tr, _ := tracedRun(t, 1)
+	got := tr.ExportJSON()
+	const wantLen, wantSHA = 12292, "4bdae7060e6c865848047025ecbbd9d75eb692732f102f7249c2d1274b38eb74"
+	sum := sha256.Sum256(got)
+	if len(got) != wantLen || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("export is %d B sha256 %x, want %d B sha256 %s:\n%s", len(got), sum, wantLen, wantSHA, got)
 	}
 }
 

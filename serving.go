@@ -45,7 +45,13 @@ type (
 	// FleetOptions.Trace). Export with ExportJSON — the output is
 	// Chrome trace-event JSON, viewable in Perfetto.
 	Tracer = obs.Tracer
-	// TraceSpan is one recorded span (Tracer query APIs).
+	// TraceSpan is one recorded span (Tracer query APIs): a header
+	// (Name, Cat, Proc, Req, and Start and Dur in simulated seconds)
+	// and typed fields for what the stack recorded — model, device,
+	// bucket, rows, worker, the planner's and router's decisions, a
+	// compile's tuning counts, and a delivered request's stage
+	// durations. A field its kind does not record stays zero; Track
+	// names the span's Perfetto track.
 	TraceSpan = obs.Span
 )
 

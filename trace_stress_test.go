@@ -10,6 +10,8 @@ package bolt_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -66,6 +68,60 @@ func TestTraceServingExportStable(t *testing.T) {
 			t.Errorf("no %q spans in the export (kinds: %v)", want, kinds)
 		}
 	}
+}
+
+// checkExportDigest pins an export's bytes across refactors of the
+// tracer and its callers: the determinism tests compare two runs of
+// the same code, this one compares against the bytes recorded before.
+func checkExportDigest(t *testing.T, got []byte, wantLen int, wantSHA string) {
+	t.Helper()
+	sum := sha256.Sum256(got)
+	if len(got) != wantLen || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("export is %d B sha256 %x, want %d B sha256 %s:\n%s", len(got), sum, wantLen, wantSHA, got)
+	}
+}
+
+// TestTraceServingGoldenDigest pins serialTracedRun's export bytes.
+func TestTraceServingGoldenDigest(t *testing.T) {
+	checkExportDigest(t, serialTracedRun(t).ExportJSON(), 6315,
+		"68d6f0e92c332a198019469a9266dc0ac16285ef894ee14cabf89d74ed0d2fd8")
+}
+
+// TestTraceFleetGoldenDigest pins a serial fleet run's export bytes: a
+// scripted kill fails replica 0's first batch (a failed execute and a
+// failed request span), the router retries it on replica 1 (a retry
+// span), and every delivery records a route span.
+func TestTraceFleetGoldenDigest(t *testing.T) {
+	tr := bolt.NewTracer()
+	flt, err := bolt.NewFleet(bolt.T4(), bolt.FleetOptions{
+		Replicas: []bolt.FleetReplica{{Workers: 1}, {Workers: 1}},
+		Hedge:    bolt.HedgeOptions{BacklogSeconds: 1e-12},
+		Trace:    tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flt.Deploy("m", buildTiny1(), bolt.DeployOptions{Buckets: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := flt.Warm("m"); err != nil {
+		t.Fatal(err)
+	}
+	flt.InjectFault(0, 0, 1, bolt.BatchFault{Err: bolt.ErrInjectedKill})
+	for i := 0; i < 6; i++ {
+		in := bolt.NewTensor(bolt.FP16, 1, 8, 16, 16)
+		in.FillRandom(int64(i+1), 1)
+		if _, err := flt.Infer("m", map[string]*bolt.Tensor{"image": in}, bolt.InferOptions{
+			SimArrival: float64(i) * 1e-4,
+		}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if err := flt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkExportDigest(t, tr.ExportJSON(), 11830,
+		"a0bda953b1cbf4a6ce33fef7a2ca6427fc5f1e460dc8dbafc2cb24afc994d6d2")
 }
 
 // TestTraceServerResultBreakdown floods a traced multi-tenant server
