@@ -22,8 +22,6 @@ package bolt
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bolt/internal/ansor"
@@ -99,9 +97,13 @@ type Options struct {
 	EmitSource bool
 	// CacheFile names a persistent tuning-log database (JSON). If the
 	// file exists it is loaded before compilation — workloads found in
-	// it skip profiling entirely — and the (possibly grown) database is
-	// written back afterwards. A warm recompile of the same model
-	// performs zero measurements.
+	// it skip profiling entirely — and afterwards the log is written
+	// back unless the file already holds all of it (tunelog.Open and
+	// Persist): a warm recompile of the same model measures nothing and
+	// leaves the file alone. Compiles in one process that share the
+	// file keep each other's entries. The write merges what other
+	// processes wrote since the load, except a write that lands between
+	// this one's last read of the file and its rename: that one is lost.
 	CacheFile string
 	// Jobs is the number of concurrent profiling workers. TuningTime
 	// reports the pool's critical path (max across workers), so more
@@ -134,58 +136,6 @@ type CompileResult struct {
 	Tuning TuningStats
 }
 
-// loadCache reads the tuning-log database at path, returning an empty
-// log when the file does not yet exist (a cold cache is not an error).
-func loadCache(path string) (*tunelog.Log, error) {
-	log := tunelog.New()
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return log, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bolt: opening cache: %w", err)
-	}
-	defer f.Close()
-	if err := log.Load(f); err != nil {
-		return nil, fmt.Errorf("bolt: loading cache %s: %w", path, err)
-	}
-	return log, nil
-}
-
-// saveCache writes the tuning-log database back to path atomically
-// (temp file + rename), so an interrupted compile never leaves a
-// truncated database behind. Each save writes a temp file of its own
-// name, so concurrent saves to one path never rename each other's: the
-// last rename wins.
-func saveCache(log *tunelog.Log, path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("bolt: writing cache: %w", err)
-	}
-	tmp := f.Name()
-	// A temp file is private; the cache is as readable as os.Create
-	// would have made it.
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("bolt: writing cache: %w", err)
-	}
-	if err := log.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("bolt: writing cache %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("bolt: writing cache %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("bolt: writing cache: %w", err)
-	}
-	return nil
-}
-
 // Compile optimizes and compiles a graph for the device.
 func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	if (opts.TopK > 0 || opts.TrustThreshold > 0) && opts.CacheFile == "" {
@@ -194,7 +144,7 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	var cache *tunelog.Log
 	if opts.CacheFile != "" {
 		var err error
-		if cache, err = loadCache(opts.CacheFile); err != nil {
+		if cache, err = tunelog.Open(opts.CacheFile); err != nil {
 			return nil, err
 		}
 	}
@@ -208,10 +158,8 @@ func Compile(g *Graph, dev *Device, opts Options) (*CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A warm compile recorded and measured nothing: the file already
-	// holds the log, so it is left alone.
-	if cache != nil && cache.Dirty() {
-		if err := saveCache(cache, opts.CacheFile); err != nil {
+	if cache != nil {
+		if err := cache.Persist(); err != nil {
 			return nil, err
 		}
 	}
@@ -238,8 +186,9 @@ func CompileBaseline(g *Graph, dev *Device, trials int) (*CompileResult, error) 
 // compileTemplated is the templated pipeline,
 // codegen.Build on a fresh profiler, with opts.Log the in-memory
 // tuning log (nil for no cache, no guidance). Compile wraps it with
-// CacheFile load/save; the serving Server calls it directly with a log
-// it loaded once and shares across every tenant's variant compiles.
+// CacheFile's Open and Persist; the serving Server calls it directly
+// with a log it opened once and shares across every tenant's variant
+// compiles.
 func compileTemplated(g *Graph, dev *Device, opts codegen.Options) (*CompileResult, error) {
 	var clock gpu.Clock
 	opts.Profiler = profiler.New(dev, &clock)

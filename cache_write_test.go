@@ -2,6 +2,8 @@ package bolt_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -171,13 +173,25 @@ func TestCacheFileBytesAreReproducible(t *testing.T) {
 
 // TestConcurrentCompilesShareACacheFile: compiles that run at once on
 // one cache file each save through a temp file of their own, so none
-// fails on another's rename, and the file left behind loads.
+// fails on another's rename, and each merges what the others saved
+// before it, so the file left behind holds every entry a sequential run
+// of the same compiles leaves.
 func TestConcurrentCompilesShareACacheFile(t *testing.T) {
+	graphs := func() []*bolt.Graph {
+		return []*bolt.Graph{models.ResNet(18, 1), models.ResNet(50, 1), models.VGG(16, 1), models.RepVGG("A0", 1, models.RepVGGOptions{})}
+	}
+	sequential := filepath.Join(t.TempDir(), "tune.json")
+	for _, g := range graphs() {
+		if _, err := bolt.Compile(g, bolt.T4(), bolt.Options{CacheFile: sequential, Jobs: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	cache := filepath.Join(t.TempDir(), "tune.json")
-	graphs := []*bolt.Graph{models.ResNet(18, 1), models.ResNet(50, 1), models.VGG(16, 1), models.RepVGG("A0", 1, models.RepVGGOptions{})}
-	errs := make([]error, len(graphs))
+	gs := graphs()
+	errs := make([]error, len(gs))
 	var wg sync.WaitGroup
-	for i, g := range graphs {
+	for i, g := range gs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -202,4 +216,26 @@ func TestConcurrentCompilesShareACacheFile(t *testing.T) {
 	if tmps, _ := filepath.Glob(cache + ".*"); len(tmps) > 0 {
 		t.Errorf("temp files left behind: %v", tmps)
 	}
+	want, got := entryKeys(t, sequential), entryKeys(t, cache)
+	if !maps.Equal(got, want) {
+		t.Errorf("concurrent compiles left %d entries, a sequential run %d; the key sets differ", len(got), len(want))
+	}
+}
+
+// entryKeys reads the keys of a cache file's entries.
+func entryKeys(t *testing.T, path string) map[tunelog.Key]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Entries []struct{ Key tunelog.Key } }
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[tunelog.Key]bool)
+	for _, e := range doc.Entries {
+		keys[e.Key] = true
+	}
+	return keys
 }

@@ -6,6 +6,7 @@ import (
 
 	"bolt/internal/fleet"
 	"bolt/internal/serve"
+	"bolt/internal/tunelog"
 )
 
 // Fleet-layer re-exports. The router, autoscaler, and scripted
@@ -73,7 +74,8 @@ type FleetOptions struct {
 	// persistent tuning-log database, shared fleet-wide: any bucket any
 	// replica ever profiled recompiles measurement-free everywhere —
 	// including on replicas the autoscaler adds mid-run, which warm
-	// entirely from their peers' entries.
+	// entirely from their peers' entries. It is read and written as
+	// ServerOptions.CacheFile is.
 	CacheFile string
 	// Hedge configures duplicate requests when a deadline is at risk:
 	// after Hedge.Timeout on the wall clock (or immediately, when the
@@ -126,7 +128,7 @@ func NewFleet(dev *Device, opts FleetOptions) (*Fleet, error) {
 		}
 		replicas[i] = devices
 	}
-	cp, err := newCachePersister(opts.CacheFile)
+	log, err := tunelog.Open(opts.CacheFile)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +143,7 @@ func NewFleet(dev *Device, opts FleetOptions) (*Fleet, error) {
 			Trace:       opts.Trace,
 			TraceLabel:  opts.TraceLabel,
 		}),
-		pipe: newTenantPipeline(replicas[0][0], cp, opts.Jobs),
+		pipe: newTenantPipeline(replicas[0][0], log, opts.Jobs),
 	}, nil
 }
 
@@ -228,5 +230,5 @@ func (f *Fleet) Snapshot() string { return f.flt.Snapshot() }
 // persist. Safe to call more than once.
 func (f *Fleet) Close() error {
 	f.flt.Close()
-	return f.pipe.cp.persist()
+	return f.pipe.log.Persist()
 }

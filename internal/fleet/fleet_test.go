@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -570,4 +571,96 @@ func TestDroppedSpansGauge(t *testing.T) {
 	if snap := f.Snapshot(); !strings.Contains(snap, want) {
 		t.Errorf("Fleet.Snapshot lacks %q:\n%s", want, snap)
 	}
+}
+
+// TestSnapshotSumsPendingAndBacklog holds requests queued on every
+// replica behind a batch whose kernel blocks: the fleet's
+// pending_requests and backlog_seconds rows are the sums of its
+// replicas' rows, as Stats sums the backlog, not their maximum.
+func TestSnapshotSumsPendingAndBacklog(t *testing.T) {
+	gate := make(chan struct{})
+	compile := testCompile(nil)
+	blocking := func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		m, err := compile(dev, batch)
+		if err != nil {
+			return nil, err
+		}
+		exec := m.Kernels[1].Exec
+		m.Kernels[1].Exec = func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
+			<-gate
+			return exec(env, dst)
+		}
+		return m, nil
+	}
+	f := New(Options{Replicas: [][]*gpu.Device{t4s(1), t4s(1)}, QueueDepth: 1024})
+	if err := f.Deploy("m", blocking, serve.DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Warm("m"); err != nil {
+		t.Fatal(err)
+	}
+	chans := make([]<-chan Result, 80)
+	for i := range chans {
+		ch, err := f.InferAsync("m", sampleInput(int64(i+1)), serve.InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	row := func(snap, name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(snap, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				x, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return x
+			}
+		}
+		t.Fatalf("no %s row in\n%s", name, snap)
+		return 0
+	}
+	// Each worker takes one batch, which blocks, and its scheduler
+	// queues at most four more (20 requests a replica), so about 20 stay
+	// pending on each, and the rows hold still from then on: read them
+	// until the fleet's rows are the same before and after the
+	// replicas' and its Stats.
+	names := []string{"pending_requests", "backlog_seconds"}
+	var fleetSnap string
+	var replicaRows [2][2]float64
+	var backlog float64
+	for {
+		before := f.Snapshot()
+		backlog = f.Stats().Serve.BacklogSeconds
+		for i, r := range f.replicas {
+			snap := r.srv.Snapshot()
+			for j, name := range names {
+				replicaRows[i][j] = row(snap, name)
+			}
+		}
+		if fleetSnap = f.Snapshot(); fleetSnap == before {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for j, name := range names {
+		a, b := replicaRows[0][j], replicaRows[1][j]
+		if a <= 0 || b <= 0 {
+			t.Fatalf("setup: the replicas' %s rows are %v and %v: requests are not queued on both", name, a, b)
+		}
+		if got := row(fleetSnap, name); got != a+b {
+			t.Errorf("the fleet's %s row is %v, its replicas' rows are %v and %v", name, got, a, b)
+		}
+	}
+	if got := row(fleetSnap, "backlog_seconds"); got != backlog {
+		t.Errorf("the fleet's backlog_seconds row is %v, its Stats %v", got, backlog)
+	}
+	close(gate)
+	for _, ch := range chans {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	f.Close()
 }

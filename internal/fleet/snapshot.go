@@ -5,10 +5,10 @@ import (
 )
 
 // This file is the fleet's metrics exposition: every replica fills
-// the same obs.Registry (counters add, gauges keep their maximum,
-// histograms merge — so the per-stage latency histograms aggregate
-// across the whole fleet), then the router's own counters are layered
-// on top. Per-worker rows share worker indices across replicas and
+// the same obs.Registry (counters, pending requests and backlog add,
+// gauges keep their maximum, histograms merge — so the per-stage
+// latency histograms aggregate across the whole fleet), then the
+// router's own counters are layered on top. Per-worker rows share worker indices across replicas and
 // therefore add; the replica-resolved story lives in Stats.
 
 // Snapshot renders the fleet's metrics as a deterministic text

@@ -80,14 +80,16 @@ func (r *Registry) row(name string, labels Labels, kind metricKind) *metricRow {
 	return row
 }
 
-// Counter adds v to the named counter row.
+// Counter adds v to the named counter row. Rows filled from several
+// servers sum, so a gauge whose aggregate is a sum (a fleet's pending
+// requests) is filled as one too.
 func (r *Registry) Counter(name string, labels Labels, v float64) {
 	r.row(name, labels, kindCounter).value += v
 }
 
 // Gauge sets the named gauge row to the maximum of its current value
 // and v, so merging the same gauge from several replicas keeps the
-// peak (the useful aggregate for makespans and backlogs).
+// peak (the useful aggregate for makespans).
 func (r *Registry) Gauge(name string, labels Labels, v float64) {
 	row := r.row(name, labels, kindGauge)
 	if v > row.value {

@@ -329,3 +329,38 @@ func TestUnguidedPlanLeavesAPendingFitPending(t *testing.T) {
 		t.Errorf("setup: a guided plan made %v allocations, not far more than the %v of planning alone", guided, detached)
 	}
 }
+
+// An unguided profile with a loaded model attached only feeds the model
+// its measurements: it neither fits the model to score them nor reports
+// a prediction error, allocating what a profile into an empty model
+// does.
+func TestUnguidedProfileAsksTheModelNothing(t *testing.T) {
+	dev := gpu.T4()
+	rows := trainGemmModel(t, dev).State().Obs
+	w := GemmWorkload{M: 384, N: 512, K: 512, DType: tensor.FP16}
+	profile := func(loaded bool) (r Result) {
+		model := costmodel.NewPredictor(1)
+		if loaded {
+			model.IngestRows(rows) // the fit waits for first use
+		}
+		p := New(dev, nil)
+		p.Guide = Guidance{Model: model}
+		r, err := p.ProfileGemm(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if r := profile(true); r.PredictionError != -1 {
+		t.Errorf("an unguided profile reported a prediction error of %v, want -1", r.PredictionError)
+	}
+	allocs := func(loaded bool) float64 {
+		return testing.AllocsPerRun(5, func() { profile(loaded) })
+	}
+	// A fit allocates hundreds of times; growing the loaded model's
+	// rows and dedup map moves a count by tens.
+	const slack = 64
+	if empty, loaded := allocs(false), allocs(true); loaded > empty+slack {
+		t.Errorf("an unguided profile made %v allocations into a loaded model, %v into an empty one: it fitted", loaded, empty)
+	}
+}

@@ -144,9 +144,9 @@ type Result struct {
 	// accepted the cost model's pick without running a single sample.
 	Predicted bool
 	// PredictionError is the relative error |predicted - measured| /
-	// measured of the model's score for the chosen config, when a
-	// trained model was consulted and the config was measured; -1 when
-	// not applicable.
+	// measured of the model's score for the chosen config, when guidance
+	// consulted a trained model and the config was measured; -1 when not
+	// applicable (an unguided profile included).
 	PredictionError float64
 }
 
@@ -162,6 +162,13 @@ type Guidance struct {
 	// predicted-best config — once Model.Confidence() (held-out rank
 	// correlation) reaches it. 0 = never skip.
 	TrustThreshold float64
+}
+
+// on reports whether guidance is on: a model, and a TopK or a
+// TrustThreshold. Unguided profiling never asks the model anything, so
+// a loaded model's pending fit stays pending; it only learns.
+func (g Guidance) on() bool {
+	return g.Model != nil && (g.TopK > 0 || g.TrustThreshold > 0)
 }
 
 // Plan is a guided profiling decision for one workload: which
@@ -407,9 +414,7 @@ func (p *Profiler) Plan(w Workload) (Plan, error) {
 	}
 	pl := Plan{Enumerated: len(cands), Measure: cands}
 	g := p.Guide
-	// An unguided plan never asks the model anything, so it leaves a
-	// pending fit pending.
-	if g.Model == nil || (g.TopK <= 0 && g.TrustThreshold <= 0) || !g.Model.Trained() {
+	if !g.on() || !g.Model.Trained() {
 		return pl, nil
 	}
 	wl := w.model(p.dev)
@@ -499,7 +504,7 @@ func (p *Profiler) ProfilePlan(w Workload, plan Plan) (Result, error) {
 		t := gpu.Measure(p.dev, w.desc(cfg, p.dev), p.Measure, rng, p.clock)
 		pred := math.NaN()
 		if wl != nil && t > 0 {
-			if p.Guide.Model.Trained() {
+			if p.Guide.on() && p.Guide.Model.Trained() {
 				pred = p.Guide.Model.Predict(wl.AppendFeatures(nil, cfg, p.dev))
 			}
 			p.Guide.Model.Observe(costmodel.Observation{Workload: wl, Config: cfg, Y: math.Log(t)})

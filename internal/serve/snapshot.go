@@ -31,8 +31,8 @@ func (s *Server) Snapshot() string {
 }
 
 // FillRegistry adds the server's metric rows into reg. Filling several
-// servers into one registry aggregates them: counters add, gauges keep
-// their maximum, histograms merge.
+// servers into one registry aggregates them: counters, pending requests
+// and backlog add, gauges keep their maximum, histograms merge.
 func (s *Server) FillRegistry(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -44,8 +44,11 @@ func (s *Server) FillRegistry(reg *obs.Registry) {
 	reg.Counter("evictions_total", nil, float64(st.Evictions))
 	reg.Counter("padded_batches_total", nil, float64(st.PaddedBatches))
 	reg.Counter("padded_rows_total", nil, float64(st.PaddedRows))
-	reg.Gauge("pending_requests", nil, float64(s.pendingTotal))
-	reg.Gauge("backlog_seconds", nil, st.BacklogSeconds)
+	// Rows that add, though they are not counters: a fleet's pending
+	// requests and backlog are its replicas' together, as Stats.Add
+	// sums them.
+	reg.Counter("pending_requests", nil, float64(s.pendingTotal))
+	reg.Counter("backlog_seconds", nil, st.BacklogSeconds)
 	reg.Gauge("sim_makespan_seconds", nil, st.SimMakespan)
 	if s.tr != nil {
 		// A gauge, not a counter: fleet replicas share one tracer, and

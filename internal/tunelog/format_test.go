@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -200,18 +202,15 @@ func TestOldFormatStillLoads(t *testing.T) {
 		if _, ok := decodeFrame(old); ok {
 			t.Fatalf("%s: the frame decoder took a file of vectors", name)
 		}
-		l := New()
-		if err := l.Load(bytes.NewReader(old)); err != nil {
-			t.Fatal(err)
-		}
+		l := openSaved(t, old)
 		if !reflect.DeepEqual(l.entries, src.entries) {
 			t.Errorf("%s loaded %d entries, want the %d saved, equal", name, len(l.entries), len(src.entries))
 		}
 		if l.Model.Len() != 0 {
 			t.Errorf("%s loaded %d model rows from vectors", name, l.Model.Len())
 		}
-		if l.Dirty() {
-			t.Errorf("a log loaded from %s is dirty", name)
+		if l.dirty() {
+			t.Errorf("a log opened from %s is dirty", name)
 		}
 		var again bytes.Buffer
 		if err := l.Save(&again); err != nil {
@@ -267,25 +266,31 @@ func TestSaveIsOneJSONDocument(t *testing.T) {
 
 // A log never holds a number JSON cannot carry: the model drops a
 // non-finite target, and a log with a non-finite entry time refuses to
-// save, writing nothing it could not read back.
+// save or persist, writing nothing it could not read back.
 func TestSaveRefusesNonFiniteNumbers(t *testing.T) {
+	var file bytes.Buffer
+	if err := richLog().Save(&file); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		l := richLog()
-		var w bytes.Buffer
-		if err := l.Save(&w); err != nil {
-			t.Fatal(err)
-		}
+		l := openSaved(t, file.Bytes())
 		l.Model.Observe(measurement("bad", 0, bad))
-		if l.Dirty() {
+		if l.dirty() {
 			t.Errorf("target %v: the model kept a non-finite target", bad)
 		}
-		w.Reset()
 		l.Record(GemmKey(9, 9, 9, tensor.FP16, "T4"), Entry{TimeSeconds: bad})
+		var w bytes.Buffer
 		if err := l.Save(&w); err == nil || w.Len() != 0 {
 			t.Errorf("entry time %v: Save returned %v after writing %d bytes", bad, err, w.Len())
 		}
-		if !l.Dirty() {
-			t.Errorf("entry time %v: a refused Save left the log clean", bad)
+		if err := l.Persist(); err == nil {
+			t.Errorf("entry time %v: Persist reported no error", bad)
+		}
+		if !l.dirty() {
+			t.Errorf("entry time %v: a refused Persist left the log clean", bad)
+		}
+		if got, err := os.ReadFile(l.path); err != nil || !bytes.Equal(got, file.Bytes()) {
+			t.Errorf("entry time %v: a refused Persist changed the file (%v)", bad, err)
 		}
 	}
 }
@@ -411,64 +416,67 @@ func TestDirtyTracksChangesSinceTheFile(t *testing.T) {
 	}
 	expect := func(l *Log, dirty bool, when string) {
 		t.Helper()
-		if l.Dirty() != dirty {
-			t.Fatalf("%s: Dirty() = %v, want %v", when, !dirty, dirty)
+		if l.dirty() != dirty {
+			t.Fatalf("%s: dirty() = %v, want %v", when, !dirty, dirty)
 		}
 	}
-	load := func(l *Log) {
+	persist := func(l *Log) {
 		t.Helper()
-		if err := l.Load(bytes.NewReader(file.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	save := func(l *Log) {
-		t.Helper()
-		if err := l.Save(io.Discard); err != nil {
+		if err := l.Persist(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	l := New()
-	expect(l, true, "a new log no file holds")
-	save(l)
-	expect(l, false, "after Save")
+	l, err := Open(filepath.Join(t.TempDir(), "tune.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(l, true, "a log Open found no file for")
+	persist(l)
+	expect(l, false, "after Persist")
 
-	l = New()
-	load(l)
-	expect(l, false, "after Load into an empty log")
+	l = openSaved(t, file.Bytes())
+	expect(l, false, "after Open")
 	l.Lookup(GemmKey(512, 3072, 768, tensor.FP16, "Tesla T4"))
 	l.Model.Fit()
 	expect(l, false, "after a lookup and a refit")
 	l.Record(GemmKey(9, 9, 9, tensor.FP16, "T4"), Entry{Trials: 1})
 	expect(l, true, "after Record")
-	save(l)
-	expect(l, false, "after Save")
+	if err := l.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	expect(l, true, "after a Save, which writes no file")
+	persist(l)
+	expect(l, false, "after Persist")
 	known := l.Model.State().Obs[0]
 	w := *known.Workload // the same workload, under a pointer of its own
 	l.Model.Observe(costmodel.Observation{Workload: &w, Config: known.Config, Y: known.Y})
 	expect(l, false, "after re-observing a known sample")
 	l.Model.Observe(measurement("new", 0, -9))
 	expect(l, true, "after a new observation")
-	save(l)
-	expect(l, false, "after Save")
-	load(l)
-	expect(l, true, "after Load into a log that held something")
-	save(l)
-	if err := l.Merge(bytes.NewReader(file.Bytes())); err != nil {
+	persist(l)
+	expect(l, false, "after Persist")
+	if err := l.Load(bytes.NewReader(file.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	expect(l, true, "after Merge into a log that held something")
-
-	// A failed write leaves the log as dirty as it was.
-	l = New()
-	load(l)
-	l.Record(GemmKey(9, 9, 9, tensor.FP16, "T4"), Entry{Trials: 1})
-	if err := l.Save(failingWriter{}); err == nil {
-		t.Fatal("Save into a failing writer reported no error")
+	expect(l, true, "after Load")
+	persist(l)
+	if err := l.ingest(file.Bytes(), true); err != nil {
+		t.Fatal(err)
 	}
-	expect(l, true, "after a failed Save")
+	expect(l, true, "after a merge")
 }
 
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
+// openSaved writes data to a file of its own and opens it.
+func openSaved(t *testing.T, data []byte) *Log {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tune.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}

@@ -45,14 +45,25 @@
 // A loaded model fits on its first use (Predict, Trained or
 // Confidence), and so does the refit the tuning pipeline asks for after
 // its measurements: a compile that only saves the model never fits it.
+//
+// # Files
+//
+// This package is the only code that touches a tuning-log file. Open
+// reads one (a missing file is an empty log) and keeps the SHA-256 of
+// its bytes. Persist writes a changed log back through a temp file of
+// its own name and a rename, so a reader never sees half a file. If the
+// file's bytes are no longer the ones the log last read or wrote,
+// another writer renamed its log over it, and Persist merges the file
+// in first, the log's own entries winning. Persists to one path in one
+// process take turns, so they keep every entry; a process that renames
+// between another's read and rename loses its entries to that rename.
 package tunelog
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"sync"
 
@@ -128,15 +139,22 @@ type Log struct {
 
 	Hits, Misses, StaleHits int
 
-	// changed and savedObs track whether the log differs from what was
-	// last read from or written to a file: changed is set by every entry
-	// write, and the model — which callers train directly — has gained
-	// observations when it holds more than savedObs. See Dirty.
-	changed  bool
-	savedObs int
+	// edits counts the writes to entries (a Record or a read), and
+	// savedEdits and savedObs are the edit count and model size of what
+	// the file last read or written holds: the model, which callers
+	// train directly, has gained observations when it holds more than
+	// savedObs. See dirty.
+	edits, savedEdits, savedObs int
+
+	// path is the file Open read, and lock the mutex Persists to it
+	// take turns on; sum is the SHA-256 of the bytes this log last read
+	// from or wrote to it (zero when it read none), guarded by lock.
+	path string
+	lock *sync.Mutex
+	sum  [sha256.Size]byte
 
 	// Model is the cost model trained from this log's measurements. It
-	// persists alongside the entries (Save/Load/Merge), so a process
+	// persists alongside the entries (Save/Load/Persist), so a process
 	// loading a warm tunelog starts with a trained predictor and can
 	// guide — or skip — profiling of workloads the log has never seen.
 	// The Predictor is internally synchronized; Log methods only attach
@@ -146,21 +164,20 @@ type Log struct {
 
 // New returns an empty log at tuner version 1 with a fresh, untrained
 // cost model (deterministic seed: logs are reproducible artifacts). It
-// is dirty until its first Save or Load: no file holds it yet.
+// has no file, and is dirty: no file holds it.
 func New() *Log {
-	return &Log{entries: make(map[Key]Entry), CurrentVersion: 1, Model: costmodel.NewPredictor(1), changed: true}
+	return &Log{entries: make(map[Key]Entry), CurrentVersion: 1, Model: costmodel.NewPredictor(1), edits: 1}
 }
 
-// Dirty reports whether the log holds anything a file does not:
-// whether it changed since it was read or written. Record and new
-// model observations make a log dirty, and so does a Load or Merge
-// that had to combine the file with what the log already held; Save,
-// and Load into an empty log, make it clean. A log that never met a
-// file is dirty, so its first save happens even if it is empty.
-func (l *Log) Dirty() bool {
+// dirty reports whether the log may hold anything its file does not:
+// whether it changed since Open read the file or Persist wrote it.
+// Record, Load and new model observations make a log dirty. A log Open
+// found no file for is dirty, so its first Persist writes the file even
+// if the log is empty.
+func (l *Log) dirty() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.changed || l.modelLen() != l.savedObs
+	return l.edits != l.savedEdits || l.modelLen() != l.savedObs
 }
 
 func (l *Log) modelLen() int {
@@ -199,7 +216,7 @@ func (l *Log) Record(k Key, e Entry) {
 	defer l.mu.Unlock()
 	k.Version = l.CurrentVersion
 	l.entries[k] = e
-	l.changed = true
+	l.edits++
 }
 
 // Len returns the number of stored entries.
@@ -293,36 +310,36 @@ func (m *jsonModel) observations() ([]costmodel.Observation, error) {
 }
 
 // Save writes the database — its entries and, when it has any, its
-// cost model's measurements — in the frame the package doc describes,
-// and leaves the log clean. It writes nothing when an entry holds a
-// number the frame cannot carry (NaN or an infinity).
+// cost model's measurements — in the frame the package doc describes.
+// It writes nothing when an entry holds a number the frame cannot carry
+// (NaN or an infinity).
 func (l *Log) Save(w io.Writer) error {
+	buf, _, _, err := l.frame()
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
+}
+
+// frame renders the log in the frame, with the edit count and model
+// size the bytes hold, for Persist to mark saved once they are in the
+// file: writes made meanwhile leave the log dirty.
+func (l *Log) frame() (buf []byte, edits, obs int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var model costmodel.State
 	if l.Model != nil {
 		model = l.Model.State()
 	}
-	buf, err := encode(l.entries, model)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	l.changed, l.savedObs = false, len(model.Obs)
-	return nil
+	buf, err = encode(l.entries, model)
+	return buf, l.edits, len(model.Obs), err
 }
 
 // decode reads the on-disk format: the frame, or any other text
 // encoding/json reads as the same document (every earlier version
 // wrote it indented). Anything else — including the bare entry array
 // of the format's first version — is an error.
-func decode(r io.Reader) (jsonLog, error) {
-	buf, err := readAll(r)
-	if err != nil {
-		return jsonLog{}, fmt.Errorf("tunelog: %w", err)
-	}
+func decode(buf []byte) (jsonLog, error) {
 	if db, ok := decodeFrame(buf); ok {
 		return db, nil
 	}
@@ -333,27 +350,14 @@ func decode(r io.Reader) (jsonLog, error) {
 	return db, nil
 }
 
-// readAll reads r to the end. A file is read into one buffer sized
-// from its Stat, as os.ReadFile does, instead of one grown by doubling.
-func readAll(r io.Reader) ([]byte, error) {
-	var b bytes.Buffer
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-			b.Grow(int(fi.Size()) + bytes.MinRead) // room for the read that sees EOF
-		}
-	}
-	_, err := b.ReadFrom(r)
-	return b.Bytes(), err
-}
-
 // ingest reads a saved database into this log; keep says whether an
-// in-memory entry survives a key conflict. Model observations merge
-// (deduplicated) whichever way entries resolve — measurements are
-// facts, not preferences, so there is no conflict to resolve — and the
-// merged model refits on first use. Only a file read into an empty log
-// leaves the log equal to that file, hence clean.
-func (l *Log) ingest(r io.Reader, keep bool) error {
-	db, err := decode(r)
+// in-memory entry survives a key conflict (Persist's merge keeps it;
+// Load lets the file win). Model observations merge (deduplicated)
+// whichever way entries resolve — measurements are facts, not
+// preferences, so there is no conflict to resolve — and the merged
+// model refits on first use.
+func (l *Log) ingest(buf []byte, keep bool) error {
+	db, err := decode(buf)
 	if err != nil {
 		return err
 	}
@@ -365,7 +369,6 @@ func (l *Log) ingest(r io.Reader, keep bool) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	wasEmpty := len(l.entries) == 0 && l.modelLen() == 0
 	for _, row := range db.Entries {
 		if _, ok := l.entries[row.Key]; !ok || !keep {
 			l.entries[row.Key] = row.Entry
@@ -377,22 +380,21 @@ func (l *Log) ingest(r io.Reader, keep bool) error {
 		}
 		l.Model.IngestRows(obs)
 	}
-	l.changed, l.savedObs = !wasEmpty, l.modelLen()
+	l.edits++
 	return nil
 }
 
-// Load merges a saved database into this one (file entries win key
-// conflicts — use Merge to keep in-memory entries instead). The file's
-// measurements are folded into the log's predictor, so a warm process
-// starts trained; the predictor fits on first use.
-func (l *Log) Load(r io.Reader) error { return l.ingest(r, false) }
-
-// Merge reads a saved database and adds only entries whose keys are
-// absent from this log: in-memory entries win conflicts. This is the
-// write-back direction — a server persisting its shared log merges in
-// what other processes wrote to the file without clobbering its own
-// fresher results. Cost-model observations merge symmetrically.
-func (l *Log) Merge(r io.Reader) error { return l.ingest(r, true) }
+// Load reads a saved database into this one (file entries win key
+// conflicts). The file's measurements are folded into the log's
+// predictor, so a warm process starts trained; the predictor fits on
+// first use.
+func (l *Log) Load(r io.Reader) error {
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("tunelog: %w", err)
+	}
+	return l.ingest(buf, false)
+}
 
 // GemmKey builds the key for a GEMM task.
 func GemmKey(m, n, k int, dt tensor.DType, device string) Key {

@@ -3,9 +3,6 @@ package tunelog
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -170,10 +167,11 @@ func TestMergeMemoryWins(t *testing.T) {
 	}
 	fileBytes := buf.Bytes()
 
-	// Merge: our fresher entry for k must survive, k2 must be added.
+	// Persist's merge: our fresher entry for k must survive, k2 must be
+	// added.
 	l := New()
 	l.Record(k, Entry{TimeSeconds: 1e-6, Trials: 1})
-	if err := l.Merge(bytes.NewReader(fileBytes)); err != nil {
+	if err := l.ingest(fileBytes, true); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := l.Lookup(k); !ok || e.Trials != 1 {
@@ -237,7 +235,7 @@ func TestSaveLoadRoundTripsModel(t *testing.T) {
 	// Merge direction: observations union and the model refits.
 	merged := New()
 	merged.Model = trainedModel(1)
-	if err := merged.Merge(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := merged.ingest(buf.Bytes(), true); err != nil {
 		t.Fatal(err)
 	}
 	if merged.Model.Len() != l.Model.Len() {
@@ -247,7 +245,7 @@ func TestSaveLoadRoundTripsModel(t *testing.T) {
 
 func TestLoadRejectsBareArray(t *testing.T) {
 	// The format's first version was a bare entry array with no model.
-	// No reader accepts it any more: Load and Merge fail and leave the
+	// No reader accepts it any more: Load and the merge fail and leave the
 	// log as it was.
 	bare := `[
   {"key": {"kind": "gemm", "m": 64, "n": 64, "k": 64, "dtype": "float16", "device": "T4", "version": 1},
@@ -257,8 +255,8 @@ func TestLoadRejectsBareArray(t *testing.T) {
 	if err := l.Load(strings.NewReader(bare)); err == nil {
 		t.Error("Load accepted a bare entry array")
 	}
-	if err := l.Merge(strings.NewReader(bare)); err == nil {
-		t.Error("Merge accepted a bare entry array")
+	if err := l.ingest([]byte(bare), true); err == nil {
+		t.Error("the merge accepted a bare entry array")
 	}
 	if l.Len() != 0 {
 		t.Errorf("rejected file left %d entries in the log", l.Len())
@@ -363,42 +361,4 @@ func TestLoadedModelConcurrentFirstUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestReadAllSizesFileBuffer: a file reads into one buffer sized from
-// its Stat, with exactly its bytes, whatever its size relative to the
-// final read's headroom: the allocation count does not grow with the
-// file, as io.ReadAll's doubling does.
-func TestReadAllSizesFileBuffer(t *testing.T) {
-	allocs0 := -1.0
-	for _, size := range []int{0, 1, 511, 512, 513, 100_000} {
-		want := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
-		path := filepath.Join(t.TempDir(), "log.json")
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		got, err := readAll(f)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("size %d: read %d bytes (%v), want the file's %d", size, len(got), err, size)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := readAll(f); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs0 < 0 {
-			allocs0 = allocs
-		}
-		if allocs != allocs0 {
-			t.Errorf("size %d: %.0f allocations per read, %.0f for an empty file", size, allocs, allocs0)
-		}
-	}
 }

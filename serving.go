@@ -2,7 +2,6 @@ package bolt
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"time"
@@ -116,7 +115,11 @@ type ServerOptions struct {
 	// the in-memory log across all tenants' compiles (buckets whose
 	// workloads were ever profiled before recompile measurement-free —
 	// the paper's §2.1 serving story), and persists it after each
-	// compile and on Close.
+	// compile and on Close whenever it changed, the same way Compile
+	// does (tunelog.Open and Persist): a server whose compiles all hit
+	// leaves the file alone, and other writers' entries are merged in,
+	// except those another process writes between this server's last
+	// read of the file and its rename.
 	CacheFile string
 	// Jobs is both the profiling pool width within one variant compile
 	// and how many variant compiles (Warm or lazy) may run
@@ -260,73 +263,21 @@ type DeployOptions struct {
 // requests wait for full buckets.
 type Server struct {
 	srv *serve.Server
-	// pipe is the shared tenant-compile pipeline (tuning log, persist
-	// path, precision gate); Fleet endpoints build the identical
+	// pipe is the shared tenant-compile pipeline (tuning log,
+	// precision gate); Fleet endpoints build the identical
 	// pipeline, which is what makes a fleet's replicas warm from each
 	// other's entries.
 	pipe *tenantPipeline
 }
 
-// cachePersister owns one endpoint's persistent tuning log: the
-// in-memory log shared by every tenant's compiles, plus the
-// serialized, atomic write-back to its backing file. Saves first
-// merge entries other processes wrote since our load (memory wins),
-// then rename the whole log into place — so within one endpoint no
-// compile's entries are ever lost to a load→save race.
-type cachePersister struct {
-	cache *tunelog.Log
-	file  string
-	mu    sync.Mutex
-	// err is the outcome of the latest persist attempt (guarded by
-	// mu); Close surfaces it.
-	err error
-}
-
-// newCachePersister loads the backing file (when named) into a fresh
-// shared log.
-func newCachePersister(file string) (*cachePersister, error) {
-	cache := tunelog.New()
-	if file != "" {
-		var err error
-		if cache, err = loadCache(file); err != nil {
-			return nil, err
-		}
-	}
-	return &cachePersister{cache: cache, file: file}, nil
-}
-
-// persist writes the shared tuning log back to its file (a no-op
-// without one, and when the log has not changed since the last
-// successful write: a warm variant compile, a Close after nothing
-// new).
-func (p *cachePersister) persist() error {
-	if p.cache == nil || p.file == "" {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err == nil && !p.cache.Dirty() {
-		return nil
-	}
-	if f, err := os.Open(p.file); err == nil {
-		// Best-effort, memory-wins merge of external writers' entries
-		// (our fresher results keep their keys); a corrupt or
-		// unreadable file is simply overwritten by our good data.
-		_ = p.cache.Merge(f)
-		f.Close()
-	}
-	p.err = saveCache(p.cache, p.file)
-	return p.err
-}
-
 // tenantPipeline is everything one serving endpoint (a Server or
 // every replica of a Fleet) shares across its tenants' variant
 // compiles: the device class accuracy gating compiles against (the
-// first worker's), the shared tuning log with its persist hook, and
-// the per-model precision-gate reports.
+// first worker's), the shared tuning log, and the per-model
+// precision-gate reports.
 type tenantPipeline struct {
 	gateDev *Device
-	cp      *cachePersister
+	log     *tunelog.Log
 	jobs    int
 
 	// reports holds each deployed model's precision-gate outcome
@@ -337,8 +288,8 @@ type tenantPipeline struct {
 
 // newTenantPipeline returns an endpoint's pipeline whose precision gate
 // compiles for gateDev.
-func newTenantPipeline(gateDev *Device, cp *cachePersister, jobs int) *tenantPipeline {
-	return &tenantPipeline{gateDev: gateDev, cp: cp, jobs: jobs, reports: make(map[string]DeployReport)}
+func newTenantPipeline(gateDev *Device, log *tunelog.Log, jobs int) *tenantPipeline {
+	return &tenantPipeline{gateDev: gateDev, log: log, jobs: jobs, reports: make(map[string]DeployReport)}
 }
 
 // tenantCompiler resolves one model's deploy: it runs the precision
@@ -350,7 +301,7 @@ func newTenantPipeline(gateDev *Device, cp *cachePersister, jobs int) *tenantPip
 // measurement-free from its peers' entries.
 func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOptions) (serve.CompileFunc, serve.DeployOptions, error) {
 	src := g
-	cfg := codegen.Options{Log: p.cp.cache, Jobs: p.jobs, TopK: opts.TopK, TrustThreshold: opts.TrustThreshold}
+	cfg := codegen.Options{Log: p.log, Jobs: p.jobs, TopK: opts.TopK, TrustThreshold: opts.TrustThreshold}
 	if dt, ok := opts.Precision.dtype(); ok {
 		// Precision-rewrite the source once, gated: the requested
 		// variant must clear the tenant's accuracy budget against the
@@ -386,9 +337,9 @@ func (p *tenantPipeline) tenantCompiler(name string, g *Graph, opts DeployOption
 		}
 		// A transient persist failure must not fail the variant: the
 		// module is compiled and serviceable, the entries stay in the
-		// shared in-memory log, and the next persist (next compile or
-		// Close, which surfaces the latest error) retries the write.
-		_ = p.cp.persist()
+		// shared in-memory log, which stays dirty, and the next Persist
+		// (next compile or Close, which returns its error) retries.
+		_ = p.log.Persist()
 		return res.Module, nil
 	}
 	return compile, serve.DeployOptions{
@@ -462,7 +413,7 @@ func NewServer(dev *Device, opts ServerOptions) (*Server, error) {
 	// and it lets every tenant's compiles learn from each other within
 	// the process even when nothing persists. With CacheFile set it is
 	// additionally loaded from (and persisted to) disk.
-	cp, err := newCachePersister(opts.CacheFile)
+	log, err := tunelog.Open(opts.CacheFile)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +426,7 @@ func NewServer(dev *Device, opts ServerOptions) (*Server, error) {
 			Trace:       opts.Trace,
 			TraceLabel:  opts.TraceLabel,
 		}),
-		pipe: newTenantPipeline(devices[0], cp, opts.Jobs),
+		pipe: newTenantPipeline(devices[0], log, opts.Jobs),
 	}, nil
 }
 
@@ -553,5 +504,5 @@ func (s *Server) Snapshot() string { return s.srv.Snapshot() }
 // once.
 func (s *Server) Close() error {
 	s.srv.Close()
-	return s.pipe.cp.persist()
+	return s.pipe.log.Persist()
 }
