@@ -17,7 +17,6 @@ import (
 	"bolt/internal/cutlass"
 	"bolt/internal/gpu"
 	"bolt/internal/persistent"
-	"bolt/internal/relay"
 	"bolt/internal/tensor"
 )
 
@@ -27,13 +26,8 @@ func main() {
 
 	fmt.Println("=== back-to-back GEMM fusion (DLRM-style MLP, Table 1) ===")
 	m, n0, k0, n1 := 16384, 64, 256, 16
-	cfg0, _ := relay.ResidenceConfig(n0, dev)
-	cfg1, _ := relay.ResidenceConfig(n1, dev)
-	layers := []persistent.GemmLayer{
-		{N: n0, K: k0, Config: cfg0, Epilogue: relu},
-		{N: n1, K: n0, Config: cfg1, Epilogue: relu},
-	}
-	fused, err := persistent.ChooseGemmResidence(m, layers, dev)
+	layers := []persistent.Layer{{N: n0, K: k0, Epilogue: relu}, {N: n1, K: n0, Epilogue: relu}}
+	fused, err := persistent.Build(m, layers, tensor.FP16, dev)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func main() {
 	b1 := tensor.New(tensor.FP16, n1)
 	b1.FillRandom(5, 0.5)
 
-	small, err := persistent.NewFusedGemm(mSmall, layers, fused.Kind, dev)
+	small, err := persistent.Build(mSmall, layers, tensor.FP16, dev)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,36 +54,32 @@ func main() {
 	want := cutlass.ReferenceGemm(d0, w1, b1, relu)
 
 	fmt.Printf("chain: (%d,%d,%d) -> (%d,%d,%d), both with BiasAdd+ReLU epilogues\n", m, n0, k0, m, n1, n0)
-	fmt.Printf("residence chosen: %s (Warp_N == ThreadBlock_N == GEMM_N holds)\n", fused.Kind)
+	fmt.Printf("residence chosen: %s (Warp_N == ThreadBlock_N == GEMM_N holds)\n", fused.Residence())
 	fmt.Printf("fused == unfused numerically: %v (max diff %.4g)\n",
 		tensor.AllClose(got, want, 1e-2, 1e-3), tensor.MaxAbsDiff(got, want))
-	unfusedT := persistent.UnfusedGemmTime(dev, m, layers)
+	unfusedT := persistent.UnfusedTime(m, layers, tensor.FP16, dev)
 	fmt.Printf("unfused: %.1f us (2 launches, intermediate through DRAM)\n", unfusedT*1e6)
-	fmt.Printf("fused:   %.1f us (1 launch, intermediate in %s)\n", fused.Time(dev)*1e6, fused.Kind)
+	fmt.Printf("fused:   %.1f us (1 launch, intermediate in %s)\n", fused.Time(dev)*1e6, fused.Residence())
 	fmt.Printf("speedup: %.2fx  (paper Table 1: 1.24-1.46x)\n\n", unfusedT/fused.Time(dev))
 
 	fmt.Println("=== back-to-back Conv2D fusion (RepVGG 3x3 + 1x1, Table 2) ===")
 	first := cutlass.Conv3x3(32, 56, 56, 48, 48, 1, 1)
 	then := cutlass.Conv1x1(32, first.OutH(), first.OutW(), 48, 48)
-	ccfg, _ := relay.ResidenceConfig(48, dev)
-	convLayers := []persistent.ConvLayer{
-		{Shape: first, Config: ccfg, Epilogue: relu},
-		{Shape: then, Config: ccfg, Epilogue: relu},
-	}
-	cf, err := persistent.ChooseConvResidence(convLayers, dev)
+	convLayers := []persistent.Layer{{Conv: first, Epilogue: relu}, {Conv: then, Epilogue: relu}}
+	cf, err := persistent.Build(0, convLayers, tensor.FP16, dev)
 	if err != nil {
 		log.Fatal(err)
 	}
-	unfusedC := persistent.UnfusedConvTime(dev, convLayers)
+	unfusedC := persistent.UnfusedTime(0, convLayers, tensor.FP16, dev)
 	fmt.Printf("chain: %d^2 %d->%d 3x3 s1  ->  %d^2 %d->%d 1x1 s1 p0\n",
 		first.H, first.IC, first.OC, then.H, then.IC, then.OC)
-	fmt.Printf("residence chosen: %s\n", cf.Kind)
+	fmt.Printf("residence chosen: %s\n", cf.Residence())
 	fmt.Printf("unfused: %.1f us   fused: %.1f us   speedup: %.2fx  (paper Table 2: 1.10-2.02x)\n\n",
 		unfusedC*1e6, cf.Time(dev)*1e6, unfusedC/cf.Time(dev))
 
 	fmt.Println("=== why residence matters: a case fusion must reject ===")
 	big := 3072
-	if _, ok := relay.ResidenceConfig(big, dev); !ok {
+	if _, ok := persistent.Tile(persistent.Layer{N: big, K: k0}, tensor.FP16, dev); !ok {
 		fmt.Printf("GEMM_N = %d: threadblock tile covering all of N would need %d KB of\n", big, 2*(64+big)*32*2/1024)
 		fmt.Println("shared memory staging — residence infeasible, so Bolt keeps the GEMMs unfused")
 		fmt.Println("(persistent kernels are designed for memory-bound small-N chains, paper §5).")

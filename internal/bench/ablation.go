@@ -8,7 +8,6 @@ import (
 	"bolt/internal/models"
 	"bolt/internal/persistent"
 	"bolt/internal/profiler"
-	"bolt/internal/relay"
 	"bolt/internal/tensor"
 	"bolt/internal/tunelog"
 )
@@ -163,8 +162,10 @@ func (s *Suite) AblationResidence() *Table {
 		},
 	}
 	relu := cutlass.BiasActivation(cutlass.ActReLU)
+	// Both kinds run at the layers' residence tiles as they stand: one
+	// warp column (Warp_N == ThreadBlock_N), which RF residence needs.
 	mk := func(n, k int) persistent.GemmLayer {
-		cfg, _ := relay.ResidenceConfig(n, s.Dev)
+		cfg, _ := persistent.Tile(persistent.Layer{N: n, K: k}, tensor.FP16, s.Dev)
 		return persistent.GemmLayer{N: n, K: k, Config: cfg, Epilogue: relu}
 	}
 	m := 16384
@@ -174,14 +175,7 @@ func (s *Suite) AblationResidence() *Table {
 		us(persistent.UnfusedGemmTime(s.Dev, m, layers)))
 
 	for _, kind := range []persistent.Residence{persistent.RFResident, persistent.SMEMResident} {
-		ls := make([]persistent.GemmLayer, len(layers))
-		copy(ls, layers)
-		for i := range ls {
-			if kind == persistent.RFResident {
-				ls[i].Config.Warp.N = ls[i].Config.TB.N
-			}
-		}
-		f, err := persistent.NewFusedGemm(m, ls, kind, s.Dev)
+		f, err := persistent.NewFusedGemm(m, layers, kind, s.Dev)
 		if err != nil {
 			t.AddRow(kind.String(), "-", "-", "-", "invalid: "+err.Error())
 			continue
@@ -253,7 +247,7 @@ func (s *Suite) ExtensionDynamicShapes() *Table {
 	staticTuner, _ := s.newAnsor()
 	staticRes := staticTuner.TuneGemm(32*40, 3072, 768, trials, tensor.FP16)
 	db.Record(tunelog.GemmKey(32*40, 3072, 768, tensor.FP16, s.Dev.Arch.String()),
-		tunelog.Entry{Schedule: staticRes.Schedule, TimeSeconds: staticRes.Time, Trials: trials})
+		tunelog.Entry{TimeSeconds: staticRes.Time, Trials: trials})
 
 	for _, seq := range []int{16, 40, 64, 128, 256} {
 		m := 32 * seq
@@ -301,23 +295,20 @@ func (s *Suite) ExtensionDeepChains() *Table {
 		Notes:   []string{"the paper fuses pairs in Table 1 and notes deeper chains 'can further improve the performance'"},
 	}
 	relu := cutlass.BiasActivation(cutlass.ActReLU)
-	mk := func(n, k int) persistent.GemmLayer {
-		cfg, _ := relay.ResidenceConfig(n, s.Dev)
-		return persistent.GemmLayer{N: n, K: k, Config: cfg, Epilogue: relu}
-	}
+	mk := func(n, k int) persistent.Layer { return persistent.Layer{N: n, K: k, Epilogue: relu} }
 	m := 32768
-	chain := []persistent.GemmLayer{mk(64, 128), mk(64, 64), mk(32, 64), mk(16, 32)}
-	unfused := persistent.UnfusedGemmTime(s.Dev, m, chain)
+	chain := []persistent.Layer{mk(64, 128), mk(64, 64), mk(32, 64), mk(16, 32)}
+	unfused := persistent.UnfusedTime(m, chain, tensor.FP16, s.Dev)
 	t.AddRow("none (4 kernels)", "4", us(unfused), f2(1.0))
 	for depth := 2; depth <= len(chain); depth++ {
-		f, err := persistent.ChooseGemmResidence(m, chain[:depth], s.Dev)
+		f, err := persistent.Build(m, chain[:depth], tensor.FP16, s.Dev)
 		if err != nil {
 			t.AddRow(fmt.Sprint(depth), "-", "invalid", "-")
 			continue
 		}
-		rest := persistent.UnfusedGemmTime(s.Dev, m, chain[depth:])
+		rest := persistent.UnfusedTime(m, chain[depth:], tensor.FP16, s.Dev)
 		total := f.Time(s.Dev) + rest
-		t.AddRow(fmt.Sprintf("first %d (%s)", depth, f.Kind),
+		t.AddRow(fmt.Sprintf("first %d (%s)", depth, f.Residence()),
 			fmt.Sprint(1+len(chain)-depth), us(total), f2(unfused/total))
 	}
 	return t

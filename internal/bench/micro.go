@@ -8,7 +8,6 @@ import (
 	"bolt/internal/models"
 	"bolt/internal/persistent"
 	"bolt/internal/profiler"
-	"bolt/internal/relay"
 	"bolt/internal/rt"
 	"bolt/internal/tensor"
 )
@@ -198,22 +197,15 @@ func (s *Suite) Table1() *Table {
 	}
 	relu := cutlass.BiasActivation(cutlass.ActReLU)
 	for _, w := range models.Table1Workloads() {
-		mkLayer := func(n, k int) persistent.GemmLayer {
-			cfg, ok := relay.ResidenceConfig(n, s.Dev)
-			if !ok {
-				panic(fmt.Sprintf("residence infeasible for N=%d", n))
-			}
-			return persistent.GemmLayer{N: n, K: k, Config: cfg, Epilogue: relu}
-		}
-		layers := []persistent.GemmLayer{mkLayer(w.N0, w.K0), mkLayer(w.N1, w.N0)}
-		f, err := persistent.ChooseGemmResidence(w.M, layers, s.Dev)
+		layers := []persistent.Layer{{N: w.N0, K: w.K0, Epilogue: relu}, {N: w.N1, K: w.N0, Epilogue: relu}}
+		f, err := persistent.Build(w.M, layers, tensor.FP16, s.Dev)
 		if err != nil {
 			panic(err)
 		}
-		speedup := persistent.UnfusedGemmTime(s.Dev, w.M, layers) / f.Time(s.Dev)
+		speedup := persistent.UnfusedTime(w.M, layers, tensor.FP16, s.Dev) / f.Time(s.Dev)
 		t.AddRow(fmt.Sprintf("%d %d %d", w.M, w.N0, w.K0),
 			fmt.Sprintf("%d %d %d", w.M, w.N1, w.N0),
-			f2(1.0), f2(speedup), f.Kind.String())
+			f2(1.0), f2(speedup), f.Residence().String())
 	}
 	return t
 }
@@ -229,26 +221,15 @@ func (s *Suite) Table2() *Table {
 	}
 	relu := cutlass.BiasActivation(cutlass.ActReLU)
 	for _, w := range models.Table2Workloads() {
-		mkLayer := func(shape cutlass.ConvShape) persistent.ConvLayer {
-			cfg, ok := relay.ResidenceConfig(shape.OC, s.Dev)
-			if !ok {
-				panic(fmt.Sprintf("residence infeasible for OC=%d", shape.OC))
-			}
-			if shape.IC%cfg.AlignA != 0 {
-				a := relay.AlignFor(shape.IC)
-				cfg.AlignA, cfg.AlignB = a, a
-			}
-			return persistent.ConvLayer{Shape: shape, Config: cfg, Epilogue: relu}
-		}
-		layers := []persistent.ConvLayer{mkLayer(w.First), mkLayer(w.Then)}
-		f, err := persistent.ChooseConvResidence(layers, s.Dev)
+		layers := []persistent.Layer{{Conv: w.First, Epilogue: relu}, {Conv: w.Then, Epilogue: relu}}
+		f, err := persistent.Build(0, layers, tensor.FP16, s.Dev)
 		if err != nil {
 			panic(err)
 		}
-		speedup := persistent.UnfusedConvTime(s.Dev, layers) / f.Time(s.Dev)
+		speedup := persistent.UnfusedTime(0, layers, tensor.FP16, s.Dev) / f.Time(s.Dev)
 		t.AddRow(fmt.Sprintf("%d^2, %d->%d, (%d,%d)", w.First.H, w.First.IC, w.First.OC, w.First.StrideH, w.First.StrideW),
 			fmt.Sprintf("%d^2, %d->%d", w.Then.H, w.Then.IC, w.Then.OC),
-			f2(1.0), f2(speedup), f.Kind.String())
+			f2(1.0), f2(speedup), f.Residence().String())
 	}
 	return t
 }

@@ -47,16 +47,15 @@ type Options struct {
 	Jobs int
 
 	// TopK, when > 0, limits guided profiling to the cost model's k
-	// best-ranked candidates per workload. Requires a model source:
-	// either the profiler carries one (Profiler.Guide.Model) or Log
-	// does. Until the model has trained, sweeps stay full.
+	// best-ranked candidates per workload. The model is Log.Model, so
+	// TopK requires Log. Until the model has trained, sweeps stay full.
 	TopK int
 
 	// TrustThreshold, when > 0, skips measurement entirely for a
 	// workload once the model's held-out rank-correlation confidence
 	// reaches it, emitting the predicted-best config as a
-	// measurement-free tunelog entry. Same model-source requirement as
-	// TopK. 0 means never skip.
+	// measurement-free tunelog entry. Like TopK, it requires Log. 0
+	// means never skip.
 	TrustThreshold float64
 
 	// EmitSource attaches generated CUDA-like source to each kernel.
@@ -259,10 +258,8 @@ func (c *compiler) lower(n *relay.Node) (rt.Kernel, error) {
 		return c.lowerDense(n)
 	case relay.OpConv2D:
 		return c.lowerConv(n)
-	case relay.OpPersistentGemm:
-		return c.lowerPersistentGemm(n)
-	case relay.OpPersistentConv:
-		return c.lowerPersistentConv(n)
+	case relay.OpPersistentGemm, relay.OpPersistentConv:
+		return c.lowerPersistent(n)
 	case relay.OpBiasAdd:
 		x, b := c.slot(n.Inputs[0]), c.slot(n.Inputs[1])
 		return launchKernel(n, rt.ElementwiseLikeDesc(kname(n), shapeElems(n), 2, 1, n.DType),
@@ -462,73 +459,36 @@ func (c *compiler) lowerConv(n *relay.Node) (rt.Kernel, error) {
 	return kern, nil
 }
 
-func (c *compiler) lowerPersistentGemm(n *relay.Node) (rt.Kernel, error) {
-	m := n.Inputs[0].Shape[0]
-	layers := make([]persistent.GemmLayer, len(n.Chain))
+// lowerPersistent lowers a persistent chain, possibly rebatched since
+// relay fused it, to the kernel persistent.Build picks for it now.
+func (c *compiler) lowerPersistent(n *relay.Node) (rt.Kernel, error) {
+	layers := make([]persistent.Layer, len(n.Chain))
+	operands := make([]*tensor.Tensor, 2*len(n.Chain))
+	ws, bs := operands[:len(n.Chain)], operands[len(n.Chain):]
 	for i, cl := range n.Chain {
-		cfg, ok := relay.ResidenceConfigFor(cl.N, n.DType, c.dev)
-		if !ok {
-			return rt.Kernel{}, fmt.Errorf("persistent gemm layer %d: residence infeasible", i)
-		}
-		layers[i] = persistent.GemmLayer{N: cl.N, K: cl.K, Config: cfg, Epilogue: cl.Epilogue}
-	}
-	f, err := persistent.ChooseGemmResidence(m, layers, c.dev)
-	if err != nil {
-		return rt.Kernel{}, err
-	}
-	xs := c.slot(n.Inputs[0])
-	ws, bs := chainOperands(n.Chain)
-	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-		return f.RunInto(dst, env.Value(xs), ws, bs)
-	})
-	if c.emitSource {
-		kern.Source = emitPersistentGemmSource(f, m)
-	}
-	return kern, nil
-}
-
-// chainOperands returns a persistent chain's weights and biases, bound
-// at compile time (every chain operand is a constant, see
-// constantWeights) so the hot path allocates nothing.
-func chainOperands(chain []relay.ChainLayer) (ws, bs []*tensor.Tensor) {
-	ws = make([]*tensor.Tensor, len(chain))
-	bs = make([]*tensor.Tensor, len(chain))
-	for i, cl := range chain {
-		ws[i] = cl.Weight.Value
+		// Every chain operand is a constant (see constantWeights), bound
+		// here so the hot path allocates nothing.
+		layers[i], ws[i] = cl.Layer, cl.Weight.Value
 		if cl.Bias != nil {
 			bs[i] = cl.Bias.Value
 		}
 	}
-	return ws, bs
-}
-
-func (c *compiler) lowerPersistentConv(n *relay.Node) (rt.Kernel, error) {
-	layers := make([]persistent.ConvLayer, len(n.Chain))
-	for i, cl := range n.Chain {
-		cfg, ok := relay.ResidenceConfigFor(cl.Conv.OC, n.DType, c.dev)
-		if !ok {
-			return rt.Kernel{}, fmt.Errorf("persistent conv layer %d: residence infeasible", i)
-		}
-		if cl.Conv.IC%cfg.AlignA != 0 {
-			a := relay.AlignFor(cl.Conv.IC)
-			if m := cutlass.MaxAlignment(n.DType); a > m {
-				a = m
-			}
-			cfg.AlignA, cfg.AlignB = a, a
-		}
-		layers[i] = persistent.ConvLayer{Shape: cl.Conv, Config: cfg, Epilogue: cl.Epilogue, FilterScale: cl.FilterScale}
-	}
-	f, err := persistent.ChooseConvResidence(layers, c.dev)
+	m := n.Inputs[0].Shape[0]
+	f, err := persistent.Build(m, layers, n.DType, c.dev)
 	if err != nil {
 		return rt.Kernel{}, err
 	}
 	xs := c.slot(n.Inputs[0])
-	ws, bs := chainOperands(n.Chain)
 	kern := launchKernel(n, f.Desc(c.dev), func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
 		return f.RunInto(dst, env.Value(xs), ws, bs)
 	})
 	if c.emitSource {
-		kern.Source = emitPersistentConvSource(f)
+		switch f := f.(type) {
+		case *persistent.FusedGemm:
+			kern.Source = emitPersistentGemmSource(f, m)
+		case *persistent.FusedConv:
+			kern.Source = emitPersistentConvSource(f)
+		}
 	}
 	return kern, nil
 }

@@ -76,24 +76,17 @@ func extractWorkloads(g *relay.Graph, dev *gpu.Device) (unique []tuningTask, tot
 	return unique, total
 }
 
-// guidanceFor resolves the pipeline's effective guidance: the
-// profiler's own model if it carries one, else the tuning log's
-// persistent model; knob overrides come from Options. An error is
-// returned when guided knobs are requested with no model to guide by —
+// guidanceFor resolves the pipeline's guidance: the tuning log's
+// persistent model, with TopK and TrustThreshold from Options. An error
+// is returned when guided knobs are requested with no log to guide by —
 // silently falling back to full sweeps would misreport the run.
 func guidanceFor(opts Options) (profiler.Guidance, error) {
-	g := opts.Profiler.Guide
-	if g.Model == nil && opts.Log != nil {
+	g := profiler.Guidance{TopK: opts.TopK, TrustThreshold: opts.TrustThreshold}
+	if opts.Log != nil {
 		g.Model = opts.Log.Model
 	}
-	if opts.TopK > 0 {
-		g.TopK = opts.TopK
-	}
-	if opts.TrustThreshold > 0 {
-		g.TrustThreshold = opts.TrustThreshold
-	}
 	if (g.TopK > 0 || g.TrustThreshold > 0) && g.Model == nil {
-		return profiler.Guidance{}, fmt.Errorf("codegen: guided tuning (TopK=%d, TrustThreshold=%g) needs a cost model: attach one to the profiler or pass a tuning log", g.TopK, g.TrustThreshold)
+		return profiler.Guidance{}, fmt.Errorf("codegen: guided tuning (TopK=%d, TrustThreshold=%g) needs a cost model: pass a tuning log", g.TopK, g.TrustThreshold)
 	}
 	return g, nil
 }

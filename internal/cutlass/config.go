@@ -131,6 +131,19 @@ func validAlign(a int) bool { return a == 1 || a == 2 || a == 4 || a == 8 || a =
 // dtype: 128 bits / element size.
 func MaxAlignment(dt tensor.DType) int { return 16 / dt.Size() }
 
+// AlignFor returns the alignment of an operand whose contiguous extent
+// is n: the widest of 8, 4 and 2 elements dividing n (else 1), capped
+// at the dtype's 128-bit width (FP32 loads at most 4 elements per
+// ldg.128).
+func AlignFor(n int, dt tensor.DType) int {
+	for a := 8; a > 1; a /= 2 {
+		if n%a == 0 {
+			return min(a, MaxAlignment(dt))
+		}
+	}
+	return 1
+}
+
 // Validate enforces the structural rules the CUTLASS template system
 // checks at compile time plus the device resource limits that would
 // make the kernel unlaunchable.

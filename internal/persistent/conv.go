@@ -105,30 +105,14 @@ func (f *FusedConv) Name() string {
 	return fmt.Sprintf("cutlass_b2b_conv2d_fprop_x%d_%s", len(f.Layers), f.Kind)
 }
 
-// RunInto executes the chain functionally; results must equal running
-// each conv kernel unfused. weights[i] is OHWI for layer i and
-// read-only from the chain's first run on (see cutlass.Conv2D);
-// biases[i] may be nil. The final layer writes into dst (nil
-// allocates); in-chain intermediates stay kernel-internal. It returns
-// the destination.
+// RunInto executes the chain functionally (see runChain): weights[i]
+// is layer i's OHWI filter, and biases[i] may be nil.
 func (f *FusedConv) RunInto(dst *tensor.Tensor, x *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
-	if len(weights) != len(f.Layers) {
-		panic(fmt.Sprintf("persistent: %d weights for %d conv layers", len(weights), len(f.Layers)))
-	}
-	cur := x
-	for i, conv := range f.convs {
-		var b *tensor.Tensor
-		if biases != nil {
-			b = biases[i]
-		}
-		var out *tensor.Tensor
-		if i == len(f.convs)-1 {
-			out = dst
-		}
-		cur = conv.RunInto(out, cur, weights[i], b)
-	}
-	return cur
+	return runChain(f.convs, len(f.Layers), dst, x, weights, biases)
 }
+
+// Residence returns f.Kind.
+func (f *FusedConv) Residence() Residence { return f.Kind }
 
 // Desc lowers the fused chain to a single kernel descriptor. The first
 // layer contributes its true NHWC activation footprint; weights of all

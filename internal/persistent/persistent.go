@@ -17,6 +17,12 @@
 // stay within the threadblock that produced it, which forces a single
 // tile column (ThreadBlock_N covers all of N) and, for convolutions,
 // trailing layers with 1x1 filters, stride 1, and no padding.
+//
+// Build is the one builder of a fused chain: from the layers' dims and
+// epilogues it derives every layer's residence tile (Tile) and returns
+// the kernel the residence search picks. Graph fusion
+// (relay.FusePersistent), lowering (codegen) and the benchmarks all
+// build chains through it; UnfusedTime prices the same tiles unfused.
 package persistent
 
 import (
@@ -169,37 +175,15 @@ func (f *FusedGemm) Name() string {
 	return fmt.Sprintf("cutlass_b2b_gemm_x%d_%s", len(f.Layers), f.Kind)
 }
 
-// RunInto executes the fused chain functionally: numerically it must
-// be identical to running the layers' unfused kernels in sequence (the
-// intermediate is converted to FP16 in-register before feeding the next
-// main loop, exactly as the unfused pipeline's store+load would).
-// weights[i] is layer i's K×N matrix, read-only from the chain's first
-// run on (see cutlass.Gemm); biases[i] may be nil. The final layer
-// writes into dst (nil allocates); the in-chain intermediates model the
-// fused kernel's register/SMEM residence and never touch the arena. It
-// returns the destination. f must come from NewFusedGemm, which builds
-// the per-layer kernels.
+// RunInto executes the fused chain functionally (see runChain):
+// weights[i] is layer i's K×N matrix, and biases[i] may be nil. f must
+// come from NewFusedGemm, which builds the per-layer kernels.
 func (f *FusedGemm) RunInto(dst *tensor.Tensor, a0 *tensor.Tensor, weights, biases []*tensor.Tensor) *tensor.Tensor {
-	if len(weights) != len(f.Layers) {
-		panic(fmt.Sprintf("persistent: %d weights for %d layers", len(weights), len(f.Layers)))
-	}
-	if len(f.gemms) != len(f.Layers) {
-		panic("persistent: FusedGemm not built by NewFusedGemm")
-	}
-	cur := a0
-	for i, g := range f.gemms {
-		var c *tensor.Tensor
-		if biases != nil {
-			c = biases[i]
-		}
-		var out *tensor.Tensor
-		if i == len(f.gemms)-1 {
-			out = dst
-		}
-		cur = g.RunInto(out, cur, weights[i], c)
-	}
-	return cur
+	return runChain(f.gemms, len(f.Layers), dst, a0, weights, biases)
 }
+
+// Residence returns f.Kind.
+func (f *FusedGemm) Residence() Residence { return f.Kind }
 
 // Desc lowers the fused kernel to one device descriptor: a single
 // launch whose main loops run back-to-back. Global traffic contains

@@ -105,8 +105,8 @@ func (w ConvWorkload) kernel(cfg cutlass.GemmConfig) *cutlass.Conv2D {
 func (w ConvWorkload) candidates(p *Profiler) []cutlass.GemmConfig {
 	m, n, k := w.Shape.ImplicitGemm()
 	cands := p.GemmCandidates(GemmWorkload{M: m, N: n, K: k, DType: w.DType})
-	ica := alignFor(w.Shape.IC, w.DType)
-	oca := alignFor(w.Shape.OC, w.DType)
+	ica := cutlass.AlignFor(w.Shape.IC, w.DType)
+	oca := cutlass.AlignFor(w.Shape.OC, w.DType)
 	filtered := cands[:0]
 	for _, cfg := range cands {
 		cfg.AlignA, cfg.AlignB, cfg.AlignC = ica, ica, oca
@@ -262,26 +262,6 @@ func workloadRNG(id string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// alignmentFor returns the widest alignment dividing n.
-func alignmentFor(n int) int {
-	for _, a := range []int{8, 4, 2} {
-		if n%a == 0 {
-			return a
-		}
-	}
-	return 1
-}
-
-// alignFor caps the divisibility-derived alignment at the dtype's
-// 128-bit vector width (FP32 loads at most 4 elements per ldg.128).
-func alignFor(n int, dt tensor.DType) int {
-	a := alignmentFor(n)
-	if m := cutlass.MaxAlignment(dt); a > m {
-		a = m
-	}
-	return a
-}
-
 // GemmCandidates enumerates the architecture-guided configurations for
 // a GEMM workload: tens of combinations, not thousands. FP16 and INT8
 // workloads target the tensor cores; FP32 has no tensor-core path on
@@ -294,9 +274,9 @@ func (p *Profiler) GemmCandidates(w GemmWorkload) []cutlass.GemmConfig {
 		op = gpu.OpClassSIMT
 		inst = cutlass.Shape3{M: 1, N: 1, K: 1}
 	}
-	alignA := alignFor(w.K, w.DType)
-	alignB := alignFor(w.N, w.DType)
-	alignC := alignFor(w.N, w.DType)
+	alignA := cutlass.AlignFor(w.K, w.DType)
+	alignB := cutlass.AlignFor(w.N, w.DType)
+	alignC := cutlass.AlignFor(w.N, w.DType)
 
 	// Threadblock shapes by problem size class: small problems need
 	// small threadblocks to launch enough blocks (tuning guideline 3).

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"bolt/internal/cutlass"
+	"bolt/internal/persistent"
 	"bolt/internal/tensor"
 )
 
@@ -77,17 +78,13 @@ type PoolAttrs struct {
 	Kernel, Stride, Pad int
 }
 
-// ChainLayer is one layer of a persistent fused chain.
+// ChainLayer is one layer of a persistent fused chain: the layer
+// persistent.Build fuses (Conv set in OpPersistentConv chains, N and K
+// in OpPersistentGemm ones) and its weight and optional bias operands.
 type ChainLayer struct {
-	// Conv is set for OpPersistentConv chains.
-	Conv cutlass.ConvShape
-	// N, K are set for OpPersistentGemm chains.
-	N, K     int
-	Epilogue cutlass.Epilogue
-	Weight   *Node
-	Bias     *Node
-	// FilterScale is the layer's Node.FilterScale (conv chains).
-	FilterScale []float32
+	persistent.Layer
+	Weight *Node
+	Bias   *Node
 }
 
 // Node is one operator instance in the graph.

@@ -175,33 +175,33 @@ func epilogueOf(n *Node) cutlass.Epilogue {
 
 // FusePersistent fuses chains of back-to-back Dense or Conv2D anchors
 // into persistent kernels (paper §3.1.1) when threadblock residence
-// holds and the device model predicts a speedup. Must run after
-// FuseEpilogue. Returns the number of chains created.
+// holds and the device model predicts a speedup: the kernel
+// persistent.Build picks for a chain must beat persistent.UnfusedTime.
+// Must run after FuseEpilogue. Returns the number of chains created.
 func FusePersistent(g *Graph, d *gpu.Device) int {
 	created := 0
 	// tried holds the heads whose chain failed to fuse, so they are not
 	// retried forever.
 	tried := make(map[*Node]bool)
+	var layers []persistent.Layer // one buffer for every chain tried
 	for {
 		consumers := g.Consumers()
-		var head *Node
 		var chain []*Node
 		for _, n := range g.Nodes {
 			if !(n.Op == OpDense || n.Op == OpConv2D) || tried[n] {
 				continue
 			}
-			c := collectChain(n, consumers)
-			if len(c) >= 2 {
-				head = n
+			if c := collectChain(n, consumers); len(c) >= 2 {
 				chain = c
 				break
 			}
 		}
-		if head == nil {
+		if chain == nil {
 			break
 		}
-		if !tryFuseChain(g, head, chain, d) {
-			tried[head] = true
+		layers = chainLayers(layers[:0], chain)
+		if !tryFuseChain(g, chain, layers, d) {
+			tried[chain[0]] = true
 			continue
 		}
 		created++
@@ -238,152 +238,48 @@ func collectChain(anchor *Node, consumers map[int][]*Node) []*Node {
 	return chain
 }
 
-// tryFuseChain validates residence and benefit; on success it rewrites
-// the graph with a persistent node and returns true.
-func tryFuseChain(g *Graph, head *Node, chain []*Node, d *gpu.Device) bool {
-	if head.Op == OpDense {
-		return tryFuseGemmChain(g, chain, d)
+// chainLayers appends the persistent.Layer of every node in chain.
+func chainLayers(layers []persistent.Layer, chain []*Node) []persistent.Layer {
+	for _, n := range chain {
+		l := persistent.Layer{Epilogue: epilogueOf(n), FilterScale: n.FilterScale}
+		if n.Op == OpConv2D {
+			l.Conv = n.Conv
+		} else {
+			l.K, l.N = n.Inputs[1].Shape[0], n.Inputs[1].Shape[1]
+		}
+		layers = append(layers, l)
 	}
-	return tryFuseConvChain(g, chain, d)
+	return layers
 }
 
-func tryFuseGemmChain(g *Graph, chain []*Node, d *gpu.Device) bool {
-	m := chain[0].Shape[0]
-	layers := make([]persistent.GemmLayer, len(chain))
+// tryFuseChain validates residence and benefit of fusing chain, whose
+// layers are given; on success it rewrites the graph with a persistent
+// node and returns true.
+func tryFuseChain(g *Graph, chain []*Node, layers []persistent.Layer, d *gpu.Device) bool {
+	head, last := chain[0], chain[len(chain)-1]
+	m := head.Shape[0]
+	f, err := persistent.Build(m, layers, head.DType, d)
+	if err != nil || f.Time(d) >= persistent.UnfusedTime(m, layers, head.DType, d) {
+		return false // residence infeasible, or fusion not beneficial (compute-bound chain)
+	}
+	node := &Node{ID: g.NewID(), Op: OpPersistentGemm, Shape: last.Shape.Clone(), DType: head.DType,
+		Layout: tensor.LayoutRowMajor, Inputs: append(make([]*Node, 0, 1+2*len(chain)), head.Inputs[0]),
+		Chain: make([]ChainLayer, len(chain))}
+	if head.Op == OpConv2D {
+		node.Op, node.Layout = OpPersistentConv, last.Layout
+	}
 	for i, n := range chain {
-		k := n.Inputs[1].Shape[0]
-		nn := n.Inputs[1].Shape[1]
-		cfg, ok := ResidenceConfigFor(nn, n.DType, d)
-		if !ok {
-			return false
-		}
-		layers[i] = persistent.GemmLayer{N: nn, K: k, Config: cfg, Epilogue: epilogueOf(n)}
-	}
-	f, err := persistent.ChooseGemmResidence(m, layers, d)
-	if err != nil {
-		return false
-	}
-	if f.Time(d) >= persistent.UnfusedGemmTime(d, m, layers) {
-		return false // fusion not beneficial (compute-bound chain)
-	}
-	node := &Node{ID: g.NewID(), Op: OpPersistentGemm,
-		Shape: chain[len(chain)-1].Shape.Clone(), DType: chain[0].DType, Layout: tensor.LayoutRowMajor}
-	node.Inputs = []*Node{chain[0].Inputs[0]}
-	for i, n := range chain {
-		cl := ChainLayer{N: layers[i].N, K: layers[i].K, Epilogue: layers[i].Epilogue, Weight: n.Inputs[1]}
+		node.Chain[i] = ChainLayer{Layer: layers[i], Weight: n.Inputs[1]}
 		node.Inputs = append(node.Inputs, n.Inputs[1])
 		if len(n.Inputs) > 2 { // fused bias
-			cl.Bias = n.Inputs[2]
+			node.Chain[i].Bias = n.Inputs[2]
 			node.Inputs = append(node.Inputs, n.Inputs[2])
 		}
-		node.Chain = append(node.Chain, cl)
-	}
-	g.insertAfter(chain[len(chain)-1], node)
-	g.replaceUses(chain[len(chain)-1], node)
-	g.rebuild()
-	return true
-}
-
-func tryFuseConvChain(g *Graph, chain []*Node, d *gpu.Device) bool {
-	layers := make([]persistent.ConvLayer, len(chain))
-	for i, n := range chain {
-		cfg, ok := ResidenceConfigFor(n.Conv.OC, n.DType, d)
-		if !ok {
-			return false
-		}
-		if n.Conv.IC%cfg.AlignA != 0 {
-			a := AlignFor(n.Conv.IC)
-			if m := cutlass.MaxAlignment(n.DType); a > m {
-				a = m
-			}
-			cfg.AlignA, cfg.AlignB = a, a
-		}
-		layers[i] = persistent.ConvLayer{Shape: n.Conv, Config: cfg, Epilogue: epilogueOf(n), FilterScale: n.FilterScale}
-	}
-	f, err := persistent.ChooseConvResidence(layers, d)
-	if err != nil {
-		return false
-	}
-	if f.Time(d) >= persistent.UnfusedConvTime(d, layers) {
-		return false
-	}
-	last := chain[len(chain)-1]
-	node := &Node{ID: g.NewID(), Op: OpPersistentConv,
-		Shape: last.Shape.Clone(), DType: chain[0].DType, Layout: last.Layout}
-	node.Inputs = []*Node{chain[0].Inputs[0]}
-	for i, n := range chain {
-		cl := ChainLayer{Conv: n.Conv, Epilogue: layers[i].Epilogue, Weight: n.Inputs[1], FilterScale: n.FilterScale}
-		node.Inputs = append(node.Inputs, n.Inputs[1])
-		if len(n.Inputs) > 2 {
-			cl.Bias = n.Inputs[2]
-			node.Inputs = append(node.Inputs, n.Inputs[2])
-		}
-		node.Chain = append(node.Chain, cl)
 	}
 	g.insertAfter(last, node)
 	g.replaceUses(last, node)
 	g.rebuild()
 	return true
-}
-
-// ResidenceConfig builds a residence-compatible FP16 tile config for
-// output extent n — see ResidenceConfigFor.
-func ResidenceConfig(n int, d *gpu.Device) (cutlass.GemmConfig, bool) {
-	return ResidenceConfigFor(n, tensor.FP16, d)
-}
-
-// ResidenceConfigFor builds a residence-compatible tile config for
-// output extent n in the given dtype, or reports that residence is
-// infeasible (N too large for one threadblock tile, or the dtype's
-// staging does not fit in shared memory). FP32 chains fuse on the
-// SIMT path (no FP32 tensor cores). Exported for the codegen stage,
-// which must rebuild the same configurations when lowering persistent
-// nodes.
-func ResidenceConfigFor(n int, dt tensor.DType, d *gpu.Device) (cutlass.GemmConfig, bool) {
-	tbN := (n + 7) / 8 * 8
-	if tbN < 8 {
-		tbN = 8
-	}
-	op := gpu.OpClassTensorOp
-	inst := cutlass.InstructionShape(d.Arch)
-	if dt == tensor.FP32 {
-		op = gpu.OpClassSIMT
-		inst = cutlass.Shape3{M: 1, N: 1, K: 1}
-	}
-	align := cutlass.MaxAlignment(dt)
-	if align > 8 {
-		align = 8
-	}
-	cfg := cutlass.GemmConfig{
-		TB:     cutlass.Shape3{M: 64, N: tbN, K: 32},
-		Warp:   cutlass.Shape3{M: 16, N: tbN, K: 32},
-		Inst:   inst,
-		Stages: 2, SwizzleLog: 0,
-		AlignA: align, AlignB: align, AlignC: align,
-		Op: op, DType: dt,
-	}
-	if n%align != 0 {
-		a := AlignFor(n)
-		if m := cutlass.MaxAlignment(dt); a > m {
-			a = m
-		}
-		cfg.AlignA, cfg.AlignB, cfg.AlignC = a, a, a
-	}
-	// Quick feasibility probe: the shared-memory staging must fit.
-	if cfg.SharedMemBytes() > d.SharedMemBlock {
-		return cfg, false
-	}
-	return cfg, true
-}
-
-// AlignFor returns the widest legal alignment for extent n.
-func AlignFor(n int) int {
-	for _, a := range []int{8, 4, 2} {
-		if n%a == 0 {
-			return a
-		}
-	}
-	return 1
 }
 
 // OptimizeTVM runs the graph passes TVM's standard pipeline gives

@@ -288,9 +288,8 @@ type vkey struct {
 type variant struct {
 	once    sync.Once
 	mod     *rt.Module
-	time    float64 // modeled seconds per batch run
-	bytes   int64   // modeled bytes (params + planned arena), for eviction
-	lastUse int64   // LRU tick of the last execution/compile
+	bytes   int64 // modeled bytes (params + planned arena), for eviction
+	lastUse int64 // LRU tick of the last execution/compile
 	err     error
 }
 
@@ -457,8 +456,7 @@ type Server struct {
 	// is undeployed, or Close starts: InferTo waits on it while the
 	// queues are full.
 	room         sync.Cond
-	closed       bool
-	flushing     bool               // Close started: dispatch greedily, ignore windows
+	closed       bool               // Close started: reject new requests, dispatch greedily, ignore windows
 	lruTick      int64              // variant use counter (LRU eviction order)
 	pendingTotal int                // queued (accepted, undispatched) requests across tenants
 	tenants      map[string]*tenant // live models by name
@@ -827,14 +825,7 @@ func (s *Server) deviceStatsLocked() []DeviceStats {
 	return out
 }
 
-// SimMakespan returns the largest worker clock without building the
-// full aggregate snapshot.
-func (s *Server) SimMakespan() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.simMakespanLocked()
-}
-
+// simMakespanLocked is the largest worker clock (caller holds s.mu).
 func (s *Server) simMakespanLocked() float64 {
 	var m float64
 	for _, w := range s.workers {
@@ -870,7 +861,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.flushing = true
 	s.room.Broadcast()
 	s.mu.Unlock()
 	s.nudge()
@@ -990,7 +980,7 @@ func (s *Server) ensurePricingLocked(t *tenant, r int) {
 // Classes already priced are skipped — pricing never recompiles an
 // evicted variant — and an Undeploy races the compiles the same way it
 // races Warm: classes not yet started are abandoned rather than
-// compiled for a dead tenant. A closing (flushing) server still
+// compiled for a dead tenant. A closing server still
 // prices, because its queued requests must be answered.
 func (s *Server) priceRung(t *tenant, r int) {
 	defer s.wg.Done()
@@ -1062,7 +1052,7 @@ func (t *tenant) earliestDeadline() time.Time {
 // pending tenants that are not ready (zero for none). A tenant is ready
 // when a high-priority request is pending, when its backlog fills its
 // largest bucket, when any queued request's deadline has passed, when
-// the server is flushing for Close, or — for continuous-batching
+// the server is closing, or — for continuous-batching
 // tenants — whenever anything is pending at all (continuous formation
 // is work-conserving: it sizes the batch from the visible queue instead
 // of holding it for a window). Each not-yet-ready tenant's deadlines
@@ -1084,7 +1074,7 @@ func (s *Server) nextJob(now time.Time) (*batchJob, time.Time) {
 		if t.pending == 0 {
 			continue
 		}
-		if t.continuous || s.flushing || len(t.queues[PriorityHigh]) > 0 || t.pending >= t.maxBucket() {
+		if t.continuous || s.closed || len(t.queues[PriorityHigh]) > 0 || t.pending >= t.maxBucket() {
 			ready = append(ready, t)
 			continue
 		}
@@ -1245,7 +1235,7 @@ func (s *Server) variantFor(t *tenant, class, batch int) *variant {
 		// going through the Once) is synchronized with this write;
 		// post-Do readers are already ordered by the Once itself.
 		s.mu.Lock()
-		v.mod, v.err, v.time, v.bytes = mod, err, tm, bytes
+		v.mod, v.err, v.bytes = mod, err, bytes
 		if r := slices.Index(t.buckets, batch); r >= 0 {
 			cost := tm
 			if err != nil {

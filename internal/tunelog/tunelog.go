@@ -67,7 +67,6 @@ import (
 	"math"
 	"sync"
 
-	"bolt/internal/ansor"
 	"bolt/internal/costmodel"
 	"bolt/internal/cutlass"
 	"bolt/internal/gpu"
@@ -110,11 +109,10 @@ func (k Key) String() string {
 }
 
 // Entry is one cached tuning result. Bolt's profiler stores the
-// selected template parameterization in Config; the Ansor baseline
-// stores its opaque Schedule. Either may be zero when the other tuner
-// produced the entry.
+// selected template parameterization in Config; an entry of another
+// tuner (the Ansor baseline's) carries only its time and trials. A
+// "schedule" key that older files wrote is ignored on load.
 type Entry struct {
-	Schedule ansor.Schedule `json:"schedule,omitzero"`
 	// Config is the CUTLASS-style template selection (Bolt entries).
 	Config cutlass.GemmConfig `json:"config,omitzero"`
 	// TimeSeconds is the measured kernel time when the entry was

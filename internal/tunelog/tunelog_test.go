@@ -8,15 +8,10 @@ import (
 	"sync"
 	"testing"
 
-	"bolt/internal/ansor"
 	"bolt/internal/costmodel"
 	"bolt/internal/cutlass"
 	"bolt/internal/tensor"
 )
-
-func sched() ansor.Schedule {
-	return ansor.Schedule{TileM: 64, TileN: 64, TileK: 16, ThreadM: 8, ThreadN: 8, Vec: 8, Unroll: 64}
-}
 
 func TestLookupRecord(t *testing.T) {
 	l := New()
@@ -24,7 +19,7 @@ func TestLookupRecord(t *testing.T) {
 	if _, ok := l.Lookup(k); ok {
 		t.Fatal("empty log hit")
 	}
-	l.Record(k, Entry{Schedule: sched(), TimeSeconds: 1e-4, Trials: 2000})
+	l.Record(k, Entry{TimeSeconds: 1e-4, Trials: 2000})
 	e, ok := l.Lookup(k)
 	if !ok || e.Trials != 2000 {
 		t.Fatal("recorded entry not found")
@@ -82,7 +77,7 @@ func TestConvShapeDoesNotAlias(t *testing.T) {
 func TestVersionStaleness(t *testing.T) {
 	l := New()
 	k := GemmKey(512, 512, 512, tensor.FP16, "t4")
-	l.Record(k, Entry{Schedule: sched(), TimeSeconds: 1e-5, Trials: 900})
+	l.Record(k, Entry{TimeSeconds: 1e-5, Trials: 900})
 	// Tuner upgrade: old entries stop matching and count as stale.
 	l.CurrentVersion = 2
 	if _, ok := l.Lookup(k); ok {
@@ -92,7 +87,7 @@ func TestVersionStaleness(t *testing.T) {
 		t.Errorf("stale hits %d, want 1 (the maintenance-burden signal)", l.StaleHits)
 	}
 	// Re-recording at the new version restores hits.
-	l.Record(k, Entry{Schedule: sched(), TimeSeconds: 9e-6, Trials: 900})
+	l.Record(k, Entry{TimeSeconds: 9e-6, Trials: 900})
 	if _, ok := l.Lookup(k); !ok {
 		t.Error("re-tuned entry must hit")
 	}
@@ -107,9 +102,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Stages: 2, SwizzleLog: 2, AlignA: 8, AlignB: 8, AlignC: 8,
 	}
 	l.Record(GemmKey(1024, 1024, 1024, tensor.FP16, "t4"),
-		Entry{Schedule: sched(), Config: cfg, TimeSeconds: 3e-4, Trials: 2000})
+		Entry{Config: cfg, TimeSeconds: 3e-4, Trials: 2000})
 	l.Record(ConvKey(cutlass.Conv3x3(32, 56, 56, 64, 64, 1, 1), tensor.FP16, "t4"),
-		Entry{Schedule: sched(), TimeSeconds: 6e-4, Trials: 900})
+		Entry{TimeSeconds: 6e-4, Trials: 900})
 	var buf bytes.Buffer
 	if err := l.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -131,6 +126,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := l2.Load(bytes.NewBufferString("not json")); err == nil {
 		t.Error("corrupt database must error")
 	}
+
+	// A file of an older build whose entry carries a "schedule" (the
+	// field the baseline's entries once had) still loads its entries.
+	old := New()
+	doc := `{"entries":[{"key":{"kind":"gemm","m":8,"n":8,"k":8,"dtype":"float16","device":"t4","version":1},` +
+		`"entry":{"schedule":{"TileM":64,"TileN":64},"time_seconds":2e-5,"trials":900}}]}`
+	if err := old.Load(bytes.NewBufferString(doc)); err != nil {
+		t.Fatalf("a file with a schedule entry: %v", err)
+	}
+	if e, ok := old.Lookup(GemmKey(8, 8, 8, tensor.FP16, "t4")); !ok || e.TimeSeconds != 2e-5 || e.Trials != 900 {
+		t.Errorf("schedule entry loaded as %+v, %v", e, ok)
+	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
@@ -141,7 +148,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			k := GemmKey(64*i, 64, 64, tensor.FP16, "t4")
-			l.Record(k, Entry{Schedule: sched(), TimeSeconds: 1e-6})
+			l.Record(k, Entry{TimeSeconds: 1e-6})
 			l.Lookup(k)
 			l.Lookup(GemmKey(1, 2, 3, tensor.FP16, "t4"))
 		}(i)
